@@ -25,12 +25,7 @@ from repro.bounds.recmii import (
     strongly_connected_components,
 )
 from repro.bounds.resmii import critical_unit_instances, resmii, unit_requirements
-
-
-def mii(loop, ddg, machine) -> int:
-    """MII = max(ResMII, RecMII): the absolute lower bound on II."""
-    return max(resmii(loop, machine), recmii(ddg))
-
+from repro.bounds.analysis import LoopAnalysis
 
 __all__ = [
     "Lifetime",
@@ -57,5 +52,5 @@ __all__ = [
     "critical_unit_instances",
     "resmii",
     "unit_requirements",
-    "mii",
+    "LoopAnalysis",
 ]

@@ -8,14 +8,13 @@ because ``II >= RecMII`` every dependence cycle has non-positive cost,
 so the closure is well defined.
 
 Computed with a vectorized Floyd–Warshall over a numpy int64 matrix
-("no path" is a large negative sentinel).  The per-arc (src, dst,
-latency, omega) base arrays are cached on the DDG (see
-:meth:`repro.ir.ddg.DDG.arc_cost_bases`), so rebuilding the cost matrix
-at an escalated II is one vectorized ``latency - omega * II`` update
-instead of a Python re-scan of every arc; finished closures are also
-memoized per (DDG, II) — the driver's escalation loop, the RecMII
-feasibility search, and the evaluation harness all ask for the same
-(DDG, II) pairs repeatedly.
+("no path" is a large negative sentinel).  The graph's
+:class:`~repro.bounds.analysis.LoopAnalysis` owns the finished closures,
+one read-only matrix per II, and the per-arc cost arrays they are built
+from, so rebuilding the cost matrix at an escalated II is one vectorized
+``latency - omega * II`` update, and the driver's escalation loop, the
+RecMII feasibility search and the evaluation harness share every
+(graph, II) closure.
 
 The "no path" boundary is owned by this module: every consumer must
 test entries through :data:`NO_PATH_CUTOFF` / :func:`is_path` /
@@ -41,9 +40,6 @@ NO_PATH = -(2**40)
 #: checks included), pinned by tests/bounds/test_mindist.py.
 NO_PATH_CUTOFF = -(2**39)
 
-#: Backwards-compatible private alias (pre-unification name).
-_NO_PATH_CUTOFF = NO_PATH_CUTOFF
-
 
 def is_path(entry: int) -> bool:
     """True when a closure entry encodes a real path (scalar form)."""
@@ -58,23 +54,28 @@ def path_mask(entries: np.ndarray) -> np.ndarray:
 class MinDist:
     """All-pairs minimum-distance matrix for one (DDG, II) pair.
 
+    A view of the graph's cached closure at ``ii``: ``matrix`` is shared
+    read-only with every other MinDist of the same graph and II.
     ``profiler`` (see :mod:`repro.obs.prof`) wraps the O(n^3) closure in
     a ``bounds.mindist`` span; the default costs one truth test.
     """
 
     def __init__(self, ddg: DDG, ii: int, profiler=None):
+        from repro.bounds.analysis import LoopAnalysis  # imports this module
+
         if ii < 1:
             raise ValueError(f"II must be positive, got {ii}")
         self.ddg = ddg
         self.ii = ii
         self.n = ddg.n
+        analysis = LoopAnalysis.of(ddg)
         prof = profiler if (profiler is not None and profiler.enabled) else None
         if prof is None:
-            self.matrix, self.feasible = _closure_cached(ddg, ii)
+            self.matrix, self.feasible = analysis.closure(ii)
         else:
-            cached = ii in getattr(ddg, "_mindist_closures", {})
+            cached = analysis.has_closure(ii)
             with prof.span("bounds.mindist"):
-                self.matrix, self.feasible = _closure_cached(ddg, ii)
+                self.matrix, self.feasible = analysis.closure(ii)
             if cached:
                 prof.count("mindist.cache_hits")
             else:
@@ -95,9 +96,10 @@ class MinDist:
         return f"MinDist(n={self.n}, ii={self.ii}, feasible={self.feasible})"
 
 
-def _closure(ddg: DDG, ii: int) -> "tuple[np.ndarray, bool]":
-    n = ddg.n
-    src, dst, latency, omega = ddg.arc_cost_bases()
+def compute_closure(n: int, cost_bases, ii: int) -> "tuple[np.ndarray, bool]":
+    """Longest-path closure of ``n`` ops at ``ii`` from per-arc
+    (src, dst, latency, omega) arrays, and whether ``ii`` is feasible."""
+    src, dst, latency, omega = cost_bases
     dist = np.full((n, n), NO_PATH, dtype=np.int64)
     # Max over parallel arcs; only the -omega*II term depends on II.
     np.maximum.at(dist, (src, dst), latency - omega * ii)
@@ -111,24 +113,12 @@ def _closure(ddg: DDG, ii: int) -> "tuple[np.ndarray, bool]":
     return dist, feasible
 
 
-def _closure_cached(ddg: DDG, ii: int) -> "tuple[np.ndarray, bool]":
-    """Memoized closure: one matrix per (DDG, II), shared read-only."""
-    cache = getattr(ddg, "_mindist_closures", None)
-    if cache is None:
-        cache = ddg._mindist_closures = {}
-    entry = cache.get(ii)
-    if entry is None:
-        matrix, feasible = _closure(ddg, ii)
-        matrix.setflags(write=False)
-        entry = cache[ii] = (matrix, feasible)
-    return entry
-
-
 def is_feasible_ii(ddg: DDG, ii: int) -> bool:
     """True if no dependence circuit has positive cost at this II.
 
     This is the Lawler-style feasibility predicate underlying RecMII:
     the smallest feasible II over this predicate *is* RecMII.
     """
-    _, feasible = _closure_cached(ddg, ii)
-    return feasible
+    from repro.bounds.analysis import LoopAnalysis  # imports this module
+
+    return LoopAnalysis.of(ddg).closure(ii)[1]

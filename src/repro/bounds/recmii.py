@@ -280,21 +280,13 @@ def recmii_by_feasibility(ddg: DDG) -> int:
     return hi
 
 
-def recmii(ddg: DDG, circuit_limit: int = 50_000) -> int:
+def recmii(ddg: DDG) -> int:
     """RecMII; prefers circuit scanning, falls back to feasibility search.
 
-    Memoized on the DDG (the arc list is immutable after construction),
-    so re-scheduling against a prebuilt graph — the service/bench path —
-    does not re-enumerate circuits.
+    Not memoized here: :attr:`repro.bounds.analysis.LoopAnalysis.rec_mii`
+    keeps the graph's bound.
     """
-    memo = getattr(ddg, "_recmii_memo", None)
-    if memo is None:
-        memo = ddg._recmii_memo = {}
-    bound = memo.get(circuit_limit)
-    if bound is None:
-        try:
-            bound = recmii_by_circuits(ddg, limit=circuit_limit)
-        except CircuitLimitExceeded:
-            bound = recmii_by_feasibility(ddg)
-        memo[circuit_limit] = bound
-    return bound
+    try:
+        return recmii_by_circuits(ddg)
+    except CircuitLimitExceeded:
+        return recmii_by_feasibility(ddg)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.bounds.analysis import LoopAnalysis
 from repro.ir.ddg import DDG, build_ddg
 from repro.ir.loop import LoopBody
 from repro.ir.types import DType
@@ -58,7 +59,7 @@ def acyclic_ddg(loop: LoopBody, machine: Machine) -> DDG:
     """The block's dependence graph: loop-carried arcs dropped."""
     full = build_ddg(loop, machine)
     arcs = [arc for arc in full.arcs if arc.omega == 0]
-    return DDG(loop, arcs)
+    return DDG(loop, arcs, machine)
 
 
 def block_pressure(loop: LoopBody, ddg: DDG, times: Dict[int, int]) -> int:
@@ -109,7 +110,7 @@ class _ListScheduler:
         self.machine = machine
         self.ddg = ddg
         self.pressure_limit = pressure_limit
-        self.binding = machine.bind_units(loop)
+        self.binding = LoopAnalysis.of(ddg).binding
         self._priority = self._critical_paths()
 
     def _critical_paths(self) -> Dict[int, int]:
@@ -259,17 +260,15 @@ def schedule_slack(loop: LoopBody, machine: Machine, ddg: Optional[DDG] = None) 
     from repro.core.framework import AttemptFailed
 
     ddg = ddg or acyclic_ddg(loop, machine)
+    analysis = LoopAnalysis.of(ddg)
     horizon = 2 + sum(max(1, machine.latency(op)) for op in loop.real_ops)
-    binding = machine.bind_units(loop)
     resource_floor = 0
     for class_index, busy in unit_requirements(loop, machine).items():
         count = machine.unit_classes[class_index].count
         resource_floor = max(resource_floor, -(-busy // count))
     target: Optional[int] = None
     for _ in range(12):
-        attempt = SlackAttempt(
-            loop, machine, ddg, ii=max(horizon, 2), binding=binding, tight_cap=True
-        )
+        attempt = SlackAttempt(analysis, ii=max(horizon, 2), tight_cap=True)
         if target is None:
             target = max(attempt.lstart_cap, resource_floor)
         attempt.lstart_cap = max(attempt.lstart_cap, target)

@@ -18,13 +18,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.bounds.recmii import recurrence_ops
-from repro.ir.ddg import DDG
-from repro.ir.loop import LoopBody
+from repro.bounds.analysis import LoopAnalysis
 from repro.ir.operations import Operation
-from repro.machine.machine import Machine, UnitInstance
 from repro.core.framework import SchedulingAttempt
 from repro.core.slack import SlackAttempt
 
@@ -32,29 +29,15 @@ from repro.core.slack import SlackAttempt
 class CydromeAttempt(SchedulingAttempt):
     """Static-priority, recurrence-first, earliest-placement baseline."""
 
-    def __init__(
-        self,
-        loop: LoopBody,
-        machine: Machine,
-        ddg: DDG,
-        ii: int,
-        binding: Dict[int, UnitInstance],
-        budget_ratio: float = 16.0,
-        tracer=None,
-        metrics=None,
-        profiler=None,
-    ):
-        super().__init__(
-            loop, machine, ddg, ii, binding, budget_ratio,
-            tracer=tracer, metrics=metrics, profiler=profiler,
-        )
-        self.recurrence = recurrence_ops(ddg)
+    def __init__(self, analysis: LoopAnalysis, ii: int, **kwargs):
+        super().__init__(analysis, ii, **kwargs)
+        self.recurrence = analysis.recurrence_ops
         #: Initial slack, frozen before any placement (the static priority).
         self.initial_slack = {
             op.oid: int(self.lstart[op.oid]) - int(self.estart[op.oid])
-            for op in loop.ops
+            for op in self.loop.ops
         }
-        self.initial_lstart = {op.oid: int(self.lstart[op.oid]) for op in loop.ops}
+        self.initial_lstart = {op.oid: int(self.lstart[op.oid]) for op in self.loop.ops}
 
     def choose_operation(self) -> Operation:
         best_oid = min(
@@ -93,25 +76,11 @@ class HeightAttempt(SchedulingAttempt):
     related-work reference point alongside the Cydrome baseline.
     """
 
-    def __init__(
-        self,
-        loop: LoopBody,
-        machine: Machine,
-        ddg: DDG,
-        ii: int,
-        binding: Dict[int, UnitInstance],
-        budget_ratio: float = 16.0,
-        tracer=None,
-        metrics=None,
-        profiler=None,
-    ):
-        super().__init__(
-            loop, machine, ddg, ii, binding, budget_ratio,
-            tracer=tracer, metrics=metrics, profiler=profiler,
-        )
-        stop = loop.stop.oid
+    def __init__(self, analysis: LoopAnalysis, ii: int, **kwargs):
+        super().__init__(analysis, ii, **kwargs)
+        stop = self.loop.stop.oid
         self.height = {}
-        for op in loop.ops:
+        for op in self.loop.ops:
             distance = self.mindist.dist(op.oid, stop)
             self.height[op.oid] = distance if distance is not None else 0
 

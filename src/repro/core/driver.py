@@ -22,8 +22,7 @@ import logging
 import time
 from typing import Optional, Type
 
-from repro.bounds.recmii import recmii
-from repro.bounds.resmii import resmii
+from repro.bounds.analysis import LoopAnalysis
 from repro.ir.ddg import DDG, build_ddg
 from repro.ir.loop import LoopBody
 from repro.machine.machine import Machine
@@ -110,7 +109,9 @@ def modulo_schedule(
         algorithm: "slack" (the paper), "cydrome" (the Table 4
             baseline), or "unidirectional" (the §7 ablation).
         options: Driver knobs; defaults reproduce the paper's settings.
-        ddg: Pre-built dependence graph (rebuilt when omitted).
+        ddg: Pre-built dependence graph (rebuilt when omitted); its
+            :class:`~repro.bounds.analysis.LoopAnalysis` carries over
+            between calls.
         tracer: Optional decision-level trace sink (see repro.obs).
         metrics: Optional aggregate-metrics registry (see repro.obs).
         profiler: Optional span profiler (see repro.obs.prof); records
@@ -133,27 +134,19 @@ def modulo_schedule(
                 ddg = build_ddg(loop, machine)
     trace = tracer if (tracer is not None and tracer.enabled) else None
 
-    # Both II lower bounds are stashed on the DDG: re-scheduling a
-    # prebuilt graph (service cache hits, benches, escalation studies)
-    # skips the circuit enumeration and unit-pressure scans entirely.
-    res_mii = getattr(ddg, "_resmii", None)
+    # Every placement-independent fact comes from the graph's analysis:
+    # re-scheduling a prebuilt graph (service cache hits, benches,
+    # escalation studies) skips the circuit enumeration, unit-pressure
+    # scans and binding prepass entirely.
+    analysis = LoopAnalysis.of(ddg)
     if prof is None:
-        if res_mii is None:
-            res_mii = ddg._resmii = resmii(loop, machine)
-        rec_mii = recmii(ddg)
+        res_mii, rec_mii = analysis.res_mii, analysis.rec_mii
     else:
-        if res_mii is None:
-            with prof.span("bounds.resmii"):
-                res_mii = ddg._resmii = resmii(loop, machine)
+        with prof.span("bounds.resmii"):
+            res_mii = analysis.res_mii
         with prof.span("bounds.recmii"):
-            rec_mii = recmii(ddg)
-    mii = max(res_mii, rec_mii)
-    # The unit-binding prepass is a pure function of (loop, machine) —
-    # exactly what the DDG was built from — so it is stashed alongside
-    # the other bounds.
-    binding = getattr(ddg, "_binding", None)
-    if binding is None:
-        binding = ddg._binding = machine.bind_units(loop)
+            rec_mii = analysis.rec_mii
+    mii = analysis.mii
 
     stats = SchedulerStats()
     ii = mii
@@ -177,9 +170,7 @@ def modulo_schedule(
             if prof is not None:
                 prof.count("driver.attempts")
             if algorithm == "warp":
-                schedule, warp_stats = run_warp_attempt(
-                    loop, machine, ddg, ii, binding, tracer=trace
-                )
+                schedule, warp_stats = run_warp_attempt(analysis, ii, tracer=trace)
                 attempt_stats.merge(warp_stats)
             else:
                 kwargs = {"budget_ratio": options.budget_ratio}
@@ -189,16 +180,14 @@ def modulo_schedule(
                     kwargs["critical_threshold"] = options.critical_threshold
                 started = time.perf_counter()
                 attempt = attempt_cls(
-                    loop, machine, ddg, ii, binding,
-                    tracer=trace, metrics=metrics, profiler=prof, **kwargs
+                    analysis, ii, tracer=trace, metrics=metrics, profiler=prof, **kwargs
                 )
                 # The attempt already charged the MinDist build to
                 # stats.mindist_seconds (matching the profiler's
-                # bounds.mindist span); the rest of construction — unit
-                # binding tables, MinLT, critical-unit detection — is
-                # attempt setup, not MinDist, and is timed separately so
-                # span-level regression attribution stops blaming the
-                # wrong phase.
+                # bounds.mindist span); the rest of construction — MRT,
+                # MinLT, critical-unit detection — is attempt setup, not
+                # MinDist, and is timed separately so span-level
+                # regression attribution stops blaming the wrong phase.
                 construction = time.perf_counter() - started
                 attempt.stats.setup_seconds += max(
                     0.0, construction - attempt.stats.mindist_seconds

@@ -30,12 +30,10 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
+from repro.bounds.analysis import LoopAnalysis
 from repro.bounds.mindist import MinDist, path_mask
-from repro.bounds.resmii import resmii
-from repro.ir.ddg import DDG
 from repro.ir.loop import LoopBody
 from repro.ir.operations import Operation
-from repro.machine.machine import Machine, UnitInstance
 from repro.machine.mrt import ModuloResourceTable
 from repro.core.schedule import Schedule, SchedulerStats
 from repro.obs import trace as tracing
@@ -61,7 +59,12 @@ def placement_budget(loop: LoopBody, budget_ratio: float) -> int:
 
 
 class SchedulingAttempt:
-    """Scheduling state for one (loop, machine, II) attempt.
+    """Scheduling state for one attempt at a fixed II.
+
+    Everything placement-independent — bounds, unit binding, MinDist,
+    MinLT — comes read-only from the graph's
+    :class:`~repro.bounds.analysis.LoopAnalysis`; the attempt owns only
+    what placement changes (``times``, Estart/Lstart, the MRT).
 
     Subclasses implement the two heuristic hooks:
 
@@ -72,11 +75,8 @@ class SchedulingAttempt:
 
     def __init__(
         self,
-        loop: LoopBody,
-        machine: Machine,
-        ddg: DDG,
+        analysis: LoopAnalysis,
         ii: int,
-        binding: Dict[int, UnitInstance],
         budget_ratio: float = 16.0,
         tight_cap: bool = False,
         tracer: Optional[tracing.Tracer] = None,
@@ -91,11 +91,13 @@ class SchedulingAttempt:
         #: Normalized profiler, same pattern (see obs.prof).
         self.prof = profiler if (profiler is not None and profiler.enabled) else None
         self._eject_counts: Optional[Dict[int, int]] = {} if metrics is not None else None
-        self.loop = loop
-        self.machine = machine
-        self.ddg = ddg
+        self.analysis = analysis
+        self.loop = loop = analysis.loop
+        self.machine = analysis.machine
+        #: A strong reference: the analysis only holds the graph weakly.
+        self.ddg = ddg = analysis.ddg
         self.ii = ii
-        self.binding = binding
+        self.binding = analysis.binding
         #: Straight-line mode: keep Lstart(Stop) at the critical path
         #: instead of rounding up to a multiple of II (§4.2's extra
         #: slack only makes sense when II bounds the schedule's period).
@@ -114,16 +116,9 @@ class SchedulingAttempt:
         self.stop_oid = loop.stop.oid
         brtop = loop.brtop()
         self.brtop_oid = brtop.oid if brtop is not None else None
-        # The driver (and the corpus runner) stash their ResMII on the
-        # DDG; every attempt at every escalated II would otherwise
-        # recompute the identical bound.
-        cached_resmii = getattr(ddg, "_resmii", None)
-        if cached_resmii is None:
-            cached_resmii = resmii(loop, machine)
-            ddg._resmii = cached_resmii
-        self.contention = cached_resmii > 1
+        self.contention = analysis.res_mii > 1
 
-        self.mrt = ModuloResourceTable(machine, ii, binding)
+        self.mrt = ModuloResourceTable(self.machine, ii, self.binding)
         self.times: Dict[int, int] = {self.start_oid: 0}
         self.last_place: Dict[int, int] = {}
         self.unplaced: Set[int] = {op.oid for op in loop.ops} - {self.start_oid}

@@ -31,22 +31,14 @@ RR pressure).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.bounds.lifetimes import min_lifetime
+from repro.bounds.analysis import LoopAnalysis
 from repro.bounds.resmii import critical_unit_instances
-from repro.ir.ddg import DDG, ArcKind
-from repro.ir.loop import LoopBody
 from repro.ir.operations import Operation
-from repro.ir.types import DType
-from repro.machine.machine import Machine, UnitInstance
 from repro.core.framework import SchedulingAttempt
-
-
-def _is_rr_flow_value(value) -> bool:
-    return value is not None and value.is_variant and value.dtype is not DType.PRED
 
 
 class SlackAttempt(SchedulingAttempt):
@@ -54,25 +46,15 @@ class SlackAttempt(SchedulingAttempt):
 
     def __init__(
         self,
-        loop: LoopBody,
-        machine: Machine,
-        ddg: DDG,
+        analysis: LoopAnalysis,
         ii: int,
-        binding: Dict[int, UnitInstance],
-        budget_ratio: float = 16.0,
         bidirectional: bool = True,
         critical_threshold: float = 0.90,
-        tight_cap: bool = False,
         dynamic_priority: bool = True,
-        tracer=None,
-        metrics=None,
-        profiler=None,
+        **kwargs,
     ):
-        super().__init__(
-            loop, machine, ddg, ii, binding, budget_ratio,
-            tight_cap=tight_cap, tracer=tracer, metrics=metrics,
-            profiler=profiler,
-        )
+        super().__init__(analysis, ii, **kwargs)
+        loop, binding = self.loop, self.binding
         self.bidirectional = bidirectional
         #: §8 ablation: with dynamic_priority off, the operation choice
         #: freezes each op's *initial* slack (as Cydrome's scheduler
@@ -80,7 +62,7 @@ class SlackAttempt(SchedulingAttempt):
         #: becoming "fixed" by a placement.
         self.dynamic_priority = dynamic_priority
         critical_units = critical_unit_instances(
-            loop, machine, binding, ii, threshold=critical_threshold
+            loop, self.machine, binding, ii, threshold=critical_threshold
         )
         #: Critical ops are marked just before attempting each new II.
         self.critical_ops = {
@@ -109,38 +91,14 @@ class SlackAttempt(SchedulingAttempt):
             self._initial_priority4 = (self.lstart - self.estart) * self._scale4
         #: Reusable scratch vector for choose_operation's composite key.
         self._key_buf = np.empty(self.n, dtype=np.int64)
-        #: MinLT per value id (§5.1) and the §5.2 per-op stretch tables
-        #: derived from it.  Both are pure functions of (ddg, ii), so
-        #: they are memoized on the DDG: attempts re-run against a
-        #: prebuilt graph (service cache paths, benches) share them
-        #: read-only instead of re-scanning every arc.
-        memo = getattr(ddg, "_slack_tables", None)
-        if memo is None:
-            memo = ddg._slack_tables = {}
-        tables = memo.get(ii)
-        if tables is None:
-            if self.prof is not None:
-                with self.prof.span("slack.minlt"):
-                    self.minlt = self._compute_minlt()
-            else:
-                self.minlt = self._compute_minlt()
-            self._build_stretch_tables()
-            memo[ii] = (self.minlt, self._input_stretch, self._output_stretch)
+        #: The §5.2 per-op stretch tables derived from MinLT (§5.1),
+        #: shared read-only through the analysis.
+        if self.prof is not None:
+            with self.prof.span("slack.minlt"):
+                tables = analysis.stretch_tables(ii)
         else:
-            self.minlt, self._input_stretch, self._output_stretch = tables
-        #: Immediate pred/succ oid sets per op, II-independent, likewise
-        #: shared via the DDG.
-        cache = getattr(ddg, "_neighbor_cache", None)
-        if cache is None:
-            cache = ddg._neighbor_cache = {}
-        self._neighbor_cache: Dict[int, tuple] = cache
-
-    def _compute_minlt(self) -> Dict[int, int]:
-        return {
-            value.vid: min_lifetime(value, self.ddg, self.mindist, self.ii)
-            for value in self.loop.values
-            if value.is_variant and value.defop is not None
-        }
+            tables = analysis.stretch_tables(ii)
+        self._input_stretch, self._output_stretch = tables
 
     # ------------------------------------------------------------------
     # §4.3: dynamic priority
@@ -189,39 +147,6 @@ class SlackAttempt(SchedulingAttempt):
     # ------------------------------------------------------------------
     # §5.2: bidirectional issue-cycle choice
     # ------------------------------------------------------------------
-    def _build_stretch_tables(self) -> None:
-        """Precompute the per-op lifetime-stretch facts (§5.2).
-
-        Which input values an op can stretch depends on the current
-        bounds, but the *candidate set* (distinct RR flow inputs, first
-        arc per value, self-recurrences excluded) and each candidate's
-        ``MinLT(v) - omega*II`` constant are fixed for the attempt, as
-        is whether the op's output is consumed.  prefers_early runs on
-        every placement, so the arc scans move here, once.
-        """
-        input_stretch = []
-        output_stretch = []
-        preds = self.ddg.preds
-        minlt = self.minlt
-        for op in self.loop.ops:
-            seen = set()
-            entries = []
-            oid = op.oid
-            for arc in preds[oid]:
-                if arc.kind is not ArcKind.FLOW:
-                    continue
-                value = arc.value
-                if not _is_rr_flow_value(value) or value.vid in seen:
-                    continue
-                if arc.src == oid:
-                    continue  # self-recurrence: length fixed at omega*II
-                seen.add(value.vid)
-                entries.append((arc.src, minlt.get(value.vid, 0) - arc.omega * self.ii))
-            input_stretch.append(entries)
-            output_stretch.append(self._scan_stretchable_output(op))
-        self._input_stretch = input_stretch
-        self._output_stretch = output_stretch
-
     def _stretchable_inputs(self, op: Operation) -> int:
         """Distinct input values a placement of ``op`` could stretch: an
         input ``v`` (defined by ``d``) is pinned when
@@ -236,17 +161,6 @@ class SlackAttempt(SchedulingAttempt):
     def _stretchable_outputs(self, op: Operation) -> int:
         return self._output_stretch[op.oid]
 
-    def _scan_stretchable_output(self, op: Operation) -> int:
-        """In SSA, placing an op early stretches its output; the output
-        counts whenever some other operation consumes the value."""
-        value = op.dest
-        if not _is_rr_flow_value(value):
-            return 0
-        for arc in self.ddg.flow_outputs(op):
-            if arc.value is value and arc.dst != op.oid:
-                return 1
-        return 0
-
     def prefers_early(self, op: Operation) -> bool:
         """The §5.2 decision: True to scan Estart->Lstart."""
         inputs = self._stretchable_inputs(op)
@@ -256,10 +170,7 @@ class SlackAttempt(SchedulingAttempt):
         if inputs != outputs:
             return inputs > outputs
         # Tie: place near the group less likely to be ejected.
-        cached = self._neighbor_cache.get(op.oid)
-        if cached is None:
-            cached = self._neighbor_cache[op.oid] = self.ddg.neighbors(op)
-        preds, succs = cached
+        preds, succs = self.analysis.neighbors(op)
         pred_frac = _placed_fraction(preds, self.times)
         succ_frac = _placed_fraction(succs, self.times)
         if pred_frac != succ_frac:

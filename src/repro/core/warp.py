@@ -35,11 +35,11 @@ import dataclasses
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.bounds.analysis import LoopAnalysis
 from repro.bounds.mindist import MinDist
 from repro.bounds.recmii import strongly_connected_components
-from repro.ir.ddg import DDG, ArcKind
-from repro.ir.loop import LoopBody
-from repro.machine.machine import Machine, UnitInstance
+from repro.ir.ddg import ArcKind
+from repro.machine.machine import UnitInstance
 from repro.machine.mrt import ModuloResourceTable
 from repro.core.schedule import Schedule, SchedulerStats
 from repro.obs import trace as tracing
@@ -63,25 +63,22 @@ class WarpScheduler:
 
     def __init__(
         self,
-        loop: LoopBody,
-        machine: Machine,
-        ddg: DDG,
+        analysis: LoopAnalysis,
         ii: int,
-        binding: Dict[int, UnitInstance],
         tracer: Optional[tracing.Tracer] = None,
     ):
         self.trace = tracer if (tracer is not None and tracer.enabled) else None
-        self.loop = loop
-        self.machine = machine
-        self.ddg = ddg
+        self.loop = analysis.loop
+        self.machine = analysis.machine
+        self.ddg = analysis.ddg
         self.ii = ii
-        self.binding = binding
+        self.binding = analysis.binding
         mindist_started = time.perf_counter()
-        self.mindist = MinDist(ddg, ii)
+        self.mindist = MinDist(self.ddg, ii)
         self.mindist_build_seconds = time.perf_counter() - mindist_started
         if not self.mindist.feasible:
-            raise ValueError(f"II={ii} is below RecMII for {loop.name}")
-        self.mrt = ModuloResourceTable(machine, ii, binding)
+            raise ValueError(f"II={ii} is below RecMII for {self.loop.name}")
+        self.mrt = ModuloResourceTable(self.machine, ii, self.binding)
         self.stats = SchedulerStats()
         self.infeasible_node = False
         self.nodes = self._build_nodes()
@@ -299,11 +296,8 @@ class WarpScheduler:
 
 
 def run_warp_attempt(
-    loop: LoopBody,
-    machine: Machine,
-    ddg: DDG,
+    analysis: LoopAnalysis,
     ii: int,
-    binding: Dict[int, UnitInstance],
     tracer: Optional[tracing.Tracer] = None,
 ) -> Tuple[Optional[Schedule], SchedulerStats]:
     """One Warp-style attempt; (schedule or None, work stats).
@@ -315,7 +309,7 @@ def run_warp_attempt(
     split so Table-4-style effort comparisons stay apples-to-apples.
     """
     started = time.perf_counter()
-    scheduler = WarpScheduler(loop, machine, ddg, ii, binding, tracer=tracer)
+    scheduler = WarpScheduler(analysis, ii, tracer=tracer)
     construction = time.perf_counter() - started
     scheduler.stats.mindist_seconds += scheduler.mindist_build_seconds
     scheduler.stats.setup_seconds += max(
@@ -326,5 +320,8 @@ def run_warp_attempt(
     scheduler.stats.scheduling_seconds += time.perf_counter() - started
     if times is None:
         return None, scheduler.stats
-    schedule = Schedule(loop=loop, machine=machine, ii=ii, times=times, binding=binding)
+    schedule = Schedule(
+        loop=analysis.loop, machine=analysis.machine, ii=ii, times=times,
+        binding=analysis.binding,
+    )
     return schedule, scheduler.stats

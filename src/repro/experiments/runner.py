@@ -6,14 +6,12 @@ import time
 from typing import List, Optional, Union
 
 from repro.bounds import (
+    LoopAnalysis,
     MinDist,
     critical_unit_instances,
     gpr_count,
     icr_usage,
     min_avg,
-    recmii,
-    recurrence_ops,
-    resmii,
     rr_max_live,
 )
 from repro.core import SchedulerOptions, modulo_schedule
@@ -34,7 +32,7 @@ def classify(loop: LoopBody, ddg, rec_mii: int) -> str:
     constrain II (RecMII > 1).
     """
     has_conditional = bool(loop.meta.get("has_conditional", False))
-    has_recurrence = rec_mii > 1 or bool(recurrence_ops(ddg))
+    has_recurrence = rec_mii > 1 or bool(LoopAnalysis.of(ddg).recurrence_ops)
     if has_conditional and has_recurrence:
         return "both"
     if has_conditional:
@@ -58,21 +56,24 @@ def measure_loop(
     ``tracer``/``metrics``/``profiler`` are forwarded to the scheduling
     driver (repro.obs); per-phase wall times are additionally
     accumulated into the registry so corpus runs expose where the time
-    goes.
+    goes.  The bounds come from the graph's :class:`LoopAnalysis`, the
+    same object the driver then schedules from, so each is computed
+    once per loop.
     """
     machine = machine or cydra5()
     loop = compile_loop(program) if isinstance(program, DoLoop) else program
     ddg = build_ddg(loop, machine)
+    analysis = LoopAnalysis.of(ddg)
 
     started = time.perf_counter()
-    rec_mii = recmii(ddg)
+    rec_mii = analysis.rec_mii
     recmii_seconds = time.perf_counter() - started
     if metrics is not None:
         metrics.timer("phase.recmii").add(recmii_seconds)
-    res_mii = resmii(loop, machine)
-    mii = max(rec_mii, res_mii)
+    res_mii = analysis.res_mii
+    mii = analysis.mii
 
-    binding = machine.bind_units(loop)
+    binding = analysis.binding
     critical_units = critical_unit_instances(loop, machine, binding, mii)
     n_critical = sum(1 for oid, unit in binding.items() if unit in critical_units)
     n_div = sum(1 for op in loop.real_ops if op.opcode in DIVIDER_OPCODES)
@@ -111,7 +112,7 @@ def measure_loop(
         n_basic_blocks=int(loop.meta.get("n_basic_blocks", 1)),
         n_ops=len(loop.real_ops),
         n_critical_ops_at_mii=n_critical,
-        n_recurrence_ops=len(recurrence_ops(ddg)),
+        n_recurrence_ops=len(analysis.recurrence_ops),
         n_div_ops=n_div,
         rec_mii=rec_mii,
         res_mii=res_mii,

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Iterator, List, Optional, Tuple
 
 from repro.ir.loop import LoopBody
 from repro.ir.operations import Operation
@@ -58,11 +56,12 @@ class DDG:
 
     Build with :func:`build_ddg`; ``n`` equals the loop body's operation
     count (including Start/Stop), and oids index directly into the
-    adjacency lists.
+    adjacency lists.  The arc list is immutable after construction.
     """
 
-    def __init__(self, loop: LoopBody, arcs: List[Arc]):
+    def __init__(self, loop: LoopBody, arcs: List[Arc], machine: "Machine"):  # noqa: F821
         self.loop = loop
+        self.machine = machine
         self.n = loop.n_ops
         self.arcs = arcs
         self.succs: List[List[Arc]] = [[] for _ in range(self.n)]
@@ -70,39 +69,10 @@ class DDG:
         for arc in arcs:
             self.succs[arc.src].append(arc)
             self.preds[arc.dst].append(arc)
-        #: Lazy caches owned by repro.bounds.mindist: the per-arc cost
-        #: base arrays and the per-II closure memo.  Both assume the arc
-        #: list is immutable after construction (it is).
-        self._cost_bases = None
-        self._mindist_closures: dict = {}
-        #: Lazy II-lower-bound stashes (repro.bounds.{resmii,recmii} and
-        #: the driver/framework fill these): both depend only on the
-        #: immutable loop/machine/arcs this graph was built from.
-        self._resmii = None
-        self._recmii_memo: dict = {}
-        self._binding = None
-
-    def arc_cost_bases(self):
-        """Per-arc (src, dst, latency, omega) int64 arrays, cached.
-
-        The MinDist cost matrix at any II is ``latency - omega * II``
-        maximized over parallel arcs; only the ``-omega * II`` term
-        changes as the scheduling driver escalates II, so these base
-        arrays are built once per DDG and every closure rebuild becomes
-        a single vectorized expression instead of a Python arc scan.
-        """
-        if self._cost_bases is None:
-            count = len(self.arcs)
-            src = np.fromiter((a.src for a in self.arcs), dtype=np.int64, count=count)
-            dst = np.fromiter((a.dst for a in self.arcs), dtype=np.int64, count=count)
-            latency = np.fromiter(
-                (a.latency for a in self.arcs), dtype=np.int64, count=count
-            )
-            omega = np.fromiter(
-                (a.omega for a in self.arcs), dtype=np.int64, count=count
-            )
-            self._cost_bases = (src, dst, latency, omega)
-        return self._cost_bases
+        #: This graph's placement-independent analysis (bounds, unit
+        #: binding, per-II MinDist/MinLT): the one cache a DDG carries,
+        #: created on first use by repro.bounds.analysis.LoopAnalysis.of.
+        self.analysis = None
 
     def flow_arcs(self) -> Iterator[Arc]:
         return (arc for arc in self.arcs if arc.kind is ArcKind.FLOW)
@@ -167,4 +137,4 @@ def build_ddg(loop: LoopBody, machine: "Machine") -> DDG:  # noqa: F821
             )
     for dep in loop.mem_deps:
         arcs.append(Arc(dep.src, dep.dst, dep.latency, dep.omega, ArcKind.MEM))
-    return DDG(loop, arcs)
+    return DDG(loop, arcs, machine)

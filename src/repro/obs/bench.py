@@ -533,8 +533,9 @@ def run_scheduler_speed_bench(
 
     The corpus is compiled and its dependence graphs are built *once*,
     outside the timed region, and at least one warmup sweep always runs
-    so the DDG-level reuse stashes (MinDist closures, RecMII/ResMII,
-    unit binding, slack tables) are warm.  Each timed repeat is then a
+    so each graph's :class:`~repro.bounds.analysis.LoopAnalysis`
+    (ResMII/RecMII, unit binding, MinDist closures, MinLT and stretch
+    tables) is warm.  Each timed repeat is then a
     full ``modulo_schedule`` sweep over the prebuilt graphs — the
     steady-state scheduling throughput a resident compiler or the
     scheduling service sees, with no frontend or graph-build time mixed
@@ -567,7 +568,7 @@ def run_scheduler_speed_bench(
             for loop, ddg in zip(loops, ddgs)
         ]
 
-    for _ in range(max(1, warmup)):  # always warm the DDG-level caches
+    for _ in range(max(1, warmup)):  # always warm each graph's LoopAnalysis
         sweep()
     samples: List[float] = []
     results = None

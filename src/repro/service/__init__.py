@@ -71,7 +71,7 @@ from repro.service.keys import (
     canonical_request,
     machine_digest,
 )
-from repro.service.pool import PoolStats, run_jobs
+from repro.service.pool import PoolStats
 from repro.service.spool import SpoolMergeStats, merge_spools, write_spool
 from repro.service.batch import BatchReport, batch_main, run_batch
 
@@ -109,7 +109,6 @@ __all__ = [
     "canonical_request",
     "machine_digest",
     "PoolStats",
-    "run_jobs",
     "SpoolMergeStats",
     "merge_spools",
     "write_spool",

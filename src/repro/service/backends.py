@@ -9,8 +9,7 @@ into submission-ordered :class:`JobResult`\\ s plus a
     other backend must match byte-for-byte (modulo wall-clock fields).
 
 ``ProcessBackend``
-    One future per job on a ``ProcessPoolExecutor`` — the PR-3
-    behavior, refactored out of ``pool.run_jobs``.  Every payload
+    One future per job on a ``ProcessPoolExecutor``.  Every payload
     pickles the job's whole ``(program, machine)``, which is what made
     small-corpus speedup ~1.1×: the machine description dwarfs most
     loop bodies.
@@ -527,24 +526,17 @@ class ChunkedProcessBackend(ExecutionBackend):
 
 
 def resolve_backend(
-    name: str,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    prefer_chunked: bool = True,
+    name: str, workers: int = 1, chunk_size: Optional[int] = None
 ) -> ExecutionBackend:
     """Instantiate a backend by name.
 
-    ``auto`` picks :class:`SerialBackend` for one worker and (by
-    default) :class:`ChunkedProcessBackend` otherwise;
-    ``prefer_chunked=False`` restores the per-job process pool for
-    callers pinned to the historical strategy.
+    ``auto`` picks :class:`SerialBackend` for one worker and
+    :class:`ChunkedProcessBackend` otherwise.
     """
     if name == "auto":
         if workers <= 1:
             return SerialBackend()
-        if prefer_chunked:
-            return ChunkedProcessBackend(workers, chunk_size)
-        return ProcessBackend(workers)
+        return ChunkedProcessBackend(workers, chunk_size)
     if name == "serial":
         return SerialBackend()
     if name == "process":

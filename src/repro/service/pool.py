@@ -5,9 +5,7 @@ needs to run jobs safely: the in-worker ``SIGALRM`` budget, fault
 injection, observability spooling, crash quarantine, and the
 :class:`PoolStats` record.  The execution *strategies* themselves —
 serial in-process, one-future-per-job process pool, chunked process
-pool with worker-resident machines — live in ``backends.py``;
-:func:`run_jobs` survives as the historical entry point and simply
-delegates to the auto-selected backend.
+pool with worker-resident machines — live in ``backends.py``.
 
 Fault-tolerance ladder (most to least capable, degrading gracefully):
 
@@ -176,7 +174,10 @@ def execute_job(
     the ring to disk before the process dies, for the parent to
     collect.  A worker hung in a C extension (backstop timeout) and a
     ``SIGKILL``/OOM kill leave no dump — those are the documented
-    limits of in-process forensics.
+    limits of in-process forensics.  Nor does a fatal signal whose
+    handler was installed outside Python (``python -X faulthandler``
+    or ``-X dev``): that handler is left in place, so no flight ring is
+    spilled for it.
 
     The wall-clock budget uses ``SIGALRM`` and therefore only applies on
     POSIX main threads (worker processes and the serial path both
@@ -220,7 +221,10 @@ def execute_job(
 
         for name in _FATAL_SIGNALS:
             signum = getattr(signal, name, None)
-            if signum is None:
+            # getsignal() is None for a handler Python did not install
+            # (faulthandler's, under -X faulthandler or -X dev), which
+            # signal.signal() could not restore: leave that one alone.
+            if signum is None or signal.getsignal(signum) is None:
                 continue
             try:
                 installed_fatal.append((signum, signal.signal(signum, _spill)))
@@ -434,38 +438,3 @@ def run_quarantined(
         stats.retries += 1
         if backoff > 0:
             time.sleep(min(5.0, backoff * (2 ** (attempt - 1))))
-
-
-def run_jobs(
-    jobs: Sequence[ScheduleJob],
-    machine,
-    workers: int = 1,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-    backoff: float = 0.1,
-    spool_dir: Optional[str] = None,
-    progress=None,
-    flight_dir: Optional[str] = None,
-    flight_events: int = DEFAULT_FLIGHT_CAPACITY,
-) -> Tuple[List[JobResult], PoolStats]:
-    """Historical entry point: auto-select a backend and execute.
-
-    ``workers <= 1`` (or a single job) runs serially in-process; more
-    workers use the per-job process backend.  New callers should go
-    through :func:`repro.service.backends.resolve_backend`, which also
-    offers the chunked backend.
-    """
-    from repro.service.backends import resolve_backend
-
-    backend = resolve_backend("auto", workers=workers, prefer_chunked=False)
-    return backend.run(
-        jobs,
-        machine,
-        timeout=timeout,
-        max_retries=max_retries,
-        backoff=backoff,
-        spool_dir=spool_dir,
-        progress=progress,
-        flight_dir=flight_dir,
-        flight_events=flight_events,
-    )

@@ -81,7 +81,7 @@ def test_static_cycle_detected(machine):
     loop.finalize()
     ddg = build_ddg(loop, machine)
     ddg.arcs.append(Arc(opa.oid, opb.oid, 1, 0, ArcKind.MEM))
-    ddg = DDG(loop, ddg.arcs)
+    ddg = DDG(loop, ddg.arcs, machine)
     with pytest.raises(StaticCycleError):
         recmii_by_circuits(ddg)
     with pytest.raises(StaticCycleError):

@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bounds import LoopAnalysis
 from repro.core import SlackAttempt
 from repro.frontend import compile_loop
 from repro.ir import build_ddg
@@ -26,7 +27,7 @@ def _fresh_attempt(seed, klass):
     from repro.bounds import recmii, resmii
 
     ii = max(recmii(ddg), resmii(loop, MACHINE))
-    return SlackAttempt(loop, MACHINE, ddg, ii, MACHINE.bind_units(loop))
+    return SlackAttempt(LoopAnalysis.of(ddg), ii)
 
 
 @given(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bounds import LoopAnalysis
 from repro.core import SchedulerOptions, modulo_schedule, validate_schedule
 
 from tests.conftest import (
@@ -93,7 +94,7 @@ def test_height_priority_orders_by_critical_path(machine):
 
     loop = build_accumulator_loop()
     ddg = build_ddg(loop, machine)
-    attempt = HeightAttempt(loop, machine, ddg, 1, machine.bind_units(loop))
+    attempt = HeightAttempt(LoopAnalysis.of(ddg), 1)
     chosen = attempt.choose_operation()
     # The first choice is (one of) the ops with the greatest height.
     top = max(attempt.height[oid] for oid in attempt.unplaced)

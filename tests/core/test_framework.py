@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bounds import LoopAnalysis
 from repro.core import AttemptFailed, SlackAttempt, run_attempt
 from repro.core.framework import SchedulingAttempt
 from repro.ir import DType, LoopBody, Opcode, Operand, build_ddg
@@ -11,7 +12,7 @@ from tests.conftest import build_divider_loop, build_figure1_loop
 
 def _attempt(machine, loop, ii, **kwargs):
     ddg = build_ddg(loop, machine)
-    return SlackAttempt(loop, machine, ddg, ii, machine.bind_units(loop), **kwargs)
+    return SlackAttempt(LoopAnalysis.of(ddg), ii, **kwargs)
 
 
 def test_start_is_pinned_at_zero(machine):
@@ -46,7 +47,7 @@ def test_infeasible_ii_rejected(machine):
     loop.finalize()
     ddg = build_ddg(loop, machine)
     with pytest.raises(ValueError):
-        SlackAttempt(loop, machine, ddg, 1, machine.bind_units(loop))
+        SlackAttempt(LoopAnalysis.of(ddg), 1)
 
 
 def test_run_places_every_op(machine):
@@ -103,7 +104,7 @@ def test_budget_exhaustion_raises(machine):
     loop = build_figure1_loop()
     ddg = build_ddg(loop, machine)
     attempt = SlackAttempt(
-        loop, machine, ddg, 2, machine.bind_units(loop), budget_ratio=16.0
+        LoopAnalysis.of(ddg), 2, budget_ratio=16.0
     )
     attempt.budget = 2  # artificially tiny
     with pytest.raises(AttemptFailed):
@@ -113,7 +114,7 @@ def test_budget_exhaustion_raises(machine):
 def test_run_attempt_returns_none_on_failure(machine):
     loop = build_figure1_loop()
     ddg = build_ddg(loop, machine)
-    attempt = SlackAttempt(loop, machine, ddg, 2, machine.bind_units(loop))
+    attempt = SlackAttempt(LoopAnalysis.of(ddg), 2)
     attempt.budget = 1
     assert run_attempt(attempt) is None
 
@@ -121,7 +122,7 @@ def test_run_attempt_returns_none_on_failure(machine):
 def test_abstract_hooks_raise(machine):
     loop = build_figure1_loop()
     ddg = build_ddg(loop, machine)
-    attempt = SchedulingAttempt(loop, machine, ddg, 2, machine.bind_units(loop))
+    attempt = SchedulingAttempt(LoopAnalysis.of(ddg), 2)
     with pytest.raises(NotImplementedError):
         attempt.choose_operation()
     with pytest.raises(NotImplementedError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bounds import LoopAnalysis
 from repro.core import SlackAttempt
 from repro.ir import DType, LoopBody, Opcode, Operand, build_ddg
 
@@ -10,7 +11,7 @@ from tests.conftest import build_accumulator_loop, build_divider_loop, build_fig
 
 def _attempt(machine, loop, ii, **kwargs):
     ddg = build_ddg(loop, machine)
-    return SlackAttempt(loop, machine, ddg, ii, machine.bind_units(loop), **kwargs)
+    return SlackAttempt(LoopAnalysis.of(ddg), ii, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +152,7 @@ def test_unidirectional_flag_disables_heuristic(machine):
     loop = build_accumulator_loop()
     ddg = build_ddg(loop, machine)
     attempt = SlackAttempt(
-        loop, machine, ddg, 1, machine.bind_units(loop), bidirectional=False
+        LoopAnalysis.of(ddg), 1, bidirectional=False
     )
     load = next(op for op in loop.real_ops if op.is_load)
     lo = int(attempt.estart[load.oid])
@@ -166,7 +167,7 @@ def test_static_priority_freezes_initial_slack(machine):
     loop = build_figure1_loop()
     ddg = build_ddg(loop, machine)
     attempt = SlackAttempt(
-        loop, machine, ddg, 2, machine.bind_units(loop), dynamic_priority=False
+        LoopAnalysis.of(ddg), 2, dynamic_priority=False
     )
     op = loop.real_ops[0]
     before = attempt.priority(op)
@@ -182,7 +183,7 @@ def test_dynamic_priority_tracks_placements(machine):
 
     loop = build_figure1_loop()
     ddg = build_ddg(loop, machine)
-    attempt = SlackAttempt(loop, machine, ddg, 2, machine.bind_units(loop))
+    attempt = SlackAttempt(LoopAnalysis.of(ddg), 2)
     stores = [o for o in loop.real_ops if o.is_store]
     before = attempt.priority(stores[0])
     adds = [o for o in loop.real_ops if o.opcode is Opcode.ADD_F]
@@ -206,7 +207,7 @@ def test_static_priority_snapshot_is_eager_not_lazy(machine):
     def fresh():
         ddg = build_ddg(loop, machine)
         return SlackAttempt(
-            loop, machine, ddg, 2, machine.bind_units(loop), dynamic_priority=False
+            LoopAnalysis.of(ddg), 2, dynamic_priority=False
         )
 
     reference = fresh()

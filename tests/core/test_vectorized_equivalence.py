@@ -10,9 +10,8 @@ corpus loops schedule end to end, covering contention, ejection, cap
 growth and II escalation states no hand-written fixture reaches.
 """
 
+from repro.bounds import LoopAnalysis
 from repro.bounds.mindist import is_path
-from repro.bounds.recmii import recmii
-from repro.bounds.resmii import resmii
 from repro.core.framework import run_attempt
 from repro.core.slack import SlackAttempt
 from repro.frontend import compile_loop
@@ -55,10 +54,10 @@ class CheckedSlackAttempt(SlackAttempt):
 
 
 def _schedule_checked(loop, ddg, **kwargs):
-    binding = MACHINE.bind_units(loop)
-    ii = max(recmii(ddg), resmii(loop, MACHINE))
+    analysis = LoopAnalysis.of(ddg)
+    ii = analysis.mii
     for _ in range(15):
-        attempt = CheckedSlackAttempt(loop, MACHINE, ddg, ii, binding, **kwargs)
+        attempt = CheckedSlackAttempt(analysis, ii, **kwargs)
         schedule = run_attempt(attempt)
         if schedule is not None:
             return schedule

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bounds import LoopAnalysis
 from repro.core import modulo_schedule, validate_schedule
 from repro.core.warp import WarpScheduler, run_warp_attempt
 from repro.frontend import compile_loop
@@ -23,7 +24,7 @@ MACHINE = cydra5()
 def test_macro_nodes_group_recurrence_circuits():
     loop = build_figure1_loop()
     ddg = build_ddg(loop, MACHINE)
-    scheduler = WarpScheduler(loop, MACHINE, ddg, 2, MACHINE.bind_units(loop))
+    scheduler = WarpScheduler(LoopAnalysis.of(ddg), 2)
     macro = [node for node in scheduler.nodes if node.is_macro]
     assert len(macro) == 1  # x <-> y cross recurrence
     x_def = next(op for op in loop.real_ops if op.dest is not None and op.dest.name == "x")
@@ -36,7 +37,7 @@ def test_fixed_relative_timing_respects_internal_arcs():
     loop = compile_loop(program)
     ddg = build_ddg(loop, MACHINE)
     result = modulo_schedule(loop, MACHINE, ddg=ddg)
-    scheduler = WarpScheduler(loop, MACHINE, ddg, result.mii, MACHINE.bind_units(loop))
+    scheduler = WarpScheduler(LoopAnalysis.of(ddg), result.mii)
     for node in scheduler.nodes:
         if not node.is_macro:
             continue
@@ -60,7 +61,7 @@ def test_warp_attempt_reports_failure_not_exception():
 
     loop = build_divider_loop()
     ddg = build_ddg(loop, MACHINE)
-    schedule, stats = run_warp_attempt(loop, MACHINE, ddg, 16, MACHINE.bind_units(loop))
+    schedule, stats = run_warp_attempt(LoopAnalysis.of(ddg), 16)
     assert schedule is None
     assert stats.placements >= 0
 
@@ -70,7 +71,7 @@ def test_warp_rejects_infeasible_ii():
     loop = compile_loop(program)
     ddg = build_ddg(loop, MACHINE)
     with pytest.raises(ValueError):
-        WarpScheduler(loop, MACHINE, ddg, 1, MACHINE.bind_units(loop))
+        WarpScheduler(LoopAnalysis.of(ddg), 1)
 
 
 def _close(a, b):

@@ -57,9 +57,6 @@ def test_serial_backend_used_at_jobs_1():
 def test_resolve_backend_mapping():
     assert isinstance(resolve_backend("auto", workers=1), SerialBackend)
     assert isinstance(resolve_backend("auto", workers=4), ChunkedProcessBackend)
-    assert isinstance(
-        resolve_backend("auto", workers=4, prefer_chunked=False), ProcessBackend
-    )
     assert isinstance(resolve_backend("serial", workers=4), SerialBackend)
     assert isinstance(resolve_backend("process", workers=4), ProcessBackend)
     assert isinstance(resolve_backend("chunked", workers=4), ChunkedProcessBackend)

@@ -1,6 +1,9 @@
 """Worker-pool fault tolerance and determinism (repro.service.pool)."""
 
 import concurrent.futures
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +16,8 @@ from repro.service.jobs import (
     JOB_TIMEOUT,
     make_jobs,
 )
-from repro.service.pool import execute_job, run_jobs
+from repro.service.backends import ProcessBackend, SerialBackend
+from repro.service.pool import execute_job
 from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
@@ -25,7 +29,7 @@ def _corpus(n):
 
 def test_serial_path_preserves_order_and_statuses():
     jobs = make_jobs(_corpus(5))
-    results, stats = run_jobs(jobs, MACHINE, workers=1)
+    results, stats = SerialBackend().run(jobs, MACHINE)
     assert [r.index for r in results] == [0, 1, 2, 3, 4]
     assert all(r.status == JOB_OK and r.metrics is not None for r in results)
     assert stats.fallback_serial and stats.ok == 5
@@ -33,8 +37,8 @@ def test_serial_path_preserves_order_and_statuses():
 
 def test_parallel_matches_serial_byte_for_byte():
     programs = _corpus(8)
-    serial, _ = run_jobs(make_jobs(programs), MACHINE, workers=1)
-    parallel, stats = run_jobs(make_jobs(programs), MACHINE, workers=4)
+    serial, _ = SerialBackend().run(make_jobs(programs), MACHINE)
+    parallel, stats = ProcessBackend(4).run(make_jobs(programs), MACHINE)
     assert not stats.fallback_serial
     serial_json = to_json([r.metrics for r in serial], drop_timings=True)
     parallel_json = to_json([r.metrics for r in parallel], drop_timings=True)
@@ -43,7 +47,7 @@ def test_parallel_matches_serial_byte_for_byte():
 
 def test_timeout_reported_without_losing_batch():
     jobs = make_jobs(_corpus(4), faults={1: "hang:30"})
-    results, stats = run_jobs(jobs, MACHINE, workers=2, timeout=1.0)
+    results, stats = ProcessBackend(2).run(jobs, MACHINE, timeout=1.0)
     assert results[1].status == JOB_TIMEOUT
     assert "budget" in results[1].error
     others = [r for r in results if r.index != 1]
@@ -53,8 +57,8 @@ def test_timeout_reported_without_losing_batch():
 
 def test_crash_quarantined_others_survive():
     jobs = make_jobs(_corpus(4), faults={2: "crash"})
-    results, stats = run_jobs(
-        jobs, MACHINE, workers=2, timeout=20.0, max_retries=1, backoff=0.01
+    results, stats = ProcessBackend(2).run(
+        jobs, MACHINE, timeout=20.0, max_retries=1, backoff=0.01
     )
     assert results[2].status == JOB_CRASHED
     assert "worker died" in results[2].error
@@ -67,7 +71,7 @@ def test_crash_quarantined_others_survive():
 
 def test_raise_is_failed_not_crashed():
     jobs = make_jobs(_corpus(3), faults={0: "raise"})
-    results, stats = run_jobs(jobs, MACHINE, workers=2, timeout=20.0)
+    results, stats = ProcessBackend(2).run(jobs, MACHINE, timeout=20.0)
     assert results[0].status == JOB_FAILED
     assert "injected fault" in results[0].error
     assert stats.failed == 1 and stats.ok == 2
@@ -81,7 +85,7 @@ def test_unavailable_pool_degrades_to_serial(monkeypatch):
         concurrent.futures, "ProcessPoolExecutor", _refuse
     )
     jobs = make_jobs(_corpus(3))
-    results, stats = run_jobs(jobs, MACHINE, workers=4)
+    results, stats = ProcessBackend(4).run(jobs, MACHINE)
     assert stats.fallback_serial
     assert all(r.status == JOB_OK for r in results)
 
@@ -90,6 +94,22 @@ def test_execute_job_never_raises_on_bad_program():
     jobs = make_jobs([object()])  # not a loop at all
     result = execute_job(jobs[0], MACHINE)
     assert result.status == JOB_FAILED and result.error
+
+
+def test_batch_runs_under_faulthandler():
+    # Under -X faulthandler (and -X dev) signal.getsignal() reports None
+    # for the fatal signals, a value signal.signal() rejects: execute_job
+    # must leave those handlers alone rather than raise TypeError.
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    command = [
+        sys.executable, "-X", "faulthandler", "-m", "repro", "batch",
+        "--corpus", "4", "--no-cache", "--backend", "serial", "--no-progress",
+    ]
+    result = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "batch: 4 loops  ok=4" in result.stdout
 
 
 def test_in_process_timeout_via_sigalrm():
@@ -142,10 +162,9 @@ def test_crashed_worker_spills_and_parent_attaches(tmp_path):
     # The synthetic SIGSEGV lets the worker's signal handler spill the
     # ring to flight_dir before dying; quarantine reads it back.
     jobs = make_jobs(_corpus(4), faults={2: "crash"})
-    results, stats = run_jobs(
+    results, stats = ProcessBackend(2).run(
         jobs,
         MACHINE,
-        workers=2,
         timeout=20.0,
         max_retries=1,
         backoff=0.01,
@@ -162,10 +181,9 @@ def test_crashed_job_postmortem_renders_via_explain(tmp_path):
     from repro.obs import flight_postmortem
 
     jobs = make_jobs(_corpus(3), faults={1: "crash"})
-    results, _ = run_jobs(
+    results, _ = ProcessBackend(2).run(
         jobs,
         MACHINE,
-        workers=2,
         timeout=20.0,
         max_retries=1,
         backoff=0.01,
