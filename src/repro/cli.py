@@ -33,14 +33,13 @@ The ``bench`` subcommand runs named scenarios under a common protocol
 [--fail-on-regress]`` diffs two result sets with a noise-aware
 threshold (see ``repro.obs.bench`` / ``repro.obs.regress``).
 
-The ``batch`` subcommand schedules corpora as a service: pluggable
-execution backends (``--backend serial|process|chunked``, ``--jobs``,
-``--chunk-size``), a content-addressed result cache in either a fan-out
-directory (``--cache-dir``) or a single sqlite file (``--cache-db``),
-cache eviction (``--gc --max-cache-bytes/--max-cache-age``),
-heterogeneous machine sweeps (``--sweep-load-latency 2,13,27``), and a
-merged cross-process scheduler trace (``--trace``) that is identical at
-any ``--jobs`` level.
+The ``batch`` subcommand schedules corpora as a service: serially
+in-process or on a process pool (``--jobs``), a content-addressed result
+cache in either a fan-out directory (``--cache-dir``) or a single sqlite
+file (``--cache-db``), cache eviction
+(``--gc --max-cache-bytes/--max-cache-age``), heterogeneous machine
+sweeps (``--sweep-load-latency 2,13,27``), and a merged cross-process
+scheduler trace (``--trace``) that is identical at any ``--jobs`` level.
 
 The ``serve`` subcommand boots a long-lived scheduling daemon
 (``repro.server``): ``POST /v1/schedule`` / ``POST /v1/batch`` with

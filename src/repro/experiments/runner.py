@@ -150,12 +150,11 @@ def run_corpus(
     cache_db: Optional[str] = None,
     timeout: Optional[float] = None,
     machines=None,
-    backend: str = "auto",
 ) -> List[LoopMetrics]:
     """Measure a whole corpus with one scheduler configuration.
 
-    ``jobs`` > 1, a cache location, per-loop ``machines`` or an explicit
-    ``backend`` routes the corpus through the batch scheduling service
+    ``jobs`` > 1, a cache location or per-loop ``machines`` routes the
+    corpus through the batch scheduling service
     (:mod:`repro.service`): worker processes, per-job ``timeout``, and a
     content-addressed result cache (directory or sqlite).  The service
     path returns metrics in the same order with identical values.
@@ -170,7 +169,6 @@ def run_corpus(
         or cache_dir is not None
         or cache_db is not None
         or machines is not None
-        or backend != "auto"
     )
     if use_service:
         from repro.service import run_batch
@@ -186,7 +184,6 @@ def run_corpus(
             cache_db=cache_db,
             metrics=metrics,
             machines=machines,
-            backend=backend,
             tracer=tracer,
             profiler=profiler,
         )
@@ -235,7 +232,6 @@ def run_corpus_sweep(
     cache_dir: Optional[str] = None,
     cache_db: Optional[str] = None,
     timeout: Optional[float] = None,
-    backend: str = "auto",
 ) -> List[List[LoopMetrics]]:
     """Measure one corpus under several machines as ONE heterogeneous batch.
 
@@ -259,7 +255,6 @@ def run_corpus_sweep(
         cache_db=cache_db,
         timeout=timeout,
         machines=flat_machines,
-        backend=backend,
     )
     n = len(programs)
     return [flat[i * n : (i + 1) * n] for i in range(len(machines))]

@@ -7,8 +7,8 @@ exited.  This module makes the service legible while it runs:
   :class:`ProgressEvent`\\ s — ``submitted`` when the batch accepts it,
   ``cached`` when the result cache answers, ``started`` when an
   execution backend dispatches it, ``finished``/``failed`` when its
-  result lands, ``quarantined`` when a pool crash reroutes it.  All
-  three execution backends emit the *same per-job sequence*; only
+  result lands, ``quarantined`` when a pool crash reroutes it.  Both
+  execution backends emit the *same per-job sequence*; only
   timestamps and cross-job interleaving differ (asserted by the parity
   tests).
 * :class:`ProgressTracker` fans events out to any number of sinks — a
@@ -501,7 +501,7 @@ class ProgressTracker:
 def lifecycle_sequence(events: Sequence[ProgressEvent]) -> Dict[int, List[str]]:
     """Per-job kind sequences with synthetic kinds dropped.
 
-    This is the cross-backend parity view: serial, process and chunked
+    This is the cross-backend parity view: serial and process-pool
     runs of the same batch must produce identical mappings (timestamps
     and cross-job interleaving are already gone).
     """

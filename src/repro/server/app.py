@@ -77,7 +77,6 @@ class ServerConfig:
     auth_token: Optional[str] = None
     jobs: int = 1  # /v1/batch worker processes
     job_timeout: Optional[float] = None  # /v1/batch per-job budget
-    backend: str = "auto"  # /v1/batch execution backend
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     verbose: bool = False
 
@@ -396,7 +395,6 @@ class _Handler(BaseHTTPRequestHandler):
             options=request.options,
             jobs=config.jobs,
             timeout=config.job_timeout,
-            backend=config.backend,
             cache=cache,
             use_cache=cache is not None,
         )
@@ -532,7 +530,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--job-timeout",
         type=float,
         metavar="SECONDS",
-        help="/v1/batch per-job wall-clock budget (default: unlimited)",
+        help="/v1/batch per-job wall-clock budget (default: unlimited; "
+        "needs --jobs 2 or more)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -564,6 +563,11 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             cache_dir = DEFAULT_CACHE_DIR
     if args.jobs < 1:
         print("error: --jobs must be positive", file=sys.stderr)
+        return 2
+    if args.job_timeout is not None and args.jobs == 1:
+        # A serial /v1/batch runs in its request thread, where the
+        # SIGALRM budget cannot be armed: the timeout would never bind.
+        print("error: --job-timeout needs --jobs 2 or more", file=sys.stderr)
         return 2
 
     config = ServerConfig(

@@ -377,7 +377,7 @@ def batch_response_body(report, cache_delta: Optional[dict] = None) -> dict:
         "wall_seconds": report.wall_seconds,
         "cache": cache_delta,
         "pool": {
-            "backend": pool.backend or ("serial" if pool.fallback_serial else ""),
+            "backend": pool.backend,
             "workers": pool.workers,
             "fallback_serial": pool.fallback_serial,
             "retries": pool.retries,

@@ -22,8 +22,8 @@ measure_loop` into exactly that service:
   wall-clock budgets, crash quarantine with bounded retry, graceful
   degradation to in-process serial execution, observability spooling;
 - :mod:`repro.service.backends` — the :class:`ExecutionBackend`
-  strategies: serial in-process, per-job process pool, and the chunked
-  pool that keeps deserialized machines resident in workers;
+  strategies: serial in-process, and the chunked process pool that
+  keeps deserialized machines resident in workers;
 - :mod:`repro.service.spool` — per-job observability spool files
   merged in submission order, so ``--trace``/``--explain`` cross
   process boundaries deterministically;
@@ -35,7 +35,6 @@ from repro.service.backends import (
     BACKEND_NAMES,
     ChunkedProcessBackend,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     resolve_backend,
 )
@@ -45,7 +44,6 @@ from repro.service.cache import (
     CacheStats,
     DirectoryCache,
     GCReport,
-    ResultCache,
     SQLiteCache,
     collect_garbage,
     open_cache,
@@ -79,7 +77,6 @@ __all__ = [
     "BACKEND_NAMES",
     "ChunkedProcessBackend",
     "ExecutionBackend",
-    "ProcessBackend",
     "SerialBackend",
     "resolve_backend",
     "CacheBackend",
@@ -87,7 +84,6 @@ __all__ = [
     "CacheStats",
     "DirectoryCache",
     "GCReport",
-    "ResultCache",
     "SQLiteCache",
     "collect_garbage",
     "open_cache",

@@ -1,31 +1,25 @@
-"""Pluggable execution backends for the batch scheduling service.
+"""Execution backends for the batch scheduling service.
 
 An :class:`ExecutionBackend` turns a list of :class:`ScheduleJob`\\ s
 into submission-ordered :class:`JobResult`\\ s plus a
-:class:`PoolStats`.  Three strategies ship:
+:class:`PoolStats`.  Two strategies ship:
 
 ``SerialBackend``
-    In-process loop.  No isolation, no pickling; the baseline every
-    other backend must match byte-for-byte (modulo wall-clock fields).
-
-``ProcessBackend``
-    One future per job on a ``ProcessPoolExecutor``.  Every payload
-    pickles the job's whole ``(program, machine)``, which is what made
-    small-corpus speedup ~1.1×: the machine description dwarfs most
-    loop bodies.
+    In-process loop.  No isolation, no pickling; the baseline the
+    process pool must match byte-for-byte (modulo wall-clock fields).
 
 ``ChunkedProcessBackend``
-    Jobs are submitted in per-worker *chunks* and machines are shipped
-    once per worker through the pool initializer, keyed by
-    :func:`repro.service.keys.machine_digest`.  A worker deserializes
-    each distinct machine exactly once and every chunk payload carries
-    only digests, so the dominant per-job pickling cost becomes
-    O(distinct machines × workers) instead of O(jobs).  Chunking also
-    amortizes executor future overhead.  Heterogeneous batches (per-job
-    machines) ride the same table: jobs referencing the same machine
-    share the worker-resident copy regardless of interleaving.
+    The process pool.  Jobs are submitted in per-worker *chunks* and
+    machines are shipped once per worker through the pool initializer,
+    keyed by :func:`repro.service.keys.machine_digest`.  A worker
+    deserializes each distinct machine exactly once and every chunk
+    payload carries only digests, so the dominant per-job pickling cost
+    becomes O(distinct machines × workers) instead of O(jobs).  Chunking
+    also amortizes executor future overhead.  Heterogeneous batches
+    (per-job machines) ride the same table: jobs referencing the same
+    machine share the worker-resident copy regardless of interleaving.
 
-All three speak the same fault-tolerance protocol (in-worker ``SIGALRM``
+Both speak the same fault-tolerance protocol (in-worker ``SIGALRM``
 budgets, pool-side backstop, crash quarantine with bounded backoff —
 see :mod:`repro.service.pool`) and the same observability protocol
 (per-job spool files, see :mod:`repro.service.spool`; per-job progress
@@ -67,14 +61,13 @@ from repro.service.pool import (
     BACKSTOP_GRACE,
     DEFAULT_FLIGHT_CAPACITY,
     PoolStats,
-    _pool_worker,
     _tally,
     execute_job,
     run_quarantined,
 )
 
-#: Names accepted by :func:`resolve_backend` (and the CLI ``--backend``).
-BACKEND_NAMES = ("auto", "serial", "process", "chunked")
+#: Names accepted by :func:`resolve_backend`.
+BACKEND_NAMES = ("auto", "serial", "chunked")
 
 #: Chunked backend: target this many chunks per worker so a slow chunk
 #: cannot idle the rest of the pool for long (work stealing granularity).
@@ -181,126 +174,6 @@ class SerialBackend(ExecutionBackend):
             flight_dir=flight_dir, flight_events=flight_events,
         )
         return _finish(stats, results, started)
-
-
-class ProcessBackend(ExecutionBackend):
-    """One future per job on a process pool (whole request pickled)."""
-
-    name = "process"
-
-    def __init__(self, workers: int):
-        self.workers = max(1, workers)
-
-    def run(
-        self,
-        jobs: Sequence[ScheduleJob],
-        machine,
-        timeout: Optional[float] = None,
-        max_retries: int = 2,
-        backoff: float = 0.1,
-        spool_dir: Optional[str] = None,
-        progress=None,
-        flight_dir: Optional[str] = None,
-        flight_events: int = DEFAULT_FLIGHT_CAPACITY,
-    ) -> Tuple[List[JobResult], PoolStats]:
-        import time
-
-        stats = PoolStats(workers=self.workers, jobs=len(jobs), backend=self.name)
-        started = time.perf_counter()
-        if self.workers <= 1 or len(jobs) <= 1:
-            stats.fallback_serial = self.workers <= 1
-            results = _execute_serially(
-                jobs, machine, timeout, spool_dir, progress,
-                flight_dir=flight_dir, flight_events=flight_events,
-            )
-            return _finish(stats, results, started)
-
-        results: Dict[int, JobResult] = {}
-        pending: List[ScheduleJob] = list(jobs)
-        while pending:
-            try:
-                executor = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(pending))
-                )
-            except (OSError, ValueError, RuntimeError):
-                # Degradation ladder, final rung: no subprocesses available.
-                stats.fallback_serial = True
-                for result in _execute_serially(
-                    pending, machine, timeout, spool_dir, progress,
-                    flight_dir=flight_dir, flight_events=flight_events,
-                ):
-                    results[result.index] = result
-                pending = []
-                break
-
-            broken = False
-            hung = False
-            try:
-                futures = {}
-                for job in pending:
-                    future = executor.submit(
-                        _pool_worker,
-                        (job, machine, timeout, spool_dir, flight_dir,
-                         flight_events),
-                    )
-                    _emit_started(progress, job)
-                    futures[future] = job
-                backstop = None
-                if timeout is not None and timeout > 0:
-                    waves = math.ceil(len(pending) / max(1, self.workers))
-                    backstop = waves * (timeout + BACKSTOP_GRACE) + BACKSTOP_GRACE
-                try:
-                    for future in concurrent.futures.as_completed(
-                        futures, timeout=backstop
-                    ):
-                        job = futures[future]
-                        try:
-                            result = future.result()
-                        except concurrent.futures.process.BrokenProcessPool:
-                            broken = True
-                            continue  # other done futures may still hold results
-                        except concurrent.futures.CancelledError:
-                            continue
-                        results[job.index] = result
-                        _emit_result(progress, result)
-                except concurrent.futures.TimeoutError:
-                    # SIGALRM-immune hang: give up on everything unfinished.
-                    hung = True
-                    for future, job in futures.items():
-                        if job.index in results:
-                            continue
-                        if future.done() and not future.cancelled():
-                            continue  # re-run next round; results are pure
-                        results[job.index] = JobResult(
-                            index=job.index,
-                            name=job.name,
-                            status=JOB_TIMEOUT,
-                            error="backstop: worker unresponsive past its budget",
-                        )
-                        _emit_result(progress, results[job.index])
-            finally:
-                # Never block on a broken pool or a hung worker; abandoning
-                # the stuck process is the price of finishing the batch.
-                executor.shutdown(wait=not (broken or hung), cancel_futures=True)
-
-            pending = [job for job in jobs if job.index not in results]
-            if pending and broken:
-                # A worker died and took the shared pool with it.  Which job
-                # killed it is unknowable from here, so blame nobody:
-                # quarantine every unfinished job in its own single-worker
-                # pool, where a repeat offender can only crash itself.
-                stats.rebuilds += 1
-                for job in pending:
-                    _emit_quarantined(progress, job)
-                    results[job.index] = run_quarantined(
-                        job, machine, timeout, max_retries, backoff, stats,
-                        spool_dir=spool_dir, flight_dir=flight_dir,
-                        flight_events=flight_events,
-                    )
-                    _emit_result(progress, results[job.index])
-                pending = []
-
-        return _finish(stats, list(results.values()), started)
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +284,9 @@ class ChunkedProcessBackend(ExecutionBackend):
 
         stats = PoolStats(workers=self.workers, jobs=len(jobs), backend=self.name)
         started = time.perf_counter()
-        if self.workers <= 1 or len(jobs) <= 1:
+        # Even one job goes to a worker: only there can its SIGALRM
+        # budget bind when the caller is not a main thread.
+        if self.workers <= 1 or not jobs:
             stats.fallback_serial = self.workers <= 1
             results = _execute_serially(
                 jobs, machine, timeout, spool_dir, progress,
@@ -525,24 +400,16 @@ class ChunkedProcessBackend(ExecutionBackend):
         return _finish(stats, list(results.values()), started)
 
 
-def resolve_backend(
-    name: str, workers: int = 1, chunk_size: Optional[int] = None
-) -> ExecutionBackend:
+def resolve_backend(name: str, workers: int = 1) -> ExecutionBackend:
     """Instantiate a backend by name.
 
     ``auto`` picks :class:`SerialBackend` for one worker and
     :class:`ChunkedProcessBackend` otherwise.
     """
-    if name == "auto":
-        if workers <= 1:
-            return SerialBackend()
-        return ChunkedProcessBackend(workers, chunk_size)
-    if name == "serial":
+    if name == "serial" or (name == "auto" and workers <= 1):
         return SerialBackend()
-    if name == "process":
-        return ProcessBackend(workers)
-    if name == "chunked":
-        return ChunkedProcessBackend(workers, chunk_size)
+    if name in ("auto", "chunked"):
+        return ChunkedProcessBackend(workers)
     raise ValueError(
         f"unknown execution backend {name!r}; pick from {', '.join(BACKEND_NAMES)}"
     )

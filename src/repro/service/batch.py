@@ -22,11 +22,11 @@ CLI::
         --sweep-machine vliw-wide --sweep-machine simd:depth=3
     python -m repro batch --gc --max-cache-bytes 500M --max-cache-age 7d
 
-Execution strategy is pluggable (:mod:`repro.service.backends`): jobs=1
-runs serially in-process, parallel batches default to the *chunked*
-backend, which ships each distinct machine to every worker once (keyed
-by digest, cached in the worker initializer) and dispatches jobs in
-per-worker chunks, so per-job pickling stops dominating small corpora.
+Execution (:mod:`repro.service.backends`): jobs=1 runs serially
+in-process; jobs>1 runs the *chunked* process pool, which ships each
+distinct machine to every worker once (keyed by digest, cached in the
+worker initializer) and dispatches jobs in per-worker chunks, so
+per-job pickling stops dominating small corpora.
 
 The cache is consulted before the pool: hits come back as ``cached``
 results without touching a worker, misses are scheduled and written
@@ -67,11 +67,7 @@ from repro.obs.progress import (
     job_event,
     result_event,
 )
-from repro.service.backends import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    resolve_backend,
-)
+from repro.service.backends import ExecutionBackend, resolve_backend
 from repro.service.cache import (
     CacheBackend,
     CacheStats,
@@ -185,7 +181,7 @@ class BatchReport:
         if pool.fallback_serial:
             mode = "serial"
         else:
-            mode = f"{pool.backend or 'process'} x{pool.workers} workers"
+            mode = f"{pool.backend} x{pool.workers} workers"
             if pool.chunks:
                 mode += f" ({pool.chunks} chunks)"
         lines.append(
@@ -272,7 +268,6 @@ def run_batch(
     faults: Optional[Dict[int, str]] = None,
     machines: Optional[Sequence[object]] = None,
     backend: object = "auto",
-    chunk_size: Optional[int] = None,
     tracer=None,
     profiler=None,
     collect_trace: bool = False,
@@ -313,11 +308,10 @@ def run_batch(
         machines: Optional per-program machine overrides (None entries
             fall back to ``machine``); unlocks heterogeneous sweeps
             through one parallel, cached batch.
-        backend: Execution strategy — ``"auto"`` | ``"serial"`` |
-            ``"process"`` | ``"chunked"``, or an
+        backend: Execution strategy — ``"auto"`` (serial at ``jobs=1``,
+            the chunked process pool otherwise) | ``"serial"`` |
+            ``"chunked"``, or an
             :class:`~repro.service.backends.ExecutionBackend` instance.
-        chunk_size: Jobs per worker chunk (chunked backend only;
-            None = auto).
         tracer: Optional session :class:`repro.obs.Tracer`; receives
             every job's scheduler events, merged in submission order.
         profiler: Optional session :class:`repro.obs.Profiler`;
@@ -412,7 +406,7 @@ def run_batch(
     exec_backend = (
         backend
         if isinstance(backend, ExecutionBackend)
-        else resolve_backend(backend, workers=jobs, chunk_size=chunk_size)
+        else resolve_backend(backend, workers=jobs)
     )
     observe = (
         collect_trace
@@ -592,19 +586,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes (default 1 = serial in-process)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="auto",
-        help="execution backend: auto picks serial at --jobs 1 and the "
-        "chunked worker-resident pool otherwise (default auto)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        metavar="N",
-        help="jobs per worker chunk for the chunked backend (default: auto)",
     )
     parser.add_argument(
         "--timeout",
@@ -984,8 +965,6 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
             cache_url=None if args.no_cache else args.cache_url,
             cache_fallback_dir=cache_fallback_dir,
             cache_auth_token=args.cache_auth_token,
-            backend=args.backend,
-            chunk_size=args.chunk_size,
             machines=machines,
             faults=_parse_faults(args.inject),
             collect_trace=bool(args.trace),
@@ -1114,7 +1093,7 @@ def run_batch_bench(
     machine=None,
     jobs: Optional[int] = None,
 ) -> dict:
-    """Benchmark the service: backend speedups + warm/cold cache time.
+    """Benchmark the service: parallel speedup + warm/cold cache time.
 
     Matches :func:`repro.obs.bench.run_scenario`'s signature so the
     bench CLI can drive it like any other scenario.  Wall-clock entries
@@ -1122,14 +1101,10 @@ def run_batch_bench(
     counts and the schedule-quality aggregates are deterministic and
     gate ``--fail-on-regress``.
 
-    Three dispatch strategies are timed over the same corpus: serial
-    in-process (the floor every backend must match for correctness),
-    the historical per-job process pool, and the chunked
-    worker-resident backend — ``chunked_vs_process_speedup`` isolates
-    the dispatch-cost win from raw core count, which matters because
-    CI boxes (and this repo's own measurement container) may expose a
-    single core, capping ``parallel_speedup`` near 1.0 regardless of
-    backend.
+    The same corpus is timed serially in-process (the floor the process
+    pool must match for correctness) and on the chunked process pool.
+    CI boxes may expose a single core, which caps ``parallel_speedup``
+    near 1.0 or below.
     """
     from repro.machine import cydra5
     from repro.obs.bench import (
@@ -1142,60 +1117,43 @@ def run_batch_bench(
     from repro.workloads import paper_corpus
 
     machine = machine or cydra5()
-    # Floor at 2 workers so the process/chunked backends actually run
-    # even on single-core boxes — there the speedups honestly come out
-    # <= 1.0 (time-kind, reported not gated) but the dispatch-cost
-    # comparison still measures something real.
+    # Floor at 2 workers so the process pool actually runs even on
+    # single-core boxes — there the speedup honestly comes out <= 1.0
+    # (time-kind, reported not gated).
     jobs = jobs or max(2, min(4, os.cpu_count() or 1))
     programs = paper_corpus(corpus_size)
 
     serial_samples: List[float] = []
-    process_samples: List[float] = []
     chunked_samples: List[float] = []
     loop_metrics = None
     for _ in range(max(1, repeats)):
         started = time.perf_counter()
-        run_batch(programs, machine, jobs=1, backend="serial", cache_dir=None)
+        run_batch(programs, machine, jobs=1, cache_dir=None)
         serial_samples.append(time.perf_counter() - started)
         started = time.perf_counter()
-        run_batch(programs, machine, jobs=jobs, backend="process", cache_dir=None)
-        process_samples.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        report = run_batch(
-            programs, machine, jobs=jobs, backend="chunked", cache_dir=None
-        )
+        report = run_batch(programs, machine, jobs=jobs, cache_dir=None)
         chunked_samples.append(time.perf_counter() - started)
         loop_metrics = report.loop_metrics
 
     cache_root = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
         started = time.perf_counter()
-        cold = run_batch(
-            programs, machine, jobs=jobs, backend="chunked", cache_dir=cache_root
-        )
+        cold = run_batch(programs, machine, jobs=jobs, cache_dir=cache_root)
         cold_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        warm = run_batch(
-            programs, machine, jobs=jobs, backend="chunked", cache_dir=cache_root
-        )
+        warm = run_batch(programs, machine, jobs=jobs, cache_dir=cache_root)
         warm_seconds = time.perf_counter() - started
     finally:
         shutil.rmtree(cache_root, ignore_errors=True)
 
     serial_stats = sample_stats(serial_samples)
-    process_stats = sample_stats(process_samples)
     chunked_stats = sample_stats(chunked_samples)
     serial_wall = serial_stats["median"]
-    process_wall = process_stats["median"]
     parallel_wall = chunked_stats["median"]
     metrics = {
         "serial_wall_s": metric(
             serial_wall, "s", direction="lower", kind="time",
             iqr=serial_stats["iqr"],
-        ),
-        "process_wall_s": metric(
-            process_wall, "s", direction="lower", kind="time",
-            iqr=process_stats["iqr"],
         ),
         "parallel_wall_s": metric(
             parallel_wall, "s", direction="lower", kind="time",
@@ -1203,10 +1161,6 @@ def run_batch_bench(
         ),
         "parallel_speedup": metric(
             serial_wall / parallel_wall if parallel_wall else 0.0,
-            "x", direction="higher", kind="time",
-        ),
-        "chunked_vs_process_speedup": metric(
-            process_wall / parallel_wall if parallel_wall else 0.0,
             "x", direction="higher", kind="time",
         ),
         "cold_cache_wall_s": metric(
@@ -1243,7 +1197,6 @@ def run_batch_bench(
             "jobs": jobs,
             "backend": "chunked",
             "wall_time_samples_s": chunked_samples,
-            "process_wall_time_samples_s": process_samples,
             "serial_wall_time_samples_s": serial_samples,
             "metrics": metrics,
             "profile": None,

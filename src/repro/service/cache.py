@@ -245,11 +245,6 @@ class DirectoryCache(CacheBackend):
         return True
 
 
-#: Backwards-compatible alias (PR 3 exposed the directory layout as
-#: ``ResultCache``; the protocol split kept the name pointing at it).
-ResultCache = DirectoryCache
-
-
 class SQLiteCache(CacheBackend):
     """Single-file sqlite result cache (WAL mode, shared across runs)."""
 

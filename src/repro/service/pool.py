@@ -4,8 +4,8 @@ This module holds everything a backend (:mod:`repro.service.backends`)
 needs to run jobs safely: the in-worker ``SIGALRM`` budget, fault
 injection, observability spooling, crash quarantine, and the
 :class:`PoolStats` record.  The execution *strategies* themselves —
-serial in-process, one-future-per-job process pool, chunked process
-pool with worker-resident machines — live in ``backends.py``.
+serial in-process, and the chunked process pool with worker-resident
+machines — live in ``backends.py``.
 
 Fault-tolerance ladder (most to least capable, degrading gracefully):
 
@@ -180,8 +180,10 @@ def execute_job(
     spilled for it.
 
     The wall-clock budget uses ``SIGALRM`` and therefore only applies on
-    POSIX main threads (worker processes and the serial path both
-    qualify); elsewhere the pool-side backstop is the only guard.
+    POSIX main threads.  Pool worker processes always qualify (and the
+    pool-side backstop guards them beyond it); the serial path qualifies
+    only when its caller runs on the main thread, so a serial batch run
+    from a server request thread has no budget at all.
     """
     # Deferred import: repro.experiments.runner lazily imports this
     # package for its jobs= path, so a module-level import would cycle.

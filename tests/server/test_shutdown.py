@@ -1,4 +1,5 @@
-"""Graceful shutdown: SIGTERM/SIGINT drain the daemon and exit 0."""
+"""The serve process: startup flag checks, and SIGTERM/SIGINT drain
+the daemon and exit 0."""
 
 import json
 import os
@@ -16,11 +17,15 @@ REPO_SRC = os.path.join(
 )
 
 
-def _spawn(tmp_path, *extra):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    return env
+
+
+def _spawn(tmp_path, *extra):
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -29,7 +34,7 @@ def _spawn(tmp_path, *extra):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=env,
+        env=_env(),
     )
     try:
         announce = proc.stdout.readline()
@@ -80,3 +85,18 @@ def test_shutdown_flushes_metrics_snapshot(tmp_path):
     snapshot = json.loads(metrics_path.read_text())
     assert snapshot["schema"] == "repro.server.metricz"
     assert snapshot["metrics"]["counters"]["server.requests.total"] == 2
+
+
+def test_job_timeout_needs_a_pool():
+    # A serial /v1/batch runs in its request thread, where the budget
+    # cannot bind: serve must refuse the flag instead of serving.
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--no-cache",
+         "--job-timeout", "1"],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "--job-timeout needs --jobs 2 or more" in result.stderr

@@ -6,7 +6,6 @@ from repro.experiments.export import to_json
 from repro.machine import cydra5
 from repro.service.backends import (
     ChunkedProcessBackend,
-    ProcessBackend,
     SerialBackend,
     resolve_backend,
 )
@@ -27,21 +26,19 @@ def _corpus_json(backend):
 def test_all_backends_and_chunk_sizes_byte_identical():
     """The tentpole contract: strategy changes wall-clock, nothing else."""
     baseline = _corpus_json(SerialBackend())
-    assert _corpus_json(ProcessBackend(2)) == baseline
     for chunk_size in (1, 3, N):
         assert _corpus_json(ChunkedProcessBackend(2, chunk_size)) == baseline
 
 
 def test_backend_names_route_through_run_batch():
     baseline = _corpus_json("serial")
-    assert _corpus_json("process") == baseline
     assert _corpus_json("chunked") == baseline
     assert _corpus_json("auto") == baseline
 
 
 def test_chunked_reports_backend_and_chunks():
     report = run_batch(
-        paper_corpus(N), MACHINE, backend="chunked", jobs=2, chunk_size=2
+        paper_corpus(N), MACHINE, backend=ChunkedProcessBackend(2, 2)
     )
     assert report.pool.backend == "chunked"
     assert report.pool.chunks == N // 2
@@ -58,7 +55,6 @@ def test_resolve_backend_mapping():
     assert isinstance(resolve_backend("auto", workers=1), SerialBackend)
     assert isinstance(resolve_backend("auto", workers=4), ChunkedProcessBackend)
     assert isinstance(resolve_backend("serial", workers=4), SerialBackend)
-    assert isinstance(resolve_backend("process", workers=4), ProcessBackend)
     assert isinstance(resolve_backend("chunked", workers=4), ChunkedProcessBackend)
     with pytest.raises(ValueError, match="unknown execution backend"):
         resolve_backend("threads")
@@ -70,9 +66,7 @@ def test_fault_in_one_chunk_keeps_order_and_chunkmates():
     report = run_batch(
         paper_corpus(4),
         MACHINE,
-        backend="chunked",
-        jobs=2,
-        chunk_size=2,
+        backend=ChunkedProcessBackend(2, 2),
         timeout=30,
         faults={1: "raise"},
     )
@@ -89,7 +83,7 @@ def test_per_job_machines_through_chunked_backend():
     programs = paper_corpus(6) * 2
     machines = [cydra5(load_latency=2)] * 6 + [cydra5(load_latency=27)] * 6
     report = run_batch(
-        programs, machines=machines, backend="chunked", jobs=2, chunk_size=1
+        programs, machines=machines, backend=ChunkedProcessBackend(2, 1)
     )
     assert report.ok
     fast = [m.ii for m in report.loop_metrics[:6]]
@@ -111,7 +105,6 @@ def test_heterogeneous_batch_identical_across_backends():
         return to_json(report.loop_metrics, drop_timings=True)
 
     baseline = run("serial")
-    assert run("process") == baseline
     assert run("chunked") == baseline
 
 

@@ -9,7 +9,7 @@ from repro.experiments.metrics import LoopMetrics
 from repro.machine import cydra5
 from repro.service.cache import (
     RESULT_SCHEMA_VERSION,
-    ResultCache,
+    DirectoryCache,
     metrics_to_payload,
     payload_to_metrics,
 )
@@ -38,7 +38,7 @@ def _failed_metrics() -> LoopMetrics:
 
 
 def test_roundtrip(tmp_path):
-    cache = ResultCache(str(tmp_path))
+    cache = DirectoryCache(str(tmp_path))
     metrics = _metrics()
     assert cache.get(KEY) is None  # cold
     assert cache.put(KEY, metrics)
@@ -48,7 +48,7 @@ def test_roundtrip(tmp_path):
 
 
 def test_roundtrip_preserves_failure_sentinels(tmp_path):
-    cache = ResultCache(str(tmp_path))
+    cache = DirectoryCache(str(tmp_path))
     failed = _failed_metrics()
     cache.put(KEY, failed)
     loaded = cache.get(KEY)
@@ -57,7 +57,7 @@ def test_roundtrip_preserves_failure_sentinels(tmp_path):
 
 
 def test_layout_two_level_fanout_and_no_temp_leftovers(tmp_path):
-    cache = ResultCache(str(tmp_path))
+    cache = DirectoryCache(str(tmp_path))
     cache.put(KEY, _metrics())
     expected = tmp_path / KEY[:2] / f"{KEY}.json"
     assert expected.exists()
@@ -71,7 +71,7 @@ def test_layout_two_level_fanout_and_no_temp_leftovers(tmp_path):
 
 
 def test_corrupt_entry_is_a_miss_then_recomputable(tmp_path):
-    cache = ResultCache(str(tmp_path))
+    cache = DirectoryCache(str(tmp_path))
     metrics = _metrics()
     cache.put(KEY, metrics)
     cache.path_for(KEY)
@@ -85,7 +85,7 @@ def test_corrupt_entry_is_a_miss_then_recomputable(tmp_path):
 
 
 def test_garbage_bytes_are_a_miss(tmp_path):
-    cache = ResultCache(str(tmp_path))
+    cache = DirectoryCache(str(tmp_path))
     path = cache.path_for(KEY)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "wb") as handle:
@@ -95,7 +95,7 @@ def test_garbage_bytes_are_a_miss(tmp_path):
 
 
 def test_schema_version_mismatch_is_a_miss(tmp_path):
-    cache = ResultCache(str(tmp_path))
+    cache = DirectoryCache(str(tmp_path))
     payload = metrics_to_payload(KEY, _metrics())
     payload["schema_version"] = RESULT_SCHEMA_VERSION + 1
     path = cache.path_for(KEY)
@@ -108,7 +108,7 @@ def test_schema_version_mismatch_is_a_miss(tmp_path):
 def test_field_drift_is_a_miss(tmp_path):
     """An entry written by a revision with different LoopMetrics fields
     must not be trusted."""
-    cache = ResultCache(str(tmp_path))
+    cache = DirectoryCache(str(tmp_path))
     payload = metrics_to_payload(KEY, _metrics())
     payload["metrics"]["bogus_future_field"] = 1
     path = cache.path_for(KEY)
@@ -135,7 +135,7 @@ def test_payload_decode_is_strict():
 def test_unwritable_root_degrades_gracefully(tmp_path):
     blocked = tmp_path / "blocked"
     blocked.write_text("a file, not a directory")
-    cache = ResultCache(str(blocked))
+    cache = DirectoryCache(str(blocked))
     assert cache.put(KEY, _metrics()) is False
     assert cache.stats.write_errors == 1
     assert cache.get(KEY) is None  # still just a miss, no raise

@@ -4,6 +4,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.service.jobs import (
     JOB_TIMEOUT,
     make_jobs,
 )
-from repro.service.backends import ProcessBackend, SerialBackend
+from repro.service.backends import ChunkedProcessBackend, SerialBackend
 from repro.service.pool import execute_job
 from repro.workloads import paper_corpus
 
@@ -38,7 +39,7 @@ def test_serial_path_preserves_order_and_statuses():
 def test_parallel_matches_serial_byte_for_byte():
     programs = _corpus(8)
     serial, _ = SerialBackend().run(make_jobs(programs), MACHINE)
-    parallel, stats = ProcessBackend(4).run(make_jobs(programs), MACHINE)
+    parallel, stats = ChunkedProcessBackend(4).run(make_jobs(programs), MACHINE)
     assert not stats.fallback_serial
     serial_json = to_json([r.metrics for r in serial], drop_timings=True)
     parallel_json = to_json([r.metrics for r in parallel], drop_timings=True)
@@ -47,7 +48,7 @@ def test_parallel_matches_serial_byte_for_byte():
 
 def test_timeout_reported_without_losing_batch():
     jobs = make_jobs(_corpus(4), faults={1: "hang:30"})
-    results, stats = ProcessBackend(2).run(jobs, MACHINE, timeout=1.0)
+    results, stats = ChunkedProcessBackend(2).run(jobs, MACHINE, timeout=1.0)
     assert results[1].status == JOB_TIMEOUT
     assert "budget" in results[1].error
     others = [r for r in results if r.index != 1]
@@ -57,7 +58,7 @@ def test_timeout_reported_without_losing_batch():
 
 def test_crash_quarantined_others_survive():
     jobs = make_jobs(_corpus(4), faults={2: "crash"})
-    results, stats = ProcessBackend(2).run(
+    results, stats = ChunkedProcessBackend(2).run(
         jobs, MACHINE, timeout=20.0, max_retries=1, backoff=0.01
     )
     assert results[2].status == JOB_CRASHED
@@ -69,9 +70,27 @@ def test_crash_quarantined_others_survive():
     assert results[2].retries == 1  # bounded resubmissions, then gave up
 
 
+def test_one_job_budget_binds_off_the_main_thread():
+    # A server request thread cannot arm SIGALRM, so even a one-job
+    # batch must run in a worker process for its budget to bind.
+    from repro.service.batch import run_batch
+
+    reports = []
+    thread = threading.Thread(
+        target=lambda: reports.append(
+            run_batch(_corpus(1), MACHINE, jobs=2, timeout=0.5, faults={0: "hang:5"})
+        )
+    )
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert [r.status for r in reports[0].results] == [JOB_TIMEOUT]
+    assert not reports[0].pool.fallback_serial
+
+
 def test_raise_is_failed_not_crashed():
     jobs = make_jobs(_corpus(3), faults={0: "raise"})
-    results, stats = ProcessBackend(2).run(jobs, MACHINE, timeout=20.0)
+    results, stats = ChunkedProcessBackend(2).run(jobs, MACHINE, timeout=20.0)
     assert results[0].status == JOB_FAILED
     assert "injected fault" in results[0].error
     assert stats.failed == 1 and stats.ok == 2
@@ -85,7 +104,7 @@ def test_unavailable_pool_degrades_to_serial(monkeypatch):
         concurrent.futures, "ProcessPoolExecutor", _refuse
     )
     jobs = make_jobs(_corpus(3))
-    results, stats = ProcessBackend(4).run(jobs, MACHINE)
+    results, stats = ChunkedProcessBackend(4).run(jobs, MACHINE)
     assert stats.fallback_serial
     assert all(r.status == JOB_OK for r in results)
 
@@ -105,7 +124,7 @@ def test_batch_runs_under_faulthandler():
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     command = [
         sys.executable, "-X", "faulthandler", "-m", "repro", "batch",
-        "--corpus", "4", "--no-cache", "--backend", "serial", "--no-progress",
+        "--corpus", "4", "--no-cache", "--no-progress",
     ]
     result = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -162,7 +181,7 @@ def test_crashed_worker_spills_and_parent_attaches(tmp_path):
     # The synthetic SIGSEGV lets the worker's signal handler spill the
     # ring to flight_dir before dying; quarantine reads it back.
     jobs = make_jobs(_corpus(4), faults={2: "crash"})
-    results, stats = ProcessBackend(2).run(
+    results, stats = ChunkedProcessBackend(2).run(
         jobs,
         MACHINE,
         timeout=20.0,
@@ -181,7 +200,7 @@ def test_crashed_job_postmortem_renders_via_explain(tmp_path):
     from repro.obs import flight_postmortem
 
     jobs = make_jobs(_corpus(3), faults={1: "crash"})
-    results, _ = ProcessBackend(2).run(
+    results, _ = ChunkedProcessBackend(2).run(
         jobs,
         MACHINE,
         timeout=20.0,

@@ -21,7 +21,7 @@ from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
 N = 6
-BACKENDS = ("serial", "process", "chunked")
+BACKENDS = ("serial", "chunked")
 
 
 def _events(backend, **kwargs):
@@ -34,14 +34,14 @@ def _events(backend, **kwargs):
 
 
 def test_every_backend_emits_identical_lifecycle_sequences():
-    """The parity contract: serial, process and chunked runs differ only
-    in timestamps and cross-job interleaving."""
+    """The parity contract: serial and chunked runs differ only in
+    timestamps and cross-job interleaving."""
     sequences = []
     for backend in BACKENDS:
         report, events = _events(backend)
         assert report.ok
         sequences.append(lifecycle_sequence(events))
-    assert sequences[0] == sequences[1] == sequences[2]
+    assert sequences[0] == sequences[1]
     assert sequences[0] == {
         index: [KIND_SUBMITTED, KIND_STARTED, KIND_FINISHED]
         for index in range(N)
@@ -70,9 +70,8 @@ def test_cache_hits_emit_cached_without_started(tmp_path):
     }
 
 
-@pytest.mark.parametrize("backend", ["process", "chunked"])
-def test_crashed_job_emits_quarantined_then_terminal(backend):
-    report, events = _events(backend, faults={2: "crash"}, max_retries=0)
+def test_crashed_job_emits_quarantined_then_terminal():
+    report, events = _events("chunked", faults={2: "crash"}, max_retries=0)
     sequences = lifecycle_sequence(events)
     assert sequences[2][0] == KIND_SUBMITTED
     assert KIND_QUARANTINED in sequences[2]

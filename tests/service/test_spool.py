@@ -9,6 +9,7 @@ import pytest
 from repro.machine import cydra5
 from repro.obs import MetricsRegistry, Profiler
 from repro.obs.trace import CollectingTracer
+from repro.service.backends import ChunkedProcessBackend
 from repro.service.batch import run_batch
 from repro.service.jobs import JobResult
 from repro.service.spool import (
@@ -35,7 +36,7 @@ def test_trace_parity_serial_vs_chunked():
     programs = paper_corpus(5)
     serial = run_batch(programs, MACHINE, jobs=1, collect_trace=True)
     chunked = run_batch(
-        programs, MACHINE, jobs=3, backend="chunked", chunk_size=2,
+        programs, MACHINE, backend=ChunkedProcessBackend(3, 2),
         collect_trace=True,
     )
     assert serial.trace_records and chunked.trace_records
@@ -45,17 +46,6 @@ def test_trace_parity_serial_vs_chunked():
     # Every record is tagged with its loop and job index, job-local seq.
     first = chunked.trace_records[0]
     assert first["job"] == 0 and first["seq"] == 0 and first["loop"]
-
-
-def test_trace_parity_process_backend():
-    programs = paper_corpus(4)
-    serial = run_batch(programs, MACHINE, jobs=1, collect_trace=True)
-    process = run_batch(
-        programs, MACHINE, jobs=2, backend="process", collect_trace=True
-    )
-    assert _records_without_ts(serial.trace_records) == _records_without_ts(
-        process.trace_records
-    )
 
 
 def test_session_tracer_receives_merged_events_across_processes():
