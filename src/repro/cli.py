@@ -79,7 +79,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.regalloc import allocate_registers
-from repro.simulator import initial_state, run_pipelined, run_sequential
+from repro.simulator import initial_state, run_pipelined, run_sequential, state_mismatches
 
 _DEMO = """\
 loop figure1
@@ -328,16 +328,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.simulate:
         sequential = run_sequential(program, initial_state(program))
         pipelined = run_pipelined(schedule, initial_state(program))
-        mismatches = 0
-        for name in program.arrays:
-            for a, b in zip(sequential.arrays[name], pipelined.arrays[name]):
-                if not (a == b or abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))):
-                    mismatches += 1
-        for name in program.live_out:
-            if abs(sequential.scalars[name] - pipelined.scalars[name]) > 1e-9:
-                mismatches += 1
+        mismatches = state_mismatches(program, sequential, pipelined)
         if mismatches:
-            print(f"SIMULATION MISMATCH: {mismatches} locations differ")
+            print(f"SIMULATION MISMATCH: {len(mismatches)} locations differ")
+            for mismatch in mismatches[:10]:
+                print(f"  {mismatch}")
             return 1
         print(f"simulation: pipelined execution matches sequential over "
               f"{program.trip} iterations")

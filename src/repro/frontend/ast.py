@@ -214,13 +214,16 @@ class DoLoop:
     trip: int = 20
     live_out: List[str] = dataclasses.field(default_factory=list)
 
-    def max_element(self, array: str) -> int:
-        """Largest element index the loop can touch in ``array`` through
-        affine references (used to size simulation arrays)."""
-        worst = 0
+    def max_elements(self) -> Dict[str, int]:
+        """Largest element index the loop can touch in each array through
+        affine references (used to size simulation arrays), from one walk
+        of the body.  Arrays no affine reference touches are absent, and
+        no extent is below 0."""
+        end = self.start + self.trip
+        worst: Dict[str, int] = {}
         for ref in _walk_refs(self.body):
-            if isinstance(ref, ArrayRef) and ref.array == array:
-                worst = max(worst, ref.stride * (self.start + self.trip) + ref.offset)
+            if isinstance(ref, ArrayRef):
+                worst[ref.array] = max(worst.get(ref.array, 0), ref.stride * end + ref.offset)
         return worst
 
 

@@ -9,6 +9,7 @@ from repro.simulator.state import (
     fsqrt,
     initial_state,
     seeded_value,
+    state_mismatches,
 )
 
 __all__ = [
@@ -21,4 +22,5 @@ __all__ = [
     "fsqrt",
     "initial_state",
     "seeded_value",
+    "state_mismatches",
 ]

@@ -1,4 +1,5 @@
-"""Pipelined dataflow executor: runs a modulo schedule against memory.
+"""Pipelined dataflow executor, and the op lowering both pipelined
+simulators run.
 
 Every operation instance ``(op, k)`` of the software pipeline issues at
 global cycle ``time(op) + k * II``.  The executor materializes all
@@ -13,6 +14,15 @@ binding, the initial array contents, or the address-IV formula — exactly
 the live-in values the rotating register file holds at cycle 0 in the
 paper's Figure 3.
 
+Operations execute through :func:`lower_op`, which this executor and
+:func:`repro.simulator.vliw.run_vliw` call once per operation per run.
+It turns an operation into a ``step(k)`` function for its iteration-k
+instance: the opcode's semantics come from a table, and the operand
+readers, the array and the affine base/stride are bound in advance.  The
+two simulators differ only in their readers: here they resolve
+constants, invariants, the instance table (one column per value, indexed
+by iteration) and live-in origins.
+
 This is the semantic half of schedule verification; pair it with
 :func:`repro.core.validate.validate_schedule` (the timing/resource half)
 and a :func:`repro.simulator.sequential.run_sequential` run to prove a
@@ -21,9 +31,9 @@ pipelined loop correct end to end.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+import operator
+from typing import Callable, Dict, List, Optional
 
-from repro.ir.loop import LoopBody
 from repro.ir.operations import Opcode, Operation
 from repro.ir.values import AddressOrigin, ArrayElementOrigin, Operand, ScalarOrigin, Value
 from repro.core.schedule import Schedule
@@ -32,6 +42,15 @@ from repro.simulator.state import MachineState, clamp_element, fdiv, fsqrt
 #: Optional hook supplying live-in values for loops built without origins
 #: (hand-written IR in tests): (value, iteration < 0) -> float.
 InitFn = Callable[[Value, int], float]
+
+#: Reads one operand of an operation for loop iteration k.
+Reader = Callable[[int], object]
+
+#: Executes one operation's iteration-k instance; returns its result
+#: (None for stores).
+Step = Callable[[int], object]
+
+_UNSET = object()  # an instance-table cell no instance has written yet
 
 
 class SimulationError(RuntimeError):
@@ -58,43 +77,69 @@ def run_pipelined(
     for name, binding in loop.meta.get("scalars", {}).items():
         initial.scalars.setdefault(name, binding)
 
-    instances = [
-        (schedule.times[op.oid] + k * ii, op.oid, k)
-        for op in loop.real_ops
-        for k in range(iterations)
-        if op.opcode is not Opcode.BRTOP
-    ]
-    instances.sort()
+    ops = [op for op in loop.real_ops if op.opcode is not Opcode.BRTOP]
+    columns: Dict[int, List[object]] = {
+        op.dest.vid: [_UNSET] * iterations for op in ops if op.dest is not None
+    }
 
-    computed: Dict[Tuple[int, int], float] = {}
+    def reader(operand: Operand) -> Reader:
+        return _instance_reader(operand, columns, iterations, initial, init_fn)
 
-    def operand_value(operand: Operand, k: int):
-        value = operand.value
-        if value.is_constant:
-            return value.literal
-        if value.is_invariant:
-            return _invariant_value(value, initial)
-        producer = k - operand.back
-        if producer < 0:
-            return _live_in_value(value, producer, initial, init_fn)
-        try:
-            return computed[(value.vid, producer)]
-        except KeyError:
-            raise SimulationError(
-                f"{value} consumed in iteration {k} before its instance "
-                f"{producer} was computed — the schedule is broken"
-            ) from None
+    instances = []
+    for op in ops:
+        step = lower_op(op, reader, state)
+        column = columns[op.dest.vid] if op.dest is not None else None
+        start = schedule.times[op.oid]
+        instances.extend(
+            (start + k * ii, op.oid, k, step, column) for k in range(iterations)
+        )
+    instances.sort()  # (cycle, oid, k) is unique, so steps are never compared
 
-    for _, oid, k in instances:
-        op = loop.ops[oid]
-        result = execute_op(op, k, operand_value, state)
-        if op.dest is not None:
-            computed[(op.dest.vid, k)] = result
+    for _, __, k, step, column in instances:
+        result = step(k)
+        if column is not None:
+            column[k] = result
 
     for name, value in loop.live_out.items():
         if value.is_variant:
-            state.scalars[name] = computed[(value.vid, iterations - 1)]
+            state.scalars[name] = columns[value.vid][iterations - 1]
     return state
+
+
+def _instance_reader(
+    operand: Operand,
+    columns: Dict[int, List[object]],
+    iterations: int,
+    initial: MachineState,
+    init_fn: Optional[InitFn],
+) -> Reader:
+    value = operand.value
+    if value.is_constant:
+        literal = value.literal
+        return lambda k: literal
+    if value.is_invariant:
+        try:
+            bound = _invariant_value(value, initial)
+        except SimulationError as error:
+            return _fails(str(error))
+        return lambda k: bound
+    back = operand.back
+    # A value no operation defines is never computed.
+    column = columns.get(value.vid) or [_UNSET] * iterations
+
+    def read(k: int):
+        producer = k - back
+        if producer < 0:
+            return _live_in_value(value, producer, initial, init_fn)
+        result = column[producer]
+        if result is _UNSET:
+            raise SimulationError(
+                f"{value} consumed in iteration {k} before its instance "
+                f"{producer} was computed — the schedule is broken"
+            )
+        return result
+
+    return read
 
 
 def _invariant_value(value: Value, initial: MachineState):
@@ -130,82 +175,121 @@ def _live_in_value(
     )
 
 
-def execute_op(op: Operation, k: int, operand_value, state: MachineState):
-    """Execute one operation instance against ``state``.
+# ----------------------------------------------------------------------
+# Lowering
+# ----------------------------------------------------------------------
+#: Opcodes that read both operands, first then second, and combine them.
+_BINARY = {
+    Opcode.ADDR_ADD: operator.add,
+    Opcode.ADD_I: operator.add,
+    Opcode.ADD_F: operator.add,
+    Opcode.ADDR_SUB: operator.sub,
+    Opcode.SUB_I: operator.sub,
+    Opcode.SUB_F: operator.sub,
+    Opcode.ADDR_MUL: operator.mul,
+    Opcode.MUL_I: operator.mul,
+    Opcode.MUL_F: operator.mul,
+    Opcode.DIV_I: fdiv,
+    Opcode.DIV_F: fdiv,
+    Opcode.MIN_F: min,
+    Opcode.MAX_F: max,
+    Opcode.CMP_LT: operator.lt,
+    Opcode.CMP_LE: operator.le,
+    Opcode.CMP_GT: operator.gt,
+    Opcode.CMP_GE: operator.ge,
+    Opcode.CMP_EQ: operator.eq,
+    Opcode.CMP_NE: operator.ne,
+    Opcode.XOR_B: lambda a, b: bool(a) != bool(b),
+}
 
-    ``operand_value(operand, k)`` supplies input values — the dataflow
-    executor resolves them through the instance table, the register-level
-    VLIW simulator through the rotating register files.  Returns the
-    result value (None for stores).
+#: Opcodes that read one operand.
+_UNARY = {
+    Opcode.SQRT_F: fsqrt,
+    Opcode.ABS_F: abs,
+    Opcode.NEG_F: operator.neg,
+    Opcode.NOT_B: operator.not_,
+}
+
+
+def lower_op(op: Operation, reader: Callable[[Operand], Reader], state: MachineState) -> Step:
+    """Lower ``op`` to a ``step(k)`` that executes its iteration-k instance.
+
+    ``reader(operand)`` builds the function that reads ``operand`` for
+    iteration k; building one reads nothing.  A step reads the operands
+    its opcode needs, in operand order, with these exceptions: MOD_I
+    reads its divisor first (and not its dividend when the divisor is
+    0), SELECT reads only the arm it picks, AND/OR short-circuit, an
+    affine LOAD or STORE reads no address register (its element comes
+    from the ``abs``/``stride`` attributes), and a STORE reads its
+    predicate, then its value, then any address register, stopping
+    after the predicate when it squashes the store.  Loads and stores
+    work on ``state``'s array, bound here.
     """
     opcode = op.opcode
-
-    def arg(position: int):
-        return operand_value(op.operands[position], k)
-
-    def predicate_true() -> bool:
-        if op.predicate is None:
-            return True
-        return bool(operand_value(op.predicate, k))
-
-    if opcode in (Opcode.ADDR_ADD, Opcode.ADD_I, Opcode.ADD_F):
-        return arg(0) + arg(1)
-    if opcode in (Opcode.ADDR_SUB, Opcode.SUB_I, Opcode.SUB_F):
-        return arg(0) - arg(1)
-    if opcode in (Opcode.ADDR_MUL, Opcode.MUL_I, Opcode.MUL_F):
-        return arg(0) * arg(1)
-    if opcode in (Opcode.DIV_I, Opcode.DIV_F):
-        return fdiv(arg(0), arg(1))
+    operands = op.operands
+    function = _BINARY.get(opcode)
+    if function is not None:
+        a, b = reader(operands[0]), reader(operands[1])
+        return lambda k: function(a(k), b(k))
+    function = _UNARY.get(opcode)
+    if function is not None:
+        a = reader(operands[0])
+        return lambda k: function(a(k))
     if opcode is Opcode.MOD_I:
-        divisor = arg(1)
-        return arg(0) % divisor if divisor else 0.0
-    if opcode is Opcode.SQRT_F:
-        return fsqrt(arg(0))
-    if opcode is Opcode.ABS_F:
-        return abs(arg(0))
-    if opcode is Opcode.NEG_F:
-        return -arg(0)
-    if opcode is Opcode.MIN_F:
-        return min(arg(0), arg(1))
-    if opcode is Opcode.MAX_F:
-        return max(arg(0), arg(1))
+        a, b = reader(operands[0]), reader(operands[1])
+
+        def modulo(k: int):
+            divisor = b(k)
+            return a(k) % divisor if divisor else 0.0
+
+        return modulo
     if opcode is Opcode.SELECT:
-        return arg(1) if arg(0) else arg(2)
-    if opcode is Opcode.CMP_LT:
-        return arg(0) < arg(1)
-    if opcode is Opcode.CMP_LE:
-        return arg(0) <= arg(1)
-    if opcode is Opcode.CMP_GT:
-        return arg(0) > arg(1)
-    if opcode is Opcode.CMP_GE:
-        return arg(0) >= arg(1)
-    if opcode is Opcode.CMP_EQ:
-        return arg(0) == arg(1)
-    if opcode is Opcode.CMP_NE:
-        return arg(0) != arg(1)
-    if opcode is Opcode.NOT_B:
-        return not arg(0)
+        p, a, b = reader(operands[0]), reader(operands[1]), reader(operands[2])
+        return lambda k: a(k) if p(k) else b(k)
     if opcode is Opcode.AND_B:
-        return bool(arg(0)) and bool(arg(1))
+        a, b = reader(operands[0]), reader(operands[1])
+        return lambda k: bool(a(k)) and bool(b(k))
     if opcode is Opcode.OR_B:
-        return bool(arg(0)) or bool(arg(1))
-    if opcode is Opcode.XOR_B:
-        return bool(arg(0)) != bool(arg(1))
-    if opcode is Opcode.LOAD:
-        cells = state.arrays[op.attrs["array"]]
-        return cells[_element_index(op, k, arg, cells)]
-    if opcode is Opcode.STORE:
-        if predicate_true():
-            cells = state.arrays[op.attrs["array"]]
-            cells[_element_index(op, k, arg, cells)] = arg(1)
-        return None
-    raise SimulationError(f"cannot execute opcode {opcode}")
+        a, b = reader(operands[0]), reader(operands[1])
+        return lambda k: bool(a(k)) or bool(b(k))
+    if opcode is Opcode.LOAD or opcode is Opcode.STORE:
+        return _lower_memory(op, reader, state.arrays[op.attrs["array"]])
+    return _fails(f"cannot execute opcode {opcode}")
 
 
-def _element_index(op: Operation, k: int, arg, cells) -> int:
+def _lower_memory(op: Operation, reader: Callable[[Operand], Reader], cells: List[float]) -> Step:
     if op.attrs.get("gather") or "abs" not in op.attrs:
         # Indirect access (or hand-built IR without affine attributes):
         # the address operand *is* the element index, clamped exactly
         # like the sequential interpreter clamps it.
-        return clamp_element(cells, arg(0))
-    return int(op.attrs["abs"]) + int(op.attrs["stride"]) * k
+        address = reader(op.operands[0])
+
+        def element(k: int) -> int:
+            return clamp_element(cells, address(k))
+
+    else:
+        base, stride = int(op.attrs["abs"]), int(op.attrs["stride"])
+
+        def element(k: int) -> int:
+            return base + stride * k
+
+    if op.opcode is Opcode.LOAD:
+        return lambda k: cells[element(k)]
+    value = reader(op.operands[1])
+    predicate = reader(op.predicate) if op.predicate is not None else None
+
+    def store(k: int):
+        if predicate is None or predicate(k):
+            cells[element(k)] = value(k)  # reads the value before the address
+
+    return store
+
+
+def _fails(message: str) -> Callable[[int], object]:
+    """A reader or step that raises ``SimulationError(message)`` when it
+    is called, so a fault surfaces only if execution reaches it."""
+
+    def fail(k: int):
+        raise SimulationError(message)
+
+    return fail

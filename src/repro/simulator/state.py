@@ -49,16 +49,55 @@ def initial_state(program: DoLoop, seed: int = 0,
     ``array_init`` when given — needed e.g. for index arrays driving
     gathers).
     """
+    extents = program.max_elements()
     arrays: Dict[str, List[float]] = {}
     for name, declared in program.arrays.items():
-        size = max(int(declared), program.max_element(name) + 2)
+        size = max(int(declared), extents.get(name, 0) + 2)
         if array_init and name in array_init:
             given = array_init[name]
             cells = [float(given[i % len(given)]) for i in range(size)]
         else:
-            cells = [seeded_value(name, i, seed) for i in range(size)]
+            # seeded_value(name, i, seed) for each i: the crc of "name:"
+            # is taken once and continued over the bytes of f"{i}:{seed}".
+            prefix = zlib.crc32(f"{name}:".encode())
+            suffix = f":{seed}".encode()
+            cells = [
+                0.5 + (zlib.crc32(b"%d%b" % (i, suffix), prefix) % 10_000) / 10_000.0
+                for i in range(size)
+            ]
         arrays[name] = cells
     return MachineState(arrays=arrays, scalars=dict(program.scalars))
+
+
+def state_mismatches(
+    program: DoLoop, expected: MachineState, actual: MachineState
+) -> List[str]:
+    """Every array cell and live-out scalar of ``program`` where
+    ``actual`` differs from ``expected``, one line per location.
+
+    The comparison is exact, with NaN equal only to NaN: a correct
+    pipelined run performs the same operations in the same order as the
+    sequential interpreter, so any difference at all is a bug.
+    """
+
+    def same(a, b) -> bool:
+        return a == b or (a != a and b != b)
+
+    problems = []
+    for name in program.arrays:
+        want, got = expected.arrays[name], actual.arrays[name]
+        if len(want) != len(got):
+            problems.append(f"{name} has {len(got)} cells, want {len(want)}")
+        problems += [
+            f"{name}[{cell}] = {b!r}, want {a!r}"
+            for cell, (a, b) in enumerate(zip(want, got))
+            if not same(a, b)
+        ]
+    for name in program.live_out:
+        a, b = expected.scalars.get(name), actual.scalars.get(name)
+        if not same(a, b):
+            problems.append(f"{name} = {b!r}, want {a!r}")
+    return problems
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Register-level VLIW simulator: executes kernel-only code.
 
 This is the deepest validation layer: it runs the *generated kernel*
-(one copy, II rows) against real rotating register files, modeling
+(one copy, II rows) against rotating register files, modeling
 
 * rotation: the file rotates once per kernel iteration, so a value
   written through specifier ``s`` is read ``b`` iterations and
   ``delta-stage`` rows later through ``s + stage_delta + b`` — the
-  encoding baked in by :mod:`repro.codegen.kernel`;
+  encoding baked in by :mod:`repro.codegen.kernel`.  After m rotations
+  the iteration control pointer is ``-m``, so specifier ``s`` names
+  physical register ``(s - m) mod size``;
 * staging: an operation at stage sigma executes in kernel iteration m
   for loop iteration ``k = m - sigma`` and is squashed unless
   ``0 <= k < trip`` (the staging-predicate schema of kernel-only code:
@@ -14,75 +16,50 @@ This is the deepest validation layer: it runs the *generated kernel*
   drains for the last);
 * write latency: results commit to their physical register
   ``latency`` cycles after issue, and commits are applied before the
-  reads of the cycle they land on;
+  reads of the cycle they land on, in issue order among those due the
+  same cycle (a heap ordered by commit cycle, then issue sequence);
 * live-in values: loop-carried uses whose producing iteration precedes
   the loop are preloaded into the exact physical registers the rotation
   will expose to their consumers (the paper's Figure 3 shows the same
   preloaded live-ins at cycle 0).
 
-Running the kernel and comparing memory plus live-out scalars against
-the sequential interpreter validates scheduling, register allocation
-and code generation together.  (Affine load/store addresses are
-computed from the access attributes; indirect accesses go through the
-address registers.)
+Each kernel operation is lowered once per run by
+:func:`repro.simulator.dataflow.lower_op`, with readers over immediates,
+GPRs and rotating registers; its latency, destination file and live-out
+name are looked up at the same time.  Running the kernel and comparing
+memory plus live-out scalars against the sequential interpreter
+validates scheduling, register allocation and code generation together.
+(Affine load/store addresses are computed from the access attributes;
+indirect accesses go through the address registers.)
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.codegen.kernel import KernelCode, KernelOp, KernelOperand
-from repro.ir.operations import Opcode
-from repro.simulator.dataflow import InitFn, SimulationError, _invariant_value, _live_in_value, execute_op
-from repro.machine.registers import RotatingFile, StaticFile
+from repro.ir.operations import Opcode, Operation
+from repro.ir.values import Operand
+from repro.machine.machine import Machine
+from repro.simulator.dataflow import (
+    InitFn,
+    Reader,
+    SimulationError,
+    Step,
+    _fails,
+    _invariant_value,
+    _live_in_value,
+    lower_op,
+)
 from repro.simulator.state import MachineState
 
+#: A register file's physical registers; None marks one never written.
+Registers = List[Optional[object]]
 
-class _RegisterFiles:
-    """The machine's three register files for one simulation run.
-
-    Uses the real :class:`~repro.machine.registers.RotatingFile`
-    substrate: the ICP starts at 0 and decrements once per kernel
-    iteration (brtop), so reading encoded specifier ``s`` during kernel
-    iteration m resolves to physical ``(s - m) mod size`` — the map the
-    code generator encoded against.
-    """
-
-    def __init__(self, kernel: KernelCode):
-        self.rr = RotatingFile("RR", max(1, kernel.assignment.rr_registers))
-        self.icr = RotatingFile("ICR", max(1, kernel.assignment.icr_registers))
-        self.gpr = StaticFile("GPR", max(1, kernel.assignment.gpr_registers))
-
-    def file_and_size(self, kind: str):
-        if kind == "rr":
-            return self.rr, self.rr.size
-        if kind == "icr":
-            return self.icr, self.icr.size
-        if kind == "gpr":
-            return self.gpr, self.gpr.size
-        raise SimulationError(f"no register file {kind!r}")
-
-    def rotate(self) -> None:
-        """End-of-kernel-iteration rotation (brtop's ICP decrement)."""
-        self.rr.rotate()
-        self.icr.rotate()
-
-    def read(self, operand: KernelOperand, m: int):
-        if operand.kind == "imm":
-            return operand.literal
-        register_file, size = self.file_and_size(operand.kind)
-        if operand.kind == "gpr":
-            return register_file.read(operand.spec % size)
-        # The file has rotated m times: ICP == -m mod size, so reading
-        # through the rotating map equals physical (spec - m) mod size.
-        return register_file.read(operand.spec)
-
-    def write(self, kind: str, physical: int, value) -> None:
-        register_file, size = self.file_and_size(kind)
-        if kind == "gpr":
-            register_file.write(physical % size, value)
-        else:
-            register_file.write_physical(physical, value)
+#: Where a kernel op's result goes: (file, encoded specifier, latency,
+#: live-out scalar name or None).
+Destination = Tuple[Registers, int, int, Optional[str]]
 
 
 def run_vliw(
@@ -102,15 +79,26 @@ def run_vliw(
     initial = state.copy()
     for name, binding in loop.meta.get("scalars", {}).items():
         initial.scalars.setdefault(name, binding)
-    files = _RegisterFiles(kernel)
+    files = _register_files(kernel)
     _preload_gprs(kernel, files, initial)
     _preload_live_ins(kernel, files, initial, init_fn)
 
-    # Pending register writes: (commit_cycle, sequence, kind, physical, value).
-    pending: List[Tuple[int, int, str, int, object]] = []
+    live_out_names = {value.vid: name for name, value in loop.live_out.items()}
+    rows = [
+        [
+            _lower(kop, files, machine, live_out_names, state)
+            for kop in row
+            if kop.op.opcode is not Opcode.BRTOP  # brtop runs once per kernel iteration below
+        ]
+        for row in kernel.rows
+    ]
+
+    # Pending register writes: a heap of (commit_cycle, sequence, file,
+    # physical, value); the unique sequence keeps later fields uncompared.
+    pending: List[Tuple[int, int, Registers, int, object]] = []
     sequence = 0
     live_out_values: Dict[str, object] = {}
-    live_out_vids = {value.vid: name for name, value in loop.live_out.items()}
+    last = iterations - 1
     loop_control = _LoopControl(stages, iterations)
 
     running = True
@@ -118,38 +106,101 @@ def run_vliw(
     while running:
         for row_index in range(ii):
             cycle = m * ii + row_index
-            pending.sort()
             while pending and pending[0][0] <= cycle:
-                _, __, kind, physical, value = pending.pop(0)
-                files.write(kind, physical, value)
-            for kop in kernel.rows[row_index]:
-                if kop.op.opcode is Opcode.BRTOP:
-                    continue  # handled once per kernel iteration below
-                if not loop_control.stage_active(kop.stage, m):
+                _, __, registers, physical, value = heappop(pending)
+                registers[physical] = value
+            for op, stage, step, dest in rows[row_index]:
+                if not loop_control.stage_active(stage, m):
                     continue  # stage predicate (rotating ICR bit) squashes
-                k = m - kop.stage
+                k = m - stage
                 if not (0 <= k < iterations):  # hardware/bookkeeping cross-check
                     raise SimulationError(
-                        f"stage predicate enabled {kop.op!r} for iteration {k} "
+                        f"stage predicate enabled {op!r} for iteration {k} "
                         f"outside [0, {iterations}) — brtop loop control is broken"
                     )
-                result = _issue(kop, k, m, files, state)
-                if kop.dest is not None:
-                    physical = (kop.dest.spec - m) % files.file_and_size(kop.dest.kind)[1]
-                    commit = cycle + machine.latency(kop.op)
-                    pending.append((commit, sequence, kop.dest.kind, physical, result))
+                result = step(k)
+                if dest is not None:
+                    registers, spec, latency, live_out = dest
+                    physical = (spec - m) % len(registers)
+                    heappush(pending, (cycle + latency, sequence, registers, physical, result))
                     sequence += 1
-                    if kop.op.dest.vid in live_out_vids and k == iterations - 1:
-                        live_out_values[live_out_vids[kop.op.dest.vid]] = result
+                    if live_out is not None and k == last:
+                        live_out_values[live_out] = result
         running = loop_control.brtop(m)
-        files.rotate()  # brtop decrements the ICP once per kernel iteration
-        m += 1
+        m += 1  # brtop decrements the ICP once per kernel iteration
         if m > iterations + stages + 2:
             raise SimulationError("brtop failed to terminate the pipeline")
 
     for name, value in live_out_values.items():
         state.scalars[name] = value
     return state
+
+
+def _register_files(kernel: KernelCode) -> Dict[str, Registers]:
+    """The machine's three register files for one simulation run."""
+    assignment = kernel.assignment
+    return {
+        "rr": [None] * max(1, assignment.rr_registers),
+        "icr": [None] * max(1, assignment.icr_registers),
+        "gpr": [None] * max(1, assignment.gpr_registers),
+    }
+
+
+def _lower(
+    kop: KernelOp,
+    files: Dict[str, Registers],
+    machine: Machine,
+    live_out_names: Dict[int, str],
+    state: MachineState,
+) -> Tuple[Operation, int, Step, Optional[Destination]]:
+    """One kernel op, lowered: (op, stage, step, destination)."""
+    op = kop.op
+    encoding = {id(ir): encoded for ir, encoded in zip(op.operands, kop.operands)}
+    if op.predicate is not None and kop.predicate is not None:
+        encoding[id(op.predicate)] = kop.predicate
+
+    def reader(operand: Operand) -> Reader:
+        encoded = encoding.get(id(operand))
+        if encoded is None:
+            return _fails(f"operand {operand!r} of {op!r} not encoded")
+        return _register_reader(encoded, op, kop.stage, files)
+
+    step = lower_op(op, reader, state)
+    dest = None
+    if kop.dest is not None:
+        registers = files.get(kop.dest.kind)
+        if registers is None:
+            raise SimulationError(f"no register file {kop.dest.kind!r}")
+        live_out = live_out_names.get(op.dest.vid)
+        dest = (registers, kop.dest.spec, machine.latency(op), live_out)
+    return op, kop.stage, step, dest
+
+
+def _register_reader(
+    encoded: KernelOperand, op: Operation, stage: int, files: Dict[str, Registers]
+) -> Reader:
+    """Read ``encoded`` in loop iteration k, i.e. kernel iteration k + stage."""
+    if encoded.kind == "imm":
+        literal = encoded.literal
+        return lambda k: literal
+    registers = files.get(encoded.kind)
+    if registers is None:
+        return _fails(f"no register file {encoded.kind!r}")
+    spec, size = encoded.spec, len(registers)
+    rotating = encoded.kind != "gpr"
+
+    def read(k: int):
+        m = k + stage
+        value = registers[(spec - m) % size if rotating else spec % size]
+        if value is None:
+            raise SimulationError(
+                f"{op!r} iteration {k}: read of {encoded.render()} "
+                f"(physical {(spec - m) % size}) "
+                "returned an unwritten register — allocation or codegen is broken"
+            )
+        return value
+
+    return read
 
 
 class _LoopControl:
@@ -196,38 +247,19 @@ class _LoopControl:
         return True
 
 
-def _issue(kop: KernelOp, k: int, m: int, files: _RegisterFiles, state: MachineState):
-    op = kop.op
-    by_position = {id(ir): enc for ir, enc in zip(op.operands, kop.operands)}
-    if op.predicate is not None and kop.predicate is not None:
-        by_position[id(op.predicate)] = kop.predicate
-
-    def operand_value(ir_operand, _k):
-        encoded = by_position.get(id(ir_operand))
-        if encoded is None:
-            raise SimulationError(f"operand {ir_operand!r} of {op!r} not encoded")
-        value = files.read(encoded, m)
-        if value is None and encoded.kind != "imm":
-            raise SimulationError(
-                f"{op!r} iteration {k}: read of {encoded.render()} "
-                f"(physical {(encoded.spec - m) % files.file_and_size(encoded.kind)[1]}) "
-                "returned an unwritten register — allocation or codegen is broken"
-            )
-        return value
-
-    return execute_op(op, k, operand_value, state)
-
-
-def _preload_gprs(kernel: KernelCode, files: _RegisterFiles, initial: MachineState) -> None:
+def _preload_gprs(
+    kernel: KernelCode, files: Dict[str, Registers], initial: MachineState
+) -> None:
+    gprs = files["gpr"]
     for value in kernel.loop.values:
         if value.is_invariant:
             index = kernel.assignment.gpr[value.vid]
-            files.write("gpr", index, _invariant_value(value, initial))
+            gprs[index % len(gprs)] = _invariant_value(value, initial)
 
 
 def _preload_live_ins(
     kernel: KernelCode,
-    files: _RegisterFiles,
+    files: Dict[str, Registers],
     initial: MachineState,
     init_fn: Optional[InitFn],
 ) -> None:
@@ -254,7 +286,7 @@ def _preload_live_ins(
             else kernel.assignment.rr.specifiers
         )
         specifier = -table[vid]
-        _, size = files.file_and_size(kind)
+        registers = files[kind]
         for j in range(-depth, 0):
-            physical = (specifier - j) % size
-            files.write(kind, physical, _live_in_value(value, j, initial, init_fn))
+            physical = (specifier - j) % len(registers)
+            registers[physical] = _live_in_value(value, j, initial, init_fn)

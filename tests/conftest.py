@@ -5,13 +5,25 @@ from __future__ import annotations
 import pytest
 
 from repro.ir import DType, LoopBody, Opcode, Operand, ValueKind
-from repro.machine import cydra5
+from repro.machine import cydra5, machine_names
 
 
 @pytest.fixture(scope="session")
 def machine():
     """The paper's Table 1 machine with the default 13-cycle loads."""
     return cydra5()
+
+
+def on_targets(programs):
+    """Parametrize a test over ``(program, target)`` for every registry
+    target.  A cydra5 case is named after its program alone, which keeps
+    the paper machine's test ids stable; the rest are ``program-target``."""
+    cases = []
+    for target in machine_names():
+        for program in programs:
+            name = program.name if target == "cydra5" else f"{program.name}-{target}"
+            cases.append(pytest.param(program, target, id=name))
+    return pytest.mark.parametrize("program, target", cases)
 
 
 def build_figure1_loop() -> LoopBody:

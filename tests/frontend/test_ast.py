@@ -54,8 +54,7 @@ def test_max_element_accounts_for_stride_and_offset():
         trip=5,
     )
     # stride 2 * (start 2 + trip 5) + offset 3 = 17
-    assert program.max_element("z") == 17
-    assert program.max_element("unused") == 0
+    assert program.max_elements() == {"z": 17}
 
 
 def test_index_is_singleton_like():

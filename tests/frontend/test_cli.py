@@ -44,6 +44,25 @@ def test_emit_and_simulate(source_file, capsys):
     assert "matches sequential" in out
 
 
+def test_simulate_rejects_a_nan_live_out(source_file, monkeypatch, capsys):
+    """NaN compares unequal to everything, so no tolerance test on the
+    difference catches it; the comparison must be exact."""
+    import repro.cli
+
+    pipelined = repro.cli.run_pipelined
+
+    def nan_live_out(schedule, state):
+        state = pipelined(schedule, state)
+        state.scalars["s"] = float("nan")
+        return state
+
+    monkeypatch.setattr(repro.cli, "run_pipelined", nan_live_out)
+    assert main([source_file, "--simulate"]) == 1
+    out = capsys.readouterr().out
+    assert "SIMULATION MISMATCH: 1 locations differ" in out
+    assert "s = nan, want" in out
+
+
 def test_dump_ir(source_file, capsys):
     assert main([source_file, "--dump-ir"]) == 0
     assert "brtop" in capsys.readouterr().out

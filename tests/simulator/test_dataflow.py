@@ -1,5 +1,7 @@
 """Unit tests for the pipelined dataflow executor."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import modulo_schedule
@@ -7,6 +9,7 @@ from repro.frontend import ArrayRef, Assign, DoLoop, Scalar, compile_loop
 from repro.machine import cydra5
 from repro.simulator import MachineState, SimulationError, initial_state, run_pipelined
 from repro.simulator.state import seeded_value
+from repro.workloads import paper_corpus
 
 from tests.conftest import build_figure1_loop
 
@@ -75,6 +78,31 @@ def test_missing_origin_raises_without_init_fn():
         run_pipelined(result.schedule, state)
 
 
+def test_consumer_issued_before_its_producer_raises():
+    program = DoLoop(
+        "scaled",
+        body=[Assign(ArrayRef("y"), ArrayRef("x") * 2.0 + 1.0)],
+        arrays={"x": 30, "y": 30},
+        trip=6,
+    )
+    schedule = _scheduled(program)
+    # A non-memory op reading a value its own iteration computes (an
+    # affine load or store never reads its address operand, so moving
+    # one would go unnoticed).
+    consumer, operand = next(
+        (op, operand)
+        for op in schedule.loop.real_ops
+        if not op.is_memory
+        for operand in op.operands
+        if operand.value.is_variant and operand.back == 0
+    )
+    times = dict(schedule.times)
+    times[consumer.oid] = times[operand.value.defop.oid] - 1
+    broken = dataclasses.replace(schedule, times=times)
+    with pytest.raises(SimulationError, match="before its instance 0 was computed"):
+        run_pipelined(broken, initial_state(program))
+
+
 def test_init_fn_supplies_live_ins():
     loop = build_figure1_loop()
     loop.meta["trip"] = 4
@@ -98,3 +126,11 @@ def test_seeded_values_are_deterministic_and_bounded():
     assert a == b
     assert a != c
     assert 0.5 <= a < 1.5
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_initial_state_cells_are_seeded_values(seed):
+    for program in paper_corpus(240, 1993):
+        state = initial_state(program, seed=seed)
+        for name, cells in state.arrays.items():
+            assert cells == [seeded_value(name, i, seed) for i in range(len(cells))], name

@@ -1,10 +1,11 @@
 """Register-level VLIW simulation: the deepest end-to-end validation.
 
 compile -> schedule -> allocate rotating registers -> generate kernel
--> run the kernel on rotating register files == sequential execution.
+-> run the kernel on rotating register files == sequential execution,
+exactly (NaN equal only to NaN), on every registry target.
 """
 
-import math
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -13,61 +14,100 @@ from hypothesis import strategies as st
 from repro.codegen import generate_kernel
 from repro.core import modulo_schedule
 from repro.frontend import compile_loop
-from repro.ir import build_ddg
-from repro.machine import cydra5
+from repro.ir import Opcode, build_ddg
+from repro.machine import build_machine, cydra5, machine_names
 from repro.regalloc import allocate_registers
-from repro.simulator import initial_state, run_sequential
+from repro.simulator import SimulationError, initial_state, run_sequential, state_mismatches
 from repro.simulator.vliw import run_vliw
 from repro.workloads import LoopGenerator, named_kernels
 
+from tests.conftest import on_targets
+
 MACHINE = cydra5()
+MACHINES = {name: build_machine(name) for name in machine_names()}
 
 
-def _close(a, b):
-    if isinstance(a, bool) or isinstance(b, bool):
-        return bool(a) == bool(b)
-    if math.isnan(a) and math.isnan(b):
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
-
-
-def assert_vliw_equivalent(program):
+def _kernel(program, machine=MACHINE):
     loop = compile_loop(program)
-    ddg = build_ddg(loop, MACHINE)
-    result = modulo_schedule(loop, MACHINE, ddg=ddg)
+    ddg = build_ddg(loop, machine)
+    result = modulo_schedule(loop, machine, ddg=ddg)
     assert result.success
-    kernel = generate_kernel(result.schedule, allocate_registers(result.schedule, ddg))
+    return generate_kernel(result.schedule, allocate_registers(result.schedule, ddg))
+
+
+def assert_vliw_equivalent(program, target="cydra5"):
+    kernel = _kernel(program, MACHINES[target])
     sequential = run_sequential(program, initial_state(program))
     register_level = run_vliw(kernel, initial_state(program))
-    for name in program.arrays:
-        for position, (a, b) in enumerate(
-            zip(sequential.arrays[name], register_level.arrays[name])
-        ):
-            assert _close(a, b), f"{program.name}: {name}[{position}] {a} vs {b}"
-    for name in program.live_out:
-        a = sequential.scalars[name]
-        b = register_level.scalars[name]
-        assert _close(a, b), f"{program.name}: scalar {name} {a} vs {b}"
+    mismatches = state_mismatches(program, sequential, register_level)
+    assert not mismatches, f"{program.name} on {target}: {mismatches[:3]}"
 
 
-@pytest.mark.parametrize("program", named_kernels(), ids=lambda p: p.name)
-def test_named_kernels_register_level(program):
-    assert_vliw_equivalent(program)
+@on_targets(named_kernels())
+def test_named_kernels_register_level(program, target):
+    assert_vliw_equivalent(program, target)
 
 
 @st.composite
 def random_programs(draw):
+    """A generated loop and the registry target to run it on."""
     seed = draw(st.integers(min_value=0, max_value=5_000))
     klass = draw(st.sampled_from(["neither", "conditional", "recurrence", "both"]))
-    return LoopGenerator(seed).generate(f"vliw_{seed}_{klass}", klass)
+    target = draw(st.sampled_from(machine_names()))
+    return LoopGenerator(seed).generate(f"vliw_{seed}_{klass}", klass), target
 
 
 @given(random_programs())
 @settings(max_examples=25, deadline=None)
-def test_random_programs_register_level(program):
-    assert_vliw_equivalent(program)
+def test_random_programs_register_level(case):
+    assert_vliw_equivalent(*case)
+
+
+def _with_operands(kernel, kop, operands):
+    """``kernel`` with ``kop``'s encoded operands replaced."""
+    rows = [
+        [dataclasses.replace(other, operands=operands) if other is kop else other for other in row]
+        for row in kernel.rows
+    ]
+    return dataclasses.replace(kernel, rows=rows)
+
+
+def _arithmetic_op(kernel):
+    """A kernel op that always reads its first operand, a rotating register."""
+    return next(
+        kop
+        for kop in kernel.all_ops()
+        if kop.op.opcode in (Opcode.ADD_F, Opcode.MUL_F) and kop.operands[0].kind == "rr"
+    )
+
+
+def test_read_of_an_unwritten_register_raises():
+    program = named_kernels()[0]
+    kernel = _kernel(program)
+    # A larger rotating file runs the same code (specifiers resolve modulo
+    # its size), and leaves the registers half the file away from every
+    # specifier untouched: no write or live-in preload ever lands there.
+    size = 4 * (kernel.assignment.rr_registers + program.trip + kernel.stages)
+    rr = dataclasses.replace(kernel.assignment.rr, registers=size)
+    roomy = dataclasses.replace(
+        kernel, assignment=dataclasses.replace(kernel.assignment, rr=rr)
+    )
+    sequential = run_sequential(program, initial_state(program))
+    assert not state_mismatches(program, sequential, run_vliw(roomy, initial_state(program)))
+
+    kop = _arithmetic_op(roomy)
+    far = dataclasses.replace(kop.operands[0], spec=kop.operands[0].spec + size // 2)
+    broken = _with_operands(roomy, kop, [far] + kop.operands[1:])
+    with pytest.raises(SimulationError, match="returned an unwritten register"):
+        run_vliw(broken, initial_state(program))
+
+
+def test_operand_without_an_encoding_raises():
+    program = named_kernels()[0]
+    kernel = _kernel(program)
+    broken = _with_operands(kernel, _arithmetic_op(kernel), [])
+    with pytest.raises(SimulationError, match="not encoded"):
+        run_vliw(broken, initial_state(program))
 
 
 def test_bad_trip_rejected():
