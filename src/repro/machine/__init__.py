@@ -1,4 +1,4 @@
-"""VLIW machine models: units, reservations, register files, registry.
+"""VLIW machine models: units, reservations, registry.
 
 The default target is the paper's Cydra-5-like VLIW (:func:`cydra5`);
 :mod:`repro.machine.registry` generalizes it into a declarative zoo of
@@ -8,7 +8,6 @@ service, the wire protocol and the bench harness.
 
 from repro.machine.machine import Machine, UnitInstance, cydra5
 from repro.machine.mrt import ModuloResourceTable
-from repro.machine.registers import RotatingFile, StaticFile
 from repro.machine.registry import (
     MachineError,
     MachineFamily,
@@ -50,8 +49,6 @@ __all__ = [
     "parse_machine_arg",
     "register_family",
     "ModuloResourceTable",
-    "RotatingFile",
-    "StaticFile",
     "UnitClass",
     "table1_units",
 ]

@@ -2,9 +2,10 @@
 
 In a rotating file of R registers that rotates once per II cycles, give
 each value v a *specifier* ``s_v``; instance k of v then lives in
-physical register ``(s_v - k) mod R`` for ``[start_v + k*II,
-end_v + k*II)``.  Two values collide on some physical register at some
-time iff their arcs
+physical register ``(-s_v - k) mod R`` for ``[start_v + k*II,
+end_v + k*II)`` (the kernel encodes ``-s_v``, see
+:mod:`repro.codegen.kernel`).  Two values collide on some physical
+register at some time iff their arcs
 
     arc(v) = [start_v - s_v * II,  start_v - s_v * II + lifetime_v)
 
@@ -15,6 +16,14 @@ model.  MaxLive is an absolute lower bound on R; the paper leans on the
 empirical result that greedy packing almost always achieves MaxLive (or
 overshoots by a register or two), which justifies approximating register
 pressure by MaxLive throughout the evaluation.
+
+For each R from that floor upward, lifetimes are placed greedily in
+order.  One pass over the arcs placed so far gives a lifetime's free
+specifiers as an R-bit mask: each placed arc blocks one circular run of
+consecutive specifiers (:func:`_free_specifiers`), so the mask costs
+O(placed arcs) whatever R is.  R is still tried in order:
+greedy success is not monotone in R (a packing can succeed at R, fail at
+R + 1 and succeed at R + 2), so skipping ahead could return a different R.
 
 Strategies reproduced from that paper:
 
@@ -28,6 +37,7 @@ Strategies reproduced from that paper:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,37 +60,6 @@ class Allocation:
     def overshoot(self) -> int:
         """Registers used beyond the MaxLive lower bound."""
         return self.registers - self.max_live
-
-
-class _CircularOccupancy:
-    """Occupied arcs on a circle of circumference R * II."""
-
-    def __init__(self, circumference: int):
-        self.circumference = circumference
-        self.arcs: List[Tuple[int, int]] = []  # (start, length), start in [0, C)
-
-    def fits(self, start: int, length: int) -> bool:
-        if length > self.circumference:
-            return False
-        start %= self.circumference
-        for other in self.arcs:
-            if _arcs_overlap(self.circumference, start, length, other[0], other[1]):
-                return False
-        return True
-
-    def place(self, start: int, length: int) -> None:
-        self.arcs.append((start % self.circumference, length))
-
-    def ends(self) -> List[int]:
-        return [(start + length) % self.circumference for start, length in self.arcs]
-
-
-def _arcs_overlap(c: int, a_start: int, a_len: int, b_start: int, b_len: int) -> bool:
-    """Do circular arcs [a, a+a_len) and [b, b+b_len) intersect mod c?"""
-    if a_len <= 0 or b_len <= 0:
-        return False
-    delta = (b_start - a_start) % c
-    return delta < a_len or (c - delta) < b_len
 
 
 def allocate_rotating(
@@ -146,56 +125,82 @@ def _try_pack(
     ordered: Sequence[Lifetime], ii: int, registers: int, fit: str
 ) -> Optional[Dict[int, int]]:
     circumference = registers * ii
-    occupancy = _CircularOccupancy(circumference)
+    arcs: List[Tuple[int, int]] = []  # placed (position in [0, C), length)
     specifiers: Dict[int, int] = {}
     for lifetime in ordered:
-        specifier = _find_slot(occupancy, lifetime, ii, registers, fit)
-        if specifier is None:
+        start, length = lifetime.start, lifetime.length
+        free = _free_specifiers(arcs, start, length, ii, registers)
+        if not free:
             return None
-        position = (lifetime.start - specifier * ii) % circumference
-        occupancy.place(position, lifetime.length)
+        specifier = _choose(fit, free, arcs, start, length, ii, circumference)
+        arcs.append(((start - specifier * ii) % circumference, length))
         specifiers[lifetime.value.vid] = specifier
     return specifiers
 
 
-def _find_slot(
-    occupancy: _CircularOccupancy, lifetime: Lifetime, ii: int, registers: int, fit: str
-) -> Optional[int]:
+def _free_specifiers(
+    arcs: Sequence[Tuple[int, int]], start: int, length: int, ii: int, registers: int
+) -> int:
+    """Bit s is set iff specifier s places the lifetime clear of every arc.
+
+    Specifier s puts the lifetime at ``p(s) = (start - s*II) mod C``.  It
+    meets a placed arc at position b of length lb iff ``(p(s) - b) mod C``
+    lies in ``[0, lb)`` or ``(C - length, C)``, that is iff ``(p(s) +
+    length - 1 - b) mod C < length + lb - 1``.  Over s that offset takes
+    the values ``r + II*((j0 - s) mod R)`` with ``j0, r =
+    divmod((start + length - 1 - b) mod C, II)``, so the arc blocks one
+    circular run of ``ceil((length + lb - 1 - r) / II)`` specifiers
+    ending at j0; a run of R or more blocks them all.
+    """
     circumference = registers * ii
-    candidates = []
-    for specifier in range(registers):
-        position = (lifetime.start - specifier * ii) % circumference
-        if occupancy.fits(position, lifetime.length):
-            candidates.append((specifier, position))
-    if not candidates:
-        return None
-    if fit == "first_fit":
-        return candidates[0][0]
+    last = start + length - 1
+    blocked = 0
+    for position, placed in arcs:
+        j0, r = divmod((last - position) % circumference, ii)
+        run = (length + placed - 2 - r) // ii + 1
+        if run >= registers:
+            return 0
+        if run > 0:
+            bits = ((1 << run) - 1) << ((j0 - run + 1) % registers)
+            blocked |= bits | bits >> registers
+    return ~blocked & ((1 << registers) - 1)
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def _choose(
+    fit: str,
+    free: int,
+    arcs: Sequence[Tuple[int, int]],
+    start: int,
+    length: int,
+    ii: int,
+    circumference: int,
+) -> int:
+    """The specifier ``fit`` picks from the ``free`` mask."""
+    if fit == "first_fit" or not arcs:
+        return _lowest(free)
     if fit == "end_fit":
-        # Prefer positions butting against an existing arc's end.
-        ends = set(occupancy.ends())
-        for specifier, position in candidates:
-            if position in ends:
-                return specifier
-        return candidates[0][0]
-    # best_fit: choose the position leaving the smallest gap to the next
-    # occupied arc (tightest packing of the leftover hole).
-    best_specifier, best_gap = None, None
-    for specifier, position in candidates:
-        gap = _gap_after(occupancy, position, lifetime.length)
-        if best_gap is None or gap < best_gap:
-            best_specifier, best_gap = specifier, gap
-    return best_specifier
-
-
-def _gap_after(occupancy: _CircularOccupancy, position: int, length: int) -> int:
-    """Distance from the arc's end to the next occupied arc start."""
-    c = occupancy.circumference
-    end = (position + length) % c
-    if not occupancy.arcs:
-        return c - length
-    best = c
-    for other_start, _ in occupancy.arcs:
-        distance = (other_start - end) % c
-        best = min(best, distance)
+        # Prefer a specifier that butts the lifetime against an arc's end
+        # e: the one with s*II == (start - e) mod C, if II divides it.
+        butting = 0
+        for position, placed in arcs:
+            offset = (start - position - placed) % circumference
+            if offset % ii == 0:
+                butting |= 1 << (offset // ii)
+        return _lowest(butting & free or free)
+    # best_fit: the first specifier leaving the smallest gap between the
+    # lifetime's end and the next arc start (tightest leftover hole).
+    starts = sorted(position for position, _ in arcs)
+    best, best_gap = -1, circumference
+    while free:
+        specifier = _lowest(free)
+        free &= free - 1
+        end = (start - specifier * ii + length) % circumference
+        index = bisect.bisect_left(starts, end)
+        gap = starts[index] - end if index < len(starts) else starts[0] + circumference - end
+        if gap < best_gap:
+            best, best_gap = specifier, gap
     return best
