@@ -13,14 +13,10 @@ from repro.bounds.lifetimes import (
     rr_values,
     schedule_lifetimes,
 )
-from repro.bounds.mindist import MinDist, is_feasible_ii
+from repro.bounds.mindist import MinDist
 from repro.bounds.recmii import (
-    CircuitLimitExceeded,
     StaticCycleError,
-    elementary_circuits,
     recmii,
-    recmii_by_circuits,
-    recmii_by_feasibility,
     recurrence_ops,
     strongly_connected_components,
 )
@@ -40,13 +36,8 @@ __all__ = [
     "rr_values",
     "schedule_lifetimes",
     "MinDist",
-    "is_feasible_ii",
-    "CircuitLimitExceeded",
     "StaticCycleError",
-    "elementary_circuits",
     "recmii",
-    "recmii_by_circuits",
-    "recmii_by_feasibility",
     "recurrence_ops",
     "strongly_connected_components",
     "critical_unit_instances",

@@ -12,9 +12,10 @@ Computed with a vectorized Floyd–Warshall over a numpy int64 matrix
 :class:`~repro.bounds.analysis.LoopAnalysis` owns the finished closures,
 one read-only matrix per II, and the per-arc cost arrays they are built
 from, so rebuilding the cost matrix at an escalated II is one vectorized
-``latency - omega * II`` update, and the driver's escalation loop, the
-RecMII feasibility search and the evaluation harness share every
-(graph, II) closure.
+``latency - omega * II`` update, and the driver's escalation loop and
+the evaluation harness share every (graph, II) closure.  The RecMII
+search (:mod:`repro.bounds.recmii`) runs :func:`compute_closure` on one
+recurrence component at a time and keeps none of its matrices.
 
 The "no path" boundary is owned by this module: every consumer must
 test entries through :data:`NO_PATH_CUTOFF` / :func:`is_path` /
@@ -111,14 +112,3 @@ def compute_closure(n: int, cost_bases, ii: int) -> "tuple[np.ndarray, bool]":
     # The paper sets MinDist(x, x) = 0 for every operation.
     np.fill_diagonal(dist, 0)
     return dist, feasible
-
-
-def is_feasible_ii(ddg: DDG, ii: int) -> bool:
-    """True if no dependence circuit has positive cost at this II.
-
-    This is the Lawler-style feasibility predicate underlying RecMII:
-    the smallest feasible II over this predicate *is* RecMII.
-    """
-    from repro.bounds.analysis import LoopAnalysis  # imports this module
-
-    return LoopAnalysis.of(ddg).closure(ii)[1]

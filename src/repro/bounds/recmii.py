@@ -1,24 +1,39 @@
 """Recurrence-constrained lower bound on II (paper §3.1).
 
 A recurrence circuit with total latency L and total distance Omega
-forces ``II >= ceil(L / Omega)``.  Two independent computations are
-provided and cross-checked by the test suite:
+forces ``II >= ceil(L / Omega)``; RecMII is the largest such bound.  The
+paper computes it either by scanning the elementary circuits (citing
+Tiernan) or as a minimum cost-to-time ratio (citing Lawler).
+:func:`recmii` takes Lawler's view, the smallest II at which the cost
+graph ``latency - omega * II`` has no positive cycle, and searches it one
+strongly connected component at a time.  That is exact:
 
-* :func:`recmii_by_circuits` enumerates the elementary circuits of the
-  dependence graph (Johnson's algorithm, restricted to each strongly
-  connected component) and scans them — the paper's approach, citing
-  Tiernan.
-* :func:`recmii_by_feasibility` finds the smallest II for which the cost
-  graph ``latency - II * omega`` has no positive cycle — the minimum
-  cost-to-time-ratio view the paper cites from Lawler.
+* ``omega >= 0``, so no arc cost rises with II and feasibility is
+  monotone in II: a binary search finds the smallest feasible II.
+* Every circuit lies inside one component, and a self-arc is a one-op
+  circuit.  So RecMII is the largest of the self-arc floor
+  ``max ceil(latency / omega)`` and each component's smallest feasible
+  II, and each component's search may start at the running maximum.
+* Within a component, ``II = 1 + the sum of its arc latencies`` is
+  feasible when every circuit has Omega >= 1.
+
+A circuit with Omega = 0 means the loop body is malformed.  It is found
+from the distances alone, as a zero-distance self-arc or a cycle of
+zero-distance arcs: one of total latency 0 costs 0 at every II, so no
+positive cycle would reveal it.  Start/Stop sequencing arcs are left
+out; they only run Start -> op -> Stop, so they close no circuit.
+
+The test suite keeps the circuit scan (Johnson's enumeration with the
+per-circuit bound over parallel arcs) as the oracle for this search.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
-from repro.bounds.mindist import is_feasible_ii
+import numpy as np
+
+from repro.bounds.mindist import compute_closure
 from repro.ir.ddg import DDG, Arc, ArcKind
 
 
@@ -79,13 +94,18 @@ def strongly_connected_components(n: int, succs: Sequence[Sequence[int]]) -> Lis
     return components
 
 
-def _adjacency(ddg: DDG) -> List[List[int]]:
-    succs: List[Set[int]] = [set() for _ in range(ddg.n)]
-    for arc in ddg.arcs:
-        if arc.kind is ArcKind.SEQ:
-            continue
-        succs[arc.src].add(arc.dst)
-    return [sorted(s) for s in succs]
+def _recurrence_components(n: int, arcs: Sequence[Tuple[int, int]]) -> List[List[int]]:
+    """The components of two or more nodes of a graph given as
+    ``(src, dst)`` pairs: exactly the nodes on non-trivial circuits."""
+    succs: List[Set[int]] = [set() for _ in range(n)]
+    for src, dst in arcs:
+        succs[src].add(dst)
+    components = strongly_connected_components(n, [sorted(s) for s in succs])
+    return [component for component in components if len(component) >= 2]
+
+
+def _dependence_arcs(ddg: DDG) -> List[Arc]:
+    return [arc for arc in ddg.arcs if arc.kind is not ArcKind.SEQ]
 
 
 def recurrence_ops(ddg: DDG) -> Set[int]:
@@ -94,199 +114,56 @@ def recurrence_ops(ddg: DDG) -> Set[int]:
     A trivial recurrence is an arc from an operation to itself (§4);
     non-trivial circuits are exactly the nodes of SCCs of size >= 2.
     """
-    succs = _adjacency(ddg)
-    ops: Set[int] = set()
-    for component in strongly_connected_components(ddg.n, succs):
-        if len(component) >= 2:
-            ops.update(component)
-    return ops
+    pairs = [(arc.src, arc.dst) for arc in _dependence_arcs(ddg)]
+    return {oid for component in _recurrence_components(ddg.n, pairs) for oid in component}
 
 
 # ----------------------------------------------------------------------
-# Elementary circuit enumeration (Johnson's algorithm)
+# RecMII
 # ----------------------------------------------------------------------
-class CircuitLimitExceeded(RuntimeError):
-    """Raised when a graph has pathologically many elementary circuits."""
-
-
-def elementary_circuits(
-    n: int, succs: Sequence[Sequence[int]], limit: int = 50_000
-) -> Iterator[List[int]]:
-    """Yield the elementary circuits of a digraph as node lists.
-
-    Johnson's algorithm run once per SCC.  Self-loops are yielded as
-    single-node circuits.  Raises :class:`CircuitLimitExceeded` beyond
-    ``limit`` circuits, at which point callers should fall back to the
-    feasibility-search RecMII.
-    """
-    yielded = 0
-    for node in range(n):
-        if node in succs[node]:
-            yield [node]
-            yielded += 1
-            if yielded > limit:
-                raise CircuitLimitExceeded(f"more than {limit} circuits")
-
-    for component in strongly_connected_components(n, succs):
-        if len(component) < 2:
-            continue
-        members = sorted(component)
-        member_set = set(members)
-        local_succs = {
-            node: [child for child in succs[node] if child in member_set and child != node]
-            for node in members
-        }
-        for start in members:
-            blocked: Dict[int, bool] = {node: False for node in members}
-            blocked_map: Dict[int, Set[int]] = {node: set() for node in members}
-            path: List[int] = [start]
-
-            def unblock(node: int) -> None:
-                pending = [node]
-                while pending:
-                    current = pending.pop()
-                    if not blocked[current]:
-                        continue
-                    blocked[current] = False
-                    pending.extend(blocked_map[current])
-                    blocked_map[current].clear()
-
-            # Iterative Johnson circuit search from `start`, visiting
-            # only nodes >= start to enumerate each circuit once.
-            blocked[start] = True
-            frame_stack: List[Tuple[int, Iterator[int]]] = [
-                (start, iter([c for c in local_succs[start] if c >= start]))
-            ]
-            found_flags: List[bool] = [False]
-            while frame_stack:
-                node, children = frame_stack[-1]
-                emitted = False
-                for child in children:
-                    if child == start:
-                        yield list(path)
-                        yielded += 1
-                        if yielded > limit:
-                            raise CircuitLimitExceeded(f"more than {limit} circuits")
-                        found_flags[-1] = True
-                    elif not blocked[child]:
-                        path.append(child)
-                        blocked[child] = True
-                        frame_stack.append(
-                            (child, iter([c for c in local_succs[child] if c >= start]))
-                        )
-                        found_flags.append(False)
-                        emitted = True
-                        break
-                if emitted:
-                    continue
-                frame_stack.pop()
-                found = found_flags.pop()
-                path.pop()
-                if found:
-                    unblock(node)
-                    if found_flags:
-                        found_flags[-1] = True
-                else:
-                    for child in local_succs[node]:
-                        if child >= start:
-                            blocked_map[child].add(node)
-
-
-def _pareto_arcs(candidates: List[Arc]) -> List[Tuple[int, int]]:
-    """Non-dominated (latency, omega) pairs among parallel arcs.
-
-    Arc a dominates arc b when it is at least as constraining on every
-    circuit through this hop: ``latency_a >= latency_b`` and
-    ``omega_a <= omega_b``.  Dominated arcs can never change a circuit's
-    maximum ceil(L / Omega).
-    """
-    pairs = sorted({(arc.latency, arc.omega) for arc in candidates})
-    kept: List[Tuple[int, int]] = []
-    for latency, omega in pairs:
-        kept = [(l, w) for (l, w) in kept if not (latency >= l and omega <= w)]
-        if not any(l >= latency and w <= omega for (l, w) in kept):
-            kept.append((latency, omega))
-    return kept
-
-
-def _circuit_bound(
-    arc_index: Dict[Tuple[int, int], List[Tuple[int, int]]],
-    circuit: List[int],
-    combo_limit: int = 256,
-) -> int:
-    """Max ceil(L / Omega) over all arc choices along one circuit.
-
-    Each hop may carry several non-dominated parallel arcs (e.g. a flow
-    arc plus a memory-ordering arc); the binding combination cannot be
-    found per hop, so the Pareto choices are enumerated, with a cap that
-    triggers the feasibility-search fallback on pathological inputs.
-    """
-    hops = len(circuit)
-    choices = [
-        arc_index[(circuit[position], circuit[(position + 1) % hops])]
-        for position in range(hops)
+def _component_recmii(members: List[int], arcs: List[Arc], floor: int) -> int:
+    """Smallest II >= ``floor`` with no positive cycle among the arcs
+    inside one recurrence component."""
+    local = {oid: index for index, oid in enumerate(members)}
+    inner = [
+        (local[arc.src], local[arc.dst], arc.latency, arc.omega)
+        for arc in arcs
+        if arc.src != arc.dst and arc.src in local and arc.dst in local
     ]
-    combos = 1
-    for hop_choices in choices:
-        combos *= len(hop_choices)
-        if combos > combo_limit:
-            raise CircuitLimitExceeded("too many parallel-arc combinations")
-    best = 0
-    totals: List[Tuple[int, int]] = [(0, 0)]
-    for hop_choices in choices:
-        totals = [
-            (latency_sum + latency, omega_sum + omega)
-            for latency_sum, omega_sum in totals
-            for latency, omega in hop_choices
-        ]
-    for latency_sum, omega_sum in totals:
-        if omega_sum == 0:
-            raise StaticCycleError(f"zero-distance circuit through oids {circuit}")
-        best = max(best, math.ceil(latency_sum / omega_sum))
-    return best
+    zero_distance = [(src, dst) for src, dst, _, omega in inner if omega == 0]
+    if _recurrence_components(len(members), zero_distance):
+        raise StaticCycleError(f"zero-distance circuit among oids {sorted(members)}")
+    bases = tuple(np.array(inner, dtype=np.int64).T)
 
+    def feasible(ii: int) -> bool:
+        return compute_closure(len(members), bases, ii)[1]
 
-def recmii_by_circuits(ddg: DDG, limit: int = 50_000) -> int:
-    """RecMII by scanning each elementary circuit (paper's method)."""
-    succs = _adjacency(ddg)
-    arc_index: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    grouped: Dict[Tuple[int, int], List[Arc]] = {}
-    for arc in ddg.arcs:
-        if arc.kind is ArcKind.SEQ:
-            continue
-        grouped.setdefault((arc.src, arc.dst), []).append(arc)
-    for key, candidates in grouped.items():
-        arc_index[key] = _pareto_arcs(candidates)
-    bound = 1
-    for circuit in elementary_circuits(ddg.n, succs, limit=limit):
-        bound = max(bound, _circuit_bound(arc_index, circuit))
-    return bound
-
-
-def recmii_by_feasibility(ddg: DDG) -> int:
-    """RecMII as the smallest II with no positive-cost dependence cycle."""
-    lo = 1
-    hi = 1 + sum(arc.latency for arc in ddg.arcs if arc.kind is not ArcKind.SEQ)
-    if is_feasible_ii(ddg, lo):
-        return lo
-    if not is_feasible_ii(ddg, hi):
-        raise StaticCycleError("no feasible II: the DDG has a zero-distance circuit")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if is_feasible_ii(ddg, mid):
-            hi = mid
+    if feasible(floor):
+        return floor
+    infeasible, lowest = floor, 1 + sum(latency for _, _, latency, _ in inner)
+    while lowest - infeasible > 1:
+        mid = (infeasible + lowest) // 2
+        if feasible(mid):
+            lowest = mid
         else:
-            lo = mid
-    return hi
+            infeasible = mid
+    return lowest
 
 
 def recmii(ddg: DDG) -> int:
-    """RecMII; prefers circuit scanning, falls back to feasibility search.
+    """RecMII: the self-arc floor raised by each recurrence component's
+    smallest feasible II.
 
     Not memoized here: :attr:`repro.bounds.analysis.LoopAnalysis.rec_mii`
     keeps the graph's bound.
     """
-    try:
-        return recmii_by_circuits(ddg)
-    except CircuitLimitExceeded:
-        return recmii_by_feasibility(ddg)
+    arcs = _dependence_arcs(ddg)
+    bound = 1
+    for arc in arcs:
+        if arc.src == arc.dst:
+            if arc.omega == 0:
+                raise StaticCycleError(f"zero-distance self-arc on oid {arc.src}")
+            bound = max(bound, -(-arc.latency // arc.omega))
+    for members in _recurrence_components(ddg.n, [(arc.src, arc.dst) for arc in arcs]):
+        bound = _component_recmii(members, arcs, bound)
+    return bound

@@ -136,8 +136,8 @@ def modulo_schedule(
 
     # Every placement-independent fact comes from the graph's analysis:
     # re-scheduling a prebuilt graph (service cache hits, benches,
-    # escalation studies) skips the circuit enumeration, unit-pressure
-    # scans and binding prepass entirely.
+    # escalation studies) skips the RecMII search, unit-pressure scans
+    # and binding prepass entirely.
     analysis = LoopAnalysis.of(ddg)
     if prof is None:
         res_mii, rec_mii = analysis.res_mii, analysis.rec_mii

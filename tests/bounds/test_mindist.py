@@ -1,6 +1,6 @@
 """Unit tests for the MinDist relation (paper §4.1)."""
 
-from repro.bounds import MinDist, is_feasible_ii
+from repro.bounds import LoopAnalysis, MinDist
 from repro.ir import build_ddg
 
 from tests.conftest import build_figure1_loop
@@ -73,8 +73,9 @@ def test_feasibility_predicate(machine):
     loop = build_figure1_loop()
     ddg = build_ddg(loop, machine)
     # Figure 1's recurrences allow II = 1 (each circuit has slack).
-    assert is_feasible_ii(ddg, 1)
-    assert is_feasible_ii(ddg, 4)
+    analysis = LoopAnalysis.of(ddg)
+    assert analysis.closure(1)[1]
+    assert analysis.closure(4)[1]
 
 
 def test_mindist_rejects_nonpositive_ii(machine):

@@ -57,6 +57,28 @@ def test_measure_loop_accumulates_phase_timers():
         assert snap[phase]["seconds"] >= 0.0
 
 
+def test_measure_loop_times_the_mindist_build_at_mii(monkeypatch):
+    # Every closure build sleeps 50 ms, so a build no timer covers
+    # leaves mindist_seconds near 0.
+    import time
+
+    import repro.bounds.analysis as analysis
+    from repro.workloads import named_kernels
+
+    build = analysis.compute_closure
+
+    def slow_build(*args):
+        time.sleep(0.05)
+        return build(*args)
+
+    monkeypatch.setattr(analysis, "compute_closure", slow_build)
+    program = next(p for p in named_kernels() if p.name == "ll1_hydro")
+    metrics = MetricsRegistry()
+    loop_metrics = measure_loop(program, MACHINE, metrics=metrics)
+    assert loop_metrics.mindist_seconds >= 0.05
+    assert metrics.snapshot()["timers"]["phase.mindist"]["seconds"] >= 0.05
+
+
 def test_run_corpus_timer_counts_scale_with_corpus():
     programs = paper_corpus(5, seed=5)
     metrics = MetricsRegistry()
