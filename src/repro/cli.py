@@ -16,8 +16,10 @@
 
 Prints lower bounds, the found schedule, register pressure against the
 MinAvg bound, optionally the generated kernel-only VLIW code, and
-optionally executes the pipeline to verify it against sequential
-semantics.
+optionally (``--simulate``) runs both the pipelined schedule on the
+dataflow executor and the generated kernel on the VLIW executor, and
+checks each against sequential semantics, naming the executor that
+differs.
 
 Observability (all opt-in; the default run is quiet and untraced):
 ``--trace PATH`` records every scheduler decision (``--trace-format``
@@ -80,6 +82,7 @@ from repro.obs import (
 )
 from repro.regalloc import allocate_registers
 from repro.simulator import initial_state, run_pipelined, run_sequential, state_mismatches
+from repro.simulator.vliw import run_vliw
 
 _DEMO = """\
 loop figure1
@@ -137,7 +140,10 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--emit", action="store_true", help="print kernel-only VLIW code")
     parser.add_argument(
-        "--simulate", action="store_true", help="execute and verify against sequential"
+        "--simulate",
+        action="store_true",
+        help="run the pipelined schedule and the generated VLIW kernel, and "
+        "check each against sequential execution",
     )
     parser.add_argument("--dump-ir", action="store_true", help="print the compiled loop body")
     parser.add_argument(
@@ -320,22 +326,31 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         print(explain(result, tracer.events, metrics, ddg=ddg))
 
+    if args.emit or args.simulate:
+        kernel = generate_kernel(schedule, allocate_registers(schedule, ddg))
     if args.emit:
-        assignment = allocate_registers(schedule, ddg)
         print()
-        print(emit_kernel(generate_kernel(schedule, assignment)))
+        print(emit_kernel(kernel))
 
     if args.simulate:
         sequential = run_sequential(program, initial_state(program))
-        pipelined = run_pipelined(schedule, initial_state(program))
-        mismatches = state_mismatches(program, sequential, pipelined)
-        if mismatches:
-            print(f"SIMULATION MISMATCH: {len(mismatches)} locations differ")
-            for mismatch in mismatches[:10]:
-                print(f"  {mismatch}")
-            return 1
-        print(f"simulation: pipelined execution matches sequential over "
-              f"{program.trip} iterations")
+        finals = {
+            "dataflow executor": run_pipelined(schedule, initial_state(program)),
+            "VLIW executor": run_vliw(kernel, initial_state(program)),
+        }
+        status = 0
+        for executor, final in finals.items():
+            mismatches = state_mismatches(program, sequential, final)
+            if mismatches:
+                status = 1
+                print(f"SIMULATION MISMATCH: {len(mismatches)} locations differ "
+                      f"in the {executor}")
+                for mismatch in mismatches[:10]:
+                    print(f"  {mismatch}")
+            else:
+                print(f"simulation: the {executor} matches sequential over "
+                      f"{program.trip} iterations")
+        return status
     return 0
 
 

@@ -9,9 +9,10 @@ within an expression, same totalization of division/sqrt).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import zlib
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.frontend.ast import DoLoop
 
@@ -40,32 +41,61 @@ def seeded_value(array: str, index: int, seed: int = 0) -> float:
     return 0.5 + (key % 10_000) / 10_000.0
 
 
+#: Seeded array images ``_seeded_cells`` keeps.  No paper-corpus loop
+#: declares more than 9 arrays, so the states built for one loop always
+#: reuse its own images.
+_SEEDED_IMAGES = 32
+
+
+@functools.lru_cache(maxsize=_SEEDED_IMAGES)
+def _seeded_cells(name: str, size: int, seed: int) -> Tuple[float, ...]:
+    """``seeded_value(name, i, seed)`` for each i below ``size``: the crc
+    of ``"name:"`` is taken once and continued over the bytes of
+    ``f"{i}:{seed}"``."""
+    prefix = zlib.crc32(f"{name}:".encode())
+    suffix = f":{seed}".encode()
+    return tuple(
+        0.5 + (zlib.crc32(b"%d%b" % (i, suffix), prefix) % 10_000) / 10_000.0
+        for i in range(size)
+    )
+
+
 def initial_state(program: DoLoop, seed: int = 0,
-                  array_init: Dict[str, List[float]] = None) -> MachineState:
+                  array_init: Optional[Dict[str, List[float]]] = None) -> MachineState:
     """Build the pre-loop machine state for a DoLoop program.
 
     Arrays are sized to cover both the declared size and every element an
-    affine reference can touch, then filled deterministically (or from
-    ``array_init`` when given — needed e.g. for index arrays driving
-    gathers).
+    affine reference can touch, then filled from ``array_init`` when it
+    names them (repeating its values; needed e.g. for index arrays driving
+    gathers) and otherwise with ``seeded_value``'s numbers.
+
+    Seeded contents come from a memo of immutable images keyed by
+    (array name, size, seed) that keeps the 32 most recently used
+    images: each is a tuple of floats, 32 bytes a cell, so the memo
+    holds at most 1 KiB per cell of the largest array simulated (~0.3 MB
+    on the paper corpus, whose largest array has 300 cells).  Every call
+    copies each image into a new list, so states built from one image
+    share only immutable floats and a run writing one never changes
+    another.  Raises ValueError when ``array_init`` names an array the
+    program does not declare or gives one no values.
     """
+    array_init = array_init or {}
+    for name, given in array_init.items():
+        if name not in program.arrays:
+            raise ValueError(
+                f"array_init names array {name!r}, which {program.name} does not declare"
+            )
+        if len(given) == 0:
+            raise ValueError(f"array_init gives array {name!r} no values")
     extents = program.max_elements()
     arrays: Dict[str, List[float]] = {}
     for name, declared in program.arrays.items():
         size = max(int(declared), extents.get(name, 0) + 2)
-        if array_init and name in array_init:
-            given = array_init[name]
-            cells = [float(given[i % len(given)]) for i in range(size)]
+        given = array_init.get(name)
+        if given is not None:
+            arrays[name] = [float(given[i % len(given)]) for i in range(size)]
         else:
-            # seeded_value(name, i, seed) for each i: the crc of "name:"
-            # is taken once and continued over the bytes of f"{i}:{seed}".
-            prefix = zlib.crc32(f"{name}:".encode())
-            suffix = f":{seed}".encode()
-            cells = [
-                0.5 + (zlib.crc32(b"%d%b" % (i, suffix), prefix) % 10_000) / 10_000.0
-                for i in range(size)
-            ]
-        arrays[name] = cells
+            arrays[name] = list(_seeded_cells(name, size, seed))
     return MachineState(arrays=arrays, scalars=dict(program.scalars))
 
 

@@ -63,6 +63,26 @@ def test_simulate_rejects_a_nan_live_out(source_file, monkeypatch, capsys):
     assert "s = nan, want" in out
 
 
+def test_simulate_checks_the_vliw_kernel(source_file, monkeypatch, capsys):
+    """A wrong cell from the VLIW executor alone fails the run, and the
+    report names that executor."""
+    import repro.cli
+
+    vliw = repro.cli.run_vliw
+
+    def corrupt_cell(kernel, state):
+        state = vliw(kernel, state)
+        state.arrays["x"][5] += 1.0
+        return state
+
+    monkeypatch.setattr(repro.cli, "run_vliw", corrupt_cell)
+    assert main([source_file, "--simulate"]) == 1
+    out = capsys.readouterr().out
+    assert "the dataflow executor matches sequential" in out
+    assert "SIMULATION MISMATCH: 1 locations differ in the VLIW executor" in out
+    assert "x[5] = " in out
+
+
 def test_dump_ir(source_file, capsys):
     assert main([source_file, "--dump-ir"]) == 0
     assert "brtop" in capsys.readouterr().out

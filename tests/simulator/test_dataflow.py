@@ -7,8 +7,14 @@ import pytest
 from repro.core import modulo_schedule
 from repro.frontend import ArrayRef, Assign, DoLoop, Scalar, compile_loop
 from repro.machine import cydra5
-from repro.simulator import MachineState, SimulationError, initial_state, run_pipelined
-from repro.simulator.state import seeded_value
+from repro.simulator import (
+    MachineState,
+    SimulationError,
+    initial_state,
+    run_pipelined,
+    run_sequential,
+)
+from repro.simulator.state import _seeded_cells, seeded_value
 from repro.workloads import paper_corpus
 
 from tests.conftest import build_figure1_loop
@@ -128,9 +134,42 @@ def test_seeded_values_are_deterministic_and_bounded():
     assert 0.5 <= a < 1.5
 
 
+def _assert_seeded(state, seed):
+    for name, cells in state.arrays.items():
+        assert cells == [seeded_value(name, i, seed) for i in range(len(cells))], name
+
+
+def _doubling(size):
+    """x(i) = x(i) * 2 over four iterations: the one array keeps its
+    declared ``size``, which exceeds every element the loop touches."""
+    return DoLoop(
+        "doubling", body=[Assign(ArrayRef("x"), ArrayRef("x") * 2.0)],
+        arrays={"x": size}, start=0, trip=4,
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_initial_state_cells_are_seeded_values(seed):
+    """Every cell is ``seeded_value``'s, and nothing leaks through the
+    memo of seeded images: a state built again after ``run_sequential``
+    wrote the first is still seeded and shares no list with it, one array
+    name at two sizes gets both sizes, and a new seed gets new values."""
     for program in paper_corpus(240, 1993):
         state = initial_state(program, seed=seed)
-        for name, cells in state.arrays.items():
-            assert cells == [seeded_value(name, i, seed) for i in range(len(cells))], name
+        _assert_seeded(state, seed)
+        run_sequential(program, state)
+        again = initial_state(program, seed=seed)
+        _assert_seeded(again, seed)
+        assert not {id(cells) for cells in state.arrays.values()} & {
+            id(cells) for cells in again.arrays.values()
+        }, program.name
+
+    for size in (64, 160, 64):
+        state = initial_state(_doubling(size), seed=seed)
+        assert len(state.arrays["x"]) == size
+        _assert_seeded(state, seed)
+    for other in (seed + 1, seed):
+        _assert_seeded(initial_state(_doubling(64), seed=other), other)
+
+    memo = _seeded_cells.cache_info()
+    assert memo.maxsize is not None and memo.currsize <= memo.maxsize

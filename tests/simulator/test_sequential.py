@@ -161,13 +161,26 @@ def test_state_copy_is_deep():
     assert state.scalars["s"] == 0.0
 
 
+GATHER = DoLoop(
+    "init",
+    body=[Assign(ArrayRef("z"), Gather("ix", Index()))],
+    arrays={"ix": 8, "z": 20},
+    start=0,
+    trip=4,
+)
+
+
 def test_array_init_override():
-    program = DoLoop(
-        "init",
-        body=[Assign(ArrayRef("z"), Gather("ix", Index()))],
-        arrays={"ix": 8, "z": 20},
-        start=0,
-        trip=4,
-    )
-    state = initial_state(program, array_init={"ix": [3.0]})
+    state = initial_state(GATHER, array_init={"ix": [3.0]})
     assert all(v == 3.0 for v in state.arrays["ix"])
+
+
+def test_array_init_without_values_is_rejected():
+    with pytest.raises(ValueError, match="'ix' no values"):
+        initial_state(GATHER, array_init={"ix": []})
+
+
+def test_array_init_of_an_undeclared_array_is_rejected():
+    """A misspelt name must not leave the array silently seeded."""
+    with pytest.raises(ValueError, match="'iz', which init does not declare"):
+        initial_state(GATHER, array_init={"iz": [3.0]})
