@@ -26,12 +26,17 @@ def test_section6_effort(benchmark):
     slack_ejections = sum(m.ejections for m in metrics)
     cydrome_ejections = sum(m.ejections for m in cydrome)
     factor = cydrome_ejections / max(1, slack_ejections)
+    # The wall-clock time split is printed but not published, so the
+    # committed file reproduces byte-for-byte.
+    lines = section6_effort(metrics).splitlines()
+    timing = [line for line in lines if line.startswith("time:")]
     text = (
-        section6_effort(metrics)
+        "\n".join(line for line in lines if line not in timing)
         + f"\n\nCydrome baseline ejections: {cydrome_ejections} "
         + f"({factor:.1f}x the slack scheduler's {slack_ejections})"
         + f"\n(corpus size {corpus_size()})"
     )
+    print("\n" + "\n".join(timing))
     publish("section6_effort", text)
 
     no_backtracking = sum(1 for m in metrics if not m.backtracked)

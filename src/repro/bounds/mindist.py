@@ -57,12 +57,15 @@ class MinDist:
 
     A view of the graph's cached closure at ``ii``: ``matrix`` is shared
     read-only with every other MinDist of the same graph and II.
-    ``profiler`` (see :mod:`repro.obs.prof`) wraps the O(n^3) closure in
-    a ``bounds.mindist`` span; the default costs one truth test.
+    Getting the closure (the O(n^3) build, or a cache hit) runs in a
+    ``bounds.mindist`` span of ``profiler`` (see :mod:`repro.obs.prof`),
+    whose duration ``seconds`` keeps; the scheduling driver charges it
+    to ``SchedulerStats.mindist_seconds``.
     """
 
     def __init__(self, ddg: DDG, ii: int, profiler=None):
         from repro.bounds.analysis import LoopAnalysis  # imports this module
+        from repro.obs.prof import NULL_PROFILER  # repro.obs imports bounds
 
         if ii < 1:
             raise ValueError(f"II must be positive, got {ii}")
@@ -70,18 +73,16 @@ class MinDist:
         self.ii = ii
         self.n = ddg.n
         analysis = LoopAnalysis.of(ddg)
-        prof = profiler if (profiler is not None and profiler.enabled) else None
-        if prof is None:
+        prof = profiler or NULL_PROFILER
+        cached = analysis.has_closure(ii)
+        with prof.span("bounds.mindist") as span:
             self.matrix, self.feasible = analysis.closure(ii)
+        self.seconds = span.seconds
+        if cached:
+            prof.count("mindist.cache_hits")
         else:
-            cached = analysis.has_closure(ii)
-            with prof.span("bounds.mindist"):
-                self.matrix, self.feasible = analysis.closure(ii)
-            if cached:
-                prof.count("mindist.cache_hits")
-            else:
-                prof.count("mindist.closures")
-                prof.count("mindist.closure_nodes", self.n)
+            prof.count("mindist.closures")
+            prof.count("mindist.closure_nodes", self.n)
 
     def dist(self, src: int, dst: int) -> Optional[int]:
         """MinDist(src, dst) in cycles, or None if unconstrained."""

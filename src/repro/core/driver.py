@@ -8,36 +8,34 @@ the +1 policy is available for the ablation bench).
 
 Observability: pass a :class:`~repro.obs.trace.Tracer` to record every
 scheduler decision (attempt starts, placements, ejections, II
-escalations, outcomes) and/or a
-:class:`~repro.obs.metrics.MetricsRegistry` for aggregates (per-phase
-wall time, window-scan lengths, MRT occupancy).  Both default to off
-and cost nothing when absent.
+escalations, outcomes), a :class:`~repro.obs.metrics.MetricsRegistry`
+for aggregates (per-phase wall time, window-scan lengths, MRT
+occupancy) and/or a :class:`~repro.obs.prof.Profiler` for the span
+tree.  All default to off.  Time has one source either way: each
+attempt runs in ``driver.setup`` and ``driver.place`` spans (the
+default profiler times them without recording), and the
+``SchedulerStats`` times and ``phase.*`` timers are read from those
+spans and the MinDist's ``bounds.mindist`` span.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import logging
-import time
-from typing import Optional, Type
+from typing import Optional
 
 from repro.bounds.analysis import LoopAnalysis
 from repro.ir.ddg import DDG, build_ddg
 from repro.ir.loop import LoopBody
 from repro.machine.machine import Machine
 from repro.core.baseline import CydromeAttempt, HeightAttempt, UnidirectionalAttempt
-from repro.core.framework import (
-    SchedulingAttempt,
-    placement_budget,
-    run_attempt,
-)
+from repro.core.framework import placement_budget, run_attempt
 from repro.core.schedule import ScheduleResult, SchedulerStats
 from repro.core.slack import SlackAttempt
-from repro.core.warp import run_warp_attempt
+from repro.core.warp import WarpScheduler
 from repro.obs import trace as tracing
 from repro.obs.metrics import MetricsRegistry, record_mrt_occupancy
-from repro.obs.prof import Profiler
+from repro.obs.prof import NULL_PROFILER, Profiler
 
 logger = logging.getLogger(__name__)
 
@@ -49,7 +47,7 @@ ALGORITHMS = {
     "cydrome": CydromeAttempt,
     "unidirectional": UnidirectionalAttempt,
     "height": HeightAttempt,
-    "warp": None,
+    "warp": WarpScheduler,
 }
 
 
@@ -123,15 +121,12 @@ def modulo_schedule(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {sorted(ALGORITHMS)}")
-    attempt_cls: Type[SchedulingAttempt] = ALGORITHMS[algorithm]
+    attempt_cls = ALGORITHMS[algorithm]
     options = options or SchedulerOptions()
-    prof = profiler if (profiler is not None and profiler.enabled) else None
+    prof = profiler or NULL_PROFILER
     if ddg is None:
-        if prof is None:
+        with prof.span("driver.build_ddg"):
             ddg = build_ddg(loop, machine)
-        else:
-            with prof.span("driver.build_ddg"):
-                ddg = build_ddg(loop, machine)
     trace = tracer if (tracer is not None and tracer.enabled) else None
 
     # Every placement-independent fact comes from the graph's analysis:
@@ -139,22 +134,26 @@ def modulo_schedule(
     # escalation studies) skips the RecMII search, unit-pressure scans
     # and binding prepass entirely.
     analysis = LoopAnalysis.of(ddg)
-    if prof is None:
-        res_mii, rec_mii = analysis.res_mii, analysis.rec_mii
-    else:
-        with prof.span("bounds.resmii"):
-            res_mii = analysis.res_mii
-        with prof.span("bounds.recmii"):
-            rec_mii = analysis.rec_mii
+    with prof.span("bounds.resmii"):
+        res_mii = analysis.res_mii
+    with prof.span("bounds.recmii"):
+        rec_mii = analysis.rec_mii
     mii = analysis.mii
+
+    if attempt_cls is WarpScheduler:
+        kwargs = {}
+    else:
+        kwargs = {"budget_ratio": options.budget_ratio, "metrics": metrics}
+        if attempt_cls is SlackAttempt:
+            kwargs["bidirectional"] = options.bidirectional
+            kwargs["dynamic_priority"] = options.dynamic_priority
+            kwargs["critical_threshold"] = options.critical_threshold
 
     stats = SchedulerStats()
     ii = mii
     last_ii = mii
     schedule = None
     for _ in range(options.max_attempts):
-        attempt_stats = SchedulerStats()
-        attempt_stats.attempts = 1
         if trace is not None:
             budget = 0 if algorithm == "warp" else placement_budget(loop, options.budget_ratio)
             trace.emit(
@@ -165,38 +164,19 @@ def modulo_schedule(
                     budget=budget,
                 )
             )
-        span = prof.span("driver.attempt") if prof is not None else contextlib.nullcontext()
-        with span:
-            if prof is not None:
-                prof.count("driver.attempts")
-            if algorithm == "warp":
-                schedule, warp_stats = run_warp_attempt(analysis, ii, tracer=trace)
-                attempt_stats.merge(warp_stats)
-            else:
-                kwargs = {"budget_ratio": options.budget_ratio}
-                if attempt_cls is SlackAttempt:
-                    kwargs["bidirectional"] = options.bidirectional
-                    kwargs["dynamic_priority"] = options.dynamic_priority
-                    kwargs["critical_threshold"] = options.critical_threshold
-                started = time.perf_counter()
-                attempt = attempt_cls(
-                    analysis, ii, tracer=trace, metrics=metrics, profiler=prof, **kwargs
-                )
-                # The attempt already charged the MinDist build to
-                # stats.mindist_seconds (matching the profiler's
-                # bounds.mindist span); the rest of construction — MRT,
-                # MinLT, critical-unit detection — is attempt setup, not
-                # MinDist, and is timed separately so span-level
-                # regression attribution stops blaming the wrong phase.
-                construction = time.perf_counter() - started
-                attempt.stats.setup_seconds += max(
-                    0.0, construction - attempt.stats.mindist_seconds
-                )
-
-                started = time.perf_counter()
+        with prof.span("driver.attempt"):
+            prof.count("driver.attempts")
+            with prof.span("driver.setup") as setup:
+                attempt = attempt_cls(analysis, ii, tracer=trace, profiler=prof, **kwargs)
+            with prof.span("driver.place") as place:
                 schedule = run_attempt(attempt)
-                attempt.stats.scheduling_seconds += time.perf_counter() - started
-                attempt_stats.merge(attempt.stats)
+        # The MinDist span nests in the setup span: the rest of setup
+        # (MRT, MinLT, critical units, macro nodes) is attempt setup.
+        attempt_stats = attempt.stats
+        attempt_stats.attempts = 1
+        attempt_stats.mindist_seconds = attempt.mindist.seconds
+        attempt_stats.setup_seconds = setup.seconds - attempt.mindist.seconds
+        attempt_stats.scheduling_seconds = place.seconds
         stats.merge(attempt_stats)
         if metrics is not None:
             metrics.counter("scheduler.attempts").inc()

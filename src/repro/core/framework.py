@@ -25,7 +25,6 @@ asymptotics the paper reports.
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Optional, Set
 
 import numpy as np
@@ -38,7 +37,7 @@ from repro.machine.mrt import ModuloResourceTable
 from repro.core.schedule import Schedule, SchedulerStats
 from repro.obs import trace as tracing
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.prof import Profiler
+from repro.obs.prof import NULL_PROFILER, Profiler
 
 #: Bound value meaning "unconstrained" in intermediate numpy math.
 _HUGE = 2**40
@@ -88,8 +87,9 @@ class SchedulingAttempt:
         #: attribute test per decision (see obs.trace).
         self.trace = tracer if (tracer is not None and tracer.enabled) else None
         self.metrics = metrics
-        #: Normalized profiler, same pattern (see obs.prof).
-        self.prof = profiler if (profiler is not None and profiler.enabled) else None
+        #: Spans and counts go here unconditionally; only an enabled
+        #: profiler records them (see obs.prof).
+        self.prof = profiler or NULL_PROFILER
         self._eject_counts: Optional[Dict[int, int]] = {} if metrics is not None else None
         self.analysis = analysis
         self.loop = loop = analysis.loop
@@ -102,12 +102,7 @@ class SchedulingAttempt:
         #: instead of rounding up to a multiple of II (§4.2's extra
         #: slack only makes sense when II bounds the schedule's period).
         self.tight_cap = tight_cap
-        mindist_started = time.perf_counter()
         self.mindist = MinDist(ddg, ii, profiler=self.prof)
-        #: Wall time of the MinDist build alone, so the driver can
-        #: attribute it to phase.mindist and the rest of construction to
-        #: phase.attempt_setup (they used to be conflated).
-        self.mindist_build_seconds = time.perf_counter() - mindist_started
         if not self.mindist.feasible:
             raise ValueError(f"II={ii} is below RecMII for {loop.name}")
         self.matrix = self.mindist.matrix
@@ -133,7 +128,6 @@ class SchedulingAttempt:
         self.placed_penalty[self.start_oid] = PLACED_PENALTY
         self.budget = placement_budget(loop, budget_ratio)
         self.stats = SchedulerStats()
-        self.stats.mindist_seconds += self.mindist_build_seconds
 
         self.estart = np.zeros(self.n, dtype=np.int64)
         self.lstart = np.zeros(self.n, dtype=np.int64)
@@ -159,29 +153,23 @@ class SchedulingAttempt:
 
     def _recompute_bounds(self) -> None:
         """Full O(p*n) recomputation from the placed set (after ejections)."""
-        if self.prof is not None:
-            with self.prof.span("bounds.recompute"):
-                self._recompute_bounds_inner()
-            self.prof.count("bounds.recomputes")
-            return
-        self._recompute_bounds_inner()
-
-    def _recompute_bounds_inner(self) -> None:
-        placed = np.fromiter(self.times.keys(), dtype=np.int64)
-        placed_times = np.fromiter(self.times.values(), dtype=np.int64)
-        # Estart(x) = max over placed p of t_p + MinDist(p, x).
-        from_placed = placed_times[:, None] + self.matrix[placed, :]
-        self.estart = from_placed.max(axis=0)
-        np.maximum(self.estart, 0, out=self.estart)
-        # Lstart(x) = min(cap - MinDist(x, Stop), t_p - MinDist(x, p)).
-        to_placed = placed_times[None, :] - self.matrix[:, placed]
-        self.lstart = to_placed.min(axis=1)
-        cap_bound = self.lstart_cap - self.matrix[:, self.stop_oid]
-        np.minimum(self.lstart, cap_bound, out=self.lstart)
-        np.minimum(self.lstart, _HUGE, out=self.lstart)
-        self._bounds_dirty = False
-        if self.trace is not None:
-            self.trace.emit(tracing.BoundsRecompute(n_placed=len(self.times)))
+        with self.prof.span("bounds.recompute"):
+            placed = np.fromiter(self.times.keys(), dtype=np.int64)
+            placed_times = np.fromiter(self.times.values(), dtype=np.int64)
+            # Estart(x) = max over placed p of t_p + MinDist(p, x).
+            from_placed = placed_times[:, None] + self.matrix[placed, :]
+            self.estart = from_placed.max(axis=0)
+            np.maximum(self.estart, 0, out=self.estart)
+            # Lstart(x) = min(cap - MinDist(x, Stop), t_p - MinDist(x, p)).
+            to_placed = placed_times[None, :] - self.matrix[:, placed]
+            self.lstart = to_placed.min(axis=1)
+            cap_bound = self.lstart_cap - self.matrix[:, self.stop_oid]
+            np.minimum(self.lstart, cap_bound, out=self.lstart)
+            np.minimum(self.lstart, _HUGE, out=self.lstart)
+            self._bounds_dirty = False
+            if self.trace is not None:
+                self.trace.emit(tracing.BoundsRecompute(n_placed=len(self.times)))
+        self.prof.count("bounds.recomputes")
 
     def _update_bounds_for_placement(self, oid: int, cycle: int) -> None:
         """Incremental §4.1 update after placing ``oid`` at ``cycle``."""
@@ -225,8 +213,7 @@ class SchedulingAttempt:
             self.trace.emit(tracing.Eject(oid=oid, cycle=cycle, cause=cause))
         if self._eject_counts is not None:
             self._eject_counts[oid] = self._eject_counts.get(oid, 0) + 1
-        if self.prof is not None:
-            self.prof.count("framework.ejections")
+        self.prof.count("framework.ejections")
 
     def _dependence_conflicts(self, oid: int, cycle: int) -> List[int]:
         """Placed ops whose times are inconsistent with ``oid @ cycle``.
@@ -252,8 +239,7 @@ class SchedulingAttempt:
     def _force_place(self, op: Operation) -> int:
         """Step 3: make room for ``op`` by ejecting its blockers."""
         self.stats.forced += 1
-        if self.prof is not None:
-            self.prof.count("framework.force_places")
+        self.prof.count("framework.force_places")
         cycle = max(int(self.estart[op.oid]), self.last_place.get(op.oid, -1) + 1)
         # brtop can never be ejected; search past any conflict with it.
         while True:
@@ -284,8 +270,7 @@ class SchedulingAttempt:
         self.unplaced_mask[op.oid] = False
         self.placed_penalty[op.oid] = PLACED_PENALTY
         self.stats.placements += 1
-        if self.prof is not None:
-            self.prof.count("framework.placements")
+        self.prof.count("framework.placements")
         if self.trace is not None:
             self.trace.emit(tracing.Place(oid=op.oid, cycle=cycle, forced=forced))
         if not self._bounds_dirty:
@@ -320,8 +305,7 @@ class SchedulingAttempt:
         found, scanned = self.mrt.first_fit(op, lo, hi, early)
         if self.metrics is not None:
             self.metrics.histogram("scheduler.scan_window_length").record(scanned)
-        if self.prof is not None:
-            self.prof.count("framework.scan_cycles", scanned)
+        self.prof.count("framework.scan_cycles", scanned)
         return found
 
     # ------------------------------------------------------------------
@@ -358,11 +342,18 @@ class SchedulingAttempt:
                     histogram.record(count)
 
 
-def run_attempt(attempt: SchedulingAttempt) -> Optional[Schedule]:
-    """Run one attempt; None if the budget was exhausted."""
+def run_attempt(attempt) -> Optional[Schedule]:
+    """Run one attempt; None if it failed.
+
+    ``attempt`` is a :class:`SchedulingAttempt` (failure raises
+    :class:`AttemptFailed`) or a :class:`~repro.core.warp.WarpScheduler`
+    (failure returns None).
+    """
     try:
         times = attempt.run()
     except AttemptFailed:
+        return None
+    if times is None:
         return None
     return Schedule(
         loop=attempt.loop,

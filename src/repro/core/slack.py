@@ -93,12 +93,8 @@ class SlackAttempt(SchedulingAttempt):
         self._key_buf = np.empty(self.n, dtype=np.int64)
         #: The §5.2 per-op stretch tables derived from MinLT (§5.1),
         #: shared read-only through the analysis.
-        if self.prof is not None:
-            with self.prof.span("slack.minlt"):
-                tables = analysis.stretch_tables(ii)
-        else:
-            tables = analysis.stretch_tables(ii)
-        self._input_stretch, self._output_stretch = tables
+        with self.prof.span("slack.minlt"):
+            self._input_stretch, self._output_stretch = analysis.stretch_tables(ii)
 
     # ------------------------------------------------------------------
     # §4.3: dynamic priority
@@ -129,8 +125,7 @@ class SlackAttempt(SchedulingAttempt):
         first-minimum rule is exactly the ascending-oid tiebreak; and
         the additive placed penalty (framework) masks placed ops.
         """
-        if self.prof is not None:
-            self.prof.count("slack.choose_operation")
+        self.prof.count("slack.choose_operation")
         lstart = self.lstart
         buf = self._key_buf
         weight = int(lstart.max()) + 1

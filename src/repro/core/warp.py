@@ -32,7 +32,6 @@ stretches lifetimes besides.
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.bounds.analysis import LoopAnalysis
@@ -41,8 +40,10 @@ from repro.bounds.recmii import strongly_connected_components
 from repro.ir.ddg import ArcKind
 from repro.machine.machine import UnitInstance
 from repro.machine.mrt import ModuloResourceTable
+from repro.core.framework import run_attempt
 from repro.core.schedule import Schedule, SchedulerStats
 from repro.obs import trace as tracing
+from repro.obs.prof import Profiler
 
 
 @dataclasses.dataclass
@@ -66,6 +67,7 @@ class WarpScheduler:
         analysis: LoopAnalysis,
         ii: int,
         tracer: Optional[tracing.Tracer] = None,
+        profiler: Optional[Profiler] = None,
     ):
         self.trace = tracer if (tracer is not None and tracer.enabled) else None
         self.loop = analysis.loop
@@ -73,9 +75,7 @@ class WarpScheduler:
         self.ddg = analysis.ddg
         self.ii = ii
         self.binding = analysis.binding
-        mindist_started = time.perf_counter()
-        self.mindist = MinDist(self.ddg, ii)
-        self.mindist_build_seconds = time.perf_counter() - mindist_started
+        self.mindist = MinDist(self.ddg, ii, profiler=profiler)
         if not self.mindist.feasible:
             raise ValueError(f"II={ii} is below RecMII for {self.loop.name}")
         self.mrt = ModuloResourceTable(self.machine, ii, self.binding)
@@ -300,28 +300,12 @@ def run_warp_attempt(
     ii: int,
     tracer: Optional[tracing.Tracer] = None,
 ) -> Tuple[Optional[Schedule], SchedulerStats]:
-    """One Warp-style attempt; (schedule or None, work stats).
+    """One Warp-style attempt; (schedule or None, work counts).
 
-    The MinDist solve is accounted to ``mindist_seconds``, the rest of
-    construction (SCC macro-nodes, relative-timing fixups) to
-    ``setup_seconds``, and the list scheduling itself to
-    ``scheduling_seconds``, mirroring the backtracking framework's
-    split so Table-4-style effort comparisons stay apples-to-apples.
+    The returned stats carry no times: the scheduling driver times
+    warp attempts like every other algorithm's, with its
+    ``driver.setup`` and ``driver.place`` spans and the MinDist's
+    ``bounds.mindist`` span.
     """
-    started = time.perf_counter()
     scheduler = WarpScheduler(analysis, ii, tracer=tracer)
-    construction = time.perf_counter() - started
-    scheduler.stats.mindist_seconds += scheduler.mindist_build_seconds
-    scheduler.stats.setup_seconds += max(
-        0.0, construction - scheduler.mindist_build_seconds
-    )
-    started = time.perf_counter()
-    times = scheduler.run()
-    scheduler.stats.scheduling_seconds += time.perf_counter() - started
-    if times is None:
-        return None, scheduler.stats
-    schedule = Schedule(
-        loop=analysis.loop, machine=analysis.machine, ii=ii, times=times,
-        binding=analysis.binding,
-    )
-    return schedule, scheduler.stats
+    return run_attempt(scheduler), scheduler.stats

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Union
 
 from repro.bounds import (
@@ -19,7 +18,7 @@ from repro.frontend import DoLoop, compile_loop
 from repro.ir import DIVIDER_OPCODES, LoopBody, build_ddg
 from repro.machine import Machine, cydra5
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.prof import Profiler
+from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.trace import Tracer
 from repro.experiments.metrics import LoopMetrics
 
@@ -54,22 +53,23 @@ def measure_loop(
     """Schedule one loop and record every evaluation metric.
 
     ``tracer``/``metrics``/``profiler`` are forwarded to the scheduling
-    driver (repro.obs); per-phase wall times are additionally
-    accumulated into the registry so corpus runs expose where the time
-    goes.  The bounds come from the graph's :class:`LoopAnalysis`, the
-    same object the driver then schedules from, so each is computed
-    once per loop.
+    driver (repro.obs).  Every recorded time is a profiler span's:
+    ``recmii_seconds`` and ``phase.recmii`` come from this function's
+    ``bounds.recmii`` span (the driver's later one is a cache hit), the
+    rest from the driver's.  The bounds come from the graph's
+    :class:`LoopAnalysis`, the same object the driver then schedules
+    from, so each is computed once per loop.
     """
     machine = machine or cydra5()
+    prof = profiler or NULL_PROFILER
     loop = compile_loop(program) if isinstance(program, DoLoop) else program
     ddg = build_ddg(loop, machine)
     analysis = LoopAnalysis.of(ddg)
 
-    started = time.perf_counter()
-    rec_mii = analysis.rec_mii
-    recmii_seconds = time.perf_counter() - started
+    with prof.span("bounds.recmii") as recmii:
+        rec_mii = analysis.rec_mii
     if metrics is not None:
-        metrics.timer("phase.recmii").add(recmii_seconds)
+        metrics.timer("phase.recmii").add(recmii.seconds)
     res_mii = analysis.res_mii
     mii = analysis.mii
 
@@ -135,7 +135,7 @@ def measure_loop(
         ejections=result.stats.ejections,
         mindist_seconds=result.stats.mindist_seconds,
         scheduling_seconds=result.stats.scheduling_seconds,
-        recmii_seconds=recmii_seconds,
+        recmii_seconds=recmii.seconds,
         failure_reason=failure_reason,
     )
 

@@ -8,8 +8,11 @@ dotted name, so call sites stay one-liners:
 
     metrics.counter("scheduler.attempts").inc()
     metrics.histogram("scan.window_length").record(scanned)
-    with metrics.timer("phase.mindist").time():
-        ...
+    metrics.timer("phase.mindist").add(span.seconds)
+
+Timers only accumulate durations they are handed; the duration comes
+from a :mod:`repro.obs.prof` span, the one clock of the scheduling
+path.
 
 Everything is in-process and dependency-free; ``snapshot()`` returns a
 plain dict (JSON-safe) and ``render()`` a human-readable block used by
@@ -18,8 +21,6 @@ the CLI's ``--explain`` output.
 
 from __future__ import annotations
 
-import contextlib
-import time
 from typing import Dict, List, Optional
 
 
@@ -59,14 +60,6 @@ class Timer:
     def add(self, seconds: float) -> None:
         self.seconds += seconds
         self.count += 1
-
-    @contextlib.contextmanager
-    def time(self):
-        started = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.add(time.perf_counter() - started)
 
 
 class Histogram:

@@ -6,15 +6,20 @@ named spans (``with prof.span("bounds.mindist"): ...``) accumulated
 into a call tree keyed by span path, plus cheap iteration counters on
 code that is too hot to wrap in a context manager.
 
-Design rules (the :class:`~repro.obs.trace.NullTracer` pattern):
+Design rules:
 
-* Instrumented code normalizes the profiler up front —
-  ``self.prof = profiler if (profiler is not None and profiler.enabled)
-  else None`` — so the disabled default costs one attribute test per
-  site (asserted <5% by ``benchmarks/bench_scheduler_speed.py``).
-* The profiler never looks at the wall clock outside an *enabled* span,
-  and span bookkeeping is O(1) per enter/exit, so enabling it perturbs
-  the measured program as little as possible.
+* Spans are the only clock.  Every span times itself and exposes
+  ``span.seconds`` once it exits, on any profiler, so code that needs
+  a duration (``SchedulerStats``, ``LoopMetrics``, the ``phase.*``
+  timers) reads it from the span that the profile also records, and
+  the two can never disagree.
+* Only an *enabled* profiler records.  The shared
+  :data:`NULL_PROFILER` keeps no tree and no counters, so instrumented
+  code holds ``self.prof = profiler or NULL_PROFILER`` and calls
+  ``prof.span(...)`` and ``prof.count(...)`` unconditionally; the null
+  path costs a clock read pair per span and a no-op call per count.
+* Span bookkeeping is O(1) per enter/exit, so enabling the profiler
+  perturbs the measured program as little as possible.
 * Peak-memory capture (``tracemalloc``) is opt-in because starting the
   tracer slows allocation-heavy code; it is off unless
   ``Profiler(memory=True)``.
@@ -31,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 #: Separator between nested span names in a span path.  Span *names*
 #: are dotted ("bounds.mindist"); *paths* join the active stack, e.g.
-#: "driver.attempt;bounds.mindist".
+#: "driver.attempt;driver.setup;bounds.mindist".
 PATH_SEP = ";"
 
 
@@ -47,9 +52,10 @@ class _SpanStat:
 
 
 class _Span:
-    """Reusable context manager for one ``prof.span(name)`` entry."""
+    """Context manager for one ``prof.span(name)`` entry; ``seconds``
+    is its duration on the profiler's clock once it exits."""
 
-    __slots__ = ("_prof", "_name")
+    __slots__ = ("_prof", "_name", "_started", "seconds")
 
     def __init__(self, prof: "Profiler", name: str):
         self._prof = prof
@@ -57,19 +63,22 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         self._prof._enter(self._name)
+        self._started = self._prof._clock()
         return self
 
     def __exit__(self, *exc) -> None:
-        self._prof._exit()
+        self.seconds = self._prof._clock() - self._started
+        self._prof._exit(self.seconds)
 
 
 class Profiler:
     """Nestable scoped spans + counters, keyed by span path.
 
     Attributes:
-        enabled: The normalization flag (see module docstring).  A
-            disabled profiler is normalized to ``None`` by every
-            instrumented call site.
+        enabled: Whether this profiler records spans and counters (see
+            module docstring).  Spans time themselves either way; the
+            batch service reads the flag to decide whether to spool
+            worker profiles.
     """
 
     enabled: bool = True
@@ -82,8 +91,8 @@ class Profiler:
         self._clock = clock
         self._stats: Dict[str, _SpanStat] = {}
         self._counters: Dict[str, int] = {}
-        #: Active frames: (path, start, child_seconds accumulated so far).
-        self._stack: List[Tuple[str, float, float]] = []
+        #: Active frames: (path, child_seconds accumulated so far).
+        self._stack: List[Tuple[str, float]] = []
         self._memory = memory
         self._started_tracemalloc = False
         self.peak_memory_bytes: Optional[int] = None
@@ -108,11 +117,10 @@ class Profiler:
     def _enter(self, name: str) -> None:
         parent = self._stack[-1][0] if self._stack else ""
         path = f"{parent}{PATH_SEP}{name}" if parent else name
-        self._stack.append((path, self._clock(), 0.0))
+        self._stack.append((path, 0.0))
 
-    def _exit(self) -> None:
-        path, started, child_seconds = self._stack.pop()
-        duration = self._clock() - started
+    def _exit(self, duration: float) -> None:
+        path, child_seconds = self._stack.pop()
         stat = self._stats.get(path)
         if stat is None:
             stat = self._stats[path] = _SpanStat()
@@ -120,8 +128,8 @@ class Profiler:
         stat.cum_seconds += duration
         stat.self_seconds += max(0.0, duration - child_seconds)
         if self._stack:
-            parent_path, parent_start, parent_children = self._stack[-1]
-            self._stack[-1] = (parent_path, parent_start, parent_children + duration)
+            parent_path, parent_children = self._stack[-1]
+            self._stack[-1] = (parent_path, parent_children + duration)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -163,18 +171,6 @@ class Profiler:
             "counters": dict(sorted(self._counters.items())),
             "peak_memory_bytes": self.peak_memory_bytes,
         }
-
-    def merge(self, other: "Profiler") -> None:
-        """Fold another profiler's spans/counters into this one."""
-        for path, stat in other._stats.items():
-            mine = self._stats.get(path)
-            if mine is None:
-                mine = self._stats[path] = _SpanStat()
-            mine.calls += stat.calls
-            mine.cum_seconds += stat.cum_seconds
-            mine.self_seconds += stat.self_seconds
-        for name, value in other._counters.items():
-            self.count(name, value)
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` dict (e.g. from a worker process) in.
@@ -229,13 +225,23 @@ class Profiler:
 
 
 class NullProfiler(Profiler):
-    """The zero-overhead default: normalized away before any hot loop."""
+    """The default: spans still time themselves, but nothing is
+    recorded, so one stateless instance serves every caller."""
 
     enabled = False
 
     def __init__(self) -> None:  # pragma: no cover - trivial
         super().__init__()
 
+    def count(self, name: str, amount: int = 1) -> None:
+        pass
 
-#: Shared default instance (stateless in practice: never recorded into).
+    def _enter(self, name: str) -> None:
+        pass
+
+    def _exit(self, duration: float) -> None:
+        pass
+
+
+#: Shared default instance (stateless: never recorded into).
 NULL_PROFILER = NullProfiler()

@@ -79,6 +79,41 @@ def test_measure_loop_times_the_mindist_build_at_mii(monkeypatch):
     assert metrics.snapshot()["timers"]["phase.mindist"]["seconds"] >= 0.05
 
 
+def test_measure_loop_times_recmii_in_its_profiler_span(monkeypatch):
+    # RecMII sleeps 50 ms, so the record, the phase timer and the
+    # profile must all see at least that much, from the same span.
+    import time
+
+    import repro.bounds.analysis as analysis
+    from repro.workloads import named_kernels
+
+    search = analysis.recmii
+
+    def slow_search(*args):
+        time.sleep(0.05)
+        return search(*args)
+
+    monkeypatch.setattr(analysis, "recmii", slow_search)
+    program = next(p for p in named_kernels() if p.name == "ll1_hydro")
+    metrics = MetricsRegistry()
+    prof = Profiler()
+    loop_metrics = measure_loop(program, MACHINE, metrics=metrics, profiler=prof)
+    assert loop_metrics.recmii_seconds >= 0.05
+    assert metrics.snapshot()["timers"]["phase.recmii"]["seconds"] >= 0.05
+    recmii_cum = prof.snapshot()["spans"]["bounds.recmii"]["cum_seconds"]
+    assert recmii_cum >= loop_metrics.recmii_seconds
+
+
+def test_corpus_times_equal_their_profile_spans():
+    prof = Profiler()
+    results = run_corpus(paper_corpus(5, seed=5), MACHINE, profiler=prof)
+    spans = prof.snapshot()["spans"]
+    place = spans["driver.attempt;driver.place"]["cum_seconds"]
+    mindist = spans["driver.attempt;driver.setup;bounds.mindist"]["cum_seconds"]
+    assert abs(sum(m.scheduling_seconds for m in results) - place) < 1e-9
+    assert abs(sum(m.mindist_seconds for m in results) - mindist) < 1e-9
+
+
 def test_run_corpus_timer_counts_scale_with_corpus():
     programs = paper_corpus(5, seed=5)
     metrics = MetricsRegistry()

@@ -1,7 +1,11 @@
 """Profiler spans: nesting, self vs cumulative time, counters, memory."""
 
 import json
+import time
 
+import pytest
+
+from repro.core import ALGORITHMS, modulo_schedule
 from repro.obs import NULL_PROFILER, NullProfiler, Profiler
 from repro.obs.prof import PATH_SEP
 
@@ -86,7 +90,7 @@ def test_merge_folds_spans_and_counters():
     with b.span("s"):
         clock.tick(2.0)
     b.count("c", 7)
-    a.merge(b)
+    a.merge_snapshot(b.snapshot())
     snap = a.snapshot()
     assert snap["spans"]["s"]["calls"] == 2
     assert snap["spans"]["s"]["cum_seconds"] == 3.0
@@ -96,9 +100,14 @@ def test_merge_folds_spans_and_counters():
 def test_null_profiler_is_disabled_and_normalized_away():
     assert NULL_PROFILER.enabled is False
     assert isinstance(NULL_PROFILER, NullProfiler)
-    # The normalization every instrumented site performs:
-    prof = NULL_PROFILER if (NULL_PROFILER is not None and NULL_PROFILER.enabled) else None
-    assert prof is None
+    # A null span still times itself; nothing is recorded.
+    with NULL_PROFILER.span("outer") as outer:
+        with NULL_PROFILER.span("inner"):
+            time.sleep(0.01)
+        NULL_PROFILER.count("things", 3)
+    assert outer.seconds >= 0.01
+    snap = NULL_PROFILER.snapshot()
+    assert snap["spans"] == {} and snap["counters"] == {}
 
 
 def test_memory_capture_records_peak():
@@ -138,3 +147,16 @@ def test_scheduler_run_produces_expected_spans(figure1_loop, machine):
     assert any(p.endswith("bounds.mindist") for p in paths)
     assert snap["counters"]["framework.placements"] >= len(figure1_loop.real_ops)
     assert snap["counters"]["driver.attempts"] == result.stats.attempts
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_every_algorithm_times_setup_place_and_mindist_in_spans(
+    algorithm, figure1_loop, machine
+):
+    prof = Profiler()
+    result = modulo_schedule(figure1_loop, machine, algorithm=algorithm, profiler=prof)
+    spans = prof.snapshot()["spans"]
+    setup = f"driver.attempt{PATH_SEP}driver.setup"
+    place = f"driver.attempt{PATH_SEP}driver.place"
+    for path in (setup, place, f"{setup}{PATH_SEP}bounds.mindist"):
+        assert spans[path]["calls"] == result.stats.attempts, path
