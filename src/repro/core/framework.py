@@ -18,8 +18,10 @@ II.  The central loop (§4.2) repeatedly:
    driver increments II and starts over (§4.2 step 6).
 
 Bounds bookkeeping is vectorized with numpy: incremental updates after a
-plain placement, full recomputation (O(p*n)) after ejections — the same
-asymptotics the paper reports.
+plain placement, full recomputation after ejections.  Placement times
+also live in two dense rows indexed by oid, so a recomputation or a
+dependence-conflict test reduces over whole MinDist rows and columns
+instead of gathering the placed set out of ``times``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ from repro.obs.prof import NULL_PROFILER, Profiler
 
 #: Bound value meaning "unconstrained" in intermediate numpy math.
 _HUGE = 2**40
+
+#: An unplaced op's entry in the dense time rows: ``-_UNPLACED`` in
+#: ``_times_lo``, ``+_UNPLACED`` in ``_times_hi``.  MinDist entries
+#: satisfy ``|MinDist| <= 2**40``, so an unplaced op's term in any bound
+#: or conflict test stays at least ``2**42 - 2**40`` from zero and never
+#: wins a reduction (Start, always placed, supplies a real term), and no
+#: sum leaves int64.
+_UNPLACED = 2**42
 
 #: Added to a placed op's choose_operation key; any unplaced op's key
 #: (bounded by ~4 * Lstart^2 << 2**62) always compares below it.
@@ -117,10 +127,12 @@ class SchedulingAttempt:
         self.times: Dict[int, int] = {self.start_oid: 0}
         self.last_place: Dict[int, int] = {}
         self.unplaced: Set[int] = {op.oid for op in loop.ops} - {self.start_oid}
-        #: Boolean twin of ``unplaced`` kept in lockstep by _place/_eject
-        #: so choose_operation can vectorize over candidate oids.
-        self.unplaced_mask = np.ones(self.n, dtype=bool)
-        self.unplaced_mask[self.start_oid] = False
+        #: Dense twins of ``times``, kept in lockstep by _place/_eject: a
+        #: placed op holds its cycle in both, an unplaced op the
+        #: ``_UNPLACED`` sentinel of the side where it can never win.
+        self._times_lo = np.full(self.n, -_UNPLACED, dtype=np.int64)
+        self._times_hi = np.full(self.n, _UNPLACED, dtype=np.int64)
+        self._times_lo[self.start_oid] = self._times_hi[self.start_oid] = 0
         #: Additive placed-op penalty for vectorized operation choice:
         #: 0 while unplaced, a huge constant once placed, so a single
         #: argmin over (key + penalty) only ever selects unplaced ops.
@@ -152,17 +164,13 @@ class SchedulingAttempt:
         self.lstart_cap = self._quantize_cap(max(0, critical_path))
 
     def _recompute_bounds(self) -> None:
-        """Full O(p*n) recomputation from the placed set (after ejections)."""
+        """Full O(n*n) recomputation from the time rows (after ejections)."""
         with self.prof.span("bounds.recompute"):
-            placed = np.fromiter(self.times.keys(), dtype=np.int64)
-            placed_times = np.fromiter(self.times.values(), dtype=np.int64)
             # Estart(x) = max over placed p of t_p + MinDist(p, x).
-            from_placed = placed_times[:, None] + self.matrix[placed, :]
-            self.estart = from_placed.max(axis=0)
+            self.estart = (self._times_lo[:, None] + self.matrix).max(axis=0)
             np.maximum(self.estart, 0, out=self.estart)
             # Lstart(x) = min(cap - MinDist(x, Stop), t_p - MinDist(x, p)).
-            to_placed = placed_times[None, :] - self.matrix[:, placed]
-            self.lstart = to_placed.min(axis=1)
+            self.lstart = (self._times_hi[None, :] - self.matrix).min(axis=1)
             cap_bound = self.lstart_cap - self.matrix[:, self.stop_oid]
             np.minimum(self.lstart, cap_bound, out=self.lstart)
             np.minimum(self.lstart, _HUGE, out=self.lstart)
@@ -205,7 +213,8 @@ class SchedulingAttempt:
         cycle = self.times.pop(oid)
         self.mrt.remove(op, cycle)
         self.unplaced.add(oid)
-        self.unplaced_mask[oid] = True
+        self._times_lo[oid] = -_UNPLACED
+        self._times_hi[oid] = _UNPLACED
         self.placed_penalty[oid] = 0
         self.stats.ejections += 1
         self._bounds_dirty = True
@@ -221,20 +230,19 @@ class SchedulingAttempt:
         MinDist reflects the transitive closure, so this ejects the full
         set of (possibly indirect) violators, which the paper found
         reduces overall backtracking.  Evaluated as one vectorized pass
-        over the placed set; path-ness goes through the shared
-        :func:`~repro.bounds.mindist.path_mask` predicate so this and
-        MinDist.dist/has_path agree on the no-path boundary.
+        over ``oid``'s MinDist row and column, where each unplaced op's
+        sentinel fails its test; the result is in oid order.  Path-ness
+        goes through the shared :func:`~repro.bounds.mindist.path_mask`
+        predicate so this and MinDist.dist/has_path agree on the no-path
+        boundary.
         """
-        count = len(self.times)
-        placed = np.fromiter(self.times.keys(), dtype=np.int64, count=count)
-        placed_times = np.fromiter(self.times.values(), dtype=np.int64, count=count)
-        forward = self.matrix[oid, placed]
-        backward = self.matrix[placed, oid]
-        violates = (path_mask(forward) & (placed_times < cycle + forward)) | (
-            path_mask(backward) & (cycle < placed_times + backward)
+        forward = self.matrix[oid]
+        backward = self.matrix[:, oid]
+        violates = (path_mask(forward) & (self._times_hi < cycle + forward)) | (
+            path_mask(backward) & (cycle < self._times_lo + backward)
         )
-        violates &= (placed != oid) & (placed != self.start_oid)
-        return placed[violates].tolist()
+        violates[oid] = violates[self.start_oid] = False
+        return np.flatnonzero(violates).tolist()
 
     def _force_place(self, op: Operation) -> int:
         """Step 3: make room for ``op`` by ejecting its blockers."""
@@ -267,7 +275,7 @@ class SchedulingAttempt:
         self.times[op.oid] = cycle
         self.last_place[op.oid] = cycle
         self.unplaced.discard(op.oid)
-        self.unplaced_mask[op.oid] = False
+        self._times_lo[op.oid] = self._times_hi[op.oid] = cycle
         self.placed_penalty[op.oid] = PLACED_PENALTY
         self.stats.placements += 1
         self.prof.count("framework.placements")

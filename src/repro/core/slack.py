@@ -91,6 +91,11 @@ class SlackAttempt(SchedulingAttempt):
             self._initial_priority4 = (self.lstart - self.estart) * self._scale4
         #: Reusable scratch vector for choose_operation's composite key.
         self._key_buf = np.empty(self.n, dtype=np.int64)
+        #: choose_operation's priority multiplier times its Lstart
+        #: weight, rebuilt whenever ``lstart_cap`` differs from the cap
+        #: it was built for.
+        self._weighted: Optional[np.ndarray] = None
+        self._weighted_cap: Optional[int] = None
         #: The §5.2 per-op stretch tables derived from MinLT (§5.1),
         #: shared read-only through the analysis.
         with self.prof.span("slack.minlt"):
@@ -119,23 +124,29 @@ class SlackAttempt(SchedulingAttempt):
 
         One argmin over an exact integer composite key, built in-place
         in a scratch buffer.  Priorities live in quarter units (see
-        ``_scale4``), so equal float priorities are equal integers; the
-        Lstart multiplier is sized to the current bounds, keeping the
-        packed key lexicographic and far from int64 overflow; argmin's
+        ``_scale4``), so equal float priorities are equal integers.  The
+        Lstart weight ``lstart_cap + 1`` bounds every Lstart (each op
+        reaches Stop through MinDist >= 0; incremental updates only lower
+        Lstart; the cap grows only with a recomputation following), so
+        while every unplaced Lstart is >= 0 the packed key is
+        lexicographic and far from int64 overflow; argmin's
         first-minimum rule is exactly the ascending-oid tiebreak; and
         the additive placed penalty (framework) masks placed ops.
         """
         self.prof.count("slack.choose_operation")
+        if self._weighted_cap != self.lstart_cap:
+            self._weighted_cap = self.lstart_cap
+            frozen = self._initial_priority4
+            scale = self._scale4 if frozen is None else frozen
+            self._weighted = scale * (self.lstart_cap + 1)
         lstart = self.lstart
         buf = self._key_buf
-        weight = int(lstart.max()) + 1
         if self._initial_priority4 is not None:
-            np.multiply(self._initial_priority4, weight, out=buf)
+            np.add(self._weighted, lstart, out=buf)
         else:
             np.subtract(lstart, self.estart, out=buf)
-            buf *= self._scale4
-            buf *= weight
-        buf += lstart
+            buf *= self._weighted
+            buf += lstart
         buf += self.placed_penalty
         return self.loop.ops[int(buf.argmin())]
 

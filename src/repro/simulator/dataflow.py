@@ -2,10 +2,14 @@
 simulators run.
 
 Every operation instance ``(op, k)`` of the software pipeline issues at
-global cycle ``time(op) + k * II``.  The executor materializes all
-instances for the loop's trip count, sorts them by issue cycle (ties by
-textual order — latencies >= 1 guarantee producers sort before their
-consumers), and executes them against a :class:`MachineState`.
+global cycle ``time(op) + k * II``.  The executor runs all instances for
+the loop's trip count in issue-cycle order (ties by textual order —
+latencies >= 1 guarantee producers run before their consumers) against
+a :class:`MachineState`.  It walks kernel iterations, then the II rows,
+then each row's ops in oid order: with ``time(op) = stage * II + row``,
+instance ``(op, k)`` issues in kernel iteration ``k + stage``, so that
+walk is the sorted (cycle, oid) order without building or sorting the
+instances.
 
 Cross-iteration operands read the producing instance ``(value, k -
 back)``; when that instance precedes the loop (``k - back < 0``), the
@@ -85,20 +89,24 @@ def run_pipelined(
     def reader(operand: Operand) -> Reader:
         return _instance_reader(operand, columns, iterations, initial, init_fn)
 
-    instances = []
+    # Kernel rows of (stage, step, column), each in oid order.
+    rows: List[List[tuple]] = [[] for _ in range(ii)]
+    stages = []
     for op in ops:
-        step = lower_op(op, reader, state)
+        stage, row = divmod(schedule.times[op.oid], ii)
         column = columns[op.dest.vid] if op.dest is not None else None
-        start = schedule.times[op.oid]
-        instances.extend(
-            (start + k * ii, op.oid, k, step, column) for k in range(iterations)
-        )
-    instances.sort()  # (cycle, oid, k) is unique, so steps are never compared
+        rows[row].append((stage, lower_op(op, reader, state), column))
+        stages.append(stage)
 
-    for _, __, k, step, column in instances:
-        result = step(k)
-        if column is not None:
-            column[k] = result
+    # Kernel iteration m runs instance k = m - stage of each op.
+    for m in range(min(stages, default=0), iterations + max(stages, default=0)):
+        for row in rows:
+            for stage, step, column in row:
+                k = m - stage
+                if 0 <= k < iterations:
+                    result = step(k)
+                    if column is not None:
+                        column[k] = result
 
     for name, value in loop.live_out.items():
         if value.is_variant:

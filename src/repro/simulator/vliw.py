@@ -17,7 +17,10 @@ This is the deepest validation layer: it runs the *generated kernel*
 * write latency: results commit to their physical register
   ``latency`` cycles after issue, and commits are applied before the
   reads of the cycle they land on, in issue order among those due the
-  same cycle (a heap ordered by commit cycle, then issue sequence);
+  same cycle.  Pending writes wait in a ring of per-cycle buckets one
+  longer than the largest latency, each drained once, at its commit
+  cycle; an op with latency below 1, whose write would be due in a
+  bucket already drained, raises :class:`SimulationError`;
 * live-in values: loop-carried uses whose producing iteration precedes
   the loop are preloaded into the exact physical registers the rotation
   will expose to their consumers (the paper's Figure 3 shows the same
@@ -35,7 +38,6 @@ indirect accesses go through the address registers.)
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.codegen.kernel import KernelCode, KernelOp, KernelOperand
@@ -93,10 +95,13 @@ def run_vliw(
         for row in kernel.rows
     ]
 
-    # Pending register writes: a heap of (commit_cycle, sequence, file,
-    # physical, value); the unique sequence keeps later fields uncompared.
-    pending: List[Tuple[int, int, Registers, int, object]] = []
-    sequence = 0
+    # Pending register writes (file, physical, value), in issue order in
+    # the bucket of their commit cycle modulo ``slots``; one slot more
+    # than the largest latency keeps each write out of the bucket its
+    # own cycle drains.
+    latencies = [dest[2] for row in rows for *_, dest in row if dest is not None]
+    slots = 1 + max(latencies, default=0)
+    ring: List[List[Tuple[Registers, int, object]]] = [[] for _ in range(slots)]
     live_out_values: Dict[str, object] = {}
     last = iterations - 1
     loop_control = _LoopControl(stages, iterations)
@@ -106,9 +111,10 @@ def run_vliw(
     while running:
         for row_index in range(ii):
             cycle = m * ii + row_index
-            while pending and pending[0][0] <= cycle:
-                _, __, registers, physical, value = heappop(pending)
+            due = ring[cycle % slots]
+            for registers, physical, value in due:
                 registers[physical] = value
+            due.clear()
             for op, stage, step, dest in rows[row_index]:
                 if not loop_control.stage_active(stage, m):
                     continue  # stage predicate (rotating ICR bit) squashes
@@ -122,8 +128,7 @@ def run_vliw(
                 if dest is not None:
                     registers, spec, latency, live_out = dest
                     physical = (spec - m) % len(registers)
-                    heappush(pending, (cycle + latency, sequence, registers, physical, result))
-                    sequence += 1
+                    ring[(cycle + latency) % slots].append((registers, physical, result))
                     if live_out is not None and k == last:
                         live_out_values[live_out] = result
         running = loop_control.brtop(m)
@@ -171,8 +176,13 @@ def _lower(
         registers = files.get(kop.dest.kind)
         if registers is None:
             raise SimulationError(f"no register file {kop.dest.kind!r}")
+        latency = machine.latency(op)
+        if latency < 1:
+            raise SimulationError(
+                f"{op!r} has write latency {latency}; the kernel needs >= 1"
+            )
         live_out = live_out_names.get(op.dest.vid)
-        dest = (registers, kop.dest.spec, machine.latency(op), live_out)
+        dest = (registers, kop.dest.spec, latency, live_out)
     return op, kop.stage, step, dest
 
 

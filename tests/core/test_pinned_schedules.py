@@ -1,0 +1,55 @@
+"""Pinned slack schedules: every II, effort count and issue time must
+reproduce ``schedules_paper_corpus.json`` exactly.
+
+The scheduler's vectorized kernels are required to make the same
+decision as their scalar references at every step; this file pins the
+outcome of all those decisions.  Each record is keyed
+``"<target> <loop>"`` and holds ``[ii, attempts, placements,
+ejections, forced, issue times in oid order]`` as
+:func:`schedule_records` computes them, for ``paper_corpus(300, 1993)``
+on every registry target with the default options.
+"""
+
+import json
+import pathlib
+
+from repro.core import modulo_schedule
+from repro.frontend import compile_loop
+from repro.ir import build_ddg
+from repro.machine import build_machine, machine_names
+from repro.workloads import paper_corpus
+
+FIXTURE = pathlib.Path(__file__).with_name("schedules_paper_corpus.json")
+FIELDS = ("ii", "attempts", "placements", "ejections", "forced", "times")
+
+
+def schedule_records():
+    """``{"<target> <loop>": [ii, attempts, placements, ejections,
+    forced, times]}`` for every pinned case, target-major."""
+    records = {}
+    programs = paper_corpus(300, 1993)
+    for target in machine_names():
+        machine = build_machine(target)
+        for program in programs:
+            loop = compile_loop(program)
+            result = modulo_schedule(loop, machine, ddg=build_ddg(loop, machine))
+            stats = result.stats
+            times = (
+                [result.schedule.times[op.oid] for op in loop.ops]
+                if result.success
+                else None
+            )
+            records[f"{target} {program.name}"] = [
+                result.ii, stats.attempts, stats.placements, stats.ejections,
+                stats.forced, times,
+            ]
+    return records
+
+
+def test_schedules_match_the_pinned_records():
+    expected = json.loads(FIXTURE.read_text())
+    actual = schedule_records()
+    assert list(actual) == list(expected), "the set of pinned cases changed"
+    for key, record in expected.items():
+        for field, now, then in zip(FIELDS, actual[key], record):
+            assert now == then, f"{key}: {field} {now}, pinned {then}"

@@ -2,30 +2,69 @@
 Python formulations they replaced.
 
 ``SlackAttempt.choose_operation`` packs (priority, Lstart, oid) into one
-integer key and takes an argmin; ``_dependence_conflicts`` evaluates the
-§4.4 violation test as one pass over the placed set.  Both must agree
-with the straightforward scalar reference at *every* call of a real
-scheduling run — a checked subclass asserts exactly that while whole
-corpus loops schedule end to end, covering contention, ejection, cap
-growth and II escalation states no hand-written fixture reaches.
+integer key and takes an argmin; ``_recompute_bounds`` and
+``_dependence_conflicts`` reduce over whole MinDist rows and columns
+against dense placement-time rows.  All three must agree with the
+straightforward scalar reference at *every* call of a real scheduling
+run — a checked subclass asserts exactly that while whole corpus loops
+schedule end to end, on every registry target, covering contention,
+ejection, cap growth and II escalation states no hand-written fixture
+reaches.
 """
+
+import pytest
 
 from repro.bounds import LoopAnalysis
 from repro.bounds.mindist import is_path
 from repro.core.framework import run_attempt
 from repro.core.slack import SlackAttempt
-from repro.frontend import compile_loop
+from repro.frontend import compile_loop, parse_loop
 from repro.ir import build_ddg
-from repro.machine import cydra5
+from repro.machine import build_machine, cydra5, machine_names
 from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
+
+#: The framework's "unconstrained" Lstart.
+UNCONSTRAINED = 2**40
+
+
+def scalar_bounds(attempt):
+    """Estart and Lstart of every op, recomputed one placed op at a time
+    from ``times``, ``lstart_cap`` and the MinDist closure."""
+    matrix = attempt.matrix.tolist()
+    cap, stop = attempt.lstart_cap, attempt.stop_oid
+    estart, lstart = [], []
+    for x in range(attempt.n):
+        early, late = 0, UNCONSTRAINED
+        if is_path(matrix[x][stop]):
+            late = min(late, cap - matrix[x][stop])
+        for placed, cycle in attempt.times.items():
+            if is_path(matrix[placed][x]):
+                early = max(early, cycle + matrix[placed][x])
+            if is_path(matrix[x][placed]):
+                late = min(late, cycle - matrix[x][placed])
+        estart.append(early)
+        lstart.append(late)
+    return estart, lstart
 
 
 class CheckedSlackAttempt(SlackAttempt):
     """Asserts the vectorized kernels against scalar references."""
 
+    def _refresh_bounds(self):
+        super()._refresh_bounds()
+        estart, lstart = scalar_bounds(self)
+        assert self.estart.tolist() == estart, "Estart differs from the scalar reference"
+        assert self.lstart.tolist() == lstart, "Lstart differs from the scalar reference"
+
     def choose_operation(self):
+        # The packed key is lexicographic only while every unplaced
+        # Lstart lies in [0, lstart_cap].
+        outside = sorted(
+            oid for oid in self.unplaced if not 0 <= self.lstart[oid] <= self.lstart_cap
+        )
+        assert not outside, f"unplaced Lstart outside [0, {self.lstart_cap}]: {outside}"
         chosen = super().choose_operation()
         reference = min(
             (self.loop.ops[oid] for oid in self.unplaced),
@@ -49,7 +88,9 @@ class CheckedSlackAttempt(SlackAttempt):
                 is_path(backward) and cycle < placed_time + backward
             ):
                 expected.append(placed_oid)
-        assert got == expected, f"conflicts at oid={oid} cycle={cycle}"
+        # The caller sorts the union with the resource blockers, so
+        # order is not behaviour.
+        assert sorted(got) == sorted(expected), f"conflicts at oid={oid} cycle={cycle}"
         return got
 
 
@@ -78,3 +119,64 @@ def test_vectorized_kernels_match_reference_frozen_priority():
         ddg = build_ddg(loop, MACHINE)
         schedule = _schedule_checked(loop, ddg, dynamic_priority=False)
         assert schedule is not None, loop.name
+
+
+#: Six named kernels and twelve generated loops of the paper corpus.
+_CORPUS = paper_corpus(60, seed=1993)
+FEW_LOOPS = _CORPUS[:6] + _CORPUS[48:]
+
+
+@pytest.mark.parametrize("dynamic_priority", [True, False], ids=["dynamic", "frozen"])
+@pytest.mark.parametrize("target", machine_names())
+def test_vectorized_kernels_match_reference_on_every_target(target, dynamic_priority):
+    machine = build_machine(target)
+    for program in FEW_LOOPS:
+        loop = compile_loop(program)
+        ddg = build_ddg(loop, machine)
+        schedule = _schedule_checked(loop, ddg, dynamic_priority=dynamic_priority)
+        assert schedule is not None, f"{loop.name} on {target}"
+
+
+DIVIDE = """\
+loop divide
+array x 60
+array a 60
+array b 60
+do i = 1, 40
+    x(i) = a(i) / b(i)
+end do
+"""
+
+
+def test_packed_key_separates_a_quarter_unit_from_a_full_lstart_range():
+    """Two ops whose keys would tie under a weight of ``lstart_cap``.
+
+    The store (oid 7) has priority p and Lstart = cap; the divide (oid
+    5, a divider on the critical unit: a quarter of its slack counts)
+    has priority p + 1/4 and Lstart 0.  The scalar min takes the store;
+    with the weight one too small the two keys tie and argmin's
+    first-minimum rule would take the divide.
+    """
+    loop = compile_loop(parse_loop(DIVIDE))
+    ddg = build_ddg(loop, MACHINE)
+    analysis = LoopAnalysis.of(ddg)
+    attempt = SlackAttempt(analysis, analysis.mii)
+    cap = attempt.lstart_cap
+    divide = next(op for op in loop.ops if op.uses_divider)
+    store = next(op for op in loop.ops if op.is_store)
+    assert attempt._scale4[divide.oid] == 1 and attempt._scale4[store.oid] == 4
+    assert divide.oid < store.oid and cap > 0
+    # Everything else: slack cap, no competition.
+    attempt.estart[:] = 0
+    attempt.lstart[:] = cap
+    # Store: slack -1, priority -1; divide: slack -3, priority -3/4.
+    attempt.estart[store.oid], attempt.lstart[store.oid] = cap + 1, cap
+    attempt.estart[divide.oid], attempt.lstart[divide.oid] = 3, 0
+    assert attempt.priority(divide) == attempt.priority(store) + 0.25
+
+    reference = min(
+        (loop.ops[oid] for oid in attempt.unplaced),
+        key=lambda op: (attempt.priority(op), int(attempt.lstart[op.oid]), op.oid),
+    )
+    assert reference is store
+    assert attempt.choose_operation() is reference

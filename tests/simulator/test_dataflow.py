@@ -6,10 +6,12 @@ import pytest
 
 from repro.core import modulo_schedule
 from repro.frontend import ArrayRef, Assign, DoLoop, Scalar, compile_loop
-from repro.machine import cydra5
+from repro.ir import Opcode
+from repro.machine import build_machine, cydra5
 from repro.simulator import (
     MachineState,
     SimulationError,
+    dataflow,
     initial_state,
     run_pipelined,
     run_sequential,
@@ -17,9 +19,10 @@ from repro.simulator import (
 from repro.simulator.state import _seeded_cells, seeded_value
 from repro.workloads import paper_corpus
 
-from tests.conftest import build_figure1_loop
+from tests.conftest import build_figure1_loop, on_targets
 
 MACHINE = cydra5()
+_CORPUS = paper_corpus(52, seed=1993)
 
 
 def _scheduled(program, **kwargs):
@@ -107,6 +110,42 @@ def test_consumer_issued_before_its_producer_raises():
     broken = dataclasses.replace(schedule, times=times)
     with pytest.raises(SimulationError, match="before its instance 0 was computed"):
         run_pipelined(broken, initial_state(program))
+
+
+@on_targets(_CORPUS[:4] + _CORPUS[48:])
+def test_instances_run_in_issue_cycle_then_oid_order(program, target, monkeypatch):
+    """Instance (x, k) issues at t(x) + k*II; the executor runs them
+    sorted by (issue cycle, oid), whatever order it finds them in."""
+    loop = compile_loop(program)
+    result = modulo_schedule(loop, build_machine(target))
+    assert result.success
+    schedule = result.schedule
+    executed = []
+    lower_op = dataflow.lower_op
+
+    def recording_lower_op(op, reader, state):
+        step = lower_op(op, reader, state)
+
+        def recorded(k):
+            executed.append((op.oid, k))
+            return step(k)
+
+        return recorded
+
+    monkeypatch.setattr(dataflow, "lower_op", recording_lower_op)
+    run_pipelined(schedule, initial_state(program))
+    instances = [
+        (op.oid, k)
+        for op in loop.real_ops
+        if op.opcode is not Opcode.BRTOP
+        for k in range(loop.meta["trip"])
+    ]
+
+    def issue(instance):
+        oid, k = instance
+        return schedule.times[oid] + k * schedule.ii, oid
+
+    assert executed == sorted(instances, key=issue)
 
 
 def test_init_fn_supplies_live_ins():

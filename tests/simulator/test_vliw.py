@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen import generate_kernel
+from repro.codegen import CodegenError, generate_kernel
 from repro.core import modulo_schedule
 from repro.frontend import compile_loop
 from repro.ir import Opcode, build_ddg
-from repro.machine import build_machine, cydra5, machine_names
+from repro.machine import Machine, build_machine, cydra5, machine_names
 from repro.regalloc import allocate_registers
 from repro.simulator import SimulationError, initial_state, run_sequential, state_mismatches
 from repro.simulator.vliw import run_vliw
@@ -108,6 +108,73 @@ def test_operand_without_an_encoding_raises():
     broken = _with_operands(kernel, _arithmetic_op(kernel), [])
     with pytest.raises(SimulationError, match="not encoded"):
         run_vliw(broken, initial_state(program))
+
+
+def _full_latency_flow_arc(schedule, ddg):
+    """The first zero-distance flow arc of latency >= 2 whose consumer
+    issues exactly ``latency`` cycles after its producer, or None."""
+    times = schedule.times
+    return next(
+        (
+            arc
+            for arc in ddg.flow_arcs()
+            if arc.omega == 0
+            and arc.latency >= 2
+            and times[arc.dst] - times[arc.src] == arc.latency
+        ),
+        None,
+    )
+
+
+def test_a_consumer_issued_inside_its_producers_latency_is_caught():
+    """Moved one cycle early, a consumer reads its operand's register
+    before the write commits.  Register allocation reserves a register
+    from its def's issue cycle, so only the commit timing can expose
+    the early read: the kernel must raise or differ from sequential."""
+    checked, missed = [], []
+    for program in named_kernels():
+        loop = compile_loop(program)
+        ddg = build_ddg(loop, MACHINE)
+        schedule = modulo_schedule(loop, MACHINE, ddg=ddg).schedule
+        arc = _full_latency_flow_arc(schedule, ddg)
+        if arc is None:
+            continue
+        times = dict(schedule.times)
+        times[arc.dst] -= 1
+        broken = dataclasses.replace(schedule, times=times)
+        try:
+            kernel = generate_kernel(broken, allocate_registers(broken, ddg))
+        except CodegenError:
+            continue  # the move emptied another value's lifetime
+        checked.append(program.name)
+        sequential = run_sequential(program, initial_state(program))
+        try:
+            final = run_vliw(kernel, initial_state(program))
+        except SimulationError:
+            continue
+        if not state_mismatches(program, sequential, final):
+            missed.append(program.name)
+    assert len(checked) >= 40, f"only {len(checked)} kernels have such an arc"
+    assert not missed, f"early reads went unnoticed in {missed}"
+
+
+def test_a_kernel_op_with_write_latency_zero_raises():
+    """Commits are drained before a cycle's issues, so a write due in
+    its own issue cycle has no place in the commit order."""
+    units = [
+        dataclasses.replace(
+            unit,
+            op_latencies=tuple(
+                (opcode, 0 if opcode is Opcode.ADDR_ADD else latency)
+                for opcode, latency in unit.op_latencies
+            ),
+        )
+        for unit in MACHINE.unit_classes
+    ]
+    program = named_kernels()[0]
+    kernel = _kernel(program, Machine("zero-latency-addr", units))
+    with pytest.raises(SimulationError, match="write latency 0"):
+        run_vliw(kernel, initial_state(program))
 
 
 def test_bad_trip_rejected():
