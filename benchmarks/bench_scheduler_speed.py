@@ -33,6 +33,7 @@ from repro.obs import (
     CollectingTracer,
     FlightRecorder,
     MetricsRegistry,
+    Observer,
     Profiler,
 )
 from repro.obs.progress import (
@@ -95,7 +96,7 @@ def test_schedule_cydrome_medium(benchmark, medium_loop):
 # ----------------------------------------------------------------------
 # Traced vs untraced: the NullTracer must be (nearly) free
 # ----------------------------------------------------------------------
-def _one_corpus_run(loops, **schedule_kwargs):
+def _one_corpus_run(loops, observer=None):
     """Wall time of scheduling every pre-compiled loop once.
 
     Collects garbage before starting the clock: a traced configuration
@@ -108,7 +109,7 @@ def _one_corpus_run(loops, **schedule_kwargs):
     gc.collect()
     started = time.perf_counter()
     for loop, ddg in loops:
-        modulo_schedule(loop, MACHINE, ddg=ddg, **schedule_kwargs)
+        modulo_schedule(loop, MACHINE, ddg=ddg, observer=observer)
     return time.perf_counter() - started
 
 
@@ -160,15 +161,13 @@ def test_trace_overhead(benchmark):
             samples.append(
                 (
                     _one_corpus_run(loops),
-                    _one_corpus_run(loops, tracer=NULL_TRACER),
-                    _one_corpus_run(loops, profiler=NULL_PROFILER),
+                    _one_corpus_run(loops, Observer(NULL_TRACER)),
+                    _one_corpus_run(loops, Observer(prof=NULL_PROFILER)),
                     _one_corpus_run_with_progress(loops),
-                    _one_corpus_run(loops, tracer=FlightRecorder()),
+                    _one_corpus_run(loops, Observer(FlightRecorder())),
                     _one_corpus_run(
                         loops,
-                        tracer=CollectingTracer(),
-                        metrics=MetricsRegistry(),
-                        profiler=Profiler(),
+                        Observer(CollectingTracer(), MetricsRegistry(), Profiler()),
                     ),
                 )
             )

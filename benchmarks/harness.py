@@ -25,6 +25,7 @@ from repro.core import SchedulerOptions
 from repro.experiments import LoopMetrics, run_corpus
 from repro.machine import cydra5
 from repro.obs.bench import Scenario, run_scenario, scenario_registry
+from repro.obs.observer import Observer
 from repro.obs.prof import Profiler
 from repro.workloads import default_corpus_size, paper_corpus
 
@@ -90,7 +91,7 @@ def measured_run(
         started = time.perf_counter()
         metrics = run_corpus(
             corpus(size), _MACHINE, algorithm=algorithm, options=options,
-            profiler=profiler,
+            observer=Observer(prof=profiler),
         )
         run = _RUN_CACHE[key] = MeasuredRun(
             metrics=metrics,

@@ -76,6 +76,7 @@ from repro.machine import MachineError, cydra5, machine_from_cli
 from repro.obs import (
     CollectingTracer,
     MetricsRegistry,
+    Observer,
     explain,
     write_chrome_trace,
     write_jsonl,
@@ -262,7 +263,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     tracer = CollectingTracer() if (args.trace or args.explain) else None
     metrics = MetricsRegistry() if observing else None
     result = modulo_schedule(
-        loop, machine, algorithm=args.algorithm, ddg=ddg, tracer=tracer, metrics=metrics
+        loop, machine, algorithm=args.algorithm, ddg=ddg,
+        observer=Observer(tracer, metrics),
     )
     if args.trace:
         try:

@@ -14,7 +14,7 @@ from repro.core.framework import AttemptFailed, SchedulingAttempt, run_attempt
 from repro.core.schedule import Schedule, ScheduleResult, SchedulerStats
 from repro.core.slack import SlackAttempt
 from repro.core.validate import validate_schedule
-from repro.core.warp import WarpScheduler, run_warp_attempt
+from repro.core.warp import WarpScheduler
 
 __all__ = [
     "BlockSchedule",
@@ -38,5 +38,4 @@ __all__ = [
     "SlackAttempt",
     "validate_schedule",
     "WarpScheduler",
-    "run_warp_attempt",
 ]

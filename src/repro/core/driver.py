@@ -6,14 +6,14 @@ attempts the chosen scheduler at MII, and on failure increments II by
 little II for far less compile time on large complex loops (footnote 6;
 the +1 policy is available for the ablation bench).
 
-Observability: pass a :class:`~repro.obs.trace.Tracer` to record every
-scheduler decision (attempt starts, placements, ejections, II
-escalations, outcomes), a :class:`~repro.obs.metrics.MetricsRegistry`
-for aggregates (per-phase wall time, window-scan lengths, MRT
-occupancy) and/or a :class:`~repro.obs.prof.Profiler` for the span
-tree.  All default to off.  Time has one source either way: each
-attempt runs in ``driver.setup`` and ``driver.place`` spans (the
-default profiler times them without recording), and the
+Observability: pass one :class:`~repro.obs.observer.Observer`, whose
+tracer records every scheduler decision (attempt starts, placements,
+ejections, II escalations, outcomes), whose metrics registry records
+aggregates (per-phase wall time, window-scan lengths, MRT occupancy)
+and whose profiler records the span tree; each attempt gets the same
+observer.  The default records nothing.  Time has one source either
+way: each attempt runs in ``driver.setup`` and ``driver.place`` spans
+(the default profiler times them without recording), and the
 ``SchedulerStats`` times and ``phase.*`` timers are read from those
 spans and the MinDist's ``bounds.mindist`` span.
 """
@@ -34,8 +34,8 @@ from repro.core.schedule import ScheduleResult, SchedulerStats
 from repro.core.slack import SlackAttempt
 from repro.core.warp import WarpScheduler
 from repro.obs import trace as tracing
-from repro.obs.metrics import MetricsRegistry, record_mrt_occupancy
-from repro.obs.prof import NULL_PROFILER, Profiler
+from repro.obs.metrics import record_mrt_occupancy
+from repro.obs.observer import NULL_OBSERVER, Observer
 
 logger = logging.getLogger(__name__)
 
@@ -95,9 +95,7 @@ def modulo_schedule(
     algorithm: str = "slack",
     options: Optional[SchedulerOptions] = None,
     ddg: Optional[DDG] = None,
-    tracer: Optional[tracing.Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    profiler: Optional[Profiler] = None,
+    observer: Optional[Observer] = None,
 ) -> ScheduleResult:
     """Modulo schedule ``loop`` for ``machine``.
 
@@ -110,10 +108,9 @@ def modulo_schedule(
         ddg: Pre-built dependence graph (rebuilt when omitted); its
             :class:`~repro.bounds.analysis.LoopAnalysis` carries over
             between calls.
-        tracer: Optional decision-level trace sink (see repro.obs).
-        metrics: Optional aggregate-metrics registry (see repro.obs).
-        profiler: Optional span profiler (see repro.obs.prof); records
-            where driver/bounds/scheduler wall time goes.
+        observer: Optional :class:`~repro.obs.observer.Observer`: the
+            decision trace, aggregate metrics and span profile to
+            record into (see repro.obs).
 
     Returns:
         A :class:`ScheduleResult`; ``result.success`` is False when every
@@ -123,11 +120,11 @@ def modulo_schedule(
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {sorted(ALGORITHMS)}")
     attempt_cls = ALGORITHMS[algorithm]
     options = options or SchedulerOptions()
-    prof = profiler or NULL_PROFILER
+    observer = observer or NULL_OBSERVER
+    trace, metrics, prof = observer.trace, observer.metrics, observer.prof
     if ddg is None:
         with prof.span("driver.build_ddg"):
             ddg = build_ddg(loop, machine)
-    trace = tracer if (tracer is not None and tracer.enabled) else None
 
     # Every placement-independent fact comes from the graph's analysis:
     # re-scheduling a prebuilt graph (service cache hits, benches,
@@ -143,7 +140,7 @@ def modulo_schedule(
     if attempt_cls is WarpScheduler:
         kwargs = {}
     else:
-        kwargs = {"budget_ratio": options.budget_ratio, "metrics": metrics}
+        kwargs = {"budget_ratio": options.budget_ratio}
         if attempt_cls is SlackAttempt:
             kwargs["bidirectional"] = options.bidirectional
             kwargs["dynamic_priority"] = options.dynamic_priority
@@ -167,7 +164,7 @@ def modulo_schedule(
         with prof.span("driver.attempt"):
             prof.count("driver.attempts")
             with prof.span("driver.setup") as setup:
-                attempt = attempt_cls(analysis, ii, tracer=trace, profiler=prof, **kwargs)
+                attempt = attempt_cls(analysis, ii, observer=observer, **kwargs)
             with prof.span("driver.place") as place:
                 schedule = run_attempt(attempt)
         # The MinDist span nests in the setup span: the rest of setup

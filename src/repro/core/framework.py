@@ -38,8 +38,7 @@ from repro.ir.operations import Operation
 from repro.machine.mrt import ModuloResourceTable
 from repro.core.schedule import Schedule, SchedulerStats
 from repro.obs import trace as tracing
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.prof import NULL_PROFILER, Profiler
+from repro.obs.observer import NULL_OBSERVER, Observer
 
 #: Bound value meaning "unconstrained" in intermediate numpy math.
 _HUGE = 2**40
@@ -88,19 +87,17 @@ class SchedulingAttempt:
         ii: int,
         budget_ratio: float = 16.0,
         tight_cap: bool = False,
-        tracer: Optional[tracing.Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[Profiler] = None,
+        observer: Optional[Observer] = None,
     ):
-        #: Normalized trace sink: None unless an *enabled* tracer was
-        #: given, so the hot-path cost of the NullTracer default is one
-        #: attribute test per decision (see obs.trace).
-        self.trace = tracer if (tracer is not None and tracer.enabled) else None
-        self.metrics = metrics
-        #: Spans and counts go here unconditionally; only an enabled
-        #: profiler records them (see obs.prof).
-        self.prof = profiler or NULL_PROFILER
-        self._eject_counts: Optional[Dict[int, int]] = {} if metrics is not None else None
+        observer = observer or NULL_OBSERVER
+        #: The observer's sinks, copied once so the hot path reads one
+        #: attribute: ``trace`` is None unless an enabled tracer was
+        #: given; spans and counts go to ``prof`` unconditionally (only
+        #: an enabled profiler records them; see obs.observer).
+        self.trace, self.metrics, self.prof = observer.trace, observer.metrics, observer.prof
+        self._eject_counts: Optional[Dict[int, int]] = (
+            {} if self.metrics is not None else None
+        )
         self.analysis = analysis
         self.loop = loop = analysis.loop
         self.machine = analysis.machine

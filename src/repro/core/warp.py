@@ -40,10 +40,9 @@ from repro.bounds.recmii import strongly_connected_components
 from repro.ir.ddg import ArcKind
 from repro.machine.machine import UnitInstance
 from repro.machine.mrt import ModuloResourceTable
-from repro.core.framework import run_attempt
-from repro.core.schedule import Schedule, SchedulerStats
+from repro.core.schedule import SchedulerStats
 from repro.obs import trace as tracing
-from repro.obs.prof import Profiler
+from repro.obs.observer import NULL_OBSERVER, Observer
 
 
 @dataclasses.dataclass
@@ -66,16 +65,16 @@ class WarpScheduler:
         self,
         analysis: LoopAnalysis,
         ii: int,
-        tracer: Optional[tracing.Tracer] = None,
-        profiler: Optional[Profiler] = None,
+        observer: Optional[Observer] = None,
     ):
-        self.trace = tracer if (tracer is not None and tracer.enabled) else None
+        observer = observer or NULL_OBSERVER
+        self.trace = observer.trace
         self.loop = analysis.loop
         self.machine = analysis.machine
         self.ddg = analysis.ddg
         self.ii = ii
         self.binding = analysis.binding
-        self.mindist = MinDist(self.ddg, ii, profiler=profiler)
+        self.mindist = MinDist(self.ddg, ii, profiler=observer.prof)
         if not self.mindist.feasible:
             raise ValueError(f"II={ii} is below RecMII for {self.loop.name}")
         self.mrt = ModuloResourceTable(self.machine, ii, self.binding)
@@ -293,19 +292,3 @@ class WarpScheduler:
         for done_oid, done_cycle in placed:
             self.mrt.remove(self.loop.ops[done_oid], done_cycle)
         return True
-
-
-def run_warp_attempt(
-    analysis: LoopAnalysis,
-    ii: int,
-    tracer: Optional[tracing.Tracer] = None,
-) -> Tuple[Optional[Schedule], SchedulerStats]:
-    """One Warp-style attempt; (schedule or None, work counts).
-
-    The returned stats carry no times: the scheduling driver times
-    warp attempts like every other algorithm's, with its
-    ``driver.setup`` and ``driver.place`` spans and the MinDist's
-    ``bounds.mindist`` span.
-    """
-    scheduler = WarpScheduler(analysis, ii, tracer=tracer)
-    return run_attempt(scheduler), scheduler.stats

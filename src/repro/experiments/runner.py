@@ -1,4 +1,10 @@
-"""Corpus runner: schedule every loop and collect LoopMetrics."""
+"""Corpus runner: schedule every loop and collect LoopMetrics.
+
+Both entry points take one optional
+:class:`~repro.obs.observer.Observer` and hand it on unchanged: to the
+scheduling driver in-process, or to the batch service, which records
+each worker's observations and merges them back in submission order.
+"""
 
 from __future__ import annotations
 
@@ -17,9 +23,7 @@ from repro.core import SchedulerOptions, modulo_schedule
 from repro.frontend import DoLoop, compile_loop
 from repro.ir import DIVIDER_OPCODES, LoopBody, build_ddg
 from repro.machine import Machine, cydra5
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.prof import NULL_PROFILER, Profiler
-from repro.obs.trace import Tracer
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.experiments.metrics import LoopMetrics
 
 
@@ -46,14 +50,12 @@ def measure_loop(
     machine: Optional[Machine] = None,
     algorithm: str = "slack",
     options: Optional[SchedulerOptions] = None,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    profiler: Optional[Profiler] = None,
+    observer: Optional[Observer] = None,
 ) -> LoopMetrics:
     """Schedule one loop and record every evaluation metric.
 
-    ``tracer``/``metrics``/``profiler`` are forwarded to the scheduling
-    driver (repro.obs).  Every recorded time is a profiler span's:
+    ``observer`` is forwarded to the scheduling driver (repro.obs).
+    Every recorded time is a profiler span's:
     ``recmii_seconds`` and ``phase.recmii`` come from this function's
     ``bounds.recmii`` span (the driver's later one is a cache hit), the
     rest from the driver's.  The bounds come from the graph's
@@ -61,15 +63,15 @@ def measure_loop(
     from, so each is computed once per loop.
     """
     machine = machine or cydra5()
-    prof = profiler or NULL_PROFILER
+    observer = observer or NULL_OBSERVER
     loop = compile_loop(program) if isinstance(program, DoLoop) else program
     ddg = build_ddg(loop, machine)
     analysis = LoopAnalysis.of(ddg)
 
-    with prof.span("bounds.recmii") as recmii:
+    with observer.prof.span("bounds.recmii") as recmii:
         rec_mii = analysis.rec_mii
-    if metrics is not None:
-        metrics.timer("phase.recmii").add(recmii.seconds)
+    if observer.metrics is not None:
+        observer.metrics.timer("phase.recmii").add(recmii.seconds)
     res_mii = analysis.res_mii
     mii = analysis.mii
 
@@ -80,12 +82,12 @@ def measure_loop(
 
     result = modulo_schedule(
         loop, machine, algorithm=algorithm, options=options, ddg=ddg,
-        tracer=tracer, metrics=metrics, profiler=profiler,
+        observer=observer,
     )
     # The first attempt runs at MII and charges its MinDist build to
     # mindist_seconds and phase.mindist; reading the closure before
     # scheduling would build it outside every timer.
-    mindist_at_mii = MinDist(ddg, mii, profiler=profiler)
+    mindist_at_mii = MinDist(ddg, mii, profiler=observer.prof)
     min_avg_mii = min_avg(loop, ddg, mindist_at_mii, mii)
 
     if result.success:
@@ -94,7 +96,7 @@ def measure_loop(
         mindist_at_ii = (
             mindist_at_mii
             if achieved_ii == mii
-            else MinDist(ddg, achieved_ii, profiler=profiler)
+            else MinDist(ddg, achieved_ii, profiler=observer.prof)
         )
         max_live_value = rr_max_live(loop, ddg, times, achieved_ii)
         min_avg_value = min_avg(loop, ddg, mindist_at_ii, achieved_ii)
@@ -145,9 +147,7 @@ def run_corpus(
     machine: Optional[Machine] = None,
     algorithm: str = "slack",
     options: Optional[SchedulerOptions] = None,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    profiler: Optional[Profiler] = None,
+    observer: Optional[Observer] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     cache_db: Optional[str] = None,
@@ -161,10 +161,11 @@ def run_corpus(
     (:mod:`repro.service`): worker processes, per-job ``timeout``, and a
     content-addressed result cache (directory or sqlite).  The service
     path returns metrics in the same order with identical values.
-    ``tracer``/``profiler`` hooks cross process boundaries via per-job
-    spool files merged in submission order, so observability is
-    identical at any job count (modulo timestamps); ``metrics``
-    additionally receives ``service.*`` aggregates.
+    The ``observer`` crosses process boundaries via per-job spool files
+    merged in submission order, so it records the same scheduler
+    observations on either path at any job count (modulo timestamps);
+    on the service path its metrics registry also receives
+    ``service.*`` aggregates.
     """
     machine = machine or cydra5()
     use_service = (
@@ -185,10 +186,8 @@ def run_corpus(
             timeout=timeout,
             cache_dir=cache_dir,
             cache_db=cache_db,
-            metrics=metrics,
+            observer=observer,
             machines=machines,
-            tracer=tracer,
-            profiler=profiler,
         )
         missing = [r for r in report.results if r.metrics is None]
         if missing:
@@ -202,7 +201,7 @@ def run_corpus(
     return [
         measure_loop(
             program, machine, algorithm=algorithm, options=options,
-            tracer=tracer, metrics=metrics, profiler=profiler,
+            observer=observer,
         )
         for program in programs
     ]
@@ -230,7 +229,6 @@ def run_corpus_sweep(
     machines,
     algorithm: str = "slack",
     options: Optional[SchedulerOptions] = None,
-    metrics: Optional[MetricsRegistry] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     cache_db: Optional[str] = None,
@@ -252,7 +250,6 @@ def run_corpus_sweep(
         flat_programs,
         algorithm=algorithm,
         options=options,
-        metrics=metrics,
         jobs=jobs,
         cache_dir=cache_dir,
         cache_db=cache_db,

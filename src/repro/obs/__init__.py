@@ -1,12 +1,13 @@
-"""Observability: scheduler tracing, metrics, export, and post-mortems.
+"""Observability: tracing, metrics, profiling, export, and post-mortems.
 
-The package is a cross-cutting companion to ``repro.core``: the driver
-and every scheduling framework accept an optional
-:class:`~repro.obs.trace.Tracer` and
-:class:`~repro.obs.metrics.MetricsRegistry`; the default
-:class:`~repro.obs.trace.NullTracer` costs one attribute test per
-decision (benchmarked <5%).  See DESIGN.md §"Observability" for the
-event schema and hook locations.
+The package is a cross-cutting companion to ``repro.core``: the driver,
+every scheduling attempt, the corpus runner and the batch service
+accept one optional :class:`~repro.obs.observer.Observer`, which holds a
+:class:`~repro.obs.trace.Tracer`, a
+:class:`~repro.obs.metrics.MetricsRegistry` and a
+:class:`~repro.obs.prof.Profiler`.  The default records nothing and
+costs one attribute test per decision.  See DESIGN.md
+§"Observability" for the event schema and hook locations.
 """
 
 from repro.obs.explain import explain, flight_postmortem
@@ -25,6 +26,7 @@ from repro.obs.metrics import (
     Timer,
     record_mrt_occupancy,
 )
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.prof import NULL_PROFILER, NullProfiler, Profiler
 from repro.obs.progress import (
     CallbackProgress,
@@ -94,6 +96,8 @@ __all__ = [
     "MetricsRegistry",
     "Timer",
     "record_mrt_occupancy",
+    "NULL_OBSERVER",
+    "Observer",
     "NULL_PROFILER",
     "NullProfiler",
     "Profiler",

@@ -242,10 +242,6 @@ def _machine_zoo_runner(scenario, **kwargs) -> dict:
     return run_machine_zoo_bench(scenario, **kwargs)
 
 
-def _scheduler_speed_runner(scenario, **kwargs) -> dict:
-    return run_scheduler_speed_bench(scenario, **kwargs)
-
-
 def _livermore_corpus(size: int) -> list:
     """The Livermore kernels (size caps the count; they are few)."""
     from repro.workloads.livermore import livermore_kernels
@@ -304,12 +300,6 @@ def _scenarios() -> Dict[str, Scenario]:
             "and MaxLive/MinAvg",
             runner=_machine_zoo_runner,
         ),
-        "scheduler_speed": Scenario(
-            "scheduler_speed",
-            "pure placement hot path: modulo_schedule over precompiled "
-            "loops with prebuilt (warm) DDGs",
-            runner=_scheduler_speed_runner,
-        ),
     }
 
 
@@ -342,19 +332,20 @@ def run_scenario(
     """
     from repro.experiments import run_corpus
     from repro.machine import cydra5
+    from repro.obs.observer import Observer
     from repro.obs.prof import Profiler
 
     machine = machine or cydra5()
     programs = scenario.build_corpus(corpus_size)
     options = scenario.options()
 
-    def one_run(profiler=None):
+    def one_run(observer=None):
         return run_corpus(
             programs,
             machine,
             algorithm=scenario.algorithm,
             options=options,
-            profiler=profiler,
+            observer=observer,
         )
 
     for _ in range(max(0, warmup)):
@@ -369,7 +360,7 @@ def run_scenario(
     profile_snapshot = None
     if profile:
         profiler = Profiler(memory=memory)
-        loop_metrics = one_run(profiler=profiler)
+        loop_metrics = one_run(Observer(prof=profiler))
         profile_snapshot = profiler.snapshot()
         profiler.close()
 
@@ -516,138 +507,6 @@ def run_machine_zoo_bench(
             "metrics": metrics,
             "targets": targets,
             "profile": None,
-        },
-    )
-
-
-def run_scheduler_speed_bench(
-    scenario: Scenario,
-    corpus_size: int = 60,
-    repeats: int = 3,
-    warmup: int = 1,
-    profile: bool = True,
-    memory: bool = False,
-    machine=None,
-) -> dict:
-    """Benchmark the placement hot path in isolation.
-
-    The corpus is compiled and its dependence graphs are built *once*,
-    outside the timed region, and at least one warmup sweep always runs
-    so each graph's :class:`~repro.bounds.analysis.LoopAnalysis`
-    (ResMII/RecMII, unit binding, MinDist closures, MinLT and stretch
-    tables) is warm.  Each timed repeat is then a
-    full ``modulo_schedule`` sweep over the prebuilt graphs — the
-    steady-state scheduling throughput a resident compiler or the
-    scheduling service sees, with no frontend or graph-build time mixed
-    in.  The deterministic metrics (II vs MII, attempts, ejections,
-    placements) gate regressions; they must be identical on every
-    machine for a fixed corpus.
-    """
-    from repro.core import modulo_schedule
-    from repro.frontend import compile_loop
-    from repro.ir.ddg import build_ddg
-    from repro.machine import cydra5
-    from repro.obs.prof import Profiler
-
-    machine = machine or cydra5()
-    programs = scenario.build_corpus(corpus_size)
-    loops = [compile_loop(program) for program in programs]
-    ddgs = [build_ddg(loop, machine) for loop in loops]
-    options = scenario.options()
-
-    def sweep(profiler=None):
-        return [
-            modulo_schedule(
-                loop,
-                machine,
-                algorithm=scenario.algorithm,
-                options=options,
-                ddg=ddg,
-                profiler=profiler,
-            )
-            for loop, ddg in zip(loops, ddgs)
-        ]
-
-    for _ in range(max(1, warmup)):  # always warm each graph's LoopAnalysis
-        sweep()
-    samples: List[float] = []
-    results = None
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        results = sweep()
-        samples.append(time.perf_counter() - started)
-
-    profile_snapshot = None
-    if profile:
-        profiler = Profiler(memory=memory)
-        results = sweep(profiler=profiler)
-        profile_snapshot = profiler.snapshot()
-        profiler.close()
-
-    stats = sample_stats(samples)
-    wall = stats["median"]
-    scheduled = [result for result in results if result.success]
-    ops_scheduled = sum(len(result.loop.real_ops) for result in scheduled)
-    sum_ii = sum(result.schedule.ii for result in scheduled)
-    sum_mii = sum(result.mii for result in scheduled)
-    metrics = {
-        "wall_time_s": metric(
-            wall, "s", direction="lower", kind="time", iqr=stats["iqr"]
-        ),
-        "loops_per_s": metric(
-            len(results) / wall if wall else 0.0,
-            "loops/s",
-            direction="higher",
-            kind="time",
-            iqr=_ratio_iqr(len(results), stats),
-        ),
-        "ops_scheduled_per_s": metric(
-            ops_scheduled / wall if wall else 0.0,
-            "ops/s",
-            direction="higher",
-            kind="time",
-            iqr=_ratio_iqr(ops_scheduled, stats),
-        ),
-        "loops": metric(len(results), "loops", direction="higher"),
-        "loops_scheduled": metric(len(scheduled), "loops", direction="higher"),
-        "ops_scheduled": metric(ops_scheduled, "ops", direction="higher"),
-        "success_rate": metric(
-            len(scheduled) / len(results) if results else 0.0,
-            "fraction",
-            direction="higher",
-        ),
-        "ii_over_mii": metric(
-            sum_ii / sum_mii if sum_mii else 0.0, "ratio", direction="lower"
-        ),
-        "attempts_total": metric(
-            sum(result.stats.attempts for result in results),
-            "attempts",
-            direction="lower",
-        ),
-        "ejections_total": metric(
-            sum(result.stats.ejections for result in results),
-            "ejections",
-            direction="lower",
-        ),
-        "placements_total": metric(
-            sum(result.stats.placements for result in results),
-            "placements",
-            direction="lower",
-        ),
-    }
-    return wrap_payload(
-        BENCH_SCHEMA,
-        {
-            "scenario": scenario.name,
-            "description": scenario.description,
-            "algorithm": scenario.algorithm,
-            "machine": machine.name,
-            "corpus_size": len(programs),
-            "repeats": stats["n"],
-            "warmup": max(1, warmup),
-            "wall_time_samples_s": samples,
-            "metrics": metrics,
-            "profile": profile_snapshot,
         },
     )
 

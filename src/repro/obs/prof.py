@@ -14,10 +14,11 @@ Design rules:
   timers) reads it from the span that the profile also records, and
   the two can never disagree.
 * Only an *enabled* profiler records.  The shared
-  :data:`NULL_PROFILER` keeps no tree and no counters, so instrumented
-  code holds ``self.prof = profiler or NULL_PROFILER`` and calls
-  ``prof.span(...)`` and ``prof.count(...)`` unconditionally; the null
-  path costs a clock read pair per span and a no-op call per count.
+  :data:`NULL_PROFILER` keeps no tree and no counters; it is an
+  :class:`~repro.obs.observer.Observer`'s ``prof`` unless a profiler
+  was given, so instrumented code calls ``prof.span(...)`` and
+  ``prof.count(...)`` unconditionally; the null path costs a clock
+  read pair per span and a no-op call per count.
 * Span bookkeeping is O(1) per enter/exit, so enabling the profiler
   perturbs the measured program as little as possible.
 * Peak-memory capture (``tracemalloc``) is opt-in because starting the
@@ -76,9 +77,9 @@ class Profiler:
 
     Attributes:
         enabled: Whether this profiler records spans and counters (see
-            module docstring).  Spans time themselves either way; the
-            batch service reads the flag to decide whether to spool
-            worker profiles.
+            module docstring).  Spans time themselves either way; an
+            :class:`~repro.obs.observer.Observer` reads the flag to
+            decide whether it records anything.
     """
 
     enabled: bool = True

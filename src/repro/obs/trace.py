@@ -8,11 +8,11 @@ instead of being summarized away into four counters.
 
 Design rules:
 
-* The hot path pays nothing by default.  Instrumented code holds
-  ``self.trace = None`` unless a tracer with ``enabled=True`` was
-  supplied, so the per-event cost of the default :class:`NullTracer` is
-  a single attribute test (asserted <5% by
-  ``benchmarks/bench_scheduler_speed.py``).
+* The hot path pays nothing by default.  Instrumented code holds an
+  :class:`~repro.obs.observer.Observer`'s ``trace``, which is None
+  unless a tracer with ``enabled=True`` was supplied, so the per-event
+  cost of the default :class:`NullTracer` is a single attribute test
+  (asserted <5% by ``benchmarks/bench_scheduler_speed.py``).
 * Events are plain dataclasses with a class-level ``kind`` tag.  The
   tracer stamps a monotonic sequence number and a ``perf_counter``
   timestamp on emission; events never look at the clock themselves.
@@ -191,8 +191,9 @@ def event_from_dict(payload: dict) -> TraceEvent:
 class Tracer:
     """Trace sink protocol: ``enabled`` flag plus an ``emit`` method.
 
-    Instrumented code normalizes a disabled tracer to ``None`` up front,
-    so ``emit`` is only ever called when ``enabled`` is True.
+    :class:`~repro.obs.observer.Observer` normalizes a disabled tracer
+    to ``None`` up front, so ``emit`` is only ever called when
+    ``enabled`` is True.
     """
 
     enabled: bool = True

@@ -280,7 +280,7 @@ def schedule_extras(request: ScheduleRequest) -> dict:
     from repro.core import modulo_schedule
     from repro.frontend import compile_loop
     from repro.ir import build_ddg
-    from repro.obs import CollectingTracer, explain
+    from repro.obs import CollectingTracer, Observer, explain
 
     loop = compile_loop(request.program)
     ddg = build_ddg(loop, request.machine)
@@ -291,7 +291,7 @@ def schedule_extras(request: ScheduleRequest) -> dict:
         algorithm=request.algorithm,
         options=request.options,
         ddg=ddg,
-        tracer=tracer,
+        observer=Observer(tracer),
     )
     extras: dict = {}
     if "schedule" in request.include:

@@ -37,10 +37,13 @@ at cache-read speed.  Two storage backends are available behind one
 protocol: a fan-out directory (``--cache-dir``) and a single-file
 sqlite database (``--cache-db``, WAL mode, shareable across CI runs).
 
-Tracer/profiler hooks cross process boundaries via per-job JSONL spool
-files merged in submission order (:mod:`repro.service.spool`), so
-``--trace`` output is identical at any ``--jobs`` level, modulo
-timestamps.
+An :class:`~repro.obs.observer.Observer` crosses process boundaries
+via per-job JSONL spool files merged in submission order
+(:mod:`repro.service.spool`): whenever it records anything (a tracer,
+a metrics registry or an enabled profiler), every job's trace events,
+instruments and spans reach it, so the ``--trace`` output and the
+scheduler instruments in ``--metrics-out`` are identical at any
+``--jobs`` level, modulo wall-clock times.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.progress import (
     KIND_SUBMITTED,
     CallbackProgress,
@@ -263,14 +267,11 @@ def run_batch(
     cache_auth_token: Optional[str] = None,
     cache: Optional[CacheBackend] = None,
     use_cache: bool = True,
-    metrics=None,
+    observer: Optional[Observer] = None,
     max_retries: int = 2,
     faults: Optional[Dict[int, str]] = None,
     machines: Optional[Sequence[object]] = None,
     backend: object = "auto",
-    tracer=None,
-    profiler=None,
-    collect_trace: bool = False,
     progress=None,
     progress_log: Optional[str] = None,
     straggler_factor: float = 4.0,
@@ -299,9 +300,13 @@ def run_batch(
             batches against its own shared, locked cache.
         use_cache: Set False to bypass reads *and* writes even when a
             cache location is set.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; receives
-            ``service.*`` counters/gauges/timers (plus merged worker
-            registries when tracing/profiling is on).
+        observer: Optional :class:`repro.obs.Observer`.  When it
+            records anything, every computed job runs under its own
+            tracer, registry and profiler, whose contents are merged
+            into the observer's in submission order (loop-tagged events
+            also land in ``report.trace_records``, what CLI ``--trace``
+            writes); its registry also receives ``service.*``
+            counters/gauges/timers.
         max_retries: Crash-recovery resubmissions per job.
         faults: Optional ``{job index: fault}`` injection map (see
             :class:`repro.service.jobs.ScheduleJob`).
@@ -312,13 +317,6 @@ def run_batch(
             the chunked process pool otherwise) | ``"serial"`` |
             ``"chunked"``, or an
             :class:`~repro.service.backends.ExecutionBackend` instance.
-        tracer: Optional session :class:`repro.obs.Tracer`; receives
-            every job's scheduler events, merged in submission order.
-        profiler: Optional session :class:`repro.obs.Profiler`;
-            receives merged worker span trees.
-        collect_trace: Force event collection even without a session
-            tracer; the merged loop-tagged stream lands in
-            ``report.trace_records`` (what CLI ``--trace`` writes).
         progress: Optional progress consumer — a
             :class:`repro.obs.ProgressSink` or a plain callable taking
             one :class:`repro.obs.ProgressEvent`; receives the full
@@ -337,6 +335,8 @@ def run_batch(
     from repro.machine import cydra5
 
     machine = machine or cydra5()
+    observer = observer or NULL_OBSERVER
+    metrics = observer.metrics
     started = time.perf_counter()
     all_jobs = make_jobs(
         programs,
@@ -408,12 +408,9 @@ def run_batch(
         if isinstance(backend, ExecutionBackend)
         else resolve_backend(backend, workers=jobs)
     )
-    observe = (
-        collect_trace
-        or (tracer is not None and getattr(tracer, "enabled", True))
-        or (profiler is not None and getattr(profiler, "enabled", True))
+    spool_dir = (
+        tempfile.mkdtemp(prefix="repro-spool-") if observer.enabled else None
     )
-    spool_dir = tempfile.mkdtemp(prefix="repro-spool-") if observe else None
     # Fatal-signal spill area: a worker that dies mid-job writes its
     # flight ring here so the quarantine path can attach it post-mortem.
     flight_dir = (
@@ -439,10 +436,9 @@ def run_batch(
         ordered = order_results(cached_results + list(computed))
         trace_records: Optional[List[dict]] = None
         spool_stats: Optional[SpoolMergeStats] = None
-        if observe:
+        if spool_dir is not None:
             trace_records, spool_stats = merge_spools(
-                spool_dir, ordered, tracer=tracer, metrics=metrics,
-                profiler=profiler,
+                spool_dir, ordered, observer=observer
             )
     finally:
         if spool_dir is not None:
@@ -943,15 +939,15 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
     if show_tty is None:
         show_tty = sys.stderr.isatty()
 
-    metrics = profiler = None
-    if args.metrics_out:
-        from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.prof import Profiler
+    from repro.obs.trace import CollectingTracer
 
-        metrics = MetricsRegistry()
-    if args.profile_out:
-        from repro.obs.prof import Profiler
-
-        profiler = Profiler()
+    observer = Observer(
+        CollectingTracer() if args.trace else None,
+        MetricsRegistry() if args.metrics_out else None,
+        Profiler() if args.profile_out else None,
+    )
 
     try:
         report = run_batch(
@@ -967,9 +963,7 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
             cache_auth_token=args.cache_auth_token,
             machines=machines,
             faults=_parse_faults(args.inject),
-            collect_trace=bool(args.trace),
-            metrics=metrics,
-            profiler=profiler,
+            observer=observer,
             progress=TTYProgress(total=len(programs)) if show_tty else None,
             progress_log=args.progress_log,
             straggler_factor=args.straggler_factor,
@@ -1036,7 +1030,7 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
 
         try:
             with open(args.metrics_out, "w") as handle:
-                _json.dump(metrics.dump(), handle, indent=2, sort_keys=True)
+                _json.dump(observer.metrics.dump(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
         except OSError as exc:
             print(
@@ -1050,7 +1044,7 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
 
         try:
             with open(args.profile_out, "w") as handle:
-                _json.dump(profiler.snapshot(), handle, indent=2, sort_keys=True)
+                _json.dump(observer.prof.snapshot(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
         except OSError as exc:
             print(

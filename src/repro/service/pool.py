@@ -39,6 +39,7 @@ import threading
 import time
 from typing import List, Optional, Sequence, Tuple
 
+from repro.obs.observer import Observer
 from repro.obs.trace import DEFAULT_FLIGHT_CAPACITY
 from repro.service.jobs import (
     JOB_CRASHED,
@@ -164,8 +165,9 @@ def execute_job(
     ``job.machine`` (when set) overrides the batch-default ``machine``.
     With a ``spool_dir``, the job runs under its own tracer, metrics
     registry and profiler and writes their contents to a per-job spool
-    file (:mod:`repro.service.spool`) for the parent to merge — that is
-    how ``--trace``/``--explain`` cross process boundaries.
+    file (:mod:`repro.service.spool`) for the parent to merge into the
+    batch's observer — that is how observations cross process
+    boundaries.
 
     ``flight_events > 0`` (the default) runs the job under a bounded
     :class:`~repro.obs.trace.FlightRecorder`; a timeout or raise
@@ -253,9 +255,7 @@ def execute_job(
             machine,
             algorithm=job.algorithm,
             options=job.options,
-            tracer=sched_tracer,
-            metrics=registry,
-            profiler=profiler,
+            observer=Observer(sched_tracer, registry, profiler),
         )
         status, error = JOB_OK, None
     except _JobTimeoutError:

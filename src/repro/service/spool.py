@@ -1,14 +1,16 @@
 """Cross-process observability spools for the execution backends.
 
-Tracer, profiler and metrics hooks are in-process objects; a worker
-process cannot emit into the parent's instances.  Instead, every
-observed job writes one JSONL *spool file* — its trace events, a
+An :class:`~repro.obs.observer.Observer`'s tracer, metrics registry and
+profiler are in-process objects; a worker process cannot emit into the
+parent's instances.  Instead, whenever the batch's observer records
+anything (any one of the three, a metrics registry alone included),
+every job writes one JSONL *spool file* — its trace events, a
 full-fidelity metrics dump, and a profiler snapshot — and the parent
-merges the spools back in **submission order** after the pool drains.
-The merged stream is therefore deterministic: per-loop event content
-and sequence numbers are identical whether the batch ran with one job
-or many (only wall-clock timestamps differ), which is the contract the
-``--trace``-parity tests and CI assert.
+merges the spools back into the observer in **submission order** after
+the pool drains.  The merged stream is therefore deterministic:
+per-loop event content and sequence numbers are identical whether the
+batch ran with one job or many (only wall-clock timestamps differ),
+which is the contract the ``--trace``-parity tests and CI assert.
 
 Spool file layout (``<spool_dir>/job-<index>.jsonl``)::
 
@@ -35,7 +37,8 @@ import logging
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.trace import TraceEvent, Tracer, event_from_dict
+from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.obs.trace import TraceEvent, event_from_dict
 
 logger = logging.getLogger("repro.service")
 
@@ -164,11 +167,9 @@ class SpoolMergeStats:
 def merge_spools(
     spool_dir: str,
     results: Sequence,  # JobResults, already in submission order
-    tracer: Optional[Tracer] = None,
-    metrics=None,  # MetricsRegistry
-    profiler=None,  # Profiler
+    observer: Optional[Observer] = None,
 ) -> Tuple[List[dict], SpoolMergeStats]:
-    """Fold every computed job's spool into the session-level sinks.
+    """Fold every computed job's spool into the observer's sinks.
 
     Returns ``(trace_records, stats)`` where ``trace_records`` is the
     merged JSONL-ready stream: each event dict annotated with its
@@ -180,6 +181,7 @@ def merge_spools(
     """
     from repro.service.jobs import JOB_CACHED, JOB_OK
 
+    observer = observer or NULL_OBSERVER
     stats = SpoolMergeStats()
     trace_records: List[dict] = []
     for result in results:
@@ -197,15 +199,17 @@ def merge_spools(
         stats.merged += 1
         stats.events += len(record.events)
         for event in record.events:
+            # Tag before re-emitting: a CollectingTracer re-stamps seq,
+            # and the records keep the job-local one.
             trace_records.append(
                 {**event.to_dict(), "loop": record.loop, "job": record.job}
             )
-            if tracer is not None and tracer.enabled:
-                tracer.emit(event)
-        if metrics is not None and record.metrics_dump is not None:
-            metrics.merge_dump(record.metrics_dump)
-        if profiler is not None and record.profile_snapshot is not None:
-            profiler.merge_snapshot(record.profile_snapshot)
+            if observer.trace is not None:
+                observer.trace.emit(event)
+        if observer.metrics is not None and record.metrics_dump is not None:
+            observer.metrics.merge_dump(record.metrics_dump)
+        if observer.prof.enabled and record.profile_snapshot is not None:
+            observer.prof.merge_snapshot(record.profile_snapshot)
     return trace_records, stats
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bounds import LoopAnalysis
-from repro.core import modulo_schedule, validate_schedule
-from repro.core.warp import WarpScheduler, run_warp_attempt
+from repro.core import modulo_schedule, run_attempt, validate_schedule
+from repro.core.warp import WarpScheduler
 from repro.frontend import compile_loop
 from repro.ir import build_ddg
 from repro.machine import cydra5
@@ -61,9 +61,9 @@ def test_warp_attempt_reports_failure_not_exception():
 
     loop = build_divider_loop()
     ddg = build_ddg(loop, MACHINE)
-    schedule, stats = run_warp_attempt(LoopAnalysis.of(ddg), 16)
-    assert schedule is None
-    assert stats.placements >= 0
+    scheduler = WarpScheduler(LoopAnalysis.of(ddg), 16)
+    assert run_attempt(scheduler) is None
+    assert scheduler.stats.placements >= 0
 
 
 def test_warp_rejects_infeasible_ii():

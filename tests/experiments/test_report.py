@@ -1,13 +1,29 @@
 """Direct coverage for experiments/report.py and the runner's timers."""
 
+import pytest
+
 from repro.core import SchedulerOptions
 from repro.experiments import full_report, measure_loop, run_corpus
 from repro.experiments.report import _RULE
 from repro.machine import cydra5
-from repro.obs import MetricsRegistry, Profiler
+from repro.obs import MetricsRegistry, Observer, Profiler
 from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
+
+#: The three ways run_corpus can run: in-process, through the batch
+#: service's process pool, and through its serial path (jobs=1 with a
+#: cache).
+ROUTES = ("in-process", "pool", "serial-service")
+
+
+def _route(route, tmp_path):
+    """run_corpus keyword arguments that select ``route``."""
+    if route == "pool":
+        return {"jobs": 2}
+    if route == "serial-service":
+        return {"cache_dir": str(tmp_path / "cache")}
+    return {}
 
 
 # ----------------------------------------------------------------------
@@ -49,7 +65,7 @@ def test_full_report_honors_options_and_machine():
 def test_measure_loop_accumulates_phase_timers():
     program = paper_corpus(1, seed=5)[0]
     metrics = MetricsRegistry()
-    measure_loop(program, MACHINE, metrics=metrics)
+    measure_loop(program, MACHINE, observer=Observer(metrics=metrics))
     snap = metrics.snapshot()["timers"]
     for phase in ("phase.recmii", "phase.mindist", "phase.scheduling"):
         assert phase in snap, phase
@@ -74,7 +90,7 @@ def test_measure_loop_times_the_mindist_build_at_mii(monkeypatch):
     monkeypatch.setattr(analysis, "compute_closure", slow_build)
     program = next(p for p in named_kernels() if p.name == "ll1_hydro")
     metrics = MetricsRegistry()
-    loop_metrics = measure_loop(program, MACHINE, metrics=metrics)
+    loop_metrics = measure_loop(program, MACHINE, observer=Observer(metrics=metrics))
     assert loop_metrics.mindist_seconds >= 0.05
     assert metrics.snapshot()["timers"]["phase.mindist"]["seconds"] >= 0.05
 
@@ -97,7 +113,9 @@ def test_measure_loop_times_recmii_in_its_profiler_span(monkeypatch):
     program = next(p for p in named_kernels() if p.name == "ll1_hydro")
     metrics = MetricsRegistry()
     prof = Profiler()
-    loop_metrics = measure_loop(program, MACHINE, metrics=metrics, profiler=prof)
+    loop_metrics = measure_loop(
+        program, MACHINE, observer=Observer(metrics=metrics, prof=prof)
+    )
     assert loop_metrics.recmii_seconds >= 0.05
     assert metrics.snapshot()["timers"]["phase.recmii"]["seconds"] >= 0.05
     recmii_cum = prof.snapshot()["spans"]["bounds.recmii"]["cum_seconds"]
@@ -106,7 +124,9 @@ def test_measure_loop_times_recmii_in_its_profiler_span(monkeypatch):
 
 def test_corpus_times_equal_their_profile_spans():
     prof = Profiler()
-    results = run_corpus(paper_corpus(5, seed=5), MACHINE, profiler=prof)
+    results = run_corpus(
+        paper_corpus(5, seed=5), MACHINE, observer=Observer(prof=prof)
+    )
     spans = prof.snapshot()["spans"]
     place = spans["driver.attempt;driver.place"]["cum_seconds"]
     mindist = spans["driver.attempt;driver.setup;bounds.mindist"]["cum_seconds"]
@@ -114,10 +134,14 @@ def test_corpus_times_equal_their_profile_spans():
     assert abs(sum(m.mindist_seconds for m in results) - mindist) < 1e-9
 
 
-def test_run_corpus_timer_counts_scale_with_corpus():
+@pytest.mark.parametrize("route", ROUTES)
+def test_run_corpus_timer_counts_scale_with_corpus(route, tmp_path):
     programs = paper_corpus(5, seed=5)
     metrics = MetricsRegistry()
-    results = run_corpus(programs, MACHINE, metrics=metrics)
+    results = run_corpus(
+        programs, MACHINE, observer=Observer(metrics=metrics),
+        **_route(route, tmp_path),
+    )
     assert len(results) == 5
     snap = metrics.snapshot()["timers"]
     assert snap["phase.recmii"]["count"] == 5
@@ -127,20 +151,70 @@ def test_run_corpus_timer_counts_scale_with_corpus():
     assert snap["phase.mindist"]["count"] == snap["phase.scheduling"]["count"]
 
 
-def test_phase_timers_match_loop_metrics_totals():
+@pytest.mark.parametrize("route", ROUTES)
+def test_phase_timers_match_loop_metrics_totals(route, tmp_path):
     """The registry's per-phase seconds are the sum of each loop's."""
     programs = paper_corpus(4, seed=9)
     metrics = MetricsRegistry()
-    results = run_corpus(programs, MACHINE, metrics=metrics)
+    results = run_corpus(
+        programs, MACHINE, observer=Observer(metrics=metrics),
+        **_route(route, tmp_path),
+    )
     snap = metrics.snapshot()["timers"]
     total_sched = sum(m.scheduling_seconds for m in results)
     assert abs(snap["phase.scheduling"]["seconds"] - total_sched) < 1e-6
 
 
+def _scheduler_instruments(registry):
+    """A registry dump without its ``service.*`` instruments: counters,
+    timer counts, histogram values and ``mrt.*`` gauges (timer seconds
+    are wall clock)."""
+    dump = registry.dump()
+
+    def scheduler(section):
+        return {
+            name: value for name, value in dump[section].items()
+            if not name.startswith("service.")
+        }
+
+    return {
+        "counters": scheduler("counters"),
+        "timer_counts": {
+            name: entry["count"] for name, entry in scheduler("timers").items()
+        },
+        "histogram_values": scheduler("histogram_values"),
+        "mrt_gauges": {
+            name: value for name, value in dump["gauges"].items()
+            if name.startswith("mrt.")
+        },
+    }
+
+
+def test_scheduler_instruments_identical_on_every_route(tmp_path):
+    """A metrics-only observer gets the same scheduler instruments
+    whether the corpus runs in-process or through the batch service."""
+    programs = paper_corpus(8)
+    instruments = {}
+    for route in ROUTES:
+        metrics = MetricsRegistry()
+        run_corpus(
+            programs, MACHINE, observer=Observer(metrics=metrics),
+            **_route(route, tmp_path),
+        )
+        instruments[route] = _scheduler_instruments(metrics)
+    reference = instruments["in-process"]
+    assert reference["timer_counts"]["phase.recmii"] == 8
+    assert reference["counters"]["scheduler.attempts"] >= 8
+    assert reference["histogram_values"]["scheduler.scan_window_length"]
+    assert reference["mrt_gauges"]
+    assert instruments["pool"] == reference
+    assert instruments["serial-service"] == reference
+
+
 def test_measure_loop_forwards_profiler():
     program = paper_corpus(1, seed=5)[0]
     prof = Profiler()
-    measure_loop(program, MACHINE, profiler=prof)
+    measure_loop(program, MACHINE, observer=Observer(prof=prof))
     spans = prof.snapshot()["spans"]
     assert "driver.attempt" in spans
     assert "bounds.mindist" in spans  # the runner's MII-analysis MinDist
@@ -152,7 +226,7 @@ def test_attempt_setup_phase_separated_from_mindist():
     # to distinct phases, each accumulated once per driver attempt.
     programs = paper_corpus(5, seed=5)
     metrics = MetricsRegistry()
-    run_corpus(programs, MACHINE, metrics=metrics)
+    run_corpus(programs, MACHINE, observer=Observer(metrics=metrics))
     snap = metrics.snapshot()["timers"]
     assert snap["phase.attempt_setup"]["count"] == snap["phase.mindist"]["count"]
     assert snap["phase.attempt_setup"]["seconds"] >= 0.0

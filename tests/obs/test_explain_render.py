@@ -6,6 +6,7 @@ from repro.ir import build_ddg
 from repro.obs import (
     CollectingTracer,
     MetricsRegistry,
+    Observer,
     explain,
     render_lifetime_chart,
     render_mrt_occupancy,
@@ -16,7 +17,7 @@ from tests.conftest import build_divider_loop, build_figure1_loop
 
 def traced(machine, build=build_figure1_loop, **kwargs):
     tracer = CollectingTracer()
-    result = modulo_schedule(build(), machine, tracer=tracer, **kwargs)
+    result = modulo_schedule(build(), machine, observer=Observer(tracer), **kwargs)
     return result, tracer.events
 
 
@@ -61,7 +62,7 @@ def test_explain_on_failure_gives_escalation_reasons(machine):
 def test_explain_includes_metrics_block(machine):
     tracer, metrics = CollectingTracer(), MetricsRegistry()
     result = modulo_schedule(
-        build_figure1_loop(), machine, tracer=tracer, metrics=metrics
+        build_figure1_loop(), machine, observer=Observer(tracer, metrics)
     )
     report = explain(result, tracer.events, metrics)
     assert "metrics:" in report
@@ -102,7 +103,7 @@ def test_flight_postmortem_renders_tail_and_ops_in_flight(machine):
     from repro.obs import FlightRecorder, flight_postmortem
 
     ring = FlightRecorder(capacity=64)
-    modulo_schedule(build_figure1_loop(), machine, tracer=ring)
+    modulo_schedule(build_figure1_loop(), machine, observer=Observer(ring))
     text = flight_postmortem(
         "figure1", ring.dump(), status="crashed", error="worker died"
     )
@@ -116,7 +117,7 @@ def test_flight_postmortem_counts_dropped_events(machine):
     from repro.obs import FlightRecorder, flight_postmortem
 
     ring = FlightRecorder(capacity=4)
-    modulo_schedule(build_figure1_loop(), machine, tracer=ring)
+    modulo_schedule(build_figure1_loop(), machine, observer=Observer(ring))
     assert ring.dropped > 0
     text = flight_postmortem("figure1", ring.dump())
     assert f"({ring.dropped} earlier dropped from the ring)" in text

@@ -5,6 +5,7 @@ import json
 from repro.core import modulo_schedule
 from repro.obs import (
     CollectingTracer,
+    Observer,
     load_jsonl,
     replay_times,
     to_chrome_trace,
@@ -18,7 +19,7 @@ from tests.conftest import build_divider_loop, build_figure1_loop
 
 def traced(machine, build=build_figure1_loop):
     tracer = CollectingTracer()
-    result = modulo_schedule(build(), machine, tracer=tracer)
+    result = modulo_schedule(build(), machine, observer=Observer(tracer))
     return result, tracer.events
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import modulo_schedule
-from repro.obs import MetricsRegistry, record_mrt_occupancy
+from repro.obs import MetricsRegistry, Observer, record_mrt_occupancy
 from repro.obs.metrics import Counter, Gauge, Histogram, Timer
 
 from tests.conftest import build_divider_loop, build_figure1_loop
@@ -75,7 +75,9 @@ def test_render_lists_every_instrument():
 
 def test_scheduler_populates_registry(machine):
     metrics = MetricsRegistry()
-    result = modulo_schedule(build_divider_loop(), machine, metrics=metrics)
+    result = modulo_schedule(
+        build_divider_loop(), machine, observer=Observer(metrics=metrics)
+    )
     assert result.success
     snapshot = metrics.snapshot()
     assert snapshot["counters"]["scheduler.attempts"] == result.stats.attempts

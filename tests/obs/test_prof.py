@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.core import ALGORITHMS, modulo_schedule
-from repro.obs import NULL_PROFILER, NullProfiler, Profiler
+from repro.obs import NULL_PROFILER, NullProfiler, Observer, Profiler
 from repro.obs.prof import PATH_SEP
 
 
@@ -138,7 +138,7 @@ def test_scheduler_run_produces_expected_spans(figure1_loop, machine):
     from repro.core import modulo_schedule
 
     prof = Profiler()
-    result = modulo_schedule(figure1_loop, machine, profiler=prof)
+    result = modulo_schedule(figure1_loop, machine, observer=Observer(prof=prof))
     assert result.success
     snap = prof.snapshot()
     paths = set(snap["spans"])
@@ -154,7 +154,9 @@ def test_every_algorithm_times_setup_place_and_mindist_in_spans(
     algorithm, figure1_loop, machine
 ):
     prof = Profiler()
-    result = modulo_schedule(figure1_loop, machine, algorithm=algorithm, profiler=prof)
+    result = modulo_schedule(
+        figure1_loop, machine, algorithm=algorithm, observer=Observer(prof=prof)
+    )
     spans = prof.snapshot()["spans"]
     setup = f"driver.attempt{PATH_SEP}driver.setup"
     place = f"driver.attempt{PATH_SEP}driver.place"

@@ -23,6 +23,7 @@ from repro.obs import (
     IIEscalate,
     JobStart,
     NullTracer,
+    Observer,
     Place,
     ScheduleFound,
     event_from_dict,
@@ -40,7 +41,7 @@ from tests.conftest import (
 
 def traced_run(loop, machine, **kwargs):
     tracer = CollectingTracer()
-    result = modulo_schedule(loop, machine, tracer=tracer, **kwargs)
+    result = modulo_schedule(loop, machine, observer=Observer(tracer), **kwargs)
     return result, tracer.events
 
 
@@ -148,7 +149,7 @@ def test_event_from_dict_rejects_unknown_kind():
 def test_null_tracer_records_nothing(machine):
     tracer = NullTracer()
     assert tracer.enabled is False
-    result = modulo_schedule(build_figure1_loop(), machine, tracer=tracer)
+    result = modulo_schedule(build_figure1_loop(), machine, observer=Observer(tracer))
     assert result.success  # and nothing blew up trying to emit
 
 
@@ -205,9 +206,9 @@ def test_flight_recorder_shadows_a_real_run(machine):
     # Scheduling under the ring alone: same event stream as a full
     # tracer, truncated to the last `capacity` events.
     full = CollectingTracer()
-    modulo_schedule(build_figure1_loop(), machine, tracer=full)
+    modulo_schedule(build_figure1_loop(), machine, observer=Observer(full))
     ring = FlightRecorder(capacity=16)
-    modulo_schedule(build_figure1_loop(), machine, tracer=ring)
+    modulo_schedule(build_figure1_loop(), machine, observer=Observer(ring))
     assert ring.total == len(full.events)
     tail = [type(event) for event in full.events[-16:]]
     assert [type(event) for event in ring.events()] == tail

@@ -4,7 +4,7 @@ import json
 import os
 
 from repro.machine import cydra5
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Observer
 from repro.service.batch import batch_main, run_batch
 from repro.workloads import paper_corpus
 
@@ -57,7 +57,8 @@ def test_injected_fault_skips_cache_hit(tmp_path):
 def test_obs_registry_receives_service_counters(tmp_path):
     registry = MetricsRegistry()
     run_batch(
-        paper_corpus(3), MACHINE, cache_dir=str(tmp_path), metrics=registry
+        paper_corpus(3), MACHINE, cache_dir=str(tmp_path),
+        observer=Observer(metrics=registry),
     )
     snapshot = registry.snapshot()
     assert snapshot["counters"]["service.jobs.ok"] == 3

@@ -7,7 +7,13 @@ import os
 import pytest
 
 from repro.machine import cydra5
-from repro.obs import MetricsRegistry, Profiler
+from repro.obs import (
+    NULL_PROFILER,
+    NULL_TRACER,
+    MetricsRegistry,
+    Observer,
+    Profiler,
+)
 from repro.obs.trace import CollectingTracer
 from repro.service.backends import ChunkedProcessBackend
 from repro.service.batch import run_batch
@@ -34,10 +40,12 @@ def _records_without_ts(records):
 # ----------------------------------------------------------------------
 def test_trace_parity_serial_vs_chunked():
     programs = paper_corpus(5)
-    serial = run_batch(programs, MACHINE, jobs=1, collect_trace=True)
+    serial = run_batch(
+        programs, MACHINE, jobs=1, observer=Observer(CollectingTracer())
+    )
     chunked = run_batch(
         programs, MACHINE, backend=ChunkedProcessBackend(3, 2),
-        collect_trace=True,
+        observer=Observer(CollectingTracer()),
     )
     assert serial.trace_records and chunked.trace_records
     assert _records_without_ts(serial.trace_records) == _records_without_ts(
@@ -51,7 +59,8 @@ def test_trace_parity_serial_vs_chunked():
 def test_session_tracer_receives_merged_events_across_processes():
     tracer = CollectingTracer()
     report = run_batch(
-        paper_corpus(3), MACHINE, jobs=2, backend="chunked", tracer=tracer
+        paper_corpus(3), MACHINE, jobs=2, backend="chunked",
+        observer=Observer(tracer),
     )
     assert report.spool.merged == 3
     assert len(tracer.events) == report.spool.events > 0
@@ -63,7 +72,7 @@ def test_worker_metrics_and_profile_cross_process_boundary():
     profiler = Profiler()
     run_batch(
         paper_corpus(3), MACHINE, jobs=2, backend="chunked",
-        metrics=registry, profiler=profiler, collect_trace=True,
+        observer=Observer(CollectingTracer(), registry, profiler),
     )
     snapshot = registry.snapshot()
     assert snapshot["timers"]["phase.recmii"]["count"] == 3
@@ -72,8 +81,13 @@ def test_worker_metrics_and_profile_cross_process_boundary():
     assert profiler.snapshot()["spans"]
 
 
-def test_no_observers_means_no_spool_overhead():
-    report = run_batch(paper_corpus(2), MACHINE, jobs=2)
+@pytest.mark.parametrize(
+    "observer",
+    [None, Observer(), Observer(NULL_TRACER), Observer(prof=NULL_PROFILER)],
+    ids=["none", "default", "null-tracer", "null-profiler"],
+)
+def test_no_observers_means_no_spool_overhead(observer):
+    report = run_batch(paper_corpus(2), MACHINE, jobs=2, observer=observer)
     assert report.spool is None and report.trace_records is None
 
 
