@@ -2,7 +2,7 @@
 
 Several subsystems need "the same object always serializes to the same
 bytes": cache keys and machine digests (:mod:`repro.service.keys`),
-history rows (:mod:`repro.obs.history`), bench payload files
+history lines (:mod:`repro.obs.history`), bench payload files
 (:mod:`repro.obs.bench`), on-disk cache envelopes
 (:mod:`repro.service.cache`) and the scheduling server's response
 bodies (:mod:`repro.server`).  They all used to spell the same

@@ -11,8 +11,8 @@
     python -m repro serve --port 8537 --cache-db shared.sqlite  # daemon
     python -m repro batch --corpus 60 --cache-url http://localhost:8537
     python -m repro report --metrics m.json --out report.html  # HTML report
-    python -m repro history record --db h.sqlite bench-out/    # bench history
-    python -m repro history trend --db h.sqlite                # MAD anomaly scan
+    python -m repro history record --db h.jsonl bench-out/     # bench history
+    python -m repro history trend --db benchmarks/history.jsonl  # MAD anomaly scan
 
 Prints lower bounds, the found schedule, register pressure against the
 MinAvg bound, optionally the generated kernel-only VLIW code, and
@@ -51,10 +51,12 @@ auth), and ``/healthz`` + ``/metricz`` probes.  ``batch --cache-url``
 points any batch run at that shared warm cache, with graceful
 degradation to a local directory cache when the server is down.
 
-The ``history`` subcommand keeps an append-only sqlite store of bench
-envelopes and batch summaries: ``record`` ingests BENCH_*.json files,
-``trend`` runs a rolling-median + MAD anomaly scan over every metric
-series, and ``compare`` diffs two recorded runs with provenance
+The ``history`` subcommand keeps an append-only JSON-lines file of
+bench envelopes and batch summaries, one run per line
+(``benchmarks/history.jsonl`` is the committed trajectory): ``record``
+ingests BENCH_*.json files, ``trend`` runs a rolling-median + MAD
+anomaly scan over every metric series, and ``compare`` diffs two
+recorded runs through ``bench --compare``'s printer, with provenance
 warnings and span-level regression attribution (see
 ``repro.obs.history``).
 """

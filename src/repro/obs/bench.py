@@ -87,19 +87,26 @@ def write_json(path: str, payload: dict) -> None:
     canonical_dump(payload, path, indent=2)
 
 
+def payload_problem(payload, schema: str = BENCH_SCHEMA) -> Optional[str]:
+    """Why ``payload`` is not a supported ``schema`` envelope, or None."""
+    found = payload.get("schema") if isinstance(payload, dict) else None
+    if found != schema:
+        return f"expected schema {schema!r}, found {found!r}"
+    if payload.get("schema_version") != BENCH_SCHEMA_VERSION:
+        return (
+            f"schema version {payload.get('schema_version')!r} "
+            f"!= supported {BENCH_SCHEMA_VERSION}"
+        )
+    return None
+
+
 def load_payload(path: str, schema: str = BENCH_SCHEMA) -> dict:
     """Load and validate one schema-versioned JSON payload."""
     with open(path) as handle:
         payload = json.load(handle)
-    if payload.get("schema") != schema:
-        raise ValueError(
-            f"{path}: expected schema {schema!r}, found {payload.get('schema')!r}"
-        )
-    if payload.get("schema_version") != BENCH_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema version {payload.get('schema_version')!r} "
-            f"!= supported {BENCH_SCHEMA_VERSION}"
-        )
+    problem = payload_problem(payload, schema)
+    if problem:
+        raise ValueError(f"{path}: {problem}")
     return payload
 
 
@@ -212,7 +219,7 @@ class Scenario:
     corpus_builder: Optional[Callable[[int], list]] = None
     #: Optional custom runner with run_scenario's signature; scenarios
     #: that measure something other than one serial corpus sweep (e.g.
-    #: the batch service's speedup/cache protocol) plug in here.
+    #: the server's request latencies) plug in here.
     runner: Optional[Callable[..., dict]] = None
 
     def build_corpus(self, size: int) -> list:
@@ -224,12 +231,6 @@ class Scenario:
 
     def options(self):
         return self.options_builder() if self.options_builder else None
-
-
-def _batch_runner(scenario, **kwargs) -> dict:
-    from repro.service.batch import run_batch_bench
-
-    return run_batch_bench(scenario, **kwargs)
 
 
 def _server_runner(scenario, **kwargs) -> dict:
@@ -282,11 +283,6 @@ def _scenarios() -> Dict[str, Scenario]:
             "livermore",
             "the Livermore kernel suite under slack scheduling",
             corpus_builder=_livermore_corpus,
-        ),
-        "batch": Scenario(
-            "batch",
-            "the repro.service batch path: parallel speedup + warm/cold cache",
-            runner=_batch_runner,
         ),
         "server": Scenario(
             "server",
@@ -657,9 +653,7 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
             return 2
         path = os.path.join(args.out_dir, bench_filename(name))
         write_json(path, payload)
-        wall = payload["metrics"].get("wall_time_s") or payload["metrics"].get(
-            "parallel_wall_s"
-        )
+        wall = payload["metrics"]["wall_time_s"]
         ops = payload["metrics"].get("ops_scheduled_per_s")
         ops_note = f", {ops['value']:.0f} ops/s" if ops else ""
         print(

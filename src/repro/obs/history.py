@@ -1,9 +1,9 @@
-"""Append-only bench/batch history: SQLite store, MAD trends, attribution.
+"""Append-only bench/batch history: a JSON-lines file, MAD trends, attribution.
 
 The regression gate (:mod:`repro.obs.regress`) compares two snapshots;
 this module keeps the *trajectory*.  Every ``BENCH_*.json`` envelope (or
-batch summary) recorded here becomes one row keyed by (git SHA,
-scenario, timestamp, provenance), and three queries ride on top:
+batch summary) recorded here becomes one line of a text file, and three
+queries ride on top:
 
 ``trend``
     A rolling-median + MAD anomaly rule over each metric's series.
@@ -15,36 +15,33 @@ scenario, timestamp, provenance), and three queries ride on top:
 
 ``compare``
     The regress noise model between any two recorded runs (default:
-    the last two per scenario), extended with provenance-mismatch
+    the last two per scenario), printed by the same function as
+    ``repro bench --compare``: the delta table, provenance-mismatch
     warnings and span-level attribution — diffing the profiler
     snapshots stored alongside each run to name which span
     (driver/framework/slack/MinDist) accounts for a time regression.
 
 ``show``/``record``
-    Plain inventory and ingestion.  Recording is append-only and
-    canonical (payloads stored as sorted-key JSON), so recording the
-    same inputs twice yields byte-identical rows modulo the
-    timestamp/SHA provenance fields.
+    Plain inventory and ingestion.  Line *n* of the file is run #*n*,
+    written as ``canonical_dumps({"payload", "recorded_unix",
+    "scenario"})``, so recording the same inputs twice yields
+    byte-identical lines modulo the timestamp/SHA provenance fields.
 
-Storage is stdlib ``sqlite3``; the DB schema is versioned separately
-from the bench payload schema (both are checked on open/ingest).
+Every line is checked on read the way :func:`repro.obs.bench.load_payload`
+checks a file; a bad line raises :class:`HistoryError` naming
+``path:line``.  A file has one writer at a time, so appends take no lock.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import glob
 import json
-import os
-import sqlite3
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.canonical import canonical_dumps
-from repro.obs.bench import BENCH_SCHEMA, load_payload
-
-#: Bump when the *database* layout changes incompatibly.
-HISTORY_DB_VERSION = 1
+from repro.obs.bench import payload_problem
+from repro.obs.regress import gating_regressions, load_bench_files, print_comparison
 
 #: MAD anomaly rule defaults (see module docstring).
 TREND_WINDOW = 8
@@ -54,9 +51,12 @@ MAD_SIGMA = 1.4826
 #: A point needs at least this many prior points to be judged.
 TREND_MIN_POINTS = 4
 
+#: The keys of one history line, in their canonical order.
+_LINE_KEYS = ("payload", "recorded_unix", "scenario")
 
-class HistoryError(Exception):
-    """Schema/version problems with a history database (CLI exits 2)."""
+
+class HistoryError(ValueError):
+    """A malformed history line (CLI exits 2)."""
 
 
 @dataclasses.dataclass
@@ -65,61 +65,63 @@ class HistoryRun:
 
     run_id: int
     scenario: str
-    git_sha: Optional[str]
-    created_unix: float
     recorded_unix: float
-    python: Optional[str]
-    platform: Optional[str]
-    cpu_count: Optional[int]
     payload: dict
+
+    @property
+    def git_sha(self) -> Optional[str]:
+        return self.payload.get("git_sha")
+
+    @property
+    def python(self) -> Optional[str]:
+        return self.payload.get("python")
+
+    @property
+    def cpu_count(self) -> Optional[int]:
+        return self.payload.get("cpu_count")
+
+
+def _parse_line(path: str, number: int, raw: bytes) -> HistoryRun:
+    """Line ``number`` of the history at ``path`` as run #``number``."""
+    try:
+        if not raw.endswith(b"\n"):
+            raise ValueError("unterminated line")
+        record = json.loads(raw)
+        if not (
+            isinstance(record, dict)
+            and tuple(sorted(record)) == _LINE_KEYS
+            and isinstance(record["scenario"], str)
+            and isinstance(record["recorded_unix"], (int, float))
+        ):
+            raise ValueError(
+                f"not a history line: expected keys {', '.join(_LINE_KEYS)}"
+            )
+        problem = payload_problem(record["payload"])
+        if problem:
+            raise ValueError(problem)
+    except ValueError as error:
+        raise HistoryError(f"{path}:{number}: {error}") from None
+    return HistoryRun(
+        number, record["scenario"], record["recorded_unix"], record["payload"]
+    )
 
 
 class HistoryStore:
-    """Append-only SQLite store of schema-versioned run payloads."""
+    """Append-only JSON-lines file of schema-versioned run payloads.
+
+    A missing file is an empty history; the first record creates it.
+    """
 
     def __init__(self, path: str):
         self.path = path
-        self._conn = sqlite3.connect(path)
-        self._ensure_schema()
-
-    # -- schema --------------------------------------------------------
-    def _ensure_schema(self) -> None:
-        conn = self._conn
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS history_meta ("
-            "  key TEXT PRIMARY KEY, value TEXT NOT NULL)"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS runs ("
-            "  id INTEGER PRIMARY KEY AUTOINCREMENT,"
-            "  scenario TEXT NOT NULL,"
-            "  git_sha TEXT,"
-            "  created_unix REAL NOT NULL DEFAULT 0,"
-            "  recorded_unix REAL NOT NULL,"
-            "  python TEXT,"
-            "  platform TEXT,"
-            "  cpu_count INTEGER,"
-            "  schema_version INTEGER NOT NULL,"
-            "  payload TEXT NOT NULL)"
-        )
-        conn.execute(
-            "CREATE INDEX IF NOT EXISTS runs_by_scenario"
-            "  ON runs (scenario, id)"
-        )
-        row = conn.execute(
-            "SELECT value FROM history_meta WHERE key = 'db_version'"
-        ).fetchone()
-        if row is None:
-            conn.execute(
-                "INSERT INTO history_meta (key, value) VALUES (?, ?)",
-                ("db_version", str(HISTORY_DB_VERSION)),
-            )
-            conn.commit()
-        elif int(row[0]) != HISTORY_DB_VERSION:
-            raise HistoryError(
-                f"{self.path}: history db version {row[0]} "
-                f"!= supported {HISTORY_DB_VERSION}"
-            )
+        try:
+            with open(path, "rb") as handle:
+                self._runs = [
+                    _parse_line(path, number, raw)
+                    for number, raw in enumerate(handle, 1)
+                ]
+        except FileNotFoundError:
+            self._runs = []
 
     # -- ingestion -----------------------------------------------------
     def record_payload(self, scenario: str, payload: dict) -> int:
@@ -130,105 +132,61 @@ class HistoryStore:
         and whatever timestamp/SHA provenance the envelope itself
         carries.
         """
-        if payload.get("schema") != BENCH_SCHEMA:
-            raise ValueError(
-                f"cannot record schema {payload.get('schema')!r}; "
-                f"expected {BENCH_SCHEMA!r}"
-            )
-        cursor = self._conn.execute(
-            "INSERT INTO runs (scenario, git_sha, created_unix, recorded_unix,"
-            "  python, platform, cpu_count, schema_version, payload)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                scenario,
-                payload.get("git_sha"),
-                float(payload.get("created_unix") or 0.0),
-                time.time(),
-                payload.get("python"),
-                payload.get("platform"),
-                payload.get("cpu_count"),
-                int(payload.get("schema_version") or 0),
-                canonical_dumps(payload),
-            ),
-        )
-        self._conn.commit()
-        return int(cursor.lastrowid)
+        return self._append([(scenario, payload)])[0]
 
     def record_paths(self, paths: Sequence[str]) -> List[Tuple[str, int]]:
         """Record BENCH_*.json files (or directories of them).
 
         Returns ``[(scenario, run_id), ...]`` in ingestion order.
         Raises ``OSError``/``ValueError`` on unreadable or off-schema
-        files — ingestion is all-or-nothing per call.
+        files — every file is read and checked before the first line is
+        appended, so ingestion is all-or-nothing per call.
         """
-        files: List[str] = []
-        for path in paths:
-            if os.path.isdir(path):
-                found = sorted(glob.glob(os.path.join(path, "BENCH_*.json")))
-                if not found:
-                    raise FileNotFoundError(f"no BENCH_*.json files under {path}")
-                files.extend(found)
-            else:
-                files.append(path)
-        recorded = []
-        for name in files:
-            payload = load_payload(name, schema=BENCH_SCHEMA)
-            scenario = payload.get("scenario") or os.path.basename(name)
-            recorded.append((scenario, self.record_payload(scenario, payload)))
-        return recorded
+        entries = [entry for path in paths for entry in load_bench_files(path)]
+        run_ids = self._append(entries)
+        return [(scenario, run_id) for (scenario, _), run_id in zip(entries, run_ids)]
+
+    def _append(self, entries: Sequence[Tuple[str, dict]]) -> List[int]:
+        """Write one line per ``(scenario, payload)`` in a single append."""
+        lines = []
+        for scenario, payload in entries:
+            problem = payload_problem(payload)
+            if problem:
+                raise ValueError(
+                    f"cannot record schema {payload.get('schema')!r}: {problem}"
+                )
+            record = {
+                "payload": payload,
+                "recorded_unix": time.time(),
+                "scenario": scenario,
+            }
+            lines.append((canonical_dumps(record) + "\n").encode("ascii"))
+        with open(self.path, "ab") as handle:
+            handle.write(b"".join(lines))
+        first = len(self._runs) + 1
+        self._runs.extend(
+            _parse_line(self.path, number, raw)
+            for number, raw in enumerate(lines, first)
+        )
+        return list(range(first, first + len(lines)))
 
     # -- queries -------------------------------------------------------
-    @staticmethod
-    def _row_to_run(row) -> HistoryRun:
-        return HistoryRun(
-            run_id=row[0],
-            scenario=row[1],
-            git_sha=row[2],
-            created_unix=row[3],
-            recorded_unix=row[4],
-            python=row[5],
-            platform=row[6],
-            cpu_count=row[7],
-            payload=json.loads(row[8]),
-        )
-
-    _COLUMNS = (
-        "id, scenario, git_sha, created_unix, recorded_unix,"
-        " python, platform, cpu_count, payload"
-    )
-
     def scenarios(self) -> List[str]:
-        rows = self._conn.execute(
-            "SELECT DISTINCT scenario FROM runs ORDER BY scenario"
-        ).fetchall()
-        return [row[0] for row in rows]
+        return sorted({run.scenario for run in self._runs})
 
     def runs(
         self, scenario: Optional[str] = None, limit: Optional[int] = None
     ) -> List[HistoryRun]:
         """Runs in recording order (oldest first), optionally the last N."""
-        query = f"SELECT {self._COLUMNS} FROM runs"
-        params: tuple = ()
-        if scenario is not None:
-            query += " WHERE scenario = ?"
-            params = (scenario,)
-        query += " ORDER BY id DESC"
-        if limit is not None:
-            query += " LIMIT ?"
-            params = params + (int(limit),)
-        rows = self._conn.execute(query, params).fetchall()
-        return [self._row_to_run(row) for row in reversed(rows)]
+        runs = [
+            run for run in self._runs if scenario is None or run.scenario == scenario
+        ]
+        return runs if limit is None else runs[-limit:]
 
     def get(self, run_id: int) -> HistoryRun:
-        row = self._conn.execute(
-            f"SELECT {self._COLUMNS} FROM runs WHERE id = ?", (int(run_id),)
-        ).fetchone()
-        if row is None:
+        if not 1 <= run_id <= len(self._runs):
             raise KeyError(f"no run #{run_id} in {self.path}")
-        return self._row_to_run(row)
-
-    def close(self) -> None:
-        self._conn.close()
+        return self._runs[run_id - 1]
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +356,12 @@ def batch_report_payload(report) -> dict:
     wall time as a (non-gating) time metric, plus the same
     schedule-quality aggregates bench scenarios carry.
     """
-    from repro.obs.bench import corpus_aggregates, metric, wrap_payload
+    from repro.obs.bench import (
+        BENCH_SCHEMA,
+        corpus_aggregates,
+        metric,
+        wrap_payload,
+    )
 
     counts = report.counts()
     metrics = {
@@ -440,19 +403,32 @@ def batch_report_payload(report) -> dict:
 # ----------------------------------------------------------------------
 # CLI (python -m repro history ...)
 # ----------------------------------------------------------------------
-def _open_store(path: str) -> HistoryStore:
-    return HistoryStore(path)
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (0 and -1 would slice otherwise)."""
+    import argparse
+
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type: a number > 0."""
+    import argparse
+
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {value}")
+    return value
 
 
 def _record_main(args) -> int:
-    store = _open_store(args.db)
     try:
-        recorded = store.record_paths(args.paths)
+        recorded = HistoryStore(args.db).record_paths(args.paths)
     except (OSError, ValueError) as error:
         print(f"error: {error}")
-        store.close()
         return 2
-    store.close()
     for scenario, run_id in recorded:
         print(f"recorded {scenario} as run #{run_id}")
     print(f"history: {len(recorded)} run(s) -> {args.db}")
@@ -460,148 +436,117 @@ def _record_main(args) -> int:
 
 
 def _show_main(args) -> int:
-    store = _open_store(args.db)
-    try:
-        scenarios = [args.scenario] if args.scenario else store.scenarios()
-        if not scenarios:
-            print("(empty history)")
-            return 0
-        out = []
-        for scenario in scenarios:
-            runs = store.runs(scenario, limit=args.limit)
-            if args.json:
-                out.extend(
-                    {
-                        "run_id": run.run_id,
-                        "scenario": run.scenario,
-                        "git_sha": run.git_sha,
-                        "recorded_unix": run.recorded_unix,
-                        "payload": run.payload,
-                    }
-                    for run in runs
-                )
-                continue
-            print(f"=== {scenario} ({len(runs)} run(s)) ===")
-            for run in runs:
-                sha = (run.git_sha or "-")[:12]
-                n_metrics = len(run.payload.get("metrics") or {})
-                print(
-                    f"  #{run.run_id:<5} sha={sha:<12} "
-                    f"python={run.python or '-':<8} "
-                    f"cpus={run.cpu_count if run.cpu_count is not None else '-':<3} "
-                    f"{n_metrics} metric(s)"
-                )
-        if args.json:
-            print(canonical_dumps(out, indent=2))
+    store = HistoryStore(args.db)
+    scenarios = [args.scenario] if args.scenario else store.scenarios()
+    if not scenarios:
+        print("(empty history)")
         return 0
-    finally:
-        store.close()
+    out = []
+    for scenario in scenarios:
+        runs = store.runs(scenario, limit=args.limit)
+        if args.json:
+            out.extend(
+                {
+                    "run_id": run.run_id,
+                    "scenario": run.scenario,
+                    "git_sha": run.git_sha,
+                    "recorded_unix": run.recorded_unix,
+                    "payload": run.payload,
+                }
+                for run in runs
+            )
+            continue
+        print(f"=== {scenario} ({len(runs)} run(s)) ===")
+        for run in runs:
+            sha = (run.git_sha or "-")[:12]
+            n_metrics = len(run.payload.get("metrics") or {})
+            print(
+                f"  #{run.run_id:<5} sha={sha:<12} "
+                f"python={run.python or '-':<8} "
+                f"cpus={run.cpu_count if run.cpu_count is not None else '-':<3} "
+                f"{n_metrics} metric(s)"
+            )
+    if args.json:
+        print(canonical_dumps(out, indent=2))
+    return 0
 
 
 def _trend_main(args) -> int:
-    store = _open_store(args.db)
-    try:
-        scenarios = [args.scenario] if args.scenario else store.scenarios()
-        if not scenarios:
-            print("(empty history)")
-            return 0
-        anomalous = 0
-        payload = []
-        for scenario in scenarios:
-            runs = store.runs(scenario, limit=args.limit)
-            trends = metric_trends(runs, window=args.window, k=args.mad_k)
-            anomalous += sum(trend.anomaly_count for trend in trends)
-            if args.json:
-                payload.extend(
-                    {
-                        "scenario": trend.scenario,
-                        "metric": trend.name,
-                        "unit": trend.unit,
-                        "run_ids": trend.run_ids,
-                        "values": trend.values,
-                        "anomalies": trend.anomalies,
-                    }
-                    for trend in trends
-                )
-            else:
-                print(render_trends(trends, anomalies_only=args.anomalies_only))
-        if args.json:
-            print(canonical_dumps(payload, indent=2))
-        if args.fail_on_anomaly and anomalous:
-            print(f"FAIL: {anomalous} anomalous point(s) in the history")
-            return 1
+    store = HistoryStore(args.db)
+    scenarios = [args.scenario] if args.scenario else store.scenarios()
+    if not scenarios:
+        print("(empty history)")
         return 0
-    finally:
-        store.close()
+    anomalous = 0
+    payload = []
+    for scenario in scenarios:
+        runs = store.runs(scenario, limit=args.limit)
+        trends = metric_trends(runs, window=args.window, k=args.mad_k)
+        anomalous += sum(trend.anomaly_count for trend in trends)
+        if args.json:
+            payload.extend(
+                {
+                    "scenario": trend.scenario,
+                    "metric": trend.name,
+                    "unit": trend.unit,
+                    "run_ids": trend.run_ids,
+                    "values": trend.values,
+                    "anomalies": trend.anomalies,
+                }
+                for trend in trends
+            )
+        else:
+            print(render_trends(trends, anomalies_only=args.anomalies_only))
+    if args.json:
+        print(canonical_dumps(payload, indent=2))
+    if args.fail_on_anomaly and anomalous:
+        print(f"FAIL: {anomalous} anomalous point(s) in the history")
+        return 1
+    return 0
 
 
 def _compare_main(args) -> int:
-    from repro.obs.regress import (
-        attribute_spans,
-        compare_payload_pair,
-        gating_regressions,
-        provenance_mismatches,
-        render_table,
-        summarize,
-    )
-
-    store = _open_store(args.db)
-    try:
-        if (args.old is None) != (args.new is None):
-            print("error: pass both --old and --new, or neither")
+    store = HistoryStore(args.db)
+    if (args.old is None) != (args.new is None):
+        print("error: pass both --old and --new, or neither")
+        return 2
+    if args.old is not None:
+        try:
+            pairs = [(store.get(args.old), store.get(args.new))]
+        except KeyError as error:
+            print(f"error: {error}")
             return 2
-        if args.old is not None:
-            try:
-                old_run, new_run = store.get(args.old), store.get(args.new)
-            except KeyError as error:
-                print(f"error: {error}")
-                return 2
-            pairs = [(old_run, new_run)]
-        else:
-            scenarios = [args.scenario] if args.scenario else store.scenarios()
-            pairs = []
-            for scenario in scenarios:
-                runs = store.runs(scenario)
-                if len(runs) < 2:
-                    print(f"{scenario}: fewer than two runs recorded; skipping")
-                    continue
-                pairs.append((runs[-2], runs[-1]))
-        if not pairs:
-            print("error: nothing to compare")
-            return 2
+    else:
+        scenarios = [args.scenario] if args.scenario else store.scenarios()
+        pairs = []
+        for scenario in scenarios:
+            runs = store.runs(scenario)
+            if len(runs) < 2:
+                print(f"{scenario}: fewer than two runs recorded; skipping")
+                continue
+            pairs.append((runs[-2], runs[-1]))
+    if not pairs:
+        print("error: nothing to compare")
+        return 2
 
-        exit_code = 0
-        for old_run, new_run in pairs:
-            print(
-                f"=== compare: {new_run.scenario} "
-                f"run #{old_run.run_id} -> #{new_run.run_id} ==="
-            )
-            deltas = compare_payload_pair(
-                old_run.payload,
-                new_run.payload,
-                threshold=args.threshold,
-                iqr_factor=args.iqr_factor,
-                gate_time=args.gate_time,
-            )
-            print(render_table(deltas))
-            for warning in provenance_mismatches(
-                old_run.payload, new_run.payload
-            ):
-                print(f"warning: {warning}")
-            regressed_time = any(
-                d.is_regression and d.kind == "time" for d in deltas
-            )
-            if regressed_time or args.attribute_always:
-                for line in attribute_spans(old_run.payload, new_run.payload):
-                    print(line)
-            print(summarize(deltas))
-            if args.fail_on_regress and gating_regressions(deltas):
-                exit_code = 1
-        if exit_code:
-            print("FAIL: gating regression(s) detected")
-        return exit_code
-    finally:
-        store.close()
+    exit_code = 0
+    for old_run, new_run in pairs:
+        print(
+            f"=== compare: {new_run.scenario} "
+            f"run #{old_run.run_id} -> #{new_run.run_id} ==="
+        )
+        deltas = print_comparison(
+            {new_run.scenario: old_run.payload},
+            {new_run.scenario: new_run.payload},
+            threshold=args.threshold,
+            iqr_factor=args.iqr_factor,
+            gate_time=args.gate_time,
+        )
+        if args.fail_on_regress and gating_regressions(deltas):
+            exit_code = 1
+    if exit_code:
+        print("FAIL: gating regression(s) detected")
+    return exit_code
 
 
 def build_history_parser():
@@ -616,7 +561,7 @@ def build_history_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     record = sub.add_parser("record", help="ingest BENCH_*.json files")
-    record.add_argument("--db", required=True, help="history sqlite path")
+    record.add_argument("--db", required=True, help="history JSON-lines path")
     record.add_argument(
         "paths", nargs="+", help="BENCH_*.json files or directories"
     )
@@ -624,7 +569,9 @@ def build_history_parser():
     show = sub.add_parser("show", help="list recorded runs")
     show.add_argument("--db", required=True)
     show.add_argument("--scenario", help="restrict to one scenario")
-    show.add_argument("--limit", type=int, help="last N runs per scenario")
+    show.add_argument(
+        "--limit", type=positive_int, help="last N runs per scenario"
+    )
     show.add_argument("--json", action="store_true", help="emit JSON")
 
     trend = sub.add_parser(
@@ -632,13 +579,15 @@ def build_history_parser():
     )
     trend.add_argument("--db", required=True)
     trend.add_argument("--scenario", help="restrict to one scenario")
-    trend.add_argument("--limit", type=int, help="last N runs per scenario")
     trend.add_argument(
-        "--window", type=int, default=TREND_WINDOW,
+        "--limit", type=positive_int, help="last N runs per scenario"
+    )
+    trend.add_argument(
+        "--window", type=positive_int, default=TREND_WINDOW,
         help=f"trailing window size (default {TREND_WINDOW})",
     )
     trend.add_argument(
-        "--mad-k", type=float, default=TREND_MAD_K,
+        "--mad-k", type=positive_float, default=TREND_MAD_K,
         help=f"anomaly threshold in MAD sigmas (default {TREND_MAD_K})",
     )
     trend.add_argument(
@@ -667,10 +616,6 @@ def build_history_parser():
         help="let wall-clock regressions gate --fail-on-regress",
     )
     compare.add_argument("--fail-on-regress", action="store_true")
-    compare.add_argument(
-        "--attribute-always", action="store_true",
-        help="print span attribution even without a time regression",
-    )
     return parser
 
 
@@ -684,6 +629,6 @@ def history_main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (HistoryError, sqlite3.Error) as error:
+    except (HistoryError, OSError) as error:
         print(f"error: {error}")
         return 2

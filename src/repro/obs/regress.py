@@ -120,23 +120,29 @@ def compare_payload_pair(
     ]
 
 
-def collect_bench_files(path: str) -> Dict[str, dict]:
-    """Load BENCH payloads from a directory or a single file.
-
-    Returns scenario name -> payload; a directory is scanned for
-    ``BENCH_*.json``.
-    """
+def load_bench_files(path: str) -> List[Tuple[str, dict]]:
+    """``(scenario, payload)`` for a BENCH file, or for every
+    ``BENCH_*.json`` of a directory in name order."""
     if os.path.isdir(path):
         files = sorted(glob.glob(os.path.join(path, "BENCH_*.json")))
     else:
         files = [path]
     if not files:
         raise FileNotFoundError(f"no BENCH_*.json files under {path}")
-    payloads: Dict[str, dict] = {}
+    entries = []
     for name in files:
         payload = load_payload(name, schema=BENCH_SCHEMA)
-        payloads[payload.get("scenario") or os.path.basename(name)] = payload
-    return payloads
+        entries.append((payload.get("scenario") or os.path.basename(name), payload))
+    return entries
+
+
+def collect_bench_files(path: str) -> Dict[str, dict]:
+    """Load BENCH payloads from a directory or a single file.
+
+    Returns scenario name -> payload; a directory is scanned for
+    ``BENCH_*.json``.
+    """
+    return dict(load_bench_files(path))
 
 
 def compare_sets(
@@ -368,6 +374,36 @@ def summarize(deltas: List[MetricDelta]) -> str:
     )
 
 
+def print_comparison(
+    old_payloads: Dict[str, dict],
+    new_payloads: Dict[str, dict],
+    threshold: float = 0.02,
+    iqr_factor: float = 2.0,
+    gate_time: bool = False,
+) -> List[MetricDelta]:
+    """Print the delta table, provenance warnings, span attribution and
+    summary of two scenario->payload maps; return the deltas.
+
+    ``repro bench --compare`` and ``repro history compare`` both print
+    through here.
+    """
+    deltas = compare_sets(
+        old_payloads,
+        new_payloads,
+        threshold=threshold,
+        iqr_factor=iqr_factor,
+        gate_time=gate_time,
+    )
+    print(render_table(deltas))
+    print()
+    for warning in set_provenance_warnings(old_payloads, new_payloads):
+        print(f"warning: {warning}")
+    for line in attribute_sets(old_payloads, new_payloads, deltas):
+        print(line)
+    print(summarize(deltas))
+    return deltas
+
+
 def compare_main(
     old_path: str,
     new_path: str,
@@ -383,20 +419,13 @@ def compare_main(
     except (OSError, ValueError) as error:
         print(f"error: {error}")
         return 2
-    deltas = compare_sets(
+    deltas = print_comparison(
         old_payloads,
         new_payloads,
         threshold=threshold,
         iqr_factor=iqr_factor,
         gate_time=gate_time,
     )
-    print(render_table(deltas))
-    print()
-    for warning in set_provenance_warnings(old_payloads, new_payloads):
-        print(f"warning: {warning}")
-    for line in attribute_sets(old_payloads, new_payloads, deltas):
-        print(line)
-    print(summarize(deltas))
     if fail_on_regress and gating_regressions(deltas):
         print("FAIL: gating regression(s) detected")
         return 1

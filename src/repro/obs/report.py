@@ -38,6 +38,7 @@ import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.history import HistoryStore, metric_trends, positive_int
 from repro.obs.prof import PATH_SEP
 from repro.obs.progress import KIND_STRAGGLER, ProgressEvent, load_progress_log
 from repro.obs.regress import MetricDelta, collect_bench_files, compare_sets
@@ -926,12 +927,12 @@ def build_report_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--history",
         metavar="DB",
-        help="history sqlite database (repro history record) to render "
+        help="history JSON-lines file (repro history record) to render "
         "per-scenario trend sections with sparklines",
     )
     parser.add_argument(
         "--history-limit",
-        type=int,
+        type=positive_int,
         metavar="N",
         help="last N history runs per scenario (default: all)",
     )
@@ -985,28 +986,13 @@ def report_main(argv: Optional[List[str]] = None) -> int:
             )
         trends = None
         if args.history:
-            import sqlite3
-
-            from repro.obs.history import (
-                HistoryError,
-                HistoryStore,
-                metric_trends,
-            )
-
-            try:
-                store = HistoryStore(args.history)
-            except (HistoryError, sqlite3.Error) as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            try:
-                trends = {
-                    scenario: metric_trends(
-                        store.runs(scenario, limit=args.history_limit)
-                    )
-                    for scenario in store.scenarios()
-                }
-            finally:
-                store.close()
+            store = HistoryStore(args.history)
+            trends = {
+                scenario: metric_trends(
+                    store.runs(scenario, limit=args.history_limit)
+                )
+                for scenario in store.scenarios()
+            }
     except (OSError, ValueError, KeyError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -765,8 +765,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--history",
         metavar="DB",
-        help="append this run's batch summary to a history database "
-        "(see `python -m repro history`)",
+        help="append this run's batch summary to a JSON-lines history "
+        "file (see `python -m repro history`)",
     )
     parser.add_argument(
         "--inject",
@@ -991,23 +991,13 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
     if args.history:
-        import sqlite3
-
-        from repro.obs.history import (
-            HistoryError,
-            HistoryStore,
-            batch_report_payload,
-        )
+        from repro.obs.history import HistoryStore, batch_report_payload
 
         try:
-            store = HistoryStore(args.history)
-            try:
-                run_id = store.record_payload(
-                    "batch-cli", batch_report_payload(report)
-                )
-            finally:
-                store.close()
-        except (OSError, sqlite3.Error, HistoryError) as exc:
+            run_id = HistoryStore(args.history).record_payload(
+                "batch-cli", batch_report_payload(report)
+            )
+        except (OSError, ValueError) as exc:
             print(
                 f"error: cannot record history to {args.history}: {exc}",
                 file=sys.stderr,
@@ -1072,127 +1062,3 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
             file=status_stream,
         )
     return 0 if report.ok else 1
-
-
-# ----------------------------------------------------------------------
-# Bench scenario (BENCH_batch.json)
-# ----------------------------------------------------------------------
-def run_batch_bench(
-    scenario,
-    corpus_size: int = 60,
-    repeats: int = 3,
-    warmup: int = 1,
-    profile: bool = True,
-    memory: bool = False,
-    machine=None,
-    jobs: Optional[int] = None,
-) -> dict:
-    """Benchmark the service: parallel speedup + warm/cold cache time.
-
-    Matches :func:`repro.obs.bench.run_scenario`'s signature so the
-    bench CLI can drive it like any other scenario.  Wall-clock entries
-    are ``kind="time"`` (reported, not gated by default); cache-hit
-    counts and the schedule-quality aggregates are deterministic and
-    gate ``--fail-on-regress``.
-
-    The same corpus is timed serially in-process (the floor the process
-    pool must match for correctness) and on the chunked process pool.
-    CI boxes may expose a single core, which caps ``parallel_speedup``
-    near 1.0 or below.
-    """
-    from repro.machine import cydra5
-    from repro.obs.bench import (
-        BENCH_SCHEMA,
-        corpus_aggregates,
-        metric,
-        sample_stats,
-        wrap_payload,
-    )
-    from repro.workloads import paper_corpus
-
-    machine = machine or cydra5()
-    # Floor at 2 workers so the process pool actually runs even on
-    # single-core boxes — there the speedup honestly comes out <= 1.0
-    # (time-kind, reported not gated).
-    jobs = jobs or max(2, min(4, os.cpu_count() or 1))
-    programs = paper_corpus(corpus_size)
-
-    serial_samples: List[float] = []
-    chunked_samples: List[float] = []
-    loop_metrics = None
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        run_batch(programs, machine, jobs=1, cache_dir=None)
-        serial_samples.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        report = run_batch(programs, machine, jobs=jobs, cache_dir=None)
-        chunked_samples.append(time.perf_counter() - started)
-        loop_metrics = report.loop_metrics
-
-    cache_root = tempfile.mkdtemp(prefix="repro-bench-cache-")
-    try:
-        started = time.perf_counter()
-        cold = run_batch(programs, machine, jobs=jobs, cache_dir=cache_root)
-        cold_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        warm = run_batch(programs, machine, jobs=jobs, cache_dir=cache_root)
-        warm_seconds = time.perf_counter() - started
-    finally:
-        shutil.rmtree(cache_root, ignore_errors=True)
-
-    serial_stats = sample_stats(serial_samples)
-    chunked_stats = sample_stats(chunked_samples)
-    serial_wall = serial_stats["median"]
-    parallel_wall = chunked_stats["median"]
-    metrics = {
-        "serial_wall_s": metric(
-            serial_wall, "s", direction="lower", kind="time",
-            iqr=serial_stats["iqr"],
-        ),
-        "parallel_wall_s": metric(
-            parallel_wall, "s", direction="lower", kind="time",
-            iqr=chunked_stats["iqr"],
-        ),
-        "parallel_speedup": metric(
-            serial_wall / parallel_wall if parallel_wall else 0.0,
-            "x", direction="higher", kind="time",
-        ),
-        "cold_cache_wall_s": metric(
-            cold_seconds, "s", direction="lower", kind="time"
-        ),
-        "warm_cache_wall_s": metric(
-            warm_seconds, "s", direction="lower", kind="time"
-        ),
-        "warm_cache_speedup": metric(
-            cold_seconds / warm_seconds if warm_seconds else 0.0,
-            "x", direction="higher", kind="time",
-        ),
-        "warm_cache_hits": metric(
-            warm.cache.hits if warm.cache else 0, "hits", direction="higher"
-        ),
-        "cold_cache_misses": metric(
-            cold.cache.misses if cold.cache else 0, "misses", direction="lower"
-        ),
-        "pool_utilization": metric(
-            cold.pool.utilization, "fraction", direction="higher", kind="time"
-        ),
-    }
-    metrics.update(corpus_aggregates(loop_metrics))
-    return wrap_payload(
-        BENCH_SCHEMA,
-        {
-            "scenario": scenario.name,
-            "description": scenario.description,
-            "algorithm": scenario.algorithm,
-            "machine": machine.name,
-            "corpus_size": len(programs),
-            "repeats": max(1, repeats),
-            "warmup": warmup,
-            "jobs": jobs,
-            "backend": "chunked",
-            "wall_time_samples_s": chunked_samples,
-            "serial_wall_time_samples_s": serial_samples,
-            "metrics": metrics,
-            "profile": None,
-        },
-    )

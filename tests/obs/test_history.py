@@ -1,12 +1,12 @@
-"""Bench history: sqlite store, MAD anomaly rule, trend/compare CLI."""
+"""Bench history: JSON-lines store, MAD anomaly rule, trend/compare CLI."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.obs.bench import BENCH_SCHEMA, metric, wrap_payload, write_json
 from repro.obs.history import (
-    HISTORY_DB_VERSION,
     HistoryError,
     HistoryStore,
     history_main,
@@ -14,6 +14,9 @@ from repro.obs.history import (
     metric_trends,
     render_trends,
 )
+from repro.obs.report import report_main
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def _payload(scenario, profile=None, **metrics):
@@ -36,7 +39,7 @@ def _profile(**spans):
 # Store: append-only recording and querying
 # ----------------------------------------------------------------------
 def test_record_and_query_roundtrip(tmp_path):
-    store = HistoryStore(str(tmp_path / "h.sqlite"))
+    store = HistoryStore(str(tmp_path / "h.jsonl"))
     payload = _payload("slack", wall_s=metric(1.0, "s", kind="time"))
     run_id = store.record_payload("slack", payload)
     run = store.get(run_id)
@@ -44,13 +47,12 @@ def test_record_and_query_roundtrip(tmp_path):
     assert run.payload == payload
     assert run.cpu_count == payload["cpu_count"]
     assert store.scenarios() == ["slack"]
-    store.close()
 
 
 def test_record_is_deterministic_modulo_provenance(tmp_path):
     # Recording the identical payload twice must store byte-identical
-    # canonical JSON; only recorded_unix (a DB column) may differ.
-    store = HistoryStore(str(tmp_path / "h.sqlite"))
+    # canonical JSON; only recorded_unix (a line field) may differ.
+    store = HistoryStore(str(tmp_path / "h.jsonl"))
     payload = _payload("slack", ej=metric(12, "ejections"))
     first = store.record_payload("slack", payload)
     second = store.record_payload("slack", payload)
@@ -61,14 +63,12 @@ def test_record_is_deterministic_modulo_provenance(tmp_path):
         == json.dumps(rows[1].payload, sort_keys=True)
     )
     assert rows[0].recorded_unix <= rows[1].recorded_unix
-    store.close()
 
 
 def test_record_payload_rejects_wrong_schema(tmp_path):
-    store = HistoryStore(str(tmp_path / "h.sqlite"))
+    store = HistoryStore(str(tmp_path / "h.jsonl"))
     with pytest.raises(ValueError, match="cannot record schema"):
         store.record_payload("s", {"schema": "something.else"})
-    store.close()
 
 
 def test_record_paths_ingests_files_and_dirs(tmp_path):
@@ -76,42 +76,36 @@ def test_record_paths_ingests_files_and_dirs(tmp_path):
     bench_dir.mkdir()
     write_json(str(bench_dir / "BENCH_slack.json"), _payload("slack", m=metric(1, "x")))
     write_json(str(bench_dir / "BENCH_warp.json"), _payload("warp", m=metric(2, "x")))
-    store = HistoryStore(str(tmp_path / "h.sqlite"))
+    store = HistoryStore(str(tmp_path / "h.jsonl"))
     recorded = store.record_paths([str(bench_dir)])
     assert [scenario for scenario, _ in recorded] == ["slack", "warp"]
     with pytest.raises(FileNotFoundError):
         store.record_paths([str(tmp_path / "empty")])
-    store.close()
 
 
 def test_runs_limit_returns_most_recent_oldest_first(tmp_path):
-    store = HistoryStore(str(tmp_path / "h.sqlite"))
+    store = HistoryStore(str(tmp_path / "h.jsonl"))
     ids = [
         store.record_payload("s", _payload("s", m=metric(i, "x")))
         for i in range(5)
     ]
     window = store.runs("s", limit=2)
     assert [run.run_id for run in window] == ids[-2:]
-    store.close()
 
 
 def test_get_missing_run_raises_keyerror(tmp_path):
-    store = HistoryStore(str(tmp_path / "h.sqlite"))
+    store = HistoryStore(str(tmp_path / "h.jsonl"))
     with pytest.raises(KeyError):
         store.get(999)
-    store.close()
 
 
-def test_db_version_mismatch_raises_historyerror(tmp_path):
-    path = str(tmp_path / "h.sqlite")
+def test_malformed_line_raises_historyerror(tmp_path):
+    path = str(tmp_path / "h.jsonl")
     store = HistoryStore(path)
-    store._conn.execute(
-        "UPDATE history_meta SET value = ? WHERE key = 'db_version'",
-        (str(HISTORY_DB_VERSION + 1),),
-    )
-    store._conn.commit()
-    store.close()
-    with pytest.raises(HistoryError, match="history db version"):
+    store.record_payload("s", _payload("s", m=metric(1, "x")))
+    with open(path, "a") as handle:
+        handle.write("{not json\n")
+    with pytest.raises(HistoryError, match=r"h\.jsonl:2: "):
         HistoryStore(path)
 
 
@@ -169,7 +163,7 @@ def _record_series(store, scenario, walls):
 
 
 def test_metric_trends_flags_synthetic_drift(tmp_path):
-    store = HistoryStore(str(tmp_path / "h.sqlite"))
+    store = HistoryStore(str(tmp_path / "h.jsonl"))
     _record_series(store, "slack", [1.0, 1.01, 0.99, 1.0, 1.02, 1.0, 1.01, 1.9])
     trends = metric_trends(store.runs("slack"))
     by_name = {trend.name: trend for trend in trends}
@@ -182,17 +176,15 @@ def test_metric_trends_flags_synthetic_drift(tmp_path):
     assert "(no anomalies)" in render_trends(
         [by_name["ejections"]], anomalies_only=True
     )
-    store.close()
 
 
 def test_metric_trends_cover_metrics_missing_in_some_runs(tmp_path):
-    store = HistoryStore(str(tmp_path / "h.sqlite"))
+    store = HistoryStore(str(tmp_path / "h.jsonl"))
     store.record_payload("s", _payload("s", a=metric(1, "x")))
     store.record_payload("s", _payload("s", a=metric(1, "x"), b=metric(2, "x")))
     trends = {t.name: t for t in metric_trends(store.runs("s"))}
     assert trends["b"].values == [None, 2.0]
     assert trends["b"].latest == 2.0
-    store.close()
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +192,7 @@ def test_metric_trends_cover_metrics_missing_in_some_runs(tmp_path):
 # ----------------------------------------------------------------------
 def _seed_db(tmp_path, walls, spans_old=None, spans_new=None):
     """A DB whose last run may carry a doctored profile snapshot."""
-    db = str(tmp_path / "h.sqlite")
+    db = str(tmp_path / "h.jsonl")
     store = HistoryStore(db)
     for index, wall in enumerate(walls):
         profile = None
@@ -212,7 +204,6 @@ def _seed_db(tmp_path, walls, spans_old=None, spans_new=None):
             "slack",
             _payload("slack", profile=profile, wall_s=metric(wall, "s", kind="time")),
         )
-    store.close()
     return db
 
 
@@ -220,7 +211,7 @@ def test_cli_record_show_trend(tmp_path, capsys):
     bench_dir = tmp_path / "out"
     bench_dir.mkdir()
     write_json(str(bench_dir / "BENCH_slack.json"), _payload("slack", m=metric(1, "x")))
-    db = str(tmp_path / "h.sqlite")
+    db = str(tmp_path / "h.jsonl")
     assert history_main(["record", "--db", db, str(bench_dir)]) == 0
     out = capsys.readouterr().out
     assert "recorded slack as run #1" in out
@@ -235,7 +226,44 @@ def test_cli_record_show_trend(tmp_path, capsys):
 def test_cli_record_bad_file_exits_2(tmp_path):
     bad = tmp_path / "BENCH_bad.json"
     bad.write_text("{\"schema\": \"nope\"}")
-    assert history_main(["record", "--db", str(tmp_path / "h.sqlite"), str(bad)]) == 2
+    assert history_main(["record", "--db", str(tmp_path / "h.jsonl"), str(bad)]) == 2
+
+
+def test_cli_record_with_one_bad_file_records_nothing(tmp_path):
+    # Every file is checked before the first line is appended.
+    bench_dir = tmp_path / "out"
+    bench_dir.mkdir()
+    write_json(str(bench_dir / "BENCH_a.json"), _payload("a", m=metric(1, "x")))
+    (bench_dir / "BENCH_b.json").write_text('{"schema": "nope"}')
+    db = str(tmp_path / "h.jsonl")
+    assert history_main(["record", "--db", db, str(bench_dir)]) == 2
+    assert HistoryStore(db).runs() == []
+
+
+@pytest.mark.parametrize(
+    "main, argv",
+    [
+        (history_main, ["trend", "--window", "0"]),
+        (history_main, ["trend", "--window", "-1"]),
+        (history_main, ["trend", "--limit", "0"]),
+        (history_main, ["trend", "--limit", "-1"]),
+        (history_main, ["show", "--limit", "0"]),
+        (history_main, ["show", "--limit", "-1"]),
+        (history_main, ["trend", "--mad-k", "0"]),
+        (history_main, ["trend", "--mad-k", "-3.5"]),
+        (report_main, ["--history-limit", "0"]),
+        (report_main, ["--history-limit", "-1"]),
+    ],
+)
+def test_cli_rejects_out_of_range_windows_and_limits(tmp_path, main, argv):
+    db = _seed_db(tmp_path, [1.0, 1.0])
+    if main is report_main:
+        argv = ["--history", db, "--out", str(tmp_path / "r.html")] + argv
+    else:
+        argv = argv[:1] + ["--db", db] + argv[1:]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
 
 
 def test_cli_trend_fail_on_anomaly(tmp_path, capsys):
@@ -290,13 +318,28 @@ def test_cli_compare_single_run_scenario_is_skipped(tmp_path, capsys):
     assert "fewer than two runs" in out and "nothing to compare" in out
 
 
-def test_cli_db_version_mismatch_exits_2(tmp_path, capsys):
-    db = str(tmp_path / "h.sqlite")
-    store = HistoryStore(db)
-    store._conn.execute(
-        "UPDATE history_meta SET value = '99' WHERE key = 'db_version'"
+def test_cli_malformed_line_exits_2(tmp_path, capsys):
+    db = tmp_path / "h.jsonl"
+    db.write_text(
+        '{"payload": {"schema": "nope"}, "recorded_unix": 0, "scenario": "s"}\n'
     )
-    store._conn.commit()
-    store.close()
-    assert history_main(["show", "--db", db]) == 2
-    assert "history db version" in capsys.readouterr().out
+    assert history_main(["show", "--db", str(db)]) == 2
+    assert "h.jsonl:1: expected schema" in capsys.readouterr().out
+
+
+def test_committed_history_loads_and_names_benchmark_metrics():
+    # benchmarks/history.jsonl holds the pipeline benchmark's trajectory:
+    # each pipeline.<workload> line names a workload and only end-to-end
+    # metrics of BENCHMARK.json, with their units and directions.
+    store = HistoryStore(str(ROOT / "benchmarks" / "history.jsonl"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {entry["name"] for entry in spec["workloads"]}
+    end_to_end = {entry["name"]: entry for entry in spec["end_to_end"]}
+    pipeline = [run for run in store.runs() if run.scenario.startswith("pipeline.")]
+    assert pipeline
+    for run in pipeline:
+        assert run.scenario.split(".", 1)[1] in workloads, run.scenario
+        for name, entry in run.payload["metrics"].items():
+            assert name in end_to_end, (run.run_id, name)
+            assert entry["unit"] == end_to_end[name]["unit"], (run.run_id, name)
+            assert entry["direction"] == end_to_end[name]["better"], (run.run_id, name)

@@ -198,7 +198,7 @@ def _history_db(tmp_path, walls):
     from repro.obs.bench import metric as _metric
     from repro.obs.history import HistoryStore
 
-    db = str(tmp_path / "h.sqlite")
+    db = str(tmp_path / "h.jsonl")
     store = HistoryStore(db)
     for wall in walls:
         store.record_payload(
@@ -211,7 +211,6 @@ def _history_db(tmp_path, walls):
                 },
             ),
         )
-    store.close()
     return db
 
 
@@ -232,7 +231,6 @@ def test_report_renders_trend_section_deterministically(tmp_path):
     db = _history_db(tmp_path, [1.0, 1.01, 0.99, 1.0, 1.02, 1.0, 1.01, 1.9])
     store = HistoryStore(db)
     trends = {"slack": metric_trends(store.runs("slack"))}
-    store.close()
     document = build_report(trends=trends)
     assert document == build_report(trends=trends)
     assert "History: slack" in document
@@ -249,7 +247,7 @@ def test_report_cli_history_end_to_end(tmp_path, capsys):
     assert "History: slack" in document and "wall_s" in document
     capsys.readouterr()
     # --history alone satisfies the input requirement; bad DBs exit 2.
-    bad = tmp_path / "bad.sqlite"
+    bad = tmp_path / "bad.jsonl"
     bad.write_text("not a database")
     assert report_main(["--history", str(bad), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err

@@ -285,7 +285,7 @@ def test_cli_negative_flight_events_exits_2(capsys):
 def test_cli_history_records_batch_summary(tmp_path, capsys):
     from repro.obs.history import HistoryStore
 
-    db = str(tmp_path / "h.sqlite")
+    db = str(tmp_path / "h.jsonl")
     assert batch_main(
         ["--corpus", "2", "--no-cache", "--no-progress", "--history", db]
     ) == 0
@@ -297,11 +297,10 @@ def test_cli_history_records_batch_summary(tmp_path, capsys):
     assert metrics["jobs"]["value"] == 2.0
     assert metrics["jobs_ok"]["value"] == 2.0
     assert "wall_s" in metrics
-    store.close()
 
 
 def test_cli_history_unwritable_exits_2(tmp_path, capsys):
-    db = str(tmp_path / "no" / "such" / "dir" / "h.sqlite")
+    db = str(tmp_path / "no" / "such" / "dir" / "h.jsonl")
     assert batch_main(
         ["--corpus", "2", "--no-cache", "--no-progress", "--history", db]
     ) == 2
