@@ -17,11 +17,10 @@ from repro.bounds.mindist import MinDist
 from repro.bounds.recmii import (
     StaticCycleError,
     recmii,
-    recurrence_ops,
     strongly_connected_components,
 )
-from repro.bounds.resmii import critical_unit_instances, resmii, unit_requirements
-from repro.bounds.analysis import LoopAnalysis
+from repro.bounds.resmii import resmii, unit_requirements
+from repro.bounds.analysis import LoopAnalysis, critical_unit_instances
 
 __all__ = [
     "Lifetime",
@@ -38,7 +37,6 @@ __all__ = [
     "MinDist",
     "StaticCycleError",
     "recmii",
-    "recurrence_ops",
     "strongly_connected_components",
     "critical_unit_instances",
     "resmii",

@@ -1,13 +1,14 @@
 """Placement-independent loop analysis: one object per dependence graph.
 
 Before it places anything, the scheduler reads only facts that do not
-depend on the schedule: MII = max(ResMII, RecMII) (§3.1), the unit
-binding prepass (§4.3), the MinDist closure at each II (§4.1), MinLT
-(§5.1) and the §5.2 lifetime-stretch tables derived from it.  A
-:class:`LoopAnalysis` computes each on first use and keeps it, so the
-driver's escalating IIs, the corpus runner's metrics and re-schedules of
-a prebuilt graph share one copy.  Anything that touches ``times``,
-Estart or Lstart belongs to the scheduling attempt instead.
+depend on the schedule: MII = max(ResMII, RecMII) and the recurrence
+components (§3.1), the unit binding and critical ops (§4.3), the MinDist
+closure at each II (§4.1), MinLT (§5.1) and the §5.2 lifetime-stretch
+tables.  A :class:`LoopAnalysis` is the one producer of each: it
+computes the fact on first use and keeps it, so escalating IIs, every
+scheduler, ``min_avg`` and the corpus runner's metrics share one copy.
+Anything that touches ``times``, Estart or Lstart belongs to the
+scheduling attempt instead.
 
 There is one analysis per :class:`~repro.ir.ddg.DDG`, not per (loop,
 machine): :func:`~repro.core.acyclic.acyclic_ddg` builds a second graph
@@ -20,30 +21,55 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 import numpy as np
 
 from repro.bounds.lifetimes import min_lifetime
 from repro.bounds.mindist import MinDist, compute_closure
-from repro.bounds.recmii import recmii, recurrence_ops
+from repro.bounds.recmii import recmii, strongly_connected_components
 from repro.bounds.resmii import resmii
 from repro.ir.ddg import DDG, ArcKind
+from repro.ir.loop import LoopBody
 from repro.ir.operations import Operation
 from repro.ir.types import DType
+from repro.machine.machine import Machine
 
 
 def _is_rr_flow_value(value) -> bool:
     return value is not None and value.is_variant and value.dtype is not DType.PRED
 
 
+def critical_unit_instances(
+    loop: LoopBody,
+    machine: Machine,
+    binding: Dict[int, Tuple[int, int]],
+    ii: int,
+    threshold: float = 0.90,
+) -> "set[Tuple[int, int]]":
+    """Unit instances that one iteration keeps busy >= threshold * II.
+
+    The paper marks an operation *critical* if it uses a critical
+    resource; critical resources are recomputed just before each
+    attempted II (§4.3).
+    """
+    usage: Dict[Tuple[int, int], int] = {}
+    for op in loop.ops:
+        unit = binding.get(op.oid)
+        if unit is None:
+            continue
+        usage[unit] = usage.get(unit, 0) + machine.busy_cycles(op)
+    return {unit for unit, busy in usage.items() if busy >= threshold * ii}
+
+
 class LoopAnalysis:
     """The schedule-independent facts about one dependence graph.
 
-    ``res_mii``, ``rec_mii``, ``binding`` and ``recurrence_ops`` are
-    computed once; :meth:`closure`, :meth:`minlt` and
-    :meth:`stretch_tables` once per II; :meth:`neighbors` once per op.
-    Callers must treat every returned container as read-only.
+    ``res_mii``, ``rec_mii``, ``components``, ``recurrence_ops`` and
+    ``binding`` are computed once; :meth:`closure`, :meth:`minlt` and
+    :meth:`stretch_tables` once per II; :meth:`critical_ops` once per
+    (II, threshold); :meth:`neighbors` once per op.  Callers must treat
+    every returned container as read-only.
     """
 
     def __init__(self, ddg: DDG):
@@ -53,6 +79,7 @@ class LoopAnalysis:
         self._closures: Dict[int, Tuple[np.ndarray, bool]] = {}
         self._minlt: Dict[int, Dict[int, int]] = {}
         self._stretch: Dict[int, tuple] = {}
+        self._critical: Dict[Tuple[int, float], FrozenSet[int]] = {}
         self._neighbors: Dict[int, Tuple[List[int], List[int]]] = {}
 
     @classmethod
@@ -92,8 +119,22 @@ class LoopAnalysis:
         return self.machine.bind_units(self.loop)
 
     @cached_property
+    def components(self) -> List[List[int]]:
+        """The SCCs of the non-SEQ arcs, singletons included, in
+        Tarjan's order: the graph's one whole-graph SCC pass.  Those of
+        two or more ops hold the non-trivial recurrence circuits."""
+        ddg = self.ddg
+        succs: List[Set[int]] = [set() for _ in range(ddg.n)]
+        for arc in ddg.arcs:
+            if arc.kind is not ArcKind.SEQ:
+                succs[arc.src].add(arc.dst)
+        return strongly_connected_components(ddg.n, [sorted(s) for s in succs])
+
+    @cached_property
     def recurrence_ops(self) -> Set[int]:
-        return recurrence_ops(self.ddg)
+        """Oids on *non-trivial* recurrence circuits; an arc from an op
+        to itself is a trivial one (§4)."""
+        return {oid for members in self.components if len(members) >= 2 for oid in members}
 
     @cached_property
     def _cost_bases(self) -> Tuple[np.ndarray, ...]:
@@ -109,6 +150,16 @@ class LoopAnalysis:
     # ------------------------------------------------------------------
     # Once per II
     # ------------------------------------------------------------------
+    def critical_ops(self, ii: int, threshold: float = 0.90) -> FrozenSet[int]:
+        """Oids bound to a unit instance that an iteration keeps busy
+        >= ``threshold * ii``: §4.3 marks them before each attempted II."""
+        key = (ii, threshold)
+        if key not in self._critical:
+            binding = self.binding
+            units = critical_unit_instances(self.loop, self.machine, binding, ii, threshold)
+            self._critical[key] = frozenset(oid for oid, unit in binding.items() if unit in units)
+        return self._critical[key]
+
     def has_closure(self, ii: int) -> bool:
         return ii in self._closures
 
@@ -180,8 +231,13 @@ class LoopAnalysis:
     # Once per op
     # ------------------------------------------------------------------
     def neighbors(self, op: Operation) -> Tuple[List[int], List[int]]:
-        """Immediate (predecessor oids, successor oids) of ``op``."""
-        entry = self._neighbors.get(op.oid)
+        """Immediate (predecessor oids, successor oids) of ``op``,
+        excluding Start/Stop sequencing arcs and self arcs."""
+        oid = op.oid
+        entry = self._neighbors.get(oid)
         if entry is None:
-            entry = self._neighbors[op.oid] = self.ddg.neighbors(op)
+            ddg = self.ddg
+            preds = {arc.src for arc in ddg.preds[oid] if arc.kind is not ArcKind.SEQ}
+            succs = {arc.dst for arc in ddg.succs[oid] if arc.kind is not ArcKind.SEQ}
+            entry = self._neighbors[oid] = (sorted(preds - {oid}), sorted(succs - {oid}))
         return entry

@@ -69,13 +69,15 @@ def min_lifetime(value: Value, ddg: DDG, mindist: MinDist, ii: int) -> int:
 
 
 def min_avg(loop: LoopBody, ddg: DDG, mindist: MinDist, ii: int) -> int:
-    """MinAvg: schedule-independent lower bound on RR pressure."""
-    total = 0
-    for value in rr_values(loop):
-        lifetime = min_lifetime(value, ddg, mindist, ii)
-        if lifetime > 0:
-            total += math.ceil(lifetime / ii)
-    return total
+    """MinAvg: schedule-independent lower bound on RR pressure, summed
+    from the MinLT table that ``LoopAnalysis.minlt`` builds with
+    :func:`min_lifetime`.  ``mindist`` must be ``ddg``'s MinDist at ``ii``."""
+    from repro.bounds.analysis import LoopAnalysis  # imports this module
+
+    if mindist.ddg is not ddg or mindist.ii != ii:
+        raise ValueError(f"min_avg at II={ii} needs this graph's MinDist at II={ii}")
+    minlt = LoopAnalysis.of(ddg).minlt(ii)
+    return sum(math.ceil(minlt[value.vid] / ii) for value in rr_values(loop))
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,9 @@ strongly connected component at a time.  That is exact:
 * Within a component, ``II = 1 + the sum of its arc latencies`` is
   feasible when every circuit has Omega >= 1.
 
+The components are the graph's ``LoopAnalysis.components``; only the
+zero-distance check runs Tarjan again, on one component's arcs.
+
 A circuit with Omega = 0 means the loop body is malformed.  It is found
 from the distances alone, as a zero-distance self-arc or a cycle of
 zero-distance arcs: one of total latency 0 costs 0 at every II, so no
@@ -29,7 +32,7 @@ per-circuit bound over parallel arcs) as the oracle for this search.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -94,30 +97,6 @@ def strongly_connected_components(n: int, succs: Sequence[Sequence[int]]) -> Lis
     return components
 
 
-def _recurrence_components(n: int, arcs: Sequence[Tuple[int, int]]) -> List[List[int]]:
-    """The components of two or more nodes of a graph given as
-    ``(src, dst)`` pairs: exactly the nodes on non-trivial circuits."""
-    succs: List[Set[int]] = [set() for _ in range(n)]
-    for src, dst in arcs:
-        succs[src].add(dst)
-    components = strongly_connected_components(n, [sorted(s) for s in succs])
-    return [component for component in components if len(component) >= 2]
-
-
-def _dependence_arcs(ddg: DDG) -> List[Arc]:
-    return [arc for arc in ddg.arcs if arc.kind is not ArcKind.SEQ]
-
-
-def recurrence_ops(ddg: DDG) -> Set[int]:
-    """Oids of operations on *non-trivial* recurrence circuits.
-
-    A trivial recurrence is an arc from an operation to itself (§4);
-    non-trivial circuits are exactly the nodes of SCCs of size >= 2.
-    """
-    pairs = [(arc.src, arc.dst) for arc in _dependence_arcs(ddg)]
-    return {oid for component in _recurrence_components(ddg.n, pairs) for oid in component}
-
-
 # ----------------------------------------------------------------------
 # RecMII
 # ----------------------------------------------------------------------
@@ -130,8 +109,11 @@ def _component_recmii(members: List[int], arcs: List[Arc], floor: int) -> int:
         for arc in arcs
         if arc.src != arc.dst and arc.src in local and arc.dst in local
     ]
-    zero_distance = [(src, dst) for src, dst, _, omega in inner if omega == 0]
-    if _recurrence_components(len(members), zero_distance):
+    zero_distance: List[List[int]] = [[] for _ in members]
+    for src, dst, _, omega in inner:
+        if omega == 0:
+            zero_distance[src].append(dst)
+    if any(len(c) >= 2 for c in strongly_connected_components(len(members), zero_distance)):
         raise StaticCycleError(f"zero-distance circuit among oids {sorted(members)}")
     bases = tuple(np.array(inner, dtype=np.int64).T)
 
@@ -157,13 +139,16 @@ def recmii(ddg: DDG) -> int:
     Not memoized here: :attr:`repro.bounds.analysis.LoopAnalysis.rec_mii`
     keeps the graph's bound.
     """
-    arcs = _dependence_arcs(ddg)
+    from repro.bounds.analysis import LoopAnalysis  # imports this module
+
+    arcs = [arc for arc in ddg.arcs if arc.kind is not ArcKind.SEQ]
     bound = 1
     for arc in arcs:
         if arc.src == arc.dst:
             if arc.omega == 0:
                 raise StaticCycleError(f"zero-distance self-arc on oid {arc.src}")
             bound = max(bound, -(-arc.latency // arc.omega))
-    for members in _recurrence_components(ddg.n, [(arc.src, arc.dst) for arc in arcs]):
-        bound = _component_recmii(members, arcs, bound)
+    for members in LoopAnalysis.of(ddg).components:
+        if len(members) >= 2:
+            bound = _component_recmii(members, arcs, bound)
     return bound

@@ -9,7 +9,7 @@ contribute their full latency per operation.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.ir.loop import LoopBody
 from repro.machine.machine import Machine
@@ -33,25 +33,3 @@ def resmii(loop: LoopBody, machine: Machine) -> int:
         count = machine.unit_classes[class_index].count
         bound = max(bound, math.ceil(busy / count))
     return bound
-
-
-def critical_unit_instances(
-    loop: LoopBody,
-    machine: Machine,
-    binding: Dict[int, Tuple[int, int]],
-    ii: int,
-    threshold: float = 0.90,
-) -> "set[Tuple[int, int]]":
-    """Unit instances that one iteration keeps busy >= threshold * II.
-
-    The paper marks an operation *critical* if it uses a critical
-    resource; critical resources are recomputed just before each
-    attempted II (§4.3).
-    """
-    usage: Dict[Tuple[int, int], int] = {}
-    for op in loop.ops:
-        unit = binding.get(op.oid)
-        if unit is None:
-            continue
-        usage[unit] = usage.get(unit, 0) + machine.busy_cycles(op)
-    return {unit for unit, busy in usage.items() if busy >= threshold * ii}

@@ -254,23 +254,19 @@ def schedule_slack(loop: LoopBody, machine: Machine, ddg: Optional[DDG] = None) 
     operates unchanged.  Where the loop driver escalates II on a failed
     attempt, the straight-line driver escalates the *target makespan*
     (Lstart(Stop)): start at max(critical path, resource bound) and
-    relax by ~15% per failed attempt.
+    relax by ~15% per failed attempt.  The resource bound is the
+    graph's ResMII (``LoopAnalysis.res_mii``).
     """
-    from repro.bounds.resmii import unit_requirements
     from repro.core.framework import AttemptFailed
 
     ddg = ddg or acyclic_ddg(loop, machine)
     analysis = LoopAnalysis.of(ddg)
     horizon = 2 + sum(max(1, machine.latency(op)) for op in loop.real_ops)
-    resource_floor = 0
-    for class_index, busy in unit_requirements(loop, machine).items():
-        count = machine.unit_classes[class_index].count
-        resource_floor = max(resource_floor, -(-busy // count))
     target: Optional[int] = None
     for _ in range(12):
         attempt = SlackAttempt(analysis, ii=max(horizon, 2), tight_cap=True)
         if target is None:
-            target = max(attempt.lstart_cap, resource_floor)
+            target = max(attempt.lstart_cap, analysis.res_mii)
         attempt.lstart_cap = max(attempt.lstart_cap, target)
         attempt._bounds_dirty = True
         try:

@@ -69,10 +69,11 @@ def placement_budget(loop: LoopBody, budget_ratio: float) -> int:
 class SchedulingAttempt:
     """Scheduling state for one attempt at a fixed II.
 
-    Everything placement-independent — bounds, unit binding, MinDist,
-    MinLT — comes read-only from the graph's
-    :class:`~repro.bounds.analysis.LoopAnalysis`; the attempt owns only
-    what placement changes (``times``, Estart/Lstart, the MRT).
+    Everything placement-independent — bounds, unit binding, critical
+    and recurrence ops, MinDist, MinLT — comes read-only from the
+    graph's :class:`~repro.bounds.analysis.LoopAnalysis`, its one
+    producer; the attempt owns only what placement changes (``times``,
+    Estart/Lstart, the MRT).
 
     Subclasses implement the two heuristic hooks:
 

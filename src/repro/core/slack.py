@@ -36,7 +36,6 @@ from typing import Optional
 import numpy as np
 
 from repro.bounds.analysis import LoopAnalysis
-from repro.bounds.resmii import critical_unit_instances
 from repro.ir.operations import Operation
 from repro.core.framework import SchedulingAttempt
 
@@ -54,20 +53,15 @@ class SlackAttempt(SchedulingAttempt):
         **kwargs,
     ):
         super().__init__(analysis, ii, **kwargs)
-        loop, binding = self.loop, self.binding
+        loop = self.loop
         self.bidirectional = bidirectional
         #: §8 ablation: with dynamic_priority off, the operation choice
         #: freezes each op's *initial* slack (as Cydrome's scheduler
         #: did), so the scheduler cannot detect a recurrence circuit
         #: becoming "fixed" by a placement.
         self.dynamic_priority = dynamic_priority
-        critical_units = critical_unit_instances(
-            loop, self.machine, binding, ii, threshold=critical_threshold
-        )
         #: Critical ops are marked just before attempting each new II.
-        self.critical_ops = {
-            oid for oid, unit in binding.items() if unit in critical_units
-        }
+        self.critical_ops = analysis.critical_ops(ii, critical_threshold)
         #: §4.3 priority scale per op in quarter units (4 = full slack,
         #: 2 = halved for critical-resource ops, 1 = halved again for
         #: divider ops; both only under contention).  Integer quarters

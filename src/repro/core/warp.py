@@ -10,7 +10,9 @@ remain, which are easily dealt with."
 
 Reproduced here:
 
-1. every non-trivial SCC of the dependence graph becomes a *macro node*
+1. every non-trivial SCC of the dependence graph (the components the
+   graph's :class:`~repro.bounds.analysis.LoopAnalysis` holds, shared
+   by every attempt) becomes a *macro node*
    whose members get fixed relative offsets (each member as early as
    possible relative to an anchor, i.e. longest internal paths at the
    target II);
@@ -36,8 +38,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bounds.analysis import LoopAnalysis
 from repro.bounds.mindist import MinDist
-from repro.bounds.recmii import strongly_connected_components
-from repro.ir.ddg import ArcKind
 from repro.machine.machine import UnitInstance
 from repro.machine.mrt import ModuloResourceTable
 from repro.core.schedule import SchedulerStats
@@ -80,17 +80,10 @@ class WarpScheduler:
         self.mrt = ModuloResourceTable(self.machine, ii, self.binding)
         self.stats = SchedulerStats()
         self.infeasible_node = False
-        self.nodes = self._build_nodes()
+        self.nodes = self._build_nodes(analysis.components)
 
     # ------------------------------------------------------------------
-    def _build_nodes(self) -> List[_MacroNode]:
-        succs: List[set] = [set() for _ in range(self.ddg.n)]
-        for arc in self.ddg.arcs:
-            if arc.kind is not ArcKind.SEQ and arc.src != arc.dst:
-                succs[arc.src].add(arc.dst)
-        components = strongly_connected_components(
-            self.ddg.n, [sorted(s) for s in succs]
-        )
+    def _build_nodes(self, components: List[List[int]]) -> List[_MacroNode]:
         nodes = []
         for members in components:
             members = sorted(members)

@@ -13,7 +13,6 @@ from typing import List, Optional, Union
 from repro.bounds import (
     LoopAnalysis,
     MinDist,
-    critical_unit_instances,
     gpr_count,
     icr_usage,
     min_avg,
@@ -75,9 +74,7 @@ def measure_loop(
     res_mii = analysis.res_mii
     mii = analysis.mii
 
-    binding = analysis.binding
-    critical_units = critical_unit_instances(loop, machine, binding, mii)
-    n_critical = sum(1 for oid, unit in binding.items() if unit in critical_units)
+    n_critical = len(analysis.critical_ops(mii))
     n_div = sum(1 for op in loop.real_ops if op.opcode in DIVIDER_OPCODES)
 
     result = modulo_schedule(

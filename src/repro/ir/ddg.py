@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.ir.loop import LoopBody
 from repro.ir.operations import Operation
@@ -84,17 +84,6 @@ class DDG:
     def flow_outputs(self, op: Operation) -> List[Arc]:
         """Flow arcs leaving ``op`` (uses of the value it defines)."""
         return [arc for arc in self.succs[op.oid] if arc.kind is ArcKind.FLOW]
-
-    def neighbors(self, op: Operation) -> Tuple[List[int], List[int]]:
-        """Immediate (predecessor oids, successor oids), excluding
-        Start/Stop sequencing arcs and self arcs."""
-        preds = sorted(
-            {arc.src for arc in self.preds[op.oid] if arc.kind is not ArcKind.SEQ and arc.src != op.oid}
-        )
-        succs = sorted(
-            {arc.dst for arc in self.succs[op.oid] if arc.kind is not ArcKind.SEQ and arc.dst != op.oid}
-        )
-        return preds, succs
 
     def __repr__(self) -> str:
         return f"DDG({self.loop.name!r}, {self.n} ops, {len(self.arcs)} arcs)"

@@ -75,9 +75,14 @@ CHUNKS_PER_WORKER = 4
 
 
 class ExecutionBackend:
-    """Strategy protocol: execute jobs, return ordered results + stats."""
+    """Strategy protocol: execute jobs, return ordered results + stats.
+
+    Only jobs in worker processes spill to ``flight_dir``, so
+    ``run_batch`` creates one only for a backend that ``uses_workers``.
+    """
 
     name: str = "?"
+    uses_workers: bool = True
 
     def run(
         self,
@@ -126,20 +131,16 @@ def _execute_serially(
     timeout: Optional[float],
     spool_dir: Optional[str],
     progress,
-    flight_dir: Optional[str] = None,
     flight_events: int = DEFAULT_FLIGHT_CAPACITY,
 ) -> List[JobResult]:
-    """The shared in-process path (serial backend + every fallback rung)."""
+    """The shared in-process path (serial backend + every fallback
+    rung): the flight ring still attaches to timeouts and raises, but
+    nothing spills on a fatal signal."""
     results = []
     for job in jobs:
         _emit_started(progress, job)
         result = execute_job(
-            job,
-            machine,
-            timeout,
-            spool_dir=spool_dir,
-            flight_dir=flight_dir,
-            flight_events=flight_events,
+            job, machine, timeout, spool_dir=spool_dir, flight_events=flight_events
         )
         _emit_result(progress, result)
         results.append(result)
@@ -150,6 +151,7 @@ class SerialBackend(ExecutionBackend):
     """In-process execution: the fallback rung and the jobs=1 default."""
 
     name = "serial"
+    uses_workers = False
 
     def run(
         self,
@@ -170,8 +172,7 @@ class SerialBackend(ExecutionBackend):
         )
         started = time.perf_counter()
         results = _execute_serially(
-            jobs, machine, timeout, spool_dir, progress,
-            flight_dir=flight_dir, flight_events=flight_events,
+            jobs, machine, timeout, spool_dir, progress, flight_events=flight_events
         )
         return _finish(stats, results, started)
 
@@ -262,6 +263,10 @@ class ChunkedProcessBackend(ExecutionBackend):
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
 
+    @property
+    def uses_workers(self) -> bool:
+        return self.workers > 1
+
     def _partition(self, pending: Sequence[ScheduleJob]) -> List[List[ScheduleJob]]:
         size = self.chunk_size or max(
             1, math.ceil(len(pending) / (self.workers * CHUNKS_PER_WORKER))
@@ -289,8 +294,7 @@ class ChunkedProcessBackend(ExecutionBackend):
         if self.workers <= 1 or not jobs:
             stats.fallback_serial = self.workers <= 1
             results = _execute_serially(
-                jobs, machine, timeout, spool_dir, progress,
-                flight_dir=flight_dir, flight_events=flight_events,
+                jobs, machine, timeout, spool_dir, progress, flight_events=flight_events
             )
             return _finish(stats, results, started)
 
@@ -317,7 +321,7 @@ class ChunkedProcessBackend(ExecutionBackend):
                 stats.fallback_serial = True
                 for result in _execute_serially(
                     pending, machine, timeout, spool_dir, progress,
-                    flight_dir=flight_dir, flight_events=flight_events,
+                    flight_events=flight_events,
                 ):
                     results[result.index] = result
                 pending = []

@@ -411,10 +411,13 @@ def run_batch(
     spool_dir = (
         tempfile.mkdtemp(prefix="repro-spool-") if observer.enabled else None
     )
-    # Fatal-signal spill area: a worker that dies mid-job writes its
-    # flight ring here so the quarantine path can attach it post-mortem.
+    # Fatal-signal spill area: a worker process that dies mid-job writes
+    # its flight ring here so the quarantine path can attach it
+    # post-mortem.  Jobs run in this process never spill.
     flight_dir = (
-        tempfile.mkdtemp(prefix="repro-flight-") if flight_events > 0 else None
+        tempfile.mkdtemp(prefix="repro-flight-")
+        if flight_events > 0 and exec_backend.uses_workers
+        else None
     )
     try:
         computed, pool_stats = exec_backend.run(

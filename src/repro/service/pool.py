@@ -174,7 +174,9 @@ def execute_job(
     attaches the ring dump to the returned failure record directly,
     and with a ``flight_dir`` a fatal signal (segfault/abort) spills
     the ring to disk before the process dies, for the parent to
-    collect.  A worker hung in a C extension (backstop timeout) and a
+    collect.  Only worker processes get a ``flight_dir``: the spill
+    handler ends the process, which in-process would be the caller.
+    A worker hung in a C extension (backstop timeout) and a
     ``SIGKILL``/OOM kill leave no dump — those are the documented
     limits of in-process forensics.  Nor does a fatal signal whose
     handler was installed outside Python (``python -X faulthandler``
@@ -384,15 +386,11 @@ def run_quarantined(
         try:
             executor = concurrent.futures.ProcessPoolExecutor(max_workers=1)
         except (OSError, ValueError, RuntimeError):
+            # In this process: no spill, as on every serial path.
             stats.fallback_serial = True
             return dataclasses.replace(
                 execute_job(
-                    job,
-                    machine,
-                    timeout,
-                    spool_dir=spool_dir,
-                    flight_dir=flight_dir,
-                    flight_events=flight_events,
+                    job, machine, timeout, spool_dir=spool_dir, flight_events=flight_events
                 ),
                 retries=attempt,
             )

@@ -7,25 +7,40 @@ import weakref
 
 import pytest
 
-from repro.bounds import LoopAnalysis, MinDist, recurrence_ops, resmii
+from repro.bounds import (
+    LoopAnalysis,
+    MinDist,
+    critical_unit_instances,
+    min_avg,
+    min_lifetime,
+    resmii,
+    strongly_connected_components,
+)
 from repro.core import ALGORITHMS, SlackAttempt, acyclic_ddg, modulo_schedule, run_attempt
 from repro.experiments import measure_loop
+from repro.frontend import compile_loop
 from repro.ir import DType, LoopBody, Opcode, Operand, build_ddg
 from repro.machine.machine import Machine
 from repro.obs.prof import Profiler
+from repro.workloads import paper_corpus
 
 from tests.conftest import build_figure1_loop
 
 
-def _call_counts(functions, thunk):
-    """Run ``thunk`` and count Python-level calls into each function,
-    however it was imported or cached by the caller."""
+def _calls(functions, thunk):
+    """Run ``thunk`` and record each Python-level call into each
+    function, however it was imported or cached by the caller, as
+    ``(calling function's name, arguments)``; a comprehension or
+    generator counts as the function it runs in."""
     codes = {function.__code__: function.__name__ for function in functions}
-    counts = {name: 0 for name in codes.values()}
+    calls = {name: [] for name in codes.values()}
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in codes:
-            counts[codes[frame.f_code]] += 1
+            caller = frame.f_back
+            while caller.f_code.co_name.startswith("<"):
+                caller = caller.f_back
+            calls[codes[frame.f_code]].append((caller.f_code.co_name, dict(frame.f_locals)))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -33,17 +48,51 @@ def _call_counts(functions, thunk):
         thunk()
     finally:
         sys.setprofile(previous)
-    return counts
+    return calls
 
 
 def test_measure_loop_computes_each_bound_once(machine):
+    # gen_both_7 escalates II under slack, gen_recurrence_0 under warp.
+    escalating = [
+        compile_loop(program)
+        for program in paper_corpus(300, 1993)
+        if program.name in ("gen_both_7", "gen_recurrence_0")
+    ]
+    assert len(escalating) == 2
+    assert LoopAnalysis.of(build_ddg(build_figure1_loop(), machine)).rec_mii == 1
+    for loop in [build_figure1_loop()] + escalating:
+        for algorithm in ("slack", "warp"):
+            calls = _calls(
+                [
+                    Machine.bind_units, resmii, strongly_connected_components,
+                    critical_unit_instances, min_lifetime,
+                ],
+                lambda: measure_loop(loop, machine, algorithm=algorithm),
+            )
+            case = f"{loop.name} under {algorithm}"
+            assert len(calls["bind_units"]) == 1 and len(calls["resmii"]) == 1, case
+            # One whole-graph Tarjan pass; RecMII's zero-distance check
+            # runs on one recurrence component's arcs, a smaller graph.
+            sizes = [args["n"] for _, args in calls["strongly_connected_components"]]
+            assert sizes.count(loop.n_ops) == 1, case
+            # One critical-unit scan per (II, threshold), MII's included.
+            scans = [
+                (args["ii"], args["threshold"])
+                for _, args in calls["critical_unit_instances"]
+            ]
+            assert scans and len(scans) == len(set(scans)), case
+            # min_avg sums the analysis's MinLT table.
+            assert all(caller != "min_avg" for caller, _ in calls["min_lifetime"]), case
+
+
+def test_min_avg_rejects_a_mindist_built_at_another_ii(machine):
     loop = build_figure1_loop()
-    assert LoopAnalysis.of(build_ddg(loop, machine)).rec_mii == 1
-    counts = _call_counts(
-        [Machine.bind_units, resmii, recurrence_ops],
-        lambda: measure_loop(loop, machine),
-    )
-    assert counts == {"bind_units": 1, "resmii": 1, "recurrence_ops": 1}
+    ddg = build_ddg(loop, machine)
+    assert min_avg(loop, ddg, MinDist(ddg, 2), 2) == 4
+    with pytest.raises(ValueError, match="MinDist at II=2"):
+        min_avg(loop, ddg, MinDist(ddg, 3), 2)
+    with pytest.raises(ValueError, match="MinDist at II=2"):
+        min_avg(loop, ddg, MinDist(build_ddg(loop, machine), 2), 2)
 
 
 def test_scheduling_adds_no_attribute_to_the_graph(machine):

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.bounds import LoopAnalysis, StaticCycleError, recmii, recurrence_ops
+from repro.bounds import LoopAnalysis, StaticCycleError, recmii
 from repro.frontend import compile_loop
 from repro.ir import ArcKind, DType, LoopBody, Opcode, Operand, build_ddg
 from repro.ir.ddg import DDG, Arc
@@ -272,7 +272,7 @@ def test_parallel_arcs_bind_in_combination(machine):
 def test_recurrence_ops_finds_cross_recurrences(machine):
     loop = build_figure1_loop()
     ddg = build_ddg(loop, machine)
-    ops = recurrence_ops(ddg)
+    ops = LoopAnalysis.of(ddg).recurrence_ops
     x_def = next(op for op in loop.real_ops if op.dest is not None and op.dest.name == "x")
     y_def = next(op for op in loop.real_ops if op.dest is not None and op.dest.name == "y")
     assert x_def.oid in ops and y_def.oid in ops
@@ -283,7 +283,7 @@ def test_recurrence_ops_finds_cross_recurrences(machine):
 def test_self_recurrence_is_trivial(machine):
     """An op depending only on itself is not on a *non-trivial* circuit."""
     ddg = build_ddg(build_accumulator_loop(), machine)
-    assert recurrence_ops(ddg) == set()
+    assert LoopAnalysis.of(ddg).recurrence_ops == set()
 
 
 def test_static_cycle_detected(machine):

@@ -23,6 +23,21 @@ FIXTURE = pathlib.Path(__file__).with_name("schedules_paper_corpus.json")
 FIELDS = ("ii", "attempts", "placements", "ejections", "forced", "times")
 
 
+def schedule_record(program, machine, algorithm="slack"):
+    """``[ii, attempts, placements, ejections, forced, times]`` of one
+    loop scheduled on a freshly built graph."""
+    loop = compile_loop(program)
+    result = modulo_schedule(loop, machine, algorithm, ddg=build_ddg(loop, machine))
+    stats = result.stats
+    times = (
+        [result.schedule.times[op.oid] for op in loop.ops] if result.success else None
+    )
+    return [
+        result.ii, stats.attempts, stats.placements, stats.ejections,
+        stats.forced, times,
+    ]
+
+
 def schedule_records():
     """``{"<target> <loop>": [ii, attempts, placements, ejections,
     forced, times]}`` for every pinned case, target-major."""
@@ -31,18 +46,7 @@ def schedule_records():
     for target in machine_names():
         machine = build_machine(target)
         for program in programs:
-            loop = compile_loop(program)
-            result = modulo_schedule(loop, machine, ddg=build_ddg(loop, machine))
-            stats = result.stats
-            times = (
-                [result.schedule.times[op.oid] for op in loop.ops]
-                if result.success
-                else None
-            )
-            records[f"{target} {program.name}"] = [
-                result.ii, stats.attempts, stats.placements, stats.ejections,
-                stats.forced, times,
-            ]
+            records[f"{target} {program.name}"] = schedule_record(program, machine)
     return records
 
 

@@ -143,7 +143,7 @@ def test_tie_breaks_toward_placed_neighbors(machine):
     attempt._place(x_def, 0)
     attempt._place(ax_def, 0)
     attempt._refresh_bounds()
-    preds, succs = attempt.ddg.neighbors(store_x)
+    preds, succs = attempt.analysis.neighbors(store_x)
     assert all(oid in attempt.times for oid in preds)
     assert attempt.prefers_early(store_x)
 

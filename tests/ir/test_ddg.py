@@ -1,5 +1,6 @@
 """Unit tests for dependence-graph construction."""
 
+from repro.bounds import LoopAnalysis
 from repro.ir import ArcKind, Opcode, build_ddg
 
 from tests.conftest import build_divider_loop, build_figure1_loop
@@ -63,7 +64,7 @@ def test_neighbors_excludes_seq_and_self(machine):
     loop = build_figure1_loop()
     ddg = build_ddg(loop, machine)
     x_def = next(op for op in loop.real_ops if op.dest is not None and op.dest.name == "x")
-    preds, succs = ddg.neighbors(x_def)
+    preds, succs = LoopAnalysis.of(ddg).neighbors(x_def)
     assert x_def.oid not in preds and x_def.oid not in succs
     assert loop.start.oid not in preds
     assert loop.stop.oid not in succs

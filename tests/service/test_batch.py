@@ -218,6 +218,35 @@ def test_failed_job_flight_flows_through_run_batch():
     assert "[flight recorder:" in report.summary()
 
 
+def test_serial_batch_neither_spills_nor_takes_fatal_signals(monkeypatch):
+    # A spill handler in the caller's own process would kill it, so a
+    # serial batch gets no spill directory and no fatal-signal handler;
+    # its ring still attaches to the failure record.
+    import signal
+    import tempfile
+
+    from repro.service.pool import _FATAL_SIGNALS
+
+    made, taken = [], []
+    real_mkdtemp, real_signal = tempfile.mkdtemp, signal.signal
+
+    def mkdtemp(*args, **kwargs):
+        made.append(kwargs.get("prefix"))
+        return real_mkdtemp(*args, **kwargs)
+
+    def take(signum, handler):
+        taken.append(signum)
+        return real_signal(signum, handler)
+
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    monkeypatch.setattr(signal, "signal", take)
+    report = run_batch(paper_corpus(2), MACHINE, faults={1: "raise"})
+    assert report.results[0].ok and report.results[1].flight
+    assert "repro-flight-" not in made
+    fatal = {getattr(signal, name) for name in _FATAL_SIGNALS if hasattr(signal, name)}
+    assert not fatal & set(taken)
+
+
 def test_flight_events_zero_disables_recording():
     report = run_batch(
         paper_corpus(2), MACHINE, faults={0: "raise"}, flight_events=0

@@ -1,6 +1,6 @@
 """Unit tests for the kernels, generator and corpus assembly."""
 
-from repro.bounds import recurrence_ops
+from repro.bounds import LoopAnalysis
 from repro.frontend import DoLoop, compile_loop
 from repro.ir import build_ddg
 from repro.machine import cydra5
@@ -50,7 +50,7 @@ def test_class_coverage_in_kernels():
         has_c = bool(loop.meta["has_conditional"])
         from repro.bounds import recmii
 
-        has_r = recmii(ddg) > 1 or bool(recurrence_ops(ddg))
+        has_r = recmii(ddg) > 1 or bool(LoopAnalysis.of(ddg).recurrence_ops)
         seen.add((has_c, has_r))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
@@ -91,7 +91,7 @@ def test_generated_classes_have_requested_features():
                 ddg = build_ddg(loop, MACHINE)
                 from repro.bounds import recmii
 
-                assert recmii(ddg) > 1 or recurrence_ops(ddg), (
+                assert recmii(ddg) > 1 or LoopAnalysis.of(ddg).recurrence_ops, (
                     f"{klass} loop lacks a recurrence"
                 )
 
@@ -102,7 +102,7 @@ def test_neither_loops_have_no_nontrivial_recurrence():
         program = generator.generate(f"n{index}", "neither")
         loop = compile_loop(program)
         ddg = build_ddg(loop, MACHINE)
-        assert not recurrence_ops(ddg)
+        assert not LoopAnalysis.of(ddg).recurrence_ops
 
 
 def test_generate_corpus_slice():
