@@ -158,7 +158,7 @@ def run_corpus(
     (:mod:`repro.service`): worker processes, per-job ``timeout``, and a
     content-addressed result cache (directory or sqlite).  The service
     path returns metrics in the same order with identical values.
-    The ``observer`` crosses process boundaries via per-job spool files
+    The ``observer`` crosses process boundaries inside the job results,
     merged in submission order, so it records the same scheduler
     observations on either path at any job count (modulo timestamps);
     on the service path its metrics registry also receives

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.ir.loop import LoopBody
 from repro.ir.operations import Operation
@@ -41,10 +41,6 @@ class Arc:
     omega: int
     kind: ArcKind
     value: Optional[Value] = None
-
-    @property
-    def is_self(self) -> bool:
-        return self.src == self.dst
 
     def __repr__(self) -> str:
         tag = f" {self.value.name}" if self.value is not None else ""
@@ -73,13 +69,6 @@ class DDG:
         #: binding, per-II MinDist/MinLT): the one cache a DDG carries,
         #: created on first use by repro.bounds.analysis.LoopAnalysis.of.
         self.analysis = None
-
-    def flow_arcs(self) -> Iterator[Arc]:
-        return (arc for arc in self.arcs if arc.kind is ArcKind.FLOW)
-
-    def flow_inputs(self, op: Operation) -> List[Arc]:
-        """Flow arcs feeding ``op`` (its operand lifetimes)."""
-        return [arc for arc in self.preds[op.oid] if arc.kind is ArcKind.FLOW]
 
     def flow_outputs(self, op: Operation) -> List[Arc]:
         """Flow arcs leaving ``op`` (uses of the value it defines)."""

@@ -14,7 +14,8 @@ sinks it carries:
   recording them.
 
 An observer is :attr:`~Observer.enabled` when any of the three records;
-that is the batch service's test for spooling worker observations.
+that is the batch service's test for having each job return its
+observations.
 """
 
 from __future__ import annotations
@@ -43,7 +44,12 @@ class Observer:
 
     @property
     def enabled(self) -> bool:
-        """Whether any sink records anything."""
+        """Whether any sink records anything.
+
+        When it does, each batch job runs under its own tracer, registry
+        and profiler and returns their contents in
+        ``JobResult.observed`` for ``run_batch`` to merge back in.
+        """
         return self.trace is not None or self.metrics is not None or self.prof.enabled
 
 

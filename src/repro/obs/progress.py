@@ -486,17 +486,6 @@ class ProgressTracker:
         for sink in self.sinks:
             sink.close()
 
-    def straggler_summary(self) -> Optional[str]:
-        """One warning line for the batch wrap-up, or None when clean."""
-        if not self.stragglers:
-            return None
-        worst = max(self.stragglers, key=lambda s: s.ratio)
-        return (
-            f"stragglers: {len(self.stragglers)} job(s) exceeded "
-            f"{self.watchdog.factor:g}x median latency "
-            f"(worst {worst.loop} at {worst.ratio:.1f}x, {worst.seconds:.2f}s)"
-        )
-
 
 def lifecycle_sequence(events: Sequence[ProgressEvent]) -> Dict[int, List[str]]:
     """Per-job kind sequences with synthetic kinds dropped.

@@ -17,16 +17,14 @@ measure_loop` into exactly that service:
 - :mod:`repro.service.jobs` — job/result records with an explicit
   status (``ok | failed | timeout | crashed | cached``), optional
   per-job machines for heterogeneous sweeps, and deterministic result
-  ordering;
+  ordering; a job's metrics, flight-recorder dump and observations all
+  return in its :class:`JobResult`;
 - :mod:`repro.service.pool` — shared pool machinery: in-worker
   wall-clock budgets, crash quarantine with bounded retry, graceful
-  degradation to in-process serial execution, observability spooling;
+  degradation to in-process serial execution, per-job observation;
 - :mod:`repro.service.backends` — the :class:`ExecutionBackend`
   strategies: serial in-process, and the chunked process pool that
   keeps deserialized machines resident in workers;
-- :mod:`repro.service.spool` — per-job observability spool files
-  merged in submission order, so ``--trace``/``--explain`` cross
-  process boundaries deterministically;
 - :mod:`repro.service.batch` — the batch front end
   (``python -m repro batch``) tying the above together.
 """
@@ -70,7 +68,6 @@ from repro.service.keys import (
     machine_digest,
 )
 from repro.service.pool import PoolStats
-from repro.service.spool import SpoolMergeStats, merge_spools, write_spool
 from repro.service.batch import BatchReport, batch_main, run_batch
 
 __all__ = [
@@ -105,9 +102,6 @@ __all__ = [
     "canonical_request",
     "machine_digest",
     "PoolStats",
-    "SpoolMergeStats",
-    "merge_spools",
-    "write_spool",
     "BatchReport",
     "batch_main",
     "run_batch",

@@ -22,11 +22,14 @@ into submission-ordered :class:`JobResult`\\ s plus a
 Both speak the same fault-tolerance protocol (in-worker ``SIGALRM``
 budgets, pool-side backstop, crash quarantine with bounded backoff —
 see :mod:`repro.service.pool`) and the same observability protocol
-(per-job spool files, see :mod:`repro.service.spool`; per-job progress
-events, see :mod:`repro.obs.progress`), so results, merged traces,
-merged metrics and per-job progress sequences are identical across
-backends and chunk sizes; only wall-clock (and cross-job interleaving
-of the progress stream) changes.
+(with ``observe``, each result carries its job's observations in
+``JobResult.observed``; per-job progress events, see
+:mod:`repro.obs.progress`), so results, merged traces, merged metrics
+and per-job progress sequences are identical across backends and chunk
+sizes; only wall-clock (and cross-job interleaving of the progress
+stream) changes.  Only the chunked backend's workers spill flight
+rings on a fatal signal, into a directory it makes once its first pool
+has started and removes before it returns.
 
 Progress contract: every backend emits ``started`` when it dispatches a
 job and exactly one terminal ``finished``/``failed`` event when that
@@ -42,6 +45,8 @@ import concurrent.futures
 import dataclasses
 import math
 import pickle
+import shutil
+import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.progress import (
@@ -75,14 +80,9 @@ CHUNKS_PER_WORKER = 4
 
 
 class ExecutionBackend:
-    """Strategy protocol: execute jobs, return ordered results + stats.
-
-    Only jobs in worker processes spill to ``flight_dir``, so
-    ``run_batch`` creates one only for a backend that ``uses_workers``.
-    """
+    """Strategy protocol: execute jobs, return ordered results + stats."""
 
     name: str = "?"
-    uses_workers: bool = True
 
     def run(
         self,
@@ -91,9 +91,8 @@ class ExecutionBackend:
         timeout: Optional[float] = None,
         max_retries: int = 2,
         backoff: float = 0.1,
-        spool_dir: Optional[str] = None,
+        observe: bool = False,
         progress=None,  # Optional[Callable[[ProgressEvent], None]]
-        flight_dir: Optional[str] = None,
         flight_events: int = DEFAULT_FLIGHT_CAPACITY,
     ) -> Tuple[List[JobResult], PoolStats]:
         raise NotImplementedError
@@ -129,7 +128,7 @@ def _execute_serially(
     jobs: Sequence[ScheduleJob],
     machine,
     timeout: Optional[float],
-    spool_dir: Optional[str],
+    observe: bool,
     progress,
     flight_events: int = DEFAULT_FLIGHT_CAPACITY,
 ) -> List[JobResult]:
@@ -140,7 +139,7 @@ def _execute_serially(
     for job in jobs:
         _emit_started(progress, job)
         result = execute_job(
-            job, machine, timeout, spool_dir=spool_dir, flight_events=flight_events
+            job, machine, timeout, observe=observe, flight_events=flight_events
         )
         _emit_result(progress, result)
         results.append(result)
@@ -151,7 +150,6 @@ class SerialBackend(ExecutionBackend):
     """In-process execution: the fallback rung and the jobs=1 default."""
 
     name = "serial"
-    uses_workers = False
 
     def run(
         self,
@@ -160,9 +158,8 @@ class SerialBackend(ExecutionBackend):
         timeout: Optional[float] = None,
         max_retries: int = 2,
         backoff: float = 0.1,
-        spool_dir: Optional[str] = None,
+        observe: bool = False,
         progress=None,
-        flight_dir: Optional[str] = None,
         flight_events: int = DEFAULT_FLIGHT_CAPACITY,
     ) -> Tuple[List[JobResult], PoolStats]:
         import time
@@ -172,7 +169,7 @@ class SerialBackend(ExecutionBackend):
         )
         started = time.perf_counter()
         results = _execute_serially(
-            jobs, machine, timeout, spool_dir, progress, flight_events=flight_events
+            jobs, machine, timeout, observe, progress, flight_events=flight_events
         )
         return _finish(stats, results, started)
 
@@ -195,13 +192,13 @@ def _chunk_worker(
     payload: Tuple[
         List[Tuple[ScheduleJob, str]],
         Optional[float],
-        Optional[str],
+        bool,
         Optional[str],
         int,
     ]
 ) -> List[JobResult]:
     """Run one chunk of (machine-stripped job, machine digest) entries."""
-    entries, timeout, spool_dir, flight_dir, flight_events = payload
+    entries, timeout, observe, flight_dir, flight_events = payload
     results: List[JobResult] = []
     for job, digest in entries:
         resident = _WORKER_MACHINES.get(digest)
@@ -220,7 +217,7 @@ def _chunk_worker(
                 job,
                 resident,
                 timeout,
-                spool_dir=spool_dir,
+                observe=observe,
                 flight_dir=flight_dir,
                 flight_events=flight_events,
             )
@@ -263,10 +260,6 @@ class ChunkedProcessBackend(ExecutionBackend):
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
 
-    @property
-    def uses_workers(self) -> bool:
-        return self.workers > 1
-
     def _partition(self, pending: Sequence[ScheduleJob]) -> List[List[ScheduleJob]]:
         size = self.chunk_size or max(
             1, math.ceil(len(pending) / (self.workers * CHUNKS_PER_WORKER))
@@ -280,9 +273,8 @@ class ChunkedProcessBackend(ExecutionBackend):
         timeout: Optional[float] = None,
         max_retries: int = 2,
         backoff: float = 0.1,
-        spool_dir: Optional[str] = None,
+        observe: bool = False,
         progress=None,
-        flight_dir: Optional[str] = None,
         flight_events: int = DEFAULT_FLIGHT_CAPACITY,
     ) -> Tuple[List[JobResult], PoolStats]:
         import time
@@ -294,7 +286,7 @@ class ChunkedProcessBackend(ExecutionBackend):
         if self.workers <= 1 or not jobs:
             stats.fallback_serial = self.workers <= 1
             results = _execute_serially(
-                jobs, machine, timeout, spool_dir, progress, flight_events=flight_events
+                jobs, machine, timeout, observe, progress, flight_events=flight_events
             )
             return _finish(stats, results, started)
 
@@ -309,97 +301,113 @@ class ChunkedProcessBackend(ExecutionBackend):
 
         results: Dict[int, JobResult] = {}
         pending: List[ScheduleJob] = list(jobs)
-        while pending:
-            chunks = self._partition(pending)
-            try:
-                executor = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(chunks)),
-                    initializer=_chunk_worker_init,
-                    initargs=(machines_blob,),
-                )
-            except (OSError, ValueError, RuntimeError):
-                stats.fallback_serial = True
-                for result in _execute_serially(
-                    pending, machine, timeout, spool_dir, progress,
-                    flight_events=flight_events,
-                ):
-                    results[result.index] = result
-                pending = []
-                break
-
-            stats.chunks += len(chunks)
-            broken = False
-            hung = False
-            try:
-                futures = {}
-                for chunk in chunks:
-                    future = executor.submit(
-                        _chunk_worker,
-                        (
-                            [(stripped[job.index], ref_of[job.index]) for job in chunk],
-                            timeout,
-                            spool_dir,
-                            flight_dir,
-                            flight_events,
-                        ),
-                    )
-                    for job in chunk:
-                        _emit_started(progress, job)
-                    futures[future] = chunk
-                backstop = None
-                if timeout is not None and timeout > 0:
-                    longest = max(len(chunk) for chunk in chunks)
-                    waves = math.ceil(len(chunks) / max(1, self.workers))
-                    backstop = (
-                        waves * (longest * timeout + BACKSTOP_GRACE) + BACKSTOP_GRACE
-                    )
+        # Fatal-signal spill area: a worker that dies mid-job writes its
+        # flight ring here for the quarantine path to attach.  It is made
+        # once a pool has started, so a batch that never reaches a worker
+        # makes none.
+        flight_dir: Optional[str] = None
+        try:
+            while pending:
+                chunks = self._partition(pending)
                 try:
-                    for future in concurrent.futures.as_completed(
-                        futures, timeout=backstop
-                    ):
-                        try:
-                            chunk_results = future.result()
-                        except concurrent.futures.process.BrokenProcessPool:
-                            broken = True
-                            continue
-                        except concurrent.futures.CancelledError:
-                            continue
-                        for result in chunk_results:
-                            results[result.index] = result
-                            _emit_result(progress, result)
-                except concurrent.futures.TimeoutError:
-                    hung = True
-                    for future, chunk in futures.items():
-                        if future.done() and not future.cancelled():
-                            continue  # re-run next round; results are pure
-                        for job in chunk:
-                            if job.index in results:
-                                continue
-                            results[job.index] = JobResult(
-                                index=job.index,
-                                name=job.name,
-                                status=JOB_TIMEOUT,
-                                error="backstop: worker unresponsive past its budget",
-                            )
-                            _emit_result(progress, results[job.index])
-            finally:
-                executor.shutdown(wait=not (broken or hung), cancel_futures=True)
-
-            pending = [job for job in jobs if job.index not in results]
-            if pending and broken:
-                # Chunk granularity is lost on a crash: quarantine the
-                # survivors job-by-job so one assassin cannot take its
-                # chunkmates down with it a second time.
-                stats.rebuilds += 1
-                for job in pending:
-                    _emit_quarantined(progress, job)
-                    results[job.index] = run_quarantined(
-                        job, machine, timeout, max_retries, backoff, stats,
-                        spool_dir=spool_dir, flight_dir=flight_dir,
-                        flight_events=flight_events,
+                    executor = concurrent.futures.ProcessPoolExecutor(
+                        max_workers=min(self.workers, len(chunks)),
+                        initializer=_chunk_worker_init,
+                        initargs=(machines_blob,),
                     )
-                    _emit_result(progress, results[job.index])
-                pending = []
+                except (OSError, ValueError, RuntimeError):
+                    stats.fallback_serial = True
+                    for result in _execute_serially(
+                        pending, machine, timeout, observe, progress,
+                        flight_events=flight_events,
+                    ):
+                        results[result.index] = result
+                    pending = []
+                    break
+                if flight_dir is None and flight_events > 0:
+                    flight_dir = tempfile.mkdtemp(prefix="repro-flight-")
+
+                stats.chunks += len(chunks)
+                broken = False
+                hung = False
+                try:
+                    futures = {}
+                    for chunk in chunks:
+                        entries = [
+                            (stripped[job.index], ref_of[job.index]) for job in chunk
+                        ]
+                        future = executor.submit(
+                            _chunk_worker,
+                            (
+                                entries,
+                                timeout,
+                                observe,
+                                flight_dir,
+                                flight_events,
+                            ),
+                        )
+                        for job in chunk:
+                            _emit_started(progress, job)
+                        futures[future] = chunk
+                    backstop = None
+                    if timeout is not None and timeout > 0:
+                        longest = max(len(chunk) for chunk in chunks)
+                        waves = math.ceil(len(chunks) / max(1, self.workers))
+                        backstop = (
+                            waves * (longest * timeout + BACKSTOP_GRACE)
+                            + BACKSTOP_GRACE
+                        )
+                    try:
+                        for future in concurrent.futures.as_completed(
+                            futures, timeout=backstop
+                        ):
+                            try:
+                                chunk_results = future.result()
+                            except concurrent.futures.process.BrokenProcessPool:
+                                broken = True
+                                continue
+                            except concurrent.futures.CancelledError:
+                                continue
+                            for result in chunk_results:
+                                results[result.index] = result
+                                _emit_result(progress, result)
+                    except concurrent.futures.TimeoutError:
+                        hung = True
+                        for future, chunk in futures.items():
+                            if future.done() and not future.cancelled():
+                                continue  # re-run next round; results are pure
+                            for job in chunk:
+                                if job.index in results:
+                                    continue
+                                results[job.index] = JobResult(
+                                    index=job.index,
+                                    name=job.name,
+                                    status=JOB_TIMEOUT,
+                                    error="backstop: worker unresponsive past "
+                                    "its budget",
+                                )
+                                _emit_result(progress, results[job.index])
+                finally:
+                    executor.shutdown(wait=not (broken or hung), cancel_futures=True)
+
+                pending = [job for job in jobs if job.index not in results]
+                if pending and broken:
+                    # Chunk granularity is lost on a crash: quarantine the
+                    # survivors job-by-job so one assassin cannot take its
+                    # chunkmates down with it a second time.
+                    stats.rebuilds += 1
+                    for job in pending:
+                        _emit_quarantined(progress, job)
+                        results[job.index] = run_quarantined(
+                            job, machine, timeout, max_retries, backoff, stats,
+                            observe=observe, flight_dir=flight_dir,
+                            flight_events=flight_events,
+                        )
+                        _emit_result(progress, results[job.index])
+                    pending = []
+        finally:
+            if flight_dir is not None:
+                shutil.rmtree(flight_dir, ignore_errors=True)
 
         return _finish(stats, list(results.values()), started)
 

@@ -38,23 +38,23 @@ protocol: a fan-out directory (``--cache-dir``) and a single-file
 sqlite database (``--cache-db``, WAL mode, shareable across CI runs).
 
 An :class:`~repro.obs.observer.Observer` crosses process boundaries
-via per-job JSONL spool files merged in submission order
-(:mod:`repro.service.spool`): whenever it records anything (a tracer,
-a metrics registry or an enabled profiler), every job's trace events,
-instruments and spans reach it, so the ``--trace`` output and the
-scheduler instruments in ``--metrics-out`` are identical at any
-``--jobs`` level, modulo wall-clock times.
+inside the job results: whenever it records anything (a tracer, a
+metrics registry or an enabled profiler), every job returns its trace
+events, instruments and spans in ``JobResult.observed``, and
+:func:`run_batch` folds them into the observer in submission order, so
+the ``--trace`` output and the scheduler instruments in
+``--metrics-out`` are identical at any ``--jobs`` level, modulo
+wall-clock times.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import re
-import shutil
 import sys
-import tempfile
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -88,12 +88,6 @@ from repro.service.jobs import (
 )
 from repro.service.keys import cache_key
 from repro.service.pool import DEFAULT_FLIGHT_CAPACITY, PoolStats
-from repro.service.spool import (
-    SpoolMergeStats,
-    merge_spools,
-    record_spool_stats,
-    write_trace_records,
-)
 
 #: Default on-disk cache location for the CLI (API default is no cache).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -108,7 +102,6 @@ class BatchReport:
     cache: Optional[CacheStats]  # None when caching was disabled
     wall_seconds: float
     cache_location: Optional[str] = None  # backend.describe(), if caching
-    spool: Optional[SpoolMergeStats] = None  # None unless observability on
     trace_records: Optional[List[dict]] = None  # merged events, loop-tagged
     stragglers: Optional[List[Straggler]] = None  # None unless progress on
     straggler_factor: Optional[float] = None
@@ -153,9 +146,9 @@ class BatchReport:
         """``(status_lines, diagnostic_lines)`` for the CLI wrap-up.
 
         Status lines (counts, cache, pool, latency) describe the run;
-        diagnostic lines (spool degradation, stragglers, per-job
-        errors) are warnings and always belong on stderr so stdout can
-        carry machine-readable output (``--out -``).
+        diagnostic lines (stragglers, per-job errors) are warnings and
+        always belong on stderr so stdout can carry machine-readable
+        output (``--out -``).
         """
         counts = self.counts()
         parts = " ".join(
@@ -205,12 +198,6 @@ class BatchReport:
             )
 
         diagnostics: List[str] = []
-        if self.spool is not None and self.spool.degraded:
-            diagnostics.append(
-                f"spool: DEGRADED  {self.spool.missing} missing, "
-                f"{self.spool.corrupt} corrupt "
-                f"(merged {self.spool.merged})"
-            )
         if self.stragglers:
             worst = max(self.stragglers, key=lambda s: s.ratio)
             factor = self.straggler_factor or 0.0
@@ -251,6 +238,33 @@ def _record_metrics(registry, report: BatchReport) -> None:
     latencies = registry.histogram("service.job.seconds")
     for seconds in report.job_latencies():
         latencies.record(seconds)
+
+
+def _fold_observed(results: Sequence[JobResult], observer: Observer) -> List[dict]:
+    """Merge every job's observations into ``observer``, in result order.
+
+    Returns the loop-tagged event records ``--trace`` writes.  Each
+    record keeps its job-local ``seq``: it is tagged before the event is
+    re-emitted, which lets a :class:`~repro.obs.trace.CollectingTracer`
+    re-stamp it.  Cached jobs carry no observations (a cache hit replays
+    no scheduler decisions).
+    """
+    records: List[dict] = []
+    for result in results:
+        if result.observed is None:
+            continue
+        events, metrics_dump, profile_snapshot = result.observed
+        for event in events:
+            records.append(
+                {**event.to_dict(), "loop": result.name, "job": result.index}
+            )
+            if observer.trace is not None:
+                observer.trace.emit(event)
+        if observer.metrics is not None:
+            observer.metrics.merge_dump(metrics_dump)
+        if observer.prof.enabled:
+            observer.prof.merge_snapshot(profile_snapshot)
+    return records
 
 
 def run_batch(
@@ -302,11 +316,11 @@ def run_batch(
             cache location is set.
         observer: Optional :class:`repro.obs.Observer`.  When it
             records anything, every computed job runs under its own
-            tracer, registry and profiler, whose contents are merged
-            into the observer's in submission order (loop-tagged events
-            also land in ``report.trace_records``, what CLI ``--trace``
-            writes); its registry also receives ``service.*``
-            counters/gauges/timers.
+            tracer, registry and profiler and returns their contents in
+            ``JobResult.observed``; they are merged into the observer's
+            in submission order (loop-tagged events also land in
+            ``report.trace_records``, what CLI ``--trace`` writes); its
+            registry also receives ``service.*`` counters/gauges/timers.
         max_retries: Crash-recovery resubmissions per job.
         faults: Optional ``{job index: fault}`` injection map (see
             :class:`repro.service.jobs.ScheduleJob`).
@@ -408,26 +422,14 @@ def run_batch(
         if isinstance(backend, ExecutionBackend)
         else resolve_backend(backend, workers=jobs)
     )
-    spool_dir = (
-        tempfile.mkdtemp(prefix="repro-spool-") if observer.enabled else None
-    )
-    # Fatal-signal spill area: a worker process that dies mid-job writes
-    # its flight ring here so the quarantine path can attach it
-    # post-mortem.  Jobs run in this process never spill.
-    flight_dir = (
-        tempfile.mkdtemp(prefix="repro-flight-")
-        if flight_events > 0 and exec_backend.uses_workers
-        else None
-    )
     try:
         computed, pool_stats = exec_backend.run(
             pending,
             machine,
             timeout=timeout,
             max_retries=max_retries,
-            spool_dir=spool_dir,
+            observe=observer.enabled,
             progress=tracker.emit if tracker is not None else None,
-            flight_dir=flight_dir,
             flight_events=flight_events,
         )
         if cache is not None:
@@ -437,17 +439,10 @@ def run_batch(
                     cache.put(job.key, result.metrics)
 
         ordered = order_results(cached_results + list(computed))
-        trace_records: Optional[List[dict]] = None
-        spool_stats: Optional[SpoolMergeStats] = None
-        if spool_dir is not None:
-            trace_records, spool_stats = merge_spools(
-                spool_dir, ordered, observer=observer
-            )
+        trace_records = (
+            _fold_observed(ordered, observer) if observer.enabled else None
+        )
     finally:
-        if spool_dir is not None:
-            shutil.rmtree(spool_dir, ignore_errors=True)
-        if flight_dir is not None:
-            shutil.rmtree(flight_dir, ignore_errors=True)
         if tracker is not None:
             tracker.close()
 
@@ -457,14 +452,11 @@ def run_batch(
         cache=cache.stats if cache is not None else None,
         wall_seconds=time.perf_counter() - started,
         cache_location=cache.describe() if cache is not None else None,
-        spool=spool_stats,
         trace_records=trace_records,
         stragglers=tracker.stragglers if tracker is not None else None,
         straggler_factor=straggler_factor,
     )
     _record_metrics(metrics, report)
-    if spool_stats is not None:
-        record_spool_stats(metrics, spool_stats)
     if cache is not None and owns_cache:
         cache.close()
     return report
@@ -752,12 +744,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="per-job flight-recorder ring capacity: the last N scheduler "
         "events attached to crash/timeout/failure records "
-        f"(default {DEFAULT_FLIGHT_CAPACITY})",
-    )
-    parser.add_argument(
-        "--no-flight",
-        action="store_true",
-        help="disable the per-job flight recorder entirely",
+        f"(default {DEFAULT_FLIGHT_CAPACITY}; 0 disables the recorder)",
     )
     parser.add_argument(
         "--explain-failures",
@@ -927,8 +914,6 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
     flight_events = args.flight_events
     if flight_events is None:
         flight_events = DEFAULT_FLIGHT_CAPACITY
-    if args.no_flight:
-        flight_events = 0
     if flight_events < 0:
         print("error: --flight-events must be >= 0", file=sys.stderr)
         return 2
@@ -1008,22 +993,23 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
             return 2
         print(f"history: run #{run_id} -> {args.history}", file=status_stream)
     if args.trace:
+        records = report.trace_records or []
         try:
-            write_trace_records(report.trace_records or [], args.trace)
+            with open(args.trace, "w") as handle:
+                for record in records:
+                    handle.write(json.dumps(record, sort_keys=True) + "\n")
         except OSError as exc:
             print(f"error: cannot write trace to {args.trace}: {exc}", file=sys.stderr)
             return 2
+        observed_jobs = sum(result.observed is not None for result in report.results)
         print(
-            f"trace: {len(report.trace_records or [])} events "
-            f"({report.spool.merged if report.spool else 0} jobs) -> {args.trace}",
+            f"trace: {len(records)} events ({observed_jobs} jobs) -> {args.trace}",
             file=status_stream,
         )
     if args.metrics_out:
-        import json as _json
-
         try:
             with open(args.metrics_out, "w") as handle:
-                _json.dump(observer.metrics.dump(), handle, indent=2, sort_keys=True)
+                json.dump(observer.metrics.dump(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
         except OSError as exc:
             print(
@@ -1033,11 +1019,9 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
             return 2
         print(f"metrics registry -> {args.metrics_out}", file=status_stream)
     if args.profile_out:
-        import json as _json
-
         try:
             with open(args.profile_out, "w") as handle:
-                _json.dump(observer.prof.snapshot(), handle, indent=2, sort_keys=True)
+                json.dump(observer.prof.snapshot(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
         except OSError as exc:
             print(

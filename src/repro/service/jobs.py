@@ -21,9 +21,10 @@ order the serial path would.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.metrics import LoopMetrics
+from repro.obs.trace import TraceEvent
 
 JOB_OK = "ok"
 JOB_FAILED = "failed"
@@ -78,6 +79,11 @@ class JobResult:
     #: failure records only: the last scheduler decisions in flight
     #: when the job timed out, raised, or killed its worker.
     flight: Optional[List[dict]] = None
+    #: ``(trace events, metrics dump, profile snapshot)`` of a job that
+    #: ran under an observing batch, whatever its status; None when the
+    #: batch observed nothing or no worker returned (cached, crashed,
+    #: backstop timeout).  ``run_batch`` folds these into its observer.
+    observed: Optional[Tuple[List[TraceEvent], dict, dict]] = None
 
     def __post_init__(self) -> None:
         if self.status not in JOB_STATUSES:

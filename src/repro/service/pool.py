@@ -2,7 +2,7 @@
 
 This module holds everything a backend (:mod:`repro.service.backends`)
 needs to run jobs safely: the in-worker ``SIGALRM`` budget, fault
-injection, observability spooling, crash quarantine, and the
+injection, per-job observation, crash quarantine, and the
 :class:`PoolStats` record.  The execution *strategies* themselves —
 serial in-process, and the chunked process pool with worker-resident
 machines — live in ``backends.py``.
@@ -90,7 +90,7 @@ def _inject_fault(fault: str) -> None:
 # Flight-recorder spill files (crash forensics across process death)
 # ----------------------------------------------------------------------
 def flight_path(flight_dir: str, index: int) -> str:
-    """Spill file for one job (mirrors the spool naming scheme)."""
+    """Spill file for one job."""
     return os.path.join(flight_dir, f"flight-{index:06d}.json")
 
 
@@ -135,9 +135,9 @@ def attach_flight(result: JobResult, flight_dir: Optional[str]) -> JobResult:
 class _FlightTee:
     """Forward events to a primary tracer AND the flight ring.
 
-    Used when a job is both spooling a full trace and flight-recording:
-    the :class:`~repro.obs.trace.CollectingTracer` stamps seq/ts as
-    before (so spool output is unchanged) and the ring keeps a
+    Used when a job is both observed and flight-recording: the
+    :class:`~repro.obs.trace.CollectingTracer` stamps seq/ts as before
+    (so the observed events are unchanged) and the ring keeps a
     reference to the last N of the same events.
     """
 
@@ -156,17 +156,18 @@ def execute_job(
     job: ScheduleJob,
     machine,
     timeout: Optional[float] = None,
-    spool_dir: Optional[str] = None,
+    observe: bool = False,
     flight_dir: Optional[str] = None,
     flight_events: int = DEFAULT_FLIGHT_CAPACITY,
 ) -> JobResult:
     """Run one job to a structured result; never raises.
 
     ``job.machine`` (when set) overrides the batch-default ``machine``.
-    With a ``spool_dir``, the job runs under its own tracer, metrics
-    registry and profiler and writes their contents to a per-job spool
-    file (:mod:`repro.service.spool`) for the parent to merge into the
-    batch's observer — that is how observations cross process
+    With ``observe``, the job runs under its own tracer, metrics
+    registry and profiler, and the result carries their contents in
+    ``observed`` whatever its status — partial observations of a
+    failed or timed-out job included — for the caller to fold into the
+    batch's observer.  That is how observations cross process
     boundaries.
 
     ``flight_events > 0`` (the default) runs the job under a bounded
@@ -195,7 +196,7 @@ def execute_job(
 
     machine = job.machine if job.machine is not None else machine
     tracer = registry = profiler = None
-    if spool_dir is not None:
+    if observe:
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.prof import Profiler
         from repro.obs.trace import CollectingTracer
@@ -273,20 +274,8 @@ def execute_job(
                 signal.signal(signum, previous)
             except (ValueError, OSError):  # pragma: no cover - defensive
                 pass
-    if spool_dir is not None:
-        # Written after the alarm is disarmed so a budget expiry cannot
-        # truncate the spool mid-line; partial traces (timeout/failure)
-        # are still recorded — they are the interesting ones.
-        from repro.service.spool import write_spool
-
-        write_spool(
-            spool_dir,
-            job.index,
-            job.name,
-            tracer.events,
-            registry.dump(),
-            profiler.snapshot(),
-        )
+    # Built after the alarm is disarmed, so a budget expiry cannot
+    # interrupt the dumps and make this function raise.
     return JobResult(
         index=job.index,
         name=job.name,
@@ -299,21 +288,24 @@ def execute_job(
             if recorder is not None and status != JOB_OK
             else None
         ),
+        observed=(
+            (tracer.events, registry.dump(), profiler.snapshot())
+            if observe
+            else None
+        ),
     )
 
 
 def _pool_worker(
-    payload: Tuple[
-        ScheduleJob, object, Optional[float], Optional[str], Optional[str], int
-    ]
+    payload: Tuple[ScheduleJob, object, Optional[float], bool, Optional[str], int]
 ) -> JobResult:
     """Top-level per-job worker entry point (must be picklable by name)."""
-    job, machine, timeout, spool_dir, flight_dir, flight_events = payload
+    job, machine, timeout, observe, flight_dir, flight_events = payload
     return execute_job(
         job,
         machine,
         timeout,
-        spool_dir=spool_dir,
+        observe=observe,
         flight_dir=flight_dir,
         flight_events=flight_events,
     )
@@ -366,7 +358,7 @@ def run_quarantined(
     max_retries: int,
     backoff: float,
     stats: PoolStats,
-    spool_dir: Optional[str] = None,
+    observe: bool = False,
     flight_dir: Optional[str] = None,
     flight_events: int = DEFAULT_FLIGHT_CAPACITY,
 ) -> JobResult:
@@ -390,7 +382,7 @@ def run_quarantined(
             stats.fallback_serial = True
             return dataclasses.replace(
                 execute_job(
-                    job, machine, timeout, spool_dir=spool_dir, flight_events=flight_events
+                    job, machine, timeout, observe=observe, flight_events=flight_events
                 ),
                 retries=attempt,
             )
@@ -399,7 +391,7 @@ def run_quarantined(
         try:
             future = executor.submit(
                 _pool_worker,
-                (job, machine, timeout, spool_dir, flight_dir, flight_events),
+                (job, machine, timeout, observe, flight_dir, flight_events),
             )
             backstop = (
                 timeout + BACKSTOP_GRACE

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
 
 from repro.ir import DType, LoopBody, Opcode, Operand, ValueKind
@@ -12,6 +14,20 @@ from repro.machine import cydra5, machine_names
 def machine():
     """The paper's Table 1 machine with the default 13-cycle loads."""
     return cydra5()
+
+
+@pytest.fixture
+def made_dirs(monkeypatch):
+    """Prefixes of every temporary directory made in this process."""
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def _spy(suffix=None, prefix=None, dir=None):
+        made.append(prefix)
+        return mkdtemp(suffix, prefix, dir)
+
+    monkeypatch.setattr(tempfile, "mkdtemp", _spy)
+    return made
 
 
 def on_targets(programs):

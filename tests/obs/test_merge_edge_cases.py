@@ -19,7 +19,7 @@ def test_merge_empty_dump_is_identity():
     registry.counter("jobs").inc(3)
     registry.histogram("lat").record(1.0)
     before = registry.dump()
-    registry.merge_dump({})  # an empty spool contributes nothing
+    registry.merge_dump({})  # an empty dump contributes nothing
     registry.merge_dump(MetricsRegistry().dump())
     assert registry.dump() == before
 

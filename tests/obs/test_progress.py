@@ -154,7 +154,6 @@ def test_tracker_flags_job_still_in_flight():
     flagged = [e for e in sink.events if e.kind == KIND_STRAGGLER]
     assert [e.job for e in flagged] == [7]
     assert tracker.stragglers[0].in_flight
-    assert tracker.straggler_summary() is not None
 
 
 def test_tracker_records_progress_counters_on_close():

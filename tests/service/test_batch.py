@@ -294,7 +294,7 @@ def test_cli_no_flight_suppresses_dumps(capsys):
             "--no-cache",
             "--inject", "0:raise",
             "--no-progress",
-            "--no-flight",
+            "--flight-events", "0",
             "--explain-failures",
         ]
     )

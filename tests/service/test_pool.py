@@ -18,6 +18,7 @@ from repro.service.jobs import (
     make_jobs,
 )
 from repro.service.backends import ChunkedProcessBackend, SerialBackend
+from repro.service.batch import run_batch
 from repro.service.pool import execute_job
 from repro.workloads import paper_corpus
 
@@ -109,6 +110,20 @@ def test_unavailable_pool_degrades_to_serial(monkeypatch):
     assert all(r.status == JOB_OK for r in results)
 
 
+def test_pool_that_never_starts_makes_no_spill_directory(monkeypatch, made_dirs):
+    # The crash-spill directory belongs to a started pool; the in-process
+    # fallback still attaches the failed job's ring straight from memory.
+    def _refuse(*args, **kwargs):
+        raise OSError("no subprocess support here")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse)
+    report = run_batch(_corpus(2), MACHINE, jobs=2, faults={1: "raise"})
+    assert report.pool.fallback_serial
+    assert report.results[1].status == JOB_FAILED
+    assert report.results[1].flight[0]["kind"] == "job_start"
+    assert made_dirs == []
+
+
 def test_execute_job_never_raises_on_bad_program():
     jobs = make_jobs([object()])  # not a loop at all
     result = execute_job(jobs[0], MACHINE)
@@ -177,9 +192,10 @@ def test_flight_ring_is_bounded():
     assert result.flight is not None and len(result.flight) <= 4
 
 
-def test_crashed_worker_spills_and_parent_attaches(tmp_path):
+def test_crashed_worker_spills_and_parent_attaches():
     # The synthetic SIGSEGV lets the worker's signal handler spill the
-    # ring to flight_dir before dying; quarantine reads it back.
+    # ring to the pool's spill directory before dying; quarantine reads
+    # it back.
     jobs = make_jobs(_corpus(4), faults={2: "crash"})
     results, stats = ChunkedProcessBackend(2).run(
         jobs,
@@ -187,7 +203,6 @@ def test_crashed_worker_spills_and_parent_attaches(tmp_path):
         timeout=20.0,
         max_retries=1,
         backoff=0.01,
-        flight_dir=str(tmp_path),
     )
     assert results[2].status == JOB_CRASHED
     assert results[2].flight, "crash dump must survive the worker's death"
@@ -196,7 +211,7 @@ def test_crashed_worker_spills_and_parent_attaches(tmp_path):
     assert all(r.flight is None for r in results if r.index != 2)
 
 
-def test_crashed_job_postmortem_renders_via_explain(tmp_path):
+def test_crashed_job_postmortem_renders_via_explain():
     from repro.obs import flight_postmortem
 
     jobs = make_jobs(_corpus(3), faults={1: "crash"})
@@ -206,7 +221,6 @@ def test_crashed_job_postmortem_renders_via_explain(tmp_path):
         timeout=20.0,
         max_retries=1,
         backoff=0.01,
-        flight_dir=str(tmp_path),
     )
     crashed = results[1]
     assert crashed.status == JOB_CRASHED

@@ -143,23 +143,6 @@ def test_default_run_keeps_summary_on_stdout(tmp_path, capsys, monkeypatch):
     assert "FAILED" not in captured.out
 
 
-def test_spool_degraded_goes_to_stderr():
-    from repro.service.batch import BatchReport
-    from repro.service.pool import PoolStats
-    from repro.service.spool import SpoolMergeStats
-
-    report = BatchReport(
-        results=[],
-        pool=PoolStats(workers=1, jobs=0),
-        cache=None,
-        wall_seconds=0.0,
-        spool=SpoolMergeStats(merged=1, events=0, missing=2, corrupt=0),
-    )
-    status_lines, diagnostics = report.summary_lines()
-    assert not any("DEGRADED" in line for line in status_lines)
-    assert any("spool: DEGRADED" in line for line in diagnostics)
-
-
 def test_straggler_warning_is_a_diagnostic():
     from repro.obs.progress import Straggler
     from repro.service.batch import BatchReport

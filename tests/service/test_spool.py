@@ -1,8 +1,7 @@
-"""Cross-process observability: spool files, merge determinism, gap reporting."""
+"""Cross-process observability: each job's observations return in its
+``JobResult`` and merge into the batch's observer in submission order."""
 
 import json
-import logging
-import os
 
 import pytest
 
@@ -17,15 +16,7 @@ from repro.obs import (
 from repro.obs.trace import CollectingTracer
 from repro.service.backends import ChunkedProcessBackend
 from repro.service.batch import run_batch
-from repro.service.jobs import JobResult
-from repro.service.spool import (
-    SpoolError,
-    merge_spools,
-    read_spool,
-    record_spool_stats,
-    spool_path,
-    write_spool,
-)
+from repro.service.jobs import JOB_CACHED, JOB_FAILED
 from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
@@ -62,22 +53,26 @@ def test_session_tracer_receives_merged_events_across_processes():
         paper_corpus(3), MACHINE, jobs=2, backend="chunked",
         observer=Observer(tracer),
     )
-    assert report.spool.merged == 3
-    assert len(tracer.events) == report.spool.events > 0
+    assert all(result.observed is not None for result in report.results)
+    assert len(tracer.events) == len(report.trace_records) > 0
+    assert [record["job"] for record in report.trace_records] == sorted(
+        record["job"] for record in report.trace_records
+    )
 
 
 def test_worker_metrics_and_profile_cross_process_boundary():
     """Pre-refactor, jobs>1 silently dropped phase timers and spans."""
     registry = MetricsRegistry()
     profiler = Profiler()
-    run_batch(
+    report = run_batch(
         paper_corpus(3), MACHINE, jobs=2, backend="chunked",
         observer=Observer(CollectingTracer(), registry, profiler),
     )
     snapshot = registry.snapshot()
     assert snapshot["timers"]["phase.recmii"]["count"] == 3
-    assert snapshot["counters"]["service.trace_spool.merged"] == 3
-    assert snapshot["counters"]["service.trace_spool.missing"] == 0
+    assert snapshot["counters"]["scheduler.attempts"] == sum(
+        metrics.attempts for metrics in report.loop_metrics
+    )
     assert profiler.snapshot()["spans"]
 
 
@@ -88,71 +83,70 @@ def test_worker_metrics_and_profile_cross_process_boundary():
 )
 def test_no_observers_means_no_spool_overhead(observer):
     report = run_batch(paper_corpus(2), MACHINE, jobs=2, observer=observer)
-    assert report.spool is None and report.trace_records is None
+    assert report.trace_records is None
+    assert all(result.observed is None for result in report.results)
 
 
 # ----------------------------------------------------------------------
-# Spool file round-trip and gap reporting
+# The results are the only channel: no spill files, partial jobs merge
 # ----------------------------------------------------------------------
-def _ok_result(index):
-    return JobResult(index=index, name=f"loop{index}", status="ok")
+def test_observed_batch_makes_only_the_pools_spill_directory(made_dirs):
+    programs = paper_corpus(3)
+    observer = Observer(CollectingTracer(), MetricsRegistry(), Profiler())
+    run_batch(programs, MACHINE, jobs=1, observer=observer)
+    assert made_dirs == []
+    run_batch(programs, MACHINE, jobs=2, observer=observer)
+    assert made_dirs == ["repro-flight-"]
 
 
-def test_spool_roundtrip(tmp_path):
-    from repro.obs.trace import Place
+def test_job_that_raises_mid_schedule_still_merges_its_partial_observations(
+    monkeypatch,
+):
+    emit = CollectingTracer.emit
+    raised = []
 
-    tracer = CollectingTracer()
-    tracer.emit(Place(oid=1, cycle=4))
+    def _fail_on_first_place(self, event):
+        if event.kind == "place" and not raised:
+            raised.append(event)
+            raise RuntimeError("tracer failed")
+        emit(self, event)
+
+    monkeypatch.setattr(CollectingTracer, "emit", _fail_on_first_place)
     registry = MetricsRegistry()
-    registry.counter("x").inc(2)
-    assert write_spool(
-        str(tmp_path), 7, "loop7", tracer.events, registry.dump(),
-        Profiler().snapshot(),
+    profiler = Profiler()
+    report = run_batch(
+        paper_corpus(1), MACHINE, observer=Observer(metrics=registry, prof=profiler)
     )
-    record = read_spool(str(tmp_path), 7)
-    assert record.job == 7 and record.loop == "loop7"
-    assert [e.kind for e in record.events] == ["place"]
-    assert record.metrics_dump["counters"]["x"] == 2
-    assert record.profile_snapshot is not None
-
-
-def test_missing_spool_is_counted_and_logged(tmp_path, caplog):
-    results = [_ok_result(0), _ok_result(1)]
-    write_spool(str(tmp_path), 0, "loop0", [], None, None)
-    records, stats = merge_spools(str(tmp_path), results)
-    assert stats.merged == 1 and stats.missing == 1 and stats.degraded
-    registry = MetricsRegistry()
-    with caplog.at_level(logging.WARNING, logger="repro.service"):
-        record_spool_stats(registry, stats)
-    assert "trace spool gap" in caplog.text
+    [result] = report.results
+    assert result.status == JOB_FAILED and "tracer failed" in result.error
+    kinds = [record["kind"] for record in report.trace_records]
+    assert kinds[0] == "attempt_start" and "place" not in kinds
+    assert {record["job"] for record in report.trace_records} == {0}
     snapshot = registry.snapshot()
-    assert snapshot["counters"]["service.trace_spool.missing"] == 1
-    assert snapshot["counters"]["service.trace_spool.merged"] == 1
+    assert snapshot["timers"]["phase.recmii"]["count"] == 1
+    assert snapshot["counters"]["service.jobs.failed"] == 1
+    # The placement span the failure escaped from is merged too.
+    assert "driver.attempt;driver.place" in profiler.snapshot()["spans"]
 
 
-def test_corrupt_spool_is_counted_not_raised(tmp_path):
-    write_spool(str(tmp_path), 0, "loop0", [], None, None)
-    with open(spool_path(str(tmp_path), 1), "w") as handle:
-        handle.write("{not json\n")
-    records, stats = merge_spools(str(tmp_path), [_ok_result(0), _ok_result(1)])
-    assert stats.merged == 1 and stats.corrupt == 1 and stats.degraded
-
-
-def test_truncated_and_bad_header_spools_raise_spool_error(tmp_path):
-    with open(spool_path(str(tmp_path), 0), "w") as handle:
-        handle.write(json.dumps({"type": "spool", "schema": "other"}) + "\n")
-    with pytest.raises(SpoolError, match="bad spool header"):
-        read_spool(str(tmp_path), 0)
-    with open(spool_path(str(tmp_path), 1), "w") as handle:
-        handle.write("")
-    with pytest.raises(SpoolError, match="empty"):
-        read_spool(str(tmp_path), 1)
-
-
-def test_cached_jobs_are_skipped_by_merge(tmp_path):
-    results = [JobResult(index=0, name="loop0", status="cached")]
-    records, stats = merge_spools(str(tmp_path), results)
-    assert records == [] and stats.merged == 0 and not stats.degraded
+def test_cached_jobs_are_skipped_by_merge(tmp_path, made_dirs):
+    cache_dir = str(tmp_path / "cache")
+    programs = paper_corpus(3)
+    run_batch(programs[:2], MACHINE, cache_dir=cache_dir)
+    tracer = CollectingTracer()
+    report = run_batch(
+        programs, MACHINE, jobs=2, cache_dir=cache_dir, observer=Observer(tracer)
+    )
+    assert [result.status for result in report.results[:2]] == [JOB_CACHED] * 2
+    assert {record["job"] for record in report.trace_records} == {2}
+    assert len(tracer.events) == len(report.trace_records)
+    warm = run_batch(
+        programs, MACHINE, jobs=2, cache_dir=cache_dir,
+        observer=Observer(CollectingTracer()),
+    )
+    assert warm.trace_records == []
+    # Only the run that computed a job started a pool.
+    assert made_dirs == ["repro-flight-"]
 
 
 def test_cli_trace_flag_writes_merged_jsonl(tmp_path, capsys):

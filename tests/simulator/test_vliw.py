@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.codegen import CodegenError, generate_kernel
 from repro.core import modulo_schedule
 from repro.frontend import compile_loop
-from repro.ir import Opcode, build_ddg
+from repro.ir import ArcKind, Opcode, build_ddg
 from repro.machine import Machine, build_machine, cydra5, machine_names
 from repro.regalloc import allocate_registers
 from repro.simulator import SimulationError, initial_state, run_sequential, state_mismatches
@@ -117,8 +117,9 @@ def _full_latency_flow_arc(schedule, ddg):
     return next(
         (
             arc
-            for arc in ddg.flow_arcs()
-            if arc.omega == 0
+            for arc in ddg.arcs
+            if arc.kind is ArcKind.FLOW
+            and arc.omega == 0
             and arc.latency >= 2
             and times[arc.dst] - times[arc.src] == arc.latency
         ),
