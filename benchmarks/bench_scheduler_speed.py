@@ -5,16 +5,16 @@ scheduling single representative loops, complementing the one-shot
 corpus benchmarks: use them to track scheduler performance regressions.
 
 ``test_trace_overhead`` is the observability guardrail: it schedules a
-Table-2-style corpus untraced, with the default :class:`NullTracer`
-(whose cost is one attribute test per decision), with the disabled
-:class:`NullProfiler` (same pattern), with the batch progress stream
-(per-job lifecycle events through a :class:`ProgressTracker` plus
-latency-quantile recording, the per-job cost ``run_batch`` adds), with
-the bounded :class:`FlightRecorder` ring buffer (always-on crash
+Table-2-style corpus untraced (the shared ``NULL_OBSERVER`` path, which
+a NullTracer or a NullProfiler normalizes to), with a metrics registry
+alone, with an enabled :class:`Profiler` alone, with the batch progress
+stream (per-job lifecycle events through a :class:`ProgressTracker`
+plus latency-quantile recording, the per-job cost ``run_batch`` adds),
+with the bounded :class:`FlightRecorder` ring buffer (always-on crash
 forensics), and with the full :class:`CollectingTracer` + metrics +
-enabled :class:`Profiler`.  It asserts the disabled tracer, the
-disabled profiler, the progress/quantile path, *and* the flight
-recorder each stay under 5% overhead, and publishes the numbers to
+enabled :class:`Profiler`.  It asserts the progress/quantile path and
+the flight recorder each stay under 5% overhead, reports the rest
+without a bound, and publishes the numbers to
 ``benchmarks/out/trace_overhead.txt``.
 """
 
@@ -28,8 +28,6 @@ from repro.frontend import compile_loop
 from repro.ir import build_ddg
 from repro.machine import cydra5
 from repro.obs import (
-    NULL_PROFILER,
-    NULL_TRACER,
     CollectingTracer,
     FlightRecorder,
     MetricsRegistry,
@@ -94,7 +92,7 @@ def test_schedule_cydrome_medium(benchmark, medium_loop):
 
 
 # ----------------------------------------------------------------------
-# Traced vs untraced: the NullTracer must be (nearly) free
+# Traced vs untraced: the always-on paths must be (nearly) free
 # ----------------------------------------------------------------------
 def _one_corpus_run(loops, observer=None):
     """Wall time of scheduling every pre-compiled loop once.
@@ -161,8 +159,8 @@ def test_trace_overhead(benchmark):
             samples.append(
                 (
                     _one_corpus_run(loops),
-                    _one_corpus_run(loops, Observer(NULL_TRACER)),
-                    _one_corpus_run(loops, Observer(prof=NULL_PROFILER)),
+                    _one_corpus_run(loops, Observer(metrics=MetricsRegistry())),
+                    _one_corpus_run(loops, Observer(prof=Profiler())),
                     _one_corpus_run_with_progress(loops),
                     _one_corpus_run(loops, Observer(FlightRecorder())),
                     _one_corpus_run(
@@ -181,12 +179,12 @@ def test_trace_overhead(benchmark):
         return ordered[len(ordered) // 2]
 
     untraced = min(s[0] for s in samples)
-    null_traced = min(s[1] for s in samples)
-    null_profiled = min(s[2] for s in samples)
+    metered = min(s[1] for s in samples)
+    profiled = min(s[2] for s in samples)
     progressed = min(s[3] for s in samples)
     flight_traced = min(s[4] for s in samples)
     full_traced = min(s[5] for s in samples)
-    null_overhead = median(s[1] / s[0] for s in samples) - 1.0
+    metrics_overhead = median(s[1] / s[0] for s in samples) - 1.0
     prof_overhead = median(s[2] / s[0] for s in samples) - 1.0
     progress_overhead = median(s[3] / s[0] for s in samples) - 1.0
     flight_overhead = median(s[4] / s[0] for s in samples) - 1.0
@@ -195,10 +193,10 @@ def test_trace_overhead(benchmark):
         [
             f"trace overhead ({len(loops)}-loop corpus, {rounds} interleaved rounds,",
             "best-of wall times and median paired per-round overhead)",
-            f"  untraced (no tracer argument):   {untraced * 1e3:8.1f} ms",
-            f"  NullTracer (the default):        {null_traced * 1e3:8.1f} ms "
-            f"({null_overhead:+.1%})",
-            f"  NullProfiler (the default):      {null_profiled * 1e3:8.1f} ms "
+            f"  untraced (no observer):          {untraced * 1e3:8.1f} ms",
+            f"  metrics registry alone:          {metered * 1e3:8.1f} ms "
+            f"({metrics_overhead:+.1%})",
+            f"  enabled Profiler alone:          {profiled * 1e3:8.1f} ms "
             f"({prof_overhead:+.1%})",
             f"  progress stream + quantiles:     {progressed * 1e3:8.1f} ms "
             f"({progress_overhead:+.1%})",
@@ -207,22 +205,15 @@ def test_trace_overhead(benchmark):
             f"  tracer + metrics + profiler:     {full_traced * 1e3:8.1f} ms "
             f"({full_overhead:+.1%})",
             "",
-            "invariant: the opt-out NullTracer and NullProfiler paths must",
-            "each stay within 5% of the untraced scheduler (one attribute",
-            "test per decision/site), the batch progress stream (per-job",
-            "lifecycle events + latency-quantile tracking) must cost under 5%",
-            "because it runs per job, not per scheduling decision, and the",
-            "always-on FlightRecorder ring buffer (bounded append, no",
-            "timestamping) must also stay within the same 5% budget.",
+            "invariant: the batch progress stream (per-job lifecycle events",
+            "+ latency-quantile tracking) must cost under 5% because it runs",
+            "per job, not per scheduling decision, and the always-on",
+            "FlightRecorder ring buffer (bounded append, no timestamping)",
+            "must stay within the same 5% budget.  The metrics, profiler and",
+            "full rows are opt-in and carry no bound.",
         ]
     )
     publish("trace_overhead", report)
-    assert null_overhead < 0.05, (
-        f"NullTracer overhead {null_overhead:.1%} exceeds the 5% budget"
-    )
-    assert prof_overhead < 0.05, (
-        f"NullProfiler overhead {prof_overhead:.1%} exceeds the 5% budget"
-    )
     assert progress_overhead < 0.05, (
         f"progress-stream overhead {progress_overhead:.1%} exceeds the 5% budget"
     )

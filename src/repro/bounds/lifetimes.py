@@ -83,7 +83,7 @@ def min_avg(loop: LoopBody, ddg: DDG, mindist: MinDist, ii: int) -> int:
 # ----------------------------------------------------------------------
 # Schedule-dependent pressure
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Lifetime:
     """A value's lifetime in one concrete schedule: [start, end) cycles."""
 

@@ -33,7 +33,7 @@ from repro.core.schedule import Schedule
 from repro.regalloc.files import RegisterAssignment, allocate_registers
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class KernelOperand:
     """A register/immediate reference in kernel code.
 
@@ -54,7 +54,7 @@ class KernelOperand:
         return f"{self.kind}[p+{self.spec}]"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class KernelOp:
     """One operation slotted into the kernel."""
 
@@ -67,7 +67,7 @@ class KernelOp:
     predicate: Optional[KernelOperand]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class KernelCode:
     """A complete kernel: II rows of operations plus register-file sizes."""
 

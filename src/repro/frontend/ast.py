@@ -35,6 +35,8 @@ from typing import Dict, List, Optional, Sequence, Union
 class Expr:
     """Base class for expressions; supports operator overloading."""
 
+    __slots__ = ()
+
     def __add__(self, other):
         return BinOp("+", self, _wrap(other))
 
@@ -83,26 +85,26 @@ def _wrap(operand) -> "Expr":
     raise TypeError(f"cannot use {operand!r} in a loop expression")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Const(Expr):
     """A floating-point literal."""
 
     value: float
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Scalar(Expr):
     """A scalar variable.  Loop-invariant unless assigned in the body."""
 
     name: str
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Index(Expr):
     """The loop index ``i`` (an integer induction variable)."""
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ArrayRef(Expr):
     """An affine array reference ``name(stride * i + offset)``."""
 
@@ -111,7 +113,7 @@ class ArrayRef(Expr):
     stride: int = 1
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Gather(Expr):
     """An indirect load ``name(index_expr)`` (conservative mem deps)."""
 
@@ -119,7 +121,7 @@ class Gather(Expr):
     index: Expr
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class BinOp(Expr):
     """Arithmetic: op in {'+', '-', '*', '/', 'min', 'max'}."""
 
@@ -128,7 +130,7 @@ class BinOp(Expr):
     right: Expr
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Unary(Expr):
     """Unary: op in {'neg', 'abs', 'sqrt'}."""
 
@@ -136,7 +138,7 @@ class Unary(Expr):
     operand: Expr
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Compare(Expr):
     """Comparison producing a predicate: op in {'<','<=','>','>=','==','!='}."""
 
@@ -148,8 +150,10 @@ class Compare(Expr):
 class Stmt:
     """Base class for statements."""
 
+    __slots__ = ()
 
-@dataclasses.dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True, slots=True)
 class Assign(Stmt):
     """``target = expr`` where target is a Scalar, ArrayRef or Scatter."""
 
@@ -157,7 +161,7 @@ class Assign(Stmt):
     expr: Expr
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Scatter:
     """An indirect store target ``name(index_expr)``."""
 
@@ -165,7 +169,7 @@ class Scatter:
     index: Expr
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class If(Stmt):
     """A structured conditional (if-converted to predicated code)."""
 
@@ -174,7 +178,7 @@ class If(Stmt):
     orelse: Sequence[Stmt] = ()
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ExitIf(Stmt):
     """An early exit: leave the loop when the condition holds.
 
@@ -188,7 +192,7 @@ class ExitIf(Stmt):
     cond: Compare
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class DoLoop:
     """A complete DO loop: body plus its data environment.
 

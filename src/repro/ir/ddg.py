@@ -31,7 +31,7 @@ class ArcKind(enum.Enum):
         return f"ArcKind.{self.name}"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Arc:
     """A dependence arc between two operations (by oid)."""
 

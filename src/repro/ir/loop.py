@@ -18,7 +18,7 @@ from repro.ir.types import DType, ValueKind
 from repro.ir.values import Operand, Origin, Value
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class MemDep:
     """A memory-ordering dependence discovered by the front end.
 

@@ -90,7 +90,7 @@ SIDE_EFFECT_OPCODES = frozenset({Opcode.STORE, Opcode.BRTOP, Opcode.START, Opcod
 DIVIDER_OPCODES = frozenset({Opcode.DIV_I, Opcode.DIV_F, Opcode.MOD_I, Opcode.SQRT_F})
 
 
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass(eq=False, slots=True)
 class Operation:
     """One operation of the loop body.
 

@@ -16,7 +16,7 @@ from typing import Optional, Union
 from repro.ir.types import DType, ValueKind
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ArrayElementOrigin:
     """The value equals ``array[stride * j + offset]`` in iteration j.
 
@@ -35,7 +35,7 @@ class ArrayElementOrigin:
         return self.stride * iteration + self.offset
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class AddressOrigin:
     """The value equals ``base + stride * j`` in iteration j.
 
@@ -52,7 +52,7 @@ class AddressOrigin:
         return self.base + self.stride * iteration
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ScalarOrigin:
     """Records that a value carries the running copy of scalar ``name``."""
 
@@ -62,7 +62,7 @@ class ScalarOrigin:
 Origin = Union[ArrayElementOrigin, AddressOrigin, ScalarOrigin, None]
 
 
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass(eq=False, slots=True)
 class Value:
     """A single SSA value.
 
@@ -107,7 +107,7 @@ class Value:
         return f"Value({self.vid}:{self.name}:{self.dtype.value})"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Operand:
     """A use of a value, possibly from an earlier iteration.
 

@@ -193,22 +193,21 @@ class Tracer:
 
     :class:`~repro.obs.observer.Observer` normalizes a disabled tracer
     to ``None`` up front, so ``emit`` is only ever called when
-    ``enabled`` is True.
+    ``enabled`` is True.  The base class itself is an enabled sink that
+    keeps nothing and stamps nothing: it turns a batch's job observation
+    on when only ``BatchReport.trace_records`` are wanted.
     """
 
     enabled: bool = True
 
     def emit(self, event: TraceEvent) -> None:
-        raise NotImplementedError
+        """Take one event; the base sink drops it untouched."""
 
 
 class NullTracer(Tracer):
     """The zero-overhead default: never called, never stores anything."""
 
     enabled = False
-
-    def emit(self, event: TraceEvent) -> None:  # pragma: no cover
-        pass
 
 
 #: Shared default instance (stateless, safe to reuse everywhere).

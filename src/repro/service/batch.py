@@ -360,69 +360,72 @@ def run_batch(
         machines=machines,
     )
 
-    sinks: List[ProgressSink] = []
-    if progress is not None:
-        sinks.append(
-            progress
-            if isinstance(progress, ProgressSink)
-            else CallbackProgress(progress)
-        )
-    if progress_log is not None:
-        sinks.append(JSONLProgress(progress_log))
+    watchdog = StragglerWatchdog(factor=straggler_factor)
     tracker: Optional[ProgressTracker] = None
-    if sinks or metrics is not None:
-        tracker = ProgressTracker(
-            total=len(all_jobs),
-            sinks=sinks,
-            metrics=metrics,
-            watchdog=StragglerWatchdog(factor=straggler_factor),
-        )
-        for job in all_jobs:
-            tracker.emit(job_event(KIND_SUBMITTED, job.index, job.name))
-
-    cached_results: List[JobResult] = []
-    pending: List[ScheduleJob] = all_jobs
     owns_cache = cache is None
-    if not use_cache:
-        cache = None
-    elif cache is None:
-        cache = open_cache(
-            cache_dir=cache_dir,
-            cache_db=cache_db,
-            cache_url=cache_url,
-            cache_fallback_dir=cache_fallback_dir,
-            auth_token=cache_auth_token,
-        )
-    if cache is not None:
-        pending = []
-        for job in all_jobs:
-            job.key = cache_key(
-                job.program,
-                job.machine if job.machine is not None else machine,
-                job.algorithm,
-                job.options,
-            )
-            hit = cache.get(job.key)
-            if hit is not None and job.fault is None:
-                cached_results.append(
-                    JobResult(
-                        index=job.index,
-                        name=job.name,
-                        status=JOB_CACHED,
-                        metrics=hit,
-                    )
-                )
-                if tracker is not None:
-                    tracker.emit(result_event(cached_results[-1]))
-            else:
-                pending.append(job)
-
-    exec_backend = (
-        backend
-        if isinstance(backend, ExecutionBackend)
-        else resolve_backend(backend, workers=jobs)
-    )
+    # The finally below closes what the batch opened (the progress
+    # sinks, a cache it opened itself), whichever step raises.
     try:
+        sinks: List[ProgressSink] = []
+        if progress is not None:
+            sinks.append(
+                progress
+                if isinstance(progress, ProgressSink)
+                else CallbackProgress(progress)
+            )
+        if progress_log is not None:
+            sinks.append(JSONLProgress(progress_log))
+        if sinks or metrics is not None:
+            tracker = ProgressTracker(
+                total=len(all_jobs),
+                sinks=sinks,
+                metrics=metrics,
+                watchdog=watchdog,
+            )
+            for job in all_jobs:
+                tracker.emit(job_event(KIND_SUBMITTED, job.index, job.name))
+
+        cached_results: List[JobResult] = []
+        pending: List[ScheduleJob] = all_jobs
+        if not use_cache:
+            cache = None
+        elif cache is None:
+            cache = open_cache(
+                cache_dir=cache_dir,
+                cache_db=cache_db,
+                cache_url=cache_url,
+                cache_fallback_dir=cache_fallback_dir,
+                auth_token=cache_auth_token,
+            )
+        if cache is not None:
+            pending = []
+            for job in all_jobs:
+                job.key = cache_key(
+                    job.program,
+                    job.machine if job.machine is not None else machine,
+                    job.algorithm,
+                    job.options,
+                )
+                hit = cache.get(job.key)
+                if hit is not None and job.fault is None:
+                    cached_results.append(
+                        JobResult(
+                            index=job.index,
+                            name=job.name,
+                            status=JOB_CACHED,
+                            metrics=hit,
+                        )
+                    )
+                    if tracker is not None:
+                        tracker.emit(result_event(cached_results[-1]))
+                else:
+                    pending.append(job)
+
+        exec_backend = (
+            backend
+            if isinstance(backend, ExecutionBackend)
+            else resolve_backend(backend, workers=jobs)
+        )
         computed, pool_stats = exec_backend.run(
             pending,
             machine,
@@ -445,6 +448,8 @@ def run_batch(
     finally:
         if tracker is not None:
             tracker.close()
+        if cache is not None and owns_cache:
+            cache.close()
 
     report = BatchReport(
         results=ordered,
@@ -457,8 +462,6 @@ def run_batch(
         straggler_factor=straggler_factor,
     )
     _record_metrics(metrics, report)
-    if cache is not None and owns_cache:
-        cache.close()
     return report
 
 
@@ -929,10 +932,12 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
 
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.prof import Profiler
-    from repro.obs.trace import CollectingTracer
+    from repro.obs.trace import Tracer
 
     observer = Observer(
-        CollectingTracer() if args.trace else None,
+        # --trace writes report.trace_records: its tracer only turns job
+        # observation on and keeps no second copy of the events.
+        Tracer() if args.trace else None,
         MetricsRegistry() if args.metrics_out else None,
         Profiler() if args.profile_out else None,
     )

@@ -3,9 +3,14 @@
 import json
 import os
 
+import pytest
+
 from repro.machine import cydra5
 from repro.obs import MetricsRegistry, Observer
+from repro.obs.progress import JSONLProgress
+from repro.service.backends import ExecutionBackend
 from repro.service.batch import batch_main, run_batch
+from repro.service.cache import SQLiteCache
 from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
@@ -91,6 +96,61 @@ def test_summary_mentions_faults():
     text = report.summary()
     assert "failed=1" in text and "FAILED" in text
     assert not report.ok
+
+
+# ----------------------------------------------------------------------
+# run_batch closes what it opened when a step raises
+# ----------------------------------------------------------------------
+class _FailingBackend(ExecutionBackend):
+    def run(self, jobs, machine, **kwargs):
+        raise RuntimeError("backend failed")
+
+
+def _fail_put(self, key, metrics):
+    raise RuntimeError("put failed")
+
+
+@pytest.mark.parametrize("step", ["backend", "put"])
+def test_owned_cache_is_closed_when_a_step_raises(tmp_path, monkeypatch, step):
+    closed = []
+    close = SQLiteCache.close
+
+    def _close(self):
+        closed.append(self.path)
+        close(self)
+
+    monkeypatch.setattr(SQLiteCache, "close", _close)
+    backend = "serial"
+    if step == "backend":
+        backend = _FailingBackend()
+    else:
+        monkeypatch.setattr(SQLiteCache, "put", _fail_put)
+    db = str(tmp_path / "cache.db")
+    with pytest.raises(RuntimeError, match=f"{step} failed"):
+        run_batch(paper_corpus(1), MACHINE, cache_db=db, backend=backend)
+    assert closed == [db]
+
+
+@pytest.mark.parametrize("bad", ["two-caches", "straggler-factor"])
+def test_progress_log_is_closed_when_setup_raises(tmp_path, monkeypatch, bad):
+    from repro.service import batch
+
+    handles = []
+
+    class _Recording(JSONLProgress):
+        def __init__(self, path):
+            super().__init__(path)
+            handles.append(self._handle)
+
+    monkeypatch.setattr(batch, "JSONLProgress", _Recording)
+    kwargs = {"progress_log": str(tmp_path / "progress.jsonl")}
+    if bad == "two-caches":
+        kwargs.update(cache_dir=str(tmp_path / "dir"), cache_db=str(tmp_path / "c.db"))
+    else:
+        kwargs.update(use_cache=False, straggler_factor=0.5)
+    with pytest.raises(ValueError):
+        run_batch(paper_corpus(1), MACHINE, **kwargs)
+    assert all(handle.closed for handle in handles)
 
 
 # ----------------------------------------------------------------------

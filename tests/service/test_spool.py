@@ -161,3 +161,33 @@ def test_cli_trace_flag_writes_merged_jsonl(tmp_path, capsys):
     with open(trace_path) as handle:
         events = [json.loads(line) for line in handle]
     assert events and {"kind", "seq", "loop", "job"} <= set(events[0])
+
+
+def test_cli_trace_keeps_one_copy_of_each_event(tmp_path, capsys, monkeypatch):
+    """The file is written from the loop-tagged records alone: the CLI's
+    tracer keeps no second copy and never re-stamps the jobs' events."""
+    from repro.service import batch
+
+    seen = {}
+
+    def _run_batch(*args, **kwargs):
+        seen["observer"] = kwargs["observer"]
+        seen["report"] = run_batch(*args, **kwargs)
+        return seen["report"]
+
+    monkeypatch.setattr(batch, "run_batch", _run_batch)
+    trace_path = tmp_path / "trace.jsonl"
+    assert batch.batch_main(
+        ["--corpus", "3", "--no-cache", "--no-progress", "--trace", str(trace_path)]
+    ) == 0
+    assert f"trace: {len(seen['report'].trace_records)} events (3 jobs)" in (
+        capsys.readouterr().out
+    )
+    assert not hasattr(seen["observer"].trace, "events")
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    events = [
+        event for result in seen["report"].results for event in result.observed[0]
+    ]
+    assert len(events) == len(records) > 0
+    # Job-local seq and first timestamps on the objects, as in the file.
+    assert [(e.seq, e.ts) for e in events] == [(r["seq"], r["ts"]) for r in records]
