@@ -25,7 +25,6 @@ first (see ``repro.service.keys`` for the reduction idioms).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import IO, Optional, Union
 
@@ -60,4 +59,8 @@ def canonical_dump(
 
 def canonical_digest(obj) -> str:
     """SHA-256 hex digest of the canonical encoding."""
+    # Imported here: hashlib maps OpenSSL (about 3.6 MB of RSS), which
+    # importing this module's many readers should not pay for.
+    import hashlib
+
     return hashlib.sha256(canonical_bytes(obj)).hexdigest()

@@ -18,10 +18,12 @@ II.  The central loop (§4.2) repeatedly:
    driver increments II and starts over (§4.2 step 6).
 
 Bounds bookkeeping is vectorized with numpy: incremental updates after a
-plain placement, full recomputation after ejections.  Placement times
-also live in two dense rows indexed by oid, so a recomputation or a
-dependence-conflict test reduces over whole MinDist rows and columns
-instead of gathering the placed set out of ``times``.
+plain placement, full recomputation after ejections.  Each placed op
+keeps its contribution to every op's Estart and Lstart as one row of
+two n×n matrices, written once when it is placed, so a recomputation
+is two contiguous reductions over those rows and a dependence-conflict
+test reads one column of each, instead of gathering the placed set out
+of ``times`` or adding its times to the whole MinDist matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.bounds.analysis import LoopAnalysis
-from repro.bounds.mindist import MinDist, path_mask
+from repro.bounds.mindist import MinDist
 from repro.ir.loop import LoopBody
 from repro.ir.operations import Operation
 from repro.machine.mrt import ModuloResourceTable
@@ -40,15 +42,12 @@ from repro.core.schedule import Schedule, SchedulerStats
 from repro.obs import trace as tracing
 from repro.obs.observer import NULL_OBSERVER, Observer
 
-#: Bound value meaning "unconstrained" in intermediate numpy math.
-_HUGE = 2**40
-
-#: An unplaced op's entry in the dense time rows: ``-_UNPLACED`` in
-#: ``_times_lo``, ``+_UNPLACED`` in ``_times_hi``.  MinDist entries
-#: satisfy ``|MinDist| <= 2**40``, so an unplaced op's term in any bound
-#: or conflict test stays at least ``2**42 - 2**40`` from zero and never
-#: wins a reduction (Start, always placed, supplies a real term), and no
-#: sum leaves int64.
+#: Every entry of an unplaced op's contribution rows: ``-_UNPLACED`` in
+#: ``_estart_rows``, ``+_UNPLACED`` in ``_lstart_rows``.  A placed op's
+#: entries lie within ``2**40`` of its cycle (``|MinDist| <= 2**40``), and
+#: every Estart is at least 0 and every Lstart below ``2**40`` (Start,
+#: always placed at 0, reaches every op; every op reaches Stop), so a
+#: sentinel never wins a reduction or fails a conflict test.
 _UNPLACED = 2**42
 
 #: Added to a placed op's choose_operation key; any unplaced op's key
@@ -72,8 +71,8 @@ class SchedulingAttempt:
     Everything placement-independent — bounds, unit binding, critical
     and recurrence ops, MinDist, MinLT — comes read-only from the
     graph's :class:`~repro.bounds.analysis.LoopAnalysis`, its one
-    producer; the attempt owns only what placement changes (``times``,
-    Estart/Lstart, the MRT).
+    producer; the attempt owns only what placement changes (``times``
+    and its contribution rows, Estart/Lstart, the MRT).
 
     Subclasses implement the two heuristic hooks:
 
@@ -114,6 +113,8 @@ class SchedulingAttempt:
         if not self.mindist.feasible:
             raise ValueError(f"II={ii} is below RecMII for {loop.name}")
         self.matrix = self.mindist.matrix
+        #: MinDist transposed into contiguous rows: row p is MinDist(·, p).
+        self._matrix_t = np.ascontiguousarray(self.matrix.T)
         self.n = loop.n_ops
         self.start_oid = loop.start.oid
         self.stop_oid = loop.stop.oid
@@ -125,12 +126,15 @@ class SchedulingAttempt:
         self.times: Dict[int, int] = {self.start_oid: 0}
         self.last_place: Dict[int, int] = {}
         self.unplaced: Set[int] = {op.oid for op in loop.ops} - {self.start_oid}
-        #: Dense twins of ``times``, kept in lockstep by _place/_eject: a
-        #: placed op holds its cycle in both, an unplaced op the
-        #: ``_UNPLACED`` sentinel of the side where it can never win.
-        self._times_lo = np.full(self.n, -_UNPLACED, dtype=np.int64)
-        self._times_hi = np.full(self.n, _UNPLACED, dtype=np.int64)
-        self._times_lo[self.start_oid] = self._times_hi[self.start_oid] = 0
+        #: Contribution rows (§4.1), kept in lockstep with ``times`` by
+        #: _place/_eject: row p holds placed op p's terms
+        #: ``t_p + MinDist(p, ·)`` of Estart and ``t_p - MinDist(·, p)``
+        #: of Lstart, an unplaced op's row the ``_UNPLACED`` sentinel of
+        #: the side where it can never win.
+        self._estart_rows = np.full((self.n, self.n), -_UNPLACED, dtype=np.int64)
+        self._lstart_rows = np.full((self.n, self.n), _UNPLACED, dtype=np.int64)
+        self._estart_rows[self.start_oid] = self.matrix[self.start_oid]
+        self._lstart_rows[self.start_oid] = -self._matrix_t[self.start_oid]
         #: Additive placed-op penalty for vectorized operation choice:
         #: 0 while unplaced, a huge constant once placed, so a single
         #: argmin over (key + penalty) only ever selects unplaced ops.
@@ -162,25 +166,19 @@ class SchedulingAttempt:
         self.lstart_cap = self._quantize_cap(max(0, critical_path))
 
     def _recompute_bounds(self) -> None:
-        """Full O(n*n) recomputation from the time rows (after ejections)."""
+        """Full O(n*n) recomputation from the contribution rows (after
+        ejections)."""
         with self.prof.span("bounds.recompute"):
             # Estart(x) = max over placed p of t_p + MinDist(p, x).
-            self.estart = (self._times_lo[:, None] + self.matrix).max(axis=0)
-            np.maximum(self.estart, 0, out=self.estart)
+            self.estart = np.maximum.reduce(self._estart_rows, axis=0)
             # Lstart(x) = min(cap - MinDist(x, Stop), t_p - MinDist(x, p)).
-            self.lstart = (self._times_hi[None, :] - self.matrix).min(axis=1)
-            cap_bound = self.lstart_cap - self.matrix[:, self.stop_oid]
+            self.lstart = np.minimum.reduce(self._lstart_rows, axis=0)
+            cap_bound = self.lstart_cap - self._matrix_t[self.stop_oid]
             np.minimum(self.lstart, cap_bound, out=self.lstart)
-            np.minimum(self.lstart, _HUGE, out=self.lstart)
             self._bounds_dirty = False
             if self.trace is not None:
                 self.trace.emit(tracing.BoundsRecompute(n_placed=len(self.times)))
         self.prof.count("bounds.recomputes")
-
-    def _update_bounds_for_placement(self, oid: int, cycle: int) -> None:
-        """Incremental §4.1 update after placing ``oid`` at ``cycle``."""
-        np.maximum(self.estart, cycle + self.matrix[oid, :], out=self.estart)
-        np.minimum(self.lstart, cycle - self.matrix[:, oid], out=self.lstart)
 
     def _refresh_bounds(self) -> None:
         """Make bounds valid, growing Lstart(Stop) and ejecting Stop when
@@ -211,8 +209,8 @@ class SchedulingAttempt:
         cycle = self.times.pop(oid)
         self.mrt.remove(op, cycle)
         self.unplaced.add(oid)
-        self._times_lo[oid] = -_UNPLACED
-        self._times_hi[oid] = _UNPLACED
+        self._estart_rows[oid] = -_UNPLACED
+        self._lstart_rows[oid] = _UNPLACED
         self.placed_penalty[oid] = 0
         self.stats.ejections += 1
         self._bounds_dirty = True
@@ -227,17 +225,16 @@ class SchedulingAttempt:
 
         MinDist reflects the transitive closure, so this ejects the full
         set of (possibly indirect) violators, which the paper found
-        reduces overall backtracking.  Evaluated as one vectorized pass
-        over ``oid``'s MinDist row and column, where each unplaced op's
-        sentinel fails its test; the result is in oid order.  Path-ness
-        goes through the shared :func:`~repro.bounds.mindist.path_mask`
-        predicate so this and MinDist.dist/has_path agree on the no-path
-        boundary.
+        reduces overall backtracking.  Placed p violates exactly when its
+        Lstart term for ``oid`` lies below ``cycle`` or its Estart term
+        above it, so this reads column ``oid`` of the contribution rows;
+        the result is in oid order.  No path mask is needed: a no-path
+        MinDist entry is below ``-2**39``, which puts its term more than
+        ``2**39`` past the placed op's cycle on the side that never
+        conflicts, as an unplaced op's sentinel always is.
         """
-        forward = self.matrix[oid]
-        backward = self.matrix[:, oid]
-        violates = (path_mask(forward) & (self._times_hi < cycle + forward)) | (
-            path_mask(backward) & (cycle < self._times_lo + backward)
+        violates = (self._lstart_rows[:, oid] < cycle) | (
+            self._estart_rows[:, oid] > cycle
         )
         violates[oid] = violates[self.start_oid] = False
         return np.flatnonzero(violates).tolist()
@@ -273,14 +270,17 @@ class SchedulingAttempt:
         self.times[op.oid] = cycle
         self.last_place[op.oid] = cycle
         self.unplaced.discard(op.oid)
-        self._times_lo[op.oid] = self._times_hi[op.oid] = cycle
+        early = np.add(self.matrix[op.oid], cycle, out=self._estart_rows[op.oid])
+        late = np.subtract(cycle, self._matrix_t[op.oid], out=self._lstart_rows[op.oid])
         self.placed_penalty[op.oid] = PLACED_PENALTY
         self.stats.placements += 1
         self.prof.count("framework.placements")
         if self.trace is not None:
             self.trace.emit(tracing.Place(oid=op.oid, cycle=cycle, forced=forced))
         if not self._bounds_dirty:
-            self._update_bounds_for_placement(op.oid, cycle)
+            # Incremental §4.1 update: fold in the new rows.
+            np.maximum(self.estart, early, out=self.estart)
+            np.minimum(self.lstart, late, out=self.lstart)
 
     def _fail(self, reason: str) -> None:
         """Emit the AttemptFail event and raise :class:`AttemptFailed`."""

@@ -41,10 +41,10 @@ An :class:`~repro.obs.observer.Observer` crosses process boundaries
 inside the job results: whenever it records anything (a tracer, a
 metrics registry or an enabled profiler), every job returns its trace
 events, instruments and spans in ``JobResult.observed``, and
-:func:`run_batch` folds them into the observer in submission order, so
-the ``--trace`` output and the scheduler instruments in
-``--metrics-out`` are identical at any ``--jobs`` level, modulo
-wall-clock times.
+:func:`run_batch` folds them into the observer in submission order and
+then drops them from the result, so the ``--trace`` output and the
+scheduler instruments in ``--metrics-out`` are identical at any
+``--jobs`` level, modulo wall-clock times, and each event is held once.
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ class BatchReport:
     wall_seconds: float
     cache_location: Optional[str] = None  # backend.describe(), if caching
     trace_records: Optional[List[dict]] = None  # merged events, loop-tagged
+    observed_jobs: int = 0  # jobs whose observations were merged
     stragglers: Optional[List[Straggler]] = None  # None unless progress on
     straggler_factor: Optional[float] = None
 
@@ -241,7 +242,8 @@ def _record_metrics(registry, report: BatchReport) -> None:
 
 
 def _fold_observed(results: Sequence[JobResult], observer: Observer) -> List[dict]:
-    """Merge every job's observations into ``observer``, in result order.
+    """Merge every job's observations into ``observer``, in result order,
+    and drop them from the results, so the report holds each event once.
 
     Returns the loop-tagged event records ``--trace`` writes.  Each
     record keeps its job-local ``seq``: it is tagged before the event is
@@ -254,6 +256,7 @@ def _fold_observed(results: Sequence[JobResult], observer: Observer) -> List[dic
         if result.observed is None:
             continue
         events, metrics_dump, profile_snapshot = result.observed
+        result.observed = None
         for event in events:
             records.append(
                 {**event.to_dict(), "loop": result.name, "job": result.index}
@@ -318,9 +321,11 @@ def run_batch(
             records anything, every computed job runs under its own
             tracer, registry and profiler and returns their contents in
             ``JobResult.observed``; they are merged into the observer's
-            in submission order (loop-tagged events also land in
-            ``report.trace_records``, what CLI ``--trace`` writes); its
-            registry also receives ``service.*`` counters/gauges/timers.
+            in submission order and dropped from the results
+            (loop-tagged events land in ``report.trace_records``, what
+            CLI ``--trace`` writes, and ``report.observed_jobs`` counts
+            the jobs merged); its registry also receives ``service.*``
+            counters/gauges/timers.
         max_retries: Crash-recovery resubmissions per job.
         faults: Optional ``{job index: fault}`` injection map (see
             :class:`repro.service.jobs.ScheduleJob`).
@@ -442,6 +447,7 @@ def run_batch(
                     cache.put(job.key, result.metrics)
 
         ordered = order_results(cached_results + list(computed))
+        observed_jobs = sum(result.observed is not None for result in ordered)
         trace_records = (
             _fold_observed(ordered, observer) if observer.enabled else None
         )
@@ -458,6 +464,7 @@ def run_batch(
         wall_seconds=time.perf_counter() - started,
         cache_location=cache.describe() if cache is not None else None,
         trace_records=trace_records,
+        observed_jobs=observed_jobs,
         stragglers=tracker.stragglers if tracker is not None else None,
         straggler_factor=straggler_factor,
     )
@@ -1006,9 +1013,9 @@ def batch_main(argv: Optional[List[str]] = None) -> int:
         except OSError as exc:
             print(f"error: cannot write trace to {args.trace}: {exc}", file=sys.stderr)
             return 2
-        observed_jobs = sum(result.observed is not None for result in report.results)
         print(
-            f"trace: {len(records)} events ({observed_jobs} jobs) -> {args.trace}",
+            f"trace: {len(records)} events ({report.observed_jobs} jobs) "
+            f"-> {args.trace}",
             file=status_stream,
         )
     if args.metrics_out:

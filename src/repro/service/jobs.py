@@ -82,7 +82,8 @@ class JobResult:
     #: ``(trace events, metrics dump, profile snapshot)`` of a job that
     #: ran under an observing batch, whatever its status; None when the
     #: batch observed nothing or no worker returned (cached, crashed,
-    #: backstop timeout).  ``run_batch`` folds these into its observer.
+    #: backstop timeout).  ``run_batch`` folds these into its observer
+    #: and then sets this to None, so its report holds each event once.
     observed: Optional[Tuple[List[TraceEvent], dict, dict]] = None
 
     def __post_init__(self) -> None:

@@ -2,20 +2,25 @@
 Python formulations they replaced.
 
 ``SlackAttempt.choose_operation`` packs (priority, Lstart, oid) into one
-integer key and takes an argmin; ``_recompute_bounds`` and
-``_dependence_conflicts`` reduce over whole MinDist rows and columns
-against dense placement-time rows.  All three must agree with the
-straightforward scalar reference at *every* call of a real scheduling
-run — a checked subclass asserts exactly that while whole corpus loops
-schedule end to end, on every registry target, covering contention,
-ejection, cap growth and II escalation states no hand-written fixture
-reaches.
+integer key and takes an argmin.  The framework keeps each placed op's
+Estart and Lstart terms as one row of two contribution matrices
+(``t_p + MinDist(p, ·)`` and ``t_p - MinDist(·, p)``, sentinels while
+unplaced): ``_recompute_bounds`` reduces over those rows and
+``_dependence_conflicts`` reads one column of each.  All of these must
+agree with the straightforward scalar reference at *every* call of a
+real scheduling run, and the rows must hold exactly those terms after
+every placement and ejection — checked subclasses of all four framework
+schedulers (slack, Cydrome, unidirectional, height) assert exactly that
+while whole corpus loops schedule end to end, on every registry target,
+covering contention, ejection, cap growth and II escalation states no
+hand-written fixture reaches.
 """
 
 import pytest
 
 from repro.bounds import LoopAnalysis
 from repro.bounds.mindist import is_path
+from repro.core.baseline import CydromeAttempt, HeightAttempt, UnidirectionalAttempt
 from repro.core.framework import run_attempt
 from repro.core.slack import SlackAttempt
 from repro.frontend import compile_loop, parse_loop
@@ -27,6 +32,10 @@ MACHINE = cydra5()
 
 #: The framework's "unconstrained" Lstart.
 UNCONSTRAINED = 2**40
+
+#: Every entry of an unplaced op's contribution rows: negated in the
+#: Estart rows, as is in the Lstart rows.
+UNPLACED = 2**42
 
 
 def scalar_bounds(attempt):
@@ -49,32 +58,47 @@ def scalar_bounds(attempt):
     return estart, lstart
 
 
-class CheckedSlackAttempt(SlackAttempt):
-    """Asserts the vectorized kernels against scalar references."""
+def check_rows(attempt):
+    """Placed op p's contribution rows are ``t_p + MinDist(p, x)`` and
+    ``t_p - MinDist(x, p)`` for every x; an unplaced op's hold the
+    sentinels."""
+    matrix = attempt.matrix.tolist()
+    early_rows = attempt._estart_rows.tolist()
+    late_rows = attempt._lstart_rows.tolist()
+    ops = range(attempt.n)
+    for p in ops:
+        if p in attempt.times:
+            cycle = attempt.times[p]
+            early = [cycle + matrix[p][x] for x in ops]
+            late = [cycle - matrix[x][p] for x in ops]
+        else:
+            early, late = [-UNPLACED] * attempt.n, [UNPLACED] * attempt.n
+        assert early_rows[p] == early, f"Estart row of op {p}"
+        assert late_rows[p] == late, f"Lstart row of op {p}"
+
+
+class CheckedKernels:
+    """Asserts the framework's kernels against scalar references: the
+    rows after construction and every placement and ejection, Estart and
+    Lstart after every refresh, the conflicts of every forced placement."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        check_rows(self)
+
+    def _place(self, op, cycle, forced=False):
+        super()._place(op, cycle, forced=forced)
+        check_rows(self)
+
+    def _eject(self, oid, cause="force"):
+        super()._eject(oid, cause=cause)
+        check_rows(self)
 
     def _refresh_bounds(self):
         super()._refresh_bounds()
         estart, lstart = scalar_bounds(self)
         assert self.estart.tolist() == estart, "Estart differs from the scalar reference"
         assert self.lstart.tolist() == lstart, "Lstart differs from the scalar reference"
-
-    def choose_operation(self):
-        # The packed key is lexicographic only while every unplaced
-        # Lstart lies in [0, lstart_cap].
-        outside = sorted(
-            oid for oid in self.unplaced if not 0 <= self.lstart[oid] <= self.lstart_cap
-        )
-        assert not outside, f"unplaced Lstart outside [0, {self.lstart_cap}]: {outside}"
-        chosen = super().choose_operation()
-        reference = min(
-            (self.loop.ops[oid] for oid in self.unplaced),
-            key=lambda op: (self.priority(op), int(self.lstart[op.oid]), op.oid),
-        )
-        assert chosen.oid == reference.oid, (
-            f"choose_operation picked {chosen.oid}, "
-            f"reference min picked {reference.oid}"
-        )
-        return chosen
 
     def _dependence_conflicts(self, oid, cycle):
         got = super()._dependence_conflicts(oid, cycle)
@@ -94,11 +118,49 @@ class CheckedSlackAttempt(SlackAttempt):
         return got
 
 
-def _schedule_checked(loop, ddg, **kwargs):
+class CheckedChoice:
+    """Asserts slack's packed-key operation choice against a scalar min."""
+
+    def choose_operation(self):
+        # The packed key is lexicographic only while every unplaced
+        # Lstart lies in [0, lstart_cap].
+        outside = sorted(
+            oid for oid in self.unplaced if not 0 <= self.lstart[oid] <= self.lstart_cap
+        )
+        assert not outside, f"unplaced Lstart outside [0, {self.lstart_cap}]: {outside}"
+        chosen = super().choose_operation()
+        reference = min(
+            (self.loop.ops[oid] for oid in self.unplaced),
+            key=lambda op: (self.priority(op), int(self.lstart[op.oid]), op.oid),
+        )
+        assert chosen.oid == reference.oid, (
+            f"choose_operation picked {chosen.oid}, "
+            f"reference min picked {reference.oid}"
+        )
+        return chosen
+
+
+class CheckedSlackAttempt(CheckedChoice, CheckedKernels, SlackAttempt):
+    pass
+
+
+class CheckedUnidirectionalAttempt(CheckedChoice, CheckedKernels, UnidirectionalAttempt):
+    pass
+
+
+class CheckedCydromeAttempt(CheckedKernels, CydromeAttempt):
+    pass
+
+
+class CheckedHeightAttempt(CheckedKernels, HeightAttempt):
+    pass
+
+
+def _schedule_checked(attempt_cls, ddg, **kwargs):
     analysis = LoopAnalysis.of(ddg)
     ii = analysis.mii
     for _ in range(15):
-        attempt = CheckedSlackAttempt(analysis, ii, **kwargs)
+        attempt = attempt_cls(analysis, ii, **kwargs)
         schedule = run_attempt(attempt)
         if schedule is not None:
             return schedule
@@ -110,14 +172,14 @@ def test_vectorized_kernels_match_reference_over_corpus():
     for program in paper_corpus(12, seed=1993):
         loop = compile_loop(program)
         ddg = build_ddg(loop, MACHINE)
-        assert _schedule_checked(loop, ddg) is not None, loop.name
+        assert _schedule_checked(CheckedSlackAttempt, ddg) is not None, loop.name
 
 
 def test_vectorized_kernels_match_reference_frozen_priority():
     for program in paper_corpus(6, seed=7):
         loop = compile_loop(program)
         ddg = build_ddg(loop, MACHINE)
-        schedule = _schedule_checked(loop, ddg, dynamic_priority=False)
+        schedule = _schedule_checked(CheckedSlackAttempt, ddg, dynamic_priority=False)
         assert schedule is not None, loop.name
 
 
@@ -133,7 +195,28 @@ def test_vectorized_kernels_match_reference_on_every_target(target, dynamic_prio
     for program in FEW_LOOPS:
         loop = compile_loop(program)
         ddg = build_ddg(loop, machine)
-        schedule = _schedule_checked(loop, ddg, dynamic_priority=dynamic_priority)
+        schedule = _schedule_checked(
+            CheckedSlackAttempt, ddg, dynamic_priority=dynamic_priority
+        )
+        assert schedule is not None, f"{loop.name} on {target}"
+
+
+#: The other three framework schedulers (slack is checked above).
+CHECKED_BASELINES = {
+    "cydrome": CheckedCydromeAttempt,
+    "unidirectional": CheckedUnidirectionalAttempt,
+    "height": CheckedHeightAttempt,
+}
+
+
+@pytest.mark.parametrize("algorithm", list(CHECKED_BASELINES))
+@pytest.mark.parametrize("target", machine_names())
+def test_every_framework_scheduler_matches_reference_on_every_target(target, algorithm):
+    machine = build_machine(target)
+    for program in FEW_LOOPS:
+        loop = compile_loop(program)
+        ddg = build_ddg(loop, machine)
+        schedule = _schedule_checked(CHECKED_BASELINES[algorithm], ddg)
         assert schedule is not None, f"{loop.name} on {target}"
 
 

@@ -115,13 +115,13 @@ for machine in machines:
 """
 
 
-def _keys_under_hashseed(seed: str):
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = seed
+def _run_python(script: str, **env_overrides):
+    """stdout lines of ``script`` run by a fresh interpreter on ``src``."""
+    env = dict(os.environ, **env_overrides)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
@@ -131,6 +131,10 @@ def _keys_under_hashseed(seed: str):
     return result.stdout.splitlines()
 
 
+def _keys_under_hashseed(seed: str):
+    return _run_python(_SUBPROCESS_SCRIPT, PYTHONHASHSEED=seed)
+
+
 def test_keys_independent_of_pythonhashseed():
     """Cross-process property: keys are byte-identical under different
     PYTHONHASHSEED values (no reliance on hash()/set/dict order) — for
@@ -138,3 +142,20 @@ def test_keys_independent_of_pythonhashseed():
     first = _keys_under_hashseed("0")
     second = _keys_under_hashseed("4242")
     assert first and first == second
+
+
+def test_importing_the_library_does_not_load_openssl():
+    """``import hashlib`` maps OpenSSL's libcrypto (about 3.6 MB of
+    RSS), so only computing a digest may load it: the single-loop CLI
+    and the benchmark's workers import ``cache_key`` and never call it."""
+    lines = _run_python(
+        "import sys\n"
+        "import repro, repro.obs, repro.service\n"
+        "from repro.service import cache_key\n"
+        "print('_hashlib' in sys.modules)\n"
+        "from repro.machine import cydra5\n"
+        "from repro.workloads.livermore import kernel3_inner_product\n"
+        "cache_key(kernel3_inner_product(), cydra5())\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    assert lines == ["False", "True"]

@@ -13,7 +13,7 @@ from repro.obs import (
     Observer,
     Profiler,
 )
-from repro.obs.trace import CollectingTracer
+from repro.obs.trace import CollectingTracer, Tracer
 from repro.service.backends import ChunkedProcessBackend
 from repro.service.batch import run_batch
 from repro.service.jobs import JOB_CACHED, JOB_FAILED
@@ -53,7 +53,7 @@ def test_session_tracer_receives_merged_events_across_processes():
         paper_corpus(3), MACHINE, jobs=2, backend="chunked",
         observer=Observer(tracer),
     )
-    assert all(result.observed is not None for result in report.results)
+    assert report.observed_jobs == len(report.results) == 3
     assert len(tracer.events) == len(report.trace_records) > 0
     assert [record["job"] for record in report.trace_records] == sorted(
         record["job"] for record in report.trace_records
@@ -163,9 +163,19 @@ def test_cli_trace_flag_writes_merged_jsonl(tmp_path, capsys):
     assert events and {"kind", "seq", "loop", "job"} <= set(events[0])
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_report_holds_each_event_once(jobs):
+    """Once folded into the observer, a job's observations leave its
+    result: the report keeps each event only as its loop-tagged record."""
+    report = run_batch(paper_corpus(3), MACHINE, jobs=jobs, observer=Observer(Tracer()))
+    assert report.trace_records and report.observed_jobs == 3
+    assert all(result.observed is None for result in report.results)
+
+
 def test_cli_trace_keeps_one_copy_of_each_event(tmp_path, capsys, monkeypatch):
     """The file is written from the loop-tagged records alone: the CLI's
-    tracer keeps no second copy and never re-stamps the jobs' events."""
+    tracer keeps no second copy, no result keeps its events, and no
+    event is re-stamped."""
     from repro.service import batch
 
     seen = {}
@@ -184,10 +194,10 @@ def test_cli_trace_keeps_one_copy_of_each_event(tmp_path, capsys, monkeypatch):
         capsys.readouterr().out
     )
     assert not hasattr(seen["observer"].trace, "events")
+    assert all(result.observed is None for result in seen["report"].results)
     records = [json.loads(line) for line in trace_path.read_text().splitlines()]
-    events = [
-        event for result in seen["report"].results for event in result.observed[0]
-    ]
-    assert len(events) == len(records) > 0
-    # Job-local seq and first timestamps on the objects, as in the file.
-    assert [(e.seq, e.ts) for e in events] == [(r["seq"], r["ts"]) for r in records]
+    assert records == seen["report"].trace_records and records
+    # Job-local seq: each job's records count from 0, as its tracer did.
+    for job in range(3):
+        seqs = [record["seq"] for record in records if record["job"] == job]
+        assert seqs == list(range(len(seqs))) and seqs
