@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from repro.ir.ddg import DDG
+from repro.obs.prof import NULL_PROFILER
 
 #: Sentinel for "no path".  Far below any reachable cost, but safe to
 #: add to itself inside int64.
@@ -65,7 +66,6 @@ class MinDist:
 
     def __init__(self, ddg: DDG, ii: int, profiler=None):
         from repro.bounds.analysis import LoopAnalysis  # imports this module
-        from repro.obs.prof import NULL_PROFILER  # repro.obs imports bounds
 
         if ii < 1:
             raise ValueError(f"II must be positive, got {ii}")

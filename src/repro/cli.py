@@ -75,14 +75,7 @@ from repro.frontend import compile_loop
 from repro.frontend.parser import ParseError, parse_loop
 from repro.ir import build_ddg
 from repro.machine import MachineError, cydra5, machine_from_cli
-from repro.obs import (
-    CollectingTracer,
-    MetricsRegistry,
-    Observer,
-    explain,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.obs import MetricsRegistry, Observer
 from repro.regalloc import allocate_registers
 from repro.simulator import initial_state, run_pipelined, run_sequential, state_mismatches
 from repro.simulator.vliw import run_vliw
@@ -203,7 +196,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return bench_main(argv[1:])
     if argv and argv[0] == "batch":
         # Subcommand: the parallel scheduling service (repro.service).
-        from repro.service.batch import batch_main
+        from repro.service.batch_cli import batch_main
 
         return batch_main(argv[1:])
     if argv and argv[0] == "serve":
@@ -261,8 +254,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(loop.dump())
         print()
 
+    # --trace and --explain import what they alone use, so a plain run
+    # loads neither the trace writers nor the post-mortem.
+    tracer = None
+    if args.trace or args.explain:
+        from repro.obs import CollectingTracer, explain, write_chrome_trace, write_jsonl
+
+        tracer = CollectingTracer()
     observing = bool(args.trace or args.explain or args.metrics_out)
-    tracer = CollectingTracer() if (args.trace or args.explain) else None
     metrics = MetricsRegistry() if observing else None
     result = modulo_schedule(
         loop, machine, algorithm=args.algorithm, ddg=ddg,

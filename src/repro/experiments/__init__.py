@@ -1,17 +1,13 @@
-"""Experiment harness: corpus measurement and table/figure regeneration."""
+"""Experiment harness: corpus measurement and table/figure regeneration.
 
-from repro.experiments.figures import (
-    binned_percentages,
-    cumulative_at,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    render_histogram,
-)
+Importing the package loads only what the batch service runs: the
+metrics record and the corpus runner (:func:`measure_loop`).  The
+tables, figures, report and export modules load on first use of one of
+their names (see :mod:`repro._deferred`).
+"""
+
+from repro._deferred import deferred_exports
 from repro.experiments.metrics import LoopMetrics, percentile, quantile_row
-from repro.experiments.export import metrics_fieldnames, to_csv, to_json, write_csv, write_json
-from repro.experiments.report import full_report
 from repro.experiments.runner import (
     classify,
     measure_loop,
@@ -19,13 +15,33 @@ from repro.experiments.runner import (
     run_corpus_sweep,
     sweep_layout,
 )
-from repro.experiments.tables import (
-    scheduling_performance,
-    section6_effort,
-    table2,
-    table3,
-    table4,
-)
+
+__getattr__ = deferred_exports(globals(), {
+    "repro.experiments.figures": (
+        "binned_percentages",
+        "cumulative_at",
+        "figure5",
+        "figure6",
+        "figure7",
+        "figure8",
+        "render_histogram",
+    ),
+    "repro.experiments.export": (
+        "metrics_fieldnames",
+        "to_csv",
+        "to_json",
+        "write_csv",
+        "write_json",
+    ),
+    "repro.experiments.report": ("full_report",),
+    "repro.experiments.tables": (
+        "scheduling_performance",
+        "section6_effort",
+        "table2",
+        "table3",
+        "table4",
+    ),
+})
 
 __all__ = [
     "binned_percentages",

@@ -1,5 +1,12 @@
-"""Front end: the DO-loop DSL and its compiler to schedulable loop IR."""
+"""Front end: the DO-loop DSL and its compiler to schedulable loop IR.
 
+Importing the package loads the AST and the compiler, which every
+scheduled loop goes through.  The textual parser and printer and the
+unrolling transform load on first use of one of their names (see
+:mod:`repro._deferred`).
+"""
+
+from repro._deferred import deferred_exports
 from repro.frontend.ast import (
     ArrayRef,
     Assign,
@@ -18,9 +25,12 @@ from repro.frontend.ast import (
     Unary,
 )
 from repro.frontend.compiler import CompileError, LoopCompiler, compile_loop
-from repro.frontend.parser import ParseError, parse_loop
-from repro.frontend.printer import render_expr, render_loop, save_corpus
-from repro.frontend.transforms import UnrollError, unroll
+
+__getattr__ = deferred_exports(globals(), {
+    "repro.frontend.parser": ("ParseError", "parse_loop"),
+    "repro.frontend.printer": ("render_expr", "render_loop", "save_corpus"),
+    "repro.frontend.transforms": ("UnrollError", "unroll"),
+})
 
 __all__ = [
     "ArrayRef",

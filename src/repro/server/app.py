@@ -558,7 +558,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     else:
         cache_db = args.cache_db
         if cache_dir is None and cache_db is None:
-            from repro.service.batch import DEFAULT_CACHE_DIR
+            from repro.service.batch_cli import DEFAULT_CACHE_DIR
 
             cache_dir = DEFAULT_CACHE_DIR
     if args.jobs < 1:

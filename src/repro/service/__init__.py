@@ -25,10 +25,17 @@ measure_loop` into exactly that service:
 - :mod:`repro.service.backends` — the :class:`ExecutionBackend`
   strategies: serial in-process, and the chunked process pool that
   keeps deserialized machines resident in workers;
-- :mod:`repro.service.batch` — the batch front end
-  (``python -m repro batch``) tying the above together.
+- :mod:`repro.service.batch` — :func:`run_batch`, the batch front end
+  tying the above together;
+- :mod:`repro.service.batch_cli` — its command line
+  (``python -m repro batch``).
+
+Importing the package loads everything :func:`run_batch` runs and
+nothing more: the command line loads on first use of
+:func:`batch_main` (see :mod:`repro._deferred`).
 """
 
+from repro._deferred import deferred_exports
 from repro.service.backends import (
     BACKEND_NAMES,
     ChunkedProcessBackend,
@@ -68,7 +75,9 @@ from repro.service.keys import (
     machine_digest,
 )
 from repro.service.pool import PoolStats
-from repro.service.batch import BatchReport, batch_main, run_batch
+from repro.service.batch import BatchReport, run_batch
+
+__getattr__ = deferred_exports(globals(), {"repro.service.batch_cli": ("batch_main",)})
 
 __all__ = [
     "BACKEND_NAMES",

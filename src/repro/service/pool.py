@@ -39,8 +39,16 @@ import threading
 import time
 from typing import List, Optional, Sequence, Tuple
 
+from repro.experiments.runner import measure_loop
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
-from repro.obs.trace import DEFAULT_FLIGHT_CAPACITY
+from repro.obs.prof import Profiler
+from repro.obs.trace import (
+    DEFAULT_FLIGHT_CAPACITY,
+    CollectingTracer,
+    FlightRecorder,
+    JobStart,
+)
 from repro.service.jobs import (
     JOB_CRASHED,
     JOB_FAILED,
@@ -190,17 +198,9 @@ def execute_job(
     only when its caller runs on the main thread, so a serial batch run
     from a server request thread has no budget at all.
     """
-    # Deferred import: repro.experiments.runner lazily imports this
-    # package for its jobs= path, so a module-level import would cycle.
-    from repro.experiments.runner import measure_loop
-
     machine = job.machine if job.machine is not None else machine
     tracer = registry = profiler = None
     if observe:
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.prof import Profiler
-        from repro.obs.trace import CollectingTracer
-
         tracer = CollectingTracer()
         registry = MetricsRegistry()
         profiler = Profiler()
@@ -208,8 +208,6 @@ def execute_job(
     recorder = None
     sched_tracer = tracer
     if flight_events and flight_events > 0:
-        from repro.obs.trace import FlightRecorder, JobStart
-
         recorder = FlightRecorder(flight_events)
         recorder.emit(JobStart(job=job.index, loop=job.name))
         sched_tracer = (

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -28,6 +31,22 @@ def made_dirs(monkeypatch):
 
     monkeypatch.setattr(tempfile, "mkdtemp", _spy)
     return made
+
+
+def run_python(script: str, **env_overrides):
+    """stdout lines of ``script`` run by a fresh interpreter on ``src``."""
+    env = dict(os.environ, **env_overrides)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
 
 
 def on_targets(programs):

@@ -139,7 +139,7 @@ def test_run_corpus_sweep_matches_per_machine_runs(tmp_path):
 
 
 def test_cli_sweep_load_latency(tmp_path, capsys):
-    from repro.service.batch import batch_main
+    from repro.service.batch_cli import batch_main
 
     out = str(tmp_path / "sweep.json")
     assert batch_main(
@@ -164,7 +164,7 @@ def test_cli_sweep_load_latency(tmp_path, capsys):
 
 
 def test_cli_sweep_bad_latency_list_exits_2(capsys):
-    from repro.service.batch import batch_main
+    from repro.service.batch_cli import batch_main
 
     assert batch_main(
         ["--corpus", "2", "--no-cache", "--sweep-load-latency", "a,b"]
@@ -177,7 +177,7 @@ def test_cli_machine_flag_selects_registry_target(tmp_path, capsys):
 
     from repro.experiments import run_corpus
     from repro.machine import build_machine
-    from repro.service.batch import batch_main
+    from repro.service.batch_cli import batch_main
     from repro.workloads import paper_corpus
 
     out = str(tmp_path / "wide.json")
@@ -194,7 +194,7 @@ def test_cli_machine_flag_selects_registry_target(tmp_path, capsys):
 def test_cli_sweep_machine_grid(tmp_path, capsys):
     import json
 
-    from repro.service.batch import batch_main
+    from repro.service.batch_cli import batch_main
 
     out = str(tmp_path / "zoo.json")
     assert batch_main(
@@ -216,7 +216,7 @@ def test_cli_sweep_machine_grid(tmp_path, capsys):
 
 
 def test_cli_sweep_machine_conflicts_and_bad_names(capsys):
-    from repro.service.batch import batch_main
+    from repro.service.batch_cli import batch_main
 
     assert batch_main(
         ["--corpus", "2", "--no-cache",

@@ -9,7 +9,8 @@ from repro.machine import cydra5
 from repro.obs import MetricsRegistry, Observer
 from repro.obs.progress import JSONLProgress
 from repro.service.backends import ExecutionBackend
-from repro.service.batch import batch_main, run_batch
+from repro.service.batch import run_batch
+from repro.service.batch_cli import batch_main
 from repro.service.cache import SQLiteCache
 from repro.workloads import paper_corpus
 

@@ -217,7 +217,7 @@ def test_gc_both_bounds_compose(kind, tmp_path):
 # CLI: batch --gc and --cache-db
 # ----------------------------------------------------------------------
 def test_cli_gc_size_bound(tmp_path, capsys):
-    from repro.service.batch import batch_main
+    from repro.service.batch_cli import batch_main
 
     cache = str(tmp_path / "cache")
     assert batch_main(["--corpus", "4", "--cache-dir", cache]) == 0
@@ -232,7 +232,7 @@ def test_cli_gc_size_bound(tmp_path, capsys):
 
 
 def test_cli_gc_age_bound_sqlite(tmp_path, capsys):
-    from repro.service.batch import batch_main
+    from repro.service.batch_cli import batch_main
 
     db = str(tmp_path / "cache.sqlite")
     assert batch_main(["--corpus", "3", "--cache-db", db]) == 0
@@ -245,7 +245,7 @@ def test_cli_gc_age_bound_sqlite(tmp_path, capsys):
 
 
 def test_cli_gc_missing_cache_exits_2(tmp_path, capsys):
-    from repro.service.batch import batch_main
+    from repro.service.batch_cli import batch_main
 
     assert batch_main(
         ["--gc", "--cache-dir", str(tmp_path / "nope")]
@@ -254,7 +254,7 @@ def test_cli_gc_missing_cache_exits_2(tmp_path, capsys):
 
 
 def test_cli_gc_bad_bounds_exit_2(tmp_path, capsys):
-    from repro.service.batch import batch_main
+    from repro.service.batch_cli import batch_main
 
     cache = str(tmp_path)
     assert batch_main(
@@ -268,7 +268,7 @@ def test_cli_gc_bad_bounds_exit_2(tmp_path, capsys):
 
 
 def test_cli_cache_dir_and_db_conflict(tmp_path, capsys):
-    from repro.service.batch import batch_main
+    from repro.service.batch_cli import batch_main
 
     assert batch_main(
         [
@@ -281,7 +281,7 @@ def test_cli_cache_dir_and_db_conflict(tmp_path, capsys):
 
 
 def test_parse_size_and_age_suffixes():
-    from repro.service.batch import parse_age, parse_size
+    from repro.service.batch_cli import parse_age, parse_size
 
     assert parse_size("1048576") == 1 << 20
     assert parse_size("500M") == 500 * (1 << 20)

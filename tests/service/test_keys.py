@@ -2,10 +2,7 @@
 
 import dataclasses
 import json
-import os
 import re
-import subprocess
-import sys
 
 from repro.core import SchedulerOptions
 from repro.machine import cydra5
@@ -17,6 +14,7 @@ from repro.service.keys import (
 )
 from repro.workloads import named_kernels
 from repro.workloads.livermore import kernel3_inner_product
+from tests.conftest import run_python
 
 MACHINE = cydra5()
 
@@ -115,24 +113,8 @@ for machine in machines:
 """
 
 
-def _run_python(script: str, **env_overrides):
-    """stdout lines of ``script`` run by a fresh interpreter on ``src``."""
-    env = dict(os.environ, **env_overrides)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()
-
-
 def _keys_under_hashseed(seed: str):
-    return _run_python(_SUBPROCESS_SCRIPT, PYTHONHASHSEED=seed)
+    return run_python(_SUBPROCESS_SCRIPT, PYTHONHASHSEED=seed)
 
 
 def test_keys_independent_of_pythonhashseed():
@@ -148,7 +130,7 @@ def test_importing_the_library_does_not_load_openssl():
     """``import hashlib`` maps OpenSSL's libcrypto (about 3.6 MB of
     RSS), so only computing a digest may load it: the single-loop CLI
     and the benchmark's workers import ``cache_key`` and never call it."""
-    lines = _run_python(
+    lines = run_python(
         "import sys\n"
         "import repro, repro.obs, repro.service\n"
         "from repro.service import cache_key\n"

@@ -15,7 +15,8 @@ from repro.obs.progress import (
     CollectingProgress,
     lifecycle_sequence,
 )
-from repro.service.batch import batch_main, run_batch
+from repro.service.batch import run_batch
+from repro.service.batch_cli import batch_main
 from repro.service.cache import SQLiteCache, collect_garbage
 from repro.workloads import paper_corpus
 

@@ -150,7 +150,7 @@ def test_cached_jobs_are_skipped_by_merge(tmp_path, made_dirs):
 
 
 def test_cli_trace_flag_writes_merged_jsonl(tmp_path, capsys):
-    from repro.service.batch import batch_main
+    from repro.service.batch_cli import batch_main
 
     trace_path = str(tmp_path / "trace.jsonl")
     assert batch_main(
@@ -176,7 +176,7 @@ def test_cli_trace_keeps_one_copy_of_each_event(tmp_path, capsys, monkeypatch):
     """The file is written from the loop-tagged records alone: the CLI's
     tracer keeps no second copy, no result keeps its events, and no
     event is re-stamped."""
-    from repro.service import batch
+    from repro.service import batch_cli
 
     seen = {}
 
@@ -185,9 +185,9 @@ def test_cli_trace_keeps_one_copy_of_each_event(tmp_path, capsys, monkeypatch):
         seen["report"] = run_batch(*args, **kwargs)
         return seen["report"]
 
-    monkeypatch.setattr(batch, "run_batch", _run_batch)
+    monkeypatch.setattr(batch_cli, "run_batch", _run_batch)
     trace_path = tmp_path / "trace.jsonl"
-    assert batch.batch_main(
+    assert batch_cli.batch_main(
         ["--corpus", "3", "--no-cache", "--no-progress", "--trace", str(trace_path)]
     ) == 0
     assert f"trace: {len(seen['report'].trace_records)} events (3 jobs)" in (
