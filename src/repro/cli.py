@@ -6,9 +6,9 @@
     python -m repro --demo --trace t.jsonl --explain   # observability
     python -m repro bench             # benchmark harness -> BENCH_*.json
     python -m repro batch --corpus 60 --jobs 4         # scheduling service
-    python -m repro batch --corpus 60 --jobs 4 --trace t.jsonl --cache-db r.sqlite
+    python -m repro batch --corpus 60 --jobs 4 --trace t.jsonl --cache-dir rc
     python -m repro batch --gc --max-cache-bytes 500M  # cache eviction
-    python -m repro serve --port 8537 --cache-db shared.sqlite  # daemon
+    python -m repro serve --port 8537 --cache-dir shared-cache  # daemon
     python -m repro batch --corpus 60 --cache-url http://localhost:8537
     python -m repro report --metrics m.json --out report.html  # HTML report
     python -m repro history record --db h.jsonl bench-out/     # bench history
@@ -37,8 +37,7 @@ threshold (see ``repro.obs.bench`` / ``repro.obs.regress``).
 
 The ``batch`` subcommand schedules corpora as a service: serially
 in-process or on a process pool (``--jobs``), a content-addressed result
-cache in either a fan-out directory (``--cache-dir``) or a single sqlite
-file (``--cache-db``), cache eviction
+cache in a fan-out directory (``--cache-dir``), its eviction
 (``--gc --max-cache-bytes/--max-cache-age``), heterogeneous machine
 sweeps (``--sweep-load-latency 2,13,27``), and a merged cross-process
 scheduler trace (``--trace``) that is identical at any ``--jobs`` level.
@@ -69,16 +68,12 @@ import sys
 from typing import List, Optional
 
 from repro.bounds import MinDist, min_avg, rr_max_live
-from repro.codegen import emit_kernel, generate_kernel
 from repro.core import ALGORITHMS, modulo_schedule, validate_schedule
 from repro.frontend import compile_loop
 from repro.frontend.parser import ParseError, parse_loop
 from repro.ir import build_ddg
 from repro.machine import MachineError, cydra5, machine_from_cli
 from repro.obs import MetricsRegistry, Observer
-from repro.regalloc import allocate_registers
-from repro.simulator import initial_state, run_pipelined, run_sequential, state_mismatches
-from repro.simulator.vliw import run_vliw
 
 _DEMO = """\
 loop figure1
@@ -329,13 +324,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         print(explain(result, tracer.events, metrics, ddg=ddg))
 
+    # The back end (register allocation, codegen, simulators) loads only
+    # for --emit and --simulate, like the trace writers above.
     if args.emit or args.simulate:
+        from repro.codegen import generate_kernel
+        from repro.regalloc import allocate_registers
+
         kernel = generate_kernel(schedule, allocate_registers(schedule, ddg))
     if args.emit:
+        from repro.codegen import emit_kernel
+
         print()
         print(emit_kernel(kernel))
 
     if args.simulate:
+        from repro.simulator import (
+            initial_state,
+            run_pipelined,
+            run_sequential,
+            state_mismatches,
+        )
+        from repro.simulator.vliw import run_vliw
+
         sequential = run_sequential(program, initial_state(program))
         finals = {
             "dataflow executor": run_pipelined(schedule, initial_state(program)),

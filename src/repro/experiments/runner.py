@@ -147,17 +147,16 @@ def run_corpus(
     observer: Optional[Observer] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    cache_db: Optional[str] = None,
     timeout: Optional[float] = None,
     machines=None,
 ) -> List[LoopMetrics]:
     """Measure a whole corpus with one scheduler configuration.
 
-    ``jobs`` > 1, a cache location or per-loop ``machines`` routes the
+    ``jobs`` > 1, a cache directory or per-loop ``machines`` routes the
     corpus through the batch scheduling service
     (:mod:`repro.service`): worker processes, per-job ``timeout``, and a
-    content-addressed result cache (directory or sqlite).  The service
-    path returns metrics in the same order with identical values.
+    content-addressed result cache.  The service path returns metrics
+    in the same order with identical values.
     The ``observer`` crosses process boundaries inside the job results,
     merged in submission order, so it records the same scheduler
     observations on either path at any job count (modulo timestamps);
@@ -165,12 +164,7 @@ def run_corpus(
     ``service.*`` aggregates.
     """
     machine = machine or cydra5()
-    use_service = (
-        jobs != 1
-        or cache_dir is not None
-        or cache_db is not None
-        or machines is not None
-    )
+    use_service = jobs != 1 or cache_dir is not None or machines is not None
     if use_service:
         from repro.service import run_batch
 
@@ -182,7 +176,6 @@ def run_corpus(
             jobs=jobs,
             timeout=timeout,
             cache_dir=cache_dir,
-            cache_db=cache_db,
             observer=observer,
             machines=machines,
         )
@@ -228,7 +221,6 @@ def run_corpus_sweep(
     options: Optional[SchedulerOptions] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    cache_db: Optional[str] = None,
     timeout: Optional[float] = None,
 ) -> List[List[LoopMetrics]]:
     """Measure one corpus under several machines as ONE heterogeneous batch.
@@ -249,7 +241,6 @@ def run_corpus_sweep(
         options=options,
         jobs=jobs,
         cache_dir=cache_dir,
-        cache_db=cache_db,
         timeout=timeout,
         machines=flat_machines,
     )

@@ -4,8 +4,8 @@ A stdlib-only, long-lived ``ThreadingHTTPServer`` serving the wire
 protocol in :mod:`repro.server.protocol`.  Design points:
 
 - **One shared cache, many request threads.**  The server owns a
-  single :class:`~repro.service.cache.CacheBackend` (directory or WAL
-  sqlite) behind a lock (:class:`LockedCache`), so every client — and
+  single :class:`~repro.service.cache.DirectoryCache` behind a lock
+  (:class:`LockedCache`), so every client — and
   the ``/v1/batch`` path, which runs the whole existing
   :func:`repro.service.batch.run_batch` machinery against it — sees
   one warm cache.
@@ -38,7 +38,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator, List, Optional
+from typing import List, Optional
 from urllib.parse import urlsplit
 
 from repro.canonical import canonical_bytes, canonical_dump
@@ -46,9 +46,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.server import protocol
 from repro.service.cache import (
     CacheBackend,
-    CacheEntry,
     DirectoryCache,
-    SQLiteCache,
     metrics_to_payload,
     payload_to_metrics,
 )
@@ -73,7 +71,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT  # 0 = ephemeral (the OS picks; see .url)
     cache_dir: Optional[str] = None
-    cache_db: Optional[str] = None
     auth_token: Optional[str] = None
     jobs: int = 1  # /v1/batch worker processes
     job_timeout: Optional[float] = None  # /v1/batch per-job budget
@@ -82,12 +79,12 @@ class ServerConfig:
 
 
 class LockedCache(CacheBackend):
-    """Serialize any CacheBackend for many request threads.
+    """Serialize a CacheBackend's ``get`` and ``put`` for many request
+    threads.
 
-    The underlying backends are process-safe (atomic renames, WAL) but
-    not thread-safe: ``CacheStats`` increments race and one sqlite
-    connection must not be used concurrently.  One lock around every
-    operation keeps the hot path simple; scheduling dominates request
+    The directory cache is process-safe (atomic renames) but not
+    thread-safe: ``CacheStats`` increments race.  One lock around both
+    operations keeps the hot path simple; scheduling dominates request
     time, so the serialization is invisible next to it.
     """
 
@@ -107,32 +104,8 @@ class LockedCache(CacheBackend):
         with self._lock:
             return self.inner.put(key, metrics)
 
-    def entries(self) -> Iterator[CacheEntry]:
-        with self._lock:
-            return iter(list(self.inner.entries()))
-
-    def remove(self, key: str) -> bool:
-        with self._lock:
-            return self.inner.remove(key)
-
-    def close(self) -> None:
-        with self._lock:
-            self.inner.close()
-
     def describe(self) -> str:
         return self.inner.describe()
-
-
-def _open_server_cache(config: ServerConfig) -> Optional[CacheBackend]:
-    if config.cache_dir is not None and config.cache_db is not None:
-        raise ValueError("pass either cache_dir or cache_db, not both")
-    if config.cache_db is not None:
-        # One connection shared across request threads, serialized by
-        # the LockedCache wrapper.
-        return LockedCache(SQLiteCache(config.cache_db, threadsafe=True))
-    if config.cache_dir is not None:
-        return LockedCache(DirectoryCache(config.cache_dir))
-    return None
 
 
 class ScheduleServer(ThreadingHTTPServer):
@@ -145,7 +118,11 @@ class ScheduleServer(ThreadingHTTPServer):
 
     def __init__(self, config: ServerConfig):
         self.config = config
-        self.cache = _open_server_cache(config)
+        self.cache = (
+            LockedCache(DirectoryCache(config.cache_dir))
+            if config.cache_dir is not None
+            else None
+        )
         self.registry = MetricsRegistry()
         self.registry_lock = threading.Lock()
         self.started_unix = time.time()
@@ -180,10 +157,6 @@ class ScheduleServer(ThreadingHTTPServer):
             "cache": cache_block,
             "metrics": snapshot,
         }
-
-    def close_cache(self) -> None:
-        if self.cache is not None:
-            self.cache.close()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -478,7 +451,6 @@ def running_server(config: ServerConfig):
         server.shutdown()
         thread.join()
         server.server_close()  # joins in-flight request threads
-        server.close_cache()
 
 
 # ----------------------------------------------------------------------
@@ -502,13 +474,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="directory result cache root (default .repro-cache; mutually "
-        "exclusive with --cache-db)",
-    )
-    parser.add_argument(
-        "--cache-db",
-        metavar="PATH",
-        help="single-file sqlite result cache (WAL mode)",
+        help="directory result cache root (default .repro-cache)",
     )
     parser.add_argument(
         "--no-cache", action="store_true", help="serve without any cache"
@@ -546,21 +512,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
     args = build_serve_parser().parse_args(argv)
-    if args.cache_dir is not None and args.cache_db is not None:
-        print(
-            "error: pass either --cache-dir or --cache-db, not both",
-            file=sys.stderr,
-        )
-        return 2
     cache_dir = args.cache_dir
     if args.no_cache:
-        cache_dir = cache_db = None
-    else:
-        cache_db = args.cache_db
-        if cache_dir is None and cache_db is None:
-            from repro.service.batch_cli import DEFAULT_CACHE_DIR
+        cache_dir = None
+    elif cache_dir is None:
+        from repro.service.batch_cli import DEFAULT_CACHE_DIR
 
-            cache_dir = DEFAULT_CACHE_DIR
+        cache_dir = DEFAULT_CACHE_DIR
     if args.jobs < 1:
         print("error: --jobs must be positive", file=sys.stderr)
         return 2
@@ -574,7 +532,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         host=args.host,
         port=args.port,
         cache_dir=cache_dir,
-        cache_db=cache_db,
         auth_token=args.auth_token,
         jobs=args.jobs,
         job_timeout=args.job_timeout,
@@ -639,5 +596,4 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         stats = server.cache.stats
         line += f"; cache: {stats.hits} hits, {stats.misses} misses"
     print(line, flush=True)
-    server.close_cache()
     return 0

@@ -18,9 +18,9 @@ cache.  Degradation is graceful by design:
   loses the server mid-run keeps its own warm copy, and a fallback hit
   after a server miss is pushed back up — the fleet re-warms the
   shared cache instead of diverging from it.
-- ``entries()``/``remove()`` operate on the fallback only: eviction of
-  the shared store is the server operator's job (``batch --gc``
-  against the server's own cache location), not any one client's.
+- Eviction of the shared store is the server operator's job
+  (``batch --gc --cache-dir`` on the server's own cache directory),
+  not any one client's.
 
 Conditional gets ride on the canonical keys: every ``GET
 /v1/cache/<key>`` response carries ``ETag: "<key>"``, and the content
@@ -34,13 +34,12 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.canonical import canonical_bytes
 from repro.experiments.metrics import LoopMetrics
 from repro.service.cache import (
     CacheBackend,
-    CacheEntry,
     CacheStats,
     metrics_to_payload,
     payload_to_metrics,
@@ -239,18 +238,3 @@ class HTTPCache(CacheBackend):
         if status in (401, 403):
             self._trip()
         return status == 204
-
-    def entries(self) -> Iterator[CacheEntry]:
-        # Client-side enumeration covers only the local fallback:
-        # eviction of the shared store is server-side policy.
-        if self.fallback is not None:
-            yield from self.fallback.entries()
-
-    def remove(self, key: str) -> bool:
-        if self.fallback is not None:
-            return self.fallback.remove(key)
-        return False
-
-    def close(self) -> None:
-        if self.fallback is not None:
-            self.fallback.close()

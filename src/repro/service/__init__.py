@@ -1,4 +1,4 @@
-"""Batch scheduling service: pluggable backends + multi-backend cache.
+"""Batch scheduling service: pluggable backends + a content-addressed cache.
 
 The scheduler itself is a pure function from ``(loop, machine,
 algorithm, options)`` to a schedule, which makes it an ideal service
@@ -10,10 +10,9 @@ measure_loop` into exactly that service:
 - :mod:`repro.service.keys` — canonical, ``PYTHONHASHSEED``-independent
   serialization of a scheduling request into a stable SHA-256 cache key
   (programs, options, and whole machine descriptions);
-- :mod:`repro.service.cache` — the :class:`CacheBackend` protocol with
-  two content-addressed stores (fan-out directory, single-file sqlite
-  in WAL mode), plus one garbage collector written against the
-  protocol;
+- :mod:`repro.service.cache` — the :class:`CacheBackend` protocol, the
+  content-addressed fan-out :class:`DirectoryCache` that is the one
+  local store, and its oldest-first garbage collector;
 - :mod:`repro.service.jobs` — job/result records with an explicit
   status (``ok | failed | timeout | crashed | cached``), optional
   per-job machines for heterogeneous sweeps, and deterministic result
@@ -49,7 +48,6 @@ from repro.service.cache import (
     CacheStats,
     DirectoryCache,
     GCReport,
-    SQLiteCache,
     collect_garbage,
     open_cache,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "CacheStats",
     "DirectoryCache",
     "GCReport",
-    "SQLiteCache",
     "collect_garbage",
     "open_cache",
     "JOB_CACHED",

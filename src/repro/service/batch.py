@@ -8,7 +8,7 @@ API::
 
     # heterogeneous sweep: one batch, per-job machines, distinct keys
     report = run_batch(programs * 3, machines=machines, jobs=4,
-                       cache_db="results.sqlite")
+                       cache_dir=".repro-cache")
 
 The command line (``python -m repro batch``) lives in
 :mod:`repro.service.batch_cli`.
@@ -24,9 +24,9 @@ results without touching a worker, misses are scheduled and written
 back.  Because the scheduler is deterministic and the cache key covers
 every input (see :mod:`repro.service.keys`), a warm rerun returns
 byte-identical metrics — including the original run's timing fields —
-at cache-read speed.  Two storage backends are available behind one
-protocol: a fan-out directory (``--cache-dir``) and a single-file
-sqlite database (``--cache-db``, WAL mode, shareable across CI runs).
+at cache-read speed.  The cache is a fan-out directory
+(``--cache-dir``), or a ``repro serve`` daemon's shared cache over HTTP
+(``--cache-url``).
 
 An :class:`~repro.obs.observer.Observer` crosses process boundaries
 inside the job results: whenever it records anything (a tracer, a
@@ -255,7 +255,6 @@ def run_batch(
     jobs: int = 1,
     timeout: Optional[float] = None,
     cache_dir: Optional[str] = None,
-    cache_db: Optional[str] = None,
     cache_url: Optional[str] = None,
     cache_fallback_dir: Optional[str] = None,
     cache_auth_token: Optional[str] = None,
@@ -278,20 +277,18 @@ def run_batch(
         jobs: Worker processes; 1 (the default) runs serially in-process.
         timeout: Per-job wall-clock budget in seconds (None = unlimited).
         cache_dir: Root of a directory result cache; mutually exclusive
-            with ``cache_db`` and ``cache_url``.  All three None (and no
-            ``cache`` instance) disables caching entirely.
-        cache_db: Path of a single-file sqlite result cache (WAL mode).
+            with ``cache_url``.  Both None (and no ``cache`` instance)
+            disables caching entirely.
         cache_url: Base URL of a ``repro serve`` daemon; results are
             read from and written to its shared cache over HTTP
             (see :class:`repro.server.httpcache.HTTPCache`).
         cache_fallback_dir: Local directory the HTTP cache degrades to
             when the server is unreachable (``cache_url`` only).
         cache_auth_token: Bearer token for ``cache_url``.
-        cache: An already-open :class:`CacheBackend` instance to use
-            directly; the caller owns its lifecycle (it is not closed
-            here).  Mutually exclusive with the location arguments —
-            this is how the server's ``/v1/batch`` endpoint runs
-            batches against its own shared, locked cache.
+        cache: A :class:`CacheBackend` instance to use directly,
+            mutually exclusive with the location arguments — this is
+            how the server's ``/v1/batch`` endpoint runs batches
+            against its own shared, locked cache.
         use_cache: Set False to bypass reads *and* writes even when a
             cache location is set.
         observer: Optional :class:`repro.obs.Observer`.  When it
@@ -344,9 +341,7 @@ def run_batch(
 
     watchdog = StragglerWatchdog(factor=straggler_factor)
     tracker: Optional[ProgressTracker] = None
-    owns_cache = cache is None
-    # The finally below closes what the batch opened (the progress
-    # sinks, a cache it opened itself), whichever step raises.
+    # The finally below closes the progress sinks, whichever step raises.
     try:
         sinks: List[ProgressSink] = []
         if progress is not None:
@@ -374,7 +369,6 @@ def run_batch(
         elif cache is None:
             cache = open_cache(
                 cache_dir=cache_dir,
-                cache_db=cache_db,
                 cache_url=cache_url,
                 cache_fallback_dir=cache_fallback_dir,
                 auth_token=cache_auth_token,
@@ -431,8 +425,6 @@ def run_batch(
     finally:
         if tracker is not None:
             tracker.close()
-        if cache is not None and owns_cache:
-            cache.close()
 
     report = BatchReport(
         results=ordered,

@@ -4,7 +4,7 @@ CLI::
 
     python -m repro batch --corpus 60 --jobs 4
     python -m repro batch examples/loops --jobs 2 --timeout 30
-    python -m repro batch a.loop b.loop --cache-db ci.sqlite --out m.json
+    python -m repro batch a.loop b.loop --cache-dir ci-cache --out m.json
     python -m repro batch --corpus 60 --jobs 4 --trace batch.jsonl
     python -m repro batch --corpus 60 --sweep-load-latency 2,13,27
     python -m repro batch --corpus 30 --machine vliw-wide
@@ -43,7 +43,7 @@ from repro.obs.prof import Profiler
 from repro.obs.progress import TTYProgress
 from repro.obs.trace import Tracer
 from repro.service.batch import run_batch
-from repro.service.cache import collect_garbage, open_cache
+from repro.service.cache import DirectoryCache, collect_garbage
 from repro.service.pool import DEFAULT_FLIGHT_CAPACITY
 
 #: Default on-disk cache location for the CLI (API default is no cache).
@@ -147,7 +147,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro batch",
         description="Schedule a corpus or loop files in parallel, with a "
-        "content-addressed result cache (directory or sqlite).",
+        "content-addressed result cache.",
     )
     parser.add_argument(
         "sources",
@@ -181,21 +181,14 @@ def build_batch_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=f"directory result cache root (default {DEFAULT_CACHE_DIR}; "
-        "mutually exclusive with --cache-db)",
-    )
-    parser.add_argument(
-        "--cache-db",
-        default=None,
-        metavar="PATH",
-        help="single-file sqlite result cache (WAL mode, shareable "
-        "across runs; mutually exclusive with --cache-dir)",
+        "mutually exclusive with --cache-url)",
     )
     parser.add_argument(
         "--cache-url",
         default=None,
         metavar="URL",
         help="share a `repro serve` daemon's warm result cache over HTTP "
-        "(mutually exclusive with --cache-dir/--cache-db); degrades to "
+        "(mutually exclusive with --cache-dir); degrades to "
         "--cache-fallback-dir when the server is unreachable",
     )
     parser.add_argument(
@@ -219,17 +212,9 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--gc",
         action="store_true",
-        help="garbage-collect the cache instead of scheduling: evict "
-        "entries past --max-cache-age, then --gc-policy order past "
-        "--max-cache-bytes",
-    )
-    parser.add_argument(
-        "--gc-policy",
-        choices=("oldest", "lru"),
-        default="oldest",
-        help="gc eviction order: oldest (creation time) or lru (last "
-        "access; sqlite records reads, directory caches approximate "
-        "with file mtime)",
+        help="garbage-collect the --cache-dir cache instead of "
+        "scheduling: evict entries past --max-cache-age, then the oldest "
+        "past --max-cache-bytes",
     )
     parser.add_argument(
         "--max-cache-bytes",
@@ -415,20 +400,17 @@ def parse_batch_args(
     Raises :class:`BatchUsageError` naming the first problem found.
     """
     args = build_batch_parser().parse_args(argv)
-    cache_locations = [
-        flag
-        for flag, value in (
-            ("--cache-dir", args.cache_dir),
-            ("--cache-db", args.cache_db),
-            ("--cache-url", args.cache_url),
-        )
-        if value is not None
-    ]
-    if len(cache_locations) > 1:
-        raise BatchUsageError(f"pass at most one of {', '.join(cache_locations)}")
+    if args.cache_dir is not None and args.cache_url is not None:
+        raise BatchUsageError("pass at most one of --cache-dir, --cache-url")
     if args.cache_fallback_dir is not None and args.cache_url is None:
         raise BatchUsageError("--cache-fallback-dir requires --cache-url")
     if args.gc:
+        # --gc evicts from one local directory, never from a cache the
+        # command line did not name.
+        if args.cache_url is not None:
+            raise BatchUsageError("--gc takes a --cache-dir, not --cache-url")
+        if args.no_cache:
+            raise BatchUsageError("--gc takes a --cache-dir, not --no-cache")
         return args, None
     if args.algorithm not in ALGORITHMS:
         raise BatchUsageError(
@@ -449,7 +431,7 @@ def parse_batch_args(
         # HTTP cache; degrade to a local directory cache when the
         # server is unreachable so the batch always completes.
         cache_fallback_dir = args.cache_fallback_dir or DEFAULT_CACHE_DIR
-    elif cache_dir is None and args.cache_db is None:
+    elif cache_dir is None:
         cache_dir = DEFAULT_CACHE_DIR
 
     if args.straggler_factor <= 1.0:
@@ -467,7 +449,6 @@ def parse_batch_args(
         jobs=args.jobs,
         timeout=args.timeout,
         cache_dir=cache_dir,
-        cache_db=None if args.no_cache else args.cache_db,
         cache_url=None if args.no_cache else args.cache_url,
         cache_fallback_dir=cache_fallback_dir,
         cache_auth_token=args.cache_auth_token,
@@ -483,26 +464,18 @@ def parse_batch_args(
 # Orchestration
 # ----------------------------------------------------------------------
 def _gc_main(args) -> int:
-    """``batch --gc``: evict against whichever cache backend is configured."""
-    cache_dir = args.cache_dir
-    if cache_dir is None and args.cache_db is None:
-        cache_dir = DEFAULT_CACHE_DIR
+    """``batch --gc``: evict from the ``--cache-dir`` directory cache."""
+    cache_dir = DEFAULT_CACHE_DIR if args.cache_dir is None else args.cache_dir
     try:
         max_bytes = parse_size(args.max_cache_bytes) if args.max_cache_bytes else None
         max_age = parse_age(args.max_cache_age) if args.max_cache_age else None
     except ValueError as error:
         raise BatchUsageError(str(error)) from error
-    if cache_dir is not None and not os.path.isdir(cache_dir):
+    if not os.path.isdir(cache_dir):
         raise BatchUsageError(f"no cache at {cache_dir}")
-    cache = open_cache(cache_dir=cache_dir, cache_db=args.cache_db)
-    try:
-        report = collect_garbage(
-            cache, max_bytes=max_bytes, max_age_seconds=max_age,
-            policy=args.gc_policy,
-        )
-    finally:
-        cache.close()
-    print(f"{cache.describe()}")
+    cache = DirectoryCache(cache_dir)
+    report = collect_garbage(cache, max_bytes=max_bytes, max_age_seconds=max_age)
+    print(cache.describe())
     print(report.summary())
     if max_bytes is None and max_age is None:
         print("(no --max-cache-bytes/--max-cache-age bound: inventory only)")

@@ -47,16 +47,16 @@ def test_emit_and_simulate(source_file, capsys):
 def test_simulate_rejects_a_nan_live_out(source_file, monkeypatch, capsys):
     """NaN compares unequal to everything, so no tolerance test on the
     difference catches it; the comparison must be exact."""
-    import repro.cli
+    import repro.simulator
 
-    pipelined = repro.cli.run_pipelined
+    pipelined = repro.simulator.run_pipelined
 
     def nan_live_out(schedule, state):
         state = pipelined(schedule, state)
         state.scalars["s"] = float("nan")
         return state
 
-    monkeypatch.setattr(repro.cli, "run_pipelined", nan_live_out)
+    monkeypatch.setattr(repro.simulator, "run_pipelined", nan_live_out)
     assert main([source_file, "--simulate"]) == 1
     out = capsys.readouterr().out
     assert "SIMULATION MISMATCH: 1 locations differ" in out
@@ -66,16 +66,16 @@ def test_simulate_rejects_a_nan_live_out(source_file, monkeypatch, capsys):
 def test_simulate_checks_the_vliw_kernel(source_file, monkeypatch, capsys):
     """A wrong cell from the VLIW executor alone fails the run, and the
     report names that executor."""
-    import repro.cli
+    import repro.simulator.vliw
 
-    vliw = repro.cli.run_vliw
+    vliw = repro.simulator.vliw.run_vliw
 
     def corrupt_cell(kernel, state):
         state = vliw(kernel, state)
         state.arrays["x"][5] += 1.0
         return state
 
-    monkeypatch.setattr(repro.cli, "run_vliw", corrupt_cell)
+    monkeypatch.setattr(repro.simulator.vliw, "run_vliw", corrupt_cell)
     assert main([source_file, "--simulate"]) == 1
     out = capsys.readouterr().out
     assert "the dataflow executor matches sequential" in out

@@ -51,7 +51,6 @@ def test_put_then_get_roundtrip(tmp_path):
         assert got == metrics
         assert cache.stats.hits == 1 and cache.stats.writes == 1
         assert cache.describe().startswith(f"http:{live.url}")
-        cache.close()
 
 
 def test_remote_hit_warms_the_fallback(tmp_path):
@@ -125,23 +124,6 @@ def test_bad_token_trips_the_breaker(tmp_path):
 # ----------------------------------------------------------------------
 # Protocol odds and ends
 # ----------------------------------------------------------------------
-def test_entries_and_remove_cover_the_fallback_only(tmp_path):
-    key, metrics = _entry()
-    with running_server(
-        ServerConfig(port=0, cache_dir=str(tmp_path / "srv"))
-    ) as live:
-        remote_only = HTTPCache(live.url)
-        remote_only.put(key, metrics)
-        assert list(remote_only.entries()) == []
-        assert remote_only.remove(key) is False  # eviction is server-side
-        with_fallback = HTTPCache(
-            live.url, fallback=DirectoryCache(str(tmp_path / "fb"))
-        )
-        with_fallback.put(key, metrics)
-        assert [entry.key for entry in with_fallback.entries()] == [key]
-        assert with_fallback.remove(key) is True
-
-
 def test_open_cache_selects_http_backend(tmp_path):
     cache = open_cache(
         cache_url=DEAD_URL, cache_fallback_dir=str(tmp_path), auth_token="t"
@@ -151,8 +133,6 @@ def test_open_cache_selects_http_backend(tmp_path):
     assert cache.client.auth_token == "t"
     with pytest.raises(ValueError):
         open_cache(cache_dir="a", cache_url=DEAD_URL)
-    with pytest.raises(ValueError):
-        open_cache(cache_db="a.sqlite", cache_url=DEAD_URL)
 
 
 # ----------------------------------------------------------------------
@@ -188,5 +168,5 @@ def test_run_batch_caller_owned_cache_stays_open(tmp_path):
     cache = DirectoryCache(str(tmp_path))
     report = run_batch(paper_corpus(2), MACHINE, cache=cache)
     assert report.ok and report.cache is cache.stats
-    # run_batch must not close a caller-owned backend: still usable.
+    # The batch ran on the caller's backend, which stays usable.
     assert cache.put(key, metrics) and cache.get(key) == metrics

@@ -8,10 +8,8 @@ import pytest
 from repro.machine import cydra5
 from repro.obs import MetricsRegistry, Observer
 from repro.obs.progress import JSONLProgress
-from repro.service.backends import ExecutionBackend
 from repro.service.batch import run_batch
 from repro.service.batch_cli import batch_main
-from repro.service.cache import SQLiteCache
 from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
@@ -100,38 +98,8 @@ def test_summary_mentions_faults():
 
 
 # ----------------------------------------------------------------------
-# run_batch closes what it opened when a step raises
+# run_batch closes its progress log when set-up raises
 # ----------------------------------------------------------------------
-class _FailingBackend(ExecutionBackend):
-    def run(self, jobs, machine, **kwargs):
-        raise RuntimeError("backend failed")
-
-
-def _fail_put(self, key, metrics):
-    raise RuntimeError("put failed")
-
-
-@pytest.mark.parametrize("step", ["backend", "put"])
-def test_owned_cache_is_closed_when_a_step_raises(tmp_path, monkeypatch, step):
-    closed = []
-    close = SQLiteCache.close
-
-    def _close(self):
-        closed.append(self.path)
-        close(self)
-
-    monkeypatch.setattr(SQLiteCache, "close", _close)
-    backend = "serial"
-    if step == "backend":
-        backend = _FailingBackend()
-    else:
-        monkeypatch.setattr(SQLiteCache, "put", _fail_put)
-    db = str(tmp_path / "cache.db")
-    with pytest.raises(RuntimeError, match=f"{step} failed"):
-        run_batch(paper_corpus(1), MACHINE, cache_db=db, backend=backend)
-    assert closed == [db]
-
-
 @pytest.mark.parametrize("bad", ["two-caches", "straggler-factor"])
 def test_progress_log_is_closed_when_setup_raises(tmp_path, monkeypatch, bad):
     from repro.service import batch
@@ -146,7 +114,7 @@ def test_progress_log_is_closed_when_setup_raises(tmp_path, monkeypatch, bad):
     monkeypatch.setattr(batch, "JSONLProgress", _Recording)
     kwargs = {"progress_log": str(tmp_path / "progress.jsonl")}
     if bad == "two-caches":
-        kwargs.update(cache_dir=str(tmp_path / "dir"), cache_db=str(tmp_path / "c.db"))
+        kwargs.update(cache_dir=str(tmp_path / "dir"), cache_url="http://127.0.0.1:1")
     else:
         kwargs.update(use_cache=False, straggler_factor=0.5)
     with pytest.raises(ValueError):

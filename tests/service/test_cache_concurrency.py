@@ -1,13 +1,12 @@
 """Concurrent cache writers: many processes, one store, zero corruption.
 
-Two worker processes hammer a single cache location — the WAL sqlite
-backend and the atomic-rename directory backend — with a mix of shared
-keys (both processes write the same entry) and per-process distinct
-keys.  The invariants under test:
+Two worker processes hammer one atomic-rename directory cache with a
+mix of shared keys (both processes write the same entry) and
+per-process distinct keys.  The invariants under test:
 
 - a read NEVER sees a torn entry: it returns the complete, exact
   payload for that key, or a miss — nothing in between;
-- no backend ever counts a corrupt entry;
+- the cache never counts a corrupt entry;
 - after the dust settles, every key holds exactly the payload its
   content address promises.
 
@@ -21,10 +20,8 @@ import multiprocessing
 import sys
 import traceback
 
-import pytest
-
 from repro.experiments.metrics import LoopMetrics
-from repro.service.cache import DirectoryCache, SQLiteCache
+from repro.service.cache import DirectoryCache
 
 WORKERS = 2
 ROUNDS = 25
@@ -78,14 +75,10 @@ def _distinct_tags(worker_id: int):
     return list(range(start, start + DISTINCT_KEYS))
 
 
-def _open(kind: str, location: str):
-    return SQLiteCache(location) if kind == "sqlite" else DirectoryCache(location)
-
-
-def _hammer(kind: str, location: str, worker_id: int, errors):
+def _hammer(location: str, worker_id: int, errors):
     """Interleave puts and validated gets across shared + distinct keys."""
     try:
-        cache = _open(kind, location)
+        cache = DirectoryCache(location)
         tags = _shared_tags() + _distinct_tags(worker_id)
         for round_index in range(ROUNDS):
             for tag in tags:
@@ -103,20 +96,16 @@ def _hammer(kind: str, location: str, worker_id: int, errors):
             errors.put(
                 f"worker {worker_id}: {cache.stats.corrupt} corrupt reads"
             )
-        cache.close()
     except Exception:
         errors.put(f"worker {worker_id}:\n{traceback.format_exc()}")
 
 
-@pytest.mark.parametrize("kind", ["dir", "sqlite"])
-def test_parallel_writers_never_corrupt(tmp_path, kind):
-    location = str(
-        tmp_path / ("cache.sqlite" if kind == "sqlite" else "cache")
-    )
+def test_parallel_writers_never_corrupt(tmp_path):
+    location = str(tmp_path / "cache")
     context = multiprocessing.get_context("fork" if sys.platform != "win32" else "spawn")
     errors = context.Queue()
     workers = [
-        context.Process(target=_hammer, args=(kind, location, worker_id, errors))
+        context.Process(target=_hammer, args=(location, worker_id, errors))
         for worker_id in range(WORKERS)
     ]
     for worker in workers:
@@ -132,7 +121,7 @@ def test_parallel_writers_never_corrupt(tmp_path, kind):
     assert not failures, "\n".join(failures)
 
     # Fresh reader: every key must hold its exact promised payload.
-    cache = _open(kind, location)
+    cache = DirectoryCache(location)
     all_tags = _shared_tags() + [
         tag for worker_id in range(WORKERS) for tag in _distinct_tags(worker_id)
     ]
@@ -144,7 +133,6 @@ def test_parallel_writers_never_corrupt(tmp_path, kind):
     assert cache.stats.misses == 0
     entry_keys = sorted(entry.key for entry in cache.entries())
     assert entry_keys == sorted(_key(tag) for tag in all_tags)
-    cache.close()
 
 
 def test_same_key_writers_agree_byte_for_byte(tmp_path):
@@ -153,8 +141,8 @@ def test_same_key_writers_agree_byte_for_byte(tmp_path):
     context = multiprocessing.get_context("fork" if sys.platform != "win32" else "spawn")
     errors = context.Queue()
     workers = [
-        context.Process(target=_hammer, args=("dir", location, 0, errors)),
-        context.Process(target=_hammer, args=("dir", location, 0, errors)),
+        context.Process(target=_hammer, args=(location, 0, errors)),
+        context.Process(target=_hammer, args=(location, 0, errors)),
     ]
     for worker in workers:
         worker.start()

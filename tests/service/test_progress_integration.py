@@ -1,9 +1,7 @@
-"""Progress through the service: backend parity, CLI streams, LRU GC."""
+"""Progress through the service: backend parity and CLI streams."""
 
 import json
 import sys
-
-import pytest
 
 from repro.machine import cydra5
 from repro.obs.progress import (
@@ -17,7 +15,6 @@ from repro.obs.progress import (
 )
 from repro.service.batch import run_batch
 from repro.service.batch_cli import batch_main
-from repro.service.cache import SQLiteCache, collect_garbage
 from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
@@ -161,131 +158,3 @@ def test_straggler_warning_is_a_diagnostic():
     )
     _, diagnostics = report.summary_lines()
     assert any("stragglers: 1 job(s) exceeded 4x" in line for line in diagnostics)
-
-
-# ----------------------------------------------------------------------
-# LRU cache GC
-# ----------------------------------------------------------------------
-def _metrics():
-    from repro.experiments import measure_loop
-    from repro.workloads.livermore import kernel3_inner_product
-
-    return measure_loop(kernel3_inner_product(), MACHINE)
-
-
-def test_sqlite_get_refreshes_access_time(tmp_path, monkeypatch):
-    now = [1000.0]
-    monkeypatch.setattr("repro.service.cache.time.time", lambda: now[0])
-    cache = SQLiteCache(str(tmp_path / "c.sqlite"))
-    cache.put("aa", _metrics())
-    cache.put("bb", _metrics())
-    now[0] = 2000.0
-    assert cache.get("aa") is not None
-    entries = {entry.key: entry for entry in cache.entries()}
-    assert entries["aa"].accessed_unix == 2000.0
-    assert entries["aa"].created_unix == 1000.0
-    assert entries["bb"].accessed_unix == 1000.0
-    cache.close()
-
-
-def test_lru_policy_keeps_recently_read_entry(tmp_path, monkeypatch):
-    now = [1000.0]
-    monkeypatch.setattr("repro.service.cache.time.time", lambda: now[0])
-    cache = SQLiteCache(str(tmp_path / "c.sqlite"))
-    cache.put("old-but-hot", _metrics())
-    now[0] = 1500.0
-    cache.put("young-but-cold", _metrics())
-    now[0] = 2000.0
-    assert cache.get("old-but-hot") is not None
-
-    # Oldest-first would evict old-but-hot; LRU evicts the unread entry.
-    total = sum(entry.size_bytes for entry in cache.entries())
-    report = collect_garbage(cache, max_bytes=total - 1, policy="lru", now=2000.0)
-    assert report.removed == 1
-    assert {entry.key for entry in cache.entries()} == {"old-but-hot"}
-    cache.close()
-
-
-def test_oldest_policy_ignores_access_time(tmp_path, monkeypatch):
-    now = [1000.0]
-    monkeypatch.setattr("repro.service.cache.time.time", lambda: now[0])
-    cache = SQLiteCache(str(tmp_path / "c.sqlite"))
-    cache.put("older", _metrics())
-    now[0] = 1500.0
-    cache.put("newer", _metrics())
-    now[0] = 2000.0
-    assert cache.get("older") is not None
-    total = sum(entry.size_bytes for entry in cache.entries())
-    report = collect_garbage(
-        cache, max_bytes=total - 1, policy="oldest", now=2000.0
-    )
-    assert report.removed == 1
-    assert {entry.key for entry in cache.entries()} == {"newer"}
-    cache.close()
-
-
-def test_lru_age_bound_uses_access_time(tmp_path, monkeypatch):
-    now = [1000.0]
-    monkeypatch.setattr("repro.service.cache.time.time", lambda: now[0])
-    cache = SQLiteCache(str(tmp_path / "c.sqlite"))
-    cache.put("hot", _metrics())
-    cache.put("cold", _metrics())
-    now[0] = 5000.0
-    assert cache.get("hot") is not None
-    report = collect_garbage(cache, max_age_seconds=1000.0, policy="lru", now=5000.0)
-    assert report.removed == 1
-    assert {entry.key for entry in cache.entries()} == {"hot"}
-    cache.close()
-
-
-def test_directory_cache_lru_falls_back_to_mtime(tmp_path):
-    from repro.service.cache import DirectoryCache
-
-    cache = DirectoryCache(str(tmp_path / "cache"))
-    cache.put("aa", _metrics())
-    for entry in cache.entries():
-        assert entry.accessed_unix == entry.created_unix
-    # Both policies behave identically when access == creation.
-    assert collect_garbage(cache, policy="lru").examined == 1
-
-
-def test_collect_garbage_rejects_unknown_policy(tmp_path):
-    from repro.service.cache import DirectoryCache
-
-    with pytest.raises(ValueError):
-        collect_garbage(DirectoryCache(str(tmp_path)), policy="newest")
-
-
-def test_sqlite_schema_migration_adds_access_column(tmp_path):
-    """A pre-LRU database (no accessed_unix column) opens cleanly and
-    old rows fall back to their creation time."""
-    import sqlite3
-
-    path = str(tmp_path / "legacy.sqlite")
-    conn = sqlite3.connect(path)
-    conn.execute(
-        "CREATE TABLE results (key TEXT PRIMARY KEY, payload TEXT NOT NULL,"
-        " size_bytes INTEGER NOT NULL, created_unix REAL NOT NULL)"
-    )
-    conn.execute(
-        "INSERT INTO results VALUES ('k', 'junk', 4, 123.0)"
-    )
-    conn.commit()
-    conn.close()
-
-    cache = SQLiteCache(path)
-    entries = list(cache.entries())
-    assert len(entries) == 1
-    assert entries[0].accessed_unix == 123.0
-    cache.close()
-
-
-def test_gc_cli_accepts_policy_flag(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    db = str(tmp_path / "c.sqlite")
-    cache = SQLiteCache(db)
-    cache.put("aa", _metrics())
-    cache.close()
-    code = batch_main(["--gc", "--gc-policy", "lru", "--cache-db", db])
-    assert code == 0
-    assert "gc: examined 1" in capsys.readouterr().out

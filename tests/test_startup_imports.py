@@ -21,17 +21,39 @@ OFFLINE_MODULES = [
 ]
 
 
-def test_importing_the_library_loads_no_offline_tooling():
-    loaded = run_python(
+def _repro_modules_after(*statements):
+    """The ``repro`` modules a fresh interpreter holds after ``statements``."""
+    return run_python(
         "import sys\n"
-        "import repro\n"
-        "import repro.core\n"
-        "from repro.service import run_batch, cache_key, DirectoryCache\n"
-        "print(*sorted(name for name in sys.modules if name.startswith('repro')),"
+        + "".join(f"{statement}\n" for statement in statements)
+        + "print(*sorted(name for name in sys.modules if name.startswith('repro')),"
         " sep='\\n')\n"
+    )
+
+
+def test_importing_the_library_loads_no_offline_tooling():
+    loaded = _repro_modules_after(
+        "import repro",
+        "import repro.core",
+        "from repro.service import run_batch, cache_key, DirectoryCache",
     )
     assert "repro.service.batch" in loaded
     assert sorted(set(OFFLINE_MODULES) & set(loaded)) == []
+
+
+#: The back end that only the single-loop CLI's ``--emit`` and
+#: ``--simulate`` run.
+BACK_END_PACKAGES = ("repro.simulator", "repro.regalloc", "repro.codegen")
+
+
+def test_the_single_loop_cli_loads_no_back_end():
+    loaded = _repro_modules_after("import repro.cli")
+    assert "repro.cli" in loaded
+    assert [
+        name for name in loaded
+        if any(name == package or name.startswith(package + ".")
+               for package in BACK_END_PACKAGES)
+    ] == []
 
 
 _RESOLVE_EVERY_EXPORT = """
