@@ -10,8 +10,8 @@ latency, and the bidirectional advantage never inverts.
 
 The sweep runs through the heterogeneous batch path
 (:func:`repro.experiments.run_corpus_sweep`): all three latencies are
-submitted as ONE batch with per-job machines, so the parallel backends
-interleave configurations across workers and each (loop, latency) pair
+submitted as ONE batch with per-job machines, so the process pool
+interleaves configurations across workers and each (loop, latency) pair
 keeps its own cache key.
 """
 

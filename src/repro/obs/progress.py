@@ -5,12 +5,12 @@ exited.  This module makes the service legible while it runs:
 
 * Every job emits a small, schema-versioned stream of
   :class:`ProgressEvent`\\ s — ``submitted`` when the batch accepts it,
-  ``cached`` when the result cache answers, ``started`` when an
-  execution backend dispatches it, ``finished``/``failed`` when its
-  result lands, ``quarantined`` when a pool crash reroutes it.  Both
-  execution backends emit the *same per-job sequence*; only
-  timestamps and cross-job interleaving differ (asserted by the parity
-  tests).
+  ``cached`` when the result cache answers, ``started`` when the job
+  runner (:func:`repro.service.pool.run_jobs`) dispatches it,
+  ``finished``/``failed`` when its result lands, ``quarantined`` when a
+  pool crash reroutes it.  In-process and pool runs emit the *same
+  per-job sequence*; only timestamps and cross-job interleaving differ
+  (asserted by the parity tests).
 * :class:`ProgressTracker` fans events out to any number of sinks — a
   throttled TTY status line (:class:`TTYProgress`), a JSONL file
   (:class:`JSONLProgress`), an in-memory collector — and runs the
@@ -25,7 +25,8 @@ Everything here is parent-process-side bookkeeping — a handful of dict
 operations per job, not per scheduler decision — so the cost is
 independent of loop size and bounded by the 5-way overhead bench
 (``benchmarks/bench_scheduler_speed.py``).  The default remains "no
-progress": backends take ``progress=None`` and skip every emission.
+progress": the job runner takes ``progress=None`` and skips every
+emission.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ class ProgressSink:
 
 
 class NullProgressSink(ProgressSink):
-    """The zero-cost default (backends skip emission entirely)."""
+    """The zero-cost default (the job runner skips emission entirely)."""
 
     enabled = False
 
@@ -375,7 +376,7 @@ class StragglerWatchdog:
 class ProgressTracker:
     """The batch's progress hub: fan-out, counts, straggler watchdog.
 
-    ``emit`` is what backends call (their ``progress=`` parameter).  It
+    ``emit`` is what the job runner calls (its ``progress=`` parameter).  It
     updates counters, runs the watchdog (flagging both slow results and
     still-running jobs on every event arrival), then forwards the event
     — plus any synthetic ``straggler`` events — to every sink.
@@ -397,7 +398,7 @@ class ProgressTracker:
         self._flagged: Dict[int, bool] = {}
         self._running: Dict[int, ProgressEvent] = {}  # job -> started event
 
-    # -- the backend-facing callback ----------------------------------
+    # -- the job runner's callback ------------------------------------
     def emit(self, event: ProgressEvent) -> None:
         self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
         if event.kind == KIND_STARTED:
@@ -490,8 +491,8 @@ class ProgressTracker:
 def lifecycle_sequence(events: Sequence[ProgressEvent]) -> Dict[int, List[str]]:
     """Per-job kind sequences with synthetic kinds dropped.
 
-    This is the cross-backend parity view: serial and process-pool
-    runs of the same batch must produce identical mappings (timestamps
+    This is the parity view across worker counts: in-process and
+    process-pool runs of the same batch must produce identical mappings (timestamps
     and cross-job interleaving are already gone).
     """
     ordered: Dict[int, List[str]] = {}

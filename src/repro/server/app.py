@@ -369,7 +369,6 @@ class _Handler(BaseHTTPRequestHandler):
             jobs=config.jobs,
             timeout=config.job_timeout,
             cache=cache,
-            use_cache=cache is not None,
         )
         cache_delta = None
         if cache is not None and before is not None:

@@ -1,4 +1,4 @@
-"""Batch scheduling service: pluggable backends + a content-addressed cache.
+"""Batch scheduling service: one job runner + a content-addressed cache.
 
 The scheduler itself is a pure function from ``(loop, machine,
 algorithm, options)`` to a schedule, which makes it an ideal service
@@ -18,12 +18,11 @@ measure_loop` into exactly that service:
   per-job machines for heterogeneous sweeps, and deterministic result
   ordering; a job's metrics, flight-recorder dump and observations all
   return in its :class:`JobResult`;
-- :mod:`repro.service.pool` — shared pool machinery: in-worker
-  wall-clock budgets, crash quarantine with bounded retry, graceful
-  degradation to in-process serial execution, per-job observation;
-- :mod:`repro.service.backends` — the :class:`ExecutionBackend`
-  strategies: serial in-process, and the chunked process pool that
-  keeps deserialized machines resident in workers;
+- :mod:`repro.service.pool` — :func:`run_jobs`, the one job runner:
+  in-process at one worker, otherwise a chunked process pool that keeps
+  deserialized machines resident in workers; in-worker wall-clock
+  budgets, crash re-runs with bounded retry, graceful degradation to
+  in-process execution, per-job observation;
 - :mod:`repro.service.batch` — :func:`run_batch`, the batch front end
   tying the above together;
 - :mod:`repro.service.batch_cli` — its command line
@@ -35,13 +34,6 @@ nothing more: the command line loads on first use of
 """
 
 from repro._deferred import deferred_exports
-from repro.service.backends import (
-    BACKEND_NAMES,
-    ChunkedProcessBackend,
-    ExecutionBackend,
-    SerialBackend,
-    resolve_backend,
-)
 from repro.service.cache import (
     CacheBackend,
     CacheEntry,
@@ -72,17 +64,12 @@ from repro.service.keys import (
     canonical_request,
     machine_digest,
 )
-from repro.service.pool import PoolStats
-from repro.service.batch import BatchReport, run_batch
+from repro.service.pool import PoolStats, run_jobs
+from repro.service.batch import BACKEND_NAMES, BatchReport, run_batch
 
 __getattr__ = deferred_exports(globals(), {"repro.service.batch_cli": ("batch_main",)})
 
 __all__ = [
-    "BACKEND_NAMES",
-    "ChunkedProcessBackend",
-    "ExecutionBackend",
-    "SerialBackend",
-    "resolve_backend",
     "CacheBackend",
     "CacheEntry",
     "CacheStats",
@@ -108,6 +95,8 @@ __all__ = [
     "canonical_request",
     "machine_digest",
     "PoolStats",
+    "run_jobs",
+    "BACKEND_NAMES",
     "BatchReport",
     "batch_main",
     "run_batch",

@@ -1,4 +1,4 @@
-"""Batch front end: corpus/file scheduling with cache + worker backends.
+"""Batch front end: corpus/file scheduling with a result cache and workers.
 
 API::
 
@@ -13,7 +13,7 @@ API::
 The command line (``python -m repro batch``) lives in
 :mod:`repro.service.batch_cli`.
 
-Execution (:mod:`repro.service.backends`): jobs=1 runs serially
+Execution (:func:`repro.service.pool.run_jobs`): jobs=1 runs serially
 in-process; jobs>1 runs the *chunked* process pool, which ships each
 distinct machine to every worker once (keyed by digest, cached in the
 worker initializer) and dispatches jobs in per-worker chunks, so
@@ -56,7 +56,6 @@ from repro.obs.progress import (
     job_event,
     result_event,
 )
-from repro.service.backends import ExecutionBackend, resolve_backend
 from repro.service.cache import CacheBackend, CacheStats, open_cache
 from repro.service.jobs import (
     JOB_CACHED,
@@ -67,7 +66,11 @@ from repro.service.jobs import (
     order_results,
 )
 from repro.service.keys import cache_key
-from repro.service.pool import DEFAULT_FLIGHT_CAPACITY, PoolStats
+from repro.service.pool import DEFAULT_FLIGHT_CAPACITY, PoolStats, run_jobs
+
+#: Names ``run_batch(backend=)`` accepts: ``"serial"`` runs one worker,
+#: ``"auto"`` and ``"chunked"`` run ``jobs``.
+BACKEND_NAMES = ("auto", "serial", "chunked")
 
 
 @dataclasses.dataclass
@@ -259,12 +262,11 @@ def run_batch(
     cache_fallback_dir: Optional[str] = None,
     cache_auth_token: Optional[str] = None,
     cache: Optional[CacheBackend] = None,
-    use_cache: bool = True,
     observer: Optional[Observer] = None,
     max_retries: int = 2,
     faults: Optional[Dict[int, str]] = None,
     machines: Optional[Sequence[object]] = None,
-    backend: object = "auto",
+    backend: str = "auto",
     progress=None,
     progress_log: Optional[str] = None,
     straggler_factor: float = 4.0,
@@ -289,8 +291,6 @@ def run_batch(
             mutually exclusive with the location arguments — this is
             how the server's ``/v1/batch`` endpoint runs batches
             against its own shared, locked cache.
-        use_cache: Set False to bypass reads *and* writes even when a
-            cache location is set.
         observer: Optional :class:`repro.obs.Observer`.  When it
             records anything, every computed job runs under its own
             tracer, registry and profiler and returns their contents in
@@ -306,10 +306,9 @@ def run_batch(
         machines: Optional per-program machine overrides (None entries
             fall back to ``machine``); unlocks heterogeneous sweeps
             through one parallel, cached batch.
-        backend: Execution strategy — ``"auto"`` (serial at ``jobs=1``,
-            the chunked process pool otherwise) | ``"serial"`` |
-            ``"chunked"``, or an
-            :class:`~repro.service.backends.ExecutionBackend` instance.
+        backend: ``"serial"`` runs one worker whatever ``jobs`` says;
+            ``"auto"`` and ``"chunked"`` run ``jobs`` (one of
+            :data:`BACKEND_NAMES`).
         progress: Optional progress consumer — a
             :class:`repro.obs.ProgressSink` or a plain callable taking
             one :class:`repro.obs.ProgressEvent`; receives the full
@@ -327,6 +326,11 @@ def run_batch(
     """
     from repro.machine import cydra5
 
+    if backend not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown execution backend {backend!r}; "
+            f"pick from {', '.join(BACKEND_NAMES)}"
+        )
     machine = machine or cydra5()
     observer = observer or NULL_OBSERVER
     metrics = observer.metrics
@@ -364,9 +368,7 @@ def run_batch(
 
         cached_results: List[JobResult] = []
         pending: List[ScheduleJob] = all_jobs
-        if not use_cache:
-            cache = None
-        elif cache is None:
+        if cache is None:
             cache = open_cache(
                 cache_dir=cache_dir,
                 cache_url=cache_url,
@@ -397,14 +399,10 @@ def run_batch(
                 else:
                     pending.append(job)
 
-        exec_backend = (
-            backend
-            if isinstance(backend, ExecutionBackend)
-            else resolve_backend(backend, workers=jobs)
-        )
-        computed, pool_stats = exec_backend.run(
+        computed, pool_stats = run_jobs(
             pending,
             machine,
+            workers=1 if backend == "serial" else jobs,
             timeout=timeout,
             max_retries=max_retries,
             observe=observer.enabled,

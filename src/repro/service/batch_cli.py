@@ -339,7 +339,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "--inject",
         action="append",
         metavar="INDEX:FAULT",
-        help=argparse.SUPPRESS,  # fault injection: crash | exit | raise | hang:N
+        help=argparse.SUPPRESS,  # faults: crash | exit | raise | hang:N | stuck:N
     )
     return parser
 

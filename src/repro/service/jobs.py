@@ -50,7 +50,9 @@ class ScheduleJob:
     a synthetic ``SIGSEGV`` (exercising the flight recorder's
     fatal-signal spill), ``"exit"`` dies with ``os._exit`` and
     bypasses every handler, ``"hang:N"`` makes it sleep N seconds
-    (tripping the per-job timeout), ``"raise"`` makes it raise.
+    (tripping the per-job timeout), ``"stuck:N"`` sleeps N seconds with
+    ``SIGALRM`` blocked, as a hang in native code would, so only the
+    pool-side backstop can end it, and ``"raise"`` makes it raise.
     Production callers leave it None.
     """
 

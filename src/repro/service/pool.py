@@ -1,28 +1,48 @@
-"""Shared worker-pool machinery for the execution backends.
+"""The batch service's job runner: :func:`run_jobs`.
 
-This module holds everything a backend (:mod:`repro.service.backends`)
-needs to run jobs safely: the in-worker ``SIGALRM`` budget, fault
-injection, per-job observation, crash quarantine, and the
-:class:`PoolStats` record.  The execution *strategies* themselves —
-serial in-process, and the chunked process pool with worker-resident
-machines — live in ``backends.py``.
+:func:`run_jobs` turns a list of :class:`ScheduleJob`\\ s into
+submission-ordered :class:`JobResult`\\ s plus a :class:`PoolStats`.
+Where a job runs changes wall-clock time and nothing else:
+
+- With one worker, the jobs run in this process, one after another.
+  That is the reference every pool run must match byte for byte
+  (modulo wall-clock fields).
+- With more, they run in rounds on a process pool.  Jobs go out in
+  per-worker *chunks*, and each distinct machine ships to every worker
+  once, through the pool initializer, keyed by
+  :func:`repro.service.keys.machine_digest`; chunk payloads carry only
+  digests.  So the dominant per-job pickling cost is O(distinct
+  machines × workers) instead of O(jobs), and jobs with their own
+  machines (heterogeneous sweeps) share the worker-resident copies.
 
 Fault-tolerance ladder (most to least capable, degrading gracefully):
 
-1. ``ProcessPoolExecutor`` workers; each job is guarded *inside* the
-   worker by a ``SIGALRM`` wall-clock budget, so a slow loop returns a
-   structured ``timeout`` result without poisoning the pool.
-2. If a worker process dies (segfault, ``os._exit``, OOM kill) the pool
-   is broken; every job still missing a result is resubmitted to a
-   fresh single-worker quarantine pool after an exponential backoff, a
+1. Each job is guarded *inside* its worker by a ``SIGALRM`` wall-clock
+   budget, so a slow loop returns a structured ``timeout`` result
+   without poisoning the pool.
+2. If a worker process dies (segfault, ``os._exit``, OOM kill) the
+   round's pool is broken; every job still missing a result re-runs
+   alone on a fresh one-worker pool after an exponential backoff, a
    bounded number of times.  A job that keeps killing its worker
    exhausts its retries and is reported ``crashed`` — the rest of the
-   batch still completes.
+   batch still completes.  Those pools start and drain through the
+   same two helpers as a round's pool.
 3. A worker that hangs hard enough to ignore ``SIGALRM`` (stuck in a C
    extension) trips the pool-side backstop deadline; unfinished jobs
    are reported ``timeout`` and the stuck processes are abandoned.
-4. If process pools are unavailable at all, jobs run serially
-   in-process — same results, no isolation.
+4. If no process pool can start, jobs run in this process — same
+   results, no isolation.
+
+Only workers spill flight rings on a fatal signal, into a directory
+made once a pool has started and removed before :func:`run_jobs`
+returns.
+
+Progress contract: ``started`` when a job is dispatched, exactly one
+terminal ``finished``/``failed`` event when its result materializes —
+synthesized backstop timeouts included — and ``quarantined`` before a
+crash re-run, which gets no second ``started``.  ``progress`` is a
+plain callable (``ProgressTracker.emit``); ``None`` (the default) skips
+every emission.
 
 Results are deterministic regardless of the path taken: the scheduler
 itself is a pure function, and :func:`repro.service.jobs.order_results`
@@ -31,18 +51,29 @@ restores submission order.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
+import math
 import os
+import pickle
+import shutil
 import signal
+import tempfile
 import threading
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import measure_loop
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
 from repro.obs.prof import Profiler
+from repro.obs.progress import (
+    KIND_QUARANTINED,
+    KIND_STARTED,
+    job_event,
+    result_event,
+)
 from repro.obs.trace import (
     DEFAULT_FLIGHT_CAPACITY,
     CollectingTracer,
@@ -56,11 +87,16 @@ from repro.service.jobs import (
     JOB_TIMEOUT,
     JobResult,
     ScheduleJob,
+    order_results,
 )
 
 #: Seconds of slack granted on top of the per-job budget before the
 #: pool-side backstop declares a worker unresponsive.
 BACKSTOP_GRACE = 5.0
+
+#: Target this many chunks per worker, so a slow chunk cannot idle the
+#: rest of the pool for long (work-stealing granularity).
+CHUNKS_PER_WORKER = 4
 
 #: Fatal signals the flight recorder spills on before the worker dies.
 #: SIGKILL/OOM-kill cannot be caught; those crashes leave no dump.
@@ -90,6 +126,15 @@ def _inject_fault(fault: str) -> None:
         raise RuntimeError("injected fault: raise")
     if fault.startswith("hang:"):
         time.sleep(float(fault.split(":", 1)[1]))
+        return
+    if fault.startswith("stuck:"):
+        # Hold SIGALRM off for the sleep, as code stuck in a C extension
+        # would: only the pool-side backstop can end the job in time.
+        previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+        try:
+            time.sleep(float(fault.split(":", 1)[1]))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, previous)
         return
     raise ValueError(f"unknown fault {fault!r}")
 
@@ -294,21 +339,6 @@ def execute_job(
     )
 
 
-def _pool_worker(
-    payload: Tuple[ScheduleJob, object, Optional[float], bool, Optional[str], int]
-) -> JobResult:
-    """Top-level per-job worker entry point (must be picklable by name)."""
-    job, machine, timeout, observe, flight_dir, flight_events = payload
-    return execute_job(
-        job,
-        machine,
-        timeout,
-        observe=observe,
-        flight_dir=flight_dir,
-        flight_events=flight_events,
-    )
-
-
 @dataclasses.dataclass
 class PoolStats:
     """What the pool did: throughput, faults, recovery effort."""
@@ -319,13 +349,13 @@ class PoolStats:
     failed: int = 0
     timeouts: int = 0
     crashes: int = 0
-    retries: int = 0  # crash-recovery resubmissions across all jobs
-    rebuilds: int = 0  # pools torn down and recreated after breakage
+    retries: int = 0  # crash re-runs across all jobs
+    rebuilds: int = 0  # rounds whose pool broke
     fallback_serial: bool = False
     busy_seconds: float = 0.0  # sum of worker-side job wall times
     wall_seconds: float = 0.0
-    backend: str = ""  # which ExecutionBackend produced these results
-    chunks: int = 0  # chunked backend: futures submitted
+    backend: str = ""  # "serial" at one worker, "chunked" otherwise
+    chunks: int = 0  # futures submitted by the rounds (not crash re-runs)
 
     @property
     def utilization(self) -> float:
@@ -349,82 +379,327 @@ def _tally(stats: PoolStats, results: Sequence[JobResult]) -> None:
             stats.crashes += 1
 
 
-def run_quarantined(
-    job: ScheduleJob,
-    machine,
+def _emit_job(progress, kind: str, job: ScheduleJob) -> None:
+    if progress is not None:
+        progress(job_event(kind, job.index, job.name))
+
+
+# ----------------------------------------------------------------------
+# Worker side: machines resident per worker, jobs in chunks
+# ----------------------------------------------------------------------
+#: Worker-process-global machine table, installed by the pool
+#: initializer.  Keyed by machine digest; populated once per worker.
+_WORKER_MACHINES: Dict[str, object] = {}
+
+
+def _worker_init(machines_blob: bytes) -> None:
+    """Pool initializer: deserialize the machine table once per worker."""
+    global _WORKER_MACHINES
+    _WORKER_MACHINES = pickle.loads(machines_blob)
+
+
+def _chunk_worker(
+    entries: List[Tuple[ScheduleJob, str]],
     timeout: Optional[float],
+    observe: bool,
+    flight_dir: Optional[str],
+    flight_events: int,
+) -> List[JobResult]:
+    """Run one chunk of (machine-stripped job, machine digest) entries.
+
+    Every pool's initializer installs the table of every job's machine,
+    so each digest is resident.
+    """
+    return [
+        execute_job(
+            job,
+            _WORKER_MACHINES[digest],
+            timeout,
+            observe=observe,
+            flight_dir=flight_dir,
+            flight_events=flight_events,
+        )
+        for job, digest in entries
+    ]
+
+
+# ----------------------------------------------------------------------
+# Parent side
+# ----------------------------------------------------------------------
+def _machine_table(
+    jobs: Sequence[ScheduleJob], machine
+) -> Tuple[Dict[str, object], List[str]]:
+    """Digest table covering every job plus the per-job digest list.
+
+    Digests are memoized by object identity, so a thousand jobs sharing
+    one machine object hash it once.
+    """
+    from repro.service.keys import machine_digest
+
+    digest_by_id: Dict[int, str] = {}
+    table: Dict[str, object] = {}
+    refs: List[str] = []
+    for job in jobs:
+        resolved = job.machine if job.machine is not None else machine
+        digest = digest_by_id.get(id(resolved))
+        if digest is None:
+            digest = machine_digest(resolved)
+            digest_by_id[id(resolved)] = digest
+        table.setdefault(digest, resolved)
+        refs.append(digest)
+    return table, refs
+
+
+def _partition(
+    pending: Sequence[ScheduleJob], workers: int
+) -> List[List[ScheduleJob]]:
+    size = max(1, math.ceil(len(pending) / (workers * CHUNKS_PER_WORKER)))
+    return [list(pending[i : i + size]) for i in range(0, len(pending), size)]
+
+
+def _start_pool(workers: int, machines_blob: bytes):
+    """A process pool whose workers hold the machine table, or None
+    when no pool can start here."""
+    try:
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_worker_init,
+            initargs=(machines_blob,),
+        )
+    except (OSError, ValueError, RuntimeError):
+        return None
+
+
+def _drain(
+    executor,
+    futures: Dict[concurrent.futures.Future, List[ScheduleJob]],
+    backstop: Optional[float],
+    land: Callable[[JobResult], None],
+) -> bool:
+    """Land each chunk's results as they arrive, then shut the pool
+    down; True when a worker died and broke the pool.
+
+    Past ``backstop`` seconds (None: no deadline) each job of an
+    unfinished chunk lands as a ``timeout``, and the pool is abandoned,
+    not waited for: its workers outlived their own budgets.  The jobs
+    of a chunk that finished but was not collected land nothing, for
+    the caller to run again (results are pure).
+    """
+    broken = hung = False
+    try:
+        try:
+            for future in concurrent.futures.as_completed(
+                futures, timeout=backstop
+            ):
+                try:
+                    chunk_results = future.result()
+                except concurrent.futures.process.BrokenProcessPool:
+                    broken = True
+                    continue
+                except concurrent.futures.CancelledError:
+                    continue
+                for result in chunk_results:
+                    land(result)
+        except concurrent.futures.TimeoutError:
+            hung = True
+            for future, chunk in futures.items():
+                if future.done() and not future.cancelled():
+                    continue
+                for job in chunk:
+                    land(
+                        JobResult(
+                            index=job.index,
+                            name=job.name,
+                            status=JOB_TIMEOUT,
+                            error="backstop: worker unresponsive past its budget",
+                        )
+                    )
+    finally:
+        executor.shutdown(wait=not (broken or hung), cancel_futures=True)
+    return broken
+
+
+def _rerun_alone(
+    job: ScheduleJob,
+    entry: Tuple[ScheduleJob, str],
+    machine,
+    machines_blob: bytes,
+    worker_args: tuple,
     max_retries: int,
     backoff: float,
     stats: PoolStats,
-    observe: bool = False,
-    flight_dir: Optional[str] = None,
-    flight_events: int = DEFAULT_FLIGHT_CAPACITY,
-) -> JobResult:
-    """Run one job in an isolated single-worker pool, retrying crashes.
+    land: Callable[[JobResult], None],
+) -> None:
+    """Re-run one job of a broken round on one-worker pools.
 
     Isolation turns "some worker died" into "THIS job kills workers":
-    after ``max_retries`` resubmissions (with doubling backoff) the job
-    is reported ``crashed`` without having disturbed any other job.
-    A crashed verdict collects the worker's spilled flight-recorder
-    ring (when one exists) so the failure record still names the ops
-    in flight when the worker died.
+    after ``max_retries`` re-runs (with doubling backoff) the job is
+    reported ``crashed`` without having disturbed any other job.  A
+    crashed verdict collects the worker's spilled flight-recorder ring
+    (when one exists), so the failure record still names the ops in
+    flight when the worker died.  ``worker_args`` are the chunk
+    worker's ``(timeout, observe, flight_dir, flight_events)``.
     """
-    import concurrent.futures
-
-    attempt = 0
-    while True:
-        try:
-            executor = concurrent.futures.ProcessPoolExecutor(max_workers=1)
-        except (OSError, ValueError, RuntimeError):
-            # In this process: no spill, as on every serial path.
+    timeout, observe, flight_dir, flight_events = worker_args
+    backstop = None
+    if timeout is not None and timeout > 0:
+        backstop = timeout + BACKSTOP_GRACE
+    retries = max(0, max_retries)
+    for attempt in range(retries + 1):
+        if attempt:
+            stats.retries += 1
+            if backoff > 0:
+                time.sleep(min(5.0, backoff * (2 ** (attempt - 1))))
+        executor = _start_pool(1, machines_blob)
+        if executor is None:
+            # In this process: no spill, as on every in-process path.
             stats.fallback_serial = True
-            return dataclasses.replace(
+            result = execute_job(
+                job, machine, timeout, observe=observe, flight_events=flight_events
+            )
+            land(dataclasses.replace(result, retries=attempt))
+            return
+        future = executor.submit(_chunk_worker, [entry], *worker_args)
+        # Nothing lands when the worker died, nor when the job finished
+        # just as the backstop fired: either way it runs again.
+        landed: List[JobResult] = []
+        _drain(executor, {future: [job]}, backstop, landed.append)
+        if landed:
+            land(dataclasses.replace(landed[0], retries=attempt))
+            return
+    land(
+        attach_flight(
+            JobResult(
+                index=job.index,
+                name=job.name,
+                status=JOB_CRASHED,
+                error=f"worker died; gave up after {max_retries} resubmission(s)",
+                retries=retries,
+            ),
+            flight_dir,
+        )
+    )
+
+
+def run_jobs(
+    jobs: Sequence[ScheduleJob],
+    machine,
+    workers: int = 1,
+    timeout: Optional[float] = None,
+    max_retries: int = 2,
+    backoff: float = 0.1,
+    observe: bool = False,
+    progress=None,  # Optional[Callable[[ProgressEvent], None]]
+    flight_events: int = DEFAULT_FLIGHT_CAPACITY,
+) -> Tuple[List[JobResult], PoolStats]:
+    """Run ``jobs``; return their results in submission order and what
+    the pool did.
+
+    ``job.machine`` (when set) overrides the batch-default ``machine``.
+    One worker runs the jobs in this process.  More run them in rounds
+    on one chunked pool: a round's jobs go out in
+    ``ceil(n / (workers × CHUNKS_PER_WORKER))``-job chunks, and the
+    jobs a broken round left without a result re-run one at a time on
+    one-worker pools.  ``timeout`` is each job's wall-clock budget
+    (None: unlimited), ``max_retries`` the crash re-runs one job gets,
+    the first ``backoff`` seconds after the crash and doubling after
+    that.  ``observe`` and ``flight_events`` are :func:`execute_job`'s,
+    and ``progress`` receives each job's lifecycle events.
+    """
+    started = time.perf_counter()
+    workers = max(1, workers)
+    stats = PoolStats(
+        workers=workers,
+        jobs=len(jobs),
+        backend="serial" if workers == 1 else "chunked",
+        fallback_serial=workers == 1,
+    )
+    results: Dict[int, JobResult] = {}
+
+    def land(result: JobResult) -> None:
+        results[result.index] = result
+        if progress is not None:
+            progress(result_event(result))
+
+    def run_here(batch: Sequence[ScheduleJob]) -> None:
+        # The flight ring still attaches to timeouts and raises, but
+        # nothing spills on a fatal signal: the spill handler's exit
+        # would end this process.
+        for job in batch:
+            _emit_job(progress, KIND_STARTED, job)
+            land(
                 execute_job(
                     job, machine, timeout, observe=observe, flight_events=flight_events
-                ),
-                retries=attempt,
+                )
             )
-        hung = False
-        broken = False
+
+    # Even one job goes to a worker when there are workers: only there
+    # can its SIGALRM budget bind when the caller is not a main thread.
+    if workers == 1:
+        run_here(jobs)
+    elif jobs:
+        table, refs = _machine_table(jobs, machine)
+        machines_blob = pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)
+        # Chunk payloads reference machines by digest only; strip the
+        # per-job machine so it is never pickled twice.
+        entries = {
+            job.index: (dataclasses.replace(job, machine=None), ref)
+            for job, ref in zip(jobs, refs)
+        }
+        pending: List[ScheduleJob] = list(jobs)
+        # Fatal-signal spill area: a worker that dies mid-job writes its
+        # flight ring here for the crash verdict to attach.  It is made
+        # once a pool has started, so a batch that never reaches a
+        # worker makes none.
+        flight_dir: Optional[str] = None
         try:
-            future = executor.submit(
-                _pool_worker,
-                (job, machine, timeout, observe, flight_dir, flight_events),
-            )
-            backstop = (
-                timeout + BACKSTOP_GRACE
-                if timeout is not None and timeout > 0
-                else None
-            )
-            try:
-                return dataclasses.replace(
-                    future.result(timeout=backstop), retries=attempt
-                )
-            except concurrent.futures.TimeoutError:
-                hung = True
-                return JobResult(
-                    index=job.index,
-                    name=job.name,
-                    status=JOB_TIMEOUT,
-                    error="backstop: worker unresponsive past its budget",
-                    retries=attempt,
-                )
-            except concurrent.futures.process.BrokenProcessPool:
-                broken = True
+            while pending:
+                chunks = _partition(pending, workers)
+                executor = _start_pool(min(workers, len(chunks)), machines_blob)
+                if executor is None:
+                    stats.fallback_serial = True
+                    run_here(pending)
+                    break
+                if flight_dir is None and flight_events > 0:
+                    flight_dir = tempfile.mkdtemp(prefix="repro-flight-")
+                worker_args = (timeout, observe, flight_dir, flight_events)
+                stats.chunks += len(chunks)
+                futures = {}
+                for chunk in chunks:
+                    future = executor.submit(
+                        _chunk_worker,
+                        [entries[job.index] for job in chunk],
+                        *worker_args,
+                    )
+                    futures[future] = chunk
+                    for job in chunk:
+                        _emit_job(progress, KIND_STARTED, job)
+                backstop = None
+                if timeout is not None and timeout > 0:
+                    longest = max(len(chunk) for chunk in chunks)
+                    waves = math.ceil(len(chunks) / workers)
+                    backstop = (
+                        waves * (longest * timeout + BACKSTOP_GRACE) + BACKSTOP_GRACE
+                    )
+                broken = _drain(executor, futures, backstop, land)
+                pending = [job for job in jobs if job.index not in results]
+                if pending and broken:
+                    # Chunk granularity is lost on a crash: re-run the
+                    # survivors one at a time, so one assassin cannot take
+                    # its chunkmates down with it a second time.
+                    stats.rebuilds += 1
+                    for job in pending:
+                        _emit_job(progress, KIND_QUARANTINED, job)
+                        _rerun_alone(
+                            job, entries[job.index], machine, machines_blob,
+                            worker_args, max_retries, backoff, stats, land,
+                        )
+                    pending = []
         finally:
-            executor.shutdown(wait=not (broken or hung), cancel_futures=True)
-        attempt += 1
-        if attempt > max_retries:
-            return attach_flight(
-                JobResult(
-                    index=job.index,
-                    name=job.name,
-                    status=JOB_CRASHED,
-                    error=f"worker died; gave up after {max_retries} resubmission(s)",
-                    retries=attempt - 1,
-                ),
-                flight_dir,
-            )
-        stats.retries += 1
-        if backoff > 0:
-            time.sleep(min(5.0, backoff * (2 ** (attempt - 1))))
+            if flight_dir is not None:
+                shutil.rmtree(flight_dir, ignore_errors=True)
+
+    stats.wall_seconds = time.perf_counter() - started
+    ordered = order_results(list(results.values()))
+    _tally(stats, ordered)
+    return ordered, stats

@@ -157,7 +157,7 @@ def test_run_batch_shares_a_warm_server_cache(tmp_path):
         assert warm.cache.hits == 4 and warm.cache.misses == 0
         assert warm.counts() == {"cached": 4}
         # Zero result divergence from a local, uncached run.
-        local = run_batch(programs, MACHINE, use_cache=False)
+        local = run_batch(programs, MACHINE)
         assert warm.loop_metrics == cold.loop_metrics
         names = [m.name for m in local.loop_metrics]
         assert [m.name for m in warm.loop_metrics] == names

@@ -1,14 +1,10 @@
-"""Execution backends: cross-backend determinism, chunking, heterogeneity."""
+"""The job runner behind run_batch: determinism, chunking, heterogeneity."""
 
 import pytest
 
 from repro.experiments.export import to_json
 from repro.machine import cydra5
-from repro.service.backends import (
-    ChunkedProcessBackend,
-    SerialBackend,
-    resolve_backend,
-)
+from repro.service import pool
 from repro.service.batch import run_batch
 from repro.workloads import paper_corpus
 
@@ -16,18 +12,28 @@ MACHINE = cydra5()
 N = 6
 
 
-def _corpus_json(backend):
+def _corpus_json(backend, expect_chunks=None):
     report = run_batch(paper_corpus(N), MACHINE, backend=backend, jobs=2)
     assert report.ok
     assert [r.index for r in report.results] == list(range(N))
+    if expect_chunks is not None:
+        assert report.pool.chunks == expect_chunks
     return to_json(report.loop_metrics, drop_timings=True)
 
 
-def test_all_backends_and_chunk_sizes_byte_identical():
-    """The tentpole contract: strategy changes wall-clock, nothing else."""
-    baseline = _corpus_json(SerialBackend())
-    for chunk_size in (1, 3, N):
-        assert _corpus_json(ChunkedProcessBackend(2, chunk_size)) == baseline
+@pytest.mark.parametrize(
+    "chunks_per_worker, chunk_size",
+    [
+        pytest.param(4, 1, id="1"),
+        pytest.param(1, 3, id="3"),
+        pytest.param(0.5, N, id=str(N)),
+    ],
+)
+def test_every_chunk_size_matches_serial(monkeypatch, chunks_per_worker, chunk_size):
+    """The parity contract: where a job runs changes wall-clock, nothing else."""
+    baseline = _corpus_json("serial")
+    monkeypatch.setattr(pool, "CHUNKS_PER_WORKER", chunks_per_worker)
+    assert _corpus_json("chunked", expect_chunks=N // chunk_size) == baseline
 
 
 def test_backend_names_route_through_run_batch():
@@ -37,12 +43,10 @@ def test_backend_names_route_through_run_batch():
 
 
 def test_chunked_reports_backend_and_chunks():
-    report = run_batch(
-        paper_corpus(N), MACHINE, backend=ChunkedProcessBackend(2, 2)
-    )
+    report = run_batch(paper_corpus(N), MACHINE, jobs=2)
     assert report.pool.backend == "chunked"
-    assert report.pool.chunks == N // 2
-    assert f"chunked x2 workers ({N // 2} chunks)" in report.summary()
+    assert report.pool.chunks == N  # ceil(6 / (2 workers x 4)): one job a chunk
+    assert f"chunked x2 workers ({N} chunks)" in report.summary()
 
 
 def test_serial_backend_used_at_jobs_1():
@@ -51,25 +55,31 @@ def test_serial_backend_used_at_jobs_1():
     assert report.pool.fallback_serial
 
 
-def test_resolve_backend_mapping():
-    assert isinstance(resolve_backend("auto", workers=1), SerialBackend)
-    assert isinstance(resolve_backend("auto", workers=4), ChunkedProcessBackend)
-    assert isinstance(resolve_backend("serial", workers=4), SerialBackend)
-    assert isinstance(resolve_backend("chunked", workers=4), ChunkedProcessBackend)
-    with pytest.raises(ValueError, match="unknown execution backend"):
-        resolve_backend("threads")
-    with pytest.raises(ValueError, match="chunk_size"):
-        ChunkedProcessBackend(2, chunk_size=0)
+def test_backend_names_pick_the_worker_count():
+    for name, jobs, workers, label in [
+        ("auto", 1, 1, "serial"),
+        ("auto", 2, 2, "chunked"),
+        ("serial", 2, 1, "serial"),
+        ("chunked", 2, 2, "chunked"),
+        ("chunked", 1, 1, "serial"),
+    ]:
+        report = run_batch(paper_corpus(1), MACHINE, backend=name, jobs=jobs)
+        assert (report.pool.workers, report.pool.backend) == (workers, label)
+        assert report.pool.fallback_serial == (workers == 1)
+    with pytest.raises(ValueError, match="unknown execution backend 'threads'"):
+        run_batch(paper_corpus(1), MACHINE, backend="threads")
 
 
-def test_fault_in_one_chunk_keeps_order_and_chunkmates():
+def test_fault_in_one_chunk_keeps_order_and_chunkmates(monkeypatch):
+    monkeypatch.setattr(pool, "CHUNKS_PER_WORKER", 1)  # two chunks of two
     report = run_batch(
         paper_corpus(4),
         MACHINE,
-        backend=ChunkedProcessBackend(2, 2),
+        jobs=2,
         timeout=30,
         faults={1: "raise"},
     )
+    assert report.pool.chunks == 2
     assert [r.index for r in report.results] == [0, 1, 2, 3]
     statuses = [r.status for r in report.results]
     assert statuses == ["ok", "failed", "ok", "ok"]
@@ -82,9 +92,7 @@ def test_per_job_machines_through_chunked_backend():
     """One batch, two machines: each job scheduled under its own latency."""
     programs = paper_corpus(6) * 2
     machines = [cydra5(load_latency=2)] * 6 + [cydra5(load_latency=27)] * 6
-    report = run_batch(
-        programs, machines=machines, backend=ChunkedProcessBackend(2, 1)
-    )
+    report = run_batch(programs, machines=machines, jobs=2)
     assert report.ok
     fast = [m.ii for m in report.loop_metrics[:6]]
     slow = [m.ii for m in report.loop_metrics[6:]]

@@ -38,16 +38,6 @@ def test_no_cache_dir_disables_cache():
     assert report.cache is None and report.ok
 
 
-def test_use_cache_false_bypasses_even_with_dir(tmp_path):
-    cache_dir = str(tmp_path)
-    run_batch(paper_corpus(2), MACHINE, cache_dir=cache_dir)
-    report = run_batch(
-        paper_corpus(2), MACHINE, cache_dir=cache_dir, use_cache=False
-    )
-    assert report.cache is None
-    assert report.counts() == {"ok": 2}
-
-
 def test_injected_fault_skips_cache_hit(tmp_path):
     cache_dir = str(tmp_path)
     run_batch(paper_corpus(2), MACHINE, cache_dir=cache_dir)
@@ -100,7 +90,7 @@ def test_summary_mentions_faults():
 # ----------------------------------------------------------------------
 # run_batch closes its progress log when set-up raises
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("bad", ["two-caches", "straggler-factor"])
+@pytest.mark.parametrize("bad", ["two-caches", "straggler-factor", "backend-name"])
 def test_progress_log_is_closed_when_setup_raises(tmp_path, monkeypatch, bad):
     from repro.service import batch
 
@@ -112,14 +102,22 @@ def test_progress_log_is_closed_when_setup_raises(tmp_path, monkeypatch, bad):
             handles.append(self._handle)
 
     monkeypatch.setattr(batch, "JSONLProgress", _Recording)
-    kwargs = {"progress_log": str(tmp_path / "progress.jsonl")}
+    log = tmp_path / "progress.jsonl"
+    kwargs = {"progress_log": str(log)}
     if bad == "two-caches":
         kwargs.update(cache_dir=str(tmp_path / "dir"), cache_url="http://127.0.0.1:1")
+    elif bad == "straggler-factor":
+        kwargs.update(straggler_factor=0.5)
     else:
-        kwargs.update(use_cache=False, straggler_factor=0.5)
+        kwargs.update(backend="threads")
     with pytest.raises(ValueError):
         run_batch(paper_corpus(1), MACHINE, **kwargs)
-    assert all(handle.closed for handle in handles)
+    if bad == "two-caches":
+        # The log opens before the cache, and closes on the way out.
+        assert len(handles) == 1 and handles[0].closed
+    else:
+        # Refused before any set-up: no log was opened or made.
+        assert handles == [] and not log.exists()
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,9 @@ from repro.service.jobs import (
     JOB_TIMEOUT,
     make_jobs,
 )
-from repro.service.backends import ChunkedProcessBackend, SerialBackend
+from repro.service import pool
 from repro.service.batch import run_batch
-from repro.service.pool import execute_job
+from repro.service.pool import execute_job, run_jobs
 from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
@@ -31,7 +31,7 @@ def _corpus(n):
 
 def test_serial_path_preserves_order_and_statuses():
     jobs = make_jobs(_corpus(5))
-    results, stats = SerialBackend().run(jobs, MACHINE)
+    results, stats = run_jobs(jobs, MACHINE)
     assert [r.index for r in results] == [0, 1, 2, 3, 4]
     assert all(r.status == JOB_OK and r.metrics is not None for r in results)
     assert stats.fallback_serial and stats.ok == 5
@@ -39,8 +39,8 @@ def test_serial_path_preserves_order_and_statuses():
 
 def test_parallel_matches_serial_byte_for_byte():
     programs = _corpus(8)
-    serial, _ = SerialBackend().run(make_jobs(programs), MACHINE)
-    parallel, stats = ChunkedProcessBackend(4).run(make_jobs(programs), MACHINE)
+    serial, _ = run_jobs(make_jobs(programs), MACHINE)
+    parallel, stats = run_jobs(make_jobs(programs), MACHINE, workers=4)
     assert not stats.fallback_serial
     serial_json = to_json([r.metrics for r in serial], drop_timings=True)
     parallel_json = to_json([r.metrics for r in parallel], drop_timings=True)
@@ -49,7 +49,7 @@ def test_parallel_matches_serial_byte_for_byte():
 
 def test_timeout_reported_without_losing_batch():
     jobs = make_jobs(_corpus(4), faults={1: "hang:30"})
-    results, stats = ChunkedProcessBackend(2).run(jobs, MACHINE, timeout=1.0)
+    results, stats = run_jobs(jobs, MACHINE, workers=2, timeout=1.0)
     assert results[1].status == JOB_TIMEOUT
     assert "budget" in results[1].error
     others = [r for r in results if r.index != 1]
@@ -59,8 +59,8 @@ def test_timeout_reported_without_losing_batch():
 
 def test_crash_quarantined_others_survive():
     jobs = make_jobs(_corpus(4), faults={2: "crash"})
-    results, stats = ChunkedProcessBackend(2).run(
-        jobs, MACHINE, timeout=20.0, max_retries=1, backoff=0.01
+    results, stats = run_jobs(
+        jobs, MACHINE, workers=2, timeout=20.0, max_retries=1, backoff=0.01
     )
     assert results[2].status == JOB_CRASHED
     assert "worker died" in results[2].error
@@ -89,9 +89,22 @@ def test_one_job_budget_binds_off_the_main_thread():
     assert not reports[0].pool.fallback_serial
 
 
+def test_backstop_ends_a_worker_that_outlives_its_budget(monkeypatch):
+    # stuck:N holds SIGALRM off, as code stuck in a C extension would, so
+    # the worker's own budget cannot end the job: the pool-side backstop
+    # (waves x (timeout + grace) + grace = 0.7 s here) reports it instead.
+    monkeypatch.setattr(pool, "BACKSTOP_GRACE", 0.2)
+    jobs = make_jobs(_corpus(2), faults={1: "stuck:3"})
+    results, stats = run_jobs(jobs, MACHINE, workers=2, timeout=0.3)
+    assert results[1].status == JOB_TIMEOUT
+    assert results[1].error.startswith("backstop")
+    assert results[0].status == JOB_OK
+    assert stats.timeouts == 1
+
+
 def test_raise_is_failed_not_crashed():
     jobs = make_jobs(_corpus(3), faults={0: "raise"})
-    results, stats = ChunkedProcessBackend(2).run(jobs, MACHINE, timeout=20.0)
+    results, stats = run_jobs(jobs, MACHINE, workers=2, timeout=20.0)
     assert results[0].status == JOB_FAILED
     assert "injected fault" in results[0].error
     assert stats.failed == 1 and stats.ok == 2
@@ -105,7 +118,7 @@ def test_unavailable_pool_degrades_to_serial(monkeypatch):
         concurrent.futures, "ProcessPoolExecutor", _refuse
     )
     jobs = make_jobs(_corpus(3))
-    results, stats = ChunkedProcessBackend(4).run(jobs, MACHINE)
+    results, stats = run_jobs(jobs, MACHINE, workers=4)
     assert stats.fallback_serial
     assert all(r.status == JOB_OK for r in results)
 
@@ -197,9 +210,10 @@ def test_crashed_worker_spills_and_parent_attaches():
     # ring to the pool's spill directory before dying; quarantine reads
     # it back.
     jobs = make_jobs(_corpus(4), faults={2: "crash"})
-    results, stats = ChunkedProcessBackend(2).run(
+    results, stats = run_jobs(
         jobs,
         MACHINE,
+        workers=2,
         timeout=20.0,
         max_retries=1,
         backoff=0.01,
@@ -215,9 +229,10 @@ def test_crashed_job_postmortem_renders_via_explain():
     from repro.obs import flight_postmortem
 
     jobs = make_jobs(_corpus(3), faults={1: "crash"})
-    results, _ = ChunkedProcessBackend(2).run(
+    results, _ = run_jobs(
         jobs,
         MACHINE,
+        workers=2,
         timeout=20.0,
         max_retries=1,
         backoff=0.01,

@@ -26,7 +26,7 @@ def _events(backend, **kwargs):
     sink = CollectingProgress()
     report = run_batch(
         paper_corpus(N), MACHINE, backend=backend, jobs=2,
-        use_cache=False, progress=sink, **kwargs,
+        progress=sink, **kwargs,
     )
     return report, sink.events
 
@@ -86,9 +86,7 @@ def test_crashed_job_emits_quarantined_then_terminal():
 
 def test_progress_log_and_report_fields(tmp_path):
     log = str(tmp_path / "p.jsonl")
-    report = run_batch(
-        paper_corpus(4), MACHINE, use_cache=False, progress_log=log
-    )
+    report = run_batch(paper_corpus(4), MACHINE, progress_log=log)
     from repro.obs.progress import load_progress_log
 
     events = load_progress_log(log)

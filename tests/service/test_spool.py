@@ -14,7 +14,6 @@ from repro.obs import (
     Profiler,
 )
 from repro.obs.trace import CollectingTracer, Tracer
-from repro.service.backends import ChunkedProcessBackend
 from repro.service.batch import run_batch
 from repro.service.jobs import JOB_CACHED, JOB_FAILED
 from repro.workloads import paper_corpus
@@ -35,8 +34,7 @@ def test_trace_parity_serial_vs_chunked():
         programs, MACHINE, jobs=1, observer=Observer(CollectingTracer())
     )
     chunked = run_batch(
-        programs, MACHINE, backend=ChunkedProcessBackend(3, 2),
-        observer=Observer(CollectingTracer()),
+        programs, MACHINE, jobs=3, observer=Observer(CollectingTracer()),
     )
     assert serial.trace_records and chunked.trace_records
     assert _records_without_ts(serial.trace_records) == _records_without_ts(
