@@ -481,9 +481,10 @@ def _drain(
 
     Past ``backstop`` seconds (None: no deadline) each job of an
     unfinished chunk lands as a ``timeout``, and the pool is abandoned,
-    not waited for: its workers outlived their own budgets.  The jobs
-    of a chunk that finished but was not collected land nothing, for
-    the caller to run again (results are pure).
+    not waited for: its workers outlived their own budgets, so they are
+    terminated (interpreter exit would otherwise wait for them).  The
+    jobs of a chunk that finished but was not collected land nothing,
+    for the caller to run again (results are pure).
     """
     broken = hung = False
     try:
@@ -515,8 +516,23 @@ def _drain(
                         )
                     )
     finally:
-        executor.shutdown(wait=not (broken or hung), cancel_futures=True)
+        if hung:
+            _terminate(executor)
+        else:
+            executor.shutdown(wait=not broken, cancel_futures=True)
     return broken
+
+
+def _terminate(executor) -> None:
+    """Shut ``executor`` down without waiting and terminate its workers."""
+    if hasattr(executor, "terminate_workers"):  # Python 3.14+
+        executor.terminate_workers()
+        return
+    # shutdown() drops the executor's reference to its processes.
+    workers = list((executor._processes or {}).values())
+    executor.shutdown(wait=False, cancel_futures=True)
+    for worker in workers:
+        worker.terminate()
 
 
 def _rerun_alone(

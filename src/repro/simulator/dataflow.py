@@ -18,14 +18,20 @@ binding, the initial array contents, or the address-IV formula — exactly
 the live-in values the rotating register file holds at cycle 0 in the
 paper's Figure 3.
 
-Operations execute through :func:`lower_op`, which this executor and
-:func:`repro.simulator.vliw.run_vliw` call once per operation per run.
-It turns an operation into a ``step(k)`` function for its iteration-k
-instance: the opcode's semantics come from a table, and the operand
-readers, the array and the affine base/stride are bound in advance.  The
-two simulators differ only in their readers: here they resolve
-constants, invariants, the instance table (one column per value, indexed
-by iteration) and live-in origins.
+Operations execute through :func:`lower_op`, which this executor calls
+once per operation per run.  It turns an operation into a ``step(k)``
+function for its iteration-k instance: the opcode's semantics come from
+a table, and the operand readers, the array and the affine base/stride
+are bound in advance.  Here the readers resolve constants, invariants,
+the instance table (one column per value, indexed by iteration) and
+live-in origins.
+
+:func:`plain_form` is the one definition of the plain kinds (binary and
+unary arithmetic, affine loads and stores) and of the order they read
+their operands in.  ``lower_op`` builds its steps for them from it, and
+:func:`repro.simulator.vliw.run_vliw` uses it to read those ops'
+registers inline; for every other op the VLIW simulator calls
+``lower_op`` with register readers.
 
 This is the semantic half of schedule verification; pair it with
 :func:`repro.core.validate.validate_schedule` (the timing/resource half)
@@ -36,7 +42,7 @@ pipelined loop correct end to end.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.operations import Opcode, Operation
 from repro.ir.values import AddressOrigin, ArrayElementOrigin, Operand, ScalarOrigin, Value
@@ -219,30 +225,97 @@ _UNARY = {
 }
 
 
-def lower_op(op: Operation, reader: Callable[[Operand], Reader], state: MachineState) -> Step:
-    """Lower ``op`` to a ``step(k)`` that executes its iteration-k instance.
+#: The plain forms :func:`plain_form` returns.
+BINARY_FORM, UNARY_FORM, LOAD_FORM, STORE_FORM = "binary", "unary", "load", "store"
 
-    ``reader(operand)`` builds the function that reads ``operand`` for
-    iteration k; building one reads nothing.  A step reads the operands
-    its opcode needs, in operand order, with these exceptions: MOD_I
-    reads its divisor first (and not its dividend when the divisor is
-    0), SELECT reads only the arm it picks, AND/OR short-circuit, an
-    affine LOAD or STORE reads no address register (its element comes
-    from the ``abs``/``stride`` attributes), and a STORE reads its
-    predicate, then its value, then any address register, stopping
-    after the predicate when it squashes the store.  Loads and stores
-    work on ``state``'s array, bound here.
+#: (form, function or None, operands in read order).
+PlainForm = Tuple[str, Optional[Callable], Tuple[Operand, ...]]
+
+
+def plain_form(op: Operation) -> Optional[PlainForm]:
+    """``(form, function, reads)`` when ``op`` is of a plain kind, else None.
+
+    A plain op reads its operands unconditionally, in the order of
+    ``reads``, then applies ``function`` (a ``_BINARY`` or ``_UNARY``
+    entry) or touches the element ``abs + stride * k`` of its array:
+
+    * BINARY_FORM: a ``_BINARY`` opcode, reading operand 0 then operand 1;
+    * UNARY_FORM: a ``_UNARY`` opcode, reading operand 0;
+    * LOAD_FORM: an affine LOAD, reading nothing (``function`` is None);
+    * STORE_FORM: an affine STORE, reading its predicate when it has one,
+      stopping there if it is false, then its value (operand 1).
+
+    Every other op (MOD_I, SELECT, AND/OR, gathers and scatters, unknown
+    opcodes) reads lazily or must not fail until reached: only its
+    :func:`lower_op` step executes it.  A missing operand raises
+    IndexError here, as lowering it would.
     """
     opcode = op.opcode
     operands = op.operands
     function = _BINARY.get(opcode)
     if function is not None:
-        a, b = reader(operands[0]), reader(operands[1])
-        return lambda k: function(a(k), b(k))
+        return BINARY_FORM, function, (operands[0], operands[1])
     function = _UNARY.get(opcode)
     if function is not None:
-        a = reader(operands[0])
-        return lambda k: function(a(k))
+        return UNARY_FORM, function, (operands[0],)
+    affine = not op.attrs.get("gather") and "abs" in op.attrs
+    if (opcode is Opcode.LOAD or opcode is Opcode.STORE) and affine:
+        if opcode is Opcode.LOAD:
+            return LOAD_FORM, None, ()
+        value = operands[1]
+        reads = (value,) if op.predicate is None else (op.predicate, value)
+        return STORE_FORM, None, reads
+    return None
+
+
+def affine_access(op: Operation, state: MachineState) -> Tuple[List[float], int, int]:
+    """(cells, base, stride) of an affine LOAD or STORE: iteration k
+    touches ``cells[base + stride * k]``."""
+    cells = state.arrays[op.attrs["array"]]
+    return cells, int(op.attrs["abs"]), int(op.attrs["stride"])
+
+
+def lower_op(op: Operation, reader: Callable[[Operand], Reader], state: MachineState) -> Step:
+    """Lower ``op`` to a ``step(k)`` that executes its iteration-k instance.
+
+    ``reader(operand)`` builds the function that reads ``operand`` for
+    iteration k; building one reads nothing.  A plain op (see
+    :func:`plain_form`) reads its operands in the order that function
+    gives.  Otherwise: MOD_I reads its divisor first (and not its
+    dividend when the divisor is 0), SELECT reads only the arm it picks,
+    AND/OR short-circuit, and an indirect STORE reads its predicate,
+    then its value, then its address register, stopping after the
+    predicate when it squashes the store.  Loads and stores work on
+    ``state``'s array, bound here.
+    """
+    form = plain_form(op)
+    if form is not None:
+        kind, function, reads = form
+        if kind is BINARY_FORM:
+            a, b = reader(reads[0]), reader(reads[1])
+            return lambda k: function(a(k), b(k))
+        if kind is UNARY_FORM:
+            a = reader(reads[0])
+            return lambda k: function(a(k))
+        cells, base, stride = affine_access(op, state)
+        if kind is LOAD_FORM:
+            return lambda k: cells[base + stride * k]
+        value = reader(reads[-1])
+        if len(reads) == 1:
+
+            def store(k: int):
+                cells[base + stride * k] = value(k)
+
+            return store
+        predicate = reader(reads[0])
+
+        def predicated_store(k: int):
+            if predicate(k):
+                cells[base + stride * k] = value(k)
+
+        return predicated_store
+    opcode = op.opcode
+    operands = op.operands
     if opcode is Opcode.MOD_I:
         a, b = reader(operands[0]), reader(operands[1])
 
@@ -261,25 +334,18 @@ def lower_op(op: Operation, reader: Callable[[Operand], Reader], state: MachineS
         a, b = reader(operands[0]), reader(operands[1])
         return lambda k: bool(a(k)) or bool(b(k))
     if opcode is Opcode.LOAD or opcode is Opcode.STORE:
-        return _lower_memory(op, reader, state.arrays[op.attrs["array"]])
+        return _lower_indirect(op, reader, state.arrays[op.attrs["array"]])
     return _fails(f"cannot execute opcode {opcode}")
 
 
-def _lower_memory(op: Operation, reader: Callable[[Operand], Reader], cells: List[float]) -> Step:
-    if op.attrs.get("gather") or "abs" not in op.attrs:
-        # Indirect access (or hand-built IR without affine attributes):
-        # the address operand *is* the element index, clamped exactly
-        # like the sequential interpreter clamps it.
-        address = reader(op.operands[0])
+def _lower_indirect(op: Operation, reader: Callable[[Operand], Reader], cells: List[float]) -> Step:
+    # A gather or scatter (or hand-built IR without affine attributes):
+    # the address operand *is* the element index, clamped exactly like
+    # the sequential interpreter clamps it.
+    address = reader(op.operands[0])
 
-        def element(k: int) -> int:
-            return clamp_element(cells, address(k))
-
-    else:
-        base, stride = int(op.attrs["abs"]), int(op.attrs["stride"])
-
-        def element(k: int) -> int:
-            return base + stride * k
+    def element(k: int) -> int:
+        return clamp_element(cells, address(k))
 
     if op.opcode is Opcode.LOAD:
         return lambda k: cells[element(k)]

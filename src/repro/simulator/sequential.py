@@ -5,11 +5,23 @@ Executes the source AST iteration by iteration, exactly as the original
 pipelined executors are checked against: a schedule is correct iff
 running it leaves memory and live-out scalars identical to this
 interpreter's results.
+
+The loop body is lowered once per run to a tree of closures, one per
+statement and expression node, each called with the loop index.  The
+lowering only dispatches on node types; everything that depends on
+execution happens when a closure runs: ``state.scalars`` and
+``state.arrays`` are read then, a value is evaluated before its target
+and a left operand before its right, and a scalar without a value or an
+unsupported statement, expression or assignment target raises only when
+execution reaches it.  The interpreter shares no execution code with
+:func:`repro.simulator.dataflow.lower_op`, only the totalized arithmetic
+of :mod:`repro.simulator.state`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import operator
+from typing import Callable, Optional, Sequence
 
 from repro.frontend.ast import (
     ArrayRef,
@@ -25,31 +37,37 @@ from repro.frontend.ast import (
     Index,
     Scalar,
     Scatter,
+    Stmt,
     Unary,
 )
 from repro.simulator.state import MachineState, clamp_element, fdiv, fsqrt, initial_state
 
 _BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "/": fdiv,
     "min": min,
     "max": max,
 }
 _COMPARES = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
 }
-_UNARIES = {"neg": lambda a: -a, "abs": abs, "sqrt": fsqrt}
+_UNARIES = {"neg": operator.neg, "abs": abs, "sqrt": fsqrt}
 
 
 class _EarlyExit(Exception):
     """Raised by an ExitIf statement whose condition fired."""
+
+
+#: A lowered statement or expression: executes (or evaluates) it for the
+#: iteration whose loop index is the argument.
+Node = Callable[[int], object]
 
 
 def run_sequential(
@@ -62,65 +80,132 @@ def run_sequential(
     if state is None:
         state = initial_state(program, seed=seed)
     iterations = program.trip if trip is None else trip
+    body = _lower_block(program.body, state)
     for k in range(iterations):
-        index = program.start + k
         try:
-            _run_statements(program.body, program, state, index)
+            body(program.start + k)
         except _EarlyExit:
             break
     return state
 
 
-def _run_statements(stmts, program: DoLoop, state: MachineState, index: int) -> None:
-    for stmt in stmts:
-        if isinstance(stmt, Assign):
-            value = _eval(stmt.expr, program, state, index)
-            target = stmt.target
-            if isinstance(target, Scalar):
-                state.scalars[target.name] = value
-            elif isinstance(target, ArrayRef):
-                cells = state.arrays[target.array]
-                cells[target.stride * index + target.offset] = value
-            elif isinstance(target, Scatter):
-                cells = state.arrays[target.array]
-                position = clamp_element(cells, _eval(target.index, program, state, index))
-                cells[position] = value
-            else:
-                raise TypeError(f"cannot assign to {target!r}")
-        elif isinstance(stmt, If):
-            taken = _eval(stmt.cond, program, state, index)
-            branch = stmt.then if taken else stmt.orelse
-            _run_statements(branch, program, state, index)
-        elif isinstance(stmt, ExitIf):
-            if _eval(stmt.cond, program, state, index):
+def _lower_block(stmts: Sequence[Stmt], state: MachineState) -> Node:
+    steps = [_lower_statement(stmt, state) for stmt in stmts]
+    if len(steps) == 1:
+        return steps[0]
+
+    def block(index: int) -> None:
+        for step in steps:
+            step(index)
+
+    return block
+
+
+def _lower_statement(stmt: Stmt, state: MachineState) -> Node:
+    if isinstance(stmt, Assign):
+        return _lower_assign(stmt, state)
+    if isinstance(stmt, If):
+        cond = _lower_expr(stmt.cond, state)
+        then, orelse = _lower_block(stmt.then, state), _lower_block(stmt.orelse, state)
+        return lambda index: then(index) if cond(index) else orelse(index)
+    if isinstance(stmt, ExitIf):
+        cond = _lower_expr(stmt.cond, state)
+
+        def exit_if(index: int) -> None:
+            if cond(index):
                 raise _EarlyExit
-        else:
-            raise TypeError(f"cannot execute {stmt!r}")
+
+        return exit_if
+    return _raises(TypeError, f"cannot execute {stmt!r}")
 
 
-def _eval(expr: Expr, program: DoLoop, state: MachineState, index: int):
+def _lower_assign(stmt: Assign, state: MachineState) -> Node:
+    """The value first, then the target: an array is looked up, and a
+    scatter's index evaluated, after the value."""
+    value = _lower_expr(stmt.expr, state)
+    target = stmt.target
+    if isinstance(target, Scalar):
+        name = target.name
+
+        def assign_scalar(index: int) -> None:
+            state.scalars[name] = value(index)
+
+        return assign_scalar
+    if isinstance(target, ArrayRef):
+        array, stride, offset = target.array, target.stride, target.offset
+
+        def assign_element(index: int) -> None:
+            state.arrays[array][stride * index + offset] = value(index)
+
+        return assign_element
+    if isinstance(target, Scatter):
+        array, position = target.array, _lower_expr(target.index, state)
+
+        def scatter(index: int) -> None:
+            result = value(index)
+            cells = state.arrays[array]
+            cells[clamp_element(cells, position(index))] = result
+
+        return scatter
+    fail = _raises(TypeError, f"cannot assign to {target!r}")
+
+    def assign_nowhere(index: int) -> None:
+        value(index)
+        fail()
+
+    return assign_nowhere
+
+
+def _lower_expr(expr: Expr, state: MachineState) -> Node:
     if isinstance(expr, Const):
-        return expr.value
+        constant = expr.value
+        return lambda index: constant
     if isinstance(expr, Scalar):
-        try:
-            return state.scalars[expr.name]
-        except KeyError:
-            raise KeyError(f"scalar {expr.name!r} has no value") from None
+        name = expr.name
+
+        def scalar(index: int):
+            try:
+                return state.scalars[name]
+            except KeyError:
+                raise KeyError(f"scalar {name!r} has no value") from None
+
+        return scalar
     if isinstance(expr, Index):
-        return float(index)
+        return float
     if isinstance(expr, ArrayRef):
-        return state.arrays[expr.array][expr.stride * index + expr.offset]
+        array, stride, offset = expr.array, expr.stride, expr.offset
+        return lambda index: state.arrays[array][stride * index + offset]
     if isinstance(expr, Gather):
-        cells = state.arrays[expr.array]
-        return cells[clamp_element(cells, _eval(expr.index, program, state, index))]
-    if isinstance(expr, BinOp):
-        left = _eval(expr.left, program, state, index)
-        right = _eval(expr.right, program, state, index)
-        return _BINOPS[expr.op](left, right)
+        array, position = expr.array, _lower_expr(expr.index, state)
+
+        def gather(index: int):
+            cells = state.arrays[array]
+            return cells[clamp_element(cells, position(index))]
+
+        return gather
+    if isinstance(expr, (BinOp, Compare)):
+        table = _BINOPS if isinstance(expr, BinOp) else _COMPARES
+        function = table.get(expr.op)
+        if function is None:
+            # An unknown operator fails once both operands are evaluated.
+            function = _raises(KeyError, expr.op)
+        left, right = _lower_expr(expr.left, state), _lower_expr(expr.right, state)
+        return lambda index: function(left(index), right(index))
     if isinstance(expr, Unary):
-        return _UNARIES[expr.op](_eval(expr.operand, program, state, index))
-    if isinstance(expr, Compare):
-        left = _eval(expr.left, program, state, index)
-        right = _eval(expr.right, program, state, index)
-        return _COMPARES[expr.op](left, right)
-    raise TypeError(f"cannot evaluate {expr!r}")
+        function = _UNARIES.get(expr.op)
+        if function is None:
+            return _raises(KeyError, expr.op)  # before the operand is evaluated
+        operand = _lower_expr(expr.operand, state)
+        return lambda index: function(operand(index))
+    return _raises(TypeError, f"cannot evaluate {expr!r}")
+
+
+def _raises(kind: type, argument) -> Callable[..., object]:
+    """A node (or operator) that raises ``kind(argument)`` when it is
+    called, so an unsupported construct fails only if execution reaches
+    it."""
+
+    def fail(*operands):
+        raise kind(argument)
+
+    return fail

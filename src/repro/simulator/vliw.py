@@ -26,14 +26,21 @@ This is the deepest validation layer: it runs the *generated kernel*
   will expose to their consumers (the paper's Figure 3 shows the same
   preloaded live-ins at cycle 0).
 
-Each kernel operation is lowered once per run by
-:func:`repro.simulator.dataflow.lower_op`, with readers over immediates,
-GPRs and rotating registers; its latency, destination file and live-out
-name are looked up at the same time.  Running the kernel and comparing
-memory plus live-out scalars against the sequential interpreter
-validates scheduling, register allocation and code generation together.
-(Affine load/store addresses are computed from the access attributes;
-indirect accesses go through the address registers.)
+Each kernel operation is lowered once per run, together with its
+latency, destination file and live-out name.  An op of a plain kind
+(:func:`repro.simulator.dataflow.plain_form`: a binary or unary
+arithmetic op, an affine load, an affine store) becomes a row entry that
+holds where each operand lives (a :data:`Location`), and the row loop
+reads those registers itself, in the order ``plain_form`` gives, with no
+call per operand.  Every other op, and a plain one with an operand that
+has no encoding or names a missing file, runs the ``step(k)`` that
+:func:`repro.simulator.dataflow.lower_op` builds over register readers.
+The staging predicates are read once per kernel iteration, since only
+brtop changes them.  Running the kernel and comparing memory plus
+live-out scalars against the sequential interpreter validates
+scheduling, register allocation and code generation together.  (Affine
+load/store addresses are computed from the access attributes; indirect
+accesses go through the address registers.)
 """
 
 from __future__ import annotations
@@ -45,23 +52,45 @@ from repro.ir.operations import Opcode, Operation
 from repro.ir.values import Operand
 from repro.machine.machine import Machine
 from repro.simulator.dataflow import (
+    BINARY_FORM,
+    LOAD_FORM,
+    STORE_FORM,
+    UNARY_FORM,
     InitFn,
     Reader,
     SimulationError,
-    Step,
     _fails,
     _invariant_value,
     _live_in_value,
+    affine_access,
     lower_op,
+    plain_form,
 )
 from repro.simulator.state import MachineState
 
 #: A register file's physical registers; None marks one never written.
 Registers = List[Optional[object]]
 
-#: Where a kernel op's result goes: (file, encoded specifier, latency,
-#: live-out scalar name or None).
-Destination = Tuple[Registers, int, int, Optional[str]]
+#: Where a kernel op's result goes: (file, encoded specifier, file size,
+#: latency, live-out scalar name or None).
+Destination = Tuple[Registers, int, int, int, Optional[str]]
+
+#: Where a read finds its operand: (file, specifier, file size, whether
+#: the file rotates, the encoded operand).  Kernel iteration m reads
+#: physical ``(spec - m) mod size`` of a rotating file and cell ``spec``
+#: of a fixed one: a GPR, whose specifier is reduced modulo the file size
+#: in advance, or an immediate's one-cell file.
+Location = Tuple[Registers, int, int, bool, KernelOperand]
+
+#: The kind of a kernel op that keeps its :func:`lower_op` step.
+_STEP = "step"
+
+#: One lowered kernel op: (kind, stage, op, arguments, destination).  The
+#: arguments are ``step`` for _STEP; (function, location...) for a binary
+#: or unary op; (cells, base, stride) for an affine load, and (cells,
+#: base, stride, predicate location or None, value location) for an
+#: affine store.
+Entry = Tuple[str, int, Operation, object, Optional[Destination]]
 
 
 def run_vliw(
@@ -94,12 +123,13 @@ def run_vliw(
         ]
         for row in kernel.rows
     ]
+    used_stages = sorted({stage for row in rows for _, stage, *_ in row})
 
     # Pending register writes (file, physical, value), in issue order in
     # the bucket of their commit cycle modulo ``slots``; one slot more
     # than the largest latency keeps each write out of the bucket its
     # own cycle drains.
-    latencies = [dest[2] for row in rows for *_, dest in row if dest is not None]
+    latencies = [dest[3] for row in rows for *_, dest in row if dest is not None]
     slots = 1 + max(latencies, default=0)
     ring: List[List[Tuple[Registers, int, object]]] = [[] for _ in range(slots)]
     live_out_values: Dict[str, object] = {}
@@ -109,14 +139,17 @@ def run_vliw(
     running = True
     m = 0
     while running:
+        # The staging predicates change only at brtop: read each stage's
+        # bit once per kernel iteration.
+        active = {stage: loop_control.stage_active(stage, m) for stage in used_stages}
         for row_index in range(ii):
             cycle = m * ii + row_index
             due = ring[cycle % slots]
             for registers, physical, value in due:
                 registers[physical] = value
             due.clear()
-            for op, stage, step, dest in rows[row_index]:
-                if not loop_control.stage_active(stage, m):
+            for kind, stage, op, args, dest in rows[row_index]:
+                if not active[stage]:
                     continue  # stage predicate (rotating ICR bit) squashes
                 k = m - stage
                 if not (0 <= k < iterations):  # hardware/bookkeeping cross-check
@@ -124,10 +157,48 @@ def run_vliw(
                         f"stage predicate enabled {op!r} for iteration {k} "
                         f"outside [0, {iterations}) — brtop loop control is broken"
                     )
-                result = step(k)
+                # Inline reads (see Location), in plain_form's read order.
+                if kind is BINARY_FORM:
+                    function, a, b = args
+                    registers, spec, size, rotating, _ = a
+                    left = registers[(spec - m) % size if rotating else spec]
+                    if left is None:
+                        raise _unwritten(op, k, a, m)
+                    registers, spec, size, rotating, _ = b
+                    right = registers[(spec - m) % size if rotating else spec]
+                    if right is None:
+                        raise _unwritten(op, k, b, m)
+                    result = function(left, right)
+                elif kind is LOAD_FORM:
+                    cells, base, stride = args
+                    result = cells[base + stride * k]
+                elif kind is STORE_FORM:
+                    cells, base, stride, predicate, value = args
+                    taken = True
+                    if predicate is not None:
+                        registers, spec, size, rotating, _ = predicate
+                        taken = registers[(spec - m) % size if rotating else spec]
+                        if taken is None:
+                            raise _unwritten(op, k, predicate, m)
+                    if taken:
+                        registers, spec, size, rotating, _ = value
+                        stored = registers[(spec - m) % size if rotating else spec]
+                        if stored is None:
+                            raise _unwritten(op, k, value, m)
+                        cells[base + stride * k] = stored
+                    result = None
+                elif kind is UNARY_FORM:
+                    function, a = args
+                    registers, spec, size, rotating, _ = a
+                    operand = registers[(spec - m) % size if rotating else spec]
+                    if operand is None:
+                        raise _unwritten(op, k, a, m)
+                    result = function(operand)
+                else:
+                    result = args(k)
                 if dest is not None:
-                    registers, spec, latency, live_out = dest
-                    physical = (spec - m) % len(registers)
+                    registers, spec, size, latency, live_out = dest
+                    physical = (spec - m) % size
                     ring[(cycle + latency) % slots].append((registers, physical, result))
                     if live_out is not None and k == last:
                         live_out_values[live_out] = result
@@ -157,20 +228,41 @@ def _lower(
     machine: Machine,
     live_out_names: Dict[int, str],
     state: MachineState,
-) -> Tuple[Operation, int, Step, Optional[Destination]]:
-    """One kernel op, lowered: (op, stage, step, destination)."""
+) -> Entry:
+    """One kernel op, lowered.
+
+    A plain op (:func:`plain_form`) whose every read has a location runs
+    inline; any other op, or a plain one with an operand that has no
+    encoding or names a missing file, keeps its :func:`lower_op` step.
+    """
     op = kop.op
     encoding = {id(ir): encoded for ir, encoded in zip(op.operands, kop.operands)}
     if op.predicate is not None and kop.predicate is not None:
         encoding[id(op.predicate)] = kop.predicate
 
-    def reader(operand: Operand) -> Reader:
-        encoded = encoding.get(id(operand))
-        if encoded is None:
-            return _fails(f"operand {operand!r} of {op!r} not encoded")
-        return _register_reader(encoded, op, kop.stage, files)
+    form = plain_form(op)
+    locations = []
+    if form is not None:
+        locations = [_location(encoding.get(id(operand)), files) for operand in form[2]]
+    if form is None or None in locations:
 
-    step = lower_op(op, reader, state)
+        def reader(operand: Operand) -> Reader:
+            encoded = encoding.get(id(operand))
+            if encoded is None:
+                return _fails(f"operand {operand!r} of {op!r} not encoded")
+            return _register_reader(encoded, op, kop.stage, files)
+
+        kind, args = _STEP, lower_op(op, reader, state)
+    else:
+        kind, function, _ = form
+        if kind is BINARY_FORM or kind is UNARY_FORM:
+            args = (function, *locations)
+        elif kind is LOAD_FORM:
+            args = affine_access(op, state)
+        else:
+            predicate = locations[0] if len(locations) == 2 else None
+            args = (*affine_access(op, state), predicate, locations[-1])
+
     dest = None
     if kop.dest is not None:
         registers = files.get(kop.dest.kind)
@@ -182,8 +274,27 @@ def _lower(
                 f"{op!r} has write latency {latency}; the kernel needs >= 1"
             )
         live_out = live_out_names.get(op.dest.vid)
-        dest = (registers, kop.dest.spec, latency, live_out)
-    return op, kop.stage, step, dest
+        dest = (registers, kop.dest.spec, len(registers), latency, live_out)
+    return kind, kop.stage, op, args, dest
+
+
+def _location(encoded: Optional[KernelOperand], files: Dict[str, Registers]) -> Optional[Location]:
+    """Where an inline read of ``encoded`` looks, or None when it cannot
+    be read inline: no encoding, no such file, or an immediate without a
+    literal (which its step returns as is)."""
+    if encoded is None:
+        return None
+    if encoded.kind == "imm":
+        if encoded.literal is None:
+            return None
+        return [encoded.literal], 0, 1, False, encoded
+    registers = files.get(encoded.kind)
+    if registers is None:
+        return None
+    size = len(registers)
+    if encoded.kind == "gpr":
+        return registers, encoded.spec % size, size, False, encoded
+    return registers, encoded.spec, size, True, encoded
 
 
 def _register_reader(
@@ -193,24 +304,30 @@ def _register_reader(
     if encoded.kind == "imm":
         literal = encoded.literal
         return lambda k: literal
-    registers = files.get(encoded.kind)
-    if registers is None:
+    location = _location(encoded, files)
+    if location is None:
         return _fails(f"no register file {encoded.kind!r}")
-    spec, size = encoded.spec, len(registers)
-    rotating = encoded.kind != "gpr"
+    registers, spec, size, rotating, _ = location
 
     def read(k: int):
         m = k + stage
-        value = registers[(spec - m) % size if rotating else spec % size]
+        value = registers[(spec - m) % size if rotating else spec]
         if value is None:
-            raise SimulationError(
-                f"{op!r} iteration {k}: read of {encoded.render()} "
-                f"(physical {(spec - m) % size}) "
-                "returned an unwritten register — allocation or codegen is broken"
-            )
+            raise _unwritten(op, k, location, m)
         return value
 
     return read
+
+
+def _unwritten(op: Operation, k: int, location: Location, m: int) -> SimulationError:
+    """The error for a read, in kernel iteration m, of a register no
+    write or live-in preload has reached."""
+    _, _, size, _, encoded = location
+    return SimulationError(
+        f"{op!r} iteration {k}: read of {encoded.render()} "
+        f"(physical {(encoded.spec - m) % size}) "
+        "returned an unwritten register — allocation or codegen is broken"
+    )
 
 
 class _LoopControl:

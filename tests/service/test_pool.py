@@ -1,10 +1,12 @@
 """Worker-pool fault tolerance and determinism (repro.service.pool)."""
 
 import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -96,10 +98,16 @@ def test_backstop_ends_a_worker_that_outlives_its_budget(monkeypatch):
     monkeypatch.setattr(pool, "BACKSTOP_GRACE", 0.2)
     jobs = make_jobs(_corpus(2), faults={1: "stuck:3"})
     results, stats = run_jobs(jobs, MACHINE, workers=2, timeout=0.3)
+    returned = time.monotonic()
     assert results[1].status == JOB_TIMEOUT
     assert results[1].error.startswith("backstop")
     assert results[0].status == JOB_OK
     assert stats.timeouts == 1
+    # The abandoned pool's workers are ended, not left for interpreter
+    # exit to wait on.
+    while multiprocessing.active_children() and time.monotonic() - returned < 1.0:
+        time.sleep(0.05)
+    assert not multiprocessing.active_children()
 
 
 def test_raise_is_failed_not_crashed():

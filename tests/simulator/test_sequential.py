@@ -7,11 +7,13 @@ from repro.frontend import (
     Assign,
     Const,
     DoLoop,
+    Expr,
     Gather,
     If,
     Index,
     Scalar,
     Scatter,
+    Stmt,
     Unary,
 )
 from repro.simulator import MachineState, initial_state, run_sequential
@@ -184,3 +186,78 @@ def test_array_init_of_an_undeclared_array_is_rejected():
     """A misspelt name must not leave the array silently seeded."""
     with pytest.raises(ValueError, match="'iz', which init does not declare"):
         initial_state(GATHER, array_init={"iz": [3.0]})
+
+
+# ----------------------------------------------------------------------
+# Error timing: a fault in the loop body surfaces only when executed
+# ----------------------------------------------------------------------
+class _Mystery(Expr):
+    """An expression node the interpreter does not know."""
+
+    __slots__ = ()
+
+
+class _Pause(Stmt):
+    """A statement node the interpreter does not know."""
+
+    __slots__ = ()
+
+
+def _branching(then, taken):
+    """A loop whose one conditional runs ``then`` on every iteration when
+    ``taken``, and never otherwise (seeded cells lie in [0.5, 1.5))."""
+    cond = ArrayRef("x") < Const(10.0) if taken else ArrayRef("x") > Const(10.0)
+    return DoLoop(
+        "timing",
+        body=[Assign(ArrayRef("w"), ArrayRef("x") + 1.0), If(cond, then=then)],
+        arrays={"x": 20, "z": 20, "w": 20},
+        start=0,
+        trip=4,
+    )
+
+
+READS_A_GHOST = [Assign(ArrayRef("z"), Scalar("ghost") + 1.0)]
+
+
+def test_a_scalar_without_a_value_raises_only_when_read():
+    untaken = _branching(READS_A_GHOST, taken=False)
+    after = run_sequential(untaken, initial_state(untaken))
+    assert after.arrays["w"][3] == after.arrays["x"][3] + 1.0
+    taken = _branching(READS_A_GHOST, taken=True)
+    with pytest.raises(KeyError, match="scalar 'ghost' has no value"):
+        run_sequential(taken, initial_state(taken))
+
+
+@pytest.mark.parametrize(
+    "then, message",
+    [
+        ([_Pause()], "cannot execute"),
+        ([Assign(ArrayRef("z"), _Mystery())], "cannot evaluate"),
+        ([Assign(ArrayRef("z"), ArrayRef("x") * _Mystery())], "cannot evaluate"),
+        ([Assign(Const(1.0), ArrayRef("x"))], "cannot assign to"),
+    ],
+    ids=["statement", "expression", "operand", "target"],
+)
+def test_an_unknown_node_raises_only_when_reached(then, message):
+    untaken = _branching(then, taken=False)
+    state = initial_state(untaken)
+    run_sequential(untaken, state)
+    assert state.arrays["w"][:4] == [x + 1.0 for x in state.arrays["x"][:4]]
+    taken = _branching(then, taken=True)
+    state = initial_state(taken)
+    with pytest.raises(TypeError, match=message):
+        run_sequential(taken, state)
+    # The first iteration's statements before the fault have run.
+    assert state.arrays["w"][0] == state.arrays["x"][0] + 1.0
+    assert state.arrays["w"][1] != state.arrays["x"][1] + 1.0
+
+
+@pytest.mark.parametrize(
+    "target",
+    [Const(1.0), Scatter("z", Scalar("index_ghost")), Scalar("s")],
+    ids=["unsupported", "scatter", "scalar"],
+)
+def test_an_assignment_evaluates_its_value_before_its_target(target):
+    program = _branching([Assign(target, Scalar("ghost"))], taken=True)
+    with pytest.raises(KeyError, match="scalar 'ghost' has no value"):
+        run_sequential(program, initial_state(program))

@@ -6,6 +6,7 @@ exactly (NaN equal only to NaN), on every registry target.
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from repro.ir import ArcKind, Opcode, build_ddg
 from repro.machine import Machine, build_machine, cydra5, machine_names
 from repro.regalloc import allocate_registers
 from repro.simulator import SimulationError, initial_state, run_sequential, state_mismatches
+from repro.simulator import vliw
 from repro.simulator.vliw import run_vliw
 from repro.workloads import LoopGenerator, named_kernels
 
@@ -63,49 +65,157 @@ def test_random_programs_register_level(case):
     assert_vliw_equivalent(*case)
 
 
-def _with_operands(kernel, kop, operands):
-    """``kernel`` with ``kop``'s encoded operands replaced."""
+def _stepped(kernel, program):
+    """``run_vliw`` with every kernel op on its ``lower_op`` step."""
+    with mock.patch.object(vliw, "plain_form", lambda op: None):
+        return run_vliw(kernel, initial_state(program))
+
+
+def assert_inline_matches_steps(program, target):
+    kernel = _kernel(program, MACHINES[target])
+    inline = run_vliw(kernel, initial_state(program))
+    assert repr(inline) == repr(_stepped(kernel, program)), f"{program.name} on {target}"
+
+
+@pytest.mark.parametrize("target", machine_names())
+def test_inline_reads_match_lower_op_steps_on_named_kernels(target):
+    for program in named_kernels():
+        assert_inline_matches_steps(program, target)
+
+
+@given(random_programs())
+@settings(max_examples=25, deadline=None)
+def test_inline_reads_match_lower_op_steps_on_random_programs(case):
+    assert_inline_matches_steps(*case)
+
+
+def test_only_ops_off_the_inline_path_are_lowered_to_steps():
+    """ll16_monte has SELECT and AND_B ops (steps) beside plain ones."""
+    program = next(p for p in named_kernels() if p.name == "ll16_monte")
+    kernel = _kernel(program)
+    ops = [kop.op for kop in kernel.all_ops() if kop.op.opcode is not Opcode.BRTOP]
+    lower_op = vliw.lower_op
+    lowered = []
+
+    def recording_lower_op(op, reader, state):
+        lowered.append(op)
+        return lower_op(op, reader, state)
+
+    with mock.patch.object(vliw, "lower_op", recording_lower_op):
+        run_vliw(kernel, initial_state(program))
+        stepped = {id(op) for op in lowered}
+        assert stepped == {id(op) for op in ops if op.opcode in (Opcode.SELECT, Opcode.AND_B)}
+        lowered.clear()
+        _stepped(kernel, program)
+    assert {id(op) for op in lowered} == {id(op) for op in ops}
+
+
+def _with_operands(kernel, kop, operands=None, predicate=None):
+    """``kernel`` with ``kop``'s encoded operands or predicate replaced."""
+    changes = {"operands": operands} if operands is not None else {}
+    if predicate is not None:
+        changes["predicate"] = predicate
     rows = [
-        [dataclasses.replace(other, operands=operands) if other is kop else other for other in row]
+        [dataclasses.replace(other, **changes) if other is kop else other for other in row]
         for row in kernel.rows
     ]
     return dataclasses.replace(kernel, rows=rows)
 
 
-def _arithmetic_op(kernel):
-    """A kernel op that always reads its first operand, a rotating register."""
+def _arithmetic_op(kernel, position=0):
+    """A kernel op that always reads its operands, and whose operand at
+    ``position`` is a rotating register."""
     return next(
         kop
         for kop in kernel.all_ops()
-        if kop.op.opcode in (Opcode.ADD_F, Opcode.MUL_F) and kop.operands[0].kind == "rr"
+        if kop.op.opcode in (Opcode.ADD_F, Opcode.MUL_F) and kop.operands[position].kind == "rr"
     )
 
 
-def test_read_of_an_unwritten_register_raises():
-    program = named_kernels()[0]
-    kernel = _kernel(program)
-    # A larger rotating file runs the same code (specifiers resolve modulo
-    # its size), and leaves the registers half the file away from every
-    # specifier untouched: no write or live-in preload ever lands there.
-    size = 4 * (kernel.assignment.rr_registers + program.trip + kernel.stages)
-    rr = dataclasses.replace(kernel.assignment.rr, registers=size)
+def _unary_op(kernel):
+    return next(
+        kop
+        for kop in kernel.all_ops()
+        if kop.op.opcode is Opcode.SQRT_F and kop.operands[0].kind == "rr"
+    )
+
+
+def _predicated_store(kernel):
+    """An affine store whose predicate and value are rotating registers."""
+    return next(
+        kop
+        for kop in kernel.all_ops()
+        if kop.op.opcode is Opcode.STORE
+        and "abs" in kop.op.attrs
+        and kop.predicate is not None
+        and kop.predicate.kind == "icr"
+        and kop.operands[1].kind == "rr"
+    )
+
+
+def _roomy(kernel, program):
+    """``kernel`` on rotating files large enough that the registers half
+    a file away from every specifier are never written, and that size.
+
+    A larger rotating file runs the same code (specifiers resolve modulo
+    its size), and leaves those registers untouched: no write or live-in
+    preload ever lands there."""
+    assignment = kernel.assignment
+    largest = max(assignment.rr_registers, assignment.icr_registers)
+    size = 4 * (largest + program.trip + kernel.stages)
+    rr = dataclasses.replace(assignment.rr, registers=size)
+    icr = dataclasses.replace(assignment.icr, registers=size)
     roomy = dataclasses.replace(
-        kernel, assignment=dataclasses.replace(kernel.assignment, rr=rr)
+        kernel, assignment=dataclasses.replace(assignment, rr=rr, icr=icr)
     )
     sequential = run_sequential(program, initial_state(program))
     assert not state_mismatches(program, sequential, run_vliw(roomy, initial_state(program)))
+    return roomy, size
 
-    kop = _arithmetic_op(roomy)
-    far = dataclasses.replace(kop.operands[0], spec=kop.operands[0].spec + size // 2)
-    broken = _with_operands(roomy, kop, [far] + kop.operands[1:])
-    with pytest.raises(SimulationError, match="returned an unwritten register"):
-        run_vliw(broken, initial_state(program))
+
+def _far(encoded, size):
+    return dataclasses.replace(encoded, spec=encoded.spec + size // 2)
+
+
+def test_read_of_an_unwritten_register_raises():
+    """One op of each register-reading inline kind reads a register no
+    write reached: each raises, with the message its step would give."""
+    by_name = {program.name: program for program in named_kernels()}
+    broken = []  # (program, op, kernel whose op reads a far register)
+    program = named_kernels()[0]
+    kernel, size = _roomy(_kernel(program), program)
+    kop = _arithmetic_op(kernel)
+    far_left = [_far(kop.operands[0], size)] + kop.operands[1:]
+    broken.append((program, kop.op, _with_operands(kernel, kop, far_left)))
+    kop = _arithmetic_op(kernel, position=1)
+    far_right = [kop.operands[0], _far(kop.operands[1], size)]
+    broken.append((program, kop.op, _with_operands(kernel, kop, far_right)))
+    program = by_name["spec_normalize"]
+    kernel, size = _roomy(_kernel(program), program)
+    kop = _unary_op(kernel)
+    broken.append((program, kop.op, _with_operands(kernel, kop, [_far(kop.operands[0], size)])))
+    program = by_name["ll15_casual"]
+    kernel, size = _roomy(_kernel(program), program)
+    kop = _predicated_store(kernel)
+    far_predicate = _with_operands(kernel, kop, predicate=_far(kop.predicate, size))
+    broken.append((program, kop.op, far_predicate))
+    far_value = kop.operands[:1] + [_far(kop.operands[1], size)] + kop.operands[2:]
+    broken.append((program, kop.op, _with_operands(kernel, kop, far_value)))
+
+    for program, op, kernel in broken:
+        with pytest.raises(SimulationError, match="returned an unwritten register") as inline:
+            run_vliw(kernel, initial_state(program))
+        assert str(inline.value).startswith(f"{op!r} iteration ")
+        with pytest.raises(SimulationError) as stepped:
+            _stepped(kernel, program)
+        assert str(inline.value) == str(stepped.value)
 
 
 def test_operand_without_an_encoding_raises():
     program = named_kernels()[0]
     kernel = _kernel(program)
     broken = _with_operands(kernel, _arithmetic_op(kernel), [])
+    # The op falls back to its step, which raises when it reads.
     with pytest.raises(SimulationError, match="not encoded"):
         run_vliw(broken, initial_state(program))
 
