@@ -9,7 +9,7 @@ MaxLive, with no loss of achieved II.
 
 from repro.experiments import run_corpus
 
-from _shared import corpus, corpus_size, machine, measured, publish
+from harness import corpus, corpus_size, machine, measured, publish
 
 
 def test_ablation_bidirectional(benchmark):

@@ -9,7 +9,7 @@ costs more scheduling work (placements) on the loops that miss MII.
 from repro.core import SchedulerOptions
 from repro.experiments import run_corpus
 
-from _shared import corpus, corpus_size, machine, measured, publish
+from harness import corpus, corpus_size, machine, measured, publish
 
 PLUS_ONE = SchedulerOptions(ii_step_percent=0.0)
 

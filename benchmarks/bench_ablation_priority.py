@@ -17,7 +17,7 @@ recurrence-bearing loops where the priority scheme earns its keep.
 from repro.core import SchedulerOptions
 from repro.experiments import run_corpus
 
-from _shared import corpus, corpus_size, machine, measured, publish
+from harness import corpus, corpus_size, machine, measured, publish
 
 CONFIGS = [
     ("dynamic + bidirectional", SchedulerOptions()),

@@ -18,7 +18,7 @@ from repro.core import modulo_schedule
 from repro.frontend import compile_loop
 from repro.ir import build_ddg
 
-from _shared import corpus, corpus_size, machine, publish
+from harness import corpus, corpus_size, machine, publish
 
 
 def _measure(programs):

@@ -16,7 +16,7 @@ from repro.ir import build_ddg
 from repro.workloads.livermore import kernel7_state, kernel9_integrate
 from repro.workloads.spec import stencil5
 
-from _shared import machine, publish
+from harness import machine, publish
 
 
 def _sweep(program):

@@ -19,7 +19,7 @@ from repro.frontend import ArrayRef, Assign, DoLoop, Scalar, compile_loop
 from repro.frontend.transforms import unroll
 from repro.machine import Machine, table1_units
 
-from _shared import publish
+from harness import publish
 
 
 def _wide_machine() -> Machine:

@@ -9,7 +9,7 @@ new scheduler, >=90% within 10 RRs, and new-beats-old in aggregate.
 
 from repro.experiments import cumulative_at, figure5, run_corpus
 
-from _shared import corpus, corpus_size, machine, measured, publish
+from harness import corpus, corpus_size, machine, measured, publish
 
 
 def test_figure5(benchmark):

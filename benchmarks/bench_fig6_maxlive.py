@@ -8,7 +8,7 @@ thin tail past 64.
 
 from repro.experiments import cumulative_at, figure6, run_corpus
 
-from _shared import corpus, corpus_size, machine, measured, publish
+from harness import corpus, corpus_size, machine, measured, publish
 
 
 def test_figure6(benchmark):

@@ -8,7 +8,7 @@ low bins.
 
 from repro.experiments import cumulative_at, figure7, run_corpus
 
-from _shared import corpus, corpus_size, machine, measured, publish
+from harness import corpus, corpus_size, machine, measured, publish
 
 
 def test_figure7(benchmark):

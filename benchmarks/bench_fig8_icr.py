@@ -7,7 +7,7 @@ ICR pressure).  Reproduce: a distribution overwhelmingly below 32.
 
 from repro.experiments import cumulative_at, figure8, run_corpus
 
-from _shared import corpus, corpus_size, machine, publish
+from harness import corpus, corpus_size, machine, publish
 
 
 def test_figure8(benchmark):

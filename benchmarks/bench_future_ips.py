@@ -22,7 +22,7 @@ a small makespan cost, *without* needing a register-limit knob.
 from repro.core.acyclic import acyclic_ddg, schedule_ips, schedule_list, schedule_slack
 from repro.frontend import compile_loop
 
-from _shared import corpus, corpus_size, machine, publish
+from harness import corpus, corpus_size, machine, publish
 
 
 def _measure(programs):

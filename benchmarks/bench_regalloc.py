@@ -15,7 +15,7 @@ from repro.frontend import compile_loop
 from repro.ir import build_ddg
 from repro.regalloc import FIT_STRATEGIES, ORDERINGS, allocate_registers
 
-from _shared import corpus, machine, publish
+from harness import corpus, machine, publish
 
 
 def _allocate_corpus(fit, ordering, programs):

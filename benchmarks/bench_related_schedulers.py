@@ -14,7 +14,7 @@ no-backtracking and static-priority schemes give back II.
 
 from repro.experiments import run_corpus
 
-from _shared import corpus, corpus_size, machine, measured, publish
+from harness import corpus, corpus_size, machine, measured, publish
 
 ALGORITHMS = ["slack", "unidirectional", "cydrome", "height", "warp"]
 

@@ -17,7 +17,7 @@ recurrence classes.
 
 from repro.experiments import run_corpus, scheduling_performance
 
-from _shared import corpus, corpus_size, machine, measured, publish
+from harness import corpus, corpus_size, machine, measured, publish
 
 
 def test_related_warp(benchmark):

@@ -20,7 +20,7 @@ import os
 from repro.experiments import cumulative_at, run_corpus_sweep
 from repro.machine import cydra5
 
-from _shared import corpus, corpus_size, publish
+from harness import corpus, corpus_size, publish
 
 LATENCIES = (2, 13, 27)
 

@@ -13,7 +13,7 @@ import dataclasses
 from repro.experiments import run_corpus
 from repro.machine import Machine, table1_units
 
-from _shared import corpus, corpus_size, publish
+from harness import corpus, corpus_size, publish
 
 
 def _scaled_machine(name: str, factor: float) -> Machine:

@@ -46,7 +46,7 @@ from repro.workloads import paper_corpus
 from repro.workloads.livermore import kernel7_state
 from repro.workloads.generator import LoopGenerator
 
-from _shared import publish
+from harness import publish
 
 MACHINE = cydra5()
 

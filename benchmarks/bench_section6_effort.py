@@ -12,7 +12,7 @@ more than the slack scheduler.
 
 from repro.experiments import run_corpus, section6_effort
 
-from _shared import corpus, corpus_size, machine, measured, publish
+from harness import corpus, corpus_size, machine, measured, publish
 
 
 def test_section6_effort(benchmark):

@@ -19,7 +19,7 @@ ResMII dominating MII, MinAvg tracking op counts.
 
 from repro.experiments import run_corpus, table2
 
-from _shared import corpus, corpus_size, machine, publish
+from harness import corpus, corpus_size, machine, publish
 
 
 def test_table2(benchmark):

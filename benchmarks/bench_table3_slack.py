@@ -10,7 +10,7 @@ a tiny aggregate II inflation.
 
 from repro.experiments import run_corpus, table3
 
-from _shared import corpus, corpus_size, machine, publish
+from harness import corpus, corpus_size, machine, publish
 
 
 def test_table3(benchmark):

@@ -9,7 +9,7 @@ aggregate ratio, and a heavier II > MII tail.
 
 from repro.experiments import run_corpus, table4
 
-from _shared import corpus, corpus_size, machine, measured, publish
+from harness import corpus, corpus_size, machine, measured, publish
 
 
 def test_table4(benchmark):

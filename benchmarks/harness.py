@@ -1,55 +1,28 @@
-"""Unified measurement harness for the table/figure benchmark suite.
+"""Shared corpus, target and cached measurements for the bench_*.py suite.
 
-This is the pytest-side face of :mod:`repro.obs.bench`: one shared,
-cached corpus-measurement layer that every ``bench_*.py`` script pulls
-its data from.  Each cached entry is a :class:`MeasuredRun` carrying
-the per-loop metrics *and* a profiler span breakdown
-(:mod:`repro.obs.prof`), so a benchmark that reports "time" can say
-where the time went instead of quoting one opaque wall number.
-
-The corpus defaults to 300 loops for quick runs; set
-``REPRO_CORPUS=1525`` to reproduce at the paper's full scale.  Results
-are cached per (size, algorithm, options) so the figure benchmarks —
-which need both schedulers' results — do not pay for re-measuring what
-an earlier benchmark already produced.
+Every ``bench_*.py`` script imports its corpus, its machine and
+:func:`publish` from here.  The corpus defaults to 300 loops for quick
+runs; set ``REPRO_CORPUS=1525`` to reproduce at the paper's full scale.
+:func:`measured` caches one corpus run per algorithm, so the figure
+benchmarks, which need both schedulers' results, do not pay for
+re-measuring what an earlier benchmark already produced.  Timing and
+span breakdowns belong to ``python -m repro bench`` (:mod:`repro.obs.bench`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core import SchedulerOptions
 from repro.experiments import LoopMetrics, run_corpus
 from repro.machine import cydra5
-from repro.obs.bench import Scenario, run_scenario, scenario_registry
-from repro.obs.observer import Observer
-from repro.obs.prof import Profiler
 from repro.workloads import default_corpus_size, paper_corpus
 
 _MACHINE = cydra5()
 _CORPUS_CACHE: Dict[int, list] = {}
+_METRICS_CACHE: Dict[Tuple[int, str], List[LoopMetrics]] = {}
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
-
-
-@dataclasses.dataclass
-class MeasuredRun:
-    """One cached corpus measurement: metrics + where the time went."""
-
-    metrics: List[LoopMetrics]
-    profile: dict  # Profiler.snapshot(): spans, counters, peak memory
-    wall_seconds: float
-
-    def span_seconds(self, path: str) -> float:
-        """Cumulative seconds of one span path ('' -> 0.0)."""
-        entry = self.profile.get("spans", {}).get(path)
-        return entry["cum_seconds"] if entry else 0.0
-
-
-_RUN_CACHE: Dict[Tuple[int, str, Tuple], MeasuredRun] = {}
 
 
 def corpus_size() -> int:
@@ -67,45 +40,13 @@ def machine():
     return _MACHINE
 
 
-def options_key(options: Optional[SchedulerOptions]) -> Tuple:
-    if options is None:
-        return ()
-    return (
-        options.budget_ratio,
-        options.max_attempts,
-        options.ii_step_percent,
-        options.bidirectional,
-        options.critical_threshold,
-    )
-
-
-def measured_run(
-    algorithm: str, options: SchedulerOptions = None, size: int = None
-) -> MeasuredRun:
-    """Cached profiled corpus measurement for one configuration."""
-    size = size or corpus_size()
-    key = (size, algorithm, options_key(options))
-    run = _RUN_CACHE.get(key)
-    if run is None:
-        profiler = Profiler()
-        started = time.perf_counter()
-        metrics = run_corpus(
-            corpus(size), _MACHINE, algorithm=algorithm, options=options,
-            observer=Observer(prof=profiler),
-        )
-        run = _RUN_CACHE[key] = MeasuredRun(
-            metrics=metrics,
-            profile=profiler.snapshot(),
-            wall_seconds=time.perf_counter() - started,
-        )
-    return run
-
-
-def measured(
-    algorithm: str, options: SchedulerOptions = None, size: int = None
-) -> List[LoopMetrics]:
-    """The metrics of :func:`measured_run` (the historical interface)."""
-    return measured_run(algorithm, options, size).metrics
+def measured(algorithm: str) -> List[LoopMetrics]:
+    """The corpus's metrics under ``algorithm`` with the driver's default
+    options, run once per corpus size and algorithm."""
+    key = (corpus_size(), algorithm)
+    if key not in _METRICS_CACHE:
+        _METRICS_CACHE[key] = run_corpus(corpus(), _MACHINE, algorithm=algorithm)
+    return _METRICS_CACHE[key]
 
 
 def publish(name: str, text: str) -> None:
@@ -115,19 +56,3 @@ def publish(name: str, text: str) -> None:
     os.makedirs(OUT_DIR, exist_ok=True)
     with open(os.path.join(OUT_DIR, f"{name}.txt"), "w") as handle:
         handle.write(text + "\n")
-
-
-__all__ = [
-    "MeasuredRun",
-    "OUT_DIR",
-    "Scenario",
-    "corpus",
-    "corpus_size",
-    "machine",
-    "measured",
-    "measured_run",
-    "options_key",
-    "publish",
-    "run_scenario",
-    "scenario_registry",
-]

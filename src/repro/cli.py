@@ -21,6 +21,11 @@ dataflow executor and the generated kernel on the VLIW executor, and
 checks each against sequential semantics, naming the executor that
 differs.
 
+``--machine NAME[:k=v,...]`` names a registered target (default
+``cydra5``) and ``--load-latency L`` sets its ``load_latency`` unless
+the machine text already does; ``repro batch`` reads both flags the
+same way, through :func:`repro.machine.machine_from_cli`.
+
 Observability (all opt-in; the default run is quiet and untraced):
 ``--trace PATH`` records every scheduler decision (``--trace-format``
 picks JSONL or Chrome trace-event JSON for chrome://tracing/Perfetto),
@@ -39,8 +44,9 @@ The ``batch`` subcommand schedules corpora as a service: serially
 in-process or on a process pool (``--jobs``), a content-addressed result
 cache in a fan-out directory (``--cache-dir``), its eviction
 (``--gc --max-cache-bytes/--max-cache-age``), heterogeneous machine
-sweeps (``--sweep-load-latency 2,13,27``), and a merged cross-process
-scheduler trace (``--trace``) that is identical at any ``--jobs`` level.
+sweeps (``--sweep-machine cydra5:load_latency=2 --sweep-machine
+vliw-wide``), and a merged cross-process scheduler trace (``--trace``)
+that is identical at any ``--jobs`` level.
 
 The ``serve`` subcommand boots a long-lived scheduling daemon
 (``repro.server``): ``POST /v1/schedule`` / ``POST /v1/batch`` with
@@ -72,7 +78,7 @@ from repro.core import ALGORITHMS, modulo_schedule, validate_schedule
 from repro.frontend import compile_loop
 from repro.frontend.parser import ParseError, parse_loop
 from repro.ir import build_ddg
-from repro.machine import MachineError, cydra5, machine_from_cli
+from repro.machine import MachineError, machine_from_cli
 from repro.obs import MetricsRegistry, Observer
 
 _DEMO = """\
@@ -84,21 +90,6 @@ do i = 2, 41
     y(i) = y(i-1) + x(i-2)
 end do
 """
-
-
-def resolve_machine(machine_arg: Optional[str], load_latency: Optional[int]):
-    """``--machine``/``--load-latency`` -> a registry Machine.
-
-    No ``--machine`` keeps the historical default (cydra5 at the given
-    load latency); with one, ``--load-latency`` still applies when the
-    family has that knob and the spec text didn't set it.  Raises
-    :class:`repro.machine.MachineError` on unknown names/parameters.
-    """
-    if machine_arg is None:
-        return cydra5(
-            load_latency=load_latency if load_latency is not None else 13
-        )
-    return machine_from_cli(machine_arg, load_latency=load_latency)
 
 
 def build_argument_parser() -> argparse.ArgumentParser:
@@ -117,7 +108,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--machine",
         metavar="NAME[:k=v,...]",
-        default=None,
+        default="cydra5",
         help="registered target machine, optionally with parameter "
         "overrides, e.g. vliw-wide or simd:depth=3,lanes=4 "
         "(default cydra5; see repro.machine.registry)",
@@ -126,8 +117,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
         "--load-latency",
         type=int,
         default=None,
-        help="memory latency register (default: the machine's default; "
-        "13 for cydra5)",
+        help="memory latency register, unless --machine sets load_latency "
+        "(default: the machine's default; 13 for cydra5)",
     )
     parser.add_argument("--emit", action="store_true", help="print kernel-only VLIW code")
     parser.add_argument(
@@ -173,11 +164,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="log scheduler progress to stderr (default is quiet)",
     )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress progress logging (the default; overrides --verbose)",
-    )
     return parser
 
 
@@ -210,7 +196,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return history_main(argv[1:])
     args = build_argument_parser().parse_args(argv)
-    level = logging.INFO if (args.verbose and not args.quiet) else logging.WARNING
+    level = logging.INFO if args.verbose else logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     if args.paper_report:
         from repro.experiments import full_report
@@ -240,7 +226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
     try:
-        machine = resolve_machine(args.machine, args.load_latency)
+        machine = machine_from_cli(args.machine, args.load_latency)
     except MachineError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

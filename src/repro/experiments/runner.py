@@ -204,8 +204,8 @@ def sweep_layout(programs, machines):
     once per machine, machine-major, so ``flat[i * len(programs) +
     j]`` is ``programs[j]`` under ``machines[i]``.  This is the single
     layout both :func:`run_corpus_sweep` and the batch CLI's
-    ``--sweep-machine``/``--sweep-load-latency`` grids use, so their
-    result ordering (and cache keys) agree.
+    ``--sweep-machine`` grid use, so their result ordering (and cache
+    keys) agree.
     """
     programs = list(programs)
     machines = list(machines)

@@ -13,16 +13,12 @@ from repro.machine.registry import (
     MachineFamily,
     MachineParam,
     MachineParamError,
-    MachineSpec,
-    UnitSpec,
     UnknownMachineError,
     build_machine,
     default_machines,
-    default_specs,
     get_family,
     machine_from_cli,
     machine_names,
-    machine_spec,
     parse_machine_arg,
     register_family,
 )
@@ -34,18 +30,14 @@ __all__ = [
     "MachineFamily",
     "MachineParam",
     "MachineParamError",
-    "MachineSpec",
     "UnitInstance",
-    "UnitSpec",
     "UnknownMachineError",
     "build_machine",
     "cydra5",
     "default_machines",
-    "default_specs",
     "get_family",
     "machine_from_cli",
     "machine_names",
-    "machine_spec",
     "parse_machine_arg",
     "register_family",
     "ModuloResourceTable",

@@ -10,12 +10,11 @@ inside the class.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.loop import LoopBody
 from repro.ir.operations import Opcode, Operation
-from repro.machine.units import UnitClass, table1_units
+from repro.machine.units import UnitClass
 
 #: A bound unit instance: (index of the unit class, instance within it).
 UnitInstance = Tuple[int, int]
@@ -24,18 +23,20 @@ UnitInstance = Tuple[int, int]
 class Machine:
     """A VLIW machine built from a tuple of :class:`UnitClass` es.
 
-    ``spec`` is the declarative :class:`repro.machine.registry
-    .MachineSpec` the machine was materialized from, when it came
-    through the registry; cache keying prefers it (the spec payload is
-    the canonical description) but hand-built machines without one keep
-    working everywhere.
+    ``wire`` records where a registry machine came from: the
+    ``{"name": family, **params}`` object that re-requests it over the
+    wire protocol, or None for a hand-built machine.  It is provenance
+    only; the cache key reads the name and unit classes.
     """
 
     def __init__(
-        self, name: str, unit_classes: Sequence[UnitClass], spec=None
+        self,
+        name: str,
+        unit_classes: Sequence[UnitClass],
+        wire: Optional[dict] = None,
     ):
         self.name = name
-        self.spec = spec
+        self.wire = wire
         self.unit_classes: Tuple[UnitClass, ...] = tuple(unit_classes)
         self._class_of_opcode: Dict[Opcode, int] = {}
         self._latency_of_opcode: Dict[Opcode, int] = {}
@@ -121,8 +122,8 @@ def cydra5(load_latency: int = 13) -> Machine:
     """The paper's hypothetical Cydra-5-like VLIW target (Table 1).
 
     Resolved through the machine registry (`repro.machine.registry`),
-    which materializes the identical name and unit classes the old
-    hardwired constructor produced — cache keys are unchanged.
+    which builds the same name and unit classes the old hardwired
+    constructor produced, so cache keys are unchanged.
     """
     from repro.machine.registry import build_machine
 

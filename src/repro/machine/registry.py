@@ -5,21 +5,23 @@ The paper evaluates against one hypothetical Cydra-5-like VLIW
 into a *machine zoo*: every target is a :class:`MachineFamily` — a name,
 a set of integer parameters with defaults and ranges, and a declarative
 unit-class builder — registered under a stable name.  Resolving a
-family with concrete parameters yields a :class:`MachineSpec`, a frozen,
-canonical-JSON-round-trippable description that builds the runtime
-:class:`~repro.machine.machine.Machine`.
+family with concrete parameters yields the runtime
+:class:`~repro.machine.machine.Machine`: its unit classes, plus a
+``wire`` attribute holding the ``{"name": family, **params}`` object
+that re-requests it.
 
 Three invariants matter:
 
-- **Digest stability.**  ``MachineSpec.canonical()`` is byte-for-byte
-  the payload :func:`repro.service.keys.canonical_machine` has always
-  produced, so cache keys and ``machine_digest`` values for the
-  ``cydra5`` default are identical to the pre-registry era and a spec
-  that round-trips through JSON keeps its digest.
-- **One namespace.**  The CLI (``--machine NAME[:k=v,...]``), the wire
-  protocol (``{"machine": {"name": ..., param: ...}}``) and the bench
-  zoo all resolve through :func:`get_family`, so registering a family
-  here makes it immediately schedulable, servable and benchable.
+- **Digest stability.**  A machine's cache identity is
+  :func:`repro.service.keys.canonical_machine`, one walk of its name and
+  unit classes, so a registry machine and a hand-built one with the
+  same name and unit classes key identically, and the ``cydra5``
+  default keys as it did before the registry existed.
+- **One namespace.**  The CLI (``--machine NAME[:k=v,...]`` through
+  :func:`machine_from_cli`), the wire protocol
+  (``{"machine": {"name": ..., param: ...}}``) and the bench zoo all
+  resolve through :func:`get_family`, so registering a family here
+  makes it immediately schedulable, servable and benchable.
 - **Strict parameters.**  Unknown names and out-of-range parameters
   raise typed errors (:class:`UnknownMachineError`,
   :class:`MachineParamError`) whose messages list what *is* known, so
@@ -55,12 +57,6 @@ from repro.ir.operations import Opcode
 from repro.machine.machine import Machine
 from repro.machine.units import UnitClass, table1_units
 
-#: Bump when the *serialized* spec structure changes incompatibly.
-#: (The digest payload is versioned separately by
-#: repro.service.keys.KEY_SCHEMA_VERSION; this guards to_json round
-#: trips shipped between processes.)
-SPEC_VERSION = 1
-
 
 class MachineError(ValueError):
     """Any machine-registry failure a caller may want to surface."""
@@ -72,152 +68,6 @@ class UnknownMachineError(MachineError):
 
 class MachineParamError(MachineError):
     """A parameter a family rejects (unknown, wrong type, out of range)."""
-
-
-# ----------------------------------------------------------------------
-# MachineSpec: the declarative, serializable description
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class UnitSpec:
-    """One unit class, reduced to plain JSON-safe data."""
-
-    name: str
-    count: int
-    pipelined: bool
-    ops: Tuple[Tuple[str, int], ...]  # (opcode value, latency)
-
-    @classmethod
-    def from_unit_class(cls, unit_class: UnitClass) -> "UnitSpec":
-        return cls(
-            name=unit_class.name,
-            count=int(unit_class.count),
-            pipelined=bool(unit_class.pipelined),
-            ops=tuple(
-                (opcode.value, int(latency))
-                for opcode, latency in unit_class.op_latencies
-            ),
-        )
-
-    def to_unit_class(self) -> UnitClass:
-        try:
-            op_latencies = tuple(
-                (Opcode(value), int(latency)) for value, latency in self.ops
-            )
-        except ValueError as error:
-            raise MachineError(f"unit {self.name!r}: {error}") from error
-        return UnitClass(
-            name=self.name,
-            count=self.count,
-            pipelined=self.pipelined,
-            op_latencies=op_latencies,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "count": self.count,
-            "pipelined": self.pipelined,
-            "ops": [[value, latency] for value, latency in self.ops],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "UnitSpec":
-        try:
-            return cls(
-                name=str(payload["name"]),
-                count=int(payload["count"]),
-                pipelined=bool(payload["pipelined"]),
-                ops=tuple(
-                    (str(value), int(latency)) for value, latency in payload["ops"]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise MachineError(f"bad unit spec: {error}") from error
-
-
-@dataclasses.dataclass(frozen=True)
-class MachineSpec:
-    """A fully resolved machine description.
-
-    ``family`` and ``params`` record how the spec was derived (so it can
-    be re-requested over the wire); ``name`` and ``units`` are the
-    materialized description the scheduler — and the cache key — see.
-    """
-
-    family: str
-    name: str
-    params: Tuple[Tuple[str, int], ...]  # sorted (name, value) pairs
-    units: Tuple[UnitSpec, ...]
-
-    def param_dict(self) -> Dict[str, int]:
-        return dict(self.params)
-
-    def canonical(self) -> dict:
-        """The digest payload — exactly what
-        :func:`repro.service.keys.canonical_machine` has always produced
-        for a structurally identical machine, so registry machines key
-        byte-identically to hand-built ones."""
-        return {
-            "name": self.name,
-            "units": [
-                {
-                    "name": unit.name,
-                    "count": unit.count,
-                    "pipelined": unit.pipelined,
-                    "ops": sorted(
-                        [value, int(latency)] for value, latency in unit.ops
-                    ),
-                }
-                for unit in self.units
-            ],
-        }
-
-    def digest(self) -> str:
-        """Stable SHA-256 of the digest payload (= keys.machine_digest)."""
-        from repro.canonical import canonical_digest
-
-        return canonical_digest(self.canonical())
-
-    def to_json(self) -> dict:
-        """Full serialization: derivation + materialized units."""
-        return {
-            "spec_version": SPEC_VERSION,
-            "family": self.family,
-            "name": self.name,
-            "params": {name: value for name, value in self.params},
-            "units": [unit.to_json() for unit in self.units],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "MachineSpec":
-        if not isinstance(payload, dict):
-            raise MachineError("machine spec must be a JSON object")
-        version = payload.get("spec_version")
-        if version != SPEC_VERSION:
-            raise MachineError(
-                f"unsupported machine spec_version {version!r} "
-                f"(supported: {SPEC_VERSION})"
-            )
-        try:
-            params = payload.get("params", {})
-            return cls(
-                family=str(payload["family"]),
-                name=str(payload["name"]),
-                params=tuple(sorted((str(k), int(v)) for k, v in params.items())),
-                units=tuple(UnitSpec.from_json(u) for u in payload["units"]),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise MachineError(f"bad machine spec: {error}") from error
-
-    def wire(self) -> dict:
-        """The ``{"machine": ...}`` object that re-requests this spec
-        over the wire protocol (name + explicit parameters)."""
-        return {"name": self.family, **{k: v for k, v in self.params}}
-
-    def build(self) -> Machine:
-        """Materialize the runtime Machine (spec attached for keying)."""
-        units = tuple(unit.to_unit_class() for unit in self.units)
-        return Machine(self.name, units, spec=self)
 
 
 # ----------------------------------------------------------------------
@@ -270,21 +120,15 @@ class MachineFamily:
             resolved[param.name] = param.validate(value)
         return resolved
 
-    def spec(self, **overrides) -> MachineSpec:
-        params = self.resolve_params(overrides)
-        units = tuple(
-            UnitSpec.from_unit_class(unit_class)
-            for unit_class in self.units_builder(**params)
-        )
-        return MachineSpec(
-            family=self.name,
-            name=self.name_builder(**params),
-            params=tuple(sorted(params.items())),
-            units=units,
-        )
-
     def build(self, **overrides) -> Machine:
-        return self.spec(**overrides).build()
+        """The Machine these parameters describe; its ``wire`` is the
+        ``{"name": family, **params}`` object that re-requests it."""
+        params = self.resolve_params(overrides)
+        return Machine(
+            self.name_builder(**params),
+            self.units_builder(**params),
+            wire={"name": self.name, **dict(sorted(params.items()))},
+        )
 
 
 # ----------------------------------------------------------------------
@@ -617,22 +461,13 @@ def get_family(name: str) -> MachineFamily:
         ) from None
 
 
-def machine_spec(name: str, **params) -> MachineSpec:
-    return get_family(name).spec(**params)
-
-
 def build_machine(name: str, **params) -> Machine:
     return get_family(name).build(**params)
 
 
-def default_specs() -> List[MachineSpec]:
-    """One default-parameter spec per registered family."""
-    return [family.spec() for family in _FAMILIES.values()]
-
-
 def default_machines() -> List[Machine]:
     """One default-parameter Machine per registered family."""
-    return [spec.build() for spec in default_specs()]
+    return [family.build() for family in _FAMILIES.values()]
 
 
 def parse_machine_arg(text: str) -> Tuple[str, Dict[str, int]]:

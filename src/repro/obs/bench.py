@@ -412,23 +412,24 @@ def run_machine_zoo_bench(
     """Benchmark one corpus across every registry target (the zoo).
 
     One heterogeneous :func:`repro.experiments.run_corpus_sweep` over
-    :func:`repro.machine.registry.default_specs` per timed repeat.  The
-    payload carries a ``targets`` table (one row per machine: II/MII,
-    MaxLive/MinAvg, success counts, spec digest) plus family-prefixed
-    deterministic metric entries (``vliw-wide_ii_over_mii``, ...) so
-    ``--fail-on-regress`` gates each target's schedule quality
-    independently.  Wall time spans the whole sweep.
+    :func:`repro.machine.registry.default_machines` per timed repeat.
+    The payload carries a ``targets`` table (one row per machine:
+    II/MII, MaxLive/MinAvg, success counts, ``machine_digest``) plus
+    family-prefixed deterministic metric entries
+    (``vliw-wide_ii_over_mii``, ...) so ``--fail-on-regress`` gates each
+    target's schedule quality independently.  Wall time spans the whole
+    sweep.
     """
     from repro.experiments import run_corpus_sweep
-    from repro.machine.registry import default_specs
+    from repro.machine.registry import default_machines
+    from repro.service.keys import machine_digest
 
     if machine is not None:
         raise ValueError(
             "machine_zoo benchmarks every registry target; "
             "--machine does not apply to it"
         )
-    specs = default_specs()
-    machines = [spec.build() for spec in specs]
+    machines = default_machines()
     programs = scenario.build_corpus(corpus_size)
     options = scenario.options()
 
@@ -463,9 +464,9 @@ def run_machine_zoo_bench(
         "targets": metric(len(machines), "machines", direction="higher"),
     }
     targets = []
-    for spec, loop_metrics in zip(specs, per_machine):
+    for target, loop_metrics in zip(machines, per_machine):
         aggregates = corpus_aggregates(loop_metrics)
-        prefix = spec.family
+        prefix = target.wire["name"]
         metrics[f"{prefix}_ii_over_mii"] = aggregates["ii_over_mii"]
         metrics[f"{prefix}_maxlive_over_minavg"] = aggregates[
             "maxlive_over_minavg"
@@ -474,9 +475,9 @@ def run_machine_zoo_bench(
         scheduled = [m for m in loop_metrics if m.success]
         targets.append(
             {
-                "family": spec.family,
-                "machine": spec.name,
-                "digest": spec.digest(),
+                "family": prefix,
+                "machine": target.name,
+                "digest": machine_digest(target),
                 "loops": len(loop_metrics),
                 "loops_scheduled": len(scheduled),
                 "sum_ii": sum(m.ii for m in scheduled),
@@ -495,7 +496,7 @@ def run_machine_zoo_bench(
             "scenario": scenario.name,
             "description": scenario.description,
             "algorithm": scenario.algorithm,
-            "machines": [spec.name for spec in specs],
+            "machines": [target.name for target in machines],
             "corpus_size": len(programs),
             "repeats": stats["n"],
             "warmup": warmup,

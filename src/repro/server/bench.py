@@ -48,7 +48,7 @@ def _sweep(
 ) -> List[Tuple[int, int, dict, bytes, float]]:
     """Issue one POST /v1/schedule per source across client threads.
 
-    ``machine_wire`` (a :meth:`repro.machine.MachineSpec.wire` payload)
+    ``machine_wire`` (a registry machine's ``Machine.wire`` object)
     rides along in every request body, exercising the server's machine
     negotiation.  Returns ``(index, status, headers, body, seconds)``
     per request, ordered by index.  A transport failure records
@@ -122,13 +122,12 @@ def run_server_bench(
 
     machine_wire = None
     if machine is not None:
-        spec = getattr(machine, "spec", None)
-        if spec is None:
+        machine_wire = machine.wire
+        if machine_wire is None:
             raise ValueError(
-                "server bench needs a registry machine (Machine.spec is "
+                "server bench needs a registry machine (Machine.wire is "
                 "None); build it via repro.machine.build_machine"
             )
-        machine_wire = spec.wire()
     sources = _render_sources(corpus_size)
     repeats = max(1, repeats)
     cache_root = tempfile.mkdtemp(prefix="repro-bench-server-")

@@ -40,32 +40,16 @@ INCLUDE_CHOICES = ("schedule", "explain")
 MAX_SOURCE_BYTES = 256 * 1024
 MAX_BATCH_LOOPS = 2048
 
-def machine_names() -> Tuple[str, ...]:
-    """The machines a request may name — the registry's families.
-
-    Registering a new :class:`repro.machine.registry.MachineFamily`
-    makes it immediately servable over ``/v1/schedule``/``/v1/batch``;
-    nothing here hardcodes a target list.
-    """
-    from repro.machine.registry import machine_names as registry_names
-
-    return registry_names()
-
-
-def __getattr__(name: str):
-    # MACHINE_NAMES stays importable (and always current) without
-    # paying the machine-model import at protocol import time.
-    if name == "MACHINE_NAMES":
-        return machine_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def machine_catalog() -> List[dict]:
     """Machine negotiation payload (served on ``GET /healthz``).
 
     Lists every registered family with its parameters, defaults and
     legal ranges, so a client can discover what ``{"machine": ...}``
-    objects this server accepts before posting work.
+    objects this server accepts before posting work.  Registering a new
+    :class:`repro.machine.registry.MachineFamily` makes it servable
+    here and over ``/v1/schedule``/``/v1/batch``; nothing in this
+    module hardcodes a target list.
     """
     from repro.machine.registry import families
 
@@ -73,7 +57,7 @@ def machine_catalog() -> List[dict]:
         {
             "name": family.name,
             "description": family.description,
-            "default_machine": family.spec().name,
+            "default_machine": family.build().name,
             "params": [
                 {
                     "name": param.name,
@@ -133,7 +117,7 @@ def parse_machine(spec) -> "object":
     unknown names and out-of-range values are strict 400s whose
     messages list the registry's current contents.
     """
-    from repro.machine.registry import MachineParamError, get_family
+    from repro.machine.registry import MachineParamError, get_family, machine_names
 
     if spec is None:
         return get_family("cydra5").build()

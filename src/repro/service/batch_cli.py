@@ -6,10 +6,11 @@ CLI::
     python -m repro batch examples/loops --jobs 2 --timeout 30
     python -m repro batch a.loop b.loop --cache-dir ci-cache --out m.json
     python -m repro batch --corpus 60 --jobs 4 --trace batch.jsonl
-    python -m repro batch --corpus 60 --sweep-load-latency 2,13,27
     python -m repro batch --corpus 30 --machine vliw-wide
     python -m repro batch --corpus 30 --sweep-machine cydra5 \\
         --sweep-machine vliw-wide --sweep-machine simd:depth=3
+    python -m repro batch --corpus 60 --sweep-machine cydra5:load_latency=2 \\
+        --sweep-machine cydra5:load_latency=27
     python -m repro batch --gc --max-cache-bytes 500M --max-cache-age 7d
 
 Only ``repro batch`` and the names :mod:`repro.service` defers load
@@ -18,6 +19,11 @@ parser.  :func:`batch_main` is two steps: :func:`parse_batch_args`
 turns the command line into the :func:`~repro.service.batch.run_batch`
 arguments it asks for, or raises :class:`BatchUsageError` (exit 2);
 then :func:`_run` runs the batch and writes what the flags ask for.
+
+``--machine`` and ``--load-latency`` resolve through
+:func:`repro.machine.machine_from_cli`, as in the single-loop CLI, and
+each ``--sweep-machine NAME[:k=v,...]`` names one machine of a sweep
+the same way (a load-latency sweep sets ``load_latency`` per entry).
 """
 
 from __future__ import annotations
@@ -31,12 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import ALGORITHMS
 from repro.experiments.runner import sweep_layout
-from repro.machine.registry import (
-    MachineError,
-    get_family,
-    machine_from_cli,
-    parse_machine_arg,
-)
+from repro.machine.registry import MachineError, machine_from_cli
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
 from repro.obs.prof import Profiler
@@ -128,16 +129,6 @@ def parse_age(text: str) -> float:
     value = float(match.group(1))
     suffix = match.group(2).lower()
     return value * _AGE_SUFFIXES.get(suffix, 1.0)
-
-
-def _parse_latencies(text: str) -> List[int]:
-    try:
-        latencies = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as error:
-        raise ValueError(f"cannot parse latency list {text!r}") from error
-    if not latencies:
-        raise ValueError("empty latency list")
-    return latencies
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +225,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--machine",
         metavar="NAME[:k=v,...]",
-        default=None,
+        default="cydra5",
         help="registered target machine with optional parameter "
         "overrides, e.g. vliw-wide or simd:depth=3 (default cydra5; "
         "see repro.machine.registry)",
@@ -243,15 +234,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "--load-latency",
         type=int,
         default=None,
-        help="memory latency register (default: the machine's default; "
-        "13 for cydra5)",
-    )
-    parser.add_argument(
-        "--sweep-load-latency",
-        metavar="L1,L2,...",
-        help="heterogeneous sweep: schedule the whole input once per "
-        "latency in one batch (per-job machines, distinct cache keys); "
-        "sweeps the --machine family's load_latency knob",
+        help="memory latency register, unless --machine sets load_latency "
+        "(default: the machine's default; 13 for cydra5)",
     )
     parser.add_argument(
         "--sweep-machine",
@@ -260,7 +244,9 @@ def build_batch_parser() -> argparse.ArgumentParser:
         help="heterogeneous machine-grid sweep: schedule the whole "
         "input once per named machine in one batch (repeatable, e.g. "
         "--sweep-machine cydra5 --sweep-machine vliw-wide "
-        "--sweep-machine simd:depth=3)",
+        "--sweep-machine simd:depth=3; a load-latency sweep is "
+        "--sweep-machine cydra5:load_latency=2 "
+        "--sweep-machine cydra5:load_latency=27)",
     )
     parser.add_argument(
         "--trace",
@@ -362,30 +348,12 @@ def _programs(args) -> list:
 def _machines(args):
     """``(machine, sweep)``: the ``--machine`` target (with
     ``--load-latency``) and the sweep's machines, or None without one."""
-    if args.sweep_load_latency and args.sweep_machine:
-        raise BatchUsageError(
-            "pass either --sweep-load-latency or --sweep-machine, not both"
-        )
     try:
-        base_name, base_overrides = parse_machine_arg(args.machine or "cydra5")
-        base_family = get_family(base_name)
-        if (
-            args.load_latency is not None
-            and "load_latency" in base_family.param_names()
-            and "load_latency" not in base_overrides
-        ):
-            base_overrides["load_latency"] = args.load_latency
-        machine = base_family.build(**base_overrides)
-        if args.sweep_load_latency:
-            sweep = [
-                base_family.build(**{**base_overrides, "load_latency": latency})
-                for latency in _parse_latencies(args.sweep_load_latency)
-            ]
-        elif args.sweep_machine:
-            sweep = [machine_from_cli(spec) for spec in args.sweep_machine]
-        else:
-            sweep = None
-    except (MachineError, ValueError) as error:
+        machine = machine_from_cli(args.machine, args.load_latency)
+        sweep = None
+        if args.sweep_machine:
+            sweep = [machine_from_cli(text) for text in args.sweep_machine]
+    except MachineError as error:
         raise BatchUsageError(str(error)) from error
     return machine, sweep
 

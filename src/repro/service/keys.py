@@ -181,20 +181,11 @@ def canonical_program(program: Union[fast.DoLoop, LoopBody]) -> dict:
 
 
 def canonical_machine(machine: Machine) -> dict:
-    """Canonical form of a machine description.
-
-    Registry-built machines carry their declarative
-    :class:`~repro.machine.registry.MachineSpec`; the key is derived
-    from that spec payload, so two machines resolved from the same spec
-    key identically however they were materialized.  The spec's
-    ``canonical()`` emits byte-for-byte the same structure as the
-    attribute walk below, so hand-built Machines (no spec) and
-    registry machines that describe identical hardware share keys —
-    and pre-registry cache entries stay valid.
-    """
-    spec = getattr(machine, "spec", None)
-    if spec is not None:
-        return spec.canonical()
+    """Canonical form of a machine description: its name and, per unit
+    class in order, the count, pipelining and sorted (opcode, latency)
+    pairs.  A registry machine and a hand-built one with the same name
+    and unit classes therefore share keys; the registry provenance
+    (``Machine.wire``) enters no key."""
     return {
         "name": machine.name,
         "units": [

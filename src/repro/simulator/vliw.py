@@ -322,10 +322,11 @@ def _register_reader(
 def _unwritten(op: Operation, k: int, location: Location, m: int) -> SimulationError:
     """The error for a read, in kernel iteration m, of a register no
     write or live-in preload has reached."""
-    _, _, size, _, encoded = location
+    _, spec, size, rotating, encoded = location
+    physical = (spec - m) % size if rotating else spec
     return SimulationError(
         f"{op!r} iteration {k}: read of {encoded.render()} "
-        f"(physical {(encoded.spec - m) % size}) "
+        f"(physical {physical}) "
         "returned an unwritten register — allocation or codegen is broken"
     )
 

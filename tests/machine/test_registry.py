@@ -1,23 +1,18 @@
 """The declarative machine registry (repro.machine.registry)."""
 
-import json
-
 import pytest
 
 from repro.experiments import measure_loop
 from repro.machine import (
     Machine,
     MachineParamError,
-    MachineSpec,
     UnknownMachineError,
     build_machine,
     cydra5,
     default_machines,
-    default_specs,
     get_family,
     machine_from_cli,
     machine_names,
-    machine_spec,
     parse_machine_arg,
     table1_units,
 )
@@ -31,7 +26,7 @@ CYDRA5_DIGEST = "52d171dcf85e4411f9bd076846fc42ba612125b27111107e8004f5eabfbe8ef
 
 def test_registry_lists_every_target():
     assert machine_names() == ("cydra5", "vliw-wide", "clustered", "simd", "gpu")
-    assert len(default_specs()) == len(machine_names())
+    assert [m.wire["name"] for m in default_machines()] == list(machine_names())
 
 
 def test_cydra5_spec_matches_hand_built_machine():
@@ -46,32 +41,19 @@ def test_cydra5_spec_matches_hand_built_machine():
 def test_cydra5_constructor_goes_through_registry():
     machine = cydra5(load_latency=7)
     assert machine.name == "cydra5-load7"
-    assert machine.spec is not None
-    assert machine.spec.param_dict() == {"load_latency": 7}
+    assert machine.wire == {"name": "cydra5", "load_latency": 7}
 
 
-@pytest.mark.parametrize("spec", default_specs(), ids=lambda s: s.family)
-def test_spec_json_round_trip_preserves_digest(spec):
-    payload = json.loads(json.dumps(spec.to_json()))
-    restored = MachineSpec.from_json(payload)
-    assert restored == spec
-    assert restored.digest() == spec.digest()
-    # The digest payload itself is pure JSON too.
-    assert json.loads(json.dumps(spec.canonical())) == spec.canonical()
-
-
-@pytest.mark.parametrize("spec", default_specs(), ids=lambda s: s.family)
-def test_spec_digest_equals_service_machine_digest(spec):
-    assert spec.digest() == machine_digest(spec.build())
-
-
-@pytest.mark.parametrize("spec", default_specs(), ids=lambda s: s.family)
-def test_wire_round_trip_rebuilds_the_same_machine(spec):
+@pytest.mark.parametrize(
+    "machine", default_machines(), ids=lambda m: m.wire["name"]
+)
+def test_wire_round_trip_rebuilds_the_same_machine(machine):
     from repro.server.protocol import parse_machine
 
-    machine = parse_machine(spec.wire())
-    assert machine.name == spec.name
-    assert machine.spec == spec
+    rebuilt = parse_machine(machine.wire)
+    assert rebuilt.name == machine.name
+    assert rebuilt.wire == machine.wire
+    assert machine_digest(rebuilt) == machine_digest(machine)
 
 
 def test_default_machines_have_distinct_digests():
@@ -127,10 +109,14 @@ def test_machine_from_cli_load_latency_folding():
 
 
 def test_vliw_wide_is_issue_times_wider():
-    base = machine_spec("cydra5")
-    wide = machine_spec("vliw-wide", issue=3)
-    assert [u.name for u in wide.units] == [u.name for u in base.units]
-    assert [u.count for u in wide.units] == [u.count * 3 for u in base.units]
+    base = build_machine("cydra5")
+    wide = build_machine("vliw-wide", issue=3)
+    assert [u.name for u in wide.unit_classes] == [
+        u.name for u in base.unit_classes
+    ]
+    assert [u.count for u in wide.unit_classes] == [
+        u.count * 3 for u in base.unit_classes
+    ]
 
 
 def test_wider_machine_never_hurts_resmii():
@@ -143,19 +129,3 @@ def test_wider_machine_never_hurts_resmii():
     for program in paper_corpus(6):
         loop = compile_loop(program)
         assert resmii(loop, wide) <= resmii(loop, base)
-
-
-def test_from_json_rejects_bad_payloads():
-    from repro.machine import MachineError
-
-    spec = machine_spec("cydra5")
-    good = spec.to_json()
-    with pytest.raises(MachineError):
-        MachineSpec.from_json("not an object")
-    with pytest.raises(MachineError):
-        MachineSpec.from_json({**good, "spec_version": 999})
-    broken = json.loads(json.dumps(good))
-    broken["units"][0]["ops"] = [["not_an_opcode", 1]]
-    restored = MachineSpec.from_json(broken)
-    with pytest.raises(MachineError):
-        restored.build()

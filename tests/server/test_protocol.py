@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import SchedulerOptions
+from repro.machine.registry import machine_names
 from repro.server import protocol
 from repro.server.protocol import (
     ProtocolError,
@@ -126,9 +127,8 @@ def test_registry_machines_parse():
 
 
 def test_machine_names_tracks_registry():
-    from repro.machine.registry import machine_names
-
-    assert protocol.MACHINE_NAMES == machine_names()
+    for name in machine_names():
+        assert protocol.parse_machine({"name": name}).wire["name"] == name
 
 
 def test_unknown_machine_error_lists_registry_names():
@@ -137,7 +137,7 @@ def test_unknown_machine_error_lists_registry_names():
             {"source": SOURCE, "machine": {"name": "tms320"}}
         )
     assert excinfo.value.status == 400
-    for name in protocol.MACHINE_NAMES:
+    for name in machine_names():
         assert name in excinfo.value.message
 
 
@@ -159,7 +159,7 @@ def test_machine_param_errors_are_400(machine, fragment):
 
 def test_machine_catalog_shape():
     catalog = protocol.machine_catalog()
-    assert [family["name"] for family in catalog] == list(protocol.MACHINE_NAMES)
+    assert [family["name"] for family in catalog] == list(machine_names())
     for family in catalog:
         assert family["default_machine"]
         assert family["description"]

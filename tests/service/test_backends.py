@@ -155,7 +155,8 @@ def test_cli_sweep_load_latency(tmp_path, capsys):
             "--corpus", "6",
             "--jobs", "2",
             "--cache-dir", str(tmp_path / "cache"),
-            "--sweep-load-latency", "2,27",
+            "--sweep-machine", "cydra5:load_latency=2",
+            "--sweep-machine", "cydra5:load_latency=27",
             "--out", out,
         ]
     ) == 0
@@ -169,15 +170,6 @@ def test_cli_sweep_load_latency(tmp_path, capsys):
     names = [record["name"] for record in records]
     assert names[:6] == names[6:]  # same corpus, latency-major order
     assert [r["ii"] for r in records[:6]] != [r["ii"] for r in records[6:]]
-
-
-def test_cli_sweep_bad_latency_list_exits_2(capsys):
-    from repro.service.batch_cli import batch_main
-
-    assert batch_main(
-        ["--corpus", "2", "--no-cache", "--sweep-load-latency", "a,b"]
-    ) == 2
-    assert "cannot parse latency list" in capsys.readouterr().err
 
 
 def test_cli_machine_flag_selects_registry_target(tmp_path, capsys):
@@ -226,11 +218,6 @@ def test_cli_sweep_machine_grid(tmp_path, capsys):
 def test_cli_sweep_machine_conflicts_and_bad_names(capsys):
     from repro.service.batch_cli import batch_main
 
-    assert batch_main(
-        ["--corpus", "2", "--no-cache",
-         "--sweep-machine", "cydra5", "--sweep-load-latency", "2,3"]
-    ) == 2
-    assert "not both" in capsys.readouterr().err
     assert batch_main(
         ["--corpus", "2", "--no-cache", "--sweep-machine", "tms320"]
     ) == 2

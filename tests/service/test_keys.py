@@ -71,33 +71,51 @@ def test_request_json_is_sorted_and_nan_free():
     assert json.dumps(payload, sort_keys=True, separators=(",", ":")) == text
 
 
-def test_registry_spec_round_trip_preserves_cache_key():
-    """A machine rebuilt from its serialized spec keys identically."""
-    import json as json_module
-
-    from repro.machine import MachineSpec, default_specs
-
-    program = kernel3_inner_product()
-    for spec in default_specs():
-        rebuilt = MachineSpec.from_json(
-            json_module.loads(json_module.dumps(spec.to_json()))
-        )
-        assert cache_key(program, spec.build()) == cache_key(
-            program, rebuilt.build()
-        )
-
-
 def test_registry_machines_key_like_hand_built_equivalents():
-    """The spec fast path in canonical_machine matches the attribute
-    walk: a registry machine and a structurally identical Machine built
-    without a spec produce the same cache key."""
+    """A registry machine and a structurally identical hand-built
+    Machine produce the same cache key: its wire provenance enters no
+    key."""
     from repro.machine import Machine, build_machine, table1_units
 
     program = kernel3_inner_product()
     registry = build_machine("cydra5", load_latency=5)
     hand_built = Machine("cydra5-load5", table1_units(5))
-    assert hand_built.spec is None  # exercises the attribute walk
     assert cache_key(program, registry) == cache_key(program, hand_built)
+
+
+#: machine_digest of every default registry target, recorded before the
+#: registry stopped carrying a second description of each machine.
+TARGET_DIGESTS = {
+    "cydra5-load13": "52d171dcf85e4411f9bd076846fc42ba612125b27111107e8004f5eabfbe8efa",
+    "vliw-wide-x2-load13": "062b2d1099af9449672d5545252f855de54e24db4157f0f8194ec97cc3ffe77f",
+    "clustered-x1-load13": "35186c8bc5b15fdec2c6f87fd974b97392427e5086e3dfac03fd06ba605bd857",
+    "simd-d2-l2-load12": "cb359c6bf5e44f766ec1b9ec84c9a54ba7b66c57f7be9be731715a60b815ac48",
+    "gpu-o4-load64": "12345bfeba670b1939e56971aaf9dfaa1c370c11ec6c50aba79c55111fd36f91",
+}
+
+#: SHA-256 of the newline-joined cache keys of paper_corpus(300, 1993)
+#: on each default target (targets outer, loops inner).
+CORPUS_KEYS_DIGEST = "610d54782d3b5dfc2ca042e7388bb00fe35e156be89341d92320e9b7cd6a64ae"
+
+
+def test_every_target_keys_as_pinned():
+    """Cache keys are a contract with every cache already written: no
+    refactor of the machine model may move a digest or a key."""
+    import hashlib
+
+    from repro.machine import default_machines
+    from repro.service.keys import machine_digest
+    from repro.workloads import paper_corpus
+
+    machines = default_machines()
+    assert {m.name: machine_digest(m) for m in machines} == TARGET_DIGESTS
+    keys = [
+        cache_key(program, machine)
+        for machine in machines
+        for program in paper_corpus(300, 1993)
+    ]
+    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    assert digest == CORPUS_KEYS_DIGEST
 
 
 _SUBPROCESS_SCRIPT = """

@@ -211,6 +211,38 @@ def test_read_of_an_unwritten_register_raises():
         assert str(inline.value) == str(stepped.value)
 
 
+def test_an_unwritten_gpr_read_names_its_physical_register():
+    """A GPR does not rotate: the error names the register the read
+    looked at, ``spec mod size``, in a kernel iteration m with
+    m mod size != 0, where the rotating ``(spec - m) mod size`` differs."""
+    program = next(p for p in named_kernels() if p.name == "ll1_hydro")
+    kernel = _kernel(program)
+    assignment = kernel.assignment
+    size = assignment.gpr_registers + 1
+    unwritten = size - 1  # a GPR no invariant is allocated to
+    kernel = dataclasses.replace(
+        kernel,
+        assignment=dataclasses.replace(assignment, gpr={**assignment.gpr, -1: unwritten}),
+    )
+    kop = next(
+        kop
+        for kop in kernel.all_ops()
+        if kop.stage % size and any(o is not None and o.kind == "gpr" for o in kop.operands)
+    )
+    operands = [
+        dataclasses.replace(o, spec=unwritten + size) if o is not None and o.kind == "gpr" else o
+        for o in kop.operands
+    ]
+    kernel = _with_operands(kernel, kop, operands)
+    expected = f"read of gpr[{unwritten + size}] (physical {unwritten}) returned an unwritten"
+    with pytest.raises(SimulationError) as inline:
+        run_vliw(kernel, initial_state(program))
+    assert expected in str(inline.value)
+    with pytest.raises(SimulationError) as stepped:
+        _stepped(kernel, program)
+    assert expected in str(stepped.value)
+
+
 def test_operand_without_an_encoding_raises():
     program = named_kernels()[0]
     kernel = _kernel(program)
