@@ -1,8 +1,10 @@
 """Bidirectional slack modulo scheduling — the paper's core contribution.
 
-Importing the package loads the modulo schedulers and their driver.
-The straight-line schedulers of :mod:`repro.core.acyclic` load on first
-use of one of their names (see :mod:`repro._deferred`).
+Importing the package loads the backtracking modulo schedulers and
+their driver.  The warp scheduler of :mod:`repro.core.warp` and the
+straight-line schedulers of :mod:`repro.core.acyclic` load on first use
+of one of their names (see :mod:`repro._deferred`); the driver loads
+warp when a run asks for it.
 """
 
 from repro._deferred import deferred_exports
@@ -12,7 +14,6 @@ from repro.core.framework import AttemptFailed, SchedulingAttempt, run_attempt
 from repro.core.schedule import Schedule, ScheduleResult, SchedulerStats
 from repro.core.slack import SlackAttempt
 from repro.core.validate import validate_schedule
-from repro.core.warp import WarpScheduler
 
 __getattr__ = deferred_exports(globals(), {
     "repro.core.acyclic": (
@@ -23,6 +24,7 @@ __getattr__ = deferred_exports(globals(), {
         "schedule_list",
         "schedule_slack",
     ),
+    "repro.core.warp": ("WarpScheduler",),
 })
 
 __all__ = [

@@ -32,12 +32,20 @@ from repro.core.baseline import CydromeAttempt, HeightAttempt, UnidirectionalAtt
 from repro.core.framework import placement_budget, run_attempt
 from repro.core.schedule import ScheduleResult, SchedulerStats
 from repro.core.slack import SlackAttempt
-from repro.core.warp import WarpScheduler
 from repro.obs import trace as tracing
 from repro.obs.metrics import record_mrt_occupancy
 from repro.obs.observer import NULL_OBSERVER, Observer
 
 logger = logging.getLogger(__name__)
+
+
+def _warp(analysis: LoopAnalysis, ii: int, observer: Optional[Observer] = None):
+    """One attempt of the §8 hierarchical list scheduler, whose module
+    loads on first use: only runs that ask for "warp" import it."""
+    from repro.core.warp import WarpScheduler
+
+    return WarpScheduler(analysis, ii, observer=observer)
+
 
 #: Registry of scheduler algorithms selectable by name.  "warp" is the
 #: §8 hierarchical list scheduler, which does not use the
@@ -47,7 +55,7 @@ ALGORITHMS = {
     "cydrome": CydromeAttempt,
     "unidirectional": UnidirectionalAttempt,
     "height": HeightAttempt,
-    "warp": WarpScheduler,
+    "warp": _warp,
 }
 
 
@@ -137,7 +145,7 @@ def modulo_schedule(
         rec_mii = analysis.rec_mii
     mii = analysis.mii
 
-    if attempt_cls is WarpScheduler:
+    if algorithm == "warp":
         kwargs = {}
     else:
         kwargs = {"budget_ratio": options.budget_ratio}

@@ -304,9 +304,9 @@ class SchedulingAttempt:
         At most II consecutive cycles need checking (the modulo
         constraint makes further cycles repeats); the caller already
         clamps the window accordingly.  The whole window is answered by
-        one vectorized MRT pass; ``scanned`` preserves the linear-scan
-        accounting (cycles up to and including the hit) the metrics
-        always reported.
+        one MRT scan (:meth:`~repro.machine.mrt.ModuloResourceTable.first_fit`);
+        ``scanned`` is the linear-scan count (cycles up to and including
+        the hit) the metrics always reported.
         """
         found, scanned = self.mrt.first_fit(op, lo, hi, early)
         if self.metrics is not None:

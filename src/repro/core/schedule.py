@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.ir.loop import LoopBody
 from repro.machine.machine import Machine, UnitInstance
+from repro.machine.mrt import ModuloResourceTable
 
 
 @dataclasses.dataclass
@@ -56,52 +57,19 @@ class Schedule:
         """Number of pipeline stages (kernel copies in flight)."""
         return max(1, math.ceil(self.span / self.ii))
 
-    def time_of(self, oid: int) -> int:
-        return self.times[oid]
-
-    def kernel_rows(self) -> List[List[int]]:
-        """Oids of real operations grouped by issue row (cycle mod II)."""
-        rows: List[List[int]] = [[] for _ in range(self.ii)]
+    def resource_table(self) -> ModuloResourceTable:
+        """A fresh modulo resource table with every real op placed at its
+        issue time (raises ValueError if two ops collide)."""
+        table = ModuloResourceTable(self.machine, self.ii, self.binding)
         for op in self.loop.real_ops:
-            rows[self.times[op.oid] % self.ii].append(op.oid)
-        for row in rows:
-            row.sort(key=lambda oid: self.times[oid])
-        return rows
+            table.place(op, self.times[op.oid])
+        return table
 
     def render(self) -> str:
         """Readable listing: one line per op, sorted by issue cycle."""
         lines = [f"schedule {self.loop.name}: II={self.ii}, span={self.span}, stages={self.stages}"]
         for op in sorted(self.loop.ops, key=lambda op: (self.times[op.oid], op.oid)):
             lines.append(f"  t={self.times[op.oid]:4d}  row={self.times[op.oid] % self.ii:3d}  {op!r}")
-        return "\n".join(lines)
-
-    def render_resource_table(self) -> str:
-        """ASCII Gantt of the modulo resource table: one line per unit
-        instance, one column per II row, cells showing the issuing op's
-        oid ('=' marks a non-pipelined op's trailing busy cycles)."""
-        machine = self.machine
-        cells: Dict[tuple, List[str]] = {}
-        for class_index, unit_class in enumerate(machine.unit_classes):
-            for instance in range(unit_class.count):
-                cells[(class_index, instance)] = ["."] * self.ii
-        for op in self.loop.real_ops:
-            unit = self.binding.get(op.oid)
-            if unit is None:
-                continue
-            row = self.times[op.oid] % self.ii
-            busy = machine.busy_cycles(op)
-            lane = cells[unit]
-            lane[row] = str(op.oid)
-            for extra in range(1, busy):
-                lane[(row + extra) % self.ii] = "="
-        width = max(2, max((len(c) for lane in cells.values() for c in lane), default=2))
-        lines = [f"modulo resource table (II={self.ii}):"]
-        header = " " * 18 + " ".join(f"{c:>{width}}" for c in range(self.ii))
-        lines.append(header)
-        for (class_index, instance), lane in sorted(cells.items()):
-            name = machine.unit_classes[class_index].name
-            body = " ".join(f"{cell:>{width}}" for cell in lane)
-            lines.append(f"{name + '[' + str(instance) + ']':<18}{body}")
         return "\n".join(lines)
 
 

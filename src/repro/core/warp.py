@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.bounds.analysis import LoopAnalysis
 from repro.bounds.mindist import MinDist
-from repro.machine.machine import UnitInstance
 from repro.machine.mrt import ModuloResourceTable
 from repro.core.schedule import SchedulerStats
 from repro.obs import trace as tracing
@@ -102,8 +101,8 @@ class WarpScheduler:
         A greedy local list-schedule: members in longest-path order from
         the anchor, each placed at the earliest offset satisfying the
         (global, hence conservative) MinDist constraints against already
-        placed members *and* a private modulo reservation of the unit
-        instances the members share.  This is the Warp compiler's
+        placed members *and* a private modulo resource table holding
+        only this circuit's members.  This is the Warp compiler's
         reduction of each recurrence circuit to one complex
         pseudo-operation with a fixed internal schedule.  Returns None
         when no conflict-free internal packing exists at this II.
@@ -118,29 +117,9 @@ class WarpScheduler:
 
         ordered = sorted(members, key=lambda oid: (anchor_distance(oid), oid))
         offsets: Dict[int, int] = {}
-        local_reservations: Dict[Tuple[UnitInstance, int], int] = {}
-
-        def local_fits(oid: int, offset: int) -> bool:
-            unit = self.binding.get(oid)
-            if unit is None:
-                return True
-            busy = self.machine.busy_cycles(self.loop.ops[oid])
-            if busy > self.ii:
-                return False
-            return all(
-                (unit, (offset + extra) % self.ii) not in local_reservations
-                for extra in range(busy)
-            )
-
-        def reserve(oid: int, offset: int) -> None:
-            unit = self.binding.get(oid)
-            if unit is None:
-                return
-            busy = self.machine.busy_cycles(self.loop.ops[oid])
-            for extra in range(busy):
-                local_reservations[(unit, (offset + extra) % self.ii)] = oid
-
+        table = ModuloResourceTable(self.machine, self.ii, self.binding)
         for oid in ordered:
+            op = self.loop.ops[oid]
             lower = 0
             upper: Optional[int] = None
             for placed, placed_offset in offsets.items():
@@ -155,13 +134,13 @@ class WarpScheduler:
             for offset in range(lower, lower + self.ii):
                 if upper is not None and offset > upper:
                     break
-                if local_fits(oid, offset):
+                if table.fits(op, offset):
                     chosen = offset
                     break
             if chosen is None:
                 return None
             offsets[oid] = chosen
-            reserve(oid, chosen)
+            table.place(op, chosen)
         floor = min(offsets.values())
         return {oid: offset - floor for oid, offset in offsets.items()}
 

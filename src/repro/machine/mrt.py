@@ -2,27 +2,28 @@
 
 The MRT has II rows; placing an operation at cycle ``t`` reserves its
 bound unit instance at rows ``(t + k) mod II`` for every cycle ``k`` of
-its busy pattern (1 cycle for pipelined units, the whole latency for the
-non-pipelined divider).  No resource may be reserved twice in the same
-row — the modulo constraint (paper §1).
+its busy pattern (1 cycle for pipelined units, the whole latency for
+non-pipelined ones such as the divider).  No resource may be reserved
+twice in the same row — the modulo constraint (paper §1).  This class
+is the one place that rule is written: the schedulers and warp's
+circuit packer place through it, and a finished schedule's views read
+the :meth:`rows` of the table :meth:`Schedule.resource_table
+<repro.core.schedule.Schedule.resource_table>` fills.
 
-Occupancy is kept per unit instance in a *doubled* numpy int64 array of
-``2*II`` cells (the second half mirrors the first), so any window of up
-to II consecutive cycles is one contiguous slice — no index arithmetic,
-no wraparound gather.  Cells hold the occupying oid (``-1`` = free),
-which keeps the oid-per-cell map ejection and :meth:`render` need.
-:meth:`first_fit` answers a whole ``[lo, hi]`` scan-window question in
-one vectorized pass instead of per-cycle Python conflict checks, and
-:meth:`place` re-verifies the footprint with a cheap occupancy test
-instead of rebuilding the blocker list.  Per-op footprints (bound unit,
-busy length, residue offsets) are computed once and cached.
+Occupancy is kept per unit instance in one Python list of ``2*II``
+cells whose second half mirrors the first, so any window of up to II
+consecutive cycles is one contiguous index range with no wraparound
+arithmetic.  A cell holds the occupying oid (``-1`` = free), the
+oid-per-cell map ejection needs.  Every query is one scalar scan of
+that list: :meth:`first_fit` answers a whole ``[lo, hi]`` scan-window
+question in one call, and :meth:`place` re-checks the footprint before
+it writes.  Per-op footprints (bound unit, busy length) are computed
+once and cached.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.ir.operations import Operation
 from repro.machine.machine import Machine, UnitInstance
@@ -42,40 +43,29 @@ class ModuloResourceTable:
         self.machine = machine
         self.ii = ii
         self.binding = binding
-        #: (unit_class, instance) -> int64 array of 2*II cells (second
-        #: half mirrors the first), -1 = free.
-        self._cells2: Dict[UnitInstance, np.ndarray] = {}
-        #: First-half views of the same arrays (one cell per II row).
-        self._cells: Dict[UnitInstance, np.ndarray] = {}
-        #: Python-list mirror of the doubled arrays: scalar reads on the
-        #: short windows that dominate real scans beat numpy's per-call
-        #: overhead, while the arrays serve the long/vectorized paths.
-        self._list2: Dict[UnitInstance, list] = {}
-        for class_index, unit_class in enumerate(machine.unit_classes):
-            for instance in range(unit_class.count):
-                doubled = np.full(2 * ii, -1, dtype=np.int64)
-                self._cells2[(class_index, instance)] = doubled
-                self._cells[(class_index, instance)] = doubled[:ii]
-                self._list2[(class_index, instance)] = [-1] * (2 * ii)
-        #: oid -> (unit instance, busy cycles, residue offsets 0..busy-1),
-        #: a dense list (oids are small and dense) filled lazily.
+        #: (unit_class, instance) -> 2*II oid cells (the second half
+        #: mirrors the first), -1 = free; in (class, instance) order.
+        self._cells: Dict[UnitInstance, List[int]] = {
+            (class_index, instance): [-1] * (2 * ii)
+            for class_index, unit_class in enumerate(machine.unit_classes)
+            for instance in range(unit_class.count)
+        }
+        #: oid -> (unit instance, busy cycles), a dense list (oids are
+        #: small and dense) filled lazily.
         size = (max(binding) + 1) if binding else 0
-        self._footprints: List[Optional[Tuple[UnitInstance, int, np.ndarray]]] = (
-            [None] * size
-        )
+        self._footprints: List[Optional[Tuple[UnitInstance, int]]] = [None] * size
 
     # ------------------------------------------------------------------
-    def _footprint(self, op: Operation) -> Tuple[UnitInstance, int, np.ndarray]:
+    def _footprint(self, op: Operation) -> Tuple[UnitInstance, int]:
         entry = self._footprints[op.oid]
         if entry is None:
-            unit = self.binding[op.oid]
-            busy = self.machine.busy_cycles(op)
-            entry = (unit, busy, np.arange(busy, dtype=np.int64))
+            entry = (self.binding[op.oid], self.machine.busy_cycles(op))
             self._footprints[op.oid] = entry
         return entry
 
     def conflicts(self, op: Operation, cycle: int) -> List[int]:
-        """Oids of placed operations that block ``op`` at ``cycle``.
+        """Oids of placed operations that block ``op`` at ``cycle``, in
+        footprint-row order without repeats.
 
         A busy pattern longer than II necessarily collides with itself;
         that is reported as a conflict with oid -1 (unresolvable at this
@@ -83,29 +73,19 @@ class ModuloResourceTable:
         """
         if op.oid not in self.binding:
             return []
-        unit, busy, offsets = self._footprint(op)
+        unit, busy = self._footprint(op)
         if busy > self.ii:
             return [-1]
-        if busy == 1:
-            occupant = self._list2[unit][cycle % self.ii]
-            return [occupant] if occupant != -1 and occupant != op.oid else []
-        occupants = self._cells2[unit][cycle % self.ii :][:busy]
-        blocked = occupants[(occupants != -1) & (occupants != op.oid)]
-        # Dedup preserving footprint (row) order, as the scan always did.
-        return list(dict.fromkeys(blocked.tolist()))
+        row = cycle % self.ii
+        blockers: List[int] = []
+        for occupant in self._cells[unit][row : row + busy]:
+            if occupant != -1 and occupant != op.oid and occupant not in blockers:
+                blockers.append(occupant)
+        return blockers
 
     def fits(self, op: Operation, cycle: int) -> bool:
         """True if ``op`` can be placed at ``cycle`` without conflicts."""
-        if op.oid not in self.binding:
-            return True
-        unit, busy, offsets = self._footprint(op)
-        if busy > self.ii:
-            return False
-        if busy == 1:
-            occupant = self._list2[unit][cycle % self.ii]
-            return occupant == -1 or occupant == op.oid
-        occupants = self._cells2[unit][cycle % self.ii :][:busy]
-        return not bool(np.any((occupants != -1) & (occupants != op.oid)))
+        return not self.conflicts(op, cycle)
 
     def first_fit(
         self, op: Operation, lo: int, hi: int, early: bool
@@ -113,155 +93,79 @@ class ModuloResourceTable:
         """First conflict-free cycle in ``[lo, hi]``, scanning in the
         requested direction, as ``(cycle or None, cycles scanned)``.
 
-        One vectorized occupancy pass over the whole window; ``scanned``
-        reproduces the per-cycle linear-scan count exactly (cycles
-        tested up to and including the hit, or the full window length on
-        a miss) so scan-length metrics are unchanged.  Only
-        ``min(width, II)`` candidates are ever examined — occupancy is
-        periodic in II, so a window that long with no free slot has none
-        anywhere.
+        ``scanned`` is the per-cycle linear-scan count (cycles tested up
+        to and including the hit, or the full window length on a miss),
+        which the scan-length metrics report.  Only ``min(width, II)``
+        candidates are ever examined — occupancy is periodic in II, so a
+        window that long with no free slot has none anywhere.
         """
         if lo > hi:
             return None, 0
         if op.oid not in self.binding:
             return (lo if early else hi), 1
         width = hi - lo + 1
-        unit, busy, offsets = self._footprint(op)
+        unit, busy = self._footprint(op)
         ii = self.ii
         if busy > ii:
             return None, width
         span = width if width < ii else ii
+        cells = self._cells[unit]
+        oid = op.oid
+        first, step = (lo, 1) if early else (hi, -1)
         if busy == 1:
-            oid = op.oid
-            if span <= 32:
-                # Scalar scan of the doubled list mirror: for the short
-                # windows that dominate, this beats numpy's fixed
-                # per-call cost.
-                cells = self._list2[unit]
-                if early:
-                    base = lo % ii
-                    for index in range(span):
-                        occupant = cells[base + index]
-                        if occupant == -1 or occupant == oid:
-                            return lo + index, index + 1
-                    return None, width
-                base = hi % ii + ii
-                for back in range(span):
-                    occupant = cells[base - back]
-                    if occupant == -1 or occupant == oid:
-                        return hi - back, back + 1
-                return None, width
-            # Long window: contiguous slice of the doubled occupancy
-            # array — the distinct candidates in scan order, no modulo
-            # gather.
-            if early:
-                window = self._cells2[unit][lo % ii :][:span]
-                free = (window == -1) | (window == oid)
-                index = int(free.argmax())
-                if not free[index]:
-                    return None, width
-                return lo + index, index + 1
-            window = self._cells2[unit][(hi - span + 1) % ii :][:span]
-            free = (window == -1) | (window == oid)
-            back = int(free[::-1].argmax())
-            if not free[span - 1 - back]:
-                return None, width
-            return hi - back, back + 1
-        # Non-pipelined footprint (the divider): gather the candidate
-        # rows for the clamped window in one shot.
-        if early:
-            cycles = np.arange(lo, lo + span, dtype=np.int64)
-        else:
-            cycles = np.arange(hi, hi - span, -1, dtype=np.int64)
-        occupants = self._cells2[unit][
-            (cycles[:, None] % ii) + offsets[None, :]
-        ]
-        free = ~np.any((occupants != -1) & (occupants != op.oid), axis=1)
-        index = int(free.argmax())
-        if not free[index]:
+            # Walk the doubled list one cell a candidate: up from lo's
+            # row, or down from hi's row in the mirror half.
+            row = lo % ii if early else hi % ii + ii
+            for index in range(span):
+                occupant = cells[row]
+                if occupant == -1 or occupant == oid:
+                    return first + step * index, index + 1
+                row += step
             return None, width
-        cycle = int(cycles[index])
-        return cycle, (cycle - lo + 1) if early else (hi - cycle + 1)
+        # Non-pipelined footprint (the divider): each candidate's busy
+        # rows are one contiguous range of the doubled list.
+        for index in range(span):
+            row = (first + step * index) % ii
+            for occupant in cells[row : row + busy]:
+                if occupant != -1 and occupant != oid:
+                    break
+            else:
+                return first + step * index, index + 1
+        return None, width
 
     def place(self, op: Operation, cycle: int) -> None:
-        """Reserve ``op``'s footprint; raises if any cell is occupied.
-
-        The safety check is a cheap occupancy re-scan of the footprint
-        (callers normally just proved the cycle free via :meth:`fits` or
-        :meth:`first_fit`); the full blocker list is only rebuilt for
-        the error message when the check actually fails.
-        """
+        """Reserve ``op``'s footprint; raises if any cell is occupied,
+        naming the blockers."""
+        blockers = self.conflicts(op, cycle)
+        if blockers:
+            raise ValueError(f"resource conflict placing {op!r} at {cycle}: {blockers}")
         if op.oid not in self.binding:
             return  # pseudo op: no resources
-        unit, busy, offsets = self._footprint(op)
-        if busy > self.ii:
-            raise ValueError(
-                f"resource conflict placing {op!r} at {cycle}: "
-                f"{self.conflicts(op, cycle)}"
-            )
-        doubled = self._cells2[unit]
-        mirror = self._list2[unit]
-        if busy == 1:
-            row = cycle % self.ii
-            occupant = mirror[row]
-            if occupant != -1 and occupant != op.oid:
-                raise ValueError(
-                    f"resource conflict placing {op!r} at {cycle}: "
-                    f"{self.conflicts(op, cycle)}"
-                )
-            doubled[row] = op.oid
-            doubled[row + self.ii] = op.oid
-            mirror[row] = op.oid
-            mirror[row + self.ii] = op.oid
-            return
-        rows = (cycle + offsets) % self.ii
-        occupants = doubled[rows]
-        if bool(np.any((occupants != -1) & (occupants != op.oid))):
-            raise ValueError(
-                f"resource conflict placing {op!r} at {cycle}: "
-                f"{self.conflicts(op, cycle)}"
-            )
-        doubled[rows] = op.oid
-        doubled[rows + self.ii] = op.oid
-        for row in rows.tolist():
-            mirror[row] = op.oid
-            mirror[row + self.ii] = op.oid
+        unit, busy = self._footprint(op)
+        cells, ii = self._cells[unit], self.ii
+        for row in range(cycle, cycle + busy):
+            row %= ii
+            cells[row] = cells[row + ii] = op.oid
 
     def remove(self, op: Operation, cycle: int) -> None:
         """Release the reservations ``op`` made at ``cycle``."""
         if op.oid not in self.binding:
             return
-        unit, busy, offsets = self._footprint(op)
-        doubled = self._cells2[unit]
-        mirror = self._list2[unit]
-        if busy == 1:
-            row = cycle % self.ii
-            if mirror[row] == op.oid:
-                doubled[row] = -1
-                doubled[row + self.ii] = -1
-                mirror[row] = -1
-                mirror[row + self.ii] = -1
-            return
-        rows = (cycle + offsets) % self.ii
-        mine = rows[doubled[rows] == op.oid]
-        doubled[mine] = -1
-        doubled[mine + self.ii] = -1
-        for row in mine.tolist():
-            mirror[row] = -1
-            mirror[row + self.ii] = -1
+        unit, busy = self._footprint(op)
+        cells, ii = self._cells[unit], self.ii
+        for row in range(cycle, cycle + busy):
+            row %= ii
+            if cells[row] == op.oid:
+                cells[row] = cells[row + ii] = -1
+
+    def rows(self) -> Dict[UnitInstance, List[int]]:
+        """Each unit instance's II cells (oid, or -1 where free), in
+        (class, instance) order; copies, so the table stays private."""
+        return {unit: cells[: self.ii] for unit, cells in self._cells.items()}
 
     def occupancy(self) -> int:
         """Total number of reserved cells (for tests and stats)."""
-        return int(sum((cells != -1).sum() for cells in self._cells.values()))
-
-    def render(self) -> str:
-        """ASCII dump of the table, one line per unit instance."""
-        lines = []
-        for (class_index, instance), cells in sorted(self._cells.items()):
-            name = self.machine.unit_classes[class_index].name
-            body = " ".join("." if cell == -1 else str(cell) for cell in cells.tolist())
-            lines.append(f"{name}[{instance}]: {body}")
-        return "\n".join(lines)
+        return sum(self.ii - cells.count(-1) for cells in self.rows().values())
 
     def __repr__(self) -> str:
         return f"ModuloResourceTable(ii={self.ii}, occupied={self.occupancy()})"

@@ -228,21 +228,13 @@ class MetricsRegistry:
 def record_mrt_occupancy(metrics: Optional[MetricsRegistry], schedule) -> None:
     """Gauge the fraction of each unit instance's II rows that are busy.
 
-    Derived from the schedule (not the live MRT) so it can be recorded
-    after the fact; matches `Schedule.render_resource_table`'s cells.
+    Read from the rows of the table the finished schedule fills
+    (`Schedule.resource_table`), the rows the explain grid shows, so it
+    can be recorded after the fact.
     """
     if metrics is None:
         return
     machine, ii = schedule.machine, schedule.ii
-    busy: Dict[tuple, int] = {}
-    for op in schedule.loop.real_ops:
-        unit = schedule.binding.get(op.oid)
-        if unit is None:
-            continue
-        busy[unit] = busy.get(unit, 0) + min(ii, machine.busy_cycles(op))
-    for class_index, unit_class in enumerate(machine.unit_classes):
-        for instance in range(unit_class.count):
-            cells = busy.get((class_index, instance), 0)
-            metrics.gauge(
-                f"mrt.occupancy.{unit_class.name}[{instance}]"
-            ).set(cells / ii)
+    for (class_index, instance), cells in schedule.resource_table().rows().items():
+        name = machine.unit_classes[class_index].name
+        metrics.gauge(f"mrt.occupancy.{name}[{instance}]").set((ii - cells.count(-1)) / ii)

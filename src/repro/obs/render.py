@@ -5,16 +5,14 @@ Two post-mortem views in the style of the paper's figures:
 * :func:`render_mrt_occupancy` — the modulo reservation table as a
   utilization map: one line per unit instance, one column per II row,
   plus the per-unit busy fraction and a flag on saturated (critical)
-  units.  This is `Schedule.render_resource_table` with the numbers the
-  explain report needs.
+  units.  It reads the rows of the table the schedule fills
+  (`Schedule.resource_table`), so it shows what the scheduler placed.
 * :func:`render_lifetime_chart` — Figure 3: every rotating-register
   value's lifetime as a horizontal bar over cycles, and Figure 4: the
   LiveVector, lifetimes wrapped modulo II, whose peak is MaxLive.
 """
 
 from __future__ import annotations
-
-from typing import Dict, List
 
 from repro.bounds.lifetimes import (
     live_vector,
@@ -26,25 +24,24 @@ from repro.ir.ddg import DDG
 
 
 def render_mrt_occupancy(schedule: Schedule, critical_threshold: float = 0.90) -> str:
-    """Occupancy map of the modulo reservation table plus utilization."""
-    machine, ii = schedule.machine, schedule.ii
-    cells: Dict[tuple, List[str]] = {}
-    for class_index, unit_class in enumerate(machine.unit_classes):
-        for instance in range(unit_class.count):
-            cells[(class_index, instance)] = ["."] * ii
-    for op in schedule.loop.real_ops:
-        unit = schedule.binding.get(op.oid)
-        if unit is None:
-            continue
-        row = schedule.times[op.oid] % ii
-        lane = cells[unit]
-        lane[row] = str(op.oid)
-        for extra in range(1, min(ii, machine.busy_cycles(op))):
-            lane[(row + extra) % ii] = "="
-    width = max(2, max((len(c) for lane in cells.values() for c in lane), default=2))
+    """Occupancy map of the modulo reservation table plus utilization.
+
+    Each lane is one unit instance's row of ``schedule.resource_table()``:
+    an op's oid on its issue row, ``=`` on its later busy rows, ``.``
+    where the instance is free.
+    """
+    machine, ii, times = schedule.machine, schedule.ii, schedule.times
+    lanes = {
+        unit: [
+            "." if oid == -1 else str(oid) if times[oid] % ii == row else "="
+            for row, oid in enumerate(cells)
+        ]
+        for unit, cells in schedule.resource_table().rows().items()
+    }
+    width = max(2, max((len(c) for lane in lanes.values() for c in lane), default=2))
     lines = [f"MRT occupancy (II={ii}, '=' = non-pipelined busy cycle):"]
     lines.append(" " * 24 + " ".join(f"{c:>{width}}" for c in range(ii)))
-    for (class_index, instance), lane in sorted(cells.items()):
+    for (class_index, instance), lane in lanes.items():
         name = machine.unit_classes[class_index].name
         used = sum(1 for cell in lane if cell != ".")
         fraction = used / ii

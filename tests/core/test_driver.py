@@ -69,9 +69,6 @@ def test_schedule_properties(machine):
     schedule = result.schedule
     assert schedule.span == schedule.times[schedule.loop.stop.oid]
     assert schedule.stages >= schedule.span // schedule.ii
-    rows = schedule.kernel_rows()
-    assert len(rows) == schedule.ii
-    assert sum(len(row) for row in rows) == len(schedule.loop.real_ops)
     assert "II=" in schedule.render()
 
 

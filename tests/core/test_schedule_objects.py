@@ -3,7 +3,7 @@
 from repro.core import SchedulerStats, modulo_schedule
 from repro.machine import cydra5
 
-from tests.conftest import build_accumulator_loop, build_figure1_loop
+from tests.conftest import build_accumulator_loop, build_divider_loop, build_figure1_loop
 
 MACHINE = cydra5()
 
@@ -27,27 +27,18 @@ def test_stats_backtracked_flag():
     assert SchedulerStats(ejections=1).backtracked
 
 
-def test_schedule_time_of_matches_times():
-    result = modulo_schedule(build_figure1_loop(), MACHINE)
+def test_resource_table_holds_every_real_op_from_its_issue_row():
+    result = modulo_schedule(build_divider_loop(), MACHINE)
     schedule = result.schedule
-    for op in schedule.loop.ops:
-        assert schedule.time_of(op.oid) == schedule.times[op.oid]
-
-
-def test_kernel_rows_sorted_by_issue_time():
-    result = modulo_schedule(build_accumulator_loop(), MACHINE)
-    schedule = result.schedule
-    for row in schedule.kernel_rows():
-        issue_times = [schedule.times[oid] for oid in row]
-        assert issue_times == sorted(issue_times)
-
-
-def test_kernel_rows_modulo_partition():
-    result = modulo_schedule(build_figure1_loop(), MACHINE)
-    schedule = result.schedule
-    for row_index, row in enumerate(schedule.kernel_rows()):
-        for oid in row:
-            assert schedule.times[oid] % schedule.ii == row_index
+    rows = schedule.resource_table().rows()
+    busy = 0
+    for op in schedule.loop.real_ops:
+        cells = rows[schedule.binding[op.oid]]
+        issue = schedule.times[op.oid]
+        for extra in range(MACHINE.busy_cycles(op)):
+            assert cells[(issue + extra) % schedule.ii] == op.oid
+        busy += MACHINE.busy_cycles(op)
+    assert sum(schedule.ii - cells.count(-1) for cells in rows.values()) == busy
 
 
 def test_stages_lower_bound():

@@ -93,14 +93,21 @@ def test_pseudo_ops_need_no_resources(machine):
     assert mrt.fits(loop.start, 0)
 
 
-def test_render_shows_occupants(machine):
+def test_rows_show_occupants(machine):
     loop = build_figure1_loop()
     mrt = _mrt(machine, loop, 2)
     adds = [op for op in loop.real_ops if op.opcode is Opcode.ADD_F]
     mrt.place(adds[0], 1)
-    text = mrt.render()
-    assert "Adder[0]" in text
-    assert str(adds[0].oid) in text
+    rows = mrt.rows()
+    assert len(rows) == machine.total_instances()
+    adder = next(
+        index for index, unit_class in enumerate(machine.unit_classes)
+        if unit_class.name == "Adder"
+    )
+    assert rows[(adder, 0)] == [-1, adds[0].oid]
+    assert all(cells == [-1, -1] for unit, cells in rows.items() if unit != (adder, 0))
+    rows[(adder, 0)][1] = -1  # a copy: the table keeps its reservation
+    assert mrt.rows()[(adder, 0)] == [-1, adds[0].oid]
 
 
 def test_place_longer_than_ii_raises(machine):

@@ -1,13 +1,13 @@
-"""Property tests: the vectorized MRT must match a per-cycle reference.
+"""Property tests: the MRT must match a per-cycle reference.
 
-The rewritten :class:`ModuloResourceTable` answers ``conflicts``,
-``fits`` and whole-window ``first_fit`` questions from doubled numpy
-occupancy arrays (with a python-list mirror for short scalar scans).
-These tests drive random place/remove/query sequences against an
-independent dict-based shadow model that implements the original
-per-cycle semantics directly, covering the short scalar path, the long
-vectorized path, the descending (late) scans, wraparound, and the
-non-pipelined (busy > 1) footprint gather.
+:class:`ModuloResourceTable` answers ``conflicts``, ``fits`` and
+whole-window ``first_fit`` questions by scanning one doubled list of
+oid cells per unit instance.  These tests drive random
+place/remove/query sequences against an independent dict-based shadow
+model that implements the per-cycle semantics directly, covering
+ascending (early) and descending (late) scans, wraparound, windows
+longer than II and the non-pipelined (busy > 1) footprint, and check
+``rows`` against the shadow after every operation.
 """
 
 from hypothesis import given, settings
@@ -45,6 +45,17 @@ def _ref_first_fit(shadow, unit, busy, ii, oid, lo, hi, early):
         if not _ref_conflicts(shadow, unit, busy, ii, oid, cycle):
             return cycle, (cycle - lo + 1) if early else (hi - cycle + 1)
     return None, width
+
+
+def _ref_rows(shadow, ii):
+    rows = {
+        (class_index, instance): [-1] * ii
+        for class_index, unit_class in enumerate(MACHINE.unit_classes)
+        for instance in range(unit_class.count)
+    }
+    for (unit, row), oid in shadow.items():
+        rows[unit][row] = oid
+    return rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -85,6 +96,7 @@ def test_mrt_matches_per_cycle_reference(loop_key, ii, actions, queries):
                 key = (unit, (at + offset) % ii)
                 if shadow.get(key) == op.oid:
                     del shadow[key]
+            assert mrt.rows() == _ref_rows(shadow, ii)
             continue
         if op.oid in placed:
             continue
@@ -97,6 +109,7 @@ def test_mrt_matches_per_cycle_reference(loop_key, ii, actions, queries):
         placed[op.oid] = cycle
         for offset in range(busy):
             shadow[(unit, (cycle + offset) % ii)] = op.oid
+        assert mrt.rows() == _ref_rows(shadow, ii)
     for op_index, lo, width, early in queries:
         op = ops[op_index % len(ops)]
         unit = binding[op.oid]

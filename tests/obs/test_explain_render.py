@@ -85,6 +85,40 @@ def test_render_mrt_occupancy_marks_saturation(machine):
     assert len(art.splitlines()) == 2 + sum(u.count for u in machine.unit_classes)
 
 
+def _lanes(art):
+    """``{unit instance label: cells}`` of an occupancy grid.  A lane's
+    body starts after the 18-character label and the utilization
+    column; the critical marker is not a cell."""
+    return {
+        line[:18].strip(): line[24:].replace("<- critical", "").split()
+        for line in art.splitlines()[2:]
+    }
+
+
+def test_every_unit_instance_has_a_lane(machine):
+    result = modulo_schedule(build_figure1_loop(), machine)
+    lanes = _lanes(render_mrt_occupancy(result.schedule))
+    for name in ("Memory Port[0]", "Memory Port[1]", "Address ALU[1]",
+                 "Adder[0]", "Multiplier[0]", "Divider[0]", "Branch Unit[0]"):
+        assert name in lanes
+
+
+def test_each_real_op_appears_once(machine):
+    result = modulo_schedule(build_figure1_loop(), machine)
+    lanes = _lanes(render_mrt_occupancy(result.schedule))
+    oids = [cell for cells in lanes.values() for cell in cells if cell not in (".", "=")]
+    assert sorted(int(oid) for oid in oids) == sorted(
+        op.oid for op in result.schedule.loop.real_ops
+    )
+
+
+def test_nonpipelined_busy_cycles_marked(machine):
+    result = modulo_schedule(build_divider_loop(), machine)
+    lanes = _lanes(render_mrt_occupancy(result.schedule))
+    # The 17-cycle divide occupies 1 issue cell + 16 '=' continuation cells.
+    assert lanes["Divider[0]"].count("=") == 16
+
+
 def test_render_lifetime_chart_matches_maxlive(machine):
     result = modulo_schedule(build_figure1_loop(), machine)
     ddg = build_ddg(result.loop, machine)

@@ -9,7 +9,8 @@ import pytest
 
 from tests.conftest import run_python
 
-#: Offline tooling that importing the library must not load.
+#: Offline tooling, and the warp scheduler, that importing the library
+#: must not load.
 OFFLINE_MODULES = [
     *(f"repro.obs.{name}" for name in (
         "bench", "history", "regress", "report", "explain", "export", "render",
@@ -18,6 +19,9 @@ OFFLINE_MODULES = [
     *(f"repro.frontend.{name}" for name in ("parser", "printer", "transforms")),
     "repro.codegen.emit",
     "repro.service.batch_cli",
+    # The §8 comparison scheduler: the driver loads it when a run asks
+    # for "warp".
+    "repro.core.warp",
 ]
 
 
