@@ -18,6 +18,7 @@ separately.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Dict, Iterable, List, Mapping, Optional
 
@@ -128,19 +129,28 @@ def schedule_lifetimes(
 
 
 def live_vector(lifetimes: Iterable[Lifetime], ii: int) -> List[int]:
-    """Wrap lifetimes around a vector of II columns (Figure 4)."""
-    vector = [0] * ii
+    """Wrap lifetimes around a vector of II columns (Figure 4).
+
+    Built from a difference array: each full wrap adds one to every
+    column, and a lifetime's remainder of ``length mod II`` cycles adds
+    one to a circular run of columns from ``start mod II``, that is two
+    boundary steps, or four when the run wraps past column II - 1.
+    """
+    steps = [0] * (ii + 1)
     for lifetime in lifetimes:
         length = lifetime.length
         if length <= 0:
             continue
         full_wraps, remainder = divmod(length, ii)
-        if full_wraps:
-            for column in range(ii):
-                vector[column] += full_wraps
-        for offset in range(remainder):
-            vector[(lifetime.start + offset) % ii] += 1
-    return vector
+        first = lifetime.start % ii
+        last = first + remainder
+        steps[0] += full_wraps
+        steps[first] += 1
+        if last > ii:
+            steps[0] += 1
+            last -= ii
+        steps[last] -= 1
+    return list(itertools.accumulate(steps[:ii]))
 
 
 def max_live(lifetimes: Iterable[Lifetime], ii: int) -> int:

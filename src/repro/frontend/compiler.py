@@ -52,6 +52,11 @@ from repro.ir.operations import Opcode, Operation
 from repro.ir.types import DType, ValueKind
 from repro.ir.values import AddressOrigin, ArrayElementOrigin, Operand, ScalarOrigin, Value
 
+#: What the pre-scan records of each array store and load:
+#: (array, stride, absolute offset, guarded[, stored expression]).
+_Store = Tuple[str, Optional[int], Optional[int], bool, Expr]
+_Load = Tuple[str, Optional[int], Optional[int], bool]
+
 _BINOP_FLOAT = {
     "+": Opcode.ADD_F,
     "-": Opcode.SUB_F,
@@ -178,47 +183,11 @@ class LoopCompiler:
     # Pre-scan: which loads can be eliminated or reused
     # ------------------------------------------------------------------
     def _prescan_memory(self) -> None:
-        stores: List[Tuple[str, Optional[int], Optional[int], bool, Expr]] = []
-        loads: List[Tuple[str, Optional[int], Optional[int], bool]] = []
+        stores: List[_Store] = []
+        loads: List[_Load] = []
         scalar_exprs: List[Expr] = []
 
-        def scan(stmts: Sequence[Stmt], guarded: bool) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, Assign):
-                    scan_expr(stmt.expr, guarded)
-                    target = stmt.target
-                    if isinstance(target, Scalar):
-                        scalar_exprs.append(stmt.expr)
-                    if isinstance(target, ArrayRef):
-                        abs_offset = target.stride * self.program.start + target.offset
-                        stores.append((target.array, target.stride, abs_offset, guarded, stmt.expr))
-                        self._stored_arrays.add(target.array)
-                    elif isinstance(target, Scatter):
-                        scan_expr(target.index, guarded)
-                        stores.append((target.array, None, None, guarded, stmt.expr))
-                        self._stored_arrays.add(target.array)
-                        self._gathered_arrays.add(target.array)
-                elif isinstance(stmt, If):
-                    scan_expr(stmt.cond, guarded)
-                    scan(stmt.then, True)
-                    scan(stmt.orelse, True)
-                elif isinstance(stmt, ExitIf):
-                    scan_expr(stmt.cond, guarded)
-
-        def scan_expr(expr: Expr, guarded: bool) -> None:
-            if isinstance(expr, ArrayRef):
-                abs_offset = expr.stride * self.program.start + expr.offset
-                loads.append((expr.array, expr.stride, abs_offset, guarded))
-            elif isinstance(expr, Gather):
-                self._gathered_arrays.add(expr.array)
-                scan_expr(expr.index, guarded)
-            elif isinstance(expr, (BinOp, Compare)):
-                scan_expr(expr.left, guarded)
-                scan_expr(expr.right, guarded)
-            elif isinstance(expr, Unary):
-                scan_expr(expr.operand, guarded)
-
-        scan(self.program.body, False)
+        self._scan_stmts(self.program.body, False, stores, loads, scalar_exprs)
 
         if self.enable_lse:
             # An access class is (array, stride, offset mod stride):
@@ -282,6 +251,49 @@ class LoopCompiler:
                     origin=ArrayElementOrigin(array, stride, leader_offset),
                 )
                 self._reuse_leaders[(array, stride, residue)] = (placeholder, leader_offset)
+
+    def _scan_stmts(
+        self,
+        stmts: Sequence[Stmt],
+        guarded: bool,
+        stores: List[_Store],
+        loads: List[_Load],
+        scalar_exprs: List[Expr],
+    ) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, Assign):
+                self._scan_expr(stmt.expr, guarded, loads)
+                target = stmt.target
+                if isinstance(target, Scalar):
+                    scalar_exprs.append(stmt.expr)
+                if isinstance(target, ArrayRef):
+                    abs_offset = target.stride * self.program.start + target.offset
+                    stores.append((target.array, target.stride, abs_offset, guarded, stmt.expr))
+                    self._stored_arrays.add(target.array)
+                elif isinstance(target, Scatter):
+                    self._scan_expr(target.index, guarded, loads)
+                    stores.append((target.array, None, None, guarded, stmt.expr))
+                    self._stored_arrays.add(target.array)
+                    self._gathered_arrays.add(target.array)
+            elif isinstance(stmt, If):
+                self._scan_expr(stmt.cond, guarded, loads)
+                self._scan_stmts(stmt.then, True, stores, loads, scalar_exprs)
+                self._scan_stmts(stmt.orelse, True, stores, loads, scalar_exprs)
+            elif isinstance(stmt, ExitIf):
+                self._scan_expr(stmt.cond, guarded, loads)
+
+    def _scan_expr(self, expr: Expr, guarded: bool, loads: List[_Load]) -> None:
+        if isinstance(expr, ArrayRef):
+            abs_offset = expr.stride * self.program.start + expr.offset
+            loads.append((expr.array, expr.stride, abs_offset, guarded))
+        elif isinstance(expr, Gather):
+            self._gathered_arrays.add(expr.array)
+            self._scan_expr(expr.index, guarded, loads)
+        elif isinstance(expr, (BinOp, Compare)):
+            self._scan_expr(expr.left, guarded, loads)
+            self._scan_expr(expr.right, guarded, loads)
+        elif isinstance(expr, Unary):
+            self._scan_expr(expr.operand, guarded, loads)
 
     # ------------------------------------------------------------------
     # Expression generation

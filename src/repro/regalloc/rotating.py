@@ -18,12 +18,15 @@ overshoots by a register or two), which justifies approximating register
 pressure by MaxLive throughout the evaluation.
 
 For each R from that floor upward, lifetimes are placed greedily in
-order.  One pass over the arcs placed so far gives a lifetime's free
-specifiers as an R-bit mask: each placed arc blocks one circular run of
-consecutive specifiers (:func:`_free_specifiers`), so the mask costs
-O(placed arcs) whatever R is.  R is still tried in order:
-greedy success is not monotone in R (a packing can succeed at R, fail at
-R + 1 and succeed at R + 2), so skipping ahead could return a different R.
+order.  The circle's ``C = R * II`` cells are kept as three bitsets: the
+cells inside placed arcs, each arc's first cell and each arc's end cell.
+A lifetime's free positions come from the free cells in a few big-int
+operations, without visiting any placed arc: AND-ing the doubled free
+mask with itself shifted right by 1, 2, 4, ... leaves bit p set iff
+cells p .. p+length-1 are all free, and a comb of every II-th bit keeps
+the lifetime's phase.  R is still tried in order: greedy success is not
+monotone in R (a packing can succeed at R, fail at R + 1 and succeed at
+R + 2), so skipping ahead could return a different R.
 
 Strategies reproduced from that paper:
 
@@ -37,9 +40,8 @@ Strategies reproduced from that paper:
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.bounds.lifetimes import Lifetime, max_live
 
@@ -106,18 +108,22 @@ def _order(lifetimes: Sequence[Lifetime], ordering: str) -> List[Lifetime]:
         return sorted(lifetimes, key=lambda lt: (-lt.length, lt.start))
     # Adjacency: start-time order, but whenever some remaining value
     # begins exactly where the previously placed one ended, take it next
-    # (it can butt against the same gap).
-    remaining = sorted(lifetimes, key=lambda lt: (lt.start, -lt.length))
+    # (it can butt against the same gap).  Each start's bucket holds its
+    # lifetimes in start-time order, last first, so pop() takes the one
+    # the sorted scan would reach first.
+    by_start: Dict[int, List[Lifetime]] = {}
+    for lifetime in reversed(sorted(lifetimes, key=lambda lt: (lt.start, -lt.length))):
+        by_start.setdefault(lifetime.start, []).append(lifetime)
+    starts = sorted(by_start)
     chained: List[Lifetime] = []
-    while remaining:
-        if chained:
-            previous_end = chained[-1].end
-            adjacent = next((lt for lt in remaining if lt.start == previous_end), None)
-            if adjacent is not None:
-                chained.append(adjacent)
-                remaining.remove(adjacent)
-                continue
-        chained.append(remaining.pop(0))
+    earliest = 0
+    for _ in range(len(lifetimes)):
+        bucket = by_start.get(chained[-1].end) if chained else None
+        if not bucket:
+            while not by_start[starts[earliest]]:
+                earliest += 1
+            bucket = by_start[starts[earliest]]
+        chained.append(bucket.pop())
     return chained
 
 
@@ -125,82 +131,57 @@ def _try_pack(
     ordered: Sequence[Lifetime], ii: int, registers: int, fit: str
 ) -> Optional[Dict[int, int]]:
     circumference = registers * ii
-    arcs: List[Tuple[int, int]] = []  # placed (position in [0, C), length)
+    full = (1 << circumference) - 1
+    comb = full // ((1 << ii) - 1)  # one bit every II cells, from cell 0
+    occupied = starts = ends = 0  # cells in placed arcs; their first and end cells
     specifiers: Dict[int, int] = {}
     for lifetime in ordered:
         start, length = lifetime.start, lifetime.length
-        free = _free_specifiers(arcs, start, length, ii, registers)
-        if not free:
+        # Bit p of ``runs`` survives iff cells p .. p+length-1 are all
+        # free; the doubled mask lets a run wrap past cell C - 1.
+        free = full ^ occupied
+        runs = free | free << circumference
+        span = 1
+        while span << 1 <= length:
+            runs &= runs >> span
+            span <<= 1
+        runs &= runs >> (length - span)
+        candidates = runs & (comb << start % ii)
+        if not candidates:
             return None
-        specifier = _choose(fit, free, arcs, start, length, ii, circumference)
-        arcs.append(((start - specifier * ii) % circumference, length))
-        specifiers[lifetime.value.vid] = specifier
+        # Specifier s places the lifetime at (start - s*II) mod C, so the
+        # specifiers count down the circle from ``here``.
+        here = start % circumference
+        if fit == "best_fit" and starts:
+            position = _tightest(candidates, here, length, starts, circumference)
+        else:
+            if fit == "end_fit":
+                candidates = candidates & ends or candidates
+            below = candidates & ((2 << here) - 1)
+            position = (below or candidates).bit_length() - 1
+        arc = ((1 << length) - 1) << position
+        occupied |= (arc | arc >> circumference) & full
+        starts |= 1 << position
+        ends |= 1 << (position + length) % circumference
+        specifiers[lifetime.value.vid] = (here - position) % circumference // ii
     return specifiers
 
 
-def _free_specifiers(
-    arcs: Sequence[Tuple[int, int]], start: int, length: int, ii: int, registers: int
-) -> int:
-    """Bit s is set iff specifier s places the lifetime clear of every arc.
-
-    Specifier s puts the lifetime at ``p(s) = (start - s*II) mod C``.  It
-    meets a placed arc at position b of length lb iff ``(p(s) - b) mod C``
-    lies in ``[0, lb)`` or ``(C - length, C)``, that is iff ``(p(s) +
-    length - 1 - b) mod C < length + lb - 1``.  Over s that offset takes
-    the values ``r + II*((j0 - s) mod R)`` with ``j0, r =
-    divmod((start + length - 1 - b) mod C, II)``, so the arc blocks one
-    circular run of ``ceil((length + lb - 1 - r) / II)`` specifiers
-    ending at j0; a run of R or more blocks them all.
-    """
-    circumference = registers * ii
-    last = start + length - 1
-    blocked = 0
-    for position, placed in arcs:
-        j0, r = divmod((last - position) % circumference, ii)
-        run = (length + placed - 2 - r) // ii + 1
-        if run >= registers:
-            return 0
-        if run > 0:
-            bits = ((1 << run) - 1) << ((j0 - run + 1) % registers)
-            blocked |= bits | bits >> registers
-    return ~blocked & ((1 << registers) - 1)
-
-
-def _lowest(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1
-
-
-def _choose(
-    fit: str,
-    free: int,
-    arcs: Sequence[Tuple[int, int]],
-    start: int,
-    length: int,
-    ii: int,
-    circumference: int,
-) -> int:
-    """The specifier ``fit`` picks from the ``free`` mask."""
-    if fit == "first_fit" or not arcs:
-        return _lowest(free)
-    if fit == "end_fit":
-        # Prefer a specifier that butts the lifetime against an arc's end
-        # e: the one with s*II == (start - e) mod C, if II divides it.
-        butting = 0
-        for position, placed in arcs:
-            offset = (start - position - placed) % circumference
-            if offset % ii == 0:
-                butting |= 1 << (offset // ii)
-        return _lowest(butting & free or free)
-    # best_fit: the first specifier leaving the smallest gap between the
-    # lifetime's end and the next arc start (tightest leftover hole).
-    starts = sorted(position for position, _ in arcs)
+def _tightest(candidates: int, here: int, length: int, starts: int, circumference: int) -> int:
+    """The candidate position, in specifier order, that leaves the smallest
+    gap between the lifetime's end and the next placed arc's start."""
     best, best_gap = -1, circumference
-    while free:
-        specifier = _lowest(free)
-        free &= free - 1
-        end = (start - specifier * ii + length) % circumference
-        index = bisect.bisect_left(starts, end)
-        gap = starts[index] - end if index < len(starts) else starts[0] + circumference - end
-        if gap < best_gap:
-            best, best_gap = specifier, gap
+    below = candidates & ((2 << here) - 1)
+    for group in (below, candidates ^ below):
+        while group:
+            position = group.bit_length() - 1
+            group ^= 1 << position
+            end = (position + length) % circumference
+            later = starts >> end
+            if later:
+                gap = (later & -later).bit_length() - 1
+            else:
+                gap = (starts & -starts).bit_length() - 1 + circumference - end
+            if gap < best_gap:
+                best, best_gap = position, gap
     return best

@@ -1,5 +1,8 @@
 """Unit tests for lifetime bounds, LiveVector and MaxLive (paper §3.2, §5.1)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.bounds import (
     Lifetime,
     MinDist,
@@ -32,6 +35,32 @@ def test_live_vector_short_lifetime():
 
 def test_live_vector_ignores_empty_lifetimes():
     assert live_vector([Lifetime(value=None, start=2, end=2)], ii=3) == [0, 0, 0]
+
+
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-60, max_value=60),
+            st.integers(min_value=-5, max_value=4),  # whole turns (<= 0: empty)
+            st.integers(min_value=0, max_value=29),  # extra cycles
+        ),
+        max_size=12,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_live_vector_counts_every_live_cycle(ii, shapes):
+    # Negative starts, empty lifetimes and lengths that are multiples of
+    # II, against a count of one live cycle at a time.
+    lifetimes = [
+        Lifetime(value=None, start=start, end=start + turns * ii + extra)
+        for start, turns, extra in shapes
+    ]
+    columns = [0] * ii
+    for lifetime in lifetimes:
+        for cycle in range(lifetime.start, lifetime.end):
+            columns[cycle % ii] += 1
+    assert live_vector(lifetimes, ii) == columns
 
 
 def test_max_live_empty():

@@ -1,5 +1,8 @@
 """Unit tests for the DoLoop -> IR compiler."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.frontend import (
@@ -17,7 +20,9 @@ from repro.frontend import (
     Unary,
     compile_loop,
 )
+from repro.frontend.compiler import LoopCompiler
 from repro.ir import ArrayElementOrigin, DType, Opcode, ScalarOrigin
+from repro.workloads import paper_corpus
 
 
 def _fig1():
@@ -320,3 +325,27 @@ def test_compiled_op_order_is_hash_seed_independent():
         )
         dumps.append(result.stdout)
     assert dumps[0] == dumps[1] == dumps[2]
+
+
+def test_compiling_a_loop_leaves_no_compiler_behind(monkeypatch):
+    # The compiler holds every IR object of the loop it built, so a
+    # reference cycle through it would keep all of them until the cyclic
+    # collector ran: reference counting alone must free it.
+    compilers = []
+    compile_ = LoopCompiler.compile
+
+    def tracked(self):
+        compilers.append(weakref.ref(self))
+        return compile_(self)
+
+    monkeypatch.setattr(LoopCompiler, "compile", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        for program in paper_corpus(48, 1993):
+            compile_loop(program)
+        alive = [ref().program.name for ref in compilers if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(compilers) == 48
+    assert alive == []

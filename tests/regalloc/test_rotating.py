@@ -1,7 +1,7 @@
 """Unit and property tests for rotating register allocation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bounds.lifetimes import Lifetime, icr_values, rr_values, schedule_lifetimes
@@ -21,6 +21,7 @@ from repro.regalloc.rotating import _order, _try_pack
 from repro.workloads import named_kernels
 
 from tests.conftest import on_targets
+from tests.regalloc.arc_scan import reference_allocation
 
 
 class _FakeValue:
@@ -179,3 +180,51 @@ def test_sizes_are_tried_in_order_because_greedy_success_is_not_monotone():
         False, True, False, True,
     ]
     assert allocate_rotating(lifetimes, 2, fit="first_fit", ordering="length").registers == 27
+
+
+@st.composite
+def wide_lifetime_sets(draw):
+    """II 1-40 and lifetimes up to 200 cycles, so the circle runs past 64
+    cells.  Starts and ends are often drawn from earlier lifetimes'
+    endpoints, which makes adjacency chains and butting ties; a lifetime
+    a whole number of turns long fills the circle at its floor."""
+    ii = draw(st.integers(min_value=1, max_value=40))
+    spans = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        points = sorted({point for span in spans for point in span})
+        if points and draw(st.booleans()):
+            start = draw(st.sampled_from(points))
+        else:
+            start = draw(st.integers(min_value=0, max_value=240))
+        later = [point for point in points if point > start]
+        if later and draw(st.booleans()):
+            end = draw(st.sampled_from(later))
+        else:
+            end = start + draw(st.integers(min_value=1, max_value=200))
+        spans.append((start, end))
+    if draw(st.booleans()):
+        start = draw(st.integers(min_value=0, max_value=240))
+        turns = draw(st.integers(min_value=1, max_value=max(1, 200 // ii)))
+        spans.insert(draw(st.integers(0, len(spans))), (start, start + turns * ii))
+    return ii, spans
+
+
+@given(wide_lifetime_sets())
+@example((4, [(3, 23)]))  # one lifetime as long as the whole circle
+@example((3, [(0, 4), (4, 9), (4, 7), (9, 12), (7, 15), (0, 12)]))  # chains and ties
+@settings(max_examples=100, deadline=None)
+def test_packing_matches_the_arc_scan_packer(case):
+    ii, spans = case
+    lifetimes = _lifetimes(spans)
+    for fit in FIT_STRATEGIES:
+        for ordering in ORDERINGS:
+            try:
+                expected = reference_allocation(lifetimes, ii, fit, ordering)
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    allocate_rotating(lifetimes, ii, fit=fit, ordering=ordering)
+                continue
+            allocation = allocate_rotating(lifetimes, ii, fit=fit, ordering=ordering)
+            assert (allocation.registers, allocation.specifiers) == expected, (
+                f"{fit}/{ordering}"
+            )
