@@ -222,20 +222,3 @@ def validate_mve_naming(plan: MVEPlan, ddg: Optional[DDG] = None) -> List[str]:
                     f"register r{name}: {t1} [{s1},{e1}) overlaps {t2} [{s2},{e2})"
                 )
     return violations
-
-
-def emit_mve_summary(plan: MVEPlan) -> str:
-    """Readable summary of the expansion plan."""
-    return "\n".join(
-        [
-            f"; modulo variable expansion for loop '{plan.loop.name}' "
-            f"({plan.policy} policy)",
-            f"; II = {plan.schedule.ii}, stages = {plan.stages}, "
-            f"unroll U = {plan.unroll}",
-            f"; static loop-variant registers: {plan.total_registers}",
-            f"; code size: prologue {plan.prologue_ops} + kernel "
-            f"{plan.unroll} x {plan.kernel_ops} + epilogue {plan.epilogue_ops} "
-            f"= {plan.total_ops} ops",
-            f"; expansion vs kernel-only code: {plan.expansion:.2f}x",
-        ]
-    )

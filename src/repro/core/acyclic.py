@@ -267,8 +267,7 @@ def schedule_slack(loop: LoopBody, machine: Machine, ddg: Optional[DDG] = None) 
         attempt = SlackAttempt(analysis, ii=max(horizon, 2), tight_cap=True)
         if target is None:
             target = max(attempt.lstart_cap, analysis.res_mii)
-        attempt.lstart_cap = max(attempt.lstart_cap, target)
-        attempt._bounds_dirty = True
+        attempt.set_lstart_cap(max(attempt.lstart_cap, target))
         try:
             times = attempt.run()
             return _result("slack", loop, ddg, times)

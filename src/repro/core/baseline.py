@@ -33,11 +33,9 @@ class CydromeAttempt(SchedulingAttempt):
         super().__init__(analysis, ii, **kwargs)
         self.recurrence = analysis.recurrence_ops
         #: Initial slack, frozen before any placement (the static priority).
-        self.initial_slack = {
-            op.oid: int(self.lstart[op.oid]) - int(self.estart[op.oid])
-            for op in self.loop.ops
-        }
-        self.initial_lstart = {op.oid: int(self.lstart[op.oid]) for op in self.loop.ops}
+        estart, lstart = self.estart.tolist(), self.lstart.tolist()
+        self.initial_slack = {op.oid: lstart[op.oid] - estart[op.oid] for op in self.loop.ops}
+        self.initial_lstart = {op.oid: lstart[op.oid] for op in self.loop.ops}
 
     def choose_operation(self) -> Operation:
         best_oid = min(
@@ -85,9 +83,10 @@ class HeightAttempt(SchedulingAttempt):
             self.height[op.oid] = distance if distance is not None else 0
 
     def choose_operation(self) -> Operation:
+        estart = self.bounds.item
         best_oid = min(
             self.unplaced,
-            key=lambda oid: (-self.height[oid], int(self.estart[oid]), oid),
+            key=lambda oid: (-self.height[oid], estart(oid), oid),
         )
         return self.loop.ops[best_oid]
 

@@ -17,19 +17,21 @@ II.  The central loop (§4.2) repeatedly:
 5. gives up once the placement budget is exhausted, at which point the
    driver increments II and starts over (§4.2 step 6).
 
-Bounds bookkeeping is vectorized with numpy: incremental updates after a
-plain placement, full recomputation after ejections.  Each placed op
-keeps its contribution to every op's Estart and Lstart as one row of
-two n×n matrices, written once when it is placed, so a recomputation
-is two contiguous reductions over those rows and a dependence-conflict
-test reads one column of each, instead of gathering the placed set out
-of ``times`` or adding its times to the whole MinDist matrix.
+Bounds bookkeeping is vectorized with numpy on one int64 vector,
+``bounds = [Estart | -Lstart]``: negating Lstart turns each of its
+minima into a maximum, so both halves follow one rule.  Each placed op
+keeps its terms of every op's Estart and -Lstart as one row of one
+(n+1) × 2n contribution matrix, written once when it is placed; the
+last row holds the Lstart(Stop) cap's terms.  A plain placement folds
+its row into ``bounds`` with one ``np.maximum``, a recomputation after
+ejections is one ``np.maximum.reduce`` over the rows, and a
+dependence-conflict test reads two columns of the placed ops' rows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -42,12 +44,12 @@ from repro.core.schedule import Schedule, SchedulerStats
 from repro.obs import trace as tracing
 from repro.obs.observer import NULL_OBSERVER, Observer
 
-#: Every entry of an unplaced op's contribution rows: ``-_UNPLACED`` in
-#: ``_estart_rows``, ``+_UNPLACED`` in ``_lstart_rows``.  A placed op's
-#: entries lie within ``2**40`` of its cycle (``|MinDist| <= 2**40``), and
-#: every Estart is at least 0 and every Lstart below ``2**40`` (Start,
-#: always placed at 0, reaches every op; every op reaches Stop), so a
-#: sentinel never wins a reduction or fails a conflict test.
+#: ``-_UNPLACED`` is every entry of an unplaced op's contribution row and
+#: of the cap row's Estart half.  A placed op's entries lie within
+#: ``2**40`` of its cycle (``|MinDist| <= 2**40``), and every Estart is at
+#: least 0 and every -Lstart above ``-2**40`` (Start, always placed at 0,
+#: reaches every op; every op reaches Stop), so a sentinel never wins a
+#: reduction or fails a conflict test.
 _UNPLACED = 2**42
 
 #: Added to a placed op's choose_operation key; any unplaced op's key
@@ -72,7 +74,11 @@ class SchedulingAttempt:
     and recurrence ops, MinDist, MinLT — comes read-only from the
     graph's :class:`~repro.bounds.analysis.LoopAnalysis`, its one
     producer; the attempt owns only what placement changes (``times``
-    and its contribution rows, Estart/Lstart, the MRT).
+    and its contribution rows, ``bounds``, the MRT).
+
+    ``bounds`` is ``[Estart | -Lstart]``; ``estart`` and ``neg_lstart``
+    are views of its halves, and :attr:`lstart` is a derived copy for
+    readers off the hot path.
 
     Subclasses implement the two heuristic hooks:
 
@@ -92,8 +98,8 @@ class SchedulingAttempt:
         observer = observer or NULL_OBSERVER
         #: The observer's sinks, copied once so the hot path reads one
         #: attribute: ``trace`` is None unless an enabled tracer was
-        #: given; spans and counts go to ``prof`` unconditionally (only
-        #: an enabled profiler records them; see obs.observer).
+        #: given; spans go to ``prof`` unconditionally (only an enabled
+        #: profiler records them; see obs.observer).
         self.trace, self.metrics, self.prof = observer.trace, observer.metrics, observer.prof
         self._eject_counts: Optional[Dict[int, int]] = (
             {} if self.metrics is not None else None
@@ -122,33 +128,46 @@ class SchedulingAttempt:
         self.brtop_oid = brtop.oid if brtop is not None else None
         self.contention = analysis.res_mii > 1
 
+        #: Profiler counters and scan metrics are recorded only when
+        #: something keeps them; read once here for the hot path.
+        self._counting = self.prof.enabled
+        self._scan_stats = self._counting or self.metrics is not None
+
         self.mrt = ModuloResourceTable(self.machine, ii, self.binding)
         self.times: Dict[int, int] = {self.start_oid: 0}
         self.last_place: Dict[int, int] = {}
         self.unplaced: Set[int] = {op.oid for op in loop.ops} - {self.start_oid}
+        n = self.n
         #: Contribution rows (§4.1), kept in lockstep with ``times`` by
-        #: _place/_eject: row p holds placed op p's terms
-        #: ``t_p + MinDist(p, ·)`` of Estart and ``t_p - MinDist(·, p)``
-        #: of Lstart, an unplaced op's row the ``_UNPLACED`` sentinel of
-        #: the side where it can never win.
-        self._estart_rows = np.full((self.n, self.n), -_UNPLACED, dtype=np.int64)
-        self._lstart_rows = np.full((self.n, self.n), _UNPLACED, dtype=np.int64)
-        self._estart_rows[self.start_oid] = self.matrix[self.start_oid]
-        self._lstart_rows[self.start_oid] = -self._matrix_t[self.start_oid]
+        #: the placement step and _eject: row p holds placed op p's terms
+        #: ``[t_p + MinDist(p, ·) | MinDist(·, p) - t_p]`` of Estart and
+        #: -Lstart, an unplaced op's row ``-_UNPLACED`` throughout; row n
+        #: holds ``[-_UNPLACED ... | MinDist(·, Stop) - lstart_cap]``
+        #: (see :meth:`set_lstart_cap`).
+        self.rows = np.full((n + 1, 2 * n), -_UNPLACED, dtype=np.int64)
+        self.rows[self.start_oid, :n] = self.matrix[self.start_oid]
+        self.rows[self.start_oid, n:] = self._matrix_t[self.start_oid]
+        #: The placed ops' rows, which alone can conflict with a placement.
+        self._placed_rows = self.rows[:n]
         #: Additive placed-op penalty for vectorized operation choice:
         #: 0 while unplaced, a huge constant once placed, so a single
-        #: argmin over (key + penalty) only ever selects unplaced ops.
-        self.placed_penalty = np.zeros(self.n, dtype=np.int64)
+        #: argmax over (key - penalty) only ever selects unplaced ops.
+        self.placed_penalty = np.zeros(n, dtype=np.int64)
         self.placed_penalty[self.start_oid] = PLACED_PENALTY
         self.budget = placement_budget(loop, budget_ratio)
         self.stats = SchedulerStats()
 
-        self.estart = np.zeros(self.n, dtype=np.int64)
-        self.lstart = np.zeros(self.n, dtype=np.int64)
-        self.lstart_cap = 0
-        self._bounds_dirty = True
+        #: ``[Estart | -Lstart]``: the maximum of the rows while clean.
+        self.bounds = np.zeros(2 * n, dtype=np.int64)
+        self.estart = self.bounds[:n]
+        self.neg_lstart = self.bounds[n:]
         self._init_cap()
         self._refresh_bounds()
+
+    @property
+    def lstart(self) -> np.ndarray:
+        """Lstart of every op: a fresh copy, ``-neg_lstart``."""
+        return -self.neg_lstart
 
     # ------------------------------------------------------------------
     # Estart / Lstart bookkeeping (§4.1)
@@ -163,22 +182,27 @@ class SchedulingAttempt:
 
     def _init_cap(self) -> None:
         critical_path = int(self.matrix[self.start_oid, self.stop_oid])
-        self.lstart_cap = self._quantize_cap(max(0, critical_path))
+        self.set_lstart_cap(self._quantize_cap(max(0, critical_path)))
+
+    def set_lstart_cap(self, cap: int) -> None:
+        """Make ``cap`` Lstart(Stop): rewrite the cap row's -Lstart terms
+        ``MinDist(·, Stop) - cap`` and mark the bounds for recomputation."""
+        self.lstart_cap = cap
+        np.subtract(self._matrix_t[self.stop_oid], cap, out=self.rows[self.n, self.n :])
+        self._bounds_dirty = True
 
     def _recompute_bounds(self) -> None:
         """Full O(n*n) recomputation from the contribution rows (after
-        ejections)."""
+        ejections or a cap change): Estart(x) is the maximum over placed
+        p of ``t_p + MinDist(p, x)``, and -Lstart(x) the maximum of
+        ``MinDist(x, Stop) - cap`` and, over placed p, ``MinDist(x, p) - t_p``."""
         with self.prof.span("bounds.recompute"):
-            # Estart(x) = max over placed p of t_p + MinDist(p, x).
-            self.estart = np.maximum.reduce(self._estart_rows, axis=0)
-            # Lstart(x) = min(cap - MinDist(x, Stop), t_p - MinDist(x, p)).
-            self.lstart = np.minimum.reduce(self._lstart_rows, axis=0)
-            cap_bound = self.lstart_cap - self._matrix_t[self.stop_oid]
-            np.minimum(self.lstart, cap_bound, out=self.lstart)
+            np.maximum.reduce(self.rows, axis=0, out=self.bounds)
             self._bounds_dirty = False
             if self.trace is not None:
                 self.trace.emit(tracing.BoundsRecompute(n_placed=len(self.times)))
-        self.prof.count("bounds.recomputes")
+        if self._counting:
+            self.prof.count("bounds.recomputes")
 
     def _refresh_bounds(self) -> None:
         """Make bounds valid, growing Lstart(Stop) and ejecting Stop when
@@ -186,14 +210,13 @@ class SchedulingAttempt:
         while True:
             if self._bounds_dirty:
                 self._recompute_bounds()
-            estart_stop = int(self.estart[self.stop_oid])
+            estart_stop = self.bounds.item(self.stop_oid)
             if self.stop_oid in self.times and estart_stop > self.times[self.stop_oid]:
-                self._eject(self.stop_oid, cause="cap")
+                self._eject([self.stop_oid], cause="cap")
                 continue
             if estart_stop > self.lstart_cap:
                 old_cap = self.lstart_cap
-                self.lstart_cap = self._quantize_cap(estart_stop)
-                self._bounds_dirty = True
+                self.set_lstart_cap(self._quantize_cap(estart_stop))
                 if self.trace is not None:
                     self.trace.emit(
                         tracing.CapGrow(old_cap=old_cap, new_cap=self.lstart_cap)
@@ -204,21 +227,31 @@ class SchedulingAttempt:
     # ------------------------------------------------------------------
     # Placement / ejection (§4.4)
     # ------------------------------------------------------------------
-    def _eject(self, oid: int, cause: str = "force") -> None:
-        op = self.loop.ops[oid]
-        cycle = self.times.pop(oid)
-        self.mrt.remove(op, cycle)
-        self.unplaced.add(oid)
-        self._estart_rows[oid] = -_UNPLACED
-        self._lstart_rows[oid] = _UNPLACED
-        self.placed_penalty[oid] = 0
-        self.stats.ejections += 1
+    def _eject(self, oids: List[int], cause: str = "force") -> None:
+        """Unplace ``oids`` (placed ops, in this order).
+
+        Each row is reset on its own: at one to ten ops, the size of
+        nearly every ejection batch, a scalar row assignment per op
+        costs less than one fancy-indexed assignment of them all.
+        """
+        ops, times, mrt, unplaced = self.loop.ops, self.times, self.mrt, self.unplaced
+        rows, penalty, trace, eject_counts = (
+            self.rows, self.placed_penalty, self.trace, self._eject_counts
+        )
+        for oid in oids:
+            cycle = times.pop(oid)
+            mrt.remove(ops[oid], cycle)
+            unplaced.add(oid)
+            rows[oid] = -_UNPLACED
+            penalty[oid] = 0
+            if trace is not None:
+                trace.emit(tracing.Eject(oid=oid, cycle=cycle, cause=cause))
+            if eject_counts is not None:
+                eject_counts[oid] = eject_counts.get(oid, 0) + 1
+        self.stats.ejections += len(oids)
         self._bounds_dirty = True
-        if self.trace is not None:
-            self.trace.emit(tracing.Eject(oid=oid, cycle=cycle, cause=cause))
-        if self._eject_counts is not None:
-            self._eject_counts[oid] = self._eject_counts.get(oid, 0) + 1
-        self.prof.count("framework.ejections")
+        if self._counting:
+            self.prof.count("framework.ejections", len(oids))
 
     def _dependence_conflicts(self, oid: int, cycle: int) -> List[int]:
         """Placed ops whose times are inconsistent with ``oid @ cycle``.
@@ -226,24 +259,24 @@ class SchedulingAttempt:
         MinDist reflects the transitive closure, so this ejects the full
         set of (possibly indirect) violators, which the paper found
         reduces overall backtracking.  Placed p violates exactly when its
-        Lstart term for ``oid`` lies below ``cycle`` or its Estart term
-        above it, so this reads column ``oid`` of the contribution rows;
-        the result is in oid order.  No path mask is needed: a no-path
-        MinDist entry is below ``-2**39``, which puts its term more than
-        ``2**39`` past the placed op's cycle on the side that never
-        conflicts, as an unplaced op's sentinel always is.
+        Estart term for ``oid`` lies above ``cycle`` or its -Lstart term
+        above ``-cycle``, so this reads two columns of the placed ops'
+        rows (never the cap row); the result is in oid order.  No path
+        mask is needed: a no-path MinDist entry is below ``-2**39``,
+        which puts its term more than ``2**39`` below the placed op's
+        cycle (or its negation), as an unplaced op's sentinel always is.
         """
-        violates = (self._lstart_rows[:, oid] < cycle) | (
-            self._estart_rows[:, oid] > cycle
-        )
+        rows = self._placed_rows
+        violates = (rows[:, oid] > cycle) | (rows[:, self.n + oid] > -cycle)
         violates[oid] = violates[self.start_oid] = False
-        return np.flatnonzero(violates).tolist()
+        return violates.nonzero()[0].tolist()
 
     def _force_place(self, op: Operation) -> int:
         """Step 3: make room for ``op`` by ejecting its blockers."""
         self.stats.forced += 1
-        self.prof.count("framework.force_places")
-        cycle = max(int(self.estart[op.oid]), self.last_place.get(op.oid, -1) + 1)
+        if self._counting:
+            self.prof.count("framework.force_places")
+        cycle = max(self.bounds.item(op.oid), self.last_place.get(op.oid, -1) + 1)
         # brtop can never be ejected; search past any conflict with it.
         while True:
             blockers = self.mrt.conflicts(op, cycle)
@@ -257,30 +290,48 @@ class SchedulingAttempt:
                 cycle += 1
                 continue
             ejected = sorted(set(blockers) | set(dep_blockers))
-            for blocker in ejected:
-                self._eject(blocker)
+            if ejected:
+                self._eject(ejected)
             if self.trace is not None:
                 self.trace.emit(
                     tracing.ForcePlace(oid=op.oid, cycle=cycle, ejected=ejected)
                 )
             return cycle
 
+    def _placer(self) -> Callable[..., None]:
+        """The placement step, ``place(op, cycle, forced=False)``, with the
+        attempt's tables bound once: it reserves the MRT, writes op's
+        contribution row and, while the bounds are clean, folds that row
+        into them (the incremental §4.1 update)."""
+        mrt_place, times, last_place = self.mrt.place, self.times, self.last_place
+        unplaced, rows, penalty = self.unplaced, self.rows, self.placed_penalty
+        matrix, matrix_t, bounds = self.matrix, self._matrix_t, self.bounds
+        stats, n, trace = self.stats, self.n, self.trace
+        count = self.prof.count if self._counting else None
+        add, subtract, maximum = np.add, np.subtract, np.maximum
+
+        def place(op: Operation, cycle: int, forced: bool = False) -> None:
+            oid = op.oid
+            mrt_place(op, cycle)
+            times[oid] = last_place[oid] = cycle
+            unplaced.discard(oid)
+            row = rows[oid]
+            add(matrix[oid], cycle, row[:n])
+            subtract(matrix_t[oid], cycle, row[n:])
+            penalty[oid] = PLACED_PENALTY
+            stats.placements += 1
+            if count is not None:
+                count("framework.placements")
+            if trace is not None:
+                trace.emit(tracing.Place(oid=oid, cycle=cycle, forced=forced))
+            if not self._bounds_dirty:
+                maximum(bounds, row, out=bounds)
+
+        return place
+
     def _place(self, op: Operation, cycle: int, forced: bool = False) -> None:
-        self.mrt.place(op, cycle)
-        self.times[op.oid] = cycle
-        self.last_place[op.oid] = cycle
-        self.unplaced.discard(op.oid)
-        early = np.add(self.matrix[op.oid], cycle, out=self._estart_rows[op.oid])
-        late = np.subtract(cycle, self._matrix_t[op.oid], out=self._lstart_rows[op.oid])
-        self.placed_penalty[op.oid] = PLACED_PENALTY
-        self.stats.placements += 1
-        self.prof.count("framework.placements")
-        if self.trace is not None:
-            self.trace.emit(tracing.Place(oid=op.oid, cycle=cycle, forced=forced))
-        if not self._bounds_dirty:
-            # Incremental §4.1 update: fold in the new rows.
-            np.maximum(self.estart, early, out=self.estart)
-            np.minimum(self.lstart, late, out=self.lstart)
+        """Place ``op`` at ``cycle`` outside the loop (tests)."""
+        self._placer()(op, cycle, forced)
 
     def _fail(self, reason: str) -> None:
         """Emit the AttemptFail event and raise :class:`AttemptFailed`."""
@@ -309,38 +360,52 @@ class SchedulingAttempt:
         the hit) the metrics always reported.
         """
         found, scanned = self.mrt.first_fit(op, lo, hi, early)
+        if self._scan_stats:
+            self._record_scan(scanned)
+        return found
+
+    def _record_scan(self, scanned: int) -> None:
+        """Report one window scan of ``scanned`` cycles."""
         if self.metrics is not None:
             self.metrics.histogram("scheduler.scan_window_length").record(scanned)
         self.prof.count("framework.scan_cycles", scanned)
-        return found
 
     # ------------------------------------------------------------------
     # Central loop (§4.2)
     # ------------------------------------------------------------------
     def run(self) -> Dict[int, int]:
-        """Place every operation or raise :class:`AttemptFailed`."""
+        """Place every operation or raise :class:`AttemptFailed`.
+
+        Bounds are made valid only when something can have broken them:
+        an ejection or cap change (dirty), a placed Stop that Estart may
+        have passed, or an Estart(Stop) past the cap.
+        """
         if self.trace is not None:
             # Start's implicit placement, so a replayed Place/Eject
             # stream reconstructs the complete times dict.
             self.trace.emit(tracing.Place(oid=self.start_oid, cycle=0))
+        bounds, times, unplaced, stats = self.bounds, self.times, self.unplaced, self.stats
+        stop, n, ii, budget = self.stop_oid, self.n, self.ii, self.budget
+        choose_operation, choose_issue_cycle = self.choose_operation, self.choose_issue_cycle
+        place, refresh = self._placer(), self._refresh_bounds
         try:
             while True:
-                self._refresh_bounds()
-                if not self.unplaced:
+                if self._bounds_dirty or stop in times or bounds.item(stop) > self.lstart_cap:
+                    refresh()
+                if not unplaced:
                     break
-                if self.stats.placements >= self.budget:
-                    self._fail(
-                        f"budget of {self.budget} placements exhausted at II={self.ii}"
-                    )
-                op = self.choose_operation()
-                lo = int(self.estart[op.oid])
-                hi = min(int(self.lstart[op.oid]), lo + self.ii - 1)
-                cycle = self.choose_issue_cycle(op, lo, hi) if lo <= hi else None
+                if stats.placements >= budget:
+                    self._fail(f"budget of {budget} placements exhausted at II={ii}")
+                op = choose_operation()
+                oid = op.oid
+                lo = bounds.item(oid)
+                hi = min(-bounds.item(n + oid), lo + ii - 1)
+                cycle = choose_issue_cycle(op, lo, hi) if lo <= hi else None
                 if cycle is None:
-                    self._place(op, self._force_place(op), forced=True)
+                    place(op, self._force_place(op), True)
                 else:
-                    self._place(op, cycle)
-            return dict(self.times)
+                    place(op, cycle)
+            return dict(times)
         finally:
             if self._eject_counts:
                 histogram = self.metrics.histogram("scheduler.ejections_per_op")

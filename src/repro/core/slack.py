@@ -27,6 +27,10 @@ placement of ``u`` cannot extend ``v`` past its lower-bound lifetime.
 Loop invariants (GPR-resident), duplicate inputs and self-recurrences
 are ignored throughout, as are ICR predicates (this heuristic minimizes
 RR pressure).
+
+Both hooks read the framework's fused vector ``bounds = [Estart |
+-Lstart]`` as it is: the priority key is built negated and maximized,
+and the stretch test reads Lstart as ``-bounds[n + oid]``.
 """
 
 from __future__ import annotations
@@ -82,7 +86,8 @@ class SlackAttempt(SchedulingAttempt):
         #: into a later op's "initial" slack.)
         self._initial_priority4: Optional[np.ndarray] = None
         if not self.dynamic_priority:
-            self._initial_priority4 = (self.lstart - self.estart) * self._scale4
+            # Slack is Lstart - Estart = -(-Lstart + Estart).
+            self._initial_priority4 = -(self.neg_lstart + self.estart) * self._scale4
         #: Reusable scratch vector for choose_operation's composite key.
         self._key_buf = np.empty(self.n, dtype=np.int64)
         #: choose_operation's priority multiplier times its Lstart
@@ -105,7 +110,7 @@ class SlackAttempt(SchedulingAttempt):
         return self._current_slack(op)
 
     def _current_slack(self, op: Operation) -> float:
-        slack = float(int(self.lstart[op.oid]) - int(self.estart[op.oid]))
+        slack = float(-self.bounds.item(self.n + op.oid) - self.bounds.item(op.oid))
         if self.contention:
             if op.oid in self.critical_ops:
                 slack /= 2.0
@@ -116,33 +121,38 @@ class SlackAttempt(SchedulingAttempt):
     def choose_operation(self) -> Operation:
         """Min over unplaced ops of (priority, Lstart, oid), vectorized.
 
-        One argmin over an exact integer composite key, built in-place
+        One argmax over an exact integer composite key, built in-place
         in a scratch buffer.  Priorities live in quarter units (see
         ``_scale4``), so equal float priorities are equal integers.  The
         Lstart weight ``lstart_cap + 1`` bounds every Lstart (each op
         reaches Stop through MinDist >= 0; incremental updates only lower
         Lstart; the cap grows only with a recomputation following), so
-        while every unplaced Lstart is >= 0 the packed key is
-        lexicographic and far from int64 overflow; argmin's
-        first-minimum rule is exactly the ascending-oid tiebreak; and
-        the additive placed penalty (framework) masks placed ops.
+        while every unplaced Lstart is >= 0 the packed key
+        ``k = priority4 * (lstart_cap + 1) + Lstart`` is lexicographic
+        and far from int64 overflow.  The buffer holds ``-k - penalty``
+        from the fused vector's -Lstart half: ``argmax(-k)`` picks the
+        same first index as ``argmin(k)``, so its first-maximum rule is
+        exactly the ascending-oid tiebreak, and the subtracted placed
+        penalty (framework) masks placed ops.
         """
-        self.prof.count("slack.choose_operation")
+        if self._counting:
+            self.prof.count("slack.choose_operation")
         if self._weighted_cap != self.lstart_cap:
             self._weighted_cap = self.lstart_cap
             frozen = self._initial_priority4
             scale = self._scale4 if frozen is None else frozen
             self._weighted = scale * (self.lstart_cap + 1)
-        lstart = self.lstart
+        neg_lstart = self.neg_lstart
         buf = self._key_buf
         if self._initial_priority4 is not None:
-            np.add(self._weighted, lstart, out=buf)
+            np.subtract(neg_lstart, self._weighted, out=buf)
         else:
-            np.subtract(lstart, self.estart, out=buf)
+            # -k = (-Lstart + Estart) * weight - Lstart.
+            np.add(neg_lstart, self.estart, out=buf)
             buf *= self._weighted
-            buf += lstart
-        buf += self.placed_penalty
-        return self.loop.ops[int(buf.argmin())]
+            buf += neg_lstart
+        buf -= self.placed_penalty
+        return self.loop.ops[int(buf.argmax())]
 
     # ------------------------------------------------------------------
     # §5.2: bidirectional issue-cycle choice
@@ -154,9 +164,9 @@ class SlackAttempt(SchedulingAttempt):
         entries = self._input_stretch[op.oid]
         if not entries:
             return 0
-        estart = self.estart
-        limit = int(self.lstart[op.oid])
-        return sum(1 for src, slack_const in entries if int(estart[src]) + slack_const < limit)
+        bound = self.bounds.item
+        limit = -bound(self.n + op.oid)
+        return len([src for src, slack_const in entries if bound(src) + slack_const < limit])
 
     def _stretchable_outputs(self, op: Operation) -> int:
         return self._output_stretch[op.oid]
@@ -175,18 +185,18 @@ class SlackAttempt(SchedulingAttempt):
         succ_frac = _placed_fraction(succs, self.times)
         if pred_frac != succ_frac:
             return pred_frac > succ_frac
-        any_placed = any(oid in self.times for oid in preds) or any(
-            oid in self.times for oid in succs
-        )
-        return not any_placed
+        # Equal fractions are both 0 exactly when no neighbor is placed.
+        return pred_frac == 0
 
     def choose_issue_cycle(self, op: Operation, lo: int, hi: int) -> Optional[int]:
         early = self.prefers_early(op) if self.bidirectional else True
-        return self.scan_window(op, lo, hi, early=early)
+        found, scanned = self.mrt.first_fit(op, lo, hi, early)
+        if self._scan_stats:
+            self._record_scan(scanned)
+        return found
 
 
 def _placed_fraction(oids, times) -> float:
     if not oids:
         return 0.0
-    placed = sum(1 for oid in oids if oid in times)
-    return placed / len(oids)
+    return len([oid for oid in oids if oid in times]) / len(oids)

@@ -52,10 +52,6 @@ class _MacroNode:
     members: List[int]  # oids
     offsets: Dict[int, int]  # oid -> fixed relative cycle
 
-    @property
-    def is_macro(self) -> bool:
-        return len(self.members) > 1
-
 
 class WarpScheduler:
     """One fixed-II attempt of the hierarchical list scheduler."""

@@ -11,7 +11,7 @@ defined during scheduling (§4.1).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.ir.operations import Opcode, Operation
 from repro.ir.types import DType, ValueKind
@@ -174,15 +174,6 @@ class LoopBody:
     def n_ops(self) -> int:
         """Total operation count including pseudo ops once finalized."""
         return len(self.ops)
-
-    def uses_of(self, value: Value) -> List[Tuple[Operation, Operand]]:
-        """All (operation, operand) pairs reading ``value``."""
-        found = []
-        for op in self.ops:
-            for operand in op.inputs():
-                if operand.value is value:
-                    found.append((op, operand))
-        return found
 
     def brtop(self) -> Optional[Operation]:
         """The loop-closing branch, if the body has one."""

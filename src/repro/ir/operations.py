@@ -117,10 +117,6 @@ class Operation:
     attrs: Dict[str, object] = dataclasses.field(default_factory=dict)
 
     @property
-    def is_pseudo(self) -> bool:
-        return self.opcode in (Opcode.START, Opcode.STOP)
-
-    @property
     def is_memory(self) -> bool:
         return self.opcode in (Opcode.LOAD, Opcode.STORE)
 

@@ -98,11 +98,6 @@ class Value:
     def is_constant(self) -> bool:
         return self.kind is ValueKind.CONSTANT
 
-    @property
-    def in_rotating_file(self) -> bool:
-        """True if the value occupies a rotating register (RR or ICR)."""
-        return self.is_variant
-
     def __repr__(self) -> str:
         return f"Value({self.vid}:{self.name}:{self.dtype.value})"
 
@@ -124,10 +119,6 @@ class Operand:
             raise ValueError(f"operand distance must be >= 0, got {self.back}")
         if self.back and not self.value.is_variant:
             raise ValueError("only loop variants can be read across iterations")
-
-    @property
-    def is_loop_carried(self) -> bool:
-        return self.back > 0
 
     def __repr__(self) -> str:
         if self.back:

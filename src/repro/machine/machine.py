@@ -87,9 +87,6 @@ class Machine:
             return 0
         return busy
 
-    def total_instances(self) -> int:
-        return sum(unit_class.count for unit_class in self.unit_classes)
-
     # ------------------------------------------------------------------
     # Unit binding (prepass)
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ simulator need.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from repro.bounds.lifetimes import icr_values, rr_values, schedule_lifetimes
 from repro.ir.ddg import DDG, build_ddg
@@ -39,7 +39,18 @@ class RegisterAssignment:
         return len(self.gpr)
 
 
-def _extend_live_ins(lifetimes, loop: LoopBody, ii: int):
+def _loop_carried_vids(loop: LoopBody) -> Set[int]:
+    """Vids of the variant values some op reads ``back > 0`` iterations
+    after their definition."""
+    return {
+        operand.value.vid
+        for op in loop.ops
+        for operand in op.inputs()
+        if operand.back > 0 and operand.value.is_variant
+    }
+
+
+def _extend_live_ins(lifetimes, carried: Set[int], ii: int):
     """Extend loop-carried values' lifetimes for kernel-only live-ins.
 
     A value consumed ``back`` iterations later has pre-loop instances
@@ -50,13 +61,9 @@ def _extend_live_ins(lifetimes, loop: LoopBody, ii: int):
     protection window then covers cycle -1, the preheader write; deeper
     instances' windows are subsets).  Without this, a legal steady-state
     allocation can clobber a preloaded live-in during the pipeline fill
-    — the classic live-in extension of Rau et al.
+    — the classic live-in extension of Rau et al.  ``carried`` is
+    :func:`_loop_carried_vids` of the loop.
     """
-    carried = set()
-    for op in loop.ops:
-        for operand in op.inputs():
-            if operand.back > 0 and operand.value.is_variant:
-                carried.add(operand.value.vid)
     horizon = max(0, ii - 1)
     extended = []
     for lifetime in lifetimes:
@@ -80,14 +87,15 @@ def allocate_registers(
     if ddg is None:
         ddg = build_ddg(loop, schedule.machine)
     times, ii = schedule.times, schedule.ii
+    carried = _loop_carried_vids(loop)
 
     rr_lifetimes = _extend_live_ins(
-        schedule_lifetimes(loop, ddg, times, ii, rr_values(loop)), loop, ii
+        schedule_lifetimes(loop, ddg, times, ii, rr_values(loop)), carried, ii
     )
     rr = allocate_rotating(rr_lifetimes, ii, fit=fit, ordering=ordering)
 
     icr_lifetimes = _extend_live_ins(
-        schedule_lifetimes(loop, ddg, times, ii, icr_values(loop)), loop, ii
+        schedule_lifetimes(loop, ddg, times, ii, icr_values(loop)), carried, ii
     )
     icr = allocate_rotating(icr_lifetimes, ii, fit=fit, ordering=ordering)
 

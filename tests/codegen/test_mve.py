@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen.mve import emit_mve_summary, plan_mve, validate_mve_naming
+from repro.codegen.mve import plan_mve, validate_mve_naming
 from repro.core import modulo_schedule
 from repro.frontend import ArrayRef, Assign, DoLoop, Scalar, compile_loop
 from repro.ir import build_ddg
@@ -100,12 +100,6 @@ def test_minimal_lcm_cap():
     result = modulo_schedule(loop, MACHINE)
     with pytest.raises(RuntimeError):
         plan_mve(result.schedule, policy="minimal", unroll_cap=1)
-
-
-def test_summary_mentions_expansion():
-    plan, _ = _plan(kernel1_hydro())
-    text = emit_mve_summary(plan)
-    assert "expansion" in text and "unroll" in text
 
 
 @given(st.integers(min_value=0, max_value=2_000))

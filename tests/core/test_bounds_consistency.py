@@ -1,9 +1,9 @@
 """Property: incremental Estart/Lstart updates match full recomputation.
 
-The framework maintains bounds incrementally after plain placements
-(§4.1's update rule) and recomputes from scratch after ejections.  Both
-paths must agree — this is the invariant the whole scheduler's
-correctness rests on.
+The framework maintains ``bounds = [Estart | -Lstart]`` incrementally
+after plain placements (§4.1's update rule) and recomputes it from
+scratch after ejections.  Both paths must agree — this is the invariant
+the whole scheduler's correctness rests on.
 """
 
 import numpy as np
@@ -45,7 +45,7 @@ def test_incremental_bounds_equal_full_recompute(seed, klass, steps):
             break
         op = attempt.choose_operation()
         lo = int(attempt.estart[op.oid])
-        hi = min(int(attempt.lstart[op.oid]), lo + attempt.ii - 1)
+        hi = min(-int(attempt.neg_lstart[op.oid]), lo + attempt.ii - 1)
         cycle = attempt.choose_issue_cycle(op, lo, hi) if lo <= hi else None
         if cycle is None:
             cycle = attempt._force_place(op)
@@ -53,12 +53,10 @@ def test_incremental_bounds_equal_full_recompute(seed, klass, steps):
     # Snapshot the incrementally-maintained bounds, then force a full
     # recompute and compare.
     attempt._refresh_bounds()
-    incremental_estart = attempt.estart.copy()
-    incremental_lstart = attempt.lstart.copy()
+    incremental = attempt.bounds.copy()
     attempt._bounds_dirty = True
     attempt._refresh_bounds()
-    assert np.array_equal(incremental_estart, attempt.estart)
-    assert np.array_equal(incremental_lstart, attempt.lstart)
+    assert np.array_equal(incremental, attempt.bounds)
 
 
 @given(st.integers(min_value=0, max_value=1_000))
@@ -69,5 +67,6 @@ def test_bounds_bracket_final_schedule(seed):
     times = attempt.run()
     attempt._bounds_dirty = True
     attempt._refresh_bounds()
+    estart, lstart = attempt.estart, attempt.lstart
     for oid, cycle in times.items():
-        assert attempt.estart[oid] <= cycle <= attempt.lstart[oid]
+        assert estart[oid] <= cycle <= lstart[oid]

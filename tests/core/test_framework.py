@@ -25,9 +25,10 @@ def test_initial_bounds_figure1(machine):
     loop = build_figure1_loop()
     attempt = _attempt(machine, loop, ii=2)
     # Estart(x) = MinDist(Start, x); Lstart(x) = cap - MinDist(x, Stop).
+    estart, lstart = attempt.estart, attempt.lstart
     for op in loop.real_ops:
-        assert attempt.estart[op.oid] >= 0
-        assert attempt.lstart[op.oid] >= attempt.estart[op.oid]
+        assert estart[op.oid] >= 0
+        assert lstart[op.oid] >= estart[op.oid]
     # Critical path: brtop (latency 2) and add+store (1+1) -> cap = 2.
     assert attempt.lstart_cap == 2
 
@@ -77,7 +78,7 @@ def test_ejection_restores_unplaced_and_mrt(machine):
     adds = [op for op in loop.real_ops if op.opcode is Opcode.ADD_F]
     attempt._place(adds[0], 0)
     occupancy = attempt.mrt.occupancy()
-    attempt._eject(adds[0].oid)
+    attempt._eject([adds[0].oid])
     assert adds[0].oid in attempt.unplaced
     assert adds[0].oid not in attempt.times
     assert attempt.mrt.occupancy() == occupancy - 1
@@ -91,7 +92,7 @@ def test_force_place_ejects_resource_blocker(machine):
     attempt._place(adds[0], 0)
     attempt._place(adds[1], 1)
     # Force the first add into cycle 1: the second add must be ejected.
-    attempt._eject(adds[0].oid)
+    attempt._eject([adds[0].oid])
     attempt._refresh_bounds()
     attempt.last_place[adds[0].oid] = 0
     cycle = attempt._force_place(adds[0])

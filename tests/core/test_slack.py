@@ -20,10 +20,11 @@ def _attempt(machine, loop, ii, **kwargs):
 def test_priority_is_current_slack(machine):
     loop = build_figure1_loop()
     attempt = _attempt(machine, loop, ii=2)
+    lstart = attempt.lstart
     for op in loop.real_ops:
         if op.oid in attempt.critical_ops or op.uses_divider:
             continue
-        slack = int(attempt.lstart[op.oid]) - int(attempt.estart[op.oid])
+        slack = int(lstart[op.oid]) - int(attempt.estart[op.oid])
         assert attempt.priority(op) == slack
 
 
@@ -32,8 +33,9 @@ def test_critical_ops_get_halved_priority(machine):
     attempt = _attempt(machine, loop, ii=2)
     adds = [op for op in loop.real_ops if op.opcode is Opcode.ADD_F]
     assert all(op.oid in attempt.critical_ops for op in adds)
+    lstart = attempt.lstart
     for op in adds:
-        slack = int(attempt.lstart[op.oid]) - int(attempt.estart[op.oid])
+        slack = int(lstart[op.oid]) - int(attempt.estart[op.oid])
         assert attempt.priority(op) == slack / 2
 
 
@@ -62,11 +64,12 @@ def test_choose_operation_prefers_min_slack_then_min_lstart(machine):
     loop = build_figure1_loop()
     attempt = _attempt(machine, loop, ii=2)
     chosen = attempt.choose_operation()
+    lstart = attempt.lstart
     best = min(
-        (attempt.priority(loop.ops[oid]), int(attempt.lstart[oid]))
+        (attempt.priority(loop.ops[oid]), int(lstart[oid]))
         for oid in attempt.unplaced
     )
-    assert (attempt.priority(chosen), int(attempt.lstart[chosen.oid])) == best
+    assert (attempt.priority(chosen), int(lstart[chosen.oid])) == best
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +159,7 @@ def test_unidirectional_flag_disables_heuristic(machine):
     )
     load = next(op for op in loop.real_ops if op.is_load)
     lo = int(attempt.estart[load.oid])
-    hi = min(int(attempt.lstart[load.oid]), lo + attempt.ii - 1)
+    hi = min(-int(attempt.neg_lstart[load.oid]), lo + attempt.ii - 1)
     # With the heuristic off, the scan is early-to-late: first fit = lo.
     assert attempt.choose_issue_cycle(load, lo, hi) == lo
 

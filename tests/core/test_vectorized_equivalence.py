@@ -2,17 +2,19 @@
 Python formulations they replaced.
 
 ``SlackAttempt.choose_operation`` packs (priority, Lstart, oid) into one
-integer key and takes an argmin.  The framework keeps each placed op's
-Estart and Lstart terms as one row of two contribution matrices
-(``t_p + MinDist(p, ·)`` and ``t_p - MinDist(·, p)``, sentinels while
-unplaced): ``_recompute_bounds`` reduces over those rows and
-``_dependence_conflicts`` reads one column of each.  All of these must
-agree with the straightforward scalar reference at *every* call of a
-real scheduling run, and the rows must hold exactly those terms after
-every placement and ejection — checked subclasses of all four framework
-schedulers (slack, Cydrome, unidirectional, height) assert exactly that
-while whole corpus loops schedule end to end, on every registry target,
-covering contention, ejection, cap growth and II escalation states no
+integer key and takes an argmax of its negation.  The framework keeps
+``bounds = [Estart | -Lstart]`` and each placed op's terms of both as
+one row of one contribution matrix (``[t_p + MinDist(p, ·) |
+MinDist(·, p) - t_p]``, a sentinel while unplaced), whose last row holds
+the Lstart(Stop) cap's terms: ``_recompute_bounds`` reduces over those
+rows, a placement folds its row in, and ``_dependence_conflicts`` reads
+two columns.  All of these must agree with the straightforward scalar
+reference at *every* call of a real scheduling run, and the rows must
+hold exactly those terms after every placement, ejection and cap
+change — checked subclasses of all four framework schedulers (slack,
+Cydrome, unidirectional, height) assert exactly that while whole corpus
+loops schedule end to end, on every registry target, covering
+contention, ejection, cap growth and II escalation states no
 hand-written fixture reaches.
 """
 
@@ -20,8 +22,9 @@ import pytest
 
 from repro.bounds import LoopAnalysis
 from repro.bounds.mindist import is_path
+from repro.core import acyclic
 from repro.core.baseline import CydromeAttempt, HeightAttempt, UnidirectionalAttempt
-from repro.core.framework import run_attempt
+from repro.core.framework import AttemptFailed, run_attempt
 from repro.core.slack import SlackAttempt
 from repro.frontend import compile_loop, parse_loop
 from repro.ir import build_ddg
@@ -33,8 +36,8 @@ MACHINE = cydra5()
 #: The framework's "unconstrained" Lstart.
 UNCONSTRAINED = 2**40
 
-#: Every entry of an unplaced op's contribution rows: negated in the
-#: Estart rows, as is in the Lstart rows.
+#: Every entry of an unplaced op's contribution row, and of the cap
+#: row's Estart half, is ``-UNPLACED``.
 UNPLACED = 2**42
 
 
@@ -59,46 +62,67 @@ def scalar_bounds(attempt):
 
 
 def check_rows(attempt):
-    """Placed op p's contribution rows are ``t_p + MinDist(p, x)`` and
-    ``t_p - MinDist(x, p)`` for every x; an unplaced op's hold the
-    sentinels."""
+    """Placed op p's row is ``t_p + MinDist(p, x)`` then
+    ``MinDist(x, p) - t_p`` for every x, an unplaced op's the sentinel,
+    and the cap row the sentinel then ``MinDist(x, Stop) - lstart_cap``."""
     matrix = attempt.matrix.tolist()
-    early_rows = attempt._estart_rows.tolist()
-    late_rows = attempt._lstart_rows.tolist()
-    ops = range(attempt.n)
+    rows = attempt.rows.tolist()
+    n, stop = attempt.n, attempt.stop_oid
+    assert len(rows) == n + 1
+    ops = range(n)
     for p in ops:
         if p in attempt.times:
             cycle = attempt.times[p]
-            early = [cycle + matrix[p][x] for x in ops]
-            late = [cycle - matrix[x][p] for x in ops]
+            expected = [cycle + matrix[p][x] for x in ops] + [matrix[x][p] - cycle for x in ops]
         else:
-            early, late = [-UNPLACED] * attempt.n, [UNPLACED] * attempt.n
-        assert early_rows[p] == early, f"Estart row of op {p}"
-        assert late_rows[p] == late, f"Lstart row of op {p}"
+            expected = [-UNPLACED] * (2 * n)
+        assert rows[p] == expected, f"row of op {p}"
+    cap_row = [-UNPLACED] * n + [matrix[x][stop] - attempt.lstart_cap for x in ops]
+    assert rows[n] == cap_row, "cap row"
 
 
 class CheckedKernels:
     """Asserts the framework's kernels against scalar references: the
-    rows after construction and every placement and ejection, Estart and
-    Lstart after every refresh, the conflicts of every forced placement."""
+    rows after construction, every ejection and cap change, at every
+    step (so after every placement but the last) and after the run; the
+    fused bounds after every refresh and at every step; the conflicts of
+    every forced placement."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         check_rows(self)
 
-    def _place(self, op, cycle, forced=False):
-        super()._place(op, cycle, forced=forced)
+    def run(self):
+        times = super().run()
+        check_rows(self)
+        return times
+
+    def _eject(self, oids, cause="force"):
+        super()._eject(oids, cause=cause)
         check_rows(self)
 
-    def _eject(self, oid, cause="force"):
-        super()._eject(oid, cause=cause)
+    def set_lstart_cap(self, cap):
+        super().set_lstart_cap(cap)
         check_rows(self)
+
+    def check_bounds(self):
+        estart, lstart = scalar_bounds(self)
+        assert self.bounds.tolist() == estart + [-late for late in lstart], (
+            "bounds differ from the scalar reference"
+        )
+        assert self.estart.tolist() == estart and self.lstart.tolist() == lstart
 
     def _refresh_bounds(self):
         super()._refresh_bounds()
-        estart, lstart = scalar_bounds(self)
-        assert self.estart.tolist() == estart, "Estart differs from the scalar reference"
-        assert self.lstart.tolist() == lstart, "Lstart differs from the scalar reference"
+        self.check_bounds()
+
+    def choose_operation(self):
+        # The loop refreshes only when something may have broken the
+        # bounds: every step must find them clean and exact.
+        assert not self._bounds_dirty, "a step began with dirty bounds"
+        check_rows(self)
+        self.check_bounds()
+        return super().choose_operation()
 
     def _dependence_conflicts(self, oid, cycle):
         got = super()._dependence_conflicts(oid, cycle)
@@ -124,14 +148,15 @@ class CheckedChoice:
     def choose_operation(self):
         # The packed key is lexicographic only while every unplaced
         # Lstart lies in [0, lstart_cap].
+        lstart = self.lstart
         outside = sorted(
-            oid for oid in self.unplaced if not 0 <= self.lstart[oid] <= self.lstart_cap
+            oid for oid in self.unplaced if not 0 <= lstart[oid] <= self.lstart_cap
         )
         assert not outside, f"unplaced Lstart outside [0, {self.lstart_cap}]: {outside}"
         chosen = super().choose_operation()
         reference = min(
             (self.loop.ops[oid] for oid in self.unplaced),
-            key=lambda op: (self.priority(op), int(self.lstart[op.oid]), op.oid),
+            key=lambda op: (self.priority(op), int(lstart[op.oid]), op.oid),
         )
         assert chosen.oid == reference.oid, (
             f"choose_operation picked {chosen.oid}, "
@@ -237,8 +262,8 @@ def test_packed_key_separates_a_quarter_unit_from_a_full_lstart_range():
     The store (oid 7) has priority p and Lstart = cap; the divide (oid
     5, a divider on the critical unit: a quarter of its slack counts)
     has priority p + 1/4 and Lstart 0.  The scalar min takes the store;
-    with the weight one too small the two keys tie and argmin's
-    first-minimum rule would take the divide.
+    with the weight one too small the two keys tie and argmax's
+    first-maximum rule would take the divide.
     """
     loop = compile_loop(parse_loop(DIVIDE))
     ddg = build_ddg(loop, MACHINE)
@@ -251,15 +276,45 @@ def test_packed_key_separates_a_quarter_unit_from_a_full_lstart_range():
     assert divide.oid < store.oid and cap > 0
     # Everything else: slack cap, no competition.
     attempt.estart[:] = 0
-    attempt.lstart[:] = cap
+    attempt.neg_lstart[:] = -cap
     # Store: slack -1, priority -1; divide: slack -3, priority -3/4.
-    attempt.estart[store.oid], attempt.lstart[store.oid] = cap + 1, cap
-    attempt.estart[divide.oid], attempt.lstart[divide.oid] = 3, 0
+    attempt.estart[store.oid], attempt.neg_lstart[store.oid] = cap + 1, -cap
+    attempt.estart[divide.oid], attempt.neg_lstart[divide.oid] = 3, 0
     assert attempt.priority(divide) == attempt.priority(store) + 0.25
 
+    lstart = attempt.lstart
     reference = min(
         (loop.ops[oid] for oid in attempt.unplaced),
-        key=lambda op: (attempt.priority(op), int(attempt.lstart[op.oid]), op.oid),
+        key=lambda op: (attempt.priority(op), int(lstart[op.oid]), op.oid),
     )
     assert reference is store
     assert attempt.choose_operation() is reference
+
+
+def test_a_cap_set_from_outside_the_loop_reaches_lstart(monkeypatch):
+    """The straight-line driver relaxes its target makespan after a
+    failed attempt and sets it as Lstart(Stop) before the next attempt
+    runs; only the cap row carries it to every Lstart.  The first
+    attempt here fails on purpose, so the second starts from a target
+    above its own critical-path cap."""
+    caps = []
+
+    class FailsOnce(CheckedSlackAttempt):
+        def run(self):
+            caps.append(self.lstart_cap)
+            if len(caps) == 1:
+                raise AttemptFailed("fail the first attempt")
+            return super().run()
+
+        def choose_operation(self):
+            # check_bounds (CheckedKernels) compares every Lstart with
+            # the scalar reference under the current cap.
+            assert self.lstart[self.stop_oid] == self.lstart_cap
+            return super().choose_operation()
+
+    monkeypatch.setattr(acyclic, "SlackAttempt", FailsOnce)
+    loop = compile_loop(paper_corpus(1, seed=1993)[0])
+    block = acyclic.schedule_slack(loop, MACHINE)
+    first, second = caps
+    assert second == int(first * 1.15) + 4
+    assert block.length <= second

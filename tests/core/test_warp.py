@@ -25,7 +25,7 @@ def test_macro_nodes_group_recurrence_circuits():
     loop = build_figure1_loop()
     ddg = build_ddg(loop, MACHINE)
     scheduler = WarpScheduler(LoopAnalysis.of(ddg), 2)
-    macro = [node for node in scheduler.nodes if node.is_macro]
+    macro = [node for node in scheduler.nodes if len(node.members) > 1]
     assert len(macro) == 1  # x <-> y cross recurrence
     x_def = next(op for op in loop.real_ops if op.dest is not None and op.dest.name == "x")
     y_def = next(op for op in loop.real_ops if op.dest is not None and op.dest.name == "y")
@@ -39,7 +39,7 @@ def test_fixed_relative_timing_respects_internal_arcs():
     result = modulo_schedule(loop, MACHINE, ddg=ddg)
     scheduler = WarpScheduler(LoopAnalysis.of(ddg), result.mii)
     for node in scheduler.nodes:
-        if not node.is_macro:
+        if len(node.members) == 1:
             continue
         members = set(node.members)
         for arc in ddg.arcs:

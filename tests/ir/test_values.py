@@ -10,8 +10,8 @@ def test_value_kinds():
     variant = loop.new_value("v", DType.FLOAT)
     invariant = loop.invariant("n", DType.INT)
     constant = loop.constant(2.0)
-    assert variant.is_variant and variant.in_rotating_file
-    assert invariant.is_invariant and not invariant.in_rotating_file
+    assert variant.is_variant
+    assert invariant.is_invariant and not invariant.is_variant
     assert constant.is_constant and constant.literal == 2.0
 
 
@@ -32,9 +32,8 @@ def test_value_ids_are_dense():
 def test_operand_back_distance():
     loop = LoopBody("t")
     value = loop.new_value("v", DType.FLOAT)
-    operand = Operand(value, back=2)
-    assert operand.is_loop_carried
-    assert not Operand(value).is_loop_carried
+    assert Operand(value, back=2).back == 2
+    assert Operand(value).back == 0
 
 
 def test_operand_rejects_negative_distance():
@@ -56,4 +55,4 @@ def test_predicate_dtype_routing():
     assert not DType.FLOAT.is_predicate
     loop = LoopBody("t")
     pred = loop.new_value("p", DType.PRED)
-    assert pred.in_rotating_file  # predicates live in the rotating ICR file
+    assert pred.is_variant  # predicates live in the rotating ICR file

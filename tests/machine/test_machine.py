@@ -82,7 +82,7 @@ def test_binding_balances_busy_cycles_not_op_counts():
 
 
 def test_total_instances(machine):
-    assert machine.total_instances() == 2 + 2 + 1 + 1 + 1 + 1
+    assert sum(unit_class.count for unit_class in machine.unit_classes) == 2 + 2 + 1 + 1 + 1 + 1
 
 
 def test_cydra5_name_mentions_load_latency():

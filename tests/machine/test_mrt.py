@@ -99,7 +99,7 @@ def test_rows_show_occupants(machine):
     adds = [op for op in loop.real_ops if op.opcode is Opcode.ADD_F]
     mrt.place(adds[0], 1)
     rows = mrt.rows()
-    assert len(rows) == machine.total_instances()
+    assert len(rows) == sum(unit_class.count for unit_class in machine.unit_classes)
     adder = next(
         index for index, unit_class in enumerate(machine.unit_classes)
         if unit_class.name == "Adder"

@@ -167,7 +167,7 @@ def compare_corpus(count: int, seed: int = 1993) -> int:
     from repro.ir import build_ddg
     from repro.machine import build_machine, machine_names
     from repro.regalloc import FIT_STRATEGIES, ORDERINGS, allocate_rotating
-    from repro.regalloc.files import _extend_live_ins
+    from repro.regalloc.files import _extend_live_ins, _loop_carried_vids
     from repro.workloads import paper_corpus
 
     cases = 0
@@ -179,9 +179,10 @@ def compare_corpus(count: int, seed: int = 1993) -> int:
             result = modulo_schedule(loop, machine, ddg=ddg)
             assert result.success, f"{program.name} on {target}: no schedule"
             times, ii = result.schedule.times, result.schedule.ii
+            carried = _loop_carried_vids(loop)
             for file, values in (("rr", rr_values(loop)), ("icr", icr_values(loop))):
                 lifetimes = _extend_live_ins(
-                    schedule_lifetimes(loop, ddg, times, ii, values), loop, ii
+                    schedule_lifetimes(loop, ddg, times, ii, values), carried, ii
                 )
                 for fit in FIT_STRATEGIES:
                     for ordering in ORDERINGS:

@@ -13,6 +13,11 @@ from repro.workloads.livermore import kernel15_casual, kernel5_tridiag
 MACHINE = cydra5()
 
 
+def _is_read(loop, value):
+    """True if some operation reads ``value``."""
+    return any(operand.value is value for op in loop.ops for operand in op.inputs())
+
+
 def _assignment(program):
     loop = compile_loop(program)
     ddg = build_ddg(loop, MACHINE)
@@ -27,7 +32,7 @@ def test_every_rr_variant_gets_a_specifier():
 
     for value in rr_values(loop):
         # Dead values (no uses) are skipped; live ones must be assigned.
-        if any(True for _ in loop.uses_of(value)):
+        if _is_read(loop, value):
             assert value.vid in assignment.rr.specifiers
 
 
@@ -37,7 +42,7 @@ def test_predicates_go_to_icr():
     from repro.bounds import icr_values
 
     for value in icr_values(loop):
-        if any(True for _ in loop.uses_of(value)):
+        if _is_read(loop, value):
             assert value.vid in assignment.icr.specifiers
 
 

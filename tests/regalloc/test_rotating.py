@@ -16,7 +16,7 @@ from repro.regalloc import (
     allocate_registers,
     allocate_rotating,
 )
-from repro.regalloc.files import _extend_live_ins
+from repro.regalloc.files import _extend_live_ins, _loop_carried_vids
 from repro.regalloc.rotating import _order, _try_pack
 from repro.workloads import named_kernels
 
@@ -166,7 +166,8 @@ def test_kernel_register_files_are_conflict_free(program, target):
     files = ((rr_values(loop), assignment.rr), (icr_values(loop), assignment.icr))
     for values, allocation in files:
         lifetimes = schedule_lifetimes(loop, ddg, schedule.times, schedule.ii, values)
-        assert_no_shared_cells(_extend_live_ins(lifetimes, loop, schedule.ii), allocation)
+        extended = _extend_live_ins(lifetimes, _loop_carried_vids(loop), schedule.ii)
+        assert_no_shared_cells(extended, allocation)
 
 
 def test_sizes_are_tried_in_order_because_greedy_success_is_not_monotone():
