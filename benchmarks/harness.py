@@ -6,7 +6,8 @@ runs; set ``REPRO_CORPUS=1525`` to reproduce at the paper's full scale.
 :func:`measured` caches one corpus run per algorithm, so the figure
 benchmarks, which need both schedulers' results, do not pay for
 re-measuring what an earlier benchmark already produced.  Timing and
-span breakdowns belong to ``python -m repro bench`` (:mod:`repro.obs.bench`).
+per-layer span breakdowns belong to the pipeline benchmark
+(``benchmarks/pipeline/``).
 """
 
 from __future__ import annotations

@@ -2,10 +2,9 @@
 
 Several subsystems need "the same object always serializes to the same
 bytes": cache keys and machine digests (:mod:`repro.service.keys`),
-history lines (:mod:`repro.obs.history`), bench payload files
-(:mod:`repro.obs.bench`), on-disk cache envelopes
-(:mod:`repro.service.cache`) and the scheduling server's response
-bodies (:mod:`repro.server`).  They all used to spell the same
+history lines and bench payload files (:mod:`repro.obs.history`),
+on-disk cache envelopes (:mod:`repro.service.cache`) and the
+scheduling server's response bodies (:mod:`repro.server`).  They all used to spell the same
 ``json.dumps(..., sort_keys=True)`` incantation locally; this module is
 the single definition, so "canonical" means exactly one thing:
 

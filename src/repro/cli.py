@@ -4,14 +4,13 @@
     python -m repro loop.txt --algorithm cydrome --emit --simulate
     python -m repro --demo            # runs the paper's Figure 1 sample
     python -m repro --demo --trace t.jsonl --explain   # observability
-    python -m repro bench             # benchmark harness -> BENCH_*.json
     python -m repro batch --corpus 60 --jobs 4         # scheduling service
     python -m repro batch --corpus 60 --jobs 4 --trace t.jsonl --cache-dir rc
     python -m repro batch --gc --max-cache-bytes 500M  # cache eviction
     python -m repro serve --port 8537 --cache-dir shared-cache  # daemon
     python -m repro batch --corpus 60 --cache-url http://localhost:8537
     python -m repro report --metrics m.json --out report.html  # HTML report
-    python -m repro history record --db h.jsonl bench-out/     # bench history
+    python -m repro history record --db h.jsonl run.json       # bench history
     python -m repro history trend --db benchmarks/history.jsonl  # MAD anomaly scan
 
 Prints lower bounds, the found schedule, register pressure against the
@@ -34,12 +33,6 @@ picks JSONL or Chrome trace-event JSON for chrome://tracing/Perfetto),
 schema-versioned JSON, and ``--verbose`` enables stdlib-logging
 progress lines from the driver.
 
-The ``bench`` subcommand runs named scenarios under a common protocol
-(warmup, timed repeats with median/IQR, one profiled pass) and writes
-``BENCH_<scenario>.json``; ``bench --compare OLD NEW
-[--fail-on-regress]`` diffs two result sets with a noise-aware
-threshold (see ``repro.obs.bench`` / ``repro.obs.regress``).
-
 The ``batch`` subcommand schedules corpora as a service: serially
 in-process or on a process pool (``--jobs``), a content-addressed result
 cache in a fan-out directory (``--cache-dir``), its eviction
@@ -57,13 +50,12 @@ points any batch run at that shared warm cache, with graceful
 degradation to a local directory cache when the server is down.
 
 The ``history`` subcommand keeps an append-only JSON-lines file of
-bench envelopes and batch summaries, one run per line
+bench payloads and batch summaries, one run per line
 (``benchmarks/history.jsonl`` is the committed trajectory): ``record``
-ingests BENCH_*.json files, ``trend`` runs a rolling-median + MAD
-anomaly scan over every metric series, and ``compare`` diffs two
-recorded runs through ``bench --compare``'s printer, with provenance
-warnings and span-level regression attribution (see
-``repro.obs.history``).
+ingests payload files, ``trend`` runs a rolling-median + MAD anomaly
+scan over every metric series, and ``compare`` diffs two recorded runs
+under a noise-aware threshold, with provenance warnings (see
+``repro.obs.history`` / ``repro.obs.regress``).
 """
 
 from __future__ import annotations
@@ -170,11 +162,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        # Subcommand: the benchmark harness + regression gate (obs.bench).
-        from repro.obs.bench import bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "batch":
         # Subcommand: the parallel scheduling service (repro.service).
         from repro.service.batch_cli import batch_main
@@ -259,7 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
         print(f"trace: {len(tracer.events)} events -> {args.trace} ({args.trace_format})")
     if args.metrics_out:
-        from repro.obs.bench import METRICS_SCHEMA, wrap_payload, write_json
+        from repro.obs.history import METRICS_SCHEMA, wrap_payload, write_json
 
         payload = wrap_payload(
             METRICS_SCHEMA,

@@ -1,9 +1,29 @@
-"""Append-only bench/batch history: a JSON-lines file, MAD trends, attribution.
+"""Append-only bench history: a JSON-lines file of payloads, MAD trends.
 
-The regression gate (:mod:`repro.obs.regress`) compares two snapshots;
-this module keeps the *trajectory*.  Every ``BENCH_*.json`` envelope (or
-batch summary) recorded here becomes one line of a text file, and three
-queries ride on top:
+Line *n* of the file is run #*n*, written as ``canonical_dumps({"payload",
+"recorded_unix", "scenario"})``, so recording the same inputs twice
+yields byte-identical lines modulo the timestamp/SHA provenance fields.
+``benchmarks/history.jsonl`` is the committed trajectory: the pipeline
+benchmark's medians per workload (``pipeline.<workload>``) and
+``batch --history`` summaries (``batch-cli``).
+
+Every payload is one envelope (schema ``repro.bench``, version 1; see
+DESIGN.md), built by :func:`wrap_payload` around self-describing metric
+entries::
+
+    {"value": 1.84, "unit": "s", "direction": "lower",
+     "kind": "time", "iqr": 0.02}
+
+``direction`` says which way is better; ``kind`` separates wall-clock
+metrics (machine-dependent, gated only with ``--gate-time``) from
+deterministic ones (identical on every machine for a given corpus, so
+any delta is a real behavior change).  :func:`payload_problem` checks
+an envelope and each of its entries; a file that fails it is never
+recorded, and a line that fails it raises :class:`HistoryError` naming
+``path:line``.  A file has one writer at a time, so appends take no
+lock.
+
+Three queries ride on the file:
 
 ``trend``
     A rolling-median + MAD anomaly rule over each metric's series.
@@ -14,34 +34,27 @@ queries ride on top:
     drifts a single committed baseline cannot.
 
 ``compare``
-    The regress noise model between any two recorded runs (default:
-    the last two per scenario), printed by the same function as
-    ``repro bench --compare``: the delta table, provenance-mismatch
-    warnings and span-level attribution — diffing the profiler
-    snapshots stored alongside each run to name which span
-    (driver/framework/slack/MinDist) accounts for a time regression.
+    The :mod:`repro.obs.regress` noise model between any two recorded
+    runs (default: the last two per scenario): the delta table and
+    provenance-mismatch warnings.
 
 ``show``/``record``
-    Plain inventory and ingestion.  Line *n* of the file is run #*n*,
-    written as ``canonical_dumps({"payload", "recorded_unix",
-    "scenario"})``, so recording the same inputs twice yields
-    byte-identical lines modulo the timestamp/SHA provenance fields.
-
-Every line is checked on read the way :func:`repro.obs.bench.load_payload`
-checks a file; a bad line raises :class:`HistoryError` naming
-``path:line``.  A file has one writer at a time, so appends take no lock.
+    Plain inventory and ingestion of payload files.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
+import platform
+import subprocess
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.canonical import canonical_dumps
-from repro.obs.bench import payload_problem
-from repro.obs.regress import gating_regressions, load_bench_files, print_comparison
+from repro.canonical import canonical_dump, canonical_dumps
+from repro.obs.regress import gating_regressions, print_comparison
 
 #: MAD anomaly rule defaults (see module docstring).
 TREND_WINDOW = 8
@@ -51,6 +64,182 @@ MAD_SIGMA = 1.4826
 #: A point needs at least this many prior points to be judged.
 TREND_MIN_POINTS = 4
 
+#: Bump when a payload's structure changes incompatibly.  Loaders
+#: refuse other versions rather than mis-reading them.
+BENCH_SCHEMA = "repro.bench"
+BENCH_SCHEMA_VERSION = 1
+
+#: Schema tag for ``--metrics-out`` dumps of a MetricsRegistry.
+METRICS_SCHEMA = "repro.metrics"
+
+#: The keys of one metric entry, and the values two of them may take.
+_METRIC_KEYS = ("direction", "iqr", "kind", "unit", "value")
+_DIRECTIONS = ("lower", "higher")
+_KINDS = ("time", "count")
+
+
+# ----------------------------------------------------------------------
+# The payload envelope
+# ----------------------------------------------------------------------
+def git_sha() -> Optional[str]:
+    """Current commit SHA, or None outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else None
+
+
+def wrap_payload(schema: str, body: dict) -> dict:
+    """Stamp a body with schema/version/provenance envelope fields."""
+    return {
+        "schema": schema,
+        "schema_version": BENCH_SCHEMA_VERSION,
+        "created_unix": time.time(),
+        "git_sha": git_sha(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        **body,
+    }
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write one payload as canonical (sorted-key) pretty JSON."""
+    canonical_dump(payload, path, indent=2)
+
+
+def _finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _metric_problem(name: str, entry) -> Optional[str]:
+    """Why ``entry`` is not what :func:`metric` builds, or None."""
+    if not isinstance(entry, dict) or tuple(sorted(entry)) != _METRIC_KEYS:
+        return f"metric {name!r}: expected keys {', '.join(_METRIC_KEYS)}"
+    if not _finite_number(entry["value"]):
+        return f"metric {name!r}: value {entry['value']!r} is not a finite number"
+    if not _finite_number(entry["iqr"]):
+        return f"metric {name!r}: iqr {entry['iqr']!r} is not a finite number"
+    if not isinstance(entry["unit"], str):
+        return f"metric {name!r}: unit {entry['unit']!r} is not a string"
+    if entry["direction"] not in _DIRECTIONS:
+        return f"metric {name!r}: direction {entry['direction']!r} is not lower/higher"
+    if entry["kind"] not in _KINDS:
+        return f"metric {name!r}: kind {entry['kind']!r} is not time/count"
+    return None
+
+
+def payload_problem(payload) -> Optional[str]:
+    """Why ``payload`` is not a supported bench envelope, or None."""
+    found = payload.get("schema") if isinstance(payload, dict) else None
+    if found != BENCH_SCHEMA:
+        return f"expected schema {BENCH_SCHEMA!r}, found {found!r}"
+    if payload.get("schema_version") != BENCH_SCHEMA_VERSION:
+        return (
+            f"schema version {payload.get('schema_version')!r} "
+            f"!= supported {BENCH_SCHEMA_VERSION}"
+        )
+    metrics = payload.get("metrics")
+    if not isinstance(metrics, dict):
+        return f"metrics {metrics!r} is not an object"
+    for name, entry in metrics.items():
+        problem = _metric_problem(name, entry)
+        if problem:
+            return problem
+    return None
+
+
+def load_payload(path: str) -> dict:
+    """Load and check one bench payload file."""
+    with open(path) as handle:
+        payload = json.load(handle)
+    problem = payload_problem(payload)
+    if problem:
+        raise ValueError(f"{path}: {problem}")
+    return payload
+
+
+def metric(
+    value: float,
+    unit: str,
+    direction: str = "lower",
+    kind: str = "count",
+    iqr: float = 0.0,
+) -> dict:
+    """One self-describing metric entry (see module docstring)."""
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"direction must be 'lower' or 'higher', got {direction!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be 'time' or 'count', got {kind!r}")
+    return {
+        "value": float(value),
+        "unit": unit,
+        "direction": direction,
+        "kind": kind,
+        "iqr": float(iqr),
+    }
+
+
+def corpus_aggregates(loop_metrics) -> Dict[str, dict]:
+    """Deterministic schedule-quality aggregates over LoopMetrics.
+
+    These are machine-independent for a fixed corpus: the scheduler is
+    deterministic, so *any* delta between two runs at the same corpus
+    size is a behavior change, not noise.
+    """
+    scheduled = [m for m in loop_metrics if m.success]
+    n = len(loop_metrics)
+    ops_scheduled = sum(m.n_ops for m in scheduled)
+    sum_ii = sum(m.ii for m in scheduled)
+    sum_mii = sum(m.mii for m in scheduled)
+    sum_maxlive = sum(m.max_live for m in scheduled)
+    sum_minavg = sum(m.min_avg for m in scheduled)
+    return {
+        "loops": metric(n, "loops", direction="higher"),
+        "loops_scheduled": metric(len(scheduled), "loops", direction="higher"),
+        "ops_scheduled": metric(ops_scheduled, "ops", direction="higher"),
+        "success_rate": metric(
+            len(scheduled) / n if n else 0.0, "fraction", direction="higher"
+        ),
+        "optimality_rate": metric(
+            sum(1 for m in scheduled if m.optimal) / n if n else 0.0,
+            "fraction",
+            direction="higher",
+        ),
+        "ii_over_mii": metric(
+            sum_ii / sum_mii if sum_mii else 0.0, "ratio", direction="lower"
+        ),
+        "maxlive_over_minavg": metric(
+            sum_maxlive / sum_minavg if sum_minavg else 0.0,
+            "ratio",
+            direction="lower",
+        ),
+        "attempts_total": metric(
+            sum(m.attempts for m in loop_metrics), "attempts", direction="lower"
+        ),
+        "ejections_total": metric(
+            sum(m.ejections for m in loop_metrics), "ejections", direction="lower"
+        ),
+        "placements_total": metric(
+            sum(m.placements for m in loop_metrics), "placements", direction="lower"
+        ),
+    }
+
+
+# ----------------------------------------------------------------------
+# The store
+# ----------------------------------------------------------------------
 #: The keys of one history line, in their canonical order.
 _LINE_KEYS = ("payload", "recorded_unix", "scenario")
 
@@ -135,14 +324,17 @@ class HistoryStore:
         return self._append([(scenario, payload)])[0]
 
     def record_paths(self, paths: Sequence[str]) -> List[Tuple[str, int]]:
-        """Record BENCH_*.json files (or directories of them).
+        """Record payload files, one run each, under their ``scenario``.
 
         Returns ``[(scenario, run_id), ...]`` in ingestion order.
         Raises ``OSError``/``ValueError`` on unreadable or off-schema
         files — every file is read and checked before the first line is
         appended, so ingestion is all-or-nothing per call.
         """
-        entries = [entry for path in paths for entry in load_bench_files(path)]
+        entries = []
+        for path in paths:
+            payload = load_payload(path)
+            entries.append((payload.get("scenario") or os.path.basename(path), payload))
         run_ids = self._append(entries)
         return [(scenario, run_id) for (scenario, _), run_id in zip(entries, run_ids)]
 
@@ -353,16 +545,9 @@ def batch_report_payload(report) -> dict:
 
     This is what ``python -m repro batch --history DB`` records: job
     status counts and cache behavior as deterministic count metrics,
-    wall time as a (non-gating) time metric, plus the same
-    schedule-quality aggregates bench scenarios carry.
+    wall time as a (non-gating) time metric, plus the schedule-quality
+    aggregates of :func:`corpus_aggregates`.
     """
-    from repro.obs.bench import (
-        BENCH_SCHEMA,
-        corpus_aggregates,
-        metric,
-        wrap_payload,
-    )
-
     counts = report.counts()
     metrics = {
         "jobs": metric(len(report.results), "loops", direction="higher"),
@@ -554,16 +739,16 @@ def build_history_parser():
 
     parser = argparse.ArgumentParser(
         prog="repro history",
-        description="Append-only bench/batch history: record envelopes, "
+        description="Append-only bench/batch history: record payload files, "
         "trend metrics with a rolling-median + MAD anomaly rule, and "
-        "compare runs with span-level regression attribution.",
+        "compare runs under a noise model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    record = sub.add_parser("record", help="ingest BENCH_*.json files")
+    record = sub.add_parser("record", help="ingest bench payload files")
     record.add_argument("--db", required=True, help="history JSON-lines path")
     record.add_argument(
-        "paths", nargs="+", help="BENCH_*.json files or directories"
+        "paths", nargs="+", help="payload JSON files (schema repro.bench)"
     )
 
     show = sub.add_parser("show", help="list recorded runs")
@@ -603,7 +788,7 @@ def build_history_parser():
     compare = sub.add_parser(
         "compare",
         help="regress two recorded runs (default: last two per scenario) "
-        "with provenance warnings and span-level attribution",
+        "with provenance warnings",
     )
     compare.add_argument("--db", required=True)
     compare.add_argument("--scenario", help="restrict to one scenario")

@@ -21,19 +21,17 @@ Design rules:
   read pair per span and a no-op call per count.
 * Span bookkeeping is O(1) per enter/exit, so enabling the profiler
   perturbs the measured program as little as possible.
-* Peak-memory capture (``tracemalloc``) is opt-in because starting the
-  tracer slows allocation-heavy code; it is off unless
-  ``Profiler(memory=True)``.
 
 The report comes in two shapes: :meth:`Profiler.snapshot` returns a
-JSON-safe dict (embedded in BENCH_*.json files by ``repro.obs.bench``)
-and :meth:`Profiler.report` renders an ASCII self/cumulative table.
+JSON-safe dict (what ``batch --profile-out`` writes and ``repro report
+--profile`` reads) and :meth:`Profiler.report` renders an ASCII
+self/cumulative table.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 #: Separator between nested span names in a span path.  Span *names*
 #: are dotted ("bounds.mindist"); *paths* join the active stack, e.g.
@@ -84,25 +82,12 @@ class Profiler:
 
     enabled: bool = True
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        memory: bool = False,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
         self._stats: Dict[str, _SpanStat] = {}
         self._counters: Dict[str, int] = {}
         #: Active frames: (path, child_seconds accumulated so far).
         self._stack: List[Tuple[str, float]] = []
-        self._memory = memory
-        self._started_tracemalloc = False
-        self.peak_memory_bytes: Optional[int] = None
-        if memory:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracemalloc = True
 
     # ------------------------------------------------------------------
     # Recording
@@ -135,31 +120,12 @@ class Profiler:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def _capture_memory(self) -> None:
-        if not self._memory:
-            return
-        import tracemalloc
-
-        if tracemalloc.is_tracing():
-            self.peak_memory_bytes = tracemalloc.get_traced_memory()[1]
-
-    def close(self) -> None:
-        """Stop the tracemalloc session if this profiler started it."""
-        self._capture_memory()
-        if self._started_tracemalloc:
-            import tracemalloc
-
-            tracemalloc.stop()
-            self._started_tracemalloc = False
-
     def snapshot(self) -> dict:
-        """JSON-safe dump: spans keyed by path, counters, peak memory.
+        """JSON-safe dump: spans keyed by path, and counters.
 
-        Schema (versioned alongside the BENCH schema, see DESIGN.md):
-        ``spans[path] = {calls, cum_seconds, self_seconds}``; paths join
-        nested span names with ``";"``.
+        Schema (see DESIGN.md): ``spans[path] = {calls, cum_seconds,
+        self_seconds}``; paths join nested span names with ``";"``.
         """
-        self._capture_memory()
         return {
             "spans": {
                 path: {
@@ -170,15 +136,12 @@ class Profiler:
                 for path, stat in sorted(self._stats.items())
             },
             "counters": dict(sorted(self._counters.items())),
-            "peak_memory_bytes": self.peak_memory_bytes,
         }
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` dict (e.g. from a worker process) in.
 
-        Span stats and counters accumulate; peak memory takes the max
-        (concurrent workers do not share an allocator, so summing would
-        overstate any single process's footprint).
+        Span stats and counters accumulate.
         """
         for path, entry in snapshot.get("spans", {}).items():
             mine = self._stats.get(path)
@@ -189,9 +152,6 @@ class Profiler:
             mine.self_seconds += entry["self_seconds"]
         for name, value in snapshot.get("counters", {}).items():
             self.count(name, value)
-        peak = snapshot.get("peak_memory_bytes")
-        if peak is not None:
-            self.peak_memory_bytes = max(self.peak_memory_bytes or 0, peak)
 
     def report(self, limit: int = 0) -> str:
         """ASCII self/cumulative table in call-tree order.
@@ -220,8 +180,6 @@ class Profiler:
             lines.append("  counters:")
             for name, value in sorted(self._counters.items()):
                 lines.append(f"    {name:<42} {value}")
-        if self.peak_memory_bytes is not None:
-            lines.append(f"  peak memory: {self.peak_memory_bytes / 1e6:.2f} MB")
         return "\n".join(lines)
 
 

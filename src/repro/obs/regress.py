@@ -1,6 +1,7 @@
-"""Noise-aware regression gating over BENCH_*.json result sets.
+"""Noise-aware regression gating between two bench payloads.
 
-``compare_sets`` matches two benchmark runs scenario-by-scenario and
+``repro history compare`` prints through :func:`print_comparison`:
+``compare_sets`` matches two runs scenario-by-scenario and
 metric-by-metric, and classifies each delta as a regression, an
 improvement, or within noise.  The noise model is per metric:
 
@@ -25,11 +26,7 @@ as regressions.  Rendered as a markdown-compatible ASCII table::
 from __future__ import annotations
 
 import dataclasses
-import glob
-import os
-from typing import Dict, List, Optional, Tuple
-
-from repro.obs.bench import BENCH_SCHEMA, load_payload
+from typing import Dict, List, Optional
 
 #: Relative-delta floor that avoids dividing by a ~zero old value.
 _EPSILON = 1e-12
@@ -120,31 +117,6 @@ def compare_payload_pair(
     ]
 
 
-def load_bench_files(path: str) -> List[Tuple[str, dict]]:
-    """``(scenario, payload)`` for a BENCH file, or for every
-    ``BENCH_*.json`` of a directory in name order."""
-    if os.path.isdir(path):
-        files = sorted(glob.glob(os.path.join(path, "BENCH_*.json")))
-    else:
-        files = [path]
-    if not files:
-        raise FileNotFoundError(f"no BENCH_*.json files under {path}")
-    entries = []
-    for name in files:
-        payload = load_payload(name, schema=BENCH_SCHEMA)
-        entries.append((payload.get("scenario") or os.path.basename(name), payload))
-    return entries
-
-
-def collect_bench_files(path: str) -> Dict[str, dict]:
-    """Load BENCH payloads from a directory or a single file.
-
-    Returns scenario name -> payload; a directory is scanned for
-    ``BENCH_*.json``.
-    """
-    return dict(load_bench_files(path))
-
-
 def compare_sets(
     old_payloads: Dict[str, dict],
     new_payloads: Dict[str, dict],
@@ -227,103 +199,6 @@ def set_provenance_warnings(
     return warnings
 
 
-# ----------------------------------------------------------------------
-# Span-level attribution (profiler snapshot diffs)
-# ----------------------------------------------------------------------
-@dataclasses.dataclass
-class SpanDelta:
-    """One profiler span's old-vs-new self-time comparison."""
-
-    path: str
-    old_self: float
-    new_self: float
-    old_calls: int = 0
-    new_calls: int = 0
-
-    @property
-    def delta_self(self) -> float:
-        """Absolute self-seconds change (+ = slower)."""
-        return self.new_self - self.old_self
-
-
-def diff_profiles(old_profile: dict, new_profile: dict) -> List[SpanDelta]:
-    """Span-by-span self-time diff of two profiler snapshots.
-
-    Sorted by self-seconds increase (the guiltiest span first): when a
-    scenario's wall time regressed, the top entry names which phase of
-    the scheduler — driver, framework, slack, MinDist — slowed down.
-    """
-    old_spans = (old_profile or {}).get("spans", {})
-    new_spans = (new_profile or {}).get("spans", {})
-    deltas = [
-        SpanDelta(
-            path=path,
-            old_self=old_spans.get(path, {}).get("self_seconds", 0.0),
-            new_self=new_spans.get(path, {}).get("self_seconds", 0.0),
-            old_calls=old_spans.get(path, {}).get("calls", 0),
-            new_calls=new_spans.get(path, {}).get("calls", 0),
-        )
-        for path in sorted(set(old_spans) | set(new_spans))
-    ]
-    deltas.sort(key=lambda d: (-d.delta_self, d.path))
-    return deltas
-
-
-def attribute_spans(
-    old_payload: dict, new_payload: dict, limit: int = 3
-) -> List[str]:
-    """Name the spans that account for a scenario's time regression.
-
-    Returns report lines (empty when either payload lacks a profile
-    snapshot or nothing slowed down).
-    """
-    old_profile = old_payload.get("profile")
-    new_profile = new_payload.get("profile")
-    if not old_profile or not new_profile:
-        return []
-    slower = [d for d in diff_profiles(old_profile, new_profile) if d.delta_self > 0]
-    if not slower:
-        return []
-    total = sum(d.delta_self for d in slower)
-    lines = ["span attribution (self-time increase, guiltiest first):"]
-    for delta in slower[:limit]:
-        share = delta.delta_self / total if total > 0 else 0.0
-        grew = (
-            delta.old_self * 100.0
-            if delta.old_self <= 0
-            else (delta.new_self / delta.old_self - 1.0) * 100.0
-        )
-        lines.append(
-            f"  {delta.path:<40} +{delta.delta_self * 1e3:.2f}ms self "
-            f"({share:.0%} of the slowdown, {grew:+.0f}% vs old, "
-            f"calls {delta.old_calls} -> {delta.new_calls})"
-        )
-    return lines
-
-
-def attribute_sets(
-    old_payloads: Dict[str, dict],
-    new_payloads: Dict[str, dict],
-    deltas: List[MetricDelta],
-    limit: int = 3,
-) -> List[str]:
-    """Span attribution for every scenario with a regressed time metric."""
-    guilty = sorted(
-        {d.scenario for d in deltas if d.is_regression and d.kind == "time"}
-    )
-    lines = []
-    for scenario in guilty:
-        old = old_payloads.get(scenario)
-        new = new_payloads.get(scenario)
-        if old is None or new is None:
-            continue
-        attribution = attribute_spans(old, new, limit=limit)
-        if attribution:
-            lines.append(f"{scenario}:")
-            lines.extend(f"  {line}" for line in attribution)
-    return lines
-
-
 def _fmt(value: Optional[float], unit: str) -> str:
     if value is None:
         return "-"
@@ -381,12 +256,8 @@ def print_comparison(
     iqr_factor: float = 2.0,
     gate_time: bool = False,
 ) -> List[MetricDelta]:
-    """Print the delta table, provenance warnings, span attribution and
-    summary of two scenario->payload maps; return the deltas.
-
-    ``repro bench --compare`` and ``repro history compare`` both print
-    through here.
-    """
+    """Print the delta table, provenance warnings and summary of two
+    scenario->payload maps; return the deltas."""
     deltas = compare_sets(
         old_payloads,
         new_payloads,
@@ -398,35 +269,5 @@ def print_comparison(
     print()
     for warning in set_provenance_warnings(old_payloads, new_payloads):
         print(f"warning: {warning}")
-    for line in attribute_sets(old_payloads, new_payloads, deltas):
-        print(line)
     print(summarize(deltas))
     return deltas
-
-
-def compare_main(
-    old_path: str,
-    new_path: str,
-    fail_on_regress: bool = False,
-    threshold: float = 0.02,
-    iqr_factor: float = 2.0,
-    gate_time: bool = False,
-) -> int:
-    """CLI entry for ``python -m repro bench --compare OLD NEW``."""
-    try:
-        old_payloads = collect_bench_files(old_path)
-        new_payloads = collect_bench_files(new_path)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}")
-        return 2
-    deltas = print_comparison(
-        old_payloads,
-        new_payloads,
-        threshold=threshold,
-        iqr_factor=iqr_factor,
-        gate_time=gate_time,
-    )
-    if fail_on_regress and gating_regressions(deltas):
-        print("FAIL: gating regression(s) detected")
-        return 1
-    return 0

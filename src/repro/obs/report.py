@@ -4,9 +4,9 @@ Fuses whatever observability artifacts a batch run produced — the
 per-loop metrics JSON (``batch --out``), the merged metrics registry
 (``--metrics-out``), the profiler span snapshot (``--profile-out``),
 the scheduler trace JSONL (``--trace``), the progress-event log
-(``--progress-log``) and a pair of BENCH_*.json result sets
-(``--compare OLD NEW``) — into one dependency-free HTML file: inline
-CSS, inline SVG, no scripts, no network fetches.  Open it from a CI
+(``--progress-log``) and the bench history (``--history``) — into one
+dependency-free HTML file: inline CSS, inline SVG, no scripts, no
+network fetches.  Open it from a CI
 artifact tab or ``file://`` and it renders identically.
 
 Sections (each appears only when its input was given):
@@ -21,7 +21,7 @@ Sections (each appears only when its input was given):
 * breakdown bars — cache outcomes, failure reasons, progress lifecycle
   counts, trace event mix;
 * straggler table from the progress log;
-* regression delta table (reusing :mod:`repro.obs.regress`).
+* per-scenario history trends with sparklines.
 
 The builder is a pure function of its inputs: no wall-clock reads, no
 environment probes, sorted iteration everywhere, fixed float
@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.history import HistoryStore, metric_trends, positive_int
 from repro.obs.prof import PATH_SEP
 from repro.obs.progress import KIND_STRAGGLER, ProgressEvent, load_progress_log
-from repro.obs.regress import MetricDelta, collect_bench_files, compare_sets
 
 #: Chart geometry shared by every SVG (one visual rhythm).
 _CHART_W = 660
@@ -486,47 +485,6 @@ def _trend_section(scenario: str, trends: Sequence) -> str:
     )
 
 
-def delta_table_html(deltas: Sequence[MetricDelta]) -> str:
-    """The regression comparator as an HTML table (icon + word status)."""
-    rows = []
-    moved = [d for d in deltas if d.status != "ok"]
-    for d in moved:
-        if d.status == "regression":
-            status = '<span class="bad">&#9650; regression</span>'
-            if not d.gating:
-                status += ' <span class="muted">(not gated)</span>'
-        elif d.status == "improvement":
-            status = '<span class="good">&#9660; improvement</span>'
-        else:
-            status = f'<span class="muted">{_esc(d.status)}</span>'
-        rows.append(
-            "<tr>"
-            f"<td>{_esc(d.scenario)}</td><td>{_esc(d.name)}</td>"
-            f'<td class="num">{_esc("-" if d.old is None else _fmt(d.old))}</td>'
-            f'<td class="num">{_esc("-" if d.new is None else _fmt(d.new))}</td>'
-            f'<td class="num">{d.worse_by:+.1%}</td>'
-            f'<td class="num">&#177;{d.allowance:.1%}</td>'
-            f"<td>{status}</td></tr>"
-        )
-    if not rows:
-        rows.append(
-            '<tr><td colspan="7" class="muted">'
-            "all metrics within noise</td></tr>"
-        )
-    ok = sum(1 for d in deltas if d.status == "ok")
-    caption = (
-        f"{len(deltas)} metric(s) compared; {ok} within noise "
-        f"(unchanged rows omitted)"
-    )
-    return (
-        f'<p class="sub">{_esc(caption)}</p>'
-        '<table class="data"><thead><tr><th>scenario</th><th>metric</th>'
-        '<th class="num">old</th><th class="num">new</th>'
-        '<th class="num">delta</th><th class="num">allowed</th>'
-        f"<th>status</th></tr></thead><tbody>{''.join(rows)}</tbody></table>"
-    )
-
-
 # ----------------------------------------------------------------------
 # Section builders
 # ----------------------------------------------------------------------
@@ -720,15 +678,10 @@ def _flame_section(profile: dict) -> str:
         )
         for path, stat in sorted(spans.items())
     ]
-    extras = ""
-    peak = profile.get("peak_memory_bytes")
-    if peak:
-        extras = f'<p class="sub">peak memory: {peak / 1e6:.2f} MB</p>'
     return _card(
         "Where the time went",
         "span flamegraph: width is cumulative wall time, row is call depth",
         flamegraph_svg(spans)
-        + extras
         + _table_view(("span path", "calls", "self ms", "cum ms"), rows),
     )
 
@@ -787,7 +740,6 @@ table.data th { color: #52514e; font-weight: 600; }
 table.data .num, table.data td.num, table.data th.num { text-align: right; }
 details summary { cursor: pointer; color: #52514e; font-size: 12px;
   margin-top: 8px; }
-.good { color: #006300; }
 .bad { color: #d03b3b; }
 .muted { color: #898781; }
 svg.spark { display: inline-block; vertical-align: middle; }
@@ -810,7 +762,6 @@ table.trend td { vertical-align: middle; }
   .legend .key.s1 { background: #3987e5; }
   .legend .key.s2 { background: #d95926; }
   table.data th, table.data td { border-bottom-color: #2c2c2a; }
-  .good { color: #0ca30c; }
   svg.spark .line { stroke: #3987e5; }
   svg.spark .last { fill: #3987e5; }
   svg.spark .anom { fill: #d95926; }
@@ -825,7 +776,6 @@ def build_report(
     profile: Optional[dict] = None,
     trace_records: Optional[List[dict]] = None,
     progress_events: Optional[List[ProgressEvent]] = None,
-    deltas: Optional[List[MetricDelta]] = None,
     trends: Optional[Dict[str, List]] = None,
 ) -> str:
     """Render the fused HTML report (pure function; byte-deterministic).
@@ -845,8 +795,6 @@ def build_report(
         provenance.append(f"trace ({len(trace_records)} events)")
     if progress_events is not None:
         provenance.append(f"progress log ({len(progress_events)} events)")
-    if deltas is not None:
-        provenance.append(f"comparison ({len(deltas)} metrics)")
     if trends:
         provenance.append(f"history ({len(trends)} scenarios)")
     sections: List[str] = [
@@ -866,10 +814,6 @@ def build_report(
     )
     if progress_events:
         sections.append(_straggler_section(progress_events))
-    if deltas is not None:
-        sections.append(
-            _card("Regression comparison", "", delta_table_html(deltas))
-        )
     if trends:
         for scenario in sorted(trends):
             sections.append(_trend_section(scenario, trends[scenario]))
@@ -918,13 +862,6 @@ def build_report_parser() -> argparse.ArgumentParser:
         help="progress-event JSONL (batch --progress-log)",
     )
     parser.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        help="two BENCH_*.json files or directories to diff into a "
-        "delta table",
-    )
-    parser.add_argument(
         "--history",
         metavar="DB",
         help="history JSON-lines file (repro history record) to render "
@@ -952,13 +889,12 @@ def report_main(argv: Optional[List[str]] = None) -> int:
     args = build_report_parser().parse_args(argv)
     inputs = (
         args.metrics, args.registry, args.profile, args.trace,
-        args.progress_log, args.compare, args.history,
+        args.progress_log, args.history,
     )
     if not any(inputs):
         print(
             "error: nothing to report — pass at least one of --metrics, "
-            "--registry, --profile, --trace, --progress-log, --compare, "
-            "--history",
+            "--registry, --profile, --trace, --progress-log, --history",
             file=sys.stderr,
         )
         return 2
@@ -978,12 +914,6 @@ def report_main(argv: Optional[List[str]] = None) -> int:
         progress_events = (
             load_progress_log(args.progress_log) if args.progress_log else None
         )
-        deltas = None
-        if args.compare:
-            old_path, new_path = args.compare
-            deltas = compare_sets(
-                collect_bench_files(old_path), collect_bench_files(new_path)
-            )
         trends = None
         if args.history:
             store = HistoryStore(args.history)
@@ -1003,7 +933,6 @@ def report_main(argv: Optional[List[str]] = None) -> int:
         profile=profile,
         trace_records=trace_records,
         progress_events=progress_events,
-        deltas=deltas,
         trends=trends,
     )
     if args.out == "-":

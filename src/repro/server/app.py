@@ -21,8 +21,7 @@ protocol in :mod:`repro.server.protocol`.  Design points:
 - **Measured, not asserted.**  Every request lands in a
   :class:`~repro.obs.metrics.MetricsRegistry` (request counters +
   per-route latency histograms with p50/p90/p99), exposed at
-  ``GET /metricz`` and load-tested by ``python -m repro bench
-  --scenario server``.
+  ``GET /metricz``.
 """
 
 from __future__ import annotations
@@ -431,7 +430,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 # ----------------------------------------------------------------------
-# Embedding (tests, the bench scenario)
+# Embedding (tests)
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
 def running_server(config: ServerConfig):

@@ -1,88 +1,9 @@
-"""CLI: the bench subcommand, --compare gating, and --metrics-out."""
+"""CLI: ``--metrics-out`` dumps the registry in the bench envelope."""
 
 import json
 
-import pytest
-
 from repro.cli import main
-from repro.obs.bench import BENCH_SCHEMA, METRICS_SCHEMA, BENCH_SCHEMA_VERSION
-
-
-def test_bench_list_scenarios(capsys):
-    assert main(["bench", "--list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("slack", "cydrome", "warp"):
-        assert name in out
-
-
-def test_bench_unknown_scenario_is_usage_error(capsys):
-    assert main(["bench", "--scenario", "nope"]) == 2
-    assert "unknown scenario" in capsys.readouterr().out
-
-
-def test_bench_writes_schema_versioned_json(tmp_path, capsys):
-    assert (
-        main(
-            [
-                "bench",
-                "--scenario", "slack",
-                "--corpus", "5",
-                "--repeats", "1",
-                "--warmup", "0",
-                "--out-dir", str(tmp_path),
-            ]
-        )
-        == 0
-    )
-    path = tmp_path / "BENCH_slack.json"
-    assert path.exists()
-    payload = json.loads(path.read_text())
-    assert payload["schema"] == BENCH_SCHEMA
-    assert payload["schema_version"] == BENCH_SCHEMA_VERSION
-    assert payload["metrics"]["wall_time_s"]["value"] > 0
-    assert payload["profile"]["spans"]
-    assert "BENCH_slack.json" in capsys.readouterr().out
-
-
-def test_bench_compare_detects_doctored_regression(tmp_path, capsys):
-    args = [
-        "bench", "--scenario", "slack", "--corpus", "5",
-        "--repeats", "1", "--warmup", "0",
-    ]
-    assert main(args + ["--out-dir", str(tmp_path / "old")]) == 0
-    assert main(args + ["--out-dir", str(tmp_path / "new")]) == 0
-    capsys.readouterr()
-
-    # Identical runs: deterministic metrics match, nothing gates.
-    assert (
-        main(
-            [
-                "bench", "--compare",
-                str(tmp_path / "old"), str(tmp_path / "new"),
-                "--fail-on-regress",
-            ]
-        )
-        == 0
-    )
-    # Doctor a deterministic metric: the gate must trip, readably.
-    doctored = tmp_path / "new" / "BENCH_slack.json"
-    payload = json.loads(doctored.read_text())
-    payload["metrics"]["ejections_total"]["value"] += 100
-    doctored.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert (
-        main(
-            [
-                "bench", "--compare",
-                str(tmp_path / "old"), str(tmp_path / "new"),
-                "--fail-on-regress",
-            ]
-        )
-        == 1
-    )
-    out = capsys.readouterr().out
-    assert "ejections_total" in out and "REGRESSION" in out
-    assert "| scenario | metric |" in out
+from repro.obs.history import BENCH_SCHEMA_VERSION, METRICS_SCHEMA
 
 
 def test_metrics_out_dumps_registry_snapshot(tmp_path, capsys):

@@ -1,22 +1,18 @@
-"""Bench harness: sample stats, aggregates, schema round-trips."""
+"""The bench payload envelope (schema ``repro.bench``) that history
+lines carry: metric entries, corpus aggregates, file round-trips."""
 
 import json
 
 import pytest
 
 from repro.experiments.metrics import LoopMetrics
-from repro.obs.bench import (
+from repro.obs.history import (
     BENCH_SCHEMA,
     BENCH_SCHEMA_VERSION,
-    DEFAULT_SCENARIOS,
-    bench_filename,
     corpus_aggregates,
     git_sha,
     load_payload,
     metric,
-    run_scenario,
-    sample_stats,
-    scenario_registry,
     wrap_payload,
     write_json,
 )
@@ -33,24 +29,6 @@ def _loop_metrics(name="l", success=True, n_ops=10, ii=3, mii=3,
         attempts=attempts, placements=n_ops, forced=0, ejections=ejections,
         mindist_seconds=0.0, scheduling_seconds=0.0, recmii_seconds=0.0,
     )
-
-
-# ----------------------------------------------------------------------
-# Sample statistics
-# ----------------------------------------------------------------------
-def test_sample_stats_median_and_iqr():
-    stats = sample_stats([1.0, 2.0, 3.0, 4.0, 100.0])
-    assert stats["median"] == 3.0
-    assert stats["n"] == 5
-    assert stats["iqr"] > 0
-    # The median/IQR protocol shrugs off the outlier.
-    assert stats["median"] < stats["mean"]
-
-
-def test_sample_stats_degenerate_inputs():
-    assert sample_stats([])["n"] == 0
-    single = sample_stats([2.5])
-    assert single["median"] == 2.5 and single["iqr"] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -97,8 +75,10 @@ def test_corpus_aggregates_empty_corpus():
 # Schema round-trip
 # ----------------------------------------------------------------------
 def test_payload_round_trips_through_disk(tmp_path):
-    payload = wrap_payload(BENCH_SCHEMA, {"scenario": "x", "metrics": {}})
-    path = tmp_path / bench_filename("x")
+    payload = wrap_payload(
+        BENCH_SCHEMA, {"scenario": "x", "metrics": {"m": metric(1.5, "s")}}
+    )
+    path = tmp_path / "x.json"
     write_json(str(path), payload)
     loaded = load_payload(str(path))
     assert loaded == json.loads(json.dumps(payload))  # JSON-safe
@@ -109,7 +89,7 @@ def test_payload_round_trips_through_disk(tmp_path):
 
 
 def test_load_payload_rejects_wrong_schema_and_version(tmp_path):
-    path = tmp_path / "BENCH_bad.json"
+    path = tmp_path / "bad.json"
     write_json(str(path), {"schema": "other", "schema_version": BENCH_SCHEMA_VERSION})
     with pytest.raises(ValueError, match="schema"):
         load_payload(str(path))
@@ -126,97 +106,3 @@ def test_git_sha_in_repo_is_hexish():
     if sha is not None:
         assert len(sha) == 40
         int(sha, 16)
-
-
-# ----------------------------------------------------------------------
-# Scenario protocol
-# ----------------------------------------------------------------------
-def test_default_scenarios_are_registered():
-    registry = scenario_registry()
-    for name in DEFAULT_SCENARIOS:
-        assert name in registry
-    assert len(DEFAULT_SCENARIOS) >= 3  # acceptance: >= 3 BENCH files
-
-
-def test_run_scenario_produces_complete_payload(tmp_path):
-    scenario = scenario_registry()["slack"]
-    payload = run_scenario(scenario, corpus_size=6, repeats=2, warmup=0)
-    metrics = payload["metrics"]
-    for required in (
-        "wall_time_s", "loops_per_s", "ops_scheduled_per_s", "ii_over_mii",
-        "maxlive_over_minavg", "attempts_total", "ejections_total",
-        "success_rate",
-    ):
-        assert required in metrics, required
-    assert payload["corpus_size"] == 6
-    assert payload["repeats"] == 2
-    assert len(payload["wall_time_samples_s"]) == 2
-    assert payload["profile"] is not None
-    assert any("mindist" in path for path in payload["profile"]["spans"])
-    # Round-trips through the schema loader.
-    path = tmp_path / bench_filename(payload["scenario"])
-    write_json(str(path), payload)
-    assert load_payload(str(path))["metrics"] == metrics
-
-
-def test_run_scenario_without_profile_pass():
-    scenario = scenario_registry()["cydrome"]
-    payload = run_scenario(
-        scenario, corpus_size=4, repeats=1, warmup=0, profile=False
-    )
-    assert payload["profile"] is None
-    assert payload["algorithm"] == "cydrome"
-
-
-def test_run_scenario_honors_machine_override():
-    from repro.machine import build_machine
-
-    scenario = scenario_registry()["slack"]
-    wide = run_scenario(
-        scenario, corpus_size=4, repeats=1, warmup=0, profile=False,
-        machine=build_machine("vliw-wide", issue=4),
-    )
-    assert wide["machine"] == "vliw-wide-x4-load13"
-    default = run_scenario(
-        scenario, corpus_size=4, repeats=1, warmup=0, profile=False
-    )
-    assert default["machine"] == "cydra5-load13"
-    # A 4x-wide machine cannot do worse on the resource-bound corpus.
-    assert (
-        wide["metrics"]["ii_over_mii"]["value"]
-        <= default["metrics"]["ii_over_mii"]["value"] + 1e-9
-    )
-
-
-def test_machine_zoo_reports_every_target(tmp_path):
-    from repro.machine import machine_names
-    from repro.obs.bench import run_machine_zoo_bench
-
-    scenario = scenario_registry()["machine_zoo"]
-    payload = run_machine_zoo_bench(
-        scenario, corpus_size=4, repeats=1, warmup=0
-    )
-    assert len(payload["targets"]) == len(machine_names()) >= 5
-    for target in payload["targets"]:
-        assert target["loops"] == 4
-        assert target["digest"]
-        assert target["ii_over_mii"] >= 1.0
-    for family in machine_names():
-        assert f"{family}_ii_over_mii" in payload["metrics"]
-        assert f"{family}_maxlive_over_minavg" in payload["metrics"]
-    assert payload["metrics"]["targets"]["value"] == len(machine_names())
-    # Round-trips through the schema loader like every scenario.
-    path = tmp_path / bench_filename("machine_zoo")
-    write_json(str(path), payload)
-    assert load_payload(str(path))["targets"] == payload["targets"]
-
-
-def test_machine_zoo_rejects_machine_override():
-    import pytest as _pytest
-
-    from repro.obs.bench import run_machine_zoo_bench
-    from repro.machine import cydra5
-
-    scenario = scenario_registry()["machine_zoo"]
-    with _pytest.raises(ValueError):
-        run_machine_zoo_bench(scenario, corpus_size=2, machine=cydra5())

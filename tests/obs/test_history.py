@@ -5,34 +5,25 @@ import pathlib
 
 import pytest
 
-from repro.obs.bench import BENCH_SCHEMA, metric, wrap_payload, write_json
 from repro.obs.history import (
+    BENCH_SCHEMA,
     HistoryError,
     HistoryStore,
     history_main,
     mad_anomalies,
+    metric,
     metric_trends,
     render_trends,
+    wrap_payload,
+    write_json,
 )
 from repro.obs.report import report_main
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
-def _payload(scenario, profile=None, **metrics):
-    body = {"scenario": scenario, "metrics": metrics}
-    if profile is not None:
-        body["profile"] = profile
-    return wrap_payload(BENCH_SCHEMA, body)
-
-
-def _profile(**spans):
-    return {
-        "spans": {
-            path: {"calls": 1, "cum_seconds": self_s, "self_seconds": self_s}
-            for path, self_s in spans.items()
-        }
-    }
+def _payload(scenario, **metrics):
+    return wrap_payload(BENCH_SCHEMA, {"scenario": scenario, "metrics": metrics})
 
 
 # ----------------------------------------------------------------------
@@ -72,15 +63,17 @@ def test_record_payload_rejects_wrong_schema(tmp_path):
 
 
 def test_record_paths_ingests_files_and_dirs(tmp_path):
-    bench_dir = tmp_path / "out"
-    bench_dir.mkdir()
-    write_json(str(bench_dir / "BENCH_slack.json"), _payload("slack", m=metric(1, "x")))
-    write_json(str(bench_dir / "BENCH_warp.json"), _payload("warp", m=metric(2, "x")))
+    # Payload files are ingested; a directory is refused, not scanned.
+    slack, warp = tmp_path / "b.json", tmp_path / "a.json"
+    write_json(str(slack), _payload("slack", m=metric(1, "x")))
+    write_json(str(warp), _payload("warp", m=metric(2, "x")))
     store = HistoryStore(str(tmp_path / "h.jsonl"))
-    recorded = store.record_paths([str(bench_dir)])
+    recorded = store.record_paths([str(slack), str(warp)])
     assert [scenario for scenario, _ in recorded] == ["slack", "warp"]
-    with pytest.raises(FileNotFoundError):
-        store.record_paths([str(tmp_path / "empty")])
+    for missing_or_directory in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(OSError):
+            store.record_paths([str(missing_or_directory)])
+    assert len(HistoryStore(store.path).runs()) == 2
 
 
 def test_runs_limit_returns_most_recent_oldest_first(tmp_path):
@@ -190,29 +183,23 @@ def test_metric_trends_cover_metrics_missing_in_some_runs(tmp_path):
 # ----------------------------------------------------------------------
 # CLI: record / show / trend / compare
 # ----------------------------------------------------------------------
-def _seed_db(tmp_path, walls, spans_old=None, spans_new=None):
-    """A DB whose last run may carry a doctored profile snapshot."""
+def _seed_db(tmp_path, walls, **provenance):
+    """A DB of ``slack`` runs, one per wall time; ``provenance`` maps an
+    envelope field to the value each run carries, in order."""
     db = str(tmp_path / "h.jsonl")
     store = HistoryStore(db)
     for index, wall in enumerate(walls):
-        profile = None
-        if index == len(walls) - 2 and spans_old is not None:
-            profile = _profile(**spans_old)
-        if index == len(walls) - 1 and spans_new is not None:
-            profile = _profile(**spans_new)
-        store.record_payload(
-            "slack",
-            _payload("slack", profile=profile, wall_s=metric(wall, "s", kind="time")),
-        )
+        payload = _payload("slack", wall_s=metric(wall, "s", kind="time"))
+        payload.update({field: values[index] for field, values in provenance.items()})
+        store.record_payload("slack", payload)
     return db
 
 
 def test_cli_record_show_trend(tmp_path, capsys):
-    bench_dir = tmp_path / "out"
-    bench_dir.mkdir()
-    write_json(str(bench_dir / "BENCH_slack.json"), _payload("slack", m=metric(1, "x")))
+    path = tmp_path / "slack.json"
+    write_json(str(path), _payload("slack", m=metric(1, "x")))
     db = str(tmp_path / "h.jsonl")
-    assert history_main(["record", "--db", db, str(bench_dir)]) == 0
+    assert history_main(["record", "--db", db, str(path)]) == 0
     out = capsys.readouterr().out
     assert "recorded slack as run #1" in out
 
@@ -224,19 +211,18 @@ def test_cli_record_show_trend(tmp_path, capsys):
 
 
 def test_cli_record_bad_file_exits_2(tmp_path):
-    bad = tmp_path / "BENCH_bad.json"
+    bad = tmp_path / "bad.json"
     bad.write_text("{\"schema\": \"nope\"}")
     assert history_main(["record", "--db", str(tmp_path / "h.jsonl"), str(bad)]) == 2
 
 
 def test_cli_record_with_one_bad_file_records_nothing(tmp_path):
     # Every file is checked before the first line is appended.
-    bench_dir = tmp_path / "out"
-    bench_dir.mkdir()
-    write_json(str(bench_dir / "BENCH_a.json"), _payload("a", m=metric(1, "x")))
-    (bench_dir / "BENCH_b.json").write_text('{"schema": "nope"}')
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    write_json(str(good), _payload("a", m=metric(1, "x")))
+    bad.write_text('{"schema": "nope"}')
     db = str(tmp_path / "h.jsonl")
-    assert history_main(["record", "--db", db, str(bench_dir)]) == 2
+    assert history_main(["record", "--db", db, str(good), str(bad)]) == 2
     assert HistoryStore(db).runs() == []
 
 
@@ -281,15 +267,12 @@ def test_cli_trend_json_is_machine_readable(tmp_path, capsys):
     assert payload[0]["values"] == [1.0, 1.0, 1.0]
 
 
-def test_cli_compare_names_the_guilty_span(tmp_path, capsys):
-    # The last run is 80% slower, and its profile says the driver span
-    # gained all of it: compare must print the attribution and gate.
-    db = _seed_db(
-        tmp_path,
-        [1.0, 1.0, 1.8],
-        spans_old={"driver": 0.2, "framework/slack": 0.5},
-        spans_new={"driver": 1.0, "framework/slack": 0.5},
-    )
+def test_cli_compare_gates_a_time_regression(tmp_path, capsys):
+    # The last run is 80% slower on a host with another CPU count:
+    # compare reports the regression and the provenance mismatch, and
+    # gates on the time metric only when asked to.
+    db = _seed_db(tmp_path, [1.0, 1.0, 1.8], cpu_count=[64, 64, 1])
+    assert history_main(["compare", "--db", db, "--fail-on-regress"]) == 0
     assert (
         history_main(
             ["compare", "--db", db, "--gate-time", "--fail-on-regress"]
@@ -297,9 +280,11 @@ def test_cli_compare_names_the_guilty_span(tmp_path, capsys):
         == 1
     )
     out = capsys.readouterr().out
-    assert "span attribution" in out
-    assert "driver" in out and "+800.00ms self" in out
-    assert "100% of the slowdown" in out
+    assert "run #2 -> #3" in out
+    assert "| slack | wall_s | 1.000 | 1.800 | +80.0% |" in out
+    assert "REGRESSION" in out
+    assert "provenance mismatch: cpu_count differs" in out
+    assert "FAIL: gating regression(s) detected" in out
 
 
 def test_cli_compare_explicit_run_ids_and_errors(tmp_path, capsys):
@@ -325,6 +310,52 @@ def test_cli_malformed_line_exits_2(tmp_path, capsys):
     )
     assert history_main(["show", "--db", str(db)]) == 2
     assert "h.jsonl:1: expected schema" in capsys.readouterr().out
+
+
+_ENTRY = {"value": 1.0, "unit": "x", "direction": "lower", "kind": "count", "iqr": 0.0}
+
+
+@pytest.mark.parametrize(
+    "metrics",
+    [
+        pytest.param({"x": 5}, id="entry-not-an-object"),
+        pytest.param([1], id="metrics-a-list"),
+        pytest.param(None, id="metrics-null"),
+        pytest.param({"x": dict(_ENTRY, value="abc")}, id="value-a-string"),
+        pytest.param({"x": dict(_ENTRY, value=True)}, id="value-a-bool"),
+        pytest.param({"x": dict(_ENTRY, value=float("nan"))}, id="value-nan"),
+        pytest.param({"x": dict(_ENTRY, unit=3)}, id="unit-not-a-string"),
+        pytest.param({"x": dict(_ENTRY, direction="up")}, id="direction-unknown"),
+        pytest.param({"x": dict(_ENTRY, kind="vibes")}, id="kind-unknown"),
+        pytest.param({"x": dict(_ENTRY, iqr="wide")}, id="iqr-not-a-number"),
+        pytest.param(
+            {"x": {k: v for k, v in _ENTRY.items() if k != "iqr"}}, id="iqr-missing"
+        ),
+    ],
+)
+def test_malformed_metrics_are_refused_on_record_and_on_read(tmp_path, capsys, metrics):
+    bad = dict(_payload("s"), metrics=metrics)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    db = tmp_path / "h.jsonl"
+    assert history_main(["record", "--db", str(db), str(path)]) == 2
+    assert "bad.json: metric" in capsys.readouterr().out
+    assert not db.exists()
+    # A line that got in by hand stops every reader with exit 2, which
+    # --fail-on-anomaly and --fail-on-regress never use for a finding.
+    good = _payload("s", x=metric(1, "x"))
+    db.write_text(
+        "".join(
+            json.dumps({"payload": payload, "recorded_unix": 0, "scenario": "s"}) + "\n"
+            for payload in (good, bad)
+        )
+    )
+    for command in ("show", "trend", "compare"):
+        assert history_main([command, "--db", str(db)]) == 2, command
+        assert "h.jsonl:2: metric" in capsys.readouterr().out, command
+    report = ["--history", str(db), "--out", str(tmp_path / "r.html")]
+    assert report_main(report) == 2
+    assert "h.jsonl:2: metric" in capsys.readouterr().err
 
 
 def test_committed_history_loads_and_names_benchmark_metrics():

@@ -109,9 +109,7 @@ def test_profiler_merge_order_independent():
         with prof.span("phase"):
             pass
         prof.count("ops", scale)
-        snapshot = prof.snapshot()
-        snapshot["peak_memory_bytes"] = scale * 1000
-        return snapshot
+        return prof.snapshot()
 
     snapshots = [worker(scale) for scale in (1, 2, 3)]
     results = []
@@ -122,4 +120,3 @@ def test_profiler_merge_order_independent():
         results.append(parent.snapshot())
     assert all(result == results[0] for result in results)
     assert results[0]["counters"]["ops"] == 6
-    assert results[0]["peak_memory_bytes"] == 3000  # max, not sum

@@ -1,17 +1,21 @@
-"""Regression comparator: thresholds, noise bands, direction, CLI exit."""
+"""Regression comparator: thresholds, noise bands, direction, provenance,
+and the payload files it is fed through ``history record``."""
+
+import json
 
 import pytest
 
-from repro.obs.bench import BENCH_SCHEMA, metric, wrap_payload, write_json
+from repro.obs.history import (
+    BENCH_SCHEMA,
+    HistoryStore,
+    metric,
+    wrap_payload,
+    write_json,
+)
 from repro.obs.regress import (
-    attribute_sets,
-    attribute_spans,
-    collect_bench_files,
-    compare_main,
     compare_metric,
     compare_payload_pair,
     compare_sets,
-    diff_profiles,
     gating_regressions,
     provenance_mismatches,
     render_table,
@@ -131,79 +135,58 @@ def test_render_table_verbose_includes_ok_rows():
 
 
 # ----------------------------------------------------------------------
-# Files and CLI entry
+# Payload files: what `history record` lets in for compare to read
 # ----------------------------------------------------------------------
-def _write_set(directory, scenario, **metrics):
-    directory.mkdir(parents=True, exist_ok=True)
-    write_json(
-        str(directory / f"BENCH_{scenario}.json"), _payload(scenario, **metrics)
-    )
-
-
 def test_collect_bench_files_from_dir_and_file(tmp_path):
-    _write_set(tmp_path / "run", "slack", m=metric(1, "x"))
-    _write_set(tmp_path / "run", "warp", m=metric(1, "x"))
-    by_dir = collect_bench_files(str(tmp_path / "run"))
-    assert set(by_dir) == {"slack", "warp"}
-    by_file = collect_bench_files(str(tmp_path / "run" / "BENCH_slack.json"))
-    assert set(by_file) == {"slack"}
-    with pytest.raises((OSError, FileNotFoundError)):
-        collect_bench_files(str(tmp_path / "empty"))
+    # Runs recorded from payload files compare like the payloads
+    # themselves; a directory is refused, not scanned.
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    write_json(str(old), _payload("slack", e=metric(100, "ejections")))
+    write_json(str(new), _payload("slack", e=metric(200, "ejections")))
+    store = HistoryStore(str(tmp_path / "h.jsonl"))
+    assert store.record_paths([str(old), str(new)]) == [("slack", 1), ("slack", 2)]
+    first, second = store.runs()
+    deltas = compare_payload_pair(first.payload, second.payload)
+    assert [(d.name, d.status) for d in deltas] == [("e", "regression")]
+    with pytest.raises(OSError):
+        store.record_paths([str(tmp_path)])
 
 
-def test_compare_main_exit_codes(tmp_path, capsys):
-    _write_set(tmp_path / "old", "slack", e=metric(100, "ejections"))
-    _write_set(tmp_path / "new", "slack", e=metric(100, "ejections"))
-    assert compare_main(str(tmp_path / "old"), str(tmp_path / "new"),
-                        fail_on_regress=True) == 0
-
-    _write_set(tmp_path / "bad", "slack", e=metric(200, "ejections"))
-    # A doctored regression must exit non-zero with a readable table.
-    code = compare_main(str(tmp_path / "old"), str(tmp_path / "bad"),
-                        fail_on_regress=True)
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "REGRESSION" in out and "| slack | e |" in out
-    # ...and without --fail-on-regress it reports but exits zero.
-    assert compare_main(str(tmp_path / "old"), str(tmp_path / "bad")) == 0
+def _refused(tmp_path, body, match):
+    """Record ``body`` from a file beside a good one: the whole call is
+    refused with ``match`` and nothing reaches the history."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    write_json(str(good), _payload("slack", m=metric(1, "x")))
+    bad.write_text(json.dumps(body))
+    store = HistoryStore(str(tmp_path / "h.jsonl"))
+    with pytest.raises(ValueError, match=match):
+        store.record_paths([str(good), str(bad)])
+    assert HistoryStore(store.path).runs() == []
 
 
-def test_compare_main_bad_input_is_a_usage_error(tmp_path):
-    assert compare_main(str(tmp_path / "nope"), str(tmp_path / "nope")) == 2
-
-
-# ----------------------------------------------------------------------
-# Error paths: schema versions, missing metrics, empty directories
-# ----------------------------------------------------------------------
 def test_collect_bench_files_rejects_mismatched_schema_version(tmp_path):
-    import json
-
     payload = _payload("slack", m=metric(1, "x"))
     payload["schema_version"] = 999
-    run = tmp_path / "run"
-    run.mkdir()
-    (run / "BENCH_slack.json").write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="schema version"):
-        collect_bench_files(str(run))
+    _refused(tmp_path, payload, "bad.json: schema version 999")
 
 
 def test_collect_bench_files_rejects_wrong_schema(tmp_path):
-    import json
-
-    run = tmp_path / "run"
-    run.mkdir()
-    (run / "BENCH_x.json").write_text(json.dumps({"schema": "other.thing"}))
-    with pytest.raises(ValueError, match="expected schema"):
-        collect_bench_files(str(run))
+    _refused(tmp_path, {"schema": "other.thing"}, "bad.json: expected schema")
 
 
 def test_collect_bench_files_empty_directory_raises(tmp_path):
-    empty = tmp_path / "empty"
+    good, empty = tmp_path / "good.json", tmp_path / "empty"
+    write_json(str(good), _payload("slack", m=metric(1, "x")))
     empty.mkdir()
-    with pytest.raises(FileNotFoundError, match="no BENCH_"):
-        collect_bench_files(str(empty))
+    store = HistoryStore(str(tmp_path / "h.jsonl"))
+    with pytest.raises(OSError):
+        store.record_paths([str(good), str(empty)])
+    assert HistoryStore(store.path).runs() == []
 
 
+# ----------------------------------------------------------------------
+# Missing metrics
+# ----------------------------------------------------------------------
 def test_metric_in_old_missing_in_new_is_removed_not_an_error():
     old = {"s": _payload("s", gone=metric(1, "x"), kept=metric(2, "x"))}
     new = {"s": _payload("s", kept=metric(2, "x"))}
@@ -211,19 +194,6 @@ def test_metric_in_old_missing_in_new_is_removed_not_an_error():
     assert statuses["gone"] == "removed" and statuses["kept"] == "ok"
     # A removed metric never gates: CI should flag it, not hard-fail.
     assert gating_regressions(compare_sets(old, new)) == []
-
-
-def test_compare_main_mixed_schema_versions_exit_2(tmp_path, capsys):
-    import json
-
-    _write_set(tmp_path / "old", "slack", m=metric(1, "x"))
-    new_dir = tmp_path / "new"
-    new_dir.mkdir()
-    payload = _payload("slack", m=metric(1, "x"))
-    payload["schema_version"] = 999
-    (new_dir / "BENCH_slack.json").write_text(json.dumps(payload))
-    assert compare_main(str(tmp_path / "old"), str(new_dir)) == 2
-    assert "schema version 999" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -259,93 +229,3 @@ def test_set_provenance_warnings_prefixes_scenarios():
     new = {"s1": dict(_payload("s1"), cpu_count=1)}
     warnings = set_provenance_warnings(old, new)
     assert len(warnings) == 1 and warnings[0].startswith("s1: ")
-
-
-# ----------------------------------------------------------------------
-# Span-level attribution
-# ----------------------------------------------------------------------
-def _profile(**spans):
-    return {
-        "spans": {
-            path: {"calls": 2, "cum_seconds": self_s, "self_seconds": self_s}
-            for path, self_s in spans.items()
-        }
-    }
-
-
-def test_diff_profiles_sorts_guiltiest_first():
-    deltas = diff_profiles(
-        _profile(driver=0.2, slack=0.5, mindist=0.1),
-        _profile(driver=1.0, slack=0.4, mindist=0.3),
-    )
-    assert [d.path for d in deltas] == ["driver", "mindist", "slack"]
-    assert deltas[0].delta_self == pytest.approx(0.8)
-    assert deltas[-1].delta_self == pytest.approx(-0.1)
-
-
-def test_attribute_spans_names_shares_and_growth():
-    old = dict(_payload("s"), profile=_profile(driver=0.2, slack=0.2))
-    new = dict(_payload("s"), profile=_profile(driver=1.0, slack=0.4))
-    lines = attribute_spans(old, new)
-    assert lines[0].startswith("span attribution")
-    assert "driver" in lines[1] and "+800.00ms self" in lines[1]
-    assert "80% of the slowdown" in lines[1] and "+400% vs old" in lines[1]
-    assert "calls 2 -> 2" in lines[1]
-
-
-def test_attribute_spans_without_profiles_is_silent():
-    assert attribute_spans(_payload("s"), _payload("s")) == []
-    old = dict(_payload("s"), profile=_profile(driver=0.5))
-    new = dict(_payload("s"), profile=_profile(driver=0.5))
-    assert attribute_spans(old, new) == []  # nothing slowed down
-
-
-def test_attribute_sets_only_covers_regressed_time_scenarios():
-    old = {
-        "slow": dict(
-            _payload("slow", wall=metric(1.0, "s", kind="time")),
-            profile=_profile(driver=0.2),
-        ),
-        "fine": dict(
-            _payload("fine", wall=metric(1.0, "s", kind="time")),
-            profile=_profile(driver=0.2),
-        ),
-    }
-    new = {
-        "slow": dict(
-            _payload("slow", wall=metric(2.0, "s", kind="time")),
-            profile=_profile(driver=1.2),
-        ),
-        "fine": dict(
-            _payload("fine", wall=metric(1.0, "s", kind="time")),
-            profile=_profile(driver=0.2),
-        ),
-    }
-    deltas = compare_sets(old, new)
-    lines = attribute_sets(old, new, deltas)
-    assert lines and lines[0] == "slow:"
-    assert any("driver" in line for line in lines)
-    assert not any("fine" in line for line in lines)
-
-
-def test_compare_main_prints_provenance_and_attribution(tmp_path, capsys):
-    import json
-
-    old_dir, new_dir = tmp_path / "old", tmp_path / "new"
-    old_dir.mkdir(), new_dir.mkdir()
-    old = dict(
-        _payload("slack", wall=metric(1.0, "s", kind="time")),
-        profile=_profile(driver=0.2),
-        cpu_count=64,
-    )
-    new = dict(
-        _payload("slack", wall=metric(2.0, "s", kind="time")),
-        profile=_profile(driver=1.2),
-        cpu_count=1,
-    )
-    (old_dir / "BENCH_slack.json").write_text(json.dumps(old))
-    (new_dir / "BENCH_slack.json").write_text(json.dumps(new))
-    assert compare_main(str(old_dir), str(new_dir)) == 0
-    out = capsys.readouterr().out
-    assert "provenance mismatch: cpu_count differs" in out
-    assert "span attribution" in out and "driver" in out

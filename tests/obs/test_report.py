@@ -2,12 +2,10 @@
 
 import json
 
-from repro.obs.bench import BENCH_SCHEMA, metric, wrap_payload
+from repro.obs.history import BENCH_SCHEMA, HistoryStore, metric, wrap_payload
 from repro.obs.progress import ProgressEvent
-from repro.obs.regress import compare_sets
 from repro.obs.report import (
     build_report,
-    delta_table_html,
     flamegraph_svg,
     histogram_svg,
     report_main,
@@ -57,7 +55,6 @@ PROFILE = {
         },
     },
     "counters": {"scan.ops": 42},
-    "peak_memory_bytes": 1_000_000,
 }
 
 PROGRESS = [
@@ -72,20 +69,7 @@ PROGRESS = [
 ]
 
 
-def _bench_payload(value):
-    return wrap_payload(
-        BENCH_SCHEMA,
-        {
-            "scenario": "slack",
-            "metrics": {"mean_ii": metric(value, "cycles", direction="lower")},
-        },
-    )
-
-
 def _full_report():
-    deltas = compare_sets(
-        {"slack": _bench_payload(5.0)}, {"slack": _bench_payload(6.0)}
-    )
     return build_report(
         title="test report",
         loop_records=LOOP_RECORDS,
@@ -93,7 +77,6 @@ def _full_report():
         profile=PROFILE,
         trace_records=[{"type": "place"}, {"type": "place"}, {"type": "eject"}],
         progress_events=PROGRESS,
-        deltas=deltas,
     )
 
 
@@ -109,7 +92,6 @@ def test_report_contains_every_section_and_no_scripts():
         "Register pressure vs the MinAvg bound",
         "Breakdowns",
         "Stragglers",
-        "Regression comparison",
         "Cache hit rate",
         "Job latency p99",
     ):
@@ -146,15 +128,6 @@ def test_flamegraph_nests_children_inside_parents():
     svg = flamegraph_svg(PROFILE["spans"])
     assert svg.count("<rect") == 3
     assert "driver &gt; mindist" in svg
-
-
-def test_delta_table_marks_regressions():
-    deltas = compare_sets(
-        {"slack": _bench_payload(5.0)}, {"slack": _bench_payload(6.0)}
-    )
-    table = delta_table_html(deltas)
-    assert "regression" in table
-    assert "&#9650;" in table  # icon + word, never color alone
 
 
 def test_report_cli_end_to_end(tmp_path, capsys):
@@ -195,9 +168,6 @@ def test_report_cli_requires_an_input(capsys):
 # History trend sections
 # ----------------------------------------------------------------------
 def _history_db(tmp_path, walls):
-    from repro.obs.bench import metric as _metric
-    from repro.obs.history import HistoryStore
-
     db = str(tmp_path / "h.jsonl")
     store = HistoryStore(db)
     for wall in walls:
@@ -207,7 +177,7 @@ def _history_db(tmp_path, walls):
                 BENCH_SCHEMA,
                 {
                     "scenario": "slack",
-                    "metrics": {"wall_s": _metric(wall, "s", kind="time")},
+                    "metrics": {"wall_s": metric(wall, "s", kind="time")},
                 },
             ),
         )
@@ -226,7 +196,7 @@ def test_sparkline_svg_marks_anomalies_and_latest():
 
 
 def test_report_renders_trend_section_deterministically(tmp_path):
-    from repro.obs.history import HistoryStore, metric_trends
+    from repro.obs.history import metric_trends
 
     db = _history_db(tmp_path, [1.0, 1.01, 0.99, 1.0, 1.02, 1.0, 1.01, 1.9])
     store = HistoryStore(db)

@@ -1,15 +1,20 @@
 """The daemon's endpoints, driven over real HTTP against a live server."""
 
+import dataclasses
 import json
+import threading
 
 import pytest
 
+from repro.experiments.runner import measure_loop
 from repro.frontend.parser import parse_loop
+from repro.frontend.printer import render_loop
 from repro.machine import cydra5
 from repro.server.app import ServerConfig, running_server
-from repro.server.httpcache import ServerClient
+from repro.server.httpcache import ServerClient, ServerUnreachable
 from repro.service.cache import metrics_to_payload
 from repro.service.keys import cache_key
+from repro.workloads import paper_corpus
 
 SOURCE = """\
 loop tiny
@@ -195,3 +200,64 @@ def test_server_without_cache_still_schedules(tmp_path):
         assert status == 200
         assert headers["X-Repro-Cache"] == "bypass"
         assert client.request("GET", "/v1/cache/" + "0" * 64)[0] == 503
+
+
+# ----------------------------------------------------------------------
+# Concurrent clients sharing one cache
+# ----------------------------------------------------------------------
+CLIENTS = 4
+
+
+def _sweep(url, sources, headers=None):
+    """POST each source to /v1/schedule from CLIENTS threads, each with
+    its own client; ``(status, headers, body)`` per source, in order."""
+    replies = [None] * len(sources)
+
+    def client_thread(first):
+        client = ServerClient(url, retries=0)
+        for index in range(first, len(sources), CLIENTS):
+            try:
+                replies[index] = client.schedule(
+                    {"source": sources[index]},
+                    headers=headers[index] if headers else None,
+                )
+            except ServerUnreachable as error:
+                replies[index] = error
+
+    threads = [
+        threading.Thread(target=client_thread, args=(first,))
+        for first in range(CLIENTS)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [r for r in replies if isinstance(r, Exception)] == []
+    return replies
+
+
+def _timeless(metrics):
+    return {k: v for k, v in metrics.items() if not k.endswith("_seconds")}
+
+
+def test_concurrent_clients_share_one_cache(tmp_path):
+    sources = [render_loop(program) for program in paper_corpus(12)]
+    config = ServerConfig(host="127.0.0.1", port=0, cache_dir=str(tmp_path))
+    with running_server(config) as live:
+        cold = _sweep(live.url, sources)
+        warm = _sweep(live.url, sources)
+        etags = [{"If-None-Match": headers["ETag"]} for _, headers, _ in warm]
+        conditional = _sweep(live.url, sources, etags)
+    assert [(status, headers["X-Repro-Cache"]) for status, headers, _ in cold] == [
+        (200, "miss")
+    ] * len(sources)
+    assert [(status, headers["X-Repro-Cache"]) for status, headers, _ in warm] == [
+        (200, "hit")
+    ] * len(sources)
+    assert [body for _, _, body in warm] == [body for _, _, body in cold]
+    assert [status for status, _, _ in conditional] == [304] * len(sources)
+    for source, (_, _, body) in zip(sources, cold):
+        local = dataclasses.asdict(measure_loop(parse_loop(source)))
+        served = json.loads(body)["metrics"]
+        assert _timeless(served) == _timeless(json.loads(json.dumps(local)))

@@ -13,7 +13,7 @@ from tests.conftest import run_python
 #: must not load.
 OFFLINE_MODULES = [
     *(f"repro.obs.{name}" for name in (
-        "bench", "history", "regress", "report", "explain", "export", "render",
+        "history", "regress", "report", "explain", "export", "render",
     )),
     *(f"repro.experiments.{name}" for name in ("figures", "tables", "report", "export")),
     *(f"repro.frontend.{name}" for name in ("parser", "printer", "transforms")),
