@@ -5,17 +5,17 @@ scheduling single representative loops, complementing the one-shot
 corpus benchmarks: use them to track scheduler performance regressions.
 
 ``test_trace_overhead`` is the observability guardrail: it schedules a
-Table-2-style corpus untraced (the shared ``NULL_OBSERVER`` path, which
-a NullTracer or a NullProfiler normalizes to), with a metrics registry
-alone, with an enabled :class:`Profiler` alone, with the batch progress
-stream (per-job lifecycle events through a :class:`ProgressTracker`
-plus latency-quantile recording, the per-job cost ``run_batch`` adds),
-with the bounded :class:`FlightRecorder` ring buffer (always-on crash
-forensics), and with the full :class:`CollectingTracer` + metrics +
-enabled :class:`Profiler`.  It asserts the progress/quantile path and
-the flight recorder each stay under 5% overhead, reports the rest
-without a bound, and publishes the numbers to
-``benchmarks/out/trace_overhead.txt``.
+Table-2-style corpus untraced (the shared ``NULL_OBSERVER`` path: no
+tracer, and the disabled registry that only times spans), with an
+enabled metrics registry (spans, counters and histograms), with the
+batch progress stream (per-job lifecycle events through a
+:class:`ProgressTracker` plus latency-quantile recording, the per-job
+cost ``run_batch`` adds), with the bounded :class:`FlightRecorder` ring
+buffer (always-on crash forensics), and with the full
+:class:`CollectingTracer` + enabled registry.  It asserts the
+progress/quantile path and the flight recorder each stay under 5%
+overhead, reports the rest without a bound, and publishes the numbers
+to ``benchmarks/out/trace_overhead.txt``.
 """
 
 import gc
@@ -27,13 +27,7 @@ from repro.core import modulo_schedule
 from repro.frontend import compile_loop
 from repro.ir import build_ddg
 from repro.machine import cydra5
-from repro.obs import (
-    CollectingTracer,
-    FlightRecorder,
-    MetricsRegistry,
-    Observer,
-    Profiler,
-)
+from repro.obs import CollectingTracer, FlightRecorder, MetricsRegistry, Observer
 from repro.obs.progress import (
     KIND_STARTED,
     KIND_SUBMITTED,
@@ -160,12 +154,10 @@ def test_trace_overhead(benchmark):
                 (
                     _one_corpus_run(loops),
                     _one_corpus_run(loops, Observer(metrics=MetricsRegistry())),
-                    _one_corpus_run(loops, Observer(prof=Profiler())),
                     _one_corpus_run_with_progress(loops),
                     _one_corpus_run(loops, Observer(FlightRecorder())),
                     _one_corpus_run(
-                        loops,
-                        Observer(CollectingTracer(), MetricsRegistry(), Profiler()),
+                        loops, Observer(CollectingTracer(), MetricsRegistry())
                     ),
                 )
             )
@@ -180,37 +172,33 @@ def test_trace_overhead(benchmark):
 
     untraced = min(s[0] for s in samples)
     metered = min(s[1] for s in samples)
-    profiled = min(s[2] for s in samples)
-    progressed = min(s[3] for s in samples)
-    flight_traced = min(s[4] for s in samples)
-    full_traced = min(s[5] for s in samples)
+    progressed = min(s[2] for s in samples)
+    flight_traced = min(s[3] for s in samples)
+    full_traced = min(s[4] for s in samples)
     metrics_overhead = median(s[1] / s[0] for s in samples) - 1.0
-    prof_overhead = median(s[2] / s[0] for s in samples) - 1.0
-    progress_overhead = median(s[3] / s[0] for s in samples) - 1.0
-    flight_overhead = median(s[4] / s[0] for s in samples) - 1.0
-    full_overhead = median(s[5] / s[0] for s in samples) - 1.0
+    progress_overhead = median(s[2] / s[0] for s in samples) - 1.0
+    flight_overhead = median(s[3] / s[0] for s in samples) - 1.0
+    full_overhead = median(s[4] / s[0] for s in samples) - 1.0
     report = "\n".join(
         [
             f"trace overhead ({len(loops)}-loop corpus, {rounds} interleaved rounds,",
             "best-of wall times and median paired per-round overhead)",
             f"  untraced (no observer):          {untraced * 1e3:8.1f} ms",
-            f"  metrics registry alone:          {metered * 1e3:8.1f} ms "
+            f"  enabled registry:                {metered * 1e3:8.1f} ms "
             f"({metrics_overhead:+.1%})",
-            f"  enabled Profiler alone:          {profiled * 1e3:8.1f} ms "
-            f"({prof_overhead:+.1%})",
             f"  progress stream + quantiles:     {progressed * 1e3:8.1f} ms "
             f"({progress_overhead:+.1%})",
             f"  FlightRecorder ring (64 slots):  {flight_traced * 1e3:8.1f} ms "
             f"({flight_overhead:+.1%})",
-            f"  tracer + metrics + profiler:     {full_traced * 1e3:8.1f} ms "
+            f"  tracer + enabled registry:       {full_traced * 1e3:8.1f} ms "
             f"({full_overhead:+.1%})",
             "",
             "invariant: the batch progress stream (per-job lifecycle events",
             "+ latency-quantile tracking) must cost under 5% because it runs",
             "per job, not per scheduling decision, and the always-on",
             "FlightRecorder ring buffer (bounded append, no timestamping)",
-            "must stay within the same 5% budget.  The metrics, profiler and",
-            "full rows are opt-in and carry no bound.",
+            "must stay within the same 5% budget.  The registry and full",
+            "rows are opt-in and carry no bound.",
         ]
     )
     publish("trace_overhead", report)

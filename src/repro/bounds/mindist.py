@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from repro.ir.ddg import DDG
-from repro.obs.prof import NULL_PROFILER
+from repro.obs.metrics import NULL_METRICS
 
 #: Sentinel for "no path".  Far below any reachable cost, but safe to
 #: add to itself inside int64.
@@ -59,12 +59,12 @@ class MinDist:
     A view of the graph's cached closure at ``ii``: ``matrix`` is shared
     read-only with every other MinDist of the same graph and II.
     Getting the closure (the O(n^3) build, or a cache hit) runs in a
-    ``bounds.mindist`` span of ``profiler`` (see :mod:`repro.obs.prof`),
+    ``bounds.mindist`` span of ``metrics`` (see :mod:`repro.obs.metrics`),
     whose duration ``seconds`` keeps; the scheduling driver charges it
     to ``SchedulerStats.mindist_seconds``.
     """
 
-    def __init__(self, ddg: DDG, ii: int, profiler=None):
+    def __init__(self, ddg: DDG, ii: int, metrics=None):
         from repro.bounds.analysis import LoopAnalysis  # imports this module
 
         if ii < 1:
@@ -73,16 +73,18 @@ class MinDist:
         self.ii = ii
         self.n = ddg.n
         analysis = LoopAnalysis.of(ddg)
-        prof = profiler or NULL_PROFILER
+        metrics = metrics if metrics is not None else NULL_METRICS
         cached = analysis.has_closure(ii)
-        with prof.span("bounds.mindist") as span:
+        with metrics.span("bounds.mindist") as span:
             self.matrix, self.feasible = analysis.closure(ii)
         self.seconds = span.seconds
+        if not metrics.enabled:
+            return
         if cached:
-            prof.count("mindist.cache_hits")
+            metrics.counter("mindist.cache_hits").inc()
         else:
-            prof.count("mindist.closures")
-            prof.count("mindist.closure_nodes", self.n)
+            metrics.counter("mindist.closures").inc()
+            metrics.counter("mindist.closure_nodes").inc(self.n)
 
     def dist(self, src: int, dst: int) -> Optional[int]:
         """MinDist(src, dst) in cycles, or None if unconstrained."""

@@ -147,8 +147,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics-out",
         metavar="PATH",
-        help="dump the run's metrics registry (counters/timers/histograms) "
-        "as schema-versioned JSON after scheduling",
+        help="dump the run's metrics registry (spans, counters, gauges, "
+        "histograms) as schema-versioned JSON after scheduling",
     )
     parser.add_argument(
         "--verbose",

@@ -8,14 +8,14 @@ the +1 policy is available for the ablation bench).
 
 Observability: pass one :class:`~repro.obs.observer.Observer`, whose
 tracer records every scheduler decision (attempt starts, placements,
-ejections, II escalations, outcomes), whose metrics registry records
-aggregates (per-phase wall time, window-scan lengths, MRT occupancy)
-and whose profiler records the span tree; each attempt gets the same
-observer.  The default records nothing.  Time has one source either
-way: each attempt runs in ``driver.setup`` and ``driver.place`` spans
-(the default profiler times them without recording), and the
-``SchedulerStats`` times and ``phase.*`` timers are read from those
-spans and the MinDist's ``bounds.mindist`` span.
+ejections, II escalations, outcomes) and whose metrics registry records
+the span tree and aggregates (effort counts, window-scan lengths, MRT
+occupancy); each attempt gets the same observer.  The default records
+nothing.  Time has one source either way: each attempt runs in
+``driver.setup`` and ``driver.place`` spans (the default registry times
+them without recording), and the ``SchedulerStats`` times are read from
+those spans and the MinDist's ``bounds.mindist`` span.  Effort counts
+are recorded once per attempt, from its ``SchedulerStats``.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def modulo_schedule(
             :class:`~repro.bounds.analysis.LoopAnalysis` carries over
             between calls.
         observer: Optional :class:`~repro.obs.observer.Observer`: the
-            decision trace, aggregate metrics and span profile to
+            decision trace, and the spans and aggregate metrics, to
             record into (see repro.obs).
 
     Returns:
@@ -129,9 +129,9 @@ def modulo_schedule(
     attempt_cls = ALGORITHMS[algorithm]
     options = options or SchedulerOptions()
     observer = observer or NULL_OBSERVER
-    trace, metrics, prof = observer.trace, observer.metrics, observer.prof
+    trace, metrics = observer.trace, observer.metrics
     if ddg is None:
-        with prof.span("driver.build_ddg"):
+        with metrics.span("driver.build_ddg"):
             ddg = build_ddg(loop, machine)
 
     # Every placement-independent fact comes from the graph's analysis:
@@ -139,9 +139,9 @@ def modulo_schedule(
     # escalation studies) skips the RecMII search, unit-pressure scans
     # and binding prepass entirely.
     analysis = LoopAnalysis.of(ddg)
-    with prof.span("bounds.resmii"):
+    with metrics.span("bounds.resmii"):
         res_mii = analysis.res_mii
-    with prof.span("bounds.recmii"):
+    with metrics.span("bounds.recmii"):
         rec_mii = analysis.rec_mii
     mii = analysis.mii
 
@@ -169,11 +169,10 @@ def modulo_schedule(
                     budget=budget,
                 )
             )
-        with prof.span("driver.attempt"):
-            prof.count("driver.attempts")
-            with prof.span("driver.setup") as setup:
+        with metrics.span("driver.attempt"):
+            with metrics.span("driver.setup") as setup:
                 attempt = attempt_cls(analysis, ii, observer=observer, **kwargs)
-            with prof.span("driver.place") as place:
+            with metrics.span("driver.place") as place:
                 schedule = run_attempt(attempt)
         # The MinDist span nests in the setup span: the rest of setup
         # (MRT, MinLT, critical units, macro nodes) is attempt setup.
@@ -183,11 +182,11 @@ def modulo_schedule(
         attempt_stats.setup_seconds = setup.seconds - attempt.mindist.seconds
         attempt_stats.scheduling_seconds = place.seconds
         stats.merge(attempt_stats)
-        if metrics is not None:
+        if metrics.enabled:
             metrics.counter("scheduler.attempts").inc()
-            metrics.timer("phase.mindist").add(attempt_stats.mindist_seconds)
-            metrics.timer("phase.attempt_setup").add(attempt_stats.setup_seconds)
-            metrics.timer("phase.scheduling").add(attempt_stats.scheduling_seconds)
+            metrics.counter("scheduler.placements").inc(attempt_stats.placements)
+            metrics.counter("scheduler.ejections").inc(attempt_stats.ejections)
+            metrics.counter("scheduler.forced").inc(attempt_stats.forced)
         last_ii = ii
         if schedule is not None and options.max_rr_pressure is not None:
             from repro.bounds.lifetimes import rr_max_live

@@ -97,13 +97,16 @@ class SchedulingAttempt:
     ):
         observer = observer or NULL_OBSERVER
         #: The observer's sinks, copied once so the hot path reads one
-        #: attribute: ``trace`` is None unless an enabled tracer was
-        #: given; spans go to ``prof`` unconditionally (only an enabled
-        #: profiler records them; see obs.observer).
-        self.trace, self.metrics, self.prof = observer.trace, observer.metrics, observer.prof
-        self._eject_counts: Optional[Dict[int, int]] = (
-            {} if self.metrics is not None else None
-        )
+        #: attribute: ``trace`` is None unless a tracer was given; spans
+        #: go to ``metrics`` unconditionally (only an enabled registry
+        #: records them; see obs.observer).
+        self.trace, self.metrics = observer.trace, observer.metrics
+        #: Whether the registry keeps instruments: read once here, the
+        #: one gate of every counter and histogram the attempt records.
+        self._recording = self.metrics.enabled
+        #: Ejections per op, for the ``scheduler.ejections_per_op``
+        #: histogram (kept only while recording).
+        self._eject_counts: Dict[int, int] = {}
         self.analysis = analysis
         self.loop = loop = analysis.loop
         self.machine = analysis.machine
@@ -115,7 +118,7 @@ class SchedulingAttempt:
         #: instead of rounding up to a multiple of II (§4.2's extra
         #: slack only makes sense when II bounds the schedule's period).
         self.tight_cap = tight_cap
-        self.mindist = MinDist(ddg, ii, profiler=self.prof)
+        self.mindist = MinDist(ddg, ii, metrics=self.metrics)
         if not self.mindist.feasible:
             raise ValueError(f"II={ii} is below RecMII for {loop.name}")
         self.matrix = self.mindist.matrix
@@ -127,11 +130,6 @@ class SchedulingAttempt:
         brtop = loop.brtop()
         self.brtop_oid = brtop.oid if brtop is not None else None
         self.contention = analysis.res_mii > 1
-
-        #: Profiler counters and scan metrics are recorded only when
-        #: something keeps them; read once here for the hot path.
-        self._counting = self.prof.enabled
-        self._scan_stats = self._counting or self.metrics is not None
 
         self.mrt = ModuloResourceTable(self.machine, ii, self.binding)
         self.times: Dict[int, int] = {self.start_oid: 0}
@@ -196,13 +194,11 @@ class SchedulingAttempt:
         ejections or a cap change): Estart(x) is the maximum over placed
         p of ``t_p + MinDist(p, x)``, and -Lstart(x) the maximum of
         ``MinDist(x, Stop) - cap`` and, over placed p, ``MinDist(x, p) - t_p``."""
-        with self.prof.span("bounds.recompute"):
+        with self.metrics.span("bounds.recompute"):
             np.maximum.reduce(self.rows, axis=0, out=self.bounds)
             self._bounds_dirty = False
             if self.trace is not None:
                 self.trace.emit(tracing.BoundsRecompute(n_placed=len(self.times)))
-        if self._counting:
-            self.prof.count("bounds.recomputes")
 
     def _refresh_bounds(self) -> None:
         """Make bounds valid, growing Lstart(Stop) and ejecting Stop when
@@ -235,9 +231,8 @@ class SchedulingAttempt:
         costs less than one fancy-indexed assignment of them all.
         """
         ops, times, mrt, unplaced = self.loop.ops, self.times, self.mrt, self.unplaced
-        rows, penalty, trace, eject_counts = (
-            self.rows, self.placed_penalty, self.trace, self._eject_counts
-        )
+        rows, penalty, trace = self.rows, self.placed_penalty, self.trace
+        recording, eject_counts = self._recording, self._eject_counts
         for oid in oids:
             cycle = times.pop(oid)
             mrt.remove(ops[oid], cycle)
@@ -246,12 +241,10 @@ class SchedulingAttempt:
             penalty[oid] = 0
             if trace is not None:
                 trace.emit(tracing.Eject(oid=oid, cycle=cycle, cause=cause))
-            if eject_counts is not None:
+            if recording:
                 eject_counts[oid] = eject_counts.get(oid, 0) + 1
         self.stats.ejections += len(oids)
         self._bounds_dirty = True
-        if self._counting:
-            self.prof.count("framework.ejections", len(oids))
 
     def _dependence_conflicts(self, oid: int, cycle: int) -> List[int]:
         """Placed ops whose times are inconsistent with ``oid @ cycle``.
@@ -274,8 +267,6 @@ class SchedulingAttempt:
     def _force_place(self, op: Operation) -> int:
         """Step 3: make room for ``op`` by ejecting its blockers."""
         self.stats.forced += 1
-        if self._counting:
-            self.prof.count("framework.force_places")
         cycle = max(self.bounds.item(op.oid), self.last_place.get(op.oid, -1) + 1)
         # brtop can never be ejected; search past any conflict with it.
         while True:
@@ -307,7 +298,6 @@ class SchedulingAttempt:
         unplaced, rows, penalty = self.unplaced, self.rows, self.placed_penalty
         matrix, matrix_t, bounds = self.matrix, self._matrix_t, self.bounds
         stats, n, trace = self.stats, self.n, self.trace
-        count = self.prof.count if self._counting else None
         add, subtract, maximum = np.add, np.subtract, np.maximum
 
         def place(op: Operation, cycle: int, forced: bool = False) -> None:
@@ -320,8 +310,6 @@ class SchedulingAttempt:
             subtract(matrix_t[oid], cycle, row[n:])
             penalty[oid] = PLACED_PENALTY
             stats.placements += 1
-            if count is not None:
-                count("framework.placements")
             if trace is not None:
                 trace.emit(tracing.Place(oid=oid, cycle=cycle, forced=forced))
             if not self._bounds_dirty:
@@ -360,15 +348,13 @@ class SchedulingAttempt:
         the hit) the metrics always reported.
         """
         found, scanned = self.mrt.first_fit(op, lo, hi, early)
-        if self._scan_stats:
+        if self._recording:
             self._record_scan(scanned)
         return found
 
     def _record_scan(self, scanned: int) -> None:
         """Report one window scan of ``scanned`` cycles."""
-        if self.metrics is not None:
-            self.metrics.histogram("scheduler.scan_window_length").record(scanned)
-        self.prof.count("framework.scan_cycles", scanned)
+        self.metrics.histogram("scheduler.scan_window_length").record(scanned)
 
     # ------------------------------------------------------------------
     # Central loop (§4.2)
@@ -407,7 +393,7 @@ class SchedulingAttempt:
                     place(op, cycle)
             return dict(times)
         finally:
-            if self._eject_counts:
+            if self._eject_counts:  # only ever filled while recording
                 histogram = self.metrics.histogram("scheduler.ejections_per_op")
                 for count in self._eject_counts.values():
                     histogram.record(count)

@@ -97,7 +97,7 @@ class SlackAttempt(SchedulingAttempt):
         self._weighted_cap: Optional[int] = None
         #: The §5.2 per-op stretch tables derived from MinLT (§5.1),
         #: shared read-only through the analysis.
-        with self.prof.span("slack.minlt"):
+        with self.metrics.span("slack.minlt"):
             self._input_stretch, self._output_stretch = analysis.stretch_tables(ii)
 
     # ------------------------------------------------------------------
@@ -135,8 +135,8 @@ class SlackAttempt(SchedulingAttempt):
         exactly the ascending-oid tiebreak, and the subtracted placed
         penalty (framework) masks placed ops.
         """
-        if self._counting:
-            self.prof.count("slack.choose_operation")
+        if self._recording:
+            self.metrics.counter("slack.choose_operation").inc()
         if self._weighted_cap != self.lstart_cap:
             self._weighted_cap = self.lstart_cap
             frozen = self._initial_priority4
@@ -191,7 +191,7 @@ class SlackAttempt(SchedulingAttempt):
     def choose_issue_cycle(self, op: Operation, lo: int, hi: int) -> Optional[int]:
         early = self.prefers_early(op) if self.bidirectional else True
         found, scanned = self.mrt.first_fit(op, lo, hi, early)
-        if self._scan_stats:
+        if self._recording:
             self._record_scan(scanned)
         return found
 

@@ -69,7 +69,7 @@ class WarpScheduler:
         self.ddg = analysis.ddg
         self.ii = ii
         self.binding = analysis.binding
-        self.mindist = MinDist(self.ddg, ii, profiler=observer.prof)
+        self.mindist = MinDist(self.ddg, ii, metrics=observer.metrics)
         if not self.mindist.feasible:
             raise ValueError(f"II={ii} is below RecMII for {self.loop.name}")
         self.mrt = ModuloResourceTable(self.machine, ii, self.binding)

@@ -54,10 +54,10 @@ def measure_loop(
     """Schedule one loop and record every evaluation metric.
 
     ``observer`` is forwarded to the scheduling driver (repro.obs).
-    Every recorded time is a profiler span's:
-    ``recmii_seconds`` and ``phase.recmii`` come from this function's
-    ``bounds.recmii`` span (the driver's later one is a cache hit), the
-    rest from the driver's.  The bounds come from the graph's
+    Every recorded time is a span's: ``recmii_seconds`` comes from this
+    function's ``bounds.recmii`` span (the driver's later one is a cache
+    hit, so a recorded loop has two calls of it), the rest from the
+    driver's.  The bounds come from the graph's
     :class:`LoopAnalysis`, the same object the driver then schedules
     from, so each is computed once per loop.
     """
@@ -67,10 +67,8 @@ def measure_loop(
     ddg = build_ddg(loop, machine)
     analysis = LoopAnalysis.of(ddg)
 
-    with observer.prof.span("bounds.recmii") as recmii:
+    with observer.metrics.span("bounds.recmii") as recmii:
         rec_mii = analysis.rec_mii
-    if observer.metrics is not None:
-        observer.metrics.timer("phase.recmii").add(recmii.seconds)
     res_mii = analysis.res_mii
     mii = analysis.mii
 
@@ -82,9 +80,9 @@ def measure_loop(
         observer=observer,
     )
     # The first attempt runs at MII and charges its MinDist build to
-    # mindist_seconds and phase.mindist; reading the closure before
-    # scheduling would build it outside every timer.
-    mindist_at_mii = MinDist(ddg, mii, profiler=observer.prof)
+    # mindist_seconds and its bounds.mindist span; reading the closure
+    # before scheduling would build it outside the attempt's spans.
+    mindist_at_mii = MinDist(ddg, mii, metrics=observer.metrics)
     min_avg_mii = min_avg(loop, ddg, mindist_at_mii, mii)
 
     if result.success:
@@ -93,7 +91,7 @@ def measure_loop(
         mindist_at_ii = (
             mindist_at_mii
             if achieved_ii == mii
-            else MinDist(ddg, achieved_ii, profiler=observer.prof)
+            else MinDist(ddg, achieved_ii, metrics=observer.metrics)
         )
         max_live_value = rr_max_live(loop, ddg, times, achieved_ii)
         min_avg_value = min_avg(loop, ddg, mindist_at_ii, achieved_ii)

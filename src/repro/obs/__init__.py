@@ -1,16 +1,16 @@
-"""Observability: tracing, metrics, profiling, export, and post-mortems.
+"""Observability: tracing, metrics and spans, export, and post-mortems.
 
 The package is a cross-cutting companion to ``repro.core``: the driver,
 every scheduling attempt, the corpus runner and the batch service
 accept one optional :class:`~repro.obs.observer.Observer`, which holds a
-:class:`~repro.obs.trace.Tracer`, a
-:class:`~repro.obs.metrics.MetricsRegistry` and a
-:class:`~repro.obs.prof.Profiler`.  The default records nothing and
+:class:`~repro.obs.trace.Tracer` (or None) and a
+:class:`~repro.obs.metrics.MetricsRegistry`, the one recorder of spans,
+counters, gauges and histograms.  The default records nothing and
 costs one attribute test per decision.  See DESIGN.md
 §"Observability" for the event schema and hook locations.
 
 Importing the package loads only what the scheduler runs: the tracer,
-metrics, profiler and observer modules.  The rest (trace export, the
+metrics and observer modules.  The rest (trace export, the
 ``explain`` post-mortem and its renders, progress events, bench
 history) loads on first use of one of its names (see
 :mod:`repro._deferred`).  ``repro.obs.explain`` is the post-mortem
@@ -23,19 +23,17 @@ import types
 
 from repro._deferred import deferred_exports
 from repro.obs.metrics import (
+    NULL_METRICS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    Timer,
     record_mrt_occupancy,
 )
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.obs.prof import NULL_PROFILER, NullProfiler, Profiler
 from repro.obs.trace import (
     DEFAULT_FLIGHT_CAPACITY,
     EVENT_TYPES,
-    NULL_TRACER,
     AttemptFail,
     AttemptStart,
     BoundsRecompute,
@@ -46,7 +44,6 @@ from repro.obs.trace import (
     ForcePlace,
     IIEscalate,
     JobStart,
-    NullTracer,
     Place,
     ScheduleFound,
     TraceEvent,
@@ -121,13 +118,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Timer",
+    "NULL_METRICS",
     "record_mrt_occupancy",
     "NULL_OBSERVER",
     "Observer",
-    "NULL_PROFILER",
-    "NullProfiler",
-    "Profiler",
     "CallbackProgress",
     "CollectingProgress",
     "JSONLProgress",
@@ -144,7 +138,6 @@ __all__ = [
     "render_mrt_occupancy",
     "DEFAULT_FLIGHT_CAPACITY",
     "EVENT_TYPES",
-    "NULL_TRACER",
     "AttemptFail",
     "AttemptStart",
     "BoundsRecompute",
@@ -155,7 +148,6 @@ __all__ = [
     "ForcePlace",
     "IIEscalate",
     "JobStart",
-    "NullTracer",
     "Place",
     "ScheduleFound",
     "TraceEvent",

@@ -395,20 +395,26 @@ def _median(values: Sequence[float]) -> float:
 
 def mad_anomalies(
     values: Sequence[Optional[float]],
+    direction: str,
     window: int = TREND_WINDOW,
     k: float = TREND_MAD_K,
     min_points: int = TREND_MIN_POINTS,
 ) -> List[bool]:
     """Flag each point against the trailing window of *prior* points.
 
-    A point is anomalous when ``|x - median| > k * scale`` over the up
-    to ``window`` preceding non-None values, with
-    ``scale = max(1.4826 * MAD, |median| * 0.001, 1e-12)``: the MAD
-    floor tolerates a window of identical values (MAD 0) without
-    flagging float dust, while 1.4826 makes MAD commensurate with a
-    standard deviation.  Points with fewer than ``min_points`` prior
-    values are never flagged (no basis to judge).
+    A point is anomalous when it lies on the worse side of the median
+    of the up to ``window`` preceding non-None values (above it when
+    ``direction`` is "lower", below it when "higher") by more than
+    ``k * scale``, with ``scale = max(1.4826 * MAD, |median| * 0.001,
+    1e-12)``: the MAD floor tolerates a window of identical values
+    (MAD 0) without flagging float dust, while 1.4826 makes MAD
+    commensurate with a standard deviation.  A gain is never an
+    anomaly.  Points with fewer than ``min_points`` prior values are
+    never flagged (no basis to judge).
     """
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"direction must be 'lower' or 'higher', got {direction!r}")
+    worse = 1.0 if direction == "lower" else -1.0
     flags: List[bool] = []
     history: List[float] = []
     for value in values:
@@ -422,7 +428,7 @@ def mad_anomalies(
             med = _median(prior)
             mad = _median([abs(x - med) for x in prior])
             scale = max(MAD_SIGMA * mad, abs(med) * 0.001, 1e-12)
-            flags.append(abs(value - med) > k * scale)
+            flags.append(worse * (value - med) > k * scale)
         history.append(value)
     return flags
 
@@ -473,6 +479,7 @@ def metric_trends(
     trends = []
     for name in sorted(names):
         spec = specs[name]
+        direction = spec.get("direction", "lower")
         values = [
             (run.payload.get("metrics") or {}).get(name, {}).get("value")
             for run in runs
@@ -482,11 +489,11 @@ def metric_trends(
                 scenario=scenario,
                 name=name,
                 unit=spec.get("unit", ""),
-                direction=spec.get("direction", "lower"),
+                direction=direction,
                 kind=spec.get("kind", "count"),
                 run_ids=[run.run_id for run in runs],
                 values=values,
-                anomalies=mad_anomalies(values, window=window, k=k),
+                anomalies=mad_anomalies(values, direction, window=window, k=k),
             )
         )
     return trends
@@ -580,7 +587,6 @@ def batch_report_payload(report) -> dict:
             "scenario": "batch-cli",
             "description": "batch CLI run summary",
             "metrics": metrics,
-            "profile": None,
         },
     )
 
@@ -721,8 +727,8 @@ def _compare_main(args) -> int:
             f"run #{old_run.run_id} -> #{new_run.run_id} ==="
         )
         deltas = print_comparison(
-            {new_run.scenario: old_run.payload},
-            {new_run.scenario: new_run.payload},
+            old_run.payload,
+            new_run.payload,
             threshold=args.threshold,
             iqr_factor=args.iqr_factor,
             gate_time=args.gate_time,

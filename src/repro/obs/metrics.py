@@ -1,27 +1,47 @@
-"""Lightweight metrics: counters, gauges, timers, histograms.
+"""One recorder for the scheduling path: spans, counters, gauges, histograms.
 
-A :class:`MetricsRegistry` is an opt-in companion to the tracer: where
-the trace records individual decisions, metrics aggregate — window-scan
-lengths, ejections per operation, MRT occupancy per resource, per-phase
-wall time.  Instruments are created on first use and addressed by a
-dotted name, so call sites stay one-liners:
+Where the tracer records individual *decisions*, a
+:class:`MetricsRegistry` records aggregates and where the wall time
+goes: nestable named spans accumulated into a call tree keyed by span
+path, and instruments addressed by a dotted name and created on first
+use, so call sites stay one-liners:
 
+    with metrics.span("bounds.mindist") as span: ...
     metrics.counter("scheduler.attempts").inc()
-    metrics.histogram("scan.window_length").record(scanned)
-    metrics.timer("phase.mindist").add(span.seconds)
+    metrics.histogram("scheduler.scan_window_length").record(scanned)
 
-Timers only accumulate durations they are handed; the duration comes
-from a :mod:`repro.obs.prof` span, the one clock of the scheduling
-path.
+Design rules:
 
-Everything is in-process and dependency-free; ``snapshot()`` returns a
-plain dict (JSON-safe) and ``render()`` a human-readable block used by
-the CLI's ``--explain`` output.
+* Spans are the only clock.  Every span times itself and exposes
+  ``span.seconds`` once it exits, on any registry, so code that needs a
+  duration (``SchedulerStats``, ``LoopMetrics``,
+  ``BatchReport.wall_seconds``) reads it from the span that the
+  registry also records, and the two can never disagree.
+* Only an *enabled* registry records.  The shared :data:`NULL_METRICS`
+  keeps no spans and hands out instruments it does not keep; it is an
+  :class:`~repro.obs.observer.Observer`'s ``metrics`` unless a registry
+  was given, so instrumented code calls ``metrics.span(...)``
+  unconditionally (the null path costs a clock read pair) and tests
+  ``metrics.enabled`` before work that only feeds an instrument.
+* Span bookkeeping is O(1) per enter/exit, so recording perturbs the
+  measured program as little as possible.
+
+Everything is in-process and dependency-free.  :meth:`snapshot` returns
+a JSON-safe summary, :meth:`dump` the full-fidelity form that
+:meth:`merge_dump` folds in across processes, :meth:`render` the
+deterministic block ``--explain`` prints (no wall-clock values), and
+:meth:`report` the span table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import time
+from typing import Callable, Dict, List, Tuple
+
+#: Separator between nested span names in a span path.  Span *names*
+#: are dotted ("bounds.mindist"); *paths* join the active stack, e.g.
+#: "driver.attempt;driver.setup;bounds.mindist".
+PATH_SEP = ";"
 
 
 class Counter:
@@ -46,20 +66,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-
-class Timer:
-    """Accumulated wall time over any number of timed sections."""
-
-    __slots__ = ("seconds", "count")
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self.count = 0
-
-    def add(self, seconds: float) -> None:
-        self.seconds += seconds
-        self.count += 1
 
 
 class Histogram:
@@ -117,48 +123,117 @@ class Histogram:
         }
 
 
-class MetricsRegistry:
-    """Named instruments, created on first use."""
+class _SpanStat:
+    """Accumulated timing for one span path."""
+
+    __slots__ = ("calls", "cum_seconds", "self_seconds")
 
     def __init__(self) -> None:
+        self.calls = 0
+        self.cum_seconds = 0.0
+        self.self_seconds = 0.0
+
+    def as_dict(self) -> dict:
+        return {
+            "calls": self.calls,
+            "cum_seconds": self.cum_seconds,
+            "self_seconds": self.self_seconds,
+        }
+
+
+class _Span:
+    """Context manager for one ``metrics.span(name)`` entry; ``seconds``
+    is its duration on the registry's clock once it exits."""
+
+    __slots__ = ("_registry", "_name", "_started", "seconds")
+
+    def __init__(self, registry: "MetricsRegistry", name: str):
+        self._registry = registry
+        self._name = name
+
+    def __enter__(self) -> "_Span":
+        self._registry._enter(self._name)
+        self._started = self._registry._clock()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.seconds = self._registry._clock() - self._started
+        self._registry._exit(self.seconds)
+
+
+class MetricsRegistry:
+    """Spans keyed by path and named instruments, created on first use.
+
+    Attributes:
+        enabled: Whether this registry keeps what it is given (see the
+            module docstring).  Spans time themselves either way.
+    """
+
+    enabled: bool = True
+
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
+        self._clock = clock
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._timers: Dict[str, Timer] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._spans: Dict[str, _SpanStat] = {}
+        #: Active frames: (path, child_seconds accumulated so far).
+        self._stack: List[Tuple[str, float]] = []
+
+    # ------------------------------------------------------------------
+    # Recording
+    # ------------------------------------------------------------------
+    def _instrument(self, store: dict, kind: type, name: str):
+        instrument = store.get(name)
+        if instrument is None:
+            instrument = store[name] = kind()
+        return instrument
 
     def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter()
-        return instrument
+        return self._instrument(self._counters, Counter, name)
 
     def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge()
-        return instrument
-
-    def timer(self, name: str) -> Timer:
-        instrument = self._timers.get(name)
-        if instrument is None:
-            instrument = self._timers[name] = Timer()
-        return instrument
+        return self._instrument(self._gauges, Gauge, name)
 
     def histogram(self, name: str) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram()
-        return instrument
+        return self._instrument(self._histograms, Histogram, name)
 
-    def snapshot(self) -> dict:
-        """JSON-safe dump of every instrument."""
+    def span(self, name: str) -> _Span:
+        """Context manager timing one named (nestable) section."""
+        return _Span(self, name)
+
+    def _enter(self, name: str) -> None:
+        parent = self._stack[-1][0] if self._stack else ""
+        path = f"{parent}{PATH_SEP}{name}" if parent else name
+        self._stack.append((path, 0.0))
+
+    def _exit(self, duration: float) -> None:
+        path, child_seconds = self._stack.pop()
+        stat = self._spans.get(path)
+        if stat is None:
+            stat = self._spans[path] = _SpanStat()
+        stat.calls += 1
+        stat.cum_seconds += duration
+        stat.self_seconds += max(0.0, duration - child_seconds)
+        if self._stack:
+            parent_path, parent_children = self._stack[-1]
+            self._stack[-1] = (parent_path, parent_children + duration)
+
+    # ------------------------------------------------------------------
+    # Reporting and merging
+    # ------------------------------------------------------------------
+    def _common(self) -> dict:
         return {
             "counters": {name: c.value for name, c in sorted(self._counters.items())},
             "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
-            "timers": {
-                name: {"seconds": t.seconds, "count": t.count}
-                for name, t in sorted(self._timers.items())
-            },
+            "spans": {path: s.as_dict() for path, s in sorted(self._spans.items())},
+        }
+
+    def snapshot(self) -> dict:
+        """JSON-safe summary: counters, gauges, histogram summaries and
+        spans (``spans[path] = {calls, cum_seconds, self_seconds}``)."""
+        return {
+            **self._common(),
             "histograms": {
                 name: h.summary() for name, h in sorted(self._histograms.items())
             },
@@ -173,12 +248,7 @@ class MetricsRegistry:
         losing distribution data.  Inverse: :meth:`merge_dump`.
         """
         return {
-            "counters": {name: c.value for name, c in sorted(self._counters.items())},
-            "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
-            "timers": {
-                name: {"seconds": t.seconds, "count": t.count}
-                for name, t in sorted(self._timers.items())
-            },
+            **self._common(),
             "histogram_values": {
                 name: list(h.values) for name, h in sorted(self._histograms.items())
             },
@@ -187,32 +257,32 @@ class MetricsRegistry:
     def merge_dump(self, dump: dict) -> None:
         """Fold a :meth:`dump` (typically from a worker process) in.
 
-        Counters and timers accumulate, histograms extend with the raw
-        values, gauges are last-write-wins (callers merge in submission
-        order, so the result is deterministic).
+        Counters and span stats accumulate by name and path, histograms
+        extend with the raw values, gauges are last-write-wins (callers
+        merge in submission order, so the result is deterministic).
         """
         for name, value in dump.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in dump.get("gauges", {}).items():
             self.gauge(name).set(value)
-        for name, entry in dump.get("timers", {}).items():
-            timer = self.timer(name)
-            timer.seconds += entry["seconds"]
-            timer.count += entry["count"]
         for name, values in dump.get("histogram_values", {}).items():
-            histogram = self.histogram(name)
-            for value in values:
-                histogram.record(value)
+            self.histogram(name).values.extend(values)
+        for path, entry in dump.get("spans", {}).items():
+            stat = self._spans.get(path)
+            if stat is None:
+                stat = self._spans[path] = _SpanStat()
+            stat.calls += entry["calls"]
+            stat.cum_seconds += entry["cum_seconds"]
+            stat.self_seconds += entry["self_seconds"]
 
     def render(self) -> str:
-        """Readable block: one line per instrument."""
+        """Readable block, one line per instrument; spans (wall time) are
+        left to :meth:`report`, so the same run renders the same bytes."""
         lines = ["metrics:"]
         for name, counter in sorted(self._counters.items()):
             lines.append(f"  {name:<34} {counter.value}")
         for name, gauge in sorted(self._gauges.items()):
             lines.append(f"  {name:<34} {gauge.value:.3f}")
-        for name, timer in sorted(self._timers.items()):
-            lines.append(f"  {name:<34} {timer.seconds * 1e3:.2f} ms over {timer.count} section(s)")
         for name, histogram in sorted(self._histograms.items()):
             s = histogram.summary()
             lines.append(
@@ -224,17 +294,67 @@ class MetricsRegistry:
             lines.append("  (no instruments recorded)")
         return "\n".join(lines)
 
+    def report(self, limit: int = 0) -> str:
+        """ASCII self/cumulative span table in call-tree order.
 
-def record_mrt_occupancy(metrics: Optional[MetricsRegistry], schedule) -> None:
-    """Gauge the fraction of each unit instance's II rows that are busy.
+        Lexical path order lists every parent span directly above its
+        children (a path is a prefix of its children's paths), so the
+        indentation reads as a call tree.
+        """
+        lines = [
+            "spans (call-tree order):",
+            f"  {'span path':<44} {'calls':>8} {'self ms':>10} {'cum ms':>10}",
+        ]
+        ordered = sorted(self._spans.items())
+        if limit:
+            ordered = ordered[:limit]
+        for path, stat in ordered:
+            indent = "  " * path.count(PATH_SEP)
+            name = indent + path.rsplit(PATH_SEP, 1)[-1]
+            lines.append(
+                f"  {name:<44} {stat.calls:>8} "
+                f"{stat.self_seconds * 1e3:>10.2f} {stat.cum_seconds * 1e3:>10.2f}"
+            )
+        if not self._spans:
+            lines.append("  (no spans recorded)")
+        return "\n".join(lines)
+
+
+class _NullRegistry(MetricsRegistry):
+    """The default: spans still time themselves, and instruments are
+    handed out but not kept, so one stateless instance serves every
+    caller."""
+
+    enabled = False
+
+    def _instrument(self, store: dict, kind: type, name: str):
+        return kind()
+
+    def _enter(self, name: str) -> None:
+        pass
+
+    def _exit(self, duration: float) -> None:
+        pass
+
+
+#: Shared disabled registry (stateless: never recorded into).
+NULL_METRICS = _NullRegistry()
+
+
+def record_mrt_occupancy(metrics: MetricsRegistry, schedule) -> None:
+    """Record the fraction of each unit instance's II rows that are busy
+    as one value of its ``mrt.occupancy.<unit>[i]`` histogram, so a
+    batch's merged registry holds one value per scheduled loop.
 
     Read from the rows of the table the finished schedule fills
     (`Schedule.resource_table`), the rows the explain grid shows, so it
     can be recorded after the fact.
     """
-    if metrics is None:
+    if not metrics.enabled:
         return
     machine, ii = schedule.machine, schedule.ii
     for (class_index, instance), cells in schedule.resource_table().rows().items():
         name = machine.unit_classes[class_index].name
-        metrics.gauge(f"mrt.occupancy.{name}[{instance}]").set((ii - cells.count(-1)) / ii)
+        metrics.histogram(f"mrt.occupancy.{name}[{instance}]").record(
+            (ii - cells.count(-1)) / ii
+        )

@@ -1,7 +1,7 @@
 """Noise-aware regression gating between two bench payloads.
 
 ``repro history compare`` prints through :func:`print_comparison`:
-``compare_sets`` matches two runs scenario-by-scenario and
+:func:`compare_payload_pair` matches two runs of one scenario
 metric-by-metric, and classifies each delta as a regression, an
 improvement, or within noise.  The noise model is per metric:
 
@@ -26,7 +26,7 @@ as regressions.  Rendered as a markdown-compatible ASCII table::
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 #: Relative-delta floor that avoids dividing by a ~zero old value.
 _EPSILON = 1e-12
@@ -117,43 +117,6 @@ def compare_payload_pair(
     ]
 
 
-def compare_sets(
-    old_payloads: Dict[str, dict],
-    new_payloads: Dict[str, dict],
-    threshold: float = 0.02,
-    iqr_factor: float = 2.0,
-    gate_time: bool = False,
-) -> List[MetricDelta]:
-    """Compare two scenario->payload maps (scenarios matched by name)."""
-    deltas: List[MetricDelta] = []
-    for scenario in sorted(set(old_payloads) | set(new_payloads)):
-        old = old_payloads.get(scenario)
-        new = new_payloads.get(scenario)
-        if old is None or new is None:
-            status = "added" if old is None else "removed"
-            deltas.append(
-                MetricDelta(
-                    scenario=scenario,
-                    name="(scenario)",
-                    unit="",
-                    kind="count",
-                    direction="lower",
-                    old=None,
-                    new=None,
-                    status=status,
-                    gating=False,
-                )
-            )
-            continue
-        deltas.extend(
-            compare_payload_pair(
-                old, new, threshold=threshold, iqr_factor=iqr_factor,
-                gate_time=gate_time,
-            )
-        )
-    return deltas
-
-
 def gating_regressions(deltas: List[MetricDelta]) -> List[MetricDelta]:
     return [d for d in deltas if d.is_regression and d.gating]
 
@@ -183,19 +146,6 @@ def provenance_mismatches(old_payload: dict, new_payload: dict) -> List[str]:
                 f"(old={old_value!r}, new={new_value!r}) — "
                 "time metrics are not comparable across environments"
             )
-    return warnings
-
-
-def set_provenance_warnings(
-    old_payloads: Dict[str, dict], new_payloads: Dict[str, dict]
-) -> List[str]:
-    """Per-scenario provenance warnings across two result sets."""
-    warnings = []
-    for scenario in sorted(set(old_payloads) & set(new_payloads)):
-        for warning in provenance_mismatches(
-            old_payloads[scenario], new_payloads[scenario]
-        ):
-            warnings.append(f"{scenario}: {warning}")
     return warnings
 
 
@@ -250,24 +200,24 @@ def summarize(deltas: List[MetricDelta]) -> str:
 
 
 def print_comparison(
-    old_payloads: Dict[str, dict],
-    new_payloads: Dict[str, dict],
+    old_payload: dict,
+    new_payload: dict,
     threshold: float = 0.02,
     iqr_factor: float = 2.0,
     gate_time: bool = False,
 ) -> List[MetricDelta]:
     """Print the delta table, provenance warnings and summary of two
-    scenario->payload maps; return the deltas."""
-    deltas = compare_sets(
-        old_payloads,
-        new_payloads,
+    payloads of one scenario; return the deltas."""
+    deltas = compare_payload_pair(
+        old_payload,
+        new_payload,
         threshold=threshold,
         iqr_factor=iqr_factor,
         gate_time=gate_time,
     )
     print(render_table(deltas))
     print()
-    for warning in set_provenance_warnings(old_payloads, new_payloads):
+    for warning in provenance_mismatches(old_payload, new_payload):
         print(f"warning: {warning}")
     print(summarize(deltas))
     return deltas

@@ -2,9 +2,9 @@
 
 Fuses whatever observability artifacts a batch run produced — the
 per-loop metrics JSON (``batch --out``), the merged metrics registry
-(``--metrics-out``), the profiler span snapshot (``--profile-out``),
-the scheduler trace JSONL (``--trace``), the progress-event log
-(``--progress-log``) and the bench history (``--history``) — into one
+with its spans (``--metrics-out``), the scheduler trace JSONL
+(``--trace``), the progress-event log (``--progress-log``) and the
+bench history (``--history``) — into one
 dependency-free HTML file: inline CSS, inline SVG, no scripts, no
 network fetches.  Open it from a CI
 artifact tab or ``file://`` and it renders identically.
@@ -13,8 +13,8 @@ Sections (each appears only when its input was given):
 
 * stat tiles — loops, pipeline rate, cache hit rate, p50/p90/p99 job
   latency (the registry's ``service.job.seconds`` histogram);
-* profiler flamegraph — span paths become a left-packed icicle chart,
-  width proportional to cumulative seconds;
+* span flamegraph — the registry's span paths become a left-packed
+  icicle chart, width proportional to cumulative seconds;
 * per-loop scheduling-latency distribution (histogram);
 * MaxLive vs MinAvg scatter — register pressure against the paper's
   lower bound, optimal (II = MII) and suboptimal loops as two series;
@@ -39,7 +39,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.history import HistoryStore, metric_trends, positive_int
-from repro.obs.prof import PATH_SEP
+from repro.obs.metrics import PATH_SEP
 from repro.obs.progress import KIND_STRAGGLER, ProgressEvent, load_progress_log
 
 #: Chart geometry shared by every SVG (one visual rhythm).
@@ -330,7 +330,7 @@ def _span_tree(spans: Dict[str, dict]) -> Dict[str, List[str]]:
 
 
 def flamegraph_svg(spans: Dict[str, dict]) -> str:
-    """Left-packed icicle chart over profiler span paths."""
+    """Left-packed icicle chart over span paths."""
     if not spans:
         return '<p class="empty">no spans recorded</p>'
     children = _span_tree(spans)
@@ -665,8 +665,8 @@ def _straggler_section(progress_events: List[ProgressEvent]) -> str:
     )
 
 
-def _flame_section(profile: dict) -> str:
-    spans = profile.get("spans", {})
+def _flame_section(registry: dict) -> str:
+    spans = registry.get("spans", {})
     if not spans:
         return ""
     rows = [
@@ -773,7 +773,6 @@ def build_report(
     title: str = "repro batch report",
     loop_records: Optional[List[dict]] = None,
     registry: Optional[dict] = None,
-    profile: Optional[dict] = None,
     trace_records: Optional[List[dict]] = None,
     progress_events: Optional[List[ProgressEvent]] = None,
     trends: Optional[Dict[str, List]] = None,
@@ -789,8 +788,6 @@ def build_report(
         provenance.append(f"metrics ({len(loop_records)} loops)")
     if registry is not None:
         provenance.append("metrics registry")
-    if profile is not None:
-        provenance.append("profile")
     if trace_records is not None:
         provenance.append(f"trace ({len(trace_records)} events)")
     if progress_events is not None:
@@ -804,8 +801,8 @@ def build_report(
         + "</p>",
         _overview_tiles(loop_records, registry),
     ]
-    if profile is not None:
-        sections.append(_flame_section(profile))
+    if registry is not None:
+        sections.append(_flame_section(registry))
     if loop_records:
         sections.append(_latency_section(loop_records))
         sections.append(_scatter_section(loop_records))
@@ -844,12 +841,8 @@ def build_report_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--registry",
         metavar="PATH",
-        help="merged metrics-registry dump (batch --metrics-out)",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="PATH",
-        help="profiler span snapshot (batch --profile-out)",
+        help="merged metrics-registry dump with its spans "
+        "(batch --metrics-out)",
     )
     parser.add_argument(
         "--trace",
@@ -888,13 +881,13 @@ def build_report_parser() -> argparse.ArgumentParser:
 def report_main(argv: Optional[List[str]] = None) -> int:
     args = build_report_parser().parse_args(argv)
     inputs = (
-        args.metrics, args.registry, args.profile, args.trace,
-        args.progress_log, args.history,
+        args.metrics, args.registry, args.trace, args.progress_log,
+        args.history,
     )
     if not any(inputs):
         print(
             "error: nothing to report — pass at least one of --metrics, "
-            "--registry, --profile, --trace, --progress-log, --history",
+            "--registry, --trace, --progress-log, --history",
             file=sys.stderr,
         )
         return 2
@@ -903,11 +896,6 @@ def report_main(argv: Optional[List[str]] = None) -> int:
         registry = (
             load_json_object(args.registry, "metrics registry dump")
             if args.registry
-            else None
-        )
-        profile = (
-            load_json_object(args.profile, "profiler snapshot")
-            if args.profile
             else None
         )
         trace_records = load_trace_records(args.trace) if args.trace else None
@@ -930,7 +918,6 @@ def report_main(argv: Optional[List[str]] = None) -> int:
         title=args.title,
         loop_records=loop_records,
         registry=registry,
-        profile=profile,
         trace_records=trace_records,
         progress_events=progress_events,
         trends=trends,

@@ -10,8 +10,8 @@ Design rules:
 
 * The hot path pays nothing by default.  Instrumented code holds an
   :class:`~repro.obs.observer.Observer`'s ``trace``, which is None
-  unless a tracer with ``enabled=True`` was supplied, so the per-event
-  cost of the default :class:`NullTracer` is a single attribute test.
+  unless a tracer was supplied, so the per-event cost of an untraced
+  run is a single attribute test.
   ``benchmarks/bench_scheduler_speed.py::test_trace_overhead`` times
   that untraced run as its baseline and asserts only that the batch
   progress stream and the :class:`FlightRecorder` each add under 5%.
@@ -191,29 +191,17 @@ def event_from_dict(payload: dict) -> TraceEvent:
 # Tracers
 # ----------------------------------------------------------------------
 class Tracer:
-    """Trace sink protocol: ``enabled`` flag plus an ``emit`` method.
+    """Trace sink protocol: an ``emit`` method.
 
-    :class:`~repro.obs.observer.Observer` normalizes a disabled tracer
-    to ``None`` up front, so ``emit`` is only ever called when
-    ``enabled`` is True.  The base class itself is an enabled sink that
-    keeps nothing and stamps nothing: it turns a batch's job observation
-    on when only ``BatchReport.trace_records`` are wanted.
+    ``None`` is the only "no tracer": instrumented code tests the
+    observer's ``trace`` against None before building an event.  The
+    base class itself is a sink that keeps nothing and stamps nothing:
+    it turns a batch's job observation on when only
+    ``BatchReport.trace_records`` are wanted.
     """
-
-    enabled: bool = True
 
     def emit(self, event: TraceEvent) -> None:
         """Take one event; the base sink drops it untouched."""
-
-
-class NullTracer(Tracer):
-    """The zero-overhead default: never called, never stores anything."""
-
-    enabled = False
-
-
-#: Shared default instance (stateless, safe to reuse everywhere).
-NULL_TRACER = NullTracer()
 
 
 class CollectingTracer(Tracer):

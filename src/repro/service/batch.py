@@ -29,19 +29,20 @@ at cache-read speed.  The cache is a fan-out directory
 (``--cache-url``).
 
 An :class:`~repro.obs.observer.Observer` crosses process boundaries
-inside the job results: whenever it records anything (a tracer, a
-metrics registry or an enabled profiler), every job returns its trace
-events, instruments and spans in ``JobResult.observed``, and
+inside the job results: whenever it records anything (a tracer or an
+enabled metrics registry), every job returns its trace events and its
+registry's dump (instruments and spans) in ``JobResult.observed``, and
 :func:`run_batch` folds them into the observer in submission order and
 then drops them from the result, so the ``--trace`` output and the
 scheduler instruments in ``--metrics-out`` are identical at any
 ``--jobs`` level, modulo wall-clock times, and each event is held once.
+:func:`run_batch` itself runs in a ``service.batch`` span, whose
+seconds are ``BatchReport.wall_seconds``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -203,7 +204,7 @@ class BatchReport:
 
 def _record_metrics(registry, report: BatchReport) -> None:
     """Mirror a batch's outcome into a repro.obs MetricsRegistry."""
-    if registry is None:
+    if not registry.enabled:
         return
     for status, count in report.counts().items():
         registry.counter(f"service.jobs.{status}").inc(count)
@@ -215,7 +216,6 @@ def _record_metrics(registry, report: BatchReport) -> None:
     registry.counter("service.pool.retries").inc(report.pool.retries)
     registry.counter("service.pool.rebuilds").inc(report.pool.rebuilds)
     registry.gauge("service.pool.utilization").set(report.pool.utilization)
-    registry.timer("service.batch.wall").add(report.wall_seconds)
     latencies = registry.histogram("service.job.seconds")
     for seconds in report.job_latencies():
         latencies.record(seconds)
@@ -235,7 +235,7 @@ def _fold_observed(results: Sequence[JobResult], observer: Observer) -> List[dic
     for result in results:
         if result.observed is None:
             continue
-        events, metrics_dump, profile_snapshot = result.observed
+        events, metrics_dump = result.observed
         result.observed = None
         for event in events:
             records.append(
@@ -243,10 +243,8 @@ def _fold_observed(results: Sequence[JobResult], observer: Observer) -> List[dic
             )
             if observer.trace is not None:
                 observer.trace.emit(event)
-        if observer.metrics is not None:
+        if observer.metrics.enabled:
             observer.metrics.merge_dump(metrics_dump)
-        if observer.prof.enabled:
-            observer.prof.merge_snapshot(profile_snapshot)
     return records
 
 
@@ -293,13 +291,14 @@ def run_batch(
             against its own shared, locked cache.
         observer: Optional :class:`repro.obs.Observer`.  When it
             records anything, every computed job runs under its own
-            tracer, registry and profiler and returns their contents in
+            tracer and registry and returns their contents in
             ``JobResult.observed``; they are merged into the observer's
             in submission order and dropped from the results
             (loop-tagged events land in ``report.trace_records``, what
             CLI ``--trace`` writes, and ``report.observed_jobs`` counts
-            the jobs merged); its registry also receives ``service.*``
-            counters/gauges/timers.
+            the jobs merged); its registry also receives the
+            ``service.batch`` span and ``service.*`` counters, gauges
+            and histograms.
         max_retries: Crash-recovery resubmissions per job.
         faults: Optional ``{job index: fault}`` injection map (see
             :class:`repro.service.jobs.ScheduleJob`).
@@ -334,101 +333,101 @@ def run_batch(
     machine = machine or cydra5()
     observer = observer or NULL_OBSERVER
     metrics = observer.metrics
-    started = time.perf_counter()
-    all_jobs = make_jobs(
-        programs,
-        algorithm=algorithm,
-        options=options,
-        faults=faults,
-        machines=machines,
-    )
+    with metrics.span("service.batch") as batch_span:
+        all_jobs = make_jobs(
+            programs,
+            algorithm=algorithm,
+            options=options,
+            faults=faults,
+            machines=machines,
+        )
 
-    watchdog = StragglerWatchdog(factor=straggler_factor)
-    tracker: Optional[ProgressTracker] = None
-    # The finally below closes the progress sinks, whichever step raises.
-    try:
-        sinks: List[ProgressSink] = []
-        if progress is not None:
-            sinks.append(
-                progress
-                if isinstance(progress, ProgressSink)
-                else CallbackProgress(progress)
-            )
-        if progress_log is not None:
-            sinks.append(JSONLProgress(progress_log))
-        if sinks or metrics is not None:
-            tracker = ProgressTracker(
-                total=len(all_jobs),
-                sinks=sinks,
-                metrics=metrics,
-                watchdog=watchdog,
-            )
-            for job in all_jobs:
-                tracker.emit(job_event(KIND_SUBMITTED, job.index, job.name))
-
-        cached_results: List[JobResult] = []
-        pending: List[ScheduleJob] = all_jobs
-        if cache is None:
-            cache = open_cache(
-                cache_dir=cache_dir,
-                cache_url=cache_url,
-                cache_fallback_dir=cache_fallback_dir,
-                auth_token=cache_auth_token,
-            )
-        if cache is not None:
-            pending = []
-            for job in all_jobs:
-                job.key = cache_key(
-                    job.program,
-                    job.machine if job.machine is not None else machine,
-                    job.algorithm,
-                    job.options,
+        watchdog = StragglerWatchdog(factor=straggler_factor)
+        tracker: Optional[ProgressTracker] = None
+        # The finally below closes the progress sinks, whichever step raises.
+        try:
+            sinks: List[ProgressSink] = []
+            if progress is not None:
+                sinks.append(
+                    progress
+                    if isinstance(progress, ProgressSink)
+                    else CallbackProgress(progress)
                 )
-                hit = cache.get(job.key)
-                if hit is not None and job.fault is None:
-                    cached_results.append(
-                        JobResult(
-                            index=job.index,
-                            name=job.name,
-                            status=JOB_CACHED,
-                            metrics=hit,
-                        )
+            if progress_log is not None:
+                sinks.append(JSONLProgress(progress_log))
+            if sinks or metrics.enabled:
+                tracker = ProgressTracker(
+                    total=len(all_jobs),
+                    sinks=sinks,
+                    metrics=metrics,
+                    watchdog=watchdog,
+                )
+                for job in all_jobs:
+                    tracker.emit(job_event(KIND_SUBMITTED, job.index, job.name))
+
+            cached_results: List[JobResult] = []
+            pending: List[ScheduleJob] = all_jobs
+            if cache is None:
+                cache = open_cache(
+                    cache_dir=cache_dir,
+                    cache_url=cache_url,
+                    cache_fallback_dir=cache_fallback_dir,
+                    auth_token=cache_auth_token,
+                )
+            if cache is not None:
+                pending = []
+                for job in all_jobs:
+                    job.key = cache_key(
+                        job.program,
+                        job.machine if job.machine is not None else machine,
+                        job.algorithm,
+                        job.options,
                     )
-                    if tracker is not None:
-                        tracker.emit(result_event(cached_results[-1]))
-                else:
-                    pending.append(job)
+                    hit = cache.get(job.key)
+                    if hit is not None and job.fault is None:
+                        cached_results.append(
+                            JobResult(
+                                index=job.index,
+                                name=job.name,
+                                status=JOB_CACHED,
+                                metrics=hit,
+                            )
+                        )
+                        if tracker is not None:
+                            tracker.emit(result_event(cached_results[-1]))
+                    else:
+                        pending.append(job)
 
-        computed, pool_stats = run_jobs(
-            pending,
-            machine,
-            workers=1 if backend == "serial" else jobs,
-            timeout=timeout,
-            max_retries=max_retries,
-            observe=observer.enabled,
-            progress=tracker.emit if tracker is not None else None,
-            flight_events=flight_events,
-        )
-        if cache is not None:
-            for result in computed:
-                job = all_jobs[result.index]
-                if result.status == JOB_OK and result.metrics is not None and job.key:
-                    cache.put(job.key, result.metrics)
+            computed, pool_stats = run_jobs(
+                pending,
+                machine,
+                workers=1 if backend == "serial" else jobs,
+                timeout=timeout,
+                max_retries=max_retries,
+                observe=observer.enabled,
+                progress=tracker.emit if tracker is not None else None,
+                flight_events=flight_events,
+            )
+            if cache is not None:
+                for result in computed:
+                    job = all_jobs[result.index]
+                    if result.status == JOB_OK and result.metrics is not None and job.key:
+                        cache.put(job.key, result.metrics)
 
-        ordered = order_results(cached_results + list(computed))
-        observed_jobs = sum(result.observed is not None for result in ordered)
-        trace_records = (
-            _fold_observed(ordered, observer) if observer.enabled else None
-        )
-    finally:
-        if tracker is not None:
-            tracker.close()
+            ordered = order_results(cached_results + list(computed))
+            observed_jobs = sum(result.observed is not None for result in ordered)
+            trace_records = (
+                _fold_observed(ordered, observer) if observer.enabled else None
+            )
+        finally:
+            if tracker is not None:
+                tracker.close()
 
     report = BatchReport(
         results=ordered,
         pool=pool_stats,
         cache=cache.stats if cache is not None else None,
-        wall_seconds=time.perf_counter() - started,
+        wall_seconds=batch_span.seconds,
         cache_location=cache.describe() if cache is not None else None,
         trace_records=trace_records,
         observed_jobs=observed_jobs,

@@ -40,7 +40,6 @@ from repro.experiments.runner import sweep_layout
 from repro.machine.registry import MachineError, machine_from_cli
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
-from repro.obs.prof import Profiler
 from repro.obs.progress import TTYProgress
 from repro.obs.trace import Tracer
 from repro.service.batch import run_batch
@@ -292,13 +291,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics-out",
         metavar="PATH",
-        help="write the merged service metrics registry (counters, "
-        "gauges, latency quantiles) as JSON to PATH",
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        help="write the merged profiler span snapshot as JSON to PATH",
+        help="write the merged metrics registry (spans, counters, gauges, "
+        "histogram values) as JSON to PATH",
     )
     parser.add_argument(
         "--flight-events",
@@ -477,7 +471,6 @@ def _run(args: argparse.Namespace, batch_args: dict) -> int:
         # observation on and keeps no second copy of the events.
         Tracer() if args.trace else None,
         MetricsRegistry() if args.metrics_out else None,
-        Profiler() if args.profile_out else None,
     )
     try:
         report = run_batch(
@@ -540,10 +533,6 @@ def _run(args: argparse.Namespace, batch_args: dict) -> int:
         if not _dump_json(args.metrics_out, "metrics registry", observer.metrics.dump()):
             return 2
         print(f"metrics registry -> {args.metrics_out}", file=status_stream)
-    if args.profile_out:
-        if not _dump_json(args.profile_out, "profile", observer.prof.snapshot()):
-            return 2
-        print(f"profile snapshot -> {args.profile_out}", file=status_stream)
     if args.progress_log:
         print(f"progress log -> {args.progress_log}", file=status_stream)
     if out_to_stdout:

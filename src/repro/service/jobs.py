@@ -81,12 +81,12 @@ class JobResult:
     #: failure records only: the last scheduler decisions in flight
     #: when the job timed out, raised, or killed its worker.
     flight: Optional[List[dict]] = None
-    #: ``(trace events, metrics dump, profile snapshot)`` of a job that
-    #: ran under an observing batch, whatever its status; None when the
-    #: batch observed nothing or no worker returned (cached, crashed,
+    #: ``(trace events, metrics dump)`` of a job that ran under an
+    #: observing batch, whatever its status; None when the batch
+    #: observed nothing or no worker returned (cached, crashed,
     #: backstop timeout).  ``run_batch`` folds these into its observer
     #: and then sets this to None, so its report holds each event once.
-    observed: Optional[Tuple[List[TraceEvent], dict, dict]] = None
+    observed: Optional[Tuple[List[TraceEvent], dict]] = None
 
     def __post_init__(self) -> None:
         if self.status not in JOB_STATUSES:

@@ -67,7 +67,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.experiments.runner import measure_loop
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
-from repro.obs.prof import Profiler
 from repro.obs.progress import (
     KIND_QUARANTINED,
     KIND_STARTED,
@@ -194,8 +193,6 @@ class _FlightTee:
     reference to the last N of the same events.
     """
 
-    enabled = True
-
     def __init__(self, primary, flight):
         self.primary = primary
         self.flight = flight
@@ -216,9 +213,9 @@ def execute_job(
     """Run one job to a structured result; never raises.
 
     ``job.machine`` (when set) overrides the batch-default ``machine``.
-    With ``observe``, the job runs under its own tracer, metrics
-    registry and profiler, and the result carries their contents in
-    ``observed`` whatever its status — partial observations of a
+    With ``observe``, the job runs under its own tracer and metrics
+    registry, and the result carries their contents in ``observed``
+    whatever its status — partial observations of a
     failed or timed-out job included — for the caller to fold into the
     batch's observer.  That is how observations cross process
     boundaries.
@@ -244,11 +241,10 @@ def execute_job(
     from a server request thread has no budget at all.
     """
     machine = job.machine if job.machine is not None else machine
-    tracer = registry = profiler = None
+    tracer = registry = None
     if observe:
         tracer = CollectingTracer()
         registry = MetricsRegistry()
-        profiler = Profiler()
 
     recorder = None
     sched_tracer = tracer
@@ -301,7 +297,7 @@ def execute_job(
             machine,
             algorithm=job.algorithm,
             options=job.options,
-            observer=Observer(sched_tracer, registry, profiler),
+            observer=Observer(sched_tracer, registry),
         )
         status, error = JOB_OK, None
     except _JobTimeoutError:
@@ -331,11 +327,7 @@ def execute_job(
             if recorder is not None and status != JOB_OK
             else None
         ),
-        observed=(
-            (tracer.events, registry.dump(), profiler.snapshot())
-            if observe
-            else None
-        ),
+        observed=(tracer.events, registry.dump()) if observe else None,
     )
 
 

@@ -21,7 +21,7 @@ from repro.experiments import measure_loop
 from repro.frontend import compile_loop
 from repro.ir import DType, LoopBody, Opcode, Operand, build_ddg
 from repro.machine.machine import Machine
-from repro.obs.prof import Profiler
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads import paper_corpus
 
 from tests.conftest import build_figure1_loop
@@ -135,9 +135,9 @@ def test_mindist_after_scheduling_is_the_attempts_matrix(machine):
     assert not mindist.matrix.flags.writeable
 
     result = modulo_schedule(loop, machine, ddg=ddg)
-    profiler = Profiler()
-    MinDist(ddg, result.schedule.ii, profiler=profiler)
-    assert profiler.snapshot()["counters"] == {"mindist.cache_hits": 1}
+    metrics = MetricsRegistry()
+    MinDist(ddg, result.schedule.ii, metrics=metrics)
+    assert metrics.snapshot()["counters"] == {"mindist.cache_hits": 1}
 
 
 def test_one_analysis_per_graph_not_per_loop(machine):

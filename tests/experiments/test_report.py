@@ -1,4 +1,4 @@
-"""Direct coverage for experiments/report.py and the runner's timers."""
+"""Direct coverage for experiments/report.py and the runner's spans."""
 
 import pytest
 
@@ -6,10 +6,16 @@ from repro.core import SchedulerOptions
 from repro.experiments import full_report, measure_loop, run_corpus
 from repro.experiments.report import _RULE
 from repro.machine import cydra5
-from repro.obs import MetricsRegistry, Observer, Profiler
+from repro.obs import MetricsRegistry, Observer
 from repro.workloads import paper_corpus
 
 MACHINE = cydra5()
+
+#: The driver's per-attempt span paths: set-up, the MinDist build inside
+#: it, and placement.
+SETUP = "driver.attempt;driver.setup"
+MINDIST = f"{SETUP};bounds.mindist"
+PLACE = "driver.attempt;driver.place"
 
 #: The three ways run_corpus can run: in-process, through the batch
 #: service's process pool, and through its serial path (jobs=1 with a
@@ -60,21 +66,21 @@ def test_full_report_honors_options_and_machine():
 
 
 # ----------------------------------------------------------------------
-# Per-phase timer accumulation (runner -> MetricsRegistry)
+# Per-phase span accumulation (runner -> MetricsRegistry)
 # ----------------------------------------------------------------------
 def test_measure_loop_accumulates_phase_timers():
     program = paper_corpus(1, seed=5)[0]
     metrics = MetricsRegistry()
     measure_loop(program, MACHINE, observer=Observer(metrics=metrics))
-    snap = metrics.snapshot()["timers"]
-    for phase in ("phase.recmii", "phase.mindist", "phase.scheduling"):
-        assert phase in snap, phase
-        assert snap[phase]["count"] >= 1
-        assert snap[phase]["seconds"] >= 0.0
+    spans = metrics.snapshot()["spans"]
+    for path in ("bounds.recmii", MINDIST, PLACE):
+        assert path in spans, path
+        assert spans[path]["calls"] >= 1
+        assert spans[path]["cum_seconds"] >= 0.0
 
 
 def test_measure_loop_times_the_mindist_build_at_mii(monkeypatch):
-    # Every closure build sleeps 50 ms, so a build no timer covers
+    # Every closure build sleeps 50 ms, so a build no span covers
     # leaves mindist_seconds near 0.
     import time
 
@@ -92,12 +98,12 @@ def test_measure_loop_times_the_mindist_build_at_mii(monkeypatch):
     metrics = MetricsRegistry()
     loop_metrics = measure_loop(program, MACHINE, observer=Observer(metrics=metrics))
     assert loop_metrics.mindist_seconds >= 0.05
-    assert metrics.snapshot()["timers"]["phase.mindist"]["seconds"] >= 0.05
+    assert metrics.snapshot()["spans"][MINDIST]["cum_seconds"] >= 0.05
 
 
 def test_measure_loop_times_recmii_in_its_profiler_span(monkeypatch):
-    # RecMII sleeps 50 ms, so the record, the phase timer and the
-    # profile must all see at least that much, from the same span.
+    # RecMII sleeps 50 ms, so the record and the span profile must both
+    # see at least that much, from the same span.
     import time
 
     import repro.bounds.analysis as analysis
@@ -112,24 +118,22 @@ def test_measure_loop_times_recmii_in_its_profiler_span(monkeypatch):
     monkeypatch.setattr(analysis, "recmii", slow_search)
     program = next(p for p in named_kernels() if p.name == "ll1_hydro")
     metrics = MetricsRegistry()
-    prof = Profiler()
-    loop_metrics = measure_loop(
-        program, MACHINE, observer=Observer(metrics=metrics, prof=prof)
-    )
+    loop_metrics = measure_loop(program, MACHINE, observer=Observer(metrics=metrics))
     assert loop_metrics.recmii_seconds >= 0.05
-    assert metrics.snapshot()["timers"]["phase.recmii"]["seconds"] >= 0.05
-    recmii_cum = prof.snapshot()["spans"]["bounds.recmii"]["cum_seconds"]
-    assert recmii_cum >= loop_metrics.recmii_seconds
+    recmii = metrics.snapshot()["spans"]["bounds.recmii"]
+    # measure_loop's span, then the driver's (a cache hit).
+    assert recmii["calls"] == 2
+    assert recmii["cum_seconds"] >= loop_metrics.recmii_seconds
 
 
 def test_corpus_times_equal_their_profile_spans():
-    prof = Profiler()
+    registry = MetricsRegistry()
     results = run_corpus(
-        paper_corpus(5, seed=5), MACHINE, observer=Observer(prof=prof)
+        paper_corpus(5, seed=5), MACHINE, observer=Observer(metrics=registry)
     )
-    spans = prof.snapshot()["spans"]
-    place = spans["driver.attempt;driver.place"]["cum_seconds"]
-    mindist = spans["driver.attempt;driver.setup;bounds.mindist"]["cum_seconds"]
+    spans = registry.snapshot()["spans"]
+    place = spans[PLACE]["cum_seconds"]
+    mindist = spans[MINDIST]["cum_seconds"]
     assert abs(sum(m.scheduling_seconds for m in results) - place) < 1e-9
     assert abs(sum(m.mindist_seconds for m in results) - mindist) < 1e-9
 
@@ -143,32 +147,35 @@ def test_run_corpus_timer_counts_scale_with_corpus(route, tmp_path):
         **_route(route, tmp_path),
     )
     assert len(results) == 5
-    snap = metrics.snapshot()["timers"]
-    assert snap["phase.recmii"]["count"] == 5
-    # One mindist/scheduling accumulation per driver attempt, and at
-    # least one attempt per loop.
-    assert snap["phase.scheduling"]["count"] >= 5
-    assert snap["phase.mindist"]["count"] == snap["phase.scheduling"]["count"]
+    spans = metrics.snapshot()["spans"]
+    # measure_loop's RecMII span and the driver's, per loop.
+    assert spans["bounds.recmii"]["calls"] == 2 * 5
+    # One MinDist build and placement per driver attempt, and at least
+    # one attempt per loop.
+    assert spans[PLACE]["calls"] == sum(m.attempts for m in results) >= 5
+    assert spans[MINDIST]["calls"] == spans[PLACE]["calls"]
 
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_phase_timers_match_loop_metrics_totals(route, tmp_path):
-    """The registry's per-phase seconds are the sum of each loop's."""
+    """The registry's per-phase span seconds are the sum of each loop's."""
     programs = paper_corpus(4, seed=9)
     metrics = MetricsRegistry()
     results = run_corpus(
         programs, MACHINE, observer=Observer(metrics=metrics),
         **_route(route, tmp_path),
     )
-    snap = metrics.snapshot()["timers"]
+    spans = metrics.snapshot()["spans"]
     total_sched = sum(m.scheduling_seconds for m in results)
-    assert abs(snap["phase.scheduling"]["seconds"] - total_sched) < 1e-6
+    assert abs(spans[PLACE]["cum_seconds"] - total_sched) < 1e-6
+    total_mindist = sum(m.mindist_seconds for m in results)
+    assert abs(spans[MINDIST]["cum_seconds"] - total_mindist) < 1e-6
 
 
 def _scheduler_instruments(registry):
-    """A registry dump without its ``service.*`` instruments: counters,
-    timer counts, histogram values and ``mrt.*`` gauges (timer seconds
-    are wall clock)."""
+    """A registry dump without its ``service.*`` instruments and spans:
+    counters, gauges, histogram values and span call counts (span
+    seconds are wall clock)."""
     dump = registry.dump()
 
     def scheduler(section):
@@ -179,14 +186,11 @@ def _scheduler_instruments(registry):
 
     return {
         "counters": scheduler("counters"),
-        "timer_counts": {
-            name: entry["count"] for name, entry in scheduler("timers").items()
+        "gauges": scheduler("gauges"),
+        "span_calls": {
+            path: entry["calls"] for path, entry in scheduler("spans").items()
         },
         "histogram_values": scheduler("histogram_values"),
-        "mrt_gauges": {
-            name: value for name, value in dump["gauges"].items()
-            if name.startswith("mrt.")
-        },
     }
 
 
@@ -203,31 +207,36 @@ def test_scheduler_instruments_identical_on_every_route(tmp_path):
         )
         instruments[route] = _scheduler_instruments(metrics)
     reference = instruments["in-process"]
-    assert reference["timer_counts"]["phase.recmii"] == 8
+    assert reference["span_calls"]["bounds.recmii"] == 2 * 8
     assert reference["counters"]["scheduler.attempts"] >= 8
     assert reference["histogram_values"]["scheduler.scan_window_length"]
-    assert reference["mrt_gauges"]
+    assert all(
+        len(reference["histogram_values"][f"mrt.occupancy.{unit.name}[{i}]"]) == 8
+        for unit in MACHINE.unit_classes
+        for i in range(unit.count)
+    )
     assert instruments["pool"] == reference
     assert instruments["serial-service"] == reference
 
 
 def test_measure_loop_forwards_profiler():
     program = paper_corpus(1, seed=5)[0]
-    prof = Profiler()
-    measure_loop(program, MACHINE, observer=Observer(prof=prof))
-    spans = prof.snapshot()["spans"]
+    registry = MetricsRegistry()
+    measure_loop(program, MACHINE, observer=Observer(metrics=registry))
+    spans = registry.snapshot()["spans"]
     assert "driver.attempt" in spans
     assert "bounds.mindist" in spans  # the runner's MII-analysis MinDist
 
 
 def test_attempt_setup_phase_separated_from_mindist():
-    # Timer attribution: the MinDist build and the rest of attempt
-    # construction (binding tables, MinLT, critical units) are charged
-    # to distinct phases, each accumulated once per driver attempt.
+    # Span attribution: the MinDist build nests in attempt set-up, so
+    # the rest of attempt construction (binding tables, MinLT, critical
+    # units) is set-up minus it, and both run once per driver attempt.
     programs = paper_corpus(5, seed=5)
     metrics = MetricsRegistry()
-    run_corpus(programs, MACHINE, observer=Observer(metrics=metrics))
-    snap = metrics.snapshot()["timers"]
-    assert snap["phase.attempt_setup"]["count"] == snap["phase.mindist"]["count"]
-    assert snap["phase.attempt_setup"]["seconds"] >= 0.0
-    assert snap["phase.mindist"]["seconds"] >= 0.0
+    results = run_corpus(programs, MACHINE, observer=Observer(metrics=metrics))
+    spans = metrics.snapshot()["spans"]
+    attempts = sum(m.attempts for m in results)
+    assert spans[SETUP]["calls"] == spans[MINDIST]["calls"] == attempts
+    assert spans[SETUP]["cum_seconds"] >= spans[MINDIST]["cum_seconds"] >= 0.0
+    assert spans[SETUP]["self_seconds"] >= 0.0

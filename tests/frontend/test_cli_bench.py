@@ -16,7 +16,9 @@ def test_metrics_out_dumps_registry_snapshot(tmp_path, capsys):
     assert payload["loop"] == "figure1"
     snapshot = payload["metrics"]
     assert snapshot["counters"]["scheduler.attempts"] >= 1
-    assert "phase.scheduling" in snapshot["timers"]
+    place = snapshot["spans"]["driver.attempt;driver.place"]
+    assert place["calls"] == snapshot["counters"]["scheduler.attempts"]
+    assert "timers" not in snapshot
 
 
 def test_metrics_out_write_failure_is_reported(tmp_path, capsys):

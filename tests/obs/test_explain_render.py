@@ -66,7 +66,9 @@ def test_explain_includes_metrics_block(machine):
     )
     report = explain(result, tracer.events, metrics)
     assert "metrics:" in report
-    assert "phase.scheduling" in report
+    assert "scheduler.placements" in report
+    # Wall-clock spans stay out of the post-mortem, so it is repeatable.
+    assert "driver.place" not in report and " ms" not in report
 
 
 def test_explain_without_trace_events(machine):
@@ -169,3 +171,16 @@ def test_flight_postmortem_replays_surviving_placements():
     ]
     text = flight_postmortem("mid-flight", records)
     assert "ops in flight at death (1): 5" in text
+
+
+def test_demo_explain_prints_the_same_bytes_twice(capsys):
+    # The post-mortem's metrics block holds counts, gauges and
+    # histograms only, so two runs of one loop print identical output.
+    from repro.cli import main
+
+    outputs = []
+    for _ in range(2):
+        assert main(["--demo", "--explain"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "metrics:" in outputs[0] and "scheduler.attempts" in outputs[0]
+    assert outputs[0] == outputs[1]

@@ -107,13 +107,13 @@ def test_malformed_line_raises_historyerror(tmp_path):
 # ----------------------------------------------------------------------
 def test_mad_needs_min_points_before_judging():
     # First four points can never be flagged, however wild.
-    flags = mad_anomalies([1.0, 100.0, 1.0, 100.0], min_points=4)
+    flags = mad_anomalies([1.0, 100.0, 1.0, 100.0], "lower", min_points=4)
     assert flags == [False, False, False, False]
 
 
 def test_mad_flags_a_jump_after_stable_history():
     values = [1.0, 1.01, 0.99, 1.0, 1.02, 1.0, 1.8]
-    flags = mad_anomalies(values)
+    flags = mad_anomalies(values, "lower")
     assert flags[:-1] == [False] * 6
     assert flags[-1] is True
 
@@ -122,22 +122,36 @@ def test_mad_flat_series_tolerates_float_dust():
     # Identical history has MAD 0; the |median|*0.001 floor must keep
     # round-off from flagging.
     values = [1.0] * 8 + [1.0 + 1e-9]
-    assert not any(mad_anomalies(values))
+    assert not any(mad_anomalies(values, "lower"))
 
 
 def test_mad_skips_none_values_without_flagging():
     values = [1.0, 1.0, None, 1.0, 1.0, 1.0, 5.0]
-    flags = mad_anomalies(values)
+    flags = mad_anomalies(values, "lower")
     assert flags[2] is False  # the None itself
     assert flags[-1] is True  # judged against the non-None history
 
 
 def test_mad_window_forgets_old_history():
     # After eight points at the new level, the old level drops out of
-    # the trailing window, so returning to it IS anomalous.
+    # the trailing window, so returning to it IS anomalous (a drop, for
+    # a metric where higher is better).
     values = [1.0] * 6 + [2.0] * 9 + [1.0]
-    flags = mad_anomalies(values, window=8)
+    flags = mad_anomalies(values, "higher", window=8)
     assert flags[-1] is True
+
+
+def test_mad_judges_a_metric_by_its_direction():
+    # The same jump is a regression for one direction and a gain, never
+    # flagged, for the other.
+    stable = [100.0, 101.0, 99.0, 100.0, 102.0, 100.0]
+    rise, drop = stable + [180.0], stable + [40.0]
+    assert mad_anomalies(rise, "higher")[-1] is False
+    assert mad_anomalies(drop, "higher")[-1] is True
+    assert mad_anomalies(rise, "lower")[-1] is True
+    assert mad_anomalies(drop, "lower")[-1] is False
+    with pytest.raises(ValueError, match="direction"):
+        mad_anomalies(rise, "sideways")
 
 
 # ----------------------------------------------------------------------
@@ -374,3 +388,22 @@ def test_committed_history_loads_and_names_benchmark_metrics():
             assert name in end_to_end, (run.run_id, name)
             assert entry["unit"] == end_to_end[name]["unit"], (run.run_id, name)
             assert entry["direction"] == end_to_end[name]["better"], (run.run_id, name)
+
+
+def test_committed_history_trend_flags_only_regressions(capsys):
+    # Judged by direction, the committed trajectory's gains (loops/s
+    # rising, peak RSS falling) are not anomalies; two set-up times that
+    # rose are.  A point is judged on earlier points only, so later
+    # lines cannot change the flags of runs 1-82.
+    db = str(ROOT / "benchmarks" / "history.jsonl")
+    assert history_main(["trend", "--db", db, "--json"]) == 0
+    flagged = {
+        (row["scenario"], row["metric"], run_id)
+        for row in json.loads(capsys.readouterr().out)
+        for run_id, anomalous in zip(row["run_ids"], row["anomalies"])
+        if anomalous and run_id <= 82
+    }
+    assert flagged == {
+        ("pipeline.gpu", "setup_s", 65),
+        ("pipeline.service", "setup_s", 66),
+    }

@@ -1,17 +1,16 @@
 """Merge edge cases: empty dumps, duplicate keys, order independence.
 
-The cross-process observability path folds worker registries and
-profiler snapshots into the parent's (``MetricsRegistry.merge_dump``,
-``Profiler.merge_snapshot``).  These tests pin the algebra the batch
-report relies on: merging nothing changes nothing, duplicate keys
-accumulate rather than overwrite, and the exported latency quantiles
-are independent of merge order.
+The cross-process observability path folds worker registries, spans
+included, into the parent's (``MetricsRegistry.merge_dump``).  These
+tests pin the algebra the batch report relies on: merging nothing
+changes nothing, duplicate keys and span paths accumulate rather than
+overwrite, and the exported latency quantiles and span profiles are
+independent of merge order.
 """
 
 import itertools
 
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.prof import Profiler
 
 
 def test_merge_empty_dump_is_identity():
@@ -28,7 +27,8 @@ def test_merge_into_empty_registry_copies_everything():
     source = MetricsRegistry()
     source.counter("jobs").inc(2)
     source.gauge("util").set(0.5)
-    source.timer("wall").add(1.5)
+    with source.span("wall"):
+        pass
     source.histogram("lat").record(0.25)
     target = MetricsRegistry()
     target.merge_dump(source.dump())
@@ -39,13 +39,11 @@ def test_merge_duplicate_keys_accumulate():
     first, second = MetricsRegistry(), MetricsRegistry()
     for registry in (first, second):
         registry.counter("jobs").inc(5)
-        registry.timer("wall").add(1.0)
         registry.histogram("lat").record(1.0)
         registry.histogram("lat").record(3.0)
     first.merge_dump(second.dump())
     dump = first.dump()
     assert dump["counters"]["jobs"] == 10
-    assert dump["timers"]["wall"] == {"seconds": 2.0, "count": 2}
     assert sorted(dump["histogram_values"]["lat"]) == [1.0, 1.0, 3.0, 3.0]
 
 
@@ -78,25 +76,25 @@ def test_empty_histogram_summary_exports_all_quantiles():
 
 
 def test_profiler_merge_empty_snapshot_is_identity():
-    profiler = Profiler(clock=itertools.count(0.0, 1.0).__next__)
-    with profiler.span("a"):
+    registry = MetricsRegistry(clock=itertools.count(0.0, 1.0).__next__)
+    with registry.span("a"):
         pass
-    before = profiler.snapshot()
-    profiler.merge_snapshot({})
-    profiler.merge_snapshot(Profiler().snapshot())
-    assert profiler.snapshot() == before
+    before = registry.dump()
+    registry.merge_dump({})
+    registry.merge_dump(MetricsRegistry().dump())
+    assert registry.dump() == before
 
 
 def test_profiler_merge_duplicate_span_paths_accumulate():
     def make():
-        prof = Profiler(clock=itertools.count(0.0, 1.0).__next__)
-        with prof.span("outer"):
-            with prof.span("inner"):
+        registry = MetricsRegistry(clock=itertools.count(0.0, 1.0).__next__)
+        with registry.span("outer"):
+            with registry.span("inner"):
                 pass
-        return prof
+        return registry
 
     parent = make()
-    parent.merge_snapshot(make().snapshot())
+    parent.merge_dump(make().dump())
     spans = parent.snapshot()["spans"]
     assert spans["outer"]["calls"] == 2
     assert spans["outer;inner"]["calls"] == 2
@@ -105,18 +103,18 @@ def test_profiler_merge_duplicate_span_paths_accumulate():
 
 def test_profiler_merge_order_independent():
     def worker(scale):
-        prof = Profiler(clock=itertools.count(0.0, float(scale)).__next__)
-        with prof.span("phase"):
+        registry = MetricsRegistry(clock=itertools.count(0.0, float(scale)).__next__)
+        with registry.span("phase"):
             pass
-        prof.count("ops", scale)
-        return prof.snapshot()
+        registry.counter("ops").inc(scale)
+        return registry.dump()
 
     snapshots = [worker(scale) for scale in (1, 2, 3)]
     results = []
     for permutation in itertools.permutations(snapshots):
-        parent = Profiler()
+        parent = MetricsRegistry()
         for snapshot in permutation:
-            parent.merge_snapshot(snapshot)
+            parent.merge_dump(snapshot)
         results.append(parent.snapshot())
     assert all(result == results[0] for result in results)
     assert results[0]["counters"]["ops"] == 6

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core import modulo_schedule
-from repro.obs import MetricsRegistry, Observer, record_mrt_occupancy
-from repro.obs.metrics import Counter, Gauge, Histogram, Timer
+from repro.obs import NULL_METRICS, MetricsRegistry, Observer, record_mrt_occupancy
+from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.service import run_batch
+from repro.workloads import paper_corpus
 
 from tests.conftest import build_divider_loop, build_figure1_loop
 
@@ -16,14 +18,6 @@ def test_counter_and_gauge():
     gauge.set(2.5)
     assert counter.value == 5
     assert gauge.value == 2.5
-
-
-def test_timer_accumulates_sections():
-    timer = Timer()
-    timer.add(0.5)
-    timer.add(0.25)
-    assert timer.count == 2
-    assert timer.seconds == 0.75
 
 
 def test_histogram_summary():
@@ -45,7 +39,6 @@ def test_empty_histogram_summary():
 def test_registry_reuses_instruments():
     metrics = MetricsRegistry()
     assert metrics.counter("a") is metrics.counter("a")
-    assert metrics.timer("t") is metrics.timer("t")
     assert metrics.histogram("h") is metrics.histogram("h")
     assert metrics.gauge("g") is metrics.gauge("g")
 
@@ -56,11 +49,13 @@ def test_snapshot_is_json_safe():
     metrics = MetricsRegistry()
     metrics.counter("runs").inc()
     metrics.gauge("load").set(0.5)
-    metrics.timer("phase").add(0.1)
+    with metrics.span("phase"):
+        pass
     metrics.histogram("sizes").record(3)
     snapshot = metrics.snapshot()
     json.dumps(snapshot)
     assert snapshot["counters"]["runs"] == 1
+    assert snapshot["spans"]["phase"]["calls"] == 1
     assert snapshot["histograms"]["sizes"]["count"] == 1
 
 
@@ -81,17 +76,22 @@ def test_scheduler_populates_registry(machine):
     assert result.success
     snapshot = metrics.snapshot()
     assert snapshot["counters"]["scheduler.attempts"] == result.stats.attempts
-    assert snapshot["timers"]["phase.scheduling"]["count"] == result.stats.attempts
+    place = snapshot["spans"]["driver.attempt;driver.place"]
+    assert place["calls"] == result.stats.attempts
+    assert place["cum_seconds"] == result.stats.scheduling_seconds
     scans = snapshot["histograms"]["scheduler.scan_window_length"]
     assert scans["count"] > 0 and scans["min"] >= 1
-    # MRT occupancy gauges exist for every unit instance and are in [0,1].
+    # One occupancy value per unit instance for the one loop, in [0, 1].
     occupancies = {
-        name: value
-        for name, value in snapshot["gauges"].items()
+        name: values
+        for name, values in metrics.dump()["histogram_values"].items()
         if name.startswith("mrt.occupancy.")
     }
     assert len(occupancies) == sum(u.count for u in machine.unit_classes)
-    assert all(0.0 <= value <= 1.0 for value in occupancies.values())
+    assert all(
+        len(values) == 1 and 0.0 <= values[0] <= 1.0
+        for values in occupancies.values()
+    )
 
 
 def test_record_mrt_occupancy_matches_resource_table(machine):
@@ -99,5 +99,23 @@ def test_record_mrt_occupancy_matches_resource_table(machine):
     metrics = MetricsRegistry()
     record_mrt_occupancy(metrics, result.schedule)
     # figure1 saturates the single Adder at II=2 (two addf per iteration).
-    assert metrics.gauge("mrt.occupancy.Adder[0]").value == 1.0
-    record_mrt_occupancy(None, result.schedule)  # no-op without a registry
+    assert metrics.histogram("mrt.occupancy.Adder[0]").values == [1.0]
+    record_mrt_occupancy(NULL_METRICS, result.schedule)  # keeps nothing
+    assert NULL_METRICS.snapshot()["histograms"] == {}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_merged_batch_occupancy_holds_one_value_per_loop(jobs):
+    """A batch's registry describes every loop, not the last one merged."""
+    programs = paper_corpus(3, 1993)
+    metrics = MetricsRegistry()
+    report = run_batch(programs, jobs=jobs, observer=Observer(metrics=metrics))
+    assert report.ok
+    values = metrics.dump()["histogram_values"]["mrt.occupancy.Adder[0]"]
+    singles = []
+    for program in programs:
+        one = MetricsRegistry()
+        run_batch([program], observer=Observer(metrics=one))
+        singles += one.histogram("mrt.occupancy.Adder[0]").values
+    assert len(values) == len(programs) == 3
+    assert values == singles

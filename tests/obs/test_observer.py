@@ -1,21 +1,15 @@
-"""The one observation argument: Observer normalizes its three sinks."""
+"""The one observation argument: Observer normalizes its two sinks."""
 
 import pytest
 
 from repro.obs import (
+    NULL_METRICS,
     NULL_OBSERVER,
-    NULL_PROFILER,
     CollectingTracer,
     FlightRecorder,
     MetricsRegistry,
-    NullTracer,
     Observer,
-    Profiler,
 )
-
-
-def test_disabled_tracer_normalizes_to_none():
-    assert Observer(NullTracer()).trace is None
 
 
 def test_enabled_tracer_is_kept_as_given():
@@ -24,13 +18,14 @@ def test_enabled_tracer_is_kept_as_given():
 
 
 def test_default_profiler_is_the_null_profiler():
-    assert Observer().prof is NULL_PROFILER
-    assert Observer().metrics is None
+    """The shared disabled registry is the default span recorder."""
+    assert Observer().metrics is NULL_METRICS
+    assert Observer().trace is None
 
 
 def test_default_observer_records_nothing():
     assert not NULL_OBSERVER.enabled
-    assert not Observer(NullTracer(), None, NULL_PROFILER).enabled
+    assert not Observer(None, NULL_METRICS).enabled
 
 
 @pytest.mark.parametrize(
@@ -39,9 +34,8 @@ def test_default_observer_records_nothing():
         {"trace": CollectingTracer()},
         {"trace": FlightRecorder()},
         {"metrics": MetricsRegistry()},
-        {"prof": Profiler()},
     ],
-    ids=["collecting-tracer", "flight-recorder", "metrics", "profiler"],
+    ids=["collecting-tracer", "flight-recorder", "metrics"],
 )
 def test_any_single_enabled_sink_enables_the_observer(sinks):
     assert Observer(**sinks).enabled

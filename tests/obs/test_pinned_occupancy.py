@@ -1,5 +1,5 @@
 """Pinned MRT views: the ``--explain`` occupancy grid and the
-``mrt.occupancy.*`` gauges must hash to :data:`DIGEST` exactly.
+``mrt.occupancy.*`` values must hash to :data:`DIGEST` exactly.
 
 Both views are read from a finished schedule, so this pins them
 independently of the schedules themselves (which
@@ -8,7 +8,8 @@ independently of the schedules themselves (which
 ``paper_corpus(120, 1993)`` on every registry target with the slack
 and warp schedulers at their default options: for each case its key,
 and for each successful one ``render_mrt_occupancy`` of the schedule
-plus the sorted occupancy gauges a metrics observer recorded.
+plus, in name order, the one value each ``mrt.occupancy.*`` histogram
+of a single-loop metrics observer holds.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ DIGEST = "0db2d69a91b23c9d16bb75539cc542546af4382c1c5db114480682d87d03b6d9"
 
 
 def occupancy_digest() -> str:
-    """SHA-256 over every pinned case's key, grid and gauges."""
+    """SHA-256 over every pinned case's key, grid and occupancy values."""
     digest = hashlib.sha256()
     loops = [compile_loop(program) for program in paper_corpus(120, 1993)]
     for target in machine_names():
@@ -39,10 +40,11 @@ def occupancy_digest() -> str:
                 if not result.success:
                     continue
                 digest.update(render_mrt_occupancy(result.schedule).encode())
-                gauges = metrics.snapshot()["gauges"]
-                for name in sorted(gauges):
+                histograms = metrics.dump()["histogram_values"]
+                for name in sorted(histograms):
                     if name.startswith("mrt.occupancy."):
-                        digest.update(f"\n{name} {gauges[name]!r}".encode())
+                        (value,) = histograms[name]
+                        digest.update(f"\n{name} {value!r}".encode())
                 digest.update(b"\n")
     return digest.hexdigest()
 

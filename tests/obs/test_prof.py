@@ -1,4 +1,5 @@
-"""Profiler spans: nesting, self vs cumulative time, counters, memory."""
+"""The registry's span profile: nesting, self vs cumulative time,
+counters, merging, and the shared disabled registry."""
 
 import json
 import time
@@ -6,8 +7,8 @@ import time
 import pytest
 
 from repro.core import ALGORITHMS, modulo_schedule
-from repro.obs import NULL_PROFILER, NullProfiler, Observer, Profiler
-from repro.obs.prof import PATH_SEP
+from repro.obs import NULL_METRICS, MetricsRegistry, Observer
+from repro.obs.metrics import PATH_SEP
 
 
 class FakeClock:
@@ -25,13 +26,13 @@ class FakeClock:
 
 def test_nested_spans_accumulate_self_and_cumulative_time():
     clock = FakeClock()
-    prof = Profiler(clock=clock)
-    with prof.span("outer"):
+    metrics = MetricsRegistry(clock=clock)
+    with metrics.span("outer"):
         clock.tick(1.0)
-        with prof.span("inner"):
+        with metrics.span("inner"):
             clock.tick(2.0)
         clock.tick(0.5)
-    snap = prof.snapshot()
+    snap = metrics.snapshot()
     outer = snap["spans"]["outer"]
     inner = snap["spans"][f"outer{PATH_SEP}inner"]
     assert outer["calls"] == 1 and inner["calls"] == 1
@@ -42,55 +43,59 @@ def test_nested_spans_accumulate_self_and_cumulative_time():
 
 def test_same_name_different_parents_get_distinct_paths():
     clock = FakeClock()
-    prof = Profiler(clock=clock)
+    metrics = MetricsRegistry(clock=clock)
     for parent in ("a", "b"):
-        with prof.span(parent):
-            with prof.span("work"):
+        with metrics.span(parent):
+            with metrics.span("work"):
                 clock.tick(1.0)
-    spans = prof.snapshot()["spans"]
+    spans = metrics.snapshot()["spans"]
     assert f"a{PATH_SEP}work" in spans and f"b{PATH_SEP}work" in spans
 
 
 def test_repeated_spans_count_calls():
     clock = FakeClock()
-    prof = Profiler(clock=clock)
+    metrics = MetricsRegistry(clock=clock)
     for _ in range(5):
-        with prof.span("step"):
+        with metrics.span("step"):
             clock.tick(0.1)
-    stat = prof.snapshot()["spans"]["step"]
+    stat = metrics.snapshot()["spans"]["step"]
     assert stat["calls"] == 5
     assert abs(stat["cum_seconds"] - 0.5) < 1e-9
 
 
 def test_counters_accumulate():
-    prof = Profiler()
-    prof.count("placements")
-    prof.count("placements", 4)
-    prof.count("scans", 10)
-    counters = prof.snapshot()["counters"]
+    metrics = MetricsRegistry()
+    metrics.counter("placements").inc()
+    metrics.counter("placements").inc(4)
+    metrics.counter("scans").inc(10)
+    counters = metrics.snapshot()["counters"]
     assert counters == {"placements": 5, "scans": 10}
 
 
 def test_snapshot_is_json_safe_and_report_renders():
     clock = FakeClock()
-    prof = Profiler(clock=clock)
-    with prof.span("phase"):
+    metrics = MetricsRegistry(clock=clock)
+    with metrics.span("phase"):
         clock.tick(1.0)
-    prof.count("things", 3)
-    json.dumps(prof.snapshot())  # must not raise
-    report = prof.report()
-    assert "phase" in report and "things" in report and "calls" in report
+    metrics.counter("things").inc(3)
+    json.dumps(metrics.snapshot())  # must not raise
+    report = metrics.report()
+    assert "phase" in report and "calls" in report and "1000.00" in report
+    # Wall time goes to the span table only: the instrument block a run
+    # prints (--explain) names the counter and no span.
+    render = metrics.render()
+    assert "things" in render and "phase" not in render
 
 
 def test_merge_folds_spans_and_counters():
     clock = FakeClock()
-    a, b = Profiler(clock=clock), Profiler(clock=clock)
+    a, b = MetricsRegistry(clock=clock), MetricsRegistry(clock=clock)
     with a.span("s"):
         clock.tick(1.0)
     with b.span("s"):
         clock.tick(2.0)
-    b.count("c", 7)
-    a.merge_snapshot(b.snapshot())
+    b.counter("c").inc(7)
+    a.merge_dump(b.dump())
     snap = a.snapshot()
     assert snap["spans"]["s"]["calls"] == 2
     assert snap["spans"]["s"]["cum_seconds"] == 3.0
@@ -98,55 +103,61 @@ def test_merge_folds_spans_and_counters():
 
 
 def test_null_profiler_is_disabled_and_normalized_away():
-    assert NULL_PROFILER.enabled is False
-    assert isinstance(NULL_PROFILER, NullProfiler)
-    # A null span still times itself; nothing is recorded.
-    with NULL_PROFILER.span("outer") as outer:
-        with NULL_PROFILER.span("inner"):
+    """The shared disabled registry: spans time themselves, nothing is
+    kept, and it is every observer's default."""
+    assert NULL_METRICS.enabled is False
+    assert Observer().metrics is NULL_METRICS
+    assert Observer(metrics=None).metrics is NULL_METRICS
+    with NULL_METRICS.span("outer") as outer:
+        with NULL_METRICS.span("inner"):
             time.sleep(0.01)
-        NULL_PROFILER.count("things", 3)
+        NULL_METRICS.counter("things").inc(3)
+        NULL_METRICS.histogram("sizes").record(1)
     assert outer.seconds >= 0.01
-    snap = NULL_PROFILER.snapshot()
+    snap = NULL_METRICS.snapshot()
     assert snap["spans"] == {} and snap["counters"] == {}
+    assert snap["histograms"] == {}
 
 
 def test_exception_inside_span_still_closes_it():
     clock = FakeClock()
-    prof = Profiler(clock=clock)
+    metrics = MetricsRegistry(clock=clock)
     try:
-        with prof.span("risky"):
+        with metrics.span("risky"):
             clock.tick(1.0)
             raise RuntimeError("boom")
     except RuntimeError:
         pass
-    stat = prof.snapshot()["spans"]["risky"]
+    stat = metrics.snapshot()["spans"]["risky"]
     assert stat["calls"] == 1 and stat["cum_seconds"] == 1.0
 
 
 def test_scheduler_run_produces_expected_spans(figure1_loop, machine):
     from repro.core import modulo_schedule
 
-    prof = Profiler()
-    result = modulo_schedule(figure1_loop, machine, observer=Observer(prof=prof))
+    metrics = MetricsRegistry()
+    result = modulo_schedule(figure1_loop, machine, observer=Observer(metrics=metrics))
     assert result.success
-    snap = prof.snapshot()
+    snap = metrics.snapshot()
     paths = set(snap["spans"])
     assert "bounds.resmii" in paths and "bounds.recmii" in paths
-    assert "driver.attempt" in paths
+    assert snap["spans"]["driver.attempt"]["calls"] == result.stats.attempts
     assert any(p.endswith("bounds.mindist") for p in paths)
-    assert snap["counters"]["framework.placements"] >= len(figure1_loop.real_ops)
-    assert snap["counters"]["driver.attempts"] == result.stats.attempts
+    counters = snap["counters"]
+    assert counters["scheduler.placements"] == result.stats.placements
+    assert counters["scheduler.placements"] >= len(figure1_loop.real_ops)
+    assert counters["scheduler.attempts"] == result.stats.attempts
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_every_algorithm_times_setup_place_and_mindist_in_spans(
     algorithm, figure1_loop, machine
 ):
-    prof = Profiler()
+    metrics = MetricsRegistry()
     result = modulo_schedule(
-        figure1_loop, machine, algorithm=algorithm, observer=Observer(prof=prof)
+        figure1_loop, machine, algorithm=algorithm, observer=Observer(metrics=metrics)
     )
-    spans = prof.snapshot()["spans"]
+    spans = metrics.snapshot()["spans"]
     setup = f"driver.attempt{PATH_SEP}driver.setup"
     place = f"driver.attempt{PATH_SEP}driver.place"
     for path in (setup, place, f"{setup}{PATH_SEP}bounds.mindist"):

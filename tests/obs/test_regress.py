@@ -15,11 +15,10 @@ from repro.obs.history import (
 from repro.obs.regress import (
     compare_metric,
     compare_payload_pair,
-    compare_sets,
     gating_regressions,
+    print_comparison,
     provenance_mismatches,
     render_table,
-    set_provenance_warnings,
     summarize,
 )
 
@@ -108,14 +107,6 @@ def test_compare_payload_pair_covers_metric_union():
     assert statuses == {"a": "removed", "b": "ok", "c": "added"}
 
 
-def test_compare_sets_flags_missing_scenarios():
-    old = {"s1": _payload("s1", m=metric(1, "x"))}
-    new = {"s2": _payload("s2", m=metric(1, "x"))}
-    deltas = compare_sets(old, new)
-    statuses = {(d.scenario, d.status) for d in deltas}
-    assert ("s1", "removed") in statuses and ("s2", "added") in statuses
-
-
 def test_render_table_lists_moves_and_summary_counts():
     old = _payload("s", e=metric(100, "ejections"), w=metric(1.0, "s", kind="time"))
     new = _payload("s", e=metric(150, "ejections"), w=metric(1.0, "s", kind="time"))
@@ -188,12 +179,12 @@ def test_collect_bench_files_empty_directory_raises(tmp_path):
 # Missing metrics
 # ----------------------------------------------------------------------
 def test_metric_in_old_missing_in_new_is_removed_not_an_error():
-    old = {"s": _payload("s", gone=metric(1, "x"), kept=metric(2, "x"))}
-    new = {"s": _payload("s", kept=metric(2, "x"))}
-    statuses = {d.name: d.status for d in compare_sets(old, new)}
+    old = _payload("s", gone=metric(1, "x"), kept=metric(2, "x"))
+    new = _payload("s", kept=metric(2, "x"))
+    statuses = {d.name: d.status for d in compare_payload_pair(old, new)}
     assert statuses["gone"] == "removed" and statuses["kept"] == "ok"
     # A removed metric never gates: CI should flag it, not hard-fail.
-    assert gating_regressions(compare_sets(old, new)) == []
+    assert gating_regressions(compare_payload_pair(old, new)) == []
 
 
 # ----------------------------------------------------------------------
@@ -224,8 +215,13 @@ def test_provenance_missing_field_does_not_warn():
     assert not any("cpu_count" in w for w in provenance_mismatches(old, new))
 
 
-def test_set_provenance_warnings_prefixes_scenarios():
-    old = {"s1": dict(_payload("s1"), cpu_count=64)}
-    new = {"s1": dict(_payload("s1"), cpu_count=1)}
-    warnings = set_provenance_warnings(old, new)
-    assert len(warnings) == 1 and warnings[0].startswith("s1: ")
+def test_print_comparison_warns_on_provenance_of_the_pair(capsys):
+    old = dict(_payload("s1", m=metric(1, "x")), cpu_count=64)
+    new = dict(_payload("s1", m=metric(2, "x")), cpu_count=1)
+    deltas = print_comparison(old, new)
+    out = capsys.readouterr().out
+    assert [(d.scenario, d.name, d.status) for d in deltas] == [
+        ("s1", "m", "regression")
+    ]
+    assert out.count("warning: provenance mismatch: cpu_count") == 1
+    assert "| s1 | m |" in out and "1 regressed" in out

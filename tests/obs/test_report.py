@@ -38,13 +38,10 @@ REGISTRY = {
         "service.progress.submitted": 3,
         "service.progress.finished": 2,
         "service.stragglers.flagged": 1,
+        "scan.ops": 42,
     },
     "gauges": {},
-    "timers": {},
     "histogram_values": {"service.job.seconds": [0.01, 0.025, 0.08]},
-}
-
-PROFILE = {
     "spans": {
         "driver": {"calls": 3, "cum_seconds": 0.10, "self_seconds": 0.02},
         "driver;mindist": {
@@ -54,7 +51,6 @@ PROFILE = {
             "calls": 3, "cum_seconds": 0.03, "self_seconds": 0.03,
         },
     },
-    "counters": {"scan.ops": 42},
 }
 
 PROGRESS = [
@@ -74,7 +70,6 @@ def _full_report():
         title="test report",
         loop_records=LOOP_RECORDS,
         registry=REGISTRY,
-        profile=PROFILE,
         trace_records=[{"type": "place"}, {"type": "place"}, {"type": "eject"}],
         progress_events=PROGRESS,
     )
@@ -125,7 +120,7 @@ def test_scatter_svg_two_series_with_legend():
 
 
 def test_flamegraph_nests_children_inside_parents():
-    svg = flamegraph_svg(PROFILE["spans"])
+    svg = flamegraph_svg(REGISTRY["spans"])
     assert svg.count("<rect") == 3
     assert "driver &gt; mindist" in svg
 

@@ -50,7 +50,7 @@ def test_injected_fault_skips_cache_hit(tmp_path):
 
 def test_obs_registry_receives_service_counters(tmp_path):
     registry = MetricsRegistry()
-    run_batch(
+    report = run_batch(
         paper_corpus(3), MACHINE, cache_dir=str(tmp_path),
         observer=Observer(metrics=registry),
     )
@@ -59,7 +59,10 @@ def test_obs_registry_receives_service_counters(tmp_path):
     assert snapshot["counters"]["service.cache.misses"] == 3
     assert snapshot["counters"]["service.cache.writes"] == 3
     assert "service.pool.utilization" in snapshot["gauges"]
-    assert "service.batch.wall" in snapshot["timers"]
+    # The batch times itself in one span: its seconds are the report's.
+    batch = snapshot["spans"]["service.batch"]
+    assert batch["calls"] == 1
+    assert batch["cum_seconds"] == report.wall_seconds > 0.0
 
 
 def test_run_corpus_service_path_matches_serial(tmp_path):

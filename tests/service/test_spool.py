@@ -6,13 +6,7 @@ import json
 import pytest
 
 from repro.machine import cydra5
-from repro.obs import (
-    NULL_PROFILER,
-    NULL_TRACER,
-    MetricsRegistry,
-    Observer,
-    Profiler,
-)
+from repro.obs import NULL_METRICS, MetricsRegistry, Observer
 from repro.obs.trace import CollectingTracer, Tracer
 from repro.service.batch import run_batch
 from repro.service.jobs import JOB_CACHED, JOB_FAILED
@@ -59,25 +53,28 @@ def test_session_tracer_receives_merged_events_across_processes():
 
 
 def test_worker_metrics_and_profile_cross_process_boundary():
-    """Pre-refactor, jobs>1 silently dropped phase timers and spans."""
+    """Pre-refactor, jobs>1 silently dropped worker instruments and spans."""
     registry = MetricsRegistry()
-    profiler = Profiler()
     report = run_batch(
         paper_corpus(3), MACHINE, jobs=2, backend="chunked",
-        observer=Observer(CollectingTracer(), registry, profiler),
+        observer=Observer(CollectingTracer(), registry),
     )
     snapshot = registry.snapshot()
-    assert snapshot["timers"]["phase.recmii"]["count"] == 3
+    # measure_loop's RecMII span and the driver's cache hit, per loop.
+    assert snapshot["spans"]["bounds.recmii"]["calls"] == 2 * 3
     assert snapshot["counters"]["scheduler.attempts"] == sum(
         metrics.attempts for metrics in report.loop_metrics
     )
-    assert profiler.snapshot()["spans"]
+    place = snapshot["spans"]["driver.attempt;driver.place"]["cum_seconds"]
+    assert abs(
+        place - sum(m.scheduling_seconds for m in report.loop_metrics)
+    ) <= 1e-9
 
 
 @pytest.mark.parametrize(
     "observer",
-    [None, Observer(), Observer(NULL_TRACER), Observer(prof=NULL_PROFILER)],
-    ids=["none", "default", "null-tracer", "null-profiler"],
+    [None, Observer(), Observer(metrics=NULL_METRICS)],
+    ids=["none", "default", "null-profiler"],
 )
 def test_no_observers_means_no_spool_overhead(observer):
     report = run_batch(paper_corpus(2), MACHINE, jobs=2, observer=observer)
@@ -90,7 +87,7 @@ def test_no_observers_means_no_spool_overhead(observer):
 # ----------------------------------------------------------------------
 def test_observed_batch_makes_only_the_pools_spill_directory(made_dirs):
     programs = paper_corpus(3)
-    observer = Observer(CollectingTracer(), MetricsRegistry(), Profiler())
+    observer = Observer(CollectingTracer(), MetricsRegistry())
     run_batch(programs, MACHINE, jobs=1, observer=observer)
     assert made_dirs == []
     run_batch(programs, MACHINE, jobs=2, observer=observer)
@@ -111,20 +108,18 @@ def test_job_that_raises_mid_schedule_still_merges_its_partial_observations(
 
     monkeypatch.setattr(CollectingTracer, "emit", _fail_on_first_place)
     registry = MetricsRegistry()
-    profiler = Profiler()
-    report = run_batch(
-        paper_corpus(1), MACHINE, observer=Observer(metrics=registry, prof=profiler)
-    )
+    report = run_batch(paper_corpus(1), MACHINE, observer=Observer(metrics=registry))
     [result] = report.results
     assert result.status == JOB_FAILED and "tracer failed" in result.error
     kinds = [record["kind"] for record in report.trace_records]
     assert kinds[0] == "attempt_start" and "place" not in kinds
     assert {record["job"] for record in report.trace_records} == {0}
     snapshot = registry.snapshot()
-    assert snapshot["timers"]["phase.recmii"]["count"] == 1
+    # measure_loop's RecMII span and the driver's ran before the failure.
+    assert snapshot["spans"]["bounds.recmii"]["calls"] == 2
     assert snapshot["counters"]["service.jobs.failed"] == 1
     # The placement span the failure escaped from is merged too.
-    assert "driver.attempt;driver.place" in profiler.snapshot()["spans"]
+    assert "driver.attempt;driver.place" in snapshot["spans"]
 
 
 def test_cached_jobs_are_skipped_by_merge(tmp_path, made_dirs):
