@@ -83,7 +83,6 @@ class MinDist:
         if cached:
             metrics.counter("mindist.cache_hits").inc()
         else:
-            metrics.counter("mindist.closures").inc()
             metrics.counter("mindist.closure_nodes").inc(self.n)
 
     def dist(self, src: int, dst: int) -> Optional[int]:

@@ -32,7 +32,6 @@ from repro.core.baseline import CydromeAttempt, HeightAttempt, UnidirectionalAtt
 from repro.core.framework import placement_budget, run_attempt
 from repro.core.schedule import ScheduleResult, SchedulerStats
 from repro.core.slack import SlackAttempt
-from repro.obs import trace as tracing
 from repro.obs.metrics import record_mrt_occupancy
 from repro.obs.observer import NULL_OBSERVER, Observer
 
@@ -161,14 +160,13 @@ def modulo_schedule(
     for _ in range(options.max_attempts):
         if trace is not None:
             budget = 0 if algorithm == "warp" else placement_budget(loop, options.budget_ratio)
-            trace.emit(
-                tracing.AttemptStart(
-                    algorithm=algorithm,
-                    ii=ii,
-                    n_ops=len(loop.real_ops),
-                    budget=budget,
-                )
-            )
+            trace.emit({
+                "kind": "attempt_start",
+                "algorithm": algorithm,
+                "ii": ii,
+                "n_ops": len(loop.real_ops),
+                "budget": budget,
+            })
         with metrics.span("driver.attempt"):
             with metrics.span("driver.setup") as setup:
                 attempt = attempt_cls(analysis, ii, observer=observer, **kwargs)
@@ -195,15 +193,14 @@ def modulo_schedule(
             if pressure > options.max_rr_pressure:
                 schedule = None  # over budget: slow the pipeline down
                 if trace is not None:
-                    trace.emit(
-                        tracing.AttemptFail(
-                            ii=ii,
-                            reason=(
-                                f"MaxLive {pressure} exceeds register budget "
-                                f"{options.max_rr_pressure}"
-                            ),
-                        )
-                    )
+                    trace.emit({
+                        "kind": "attempt_fail",
+                        "ii": ii,
+                        "reason": (
+                            f"MaxLive {pressure} exceeds register budget "
+                            f"{options.max_rr_pressure}"
+                        ),
+                    })
         if schedule is not None:
             break
         next_ii = options.next_ii(ii)
@@ -212,13 +209,12 @@ def modulo_schedule(
             loop.name, ii, stats.ejections, next_ii,
         )
         if trace is not None:
-            trace.emit(
-                tracing.IIEscalate(
-                    old_ii=ii,
-                    new_ii=next_ii,
-                    reason=f"attempt {stats.attempts} failed at II={ii}",
-                )
-            )
+            trace.emit({
+                "kind": "ii_escalate",
+                "old_ii": ii,
+                "new_ii": next_ii,
+                "reason": f"attempt {stats.attempts} failed at II={ii}",
+            })
         ii = next_ii
 
     if schedule is not None:
@@ -227,11 +223,12 @@ def modulo_schedule(
             loop.name, schedule.ii, mii, stats.attempts, stats.ejections,
         )
         if trace is not None:
-            trace.emit(
-                tracing.ScheduleFound(
-                    ii=schedule.ii, span=schedule.span, stages=schedule.stages
-                )
-            )
+            trace.emit({
+                "kind": "schedule_found",
+                "ii": schedule.ii,
+                "span": schedule.span,
+                "stages": schedule.stages,
+            })
         record_mrt_occupancy(metrics, schedule)
 
     return ScheduleResult(

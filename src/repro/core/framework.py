@@ -41,7 +41,6 @@ from repro.ir.loop import LoopBody
 from repro.ir.operations import Operation
 from repro.machine.mrt import ModuloResourceTable
 from repro.core.schedule import Schedule, SchedulerStats
-from repro.obs import trace as tracing
 from repro.obs.observer import NULL_OBSERVER, Observer
 
 #: ``-_UNPLACED`` is every entry of an unplaced op's contribution row and
@@ -63,7 +62,7 @@ class AttemptFailed(Exception):
 
 def placement_budget(loop: LoopBody, budget_ratio: float) -> int:
     """The §4.2 step-6 placement budget for one attempt (shared with the
-    driver so AttemptStart events can report it before construction)."""
+    driver so attempt_start events can report it before construction)."""
     return max(100, int(budget_ratio * max(1, len(loop.real_ops))))
 
 
@@ -198,7 +197,7 @@ class SchedulingAttempt:
             np.maximum.reduce(self.rows, axis=0, out=self.bounds)
             self._bounds_dirty = False
             if self.trace is not None:
-                self.trace.emit(tracing.BoundsRecompute(n_placed=len(self.times)))
+                self.trace.emit({"kind": "bounds_recompute", "n_placed": len(self.times)})
 
     def _refresh_bounds(self) -> None:
         """Make bounds valid, growing Lstart(Stop) and ejecting Stop when
@@ -215,7 +214,7 @@ class SchedulingAttempt:
                 self.set_lstart_cap(self._quantize_cap(estart_stop))
                 if self.trace is not None:
                     self.trace.emit(
-                        tracing.CapGrow(old_cap=old_cap, new_cap=self.lstart_cap)
+                        {"kind": "cap_grow", "old_cap": old_cap, "new_cap": self.lstart_cap}
                     )
                 continue
             break
@@ -240,7 +239,7 @@ class SchedulingAttempt:
             rows[oid] = -_UNPLACED
             penalty[oid] = 0
             if trace is not None:
-                trace.emit(tracing.Eject(oid=oid, cycle=cycle, cause=cause))
+                trace.emit({"kind": "eject", "oid": oid, "cycle": cycle, "cause": cause})
             if recording:
                 eject_counts[oid] = eject_counts.get(oid, 0) + 1
         self.stats.ejections += len(oids)
@@ -285,7 +284,7 @@ class SchedulingAttempt:
                 self._eject(ejected)
             if self.trace is not None:
                 self.trace.emit(
-                    tracing.ForcePlace(oid=op.oid, cycle=cycle, ejected=ejected)
+                    {"kind": "force_place", "oid": op.oid, "cycle": cycle, "ejected": ejected}
                 )
             return cycle
 
@@ -311,7 +310,7 @@ class SchedulingAttempt:
             penalty[oid] = PLACED_PENALTY
             stats.placements += 1
             if trace is not None:
-                trace.emit(tracing.Place(oid=oid, cycle=cycle, forced=forced))
+                trace.emit({"kind": "place", "oid": oid, "cycle": cycle, "forced": forced})
             if not self._bounds_dirty:
                 maximum(bounds, row, out=bounds)
 
@@ -322,9 +321,9 @@ class SchedulingAttempt:
         self._placer()(op, cycle, forced)
 
     def _fail(self, reason: str) -> None:
-        """Emit the AttemptFail event and raise :class:`AttemptFailed`."""
+        """Emit the attempt_fail event and raise :class:`AttemptFailed`."""
         if self.trace is not None:
-            self.trace.emit(tracing.AttemptFail(ii=self.ii, reason=reason))
+            self.trace.emit({"kind": "attempt_fail", "ii": self.ii, "reason": reason})
         raise AttemptFailed(reason)
 
     # ------------------------------------------------------------------
@@ -367,9 +366,11 @@ class SchedulingAttempt:
         have passed, or an Estart(Stop) past the cap.
         """
         if self.trace is not None:
-            # Start's implicit placement, so a replayed Place/Eject
+            # Start's implicit placement, so a replayed place/eject
             # stream reconstructs the complete times dict.
-            self.trace.emit(tracing.Place(oid=self.start_oid, cycle=0))
+            self.trace.emit(
+                {"kind": "place", "oid": self.start_oid, "cycle": 0, "forced": False}
+            )
         bounds, times, unplaced, stats = self.bounds, self.times, self.unplaced, self.stats
         stop, n, ii, budget = self.stop_oid, self.n, self.ii, self.budget
         choose_operation, choose_issue_cycle = self.choose_operation, self.choose_issue_cycle

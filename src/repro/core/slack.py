@@ -135,8 +135,6 @@ class SlackAttempt(SchedulingAttempt):
         exactly the ascending-oid tiebreak, and the subtracted placed
         penalty (framework) masks placed ops.
         """
-        if self._recording:
-            self.metrics.counter("slack.choose_operation").inc()
         if self._weighted_cap != self.lstart_cap:
             self._weighted_cap = self.lstart_cap
             frozen = self._initial_priority4

@@ -40,7 +40,6 @@ from repro.bounds.analysis import LoopAnalysis
 from repro.bounds.mindist import MinDist
 from repro.machine.mrt import ModuloResourceTable
 from repro.core.schedule import SchedulerStats
-from repro.obs import trace as tracing
 from repro.obs.observer import NULL_OBSERVER, Observer
 
 
@@ -145,12 +144,11 @@ class WarpScheduler:
         """List schedule the condensation; None if any node fails."""
         if self.infeasible_node:
             if self.trace is not None:
-                self.trace.emit(
-                    tracing.AttemptFail(
-                        ii=self.ii,
-                        reason="a recurrence circuit cannot be packed at this II",
-                    )
-                )
+                self.trace.emit({
+                    "kind": "attempt_fail",
+                    "ii": self.ii,
+                    "reason": "a recurrence circuit cannot be packed at this II",
+                })
             return None
         loop = self.loop
         node_of: Dict[int, _MacroNode] = {}
@@ -162,7 +160,9 @@ class WarpScheduler:
         order = self._topological_order(node_of)
         times: Dict[int, int] = {loop.start.oid: 0}
         if self.trace is not None:
-            self.trace.emit(tracing.Place(oid=loop.start.oid, cycle=0))
+            self.trace.emit(
+                {"kind": "place", "oid": loop.start.oid, "cycle": 0, "forced": False}
+            )
 
         for node in order:
             if node.members == [loop.start.oid]:
@@ -171,21 +171,22 @@ class WarpScheduler:
             placed_at = self._place_node(node, earliest)
             if placed_at is None:
                 if self.trace is not None:
-                    self.trace.emit(
-                        tracing.AttemptFail(
-                            ii=self.ii,
-                            reason=(
-                                f"no conflict-free slot for node {node.members} "
-                                f"at II={self.ii} (no backtracking)"
-                            ),
-                        )
-                    )
+                    self.trace.emit({
+                        "kind": "attempt_fail",
+                        "ii": self.ii,
+                        "reason": (
+                            f"no conflict-free slot for node {node.members} "
+                            f"at II={self.ii} (no backtracking)"
+                        ),
+                    })
                 return None
             for oid in node.members:
                 times[oid] = placed_at + node.offsets[oid]
                 self.stats.placements += 1
                 if self.trace is not None:
-                    self.trace.emit(tracing.Place(oid=oid, cycle=times[oid]))
+                    self.trace.emit(
+                        {"kind": "place", "oid": oid, "cycle": times[oid], "forced": False}
+                    )
         return times
 
     def _topological_order(self, node_of) -> List[_MacroNode]:

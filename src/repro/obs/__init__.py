@@ -6,8 +6,11 @@ accept one optional :class:`~repro.obs.observer.Observer`, which holds a
 :class:`~repro.obs.trace.Tracer` (or None) and a
 :class:`~repro.obs.metrics.MetricsRegistry`, the one recorder of spans,
 counters, gauges and histograms.  The default records nothing and
-costs one attribute test per decision.  See DESIGN.md
-§"Observability" for the event schema and hook locations.
+costs one attribute test per decision.  A scheduler event is a plain
+dict, ``{"kind": ..., <fields>}`` with the fields
+:data:`~repro.obs.trace.EVENT_FIELDS` lists for its kind, in one form
+from the emitter to the JSONL line, the flight dump and every reader.
+See DESIGN.md §"Observability" for the event schema and hook locations.
 
 Importing the package loads only what the scheduler runs: the tracer,
 metrics and observer modules.  The rest (trace export, the
@@ -33,25 +36,12 @@ from repro.obs.metrics import (
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.trace import (
     DEFAULT_FLIGHT_CAPACITY,
-    EVENT_TYPES,
-    AttemptFail,
-    AttemptStart,
-    BoundsRecompute,
-    CapGrow,
+    EVENT_FIELDS,
     CollectingTracer,
-    Eject,
     FlightRecorder,
-    ForcePlace,
-    IIEscalate,
-    JobStart,
-    Place,
-    ScheduleFound,
-    TraceEvent,
     Tracer,
-    event_from_dict,
     replay_times,
     split_attempts,
-    surviving_places,
 )
 
 __getattr__ = deferred_exports(globals(), {
@@ -137,23 +127,10 @@ __all__ = [
     "render_lifetime_chart",
     "render_mrt_occupancy",
     "DEFAULT_FLIGHT_CAPACITY",
-    "EVENT_TYPES",
-    "AttemptFail",
-    "AttemptStart",
-    "BoundsRecompute",
-    "CapGrow",
+    "EVENT_FIELDS",
     "CollectingTracer",
-    "Eject",
     "FlightRecorder",
-    "ForcePlace",
-    "IIEscalate",
-    "JobStart",
-    "Place",
-    "ScheduleFound",
-    "TraceEvent",
     "Tracer",
-    "event_from_dict",
     "replay_times",
     "split_attempts",
-    "surviving_places",
 ]

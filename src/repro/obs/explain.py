@@ -32,38 +32,27 @@ from repro.core.schedule import ScheduleResult
 from repro.ir.ddg import DDG, build_ddg
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.render import render_lifetime_chart, render_mrt_occupancy
-from repro.obs.trace import (
-    AttemptFail,
-    BoundsRecompute,
-    CapGrow,
-    Eject,
-    ForcePlace,
-    IIEscalate,
-    Place,
-    ScheduleFound,
-    TraceEvent,
-    split_attempts,
-)
+from repro.obs.trace import replay_times, split_attempts
 
 
-def _attempt_summary(attempt_events: List[TraceEvent]) -> dict:
+def _attempt_summary(attempt_events: List[dict]) -> dict:
     start = attempt_events[0]
-    tally = TallyCounter(type(event).__name__ for event in attempt_events)
+    tally = TallyCounter(event["kind"] for event in attempt_events)
     outcome, reason = "incomplete", ""
     for event in attempt_events:
-        if isinstance(event, ScheduleFound):
-            outcome, reason = "scheduled", f"span={event.span}, stages={event.stages}"
-        elif isinstance(event, AttemptFail):
-            outcome, reason = "failed", event.reason
+        if event["kind"] == "schedule_found":
+            outcome, reason = "scheduled", f"span={event['span']}, stages={event['stages']}"
+        elif event["kind"] == "attempt_fail":
+            outcome, reason = "failed", event["reason"]
     return {
-        "ii": start.ii,
-        "algorithm": start.algorithm,
-        "budget": start.budget,
-        "places": tally.get("Place", 0),
-        "ejects": tally.get("Eject", 0),
-        "forced": tally.get("ForcePlace", 0),
-        "recomputes": tally.get("BoundsRecompute", 0),
-        "cap_grows": tally.get("CapGrow", 0),
+        "ii": start["ii"],
+        "algorithm": start["algorithm"],
+        "budget": start["budget"],
+        "places": tally["place"],
+        "ejects": tally["eject"],
+        "forced": tally["force_place"],
+        "recomputes": tally["bounds_recompute"],
+        "cap_grows": tally["cap_grow"],
         "outcome": outcome,
         "reason": reason,
     }
@@ -91,20 +80,20 @@ def _resource_section(result: ScheduleResult, ii: int) -> List[str]:
     return lines
 
 
-def _escalation_section(events: List[TraceEvent]) -> List[str]:
-    escalations = [e for e in events if isinstance(e, IIEscalate)]
+def _escalation_section(events: List[dict]) -> List[str]:
+    escalations = [e for e in events if e["kind"] == "ii_escalate"]
     if not escalations:
         return ["II escalations: none (scheduled at the first attempted II)"]
     lines = [f"II escalations: {len(escalations)}"]
     for escalation in escalations:
-        reason = escalation.reason or "attempt failed"
-        lines.append(f"  II {escalation.old_ii} -> {escalation.new_ii}: {reason}")
+        reason = escalation["reason"] or "attempt failed"
+        lines.append(f"  II {escalation['old_ii']} -> {escalation['new_ii']}: {reason}")
     return lines
 
 
-def _ejection_section(result: ScheduleResult, events: List[TraceEvent]) -> List[str]:
+def _ejection_section(result: ScheduleResult, events: List[dict]) -> List[str]:
     ejected = TallyCounter(
-        event.oid for event in events if isinstance(event, Eject)
+        event["oid"] for event in events if event["kind"] == "eject"
     )
     if not ejected:
         return ["ejections: none (no backtracking needed)"]
@@ -116,7 +105,7 @@ def _ejection_section(result: ScheduleResult, events: List[TraceEvent]) -> List[
 
 def explain(
     result: ScheduleResult,
-    events: Iterable[TraceEvent],
+    events: Iterable[dict],
     metrics: Optional[MetricsRegistry] = None,
     ddg: Optional[DDG] = None,
 ) -> str:
@@ -201,29 +190,7 @@ def _format_flight_record(record: dict) -> str:
         for key in sorted(record)
         if key not in ("kind", "seq", "ts")
     )
-    kind = record.get("kind", "?")
-    seq = record.get("seq", 0)
-    return f"  [{seq:>4}] {kind}" + (f"  {detail}" if detail else "")
-
-
-def _ops_in_flight(records: List[dict]) -> List[int]:
-    """Replay Place/Eject within the ring window: ops still placed at death.
-
-    The window may open mid-attempt (older events fell off the ring), so
-    this is the set of operations *seen placed and not ejected* within
-    the recorded tail — the ops the scheduler was actively juggling when
-    the worker died.
-    """
-    placed: dict = {}
-    for record in records:
-        kind = record.get("kind")
-        if kind == "attempt_start":
-            placed = {}
-        elif kind == "place":
-            placed[record.get("oid")] = True
-        elif kind == "eject":
-            placed.pop(record.get("oid"), None)
-    return sorted(oid for oid in placed if oid is not None)
+    return f"  [{record['seq']:>4}] {record['kind']}" + (f"  {detail}" if detail else "")
 
 
 def flight_postmortem(
@@ -251,13 +218,12 @@ def flight_postmortem(
         lines.append("flight recorder: empty (job died before its first event)")
         return "\n".join(lines)
 
-    first_seq = records[0].get("seq", 0)
-    dropped = first_seq if isinstance(first_seq, int) and first_seq > 0 else 0
+    dropped = records[0]["seq"]
     note = f" ({dropped} earlier dropped from the ring)" if dropped else ""
     lines.append(f"flight recorder: last {len(records)} event(s){note}:")
     lines.extend(_format_flight_record(record) for record in records)
 
-    in_flight = _ops_in_flight(records)
+    in_flight = sorted(replay_times(records))
     if in_flight:
         lines.append(
             f"ops in flight at death ({len(in_flight)}): "

@@ -1,8 +1,11 @@
 """Trace serialization: JSONL and Chrome trace-event format.
 
-JSONL is the replayable archival format — one ``event.to_dict()`` per
-line, loadable back into typed events with :func:`load_jsonl` (the
-round trip is exact, which the replay tests rely on).
+JSONL is the one trace file format, written and read here for the
+single-loop ``--trace``, ``repro batch --trace`` (whose records add
+their ``loop`` and ``job``) and ``repro report --trace``: one event
+dict per line, exactly as the tracer holds it, so :func:`load_jsonl`
+returns the events :func:`write_jsonl` was given (the replay tests rely
+on this).
 
 The Chrome export targets ``chrome://tracing`` / Perfetto's legacy JSON
 importer: each scheduling attempt becomes a complete ("X") duration
@@ -14,40 +17,66 @@ in ``args``, and the number of currently placed operations a counter
 from __future__ import annotations
 
 import json
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
-from repro.obs.trace import (
-    AttemptFail,
-    AttemptStart,
-    Eject,
-    IIEscalate,
-    Place,
-    ScheduleFound,
-    TraceEvent,
-    event_from_dict,
-)
+from repro.obs.trace import EVENT_FIELDS
+
+#: Keys a tracer stamps (``seq`` always, ``ts`` when collecting) or a
+#: batch trace adds (``loop``, ``job``) next to an event's fields.
+_STAMPS = frozenset(("seq", "ts", "loop", "job"))
 
 
-def to_jsonl(events: Iterable[TraceEvent]) -> str:
+def to_jsonl(events: Iterable[dict]) -> str:
     """One JSON object per line, in emission order."""
-    return "\n".join(json.dumps(event.to_dict(), sort_keys=True) for event in events)
+    return "\n".join(json.dumps(event, sort_keys=True) for event in events)
 
 
-def write_jsonl(events: Iterable[TraceEvent], path: str) -> None:
+def write_jsonl(events: Iterable[dict], path: str) -> None:
     with open(path, "w") as handle:
         text = to_jsonl(events)
         if text:
             handle.write(text + "\n")
 
 
-def load_jsonl(path: str) -> List[TraceEvent]:
-    """Inverse of :func:`write_jsonl`: typed events, seq/ts restored."""
-    events: List[TraceEvent] = []
+def _record_problem(record) -> Optional[str]:
+    """Why ``record`` is not a trace event, or None when it is one."""
+    if not isinstance(record, dict):
+        return "not a JSON object"
+    kind = record.get("kind")
+    fields = EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        return f"unknown trace event kind {kind!r}"
+    keys = record.keys() - {"kind"}
+    missing = sorted({"seq", *fields} - keys)
+    if missing:
+        return f"{kind} event lacks {', '.join(missing)}"
+    extra = sorted(keys - _STAMPS - set(fields))
+    if extra:
+        return f"{kind} event has unknown field(s) {', '.join(extra)}"
+    return None
+
+
+def load_jsonl(path: str) -> List[dict]:
+    """Inverse of :func:`write_jsonl`: the event dicts, one per line.
+
+    A line that is not a JSON object, names a kind :data:`EVENT_FIELDS`
+    does not list, or lacks or adds a field (beyond ``seq``, ``ts``,
+    ``loop`` and ``job``) raises ``ValueError`` naming ``path:line``.
+    """
+    events: List[dict] = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
-                events.append(event_from_dict(json.loads(line)))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: not JSON: {exc}") from None
+            problem = _record_problem(record)
+            if problem is not None:
+                raise ValueError(f"{path}:{number}: {problem}")
+            events.append(record)
     return events
 
 
@@ -58,15 +87,11 @@ _PID = 1
 _TID_SCHEDULER = 1
 
 
-def _micros(events: List[TraceEvent], ts: float) -> float:
-    """Timestamps relative to the first event, in microseconds."""
-    base = events[0].ts if events else 0.0
-    return max(0.0, (ts - base) * 1e6)
-
-
-def to_chrome_trace(events: Iterable[TraceEvent]) -> dict:
+def to_chrome_trace(events: Iterable[dict]) -> dict:
     """Build the ``{"traceEvents": [...]}`` JSON object."""
-    events = [e for e in events]
+    events = list(events)
+    # Timestamps relative to the first event, in microseconds.
+    base = events[0].get("ts", 0.0) if events else 0.0
     trace: List[dict] = [
         {
             "name": "process_name",
@@ -79,56 +104,57 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> dict:
     placed = 0
     open_attempt = None  # (start_event, start_us)
     for event in events:
-        ts_us = _micros(events, getattr(event, "ts", 0.0))
-        if isinstance(event, AttemptStart):
+        kind = event["kind"]
+        ts_us = max(0.0, (event.get("ts", 0.0) - base) * 1e6)
+        if kind == "attempt_start":
             placed = 0
             open_attempt = (event, ts_us)
             continue
-        if isinstance(event, (AttemptFail, ScheduleFound)) and open_attempt is not None:
+        if kind in ("attempt_fail", "schedule_found") and open_attempt is not None:
             start_event, start_us = open_attempt
-            outcome = "ok" if isinstance(event, ScheduleFound) else "fail"
+            outcome = "ok" if kind == "schedule_found" else "fail"
             trace.append(
                 {
-                    "name": f"attempt II={start_event.ii} [{outcome}]",
+                    "name": f"attempt II={start_event['ii']} [{outcome}]",
                     "cat": "attempt",
                     "ph": "X",
                     "ts": start_us,
                     "dur": max(1.0, ts_us - start_us),
                     "pid": _PID,
                     "tid": _TID_SCHEDULER,
-                    "args": event.to_dict(),
+                    "args": event,
                 }
             )
             open_attempt = None
-        if isinstance(event, Place):
+        if kind == "place":
             placed += 1
-        elif isinstance(event, Eject):
+        elif kind == "eject":
             placed -= 1
         trace.append(
             {
-                "name": event.kind,
+                "name": kind,
                 "cat": "scheduler",
                 "ph": "i",
                 "s": "t",
                 "ts": ts_us,
                 "pid": _PID,
                 "tid": _TID_SCHEDULER,
-                "args": event.to_dict(),
+                "args": event,
             }
         )
-        if isinstance(event, (Place, Eject, IIEscalate)):
+        if kind in ("place", "eject", "ii_escalate"):
             trace.append(
                 {
                     "name": "placed ops",
                     "ph": "C",
                     "ts": ts_us,
                     "pid": _PID,
-                    "args": {"placed": 0 if isinstance(event, IIEscalate) else placed},
+                    "args": {"placed": 0 if kind == "ii_escalate" else placed},
                 }
             )
     return {"traceEvents": trace, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(events: Iterable[TraceEvent], path: str) -> None:
+def write_chrome_trace(events: Iterable[dict], path: str) -> None:
     with open(path, "w") as handle:
         json.dump(to_chrome_trace(events), handle)

@@ -38,6 +38,7 @@ import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.export import load_jsonl
 from repro.obs.history import HistoryStore, metric_trends, positive_int
 from repro.obs.metrics import PATH_SEP
 from repro.obs.progress import KIND_STRAGGLER, ProgressEvent, load_progress_log
@@ -113,17 +114,6 @@ def load_json_object(path: str, what: str) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object ({what})")
     return payload
-
-
-def load_trace_records(path: str) -> List[dict]:
-    """Read a ``batch --trace`` JSONL stream of loop-tagged events."""
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 # ----------------------------------------------------------------------
@@ -635,8 +625,7 @@ def _breakdown_section(
     if trace_records:
         kinds: Dict[str, int] = {}
         for record in trace_records:
-            kind = record.get("type") or record.get("event") or "?"
-            kinds[kind] = kinds.get(kind, 0) + 1
+            kinds[record["kind"]] = kinds.get(record["kind"], 0) + 1
         blocks.append(
             "<h3>Trace event mix</h3>" + bars_svg(sorted(kinds.items()), "events")
         )
@@ -847,7 +836,7 @@ def build_report_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         metavar="PATH",
-        help="merged scheduler trace JSONL (batch --trace)",
+        help="scheduler trace JSONL (batch --trace, or a single-loop --trace)",
     )
     parser.add_argument(
         "--progress-log",
@@ -898,7 +887,7 @@ def report_main(argv: Optional[List[str]] = None) -> int:
             if args.registry
             else None
         )
-        trace_records = load_trace_records(args.trace) if args.trace else None
+        trace_records = load_jsonl(args.trace) if args.trace else None
         progress_events = (
             load_progress_log(args.progress_log) if args.progress_log else None
         )

@@ -226,10 +226,11 @@ def _fold_observed(results: Sequence[JobResult], observer: Observer) -> List[dic
     and drop them from the results, so the report holds each event once.
 
     Returns the loop-tagged event records ``--trace`` writes.  Each
-    record keeps its job-local ``seq``: it is tagged before the event is
-    re-emitted, which lets a :class:`~repro.obs.trace.CollectingTracer`
-    re-stamp it.  Cached jobs carry no observations (a cache hit replays
-    no scheduler decisions).
+    record is a tagged copy of its event, taken before the event is
+    re-emitted, so it keeps its job-local ``seq`` when a
+    :class:`~repro.obs.trace.CollectingTracer` re-stamps the event.
+    Cached jobs carry no observations (a cache hit replays no scheduler
+    decisions).
     """
     records: List[dict] = []
     for result in results:
@@ -238,9 +239,7 @@ def _fold_observed(results: Sequence[JobResult], observer: Observer) -> List[dic
         events, metrics_dump = result.observed
         result.observed = None
         for event in events:
-            records.append(
-                {**event.to_dict(), "loop": result.name, "job": result.index}
-            )
+            records.append({**event, "loop": result.name, "job": result.index})
             if observer.trace is not None:
                 observer.trace.emit(event)
         if observer.metrics.enabled:

@@ -516,11 +516,11 @@ def _run(args: argparse.Namespace, batch_args: dict) -> int:
             return 2
         print(f"history: run #{run_id} -> {args.history}", file=status_stream)
     if args.trace:
+        from repro.obs.export import write_jsonl
+
         records = report.trace_records or []
         try:
-            with open(args.trace, "w") as handle:
-                for record in records:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+            write_jsonl(records, args.trace)
         except OSError as exc:
             print(f"error: cannot write trace to {args.trace}: {exc}", file=sys.stderr)
             return 2

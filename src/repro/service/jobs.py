@@ -24,7 +24,6 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.metrics import LoopMetrics
-from repro.obs.trace import TraceEvent
 
 JOB_OK = "ok"
 JOB_FAILED = "failed"
@@ -86,7 +85,7 @@ class JobResult:
     #: observed nothing or no worker returned (cached, crashed,
     #: backstop timeout).  ``run_batch`` folds these into its observer
     #: and then sets this to None, so its report holds each event once.
-    observed: Optional[Tuple[List[TraceEvent], dict]] = None
+    observed: Optional[Tuple[List[dict], dict]] = None
 
     def __post_init__(self) -> None:
         if self.status not in JOB_STATUSES:

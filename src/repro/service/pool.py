@@ -73,12 +73,7 @@ from repro.obs.progress import (
     job_event,
     result_event,
 )
-from repro.obs.trace import (
-    DEFAULT_FLIGHT_CAPACITY,
-    CollectingTracer,
-    FlightRecorder,
-    JobStart,
-)
+from repro.obs.trace import DEFAULT_FLIGHT_CAPACITY, CollectingTracer, FlightRecorder
 from repro.service.jobs import (
     JOB_CRASHED,
     JOB_FAILED,
@@ -250,7 +245,7 @@ def execute_job(
     sched_tracer = tracer
     if flight_events and flight_events > 0:
         recorder = FlightRecorder(flight_events)
-        recorder.emit(JobStart(job=job.index, loop=job.name))
+        recorder.emit({"kind": "job_start", "job": job.index, "loop": job.name})
         sched_tracer = (
             _FlightTee(tracer, recorder) if tracer is not None else recorder
         )

@@ -1,6 +1,9 @@
 """Export formats: JSONL round trip and Chrome trace-event structure."""
 
 import json
+import re
+
+import pytest
 
 from repro.core import modulo_schedule
 from repro.obs import (
@@ -28,7 +31,7 @@ def test_jsonl_roundtrip_is_lossless(machine, tmp_path):
     path = str(tmp_path / "trace.jsonl")
     write_jsonl(events, path)
     loaded = load_jsonl(path)
-    assert [e.to_dict() for e in loaded] == [e.to_dict() for e in events]
+    assert loaded == events
     # The acceptance criterion: a written trace replays to the schedule.
     assert replay_times(loaded) == result.schedule.times
 
@@ -50,6 +53,46 @@ def test_jsonl_empty_trace(tmp_path):
     write_jsonl([], path)
     assert load_jsonl(path) == []
     assert to_jsonl([]) == ""
+
+
+_PLACE = {"kind": "place", "oid": 1, "cycle": 0, "forced": False, "seq": 0}
+
+
+def _without(key):
+    return json.dumps({name: value for name, value in _PLACE.items() if name != key})
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (json.dumps({**_PLACE, "kind": "not_a_kind"}), "unknown trace event kind 'not_a_kind'"),
+        (_without("kind"), "unknown trace event kind None"),
+        (_without("forced"), "place event lacks forced"),
+        (_without("seq"), "place event lacks seq"),
+        (json.dumps({**_PLACE, "reason": ""}), r"place event has unknown field\(s\) reason"),
+        (json.dumps([1, 2]), "not a JSON object"),
+        ("{not json", "not JSON"),
+    ],
+    ids=[
+        "unknown-kind", "no-kind", "missing-field", "missing-seq", "extra-field",
+        "array", "not-json",
+    ],
+)
+def test_load_jsonl_rejects_a_bad_line_naming_it(tmp_path, line, message):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(_PLACE) + "\n\n" + line + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {message}"):
+        load_jsonl(str(path))
+
+
+def test_batch_stamps_load_and_a_job_start_keeps_its_own_fields(tmp_path):
+    records = [
+        {**_PLACE, "ts": 1.5, "loop": "ll1", "job": 0},
+        {"kind": "job_start", "job": 3, "loop": "inner", "seq": 0},
+    ]
+    path = str(tmp_path / "trace.jsonl")
+    write_jsonl(records, path)
+    assert load_jsonl(path) == records
 
 
 def test_chrome_trace_structure(machine, tmp_path):

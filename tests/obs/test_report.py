@@ -1,6 +1,7 @@
 """The HTML report builder: determinism, section wiring, the CLI."""
 
 import json
+import re
 
 from repro.obs.history import BENCH_SCHEMA, HistoryStore, metric, wrap_payload
 from repro.obs.progress import ProgressEvent
@@ -70,7 +71,7 @@ def _full_report():
         title="test report",
         loop_records=LOOP_RECORDS,
         registry=REGISTRY,
-        trace_records=[{"type": "place"}, {"type": "place"}, {"type": "eject"}],
+        trace_records=[{"kind": "place"}, {"kind": "place"}, {"kind": "eject"}],
         progress_events=PROGRESS,
     )
 
@@ -223,3 +224,37 @@ def test_report_cli_rejects_bad_input(tmp_path, capsys):
     bad.write_text("{not json")
     assert report_main(["--metrics", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_report_cli_rejects_a_malformed_trace_naming_its_line(tmp_path, capsys):
+    bad = tmp_path / "trace.jsonl"
+    bad.write_text(json.dumps({"type": "place", "seq": 0}) + "\n")
+    assert report_main(["--trace", str(bad), "--out", "-"]) == 2
+    assert f"error: {bad}:1: unknown trace event kind None" in capsys.readouterr().err
+
+
+def test_trace_event_mix_bars_are_named_by_kind(tmp_path, capsys):
+    """The event-mix bars drawn from a real batch trace name trace kinds
+    and count each kind's records."""
+    from repro.service.batch_cli import batch_main
+
+    trace = tmp_path / "trace.jsonl"
+    assert batch_main(
+        ["--corpus", "3", "--no-cache", "--no-progress", "--trace", str(trace)]
+    ) == 0
+    capsys.readouterr()
+    assert report_main(["--trace", str(trace), "--out", "-"]) == 0
+    document = capsys.readouterr().out
+    mix = document.split("<h3>Trace event mix</h3>", 1)[1].split("</svg>", 1)[0]
+    bars = dict(
+        (name, int(count))
+        for name, count in re.findall(r"<title>([^<:]+): (\d+) events</title>", mix)
+    )
+    expected = {}
+    for line in trace.read_text().splitlines():
+        kind = json.loads(line)["kind"]
+        expected[kind] = expected.get(kind, 0) + 1
+    assert bars == expected and "?" not in bars
+    from repro.obs import EVENT_FIELDS
+
+    assert set(bars) <= set(EVENT_FIELDS)

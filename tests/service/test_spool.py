@@ -101,7 +101,7 @@ def test_job_that_raises_mid_schedule_still_merges_its_partial_observations(
     raised = []
 
     def _fail_on_first_place(self, event):
-        if event.kind == "place" and not raised:
+        if event["kind"] == "place" and not raised:
             raised.append(event)
             raise RuntimeError("tracer failed")
         emit(self, event)
@@ -154,6 +154,32 @@ def test_cli_trace_flag_writes_merged_jsonl(tmp_path, capsys):
     with open(trace_path) as handle:
         events = [json.loads(line) for line in handle]
     assert events and {"kind", "seq", "loop", "job"} <= set(events[0])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_trace_file_replays_each_loops_schedule(tmp_path, capsys, jobs):
+    """A ``repro batch --trace`` file loads with the one trace reader,
+    and each job's records replay to that loop's schedule."""
+    from repro.core import modulo_schedule
+    from repro.frontend import compile_loop
+    from repro.obs import load_jsonl, replay_times
+    from repro.service.batch_cli import batch_main
+
+    trace_path = str(tmp_path / "trace.jsonl")
+    assert batch_main(
+        ["--corpus", "6", "--no-cache", "--no-progress", "--jobs", jobs,
+         "--trace", trace_path]
+    ) == 0
+    capsys.readouterr()
+    records = load_jsonl(trace_path)
+    programs = paper_corpus(6)
+    assert {record["job"] for record in records} == set(range(len(programs)))
+    for job, program in enumerate(programs):
+        mine = [record for record in records if record["job"] == job]
+        assert {record["loop"] for record in mine} == {program.name}
+        result = modulo_schedule(compile_loop(program), MACHINE)
+        assert result.success
+        assert replay_times(mine) == result.schedule.times
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
